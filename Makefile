@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race test-cluster test-disk test-trace test-drift check cover bench bench-smoke bench-baseline bench-check bench-large figures examples clean
+.PHONY: all build vet test test-race race test-cluster test-disk test-trace test-drift check cover bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -104,6 +104,13 @@ bench-baseline: bench-smoke
 # 25% in ns/op against the committed baseline.
 bench-check: bench-smoke
 	$(GO) run ./cmd/benchguard -compare -max-regress 0.25
+
+# bench-e2e runs the repository benchmark's end-to-end pass (BENCHMARK.json:
+# four workloads, each checked against its oracle and its digest). The
+# per-layer trace is `$(GO) run ./benchmark -trace 1`; benchmark/README.md
+# describes both.
+bench-e2e:
+	$(GO) run ./benchmark -trace 0
 
 # Regenerate every figure, lesson ablation, and extension experiment.
 figures:

@@ -12,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/distgen"
 	"repro/internal/figures"
+	"repro/internal/kv"
+	"repro/internal/pager"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -34,7 +36,7 @@ func batchGoldenScenario() core.Scenario {
 				Ops:  4000,
 				Workload: workload.Spec{
 					Mix:    workload.ReadHeavy,
-					Access: distgen.Static{G: distgen.NewZipfKeys(44, 1.1, 1 << 22)},
+					Access: distgen.Static{G: distgen.NewZipfKeys(44, 1.1, 1<<22)},
 				},
 			},
 			{
@@ -50,16 +52,22 @@ func batchGoldenScenario() core.Scenario {
 	}
 }
 
-// TestBatchSizeInvariance runs the golden scenario against every standard
-// SUT at several batch sizes and asserts the marshalled result JSON is
-// byte-for-byte identical to the unbatched (per-op) run.
+// TestBatchSizeInvariance runs the golden scenario against every SUT at
+// several batch sizes and asserts the marshalled result JSON is
+// byte-for-byte identical to the unbatched (per-op) run. The disk SUTs run
+// under a 16-page pool, a small fraction of the 10k-key data: there a
+// lookup evicts a page, so a batch path that reordered lookups would read
+// different pages and price different virtual times.
 func TestBatchSizeInvariance(t *testing.T) {
+	smallPool := pager.PoolKnobs{Pages: 16, Policy: "lru"}
 	factories := map[string]func() core.SUT{
-		"btree":   core.NewBTreeSUT,
-		"hash":    core.NewHashSUT,
-		"rmi":     core.NewRMISUT,
-		"alex":    core.NewALEXSUT,
-		"kvstore": core.NewKVSUTDefault,
+		"btree":      core.NewBTreeSUT,
+		"hash":       core.NewHashSUT,
+		"rmi":        core.NewRMISUT,
+		"alex":       core.NewALEXSUT,
+		"kvstore":    core.NewKVSUTDefault,
+		"disk-btree": func() core.SUT { return core.NewDiskBTreeSUT(smallPool) },
+		"disk-lsm":   func() core.SUT { return core.NewDiskKVSUT(kv.DefaultKnobs(), smallPool) },
 	}
 	batches := []int{2, 7, 64, 1000}
 	for name, f := range factories {

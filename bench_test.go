@@ -31,6 +31,7 @@ import (
 	"repro/internal/index/rmi"
 	"repro/internal/kv"
 	"repro/internal/learnedsort"
+	"repro/internal/metrics"
 	"repro/internal/pager"
 	"repro/internal/quality"
 	"repro/internal/similarity"
@@ -524,7 +525,7 @@ func BenchmarkMicroRunnerOverhead(b *testing.B) {
 // per-run setup (SUT load, collector, result) amortizes away and allocs/op
 // converges on the true per-op allocation count — which must be 0 (key
 // draws go through fixed buffers, dispatch buffers come from a pool, and
-// batch reordering reuses a scratch permutation).
+// the collector's curve is sized from the phase's op count).
 func BenchmarkMicroRunnerDispatch(b *testing.B) {
 	scenario := core.Scenario{
 		Name:        "dispatch",
@@ -547,6 +548,41 @@ func BenchmarkMicroRunnerDispatch(b *testing.B) {
 	b.ResetTimer()
 	if _, err := r.Run(scenario, core.NewBTreeSUT()); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkMicroHistogramRecord measures one bucketing of one latency —
+// what every completion pays once per histogram it lands in.
+func BenchmarkMicroHistogramRecord(b *testing.B) {
+	h := metrics.NewHistogram()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(200 + int64(uint32(i)*2654435761>>22))
+	}
+}
+
+// BenchmarkMicroCollectorRecord measures the collector's share of one
+// completion: curve point, interval histogram, SLA band. The collector is
+// told its op count, as the runner tells it, so the curve never regrows
+// and the loop must stay at 0 allocs/op; it is replaced (off the clock)
+// every 64k records so the curve stays cache-sized at any b.N.
+func BenchmarkMicroCollectorRecord(b *testing.B) {
+	const chunk = 1 << 16
+	var col *metrics.Collector
+	var done int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%chunk == 0 {
+			b.StopTimer()
+			col = metrics.NewCollector(metrics.CollectorConfig{IntervalNs: 1 << 40, SLANs: 10_000, Ops: chunk + 1})
+			done = 0
+			col.Record(done, 200) // the interval's histogram and band exist from here on
+			b.StartTimer()
+		}
+		lat := 200 + int64(uint32(i)*2654435761>>22)
+		done += lat
+		col.Record(done, lat)
 	}
 }
 

@@ -21,17 +21,20 @@ var ioModel = cost.DefaultIOModel()
 // virtual clock charges realistic, distribution-dependent service times.
 type IndexSUT struct {
 	ix             index.Ordered
+	in             index.Instrumented // ix's counters; nil when uninstrumented
 	lastCompare    uint64
 	lastSplits     uint64
 	lastTrainWork  uint64
 	lastPageReads  uint64
 	lastPageWrites uint64
 	online         int64
-	sortScratch    []int // reused by DoBatch's sorted get runs
 }
 
 // NewIndexSUT wraps an index.
-func NewIndexSUT(ix index.Ordered) *IndexSUT { return &IndexSUT{ix: ix} }
+func NewIndexSUT(ix index.Ordered) *IndexSUT {
+	in, _ := ix.(index.Instrumented)
+	return &IndexSUT{ix: ix, in: in}
+}
 
 // Name implements SUT.
 func (s *IndexSUT) Name() string { return s.ix.Name() }
@@ -71,15 +74,14 @@ func (s *IndexSUT) Do(op workload.Op) OpResult {
 // workDelta derives the operation's work from instrumentation counters,
 // falling back to coarse estimates for uninstrumented indexes.
 func (s *IndexSUT) workDelta(op workload.Op, res OpResult) int64 {
-	in, ok := s.ix.(index.Instrumented)
-	if !ok {
+	if s.in == nil {
 		w := int64(20)
 		if op.Type == workload.Scan {
 			w += int64(res.Visited)
 		}
 		return w
 	}
-	st := in.Stats()
+	st := s.in.Stats()
 	compares := int64(st.Compares - s.lastCompare)
 	splits := int64(st.Splits - s.lastSplits)
 	train := int64(st.TrainWork - s.lastTrainWork)
@@ -109,20 +111,20 @@ func (s *IndexSUT) workDelta(op workload.Op, res OpResult) int64 {
 	return work
 }
 
-// DoBatch implements BatchSUT natively: runs of consecutive point lookups
-// execute in ascending key order, sweeping the index (tree leaves, model
-// segments, hash directories) with locality instead of random probes.
-// Lookups are read-only and their instrumentation deltas are intrinsic per
-// key, so the per-op results are identical to sequential dispatch — except
-// for counter advances pending from bulk loads or explicit training, which
-// sequential dispatch charges to the next op in issue order; flush them to
-// the batch's first slot so reordering cannot reattribute that work.
+// DoBatch implements BatchSUT natively: the ops execute in issue order
+// through a direct call (no interface dispatch per op). Order matters even
+// for lookups — a disk-backed index's Get moves buffer-pool state — so the
+// batch never reorders. Counter advances pending from bulk loads or
+// explicit training are flushed once per batch and charged to its first
+// slot, where sequential dispatch charges them.
 func (s *IndexSUT) DoBatch(ops []workload.Op, out []OpResult) {
 	if len(ops) == 0 {
 		return
 	}
 	pending := s.flushPending()
-	doSortedGetRuns(&s.sortScratch, ops, out, s.Do)
+	for i := range ops {
+		out[i] = s.Do(ops[i])
+	}
 	out[0].Work += pending
 }
 
@@ -130,11 +132,10 @@ func (s *IndexSUT) DoBatch(ops []workload.Op, out []OpResult) {
 // an operation, pricing it exactly as workDelta would have priced it as
 // part of the next op's work.
 func (s *IndexSUT) flushPending() int64 {
-	in, ok := s.ix.(index.Instrumented)
-	if !ok {
+	if s.in == nil {
 		return 0
 	}
-	st := in.Stats()
+	st := s.in.Stats()
 	compares := int64(st.Compares - s.lastCompare)
 	splits := int64(st.Splits - s.lastSplits)
 	train := int64(st.TrainWork - s.lastTrainWork)
@@ -192,9 +193,8 @@ func StandardSUTs() []func() SUT {
 
 // KVSUT adapts the log-structured kv.Store.
 type KVSUT struct {
-	store       *kv.Store
-	last        kv.Counters
-	sortScratch []int // reused by DoBatch's sorted get runs
+	store *kv.Store
+	last  kv.Counters
 }
 
 // NewKVSUT wraps a store opened with the given knobs.
@@ -247,18 +247,19 @@ func (s *KVSUT) Do(op workload.Op) OpResult {
 	return res
 }
 
-// DoBatch implements BatchSUT natively: sorted lookup runs probe the
-// store's sorted runs in key order (sequential sparse-index hits instead
-// of random probes); mutations keep their positions so compaction timing —
-// and therefore per-op work — matches sequential execution. Counter
-// advances pending from Load (which bypasses Do) are flushed to the
-// batch's first slot, matching where sequential dispatch charges them.
+// DoBatch implements BatchSUT natively: issue-order dispatch through a
+// direct call, so compaction timing — and therefore per-op work — is that
+// of sequential Do. Counter advances pending from Load (which bypasses Do)
+// are flushed to the batch's first slot, matching where sequential
+// dispatch charges them.
 func (s *KVSUT) DoBatch(ops []workload.Op, out []OpResult) {
 	if len(ops) == 0 {
 		return
 	}
 	pending := s.flushPending()
-	doSortedGetRuns(&s.sortScratch, ops, out, s.Do)
+	for i := range ops {
+		out[i] = s.Do(ops[i])
+	}
 	out[0].Work += pending
 }
 

@@ -11,8 +11,10 @@ import (
 // the same final contents — so engines may dispatch in batches of any size
 // without changing results. What batching buys is amortization: one lock
 // acquisition per batch in the real-time driver, one wire round trip per
-// batch in the network driver, and cache-friendly sorted lookup runs in
-// the index SUTs.
+// batch in the network driver, and one interface call per batch instead of
+// per op in the index and kv SUTs. Implementations must not reorder: a
+// lookup on a disk-backed SUT moves buffer-pool state, so execution order
+// is part of the result.
 type BatchSUT interface {
 	SUT
 	// DoBatch executes ops[i] and stores its result in out[i].
@@ -36,107 +38,6 @@ type seqBatch struct{ SUT }
 func (b seqBatch) DoBatch(ops []workload.Op, out []OpResult) {
 	for i, op := range ops {
 		out[i] = b.Do(op)
-	}
-}
-
-// doSortedGetRuns is the shared native-batch strategy of the index and kv
-// SUT adapters: maximal runs of consecutive Get operations are executed in
-// ascending key order (point lookups are read-only, so their per-op results
-// and instrumentation deltas are order-independent), which turns random
-// probes into locality-friendly sweeps; mutations and scans execute at
-// their original positions so batch results match sequential execution
-// exactly. Results land in the slots of their original ops.
-//
-// scratch is the caller's reusable index buffer (its capacity is retained
-// across calls), keeping the steady-state batch path allocation-free.
-func doSortedGetRuns(scratch *[]int, ops []workload.Op, out []OpResult, do func(workload.Op) OpResult) {
-	order := *scratch
-	for i := 0; i < len(ops); {
-		if ops[i].Type != workload.Get {
-			out[i] = do(ops[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(ops) && ops[j].Type == workload.Get {
-			j++
-		}
-		if j-i < 2 {
-			out[i] = do(ops[i])
-			i = j
-			continue
-		}
-		order = order[:0]
-		for k := i; k < j; k++ {
-			order = append(order, k)
-		}
-		sortRunByKey(ops, order)
-		for _, k := range order {
-			out[k] = do(ops[k])
-		}
-		i = j
-	}
-	*scratch = order
-}
-
-// runLess orders run indices by (key, original position) — a strict total
-// order, because indices are distinct. Sorting by it with any comparison
-// sort yields exactly the permutation sort.SliceStable produced when it
-// ordered by key alone, so replacing the reflection-based stable sort
-// cannot change which op executes when.
-func runLess(ops []workload.Op, a, b int) bool {
-	if ops[a].Key != ops[b].Key {
-		return ops[a].Key < ops[b].Key
-	}
-	return a < b
-}
-
-// sortRunByKey sorts order in place by runLess without allocating:
-// median-of-three quicksort with an insertion-sort floor.
-func sortRunByKey(ops []workload.Op, order []int) {
-	for len(order) > 12 {
-		mid, last := len(order)/2, len(order)-1
-		if runLess(ops, order[mid], order[0]) {
-			order[0], order[mid] = order[mid], order[0]
-		}
-		if runLess(ops, order[last], order[0]) {
-			order[0], order[last] = order[last], order[0]
-		}
-		if runLess(ops, order[last], order[mid]) {
-			order[mid], order[last] = order[last], order[mid]
-		}
-		pivot := order[mid]
-		i, j := 0, last
-		for i <= j {
-			for runLess(ops, order[i], pivot) {
-				i++
-			}
-			for runLess(ops, pivot, order[j]) {
-				j--
-			}
-			if i <= j {
-				order[i], order[j] = order[j], order[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, loop on the larger: O(log n) stack.
-		if j+1 < len(order)-i {
-			sortRunByKey(ops, order[:j+1])
-			order = order[i:]
-		} else {
-			sortRunByKey(ops, order[i:])
-			order = order[:j+1]
-		}
-	}
-	for i := 1; i < len(order); i++ {
-		v := order[i]
-		j := i - 1
-		for j >= 0 && runLess(ops, v, order[j]) {
-			order[j+1] = order[j]
-			j--
-		}
-		order[j+1] = v
 	}
 }
 

@@ -38,10 +38,9 @@ func NewDiskBTreeSUTDefault() SUT { return NewDiskBTreeSUT(pager.DefaultPoolKnob
 // the IOModel); every memtable flush is followed by a catalog sync, so
 // write-heavy workloads pay realistic fsync costs.
 type DiskKVSUT struct {
-	store       *kv.DiskStore
-	last        kv.Counters
-	lastPool    pager.Counters
-	sortScratch []int // reused by DoBatch's sorted get runs
+	store    *kv.DiskStore
+	last     kv.Counters
+	lastPool pager.Counters
 }
 
 // NewDiskKVSUT wraps a disk store with the given store and pool knobs.
@@ -117,16 +116,19 @@ func (s *DiskKVSUT) Do(op workload.Op) OpResult {
 	return res
 }
 
-// DoBatch implements BatchSUT natively, mirroring KVSUT: sorted lookup
-// runs sweep the on-disk runs in key order (sequential page hits instead
-// of random misses); counter advances pending from Load are flushed to the
-// batch's first slot, matching sequential dispatch.
+// DoBatch implements BatchSUT natively, mirroring KVSUT: issue-order
+// dispatch through a direct call, with the counter advances pending from
+// Load flushed to the batch's first slot. A lookup here is not read-only —
+// it moves buffer-pool frames — so any reordering would change which later
+// ops hit and what they cost.
 func (s *DiskKVSUT) DoBatch(ops []workload.Op, out []OpResult) {
 	if len(ops) == 0 {
 		return
 	}
 	pending := s.flushPending()
-	doSortedGetRuns(&s.sortScratch, ops, out, s.Do)
+	for i := range ops {
+		out[i] = s.Do(ops[i])
+	}
 	out[0].Work += pending
 }
 

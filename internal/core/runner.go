@@ -138,9 +138,9 @@ type Runner struct {
 	// generated ahead and executed through the SUT's BatchSUT path (native
 	// or adapted) before their completions are priced on the virtual
 	// clock. 0 or 1 dispatches one op at a time. Because op generation
-	// never depends on execution results and BatchSUT implementations are
-	// result-equivalent to sequential Do, results are byte-identical at
-	// every batch size.
+	// never depends on execution results and BatchSUT implementations
+	// execute in issue order, results are byte-identical at every batch
+	// size.
 	Batch int
 	// WrapSUT, when set, wraps the SUT after the run's virtual clock is
 	// created but before the initial load — the injection point for
@@ -200,6 +200,9 @@ func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
 	colCfg := metrics.CollectorConfig{
 		IntervalNs: s.interval(),
 		SLANs:      s.SLANs,
+	}
+	for _, phase := range s.Phases {
+		colCfg.Ops += phase.Ops
 	}
 	if s.Session != nil {
 		colCfg.SessionBudgetNs = s.Session.BudgetNs

@@ -170,6 +170,7 @@ func RunSQL(s SQLScenario, sys QuerySystem, cm sim.CostModel) (*SQLRunResult, er
 		IntervalNs:     interval,
 		SLANs:          s.SLANs,
 		CalibrateAfter: calibrateAfter,
+		Ops:            s.N,
 	})
 	for i := 0; i < s.N; i++ {
 		if i == mutateAfter {

@@ -268,6 +268,7 @@ func Run(sut core.SUT, spec workload.Spec, initial distgen.Generator, initialSiz
 	col := metrics.NewCollector(metrics.CollectorConfig{
 		IntervalNs: interval,
 		SLANs:      opts.SLANs,
+		Ops:        len(all),
 	})
 	for _, s := range all {
 		if s.failed {

@@ -6,9 +6,12 @@ package metrics
 // BandTracker (1c), and the overall latency Histogram — and implements the
 // paper's deferred SLA calibration exactly once.
 //
-// Completions enter through Record(done, latency). The timeline, curve,
-// and histogram account every completion immediately; band tracking is
-// deferred while the SLA threshold is unknown: the first CalibrateAfter
+// Completions enter through Record(done, latency). The timeline (which
+// buckets the latency into its interval's histogram) and the curve account
+// every completion immediately; the overall latency histogram is the merge
+// of the timeline's intervals, taken at Snapshot, so a completion is never
+// bucketed twice for the same answer. Band tracking is deferred while the
+// SLA threshold is unknown: the first CalibrateAfter
 // samples are buffered, the threshold is derived from their latency
 // distribution via CalibrateSLA, and the buffer is replayed into the
 // tracker so no completion is lost. A fixed SLA (Config.SLANs > 0) starts
@@ -21,7 +24,6 @@ type Collector struct {
 	cfg       CollectorConfig
 	timeline  *Timeline
 	cum       *CumCurve
-	latency   *Histogram
 	bands     *BandTracker
 	sla       int64
 	completed int64
@@ -49,6 +51,11 @@ type CollectorConfig struct {
 	// (defaults 0.5 and 20: 20x the median).
 	CalibrateQuantile float64
 	CalibrateHeadroom float64
+	// Ops is how many completions the engine expects to record, when it
+	// knows: the cumulative curve is allocated once at that size instead
+	// of growing (and copying itself) inside the measured loop. 0 grows on
+	// demand; a wrong value costs memory or regrowth, never correctness.
+	Ops int
 	// SessionBudgetNs is the per-session SLA budget applied when the
 	// engine marks session boundaries via BeginSession (0: sessions are
 	// counted without a budget). It has no effect until BeginSession is
@@ -73,8 +80,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	return &Collector{
 		cfg:      cfg,
 		timeline: NewTimeline(cfg.IntervalNs),
-		cum:      &CumCurve{},
-		latency:  NewHistogram(),
+		cum:      newCumCurve(cfg.Ops),
 		sla:      cfg.SLANs,
 	}
 }
@@ -100,7 +106,6 @@ func (c *Collector) Record(done, latency int64) {
 	}
 	c.cum.Add(done, c.completed)
 	c.timeline.Record(done, latency)
-	c.latency.Record(latency)
 	if c.bands != nil {
 		c.bands.Record(done, latency)
 		return
@@ -182,7 +187,7 @@ func (c *Collector) Snapshot() Snapshot {
 		Timeline:   c.timeline,
 		Cumulative: c.cum,
 		Bands:      c.bands,
-		Latency:    c.latency,
+		Latency:    c.timeline.MergedLatency(),
 		SLANs:      c.sla,
 		Completed:  c.completed,
 		Failed:     c.failed,
@@ -205,7 +210,8 @@ type Snapshot struct {
 	Cumulative *CumCurve
 	// Bands backs Figure 1c: SLA latency bands.
 	Bands *BandTracker
-	// Latency is the overall latency histogram.
+	// Latency is the overall latency histogram: the merge of the
+	// timeline's per-interval histograms.
 	Latency *Histogram
 	// SLANs is the SLA threshold used (fixed or calibrated).
 	SLANs int64

@@ -115,3 +115,45 @@ func histOf(lats []int64) *Histogram {
 	}
 	return h
 }
+
+// TestCollectorLatencyMatchesDirectHistogram: the overall histogram is
+// derived from the timeline at Snapshot, and must be the histogram that
+// recording every latency directly would have produced.
+func TestCollectorLatencyMatchesDirectHistogram(t *testing.T) {
+	c := NewCollector(CollectorConfig{IntervalNs: 1000, SLANs: 500})
+	direct := NewHistogram()
+	var done int64
+	for i := int64(0); i < 5000; i++ {
+		lat := (i*7919)%100_000 + i%3
+		done += 1 + i%700 // spans many intervals, some of them empty
+		c.Record(done, lat)
+		direct.Record(lat)
+	}
+	got := c.Snapshot().Latency
+	if got.Count() != direct.Count() || got.Mean() != direct.Mean() ||
+		got.Min() != direct.Min() || got.Max() != direct.Max() {
+		t.Fatalf("derived %v, direct %v", got, direct)
+	}
+	for i, n := range direct.counts {
+		if got.counts[i] != n {
+			t.Fatalf("bucket %d: derived %d, direct %d", i, got.counts[i], n)
+		}
+	}
+}
+
+// TestCollectorPreSizedCurve: with the op count known up front the curve
+// is allocated once, and a run that outgrows the hint still records.
+func TestCollectorPreSizedCurve(t *testing.T) {
+	const ops = 3000
+	c := NewCollector(CollectorConfig{IntervalNs: 1e6, SLANs: 500, Ops: ops})
+	for i := int64(0); i < ops; i++ {
+		c.Record(i, 100)
+	}
+	if got := cap(c.cum.times); got != ops {
+		t.Fatalf("curve capacity %d after %d records, want the hint unchanged", got, ops)
+	}
+	c.Record(ops, 100)
+	if s := c.Snapshot(); s.Cumulative.Len() != ops+1 || s.Cumulative.Total() != ops+1 {
+		t.Fatalf("curve has %d points totalling %d, want %d", s.Cumulative.Len(), s.Cumulative.Total(), ops+1)
+	}
+}

@@ -13,6 +13,11 @@ type CumCurve struct {
 	counts []int64 // cumulative completions at that timestamp
 }
 
+// newCumCurve returns an empty curve with room for n points.
+func newCumCurve(n int) *CumCurve {
+	return &CumCurve{times: make([]int64, 0, n), counts: make([]int64, 0, n)}
+}
+
 // Add records that by time t (ns since run start) a total of the given
 // number of queries had completed. Calls must have non-decreasing t; a
 // regression panics since it indicates a measurement bug.
@@ -155,12 +160,12 @@ func (c *CumCurve) Slope(t, window int64) float64 {
 // first and last points, for plotting.
 func (c *CumCurve) Downsample(n int) *CumCurve {
 	if n <= 0 || len(c.times) <= n {
-		out := &CumCurve{}
+		out := newCumCurve(len(c.times))
 		out.times = append(out.times, c.times...)
 		out.counts = append(out.counts, c.counts...)
 		return out
 	}
-	out := &CumCurve{}
+	out := newCumCurve(n)
 	stride := float64(len(c.times)-1) / float64(n-1)
 	for i := 0; i < n; i++ {
 		idx := int(float64(i) * stride)

@@ -12,78 +12,60 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
+)
+
+// subBuckets is the number of linear sub-buckets per octave; subBits is its
+// log2. Values below subBuckets get one bucket each.
+const (
+	subBits    = 4
+	subBuckets = 1 << subBits
 )
 
 // Histogram is a log-bucketed latency histogram in the spirit of HDR
 // histograms: values are bucketed with bounded relative error (~4.2% with
-// the default 16 sub-buckets per octave), supporting quantile queries
-// without retaining samples. The zero value is not usable; call
-// NewHistogram.
+// 16 sub-buckets per octave), supporting quantile queries without
+// retaining samples. The zero value is not usable; call NewHistogram.
 type Histogram struct {
-	counts     []uint64
-	subBuckets int
-	total      uint64
-	sum        float64
-	min, max   int64
+	counts []uint64
+	total  uint64
+	// sum is an integer so that Record order and Merge grouping cannot
+	// change it: the merged per-interval histograms of a Timeline report
+	// the same mean as one histogram fed every sample.
+	sum      uint64
+	min, max int64
 }
 
 // NewHistogram returns an empty histogram covering [0, 2^62) ns.
 func NewHistogram() *Histogram {
-	const subBuckets = 16
 	// 63 octaves * subBuckets is a safe upper bound on bucket count.
 	return &Histogram{
-		counts:     make([]uint64, 63*subBuckets),
-		subBuckets: subBuckets,
-		min:        math.MaxInt64,
+		counts: make([]uint64, 63*subBuckets),
+		min:    math.MaxInt64,
 	}
 }
 
-func (h *Histogram) bucketOf(v int64) int {
+// bucketOf maps a value (negatives count as 0) to its bucket: the octave is
+// the position of the highest set bit, the sub-bucket the subBits bits
+// below it.
+func bucketOf(v int64) int {
 	if v < 0 {
 		v = 0
 	}
-	if v < int64(h.subBuckets) {
+	if v < subBuckets {
 		return int(v)
 	}
-	// Octave = position of the highest set bit above the sub-bucket
-	// resolution; sub-bucket = next log2(subBuckets) bits.
-	octave := 63 - leadingZeros(uint64(v))
-	shift := octave - log2int(h.subBuckets)
-	sub := int(v>>uint(shift)) - h.subBuckets
-	return (octave-log2int(h.subBuckets)+1)*h.subBuckets + sub
+	shift := bits.Len64(uint64(v)) - 1 - subBits
+	return shift*subBuckets + int(v>>uint(shift))
 }
 
 // bucketLow returns the lowest value mapping to bucket i (inverse of
 // bucketOf for reporting).
-func (h *Histogram) bucketLow(i int) int64 {
-	if i < h.subBuckets {
+func bucketLow(i int) int64 {
+	if i < subBuckets {
 		return int64(i)
 	}
-	octaveIdx := i/h.subBuckets - 1
-	sub := i % h.subBuckets
-	shift := octaveIdx
-	return int64(h.subBuckets+sub) << uint(shift)
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
-	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
-}
-
-func log2int(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+	return int64(subBuckets+i%subBuckets) << uint(i/subBuckets-1)
 }
 
 // Record adds one observation of v nanoseconds.
@@ -91,13 +73,13 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	b := h.bucketOf(v)
+	b := bucketOf(v)
 	if b >= len(h.counts) {
 		b = len(h.counts) - 1
 	}
 	h.counts[b]++
 	h.total++
-	h.sum += float64(v)
+	h.sum += uint64(v)
 	if v < h.min {
 		h.min = v
 	}
@@ -114,7 +96,7 @@ func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return h.sum / float64(h.total)
+	return float64(h.sum) / float64(h.total)
 }
 
 // Min returns the exact minimum recorded value (0 when empty).
@@ -153,8 +135,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		cum += c
 		if cum > target {
-			lo := h.bucketLow(i)
-			hi := h.bucketLow(i + 1)
+			lo := bucketLow(i)
+			hi := bucketLow(i + 1)
 			v := lo + (hi-lo)/2
 			if v < h.min {
 				v = h.min
@@ -173,11 +155,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 // the bucket midpoint exceeds the threshold, keeping the error within the
 // bucket resolution.
 func (h *Histogram) CountAbove(threshold int64) uint64 {
-	tb := h.bucketOf(threshold)
+	tb := bucketOf(threshold)
 	var n uint64
 	for i := tb; i < len(h.counts); i++ {
 		if i == tb {
-			mid := h.bucketLow(i) + (h.bucketLow(i+1)-h.bucketLow(i))/2
+			mid := bucketLow(i) + (bucketLow(i+1)-bucketLow(i))/2
 			if mid <= threshold {
 				continue
 			}
@@ -188,15 +170,15 @@ func (h *Histogram) CountAbove(threshold int64) uint64 {
 }
 
 // Merge folds other into h. Both histograms must have been created by
-// NewHistogram (same bucket layout); merging mismatched layouts would
+// NewHistogram (same bucket count); merging mismatched layouts would
 // silently misattribute counts, so it panics instead.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
 	}
-	if len(other.counts) != len(h.counts) || other.subBuckets != h.subBuckets {
-		panic(fmt.Sprintf("metrics: Merge of mismatched histogram layouts (%d/%d buckets, %d/%d sub-buckets)",
-			len(h.counts), len(other.counts), h.subBuckets, other.subBuckets))
+	if len(other.counts) != len(h.counts) {
+		panic(fmt.Sprintf("metrics: Merge of mismatched histogram layouts (%d/%d buckets)",
+			len(h.counts), len(other.counts)))
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c

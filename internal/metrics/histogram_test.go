@@ -128,7 +128,7 @@ func TestHistogramMergeMismatchedLayout(t *testing.T) {
 	// latencies instead of failing.
 	h := NewHistogram()
 	h.Record(500)
-	other := &Histogram{counts: make([]uint64, 8), subBuckets: 4}
+	other := &Histogram{counts: make([]uint64, 8)}
 	other.counts[2] = 3
 	other.total = 3
 	defer func() {
@@ -147,7 +147,7 @@ func TestHistogramMergeEmptyMismatchIgnored(t *testing.T) {
 	// stays a no-op regardless of layout (the nil/empty fast path).
 	h := NewHistogram()
 	h.Record(500)
-	h.Merge(&Histogram{counts: make([]uint64, 8), subBuckets: 4})
+	h.Merge(&Histogram{counts: make([]uint64, 8)})
 	if h.Count() != 1 {
 		t.Fatalf("count = %d", h.Count())
 	}
@@ -175,13 +175,110 @@ func TestHistogramStringNonEmpty(t *testing.T) {
 }
 
 func TestBucketRoundTrip(t *testing.T) {
-	h := NewHistogram()
 	for _, v := range []int64{0, 1, 15, 16, 17, 255, 256, 1 << 20, 1<<40 + 12345} {
-		b := h.bucketOf(v)
-		lo := h.bucketLow(b)
-		hi := h.bucketLow(b + 1)
+		b := bucketOf(v)
+		lo := bucketLow(b)
+		hi := bucketLow(b + 1)
 		if v < lo || v >= hi {
 			t.Fatalf("value %d not in bucket [%d,%d)", v, lo, hi)
 		}
+	}
+}
+
+// refBucketOf and refBucketLow are the bit-loop bucketing formulas the
+// histogram used before math/bits, kept as the reference the intrinsic
+// version must agree with on every boundary.
+func refBucketOf(v int64) int {
+	const sub = 16
+	if v < 0 {
+		v = 0
+	}
+	if v < sub {
+		return int(v)
+	}
+	lz := 0
+	for u := uint64(v); u&(1<<63) == 0; u <<= 1 {
+		lz++
+	}
+	log2sub := 0
+	for s := sub; s > 1; s >>= 1 {
+		log2sub++
+	}
+	octave := 63 - lz
+	shift := octave - log2sub
+	return (octave-log2sub+1)*sub + int(v>>uint(shift)) - sub
+}
+
+func refBucketLow(i int) int64 {
+	const sub = 16
+	if i < sub {
+		return int64(i)
+	}
+	return int64(sub+i%sub) << uint(i/sub-1)
+}
+
+func TestBucketMatchesReference(t *testing.T) {
+	values := []int64{-1, 0, 15, 16, 17, 31, 32, math.MaxInt64}
+	for k := uint(1); k <= 62; k++ {
+		values = append(values, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	h := NewHistogram()
+	for _, v := range values {
+		b := bucketOf(v)
+		if want := refBucketOf(v); b != want {
+			t.Fatalf("bucketOf(%d) = %d, reference %d", v, b, want)
+		}
+		if b < 0 || b >= len(h.counts) {
+			t.Fatalf("bucketOf(%d) = %d outside the %d buckets", v, b, len(h.counts))
+		}
+		lo, hi := bucketLow(b), bucketLow(b+1)
+		if lo != refBucketLow(b) || hi != refBucketLow(b+1) {
+			t.Fatalf("bucketLow(%d), bucketLow(%d) = %d, %d, reference %d, %d",
+				b, b+1, lo, hi, refBucketLow(b), refBucketLow(b+1))
+		}
+		// The last octave's upper edge is 2^63, which wraps negative.
+		if c := max(v, 0); c < lo || (c >= hi && hi > 0) {
+			t.Fatalf("value %d not in its bucket [%d,%d)", v, lo, hi)
+		}
+	}
+}
+
+// TestHistogramMergeEqualsConcatenation pins what lets the collector
+// derive the overall histogram from the timeline's intervals: merging
+// per-interval histograms is indistinguishable from recording every
+// sample into one, however the samples are split and however large.
+func TestHistogramMergeEqualsConcatenation(t *testing.T) {
+	f := func(seed uint64, parts uint8) bool {
+		r := stats.NewRNG(seed)
+		n := int(parts)%7 + 1
+		whole, merged := NewHistogram(), NewHistogram()
+		intervals := make([]*Histogram, n)
+		for i := range intervals {
+			intervals[i] = NewHistogram()
+		}
+		for i := 0; i < 2000; i++ {
+			// Up to 2^52 each: the sum passes 2^53, where a float64
+			// accumulator rounds and so depends on the order of addition.
+			v := int64(r.Uint64() >> (12 + r.Intn(48)))
+			whole.Record(v)
+			intervals[r.Intn(n)].Record(v)
+		}
+		for _, h := range intervals {
+			merged.Merge(h)
+		}
+		if merged.Count() != whole.Count() || merged.Mean() != whole.Mean() ||
+			merged.Min() != whole.Min() || merged.Max() != whole.Max() ||
+			merged.Quantile(0.5) != whole.Quantile(0.5) || merged.Quantile(0.99) != whole.Quantile(0.99) {
+			return false
+		}
+		for i, c := range whole.counts {
+			if merged.counts[i] != c {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }

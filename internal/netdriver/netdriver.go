@@ -282,9 +282,9 @@ func (s *Server) handle(raw net.Conn) {
 				continue
 			}
 			results := make([]core.OpResult, n)
-			// Native batch implementations (the index adapters' sorted
-			// lookup runs) kick in here; plain SUTs fall back to
-			// sequential dispatch.
+			// Native batch implementations (the index and kv adapters)
+			// kick in here; plain SUTs fall back to sequential dispatch.
+			// Either way the ops execute in frame order.
 			bsut.DoBatch(ops, results)
 			if seq != 0 {
 				// Sequence-numbered batch: build the tagged response

@@ -61,9 +61,10 @@ func (r *Real) Now() int64 { return time.Since(r.epoch).Nanoseconds() }
 func (r *Real) Advance(int64) {}
 
 // CostModel converts SUT work units into virtual service time. The
-// constants are nanoseconds; Calibrate in bench_test.go verifies they are
-// within an order of magnitude of measured hardware so virtual results
-// keep realistic shape.
+// constants are nanoseconds, chosen to keep virtual results in a realistic
+// shape; nothing fits or asserts them against hardware yet. The current
+// reading of how far they are off is sim.virtual_over_wall.* in
+// `go run ./benchmark -trace 1`.
 type CostModel struct {
 	// BaseNs is the fixed per-operation overhead (dispatch, memory walk).
 	BaseNs int64
