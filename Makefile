@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race test-cluster test-disk test-trace test-drift check cover bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
+.PHONY: all build vet test test-race race check cover bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -20,49 +20,18 @@ vet:
 test:
 	$(GO) test ./...
 
-# The concurrency tier: the parallel orchestration layer (core.RunAll,
-# cmd/figures -parallel) and the real-time driver must stay race-clean.
+# The race tier: every package under the race detector. What it protects,
+# by layer: the parallel orchestration (core.RunAll, cmd/figures -parallel)
+# and the real-time driver; the cluster's health/poll/anti-entropy loops,
+# which are genuinely concurrent with dispatch; the pager and disk LSM
+# crash-safety suites, which hammer the same pool the Fig 1f runs fan out
+# over; trace recording, which tees op streams off concurrently
+# dispatching workers; and the session driver test, which races real
+# workers over session-paced sources.
 test-race:
 	$(GO) test -race ./...
 
 race: test-race
-
-# The distributed tier: coordinator + workers + the wire and store layers
-# they depend on, under the race detector — the cluster's health/poll/
-# anti-entropy loops are genuinely concurrent with dispatch.
-test-cluster:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/service/ ./internal/netdriver/
-
-# The storage tier: slotted-page pager, buffer pool + eviction policies,
-# paged B+ tree, disk LSM, pool tuning, and the Fig 1f panel, under the
-# race detector (the crash-safety suites hammer the same pool the figure
-# runs fan out over).
-test-disk:
-	$(GO) test -race -count=1 ./internal/pager/ ./internal/index/diskbtree/ ./internal/kv/ ./internal/tuner/
-	$(GO) test -race -count=1 -run 'TestFig1f' ./internal/figures/
-
-# The trace tier: the workload Source seam, binary trace codec (round-trip,
-# fuzz corpus, torn-tail truncation), synthesizer fidelity, and the layers
-# that record/replay through them (runner goldens, config source clause,
-# service trace endpoints, driver replay over the network), under the race
-# detector — recording tees op streams off concurrently dispatching workers.
-test-trace:
-	$(GO) test -race -count=1 ./internal/workload/ ./internal/config/
-	$(GO) test -race -count=1 -run 'TestTraceReplayByteIdentity' .
-	$(GO) test -race -count=1 -run 'TestJobTrace' ./internal/service/
-	$(GO) test -race -count=1 -run 'TestDriverReplayOverNetwork' ./internal/netdriver/
-
-# The drift tier: the driftctl controller (coupling, divergence
-# monotonicity, D=0 byte-identity), session arrivals + per-session SLA
-# accounting through the runner/collector/report stack, the config and
-# CLI drift/session clauses, and the Fig 1g sweep, under the race
-# detector — the session driver test races real workers over
-# session-paced sources.
-test-drift:
-	$(GO) test -race -count=1 ./internal/driftctl/
-	$(GO) test -race -count=1 -run 'Session' ./internal/workload/ ./internal/metrics/ ./internal/core/ ./internal/driver/
-	$(GO) test -race -count=1 -run 'TestControllerDriftClause|TestSessionArrivalClause|TestDriftSessionEndToEnd' ./internal/config/
-	$(GO) test -race -count=1 -run 'TestFig1g' ./internal/figures/
 
 # check is the full local CI gate: build, vet, tier-1 tests, race tier.
 check: build vet test test-race

@@ -109,6 +109,52 @@ func TestBatchSizeInvariance(t *testing.T) {
 	}
 }
 
+// TestKVGoldens pins both run stores of the one LSM engine on the golden
+// scenario, under knobs small enough that it flushes 25 times and compacts
+// 8: total work, virtual duration and the final store counters (and, on
+// disk, what the 16-page pool saw). The values were read off the commit
+// before the two stores were folded into one engine, where kvstore had no
+// pinned number at all; every counter but RunProbes is the same in both
+// rows because the engine, not the run store, keeps them.
+func TestKVGoldens(t *testing.T) {
+	knobs := kv.Knobs{MemtableCap: 512, MaxRuns: 3, SparseEvery: 64, BloomBitsPerKey: 8}
+	engine := kv.Counters{Gets: 4959, Puts: 12460, Deletes: 199, Flushes: 25, Compactions: 8,
+		CompactedBytes: 58756, BloomNegatives: 6027, MemtableHits: 1180, RunsSearchedSum: 7701}
+	for _, tc := range []struct {
+		sut        *core.KVSUT
+		workUnits  int64
+		durationNs int64
+		runProbes  uint64
+		pool       pager.Counters
+	}{
+		{core.NewKVSUT(knobs), 162910, 8965068, 100880, pager.Counters{}},
+		{core.NewDiskKVSUT(knobs, pager.PoolKnobs{Pages: 16, Policy: "lru"}), 2834081, 26943575, 10801,
+			pager.Counters{Hits: 1451, Misses: 1313, Evictions: 1679, DirtyWritebacks: 382, Fsyncs: 12, PagesRead: 1313, PagesWritten: 388}},
+	} {
+		t.Run(tc.sut.Name(), func(t *testing.T) {
+			res, err := core.NewRunner().Run(batchGoldenScenario(), tc.sut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outcomes.WorkUnits != tc.workUnits || res.DurationNs != tc.durationNs {
+				t.Errorf("work %d over %d ns, want %d over %d ns", res.Outcomes.WorkUnits, res.DurationNs, tc.workUnits, tc.durationNs)
+			}
+			want := engine
+			want.RunProbes = tc.runProbes
+			if got := tc.sut.Store().Counters(); got != want {
+				t.Errorf("store counters %+v, want %+v", got, want)
+			}
+			var pool pager.Counters
+			if p := tc.sut.Pool(); p != nil {
+				pool = p.Counters()
+			}
+			if pool != tc.pool {
+				t.Errorf("pool counters %+v, want %+v", pool, tc.pool)
+			}
+		})
+	}
+}
+
 // TestBatchSizeInvarianceFigures pins the same property one layer up: a
 // full figures panel (Fig 1b, phases + cumulative curves + area metrics)
 // produces identical per-SUT result JSON whether or not the runner

@@ -44,7 +44,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/fault"
-	"repro/internal/kv"
 	"repro/internal/metrics"
 	"repro/internal/netdriver"
 	"repro/internal/pager"
@@ -82,7 +81,7 @@ const exampleConfig = `{
 func main() {
 	var (
 		configPath = flag.String("config", "", "path to the scenario JSON config")
-		suts       = flag.String("suts", "btree,rmi,alex", "comma-separated SUTs: btree,hash,rmi,alex,kvstore,disk-btree,disk-lsm")
+		suts       = flag.String("suts", "btree,rmi,alex", "comma-separated SUTs: "+strings.Join(core.SUTNames(), ","))
 		csvDir     = flag.String("csv", "", "directory to write per-figure CSV files into")
 		example    = flag.Bool("example", false, "print an example config and exit")
 		remote     = flag.String("remote", "", "address of a lsbenchd netdriver server (real-time mode)")
@@ -200,26 +199,12 @@ func main() {
 	}
 
 	poolKnobs := pager.PoolKnobs{Pages: *poolPages, Policy: *poolPolicy}.Validate()
-	factories := map[string]func() core.SUT{
-		"btree":   core.NewBTreeSUT,
-		"hash":    core.NewHashSUT,
-		"rmi":     core.NewRMISUT,
-		"alex":    core.NewALEXSUT,
-		"kvstore": core.NewKVSUTDefault,
-		"disk-btree": func() core.SUT {
-			return core.NewDiskBTreeSUT(poolKnobs)
-		},
-		"disk-lsm": func() core.SUT {
-			return core.NewDiskKVSUT(kv.DefaultKnobs(), poolKnobs)
-		},
-	}
 	var results []*core.Result
 	var injectors []*fault.Injector
 	for i, name := range strings.Split(*suts, ",") {
-		name = strings.TrimSpace(name)
-		f, ok := factories[name]
-		if !ok {
-			fatal(fmt.Errorf("unknown SUT %q (have: btree,hash,rmi,alex,kvstore,disk-btree,disk-lsm)", name))
+		f, err := core.SUTByName(strings.TrimSpace(name), poolKnobs)
+		if err != nil {
+			fatal(err)
 		}
 		// One runner (and injector) per SUT: the injector rides each
 		// run's own virtual clock via the WrapSUT hook.

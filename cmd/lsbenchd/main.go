@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lsbenchd [-addr :7070] [-sut btree|hash|rmi|alex|kvstore] [-io-timeout 0]
+//	lsbenchd [-addr :7070] [-sut NAME] [-io-timeout 0]
 package main
 
 import (
@@ -13,31 +13,26 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netdriver"
+	"repro/internal/pager"
 )
 
 func main() {
 	var (
 		addr      = flag.String("addr", ":7070", "listen address")
-		sut       = flag.String("sut", "btree", "SUT served per connection: btree,hash,rmi,alex,kvstore")
+		sut       = flag.String("sut", "btree", "SUT served per connection: "+strings.Join(core.SUTNames(), ","))
 		ioTimeout = flag.Duration("io-timeout", 0, "per-frame read/write deadline (0 = none); reclaims connections from dead drivers")
 	)
 	flag.Parse()
 
-	factories := map[string]func() core.SUT{
-		"btree":   core.NewBTreeSUT,
-		"hash":    core.NewHashSUT,
-		"rmi":     core.NewRMISUT,
-		"alex":    core.NewALEXSUT,
-		"kvstore": core.NewKVSUTDefault,
-	}
-	factory, ok := factories[*sut]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "lsbenchd: unknown SUT %q\n", *sut)
+	factory, err := core.SUTByName(*sut, pager.DefaultPoolKnobs())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lsbenchd:", err)
 		os.Exit(2)
 	}
 	srv, err := netdriver.ServeOptions(*addr, factory, netdriver.Options{

@@ -30,9 +30,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/pager"
 	"repro/internal/workload"
 )
 
@@ -70,7 +72,7 @@ func cmdRecord(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	configPath := fs.String("config", "", "scenario JSON config to run")
 	out := fs.String("o", "", "trace file to write")
-	sut := fs.String("sut", "btree", "SUT to execute the run (the recorded stream is SUT-independent)")
+	sut := fs.String("sut", "btree", "SUT to execute the run (the recorded stream is SUT-independent): "+strings.Join(core.SUTNames(), ","))
 	batch := fs.Int("batch", 0, "op-dispatch batch size")
 	fs.Parse(args)
 	if *configPath == "" || *out == "" {
@@ -80,16 +82,9 @@ func cmdRecord(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	factories := map[string]func() core.SUT{
-		"btree":   core.NewBTreeSUT,
-		"hash":    core.NewHashSUT,
-		"rmi":     core.NewRMISUT,
-		"alex":    core.NewALEXSUT,
-		"kvstore": core.NewKVSUTDefault,
-	}
-	f, ok := factories[*sut]
-	if !ok {
-		fatal(fmt.Errorf("unknown SUT %q (have: btree,hash,rmi,alex,kvstore)", *sut))
+	f, err := core.SUTByName(*sut, pager.DefaultPoolKnobs())
+	if err != nil {
+		fatal(err)
 	}
 	tf, err := os.Create(*out)
 	if err != nil {

@@ -58,18 +58,14 @@ func (wc *workerClient) Retries() int64 {
 	return wc.retries
 }
 
-// backoff sleeps the capped exponential delay for retry attempt (0-based)
-// with seeded jitter in [d/2, d) — the netdriver client's schedule.
+// backoff counts a re-send and sleeps out netdriver's Backoff delay for
+// retry attempt (0-based).
 func (wc *workerClient) backoff(attempt int) {
-	d := wc.retryBase << attempt
-	if d > wc.retryMax || d <= 0 {
-		d = wc.retryMax
-	}
 	wc.mu.Lock()
 	jitter := wc.rng.Float64()
 	wc.retries++
 	wc.mu.Unlock()
-	time.Sleep(d/2 + time.Duration(jitter*float64(d/2)))
+	time.Sleep(netdriver.Backoff(wc.retryBase, wc.retryMax, attempt, jitter))
 }
 
 // statusError is a non-2xx worker answer, preserved for relay.

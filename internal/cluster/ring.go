@@ -16,6 +16,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"repro/internal/stats"
 )
 
 // Ring is a consistent-hash ring: keys hash to points on a circle, each
@@ -56,18 +58,7 @@ func NewRing(replicas int) *Ring {
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return mix64(h.Sum64())
-}
-
-// mix64 is the splitmix64 finalizer (Steele et al.): full-avalanche
-// bijective mixing of a 64-bit value.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return stats.Mix64(h.Sum64())
 }
 
 // Add inserts node's virtual points. Adding a present node is a no-op.

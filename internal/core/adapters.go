@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/cost"
 	"repro/internal/index"
 	"repro/internal/index/alex"
@@ -8,6 +11,7 @@ import (
 	"repro/internal/index/hashidx"
 	"repro/internal/index/rmi"
 	"repro/internal/kv"
+	"repro/internal/pager"
 	"repro/internal/workload"
 )
 
@@ -186,16 +190,76 @@ func NewRMISUT() SUT { return NewIndexSUT(rmi.NewDefault()) }
 // NewALEXSUT returns the adaptive learned-index SUT.
 func NewALEXSUT() SUT { return NewIndexSUT(alex.New()) }
 
-// StandardSUTs returns factories for the full comparison lineup.
-func StandardSUTs() []func() SUT {
-	return []func() SUT{NewBTreeSUT, NewHashSUT, NewRMISUT, NewALEXSUT}
+// sutCatalog is the one name → factory table: every front end (lsbench,
+// lsbenchd, lstrace, the service, the figures, the facade) offers exactly
+// these SUTs under exactly these names. pool sizes the buffer pool of the
+// disk-backed entries; the in-memory ones ignore it.
+var sutCatalog = []struct {
+	name string
+	make func(pool pager.PoolKnobs) SUT
+}{
+	{"btree", func(pager.PoolKnobs) SUT { return NewBTreeSUT() }},
+	{"hash", func(pager.PoolKnobs) SUT { return NewHashSUT() }},
+	{"rmi", func(pager.PoolKnobs) SUT { return NewRMISUT() }},
+	{"alex", func(pager.PoolKnobs) SUT { return NewALEXSUT() }},
+	{"kvstore", func(pager.PoolKnobs) SUT { return NewKVSUTDefault() }},
+	{"disk-btree", func(pool pager.PoolKnobs) SUT { return NewDiskBTreeSUT(pool) }},
+	{"disk-lsm", func(pool pager.PoolKnobs) SUT { return NewDiskKVSUT(kv.DefaultKnobs(), pool) }},
 }
 
-// KVSUT adapts the log-structured kv.Store.
-type KVSUT struct {
-	store *kv.Store
-	last  kv.Counters
+// SUTNames lists the SUT catalog in order.
+func SUTNames() []string {
+	names := make([]string, len(sutCatalog))
+	for i, e := range sutCatalog {
+		names[i] = e.name
+	}
+	return names
 }
+
+// SUTByName returns the factory for a catalog name, building disk-backed
+// SUTs over a buffer pool of the given configuration.
+func SUTByName(name string, pool pager.PoolKnobs) (func() SUT, error) {
+	for _, e := range sutCatalog {
+		if e.name == name {
+			return func() SUT { return e.make(pool) }, nil
+		}
+	}
+	return nil, UnknownSUT(name, SUTNames())
+}
+
+// UnknownSUT is the error every front end reports for a SUT name it does
+// not offer; have lists the names it does.
+func UnknownSUT(name string, have []string) error {
+	return fmt.Errorf("unknown SUT %q (have: %s)", name, strings.Join(have, ","))
+}
+
+// StandardSUTs returns factories for the in-memory index comparison
+// lineup, picked from the catalog by name.
+func StandardSUTs() []func() SUT {
+	var out []func() SUT
+	for _, name := range []string{"btree", "hash", "rmi", "alex"} {
+		f, err := SUTByName(name, pager.PoolKnobs{})
+		if err != nil {
+			panic(err) // the names above are catalog rows
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// KVSUT adapts the log-structured kv.Store, in memory ("kvstore") or over a
+// page file ("disk-lsm"). Work is the store's probe counters (CPU) plus,
+// when the store has a buffer pool, the pool's page I/O priced by the
+// IOModel.
+type KVSUT struct {
+	store    *kv.Store
+	pool     *pager.Pool // store.Pool(), read once: nil for the in-memory store
+	last     kv.Counters
+	lastPool pager.Counters
+}
+
+// DiskKVSUT is the KVSUT that NewDiskKVSUT returns.
+type DiskKVSUT = KVSUT
 
 // NewKVSUT wraps a store opened with the given knobs.
 func NewKVSUT(knobs kv.Knobs) *KVSUT { return &KVSUT{store: kv.Open(knobs)} }
@@ -203,18 +267,42 @@ func NewKVSUT(knobs kv.Knobs) *KVSUT { return &KVSUT{store: kv.Open(knobs)} }
 // NewKVSUTDefault returns a kv-store SUT with the untuned default knobs.
 func NewKVSUTDefault() SUT { return NewKVSUT(kv.DefaultKnobs()) }
 
+// NewDiskKVSUT wraps a disk store with the given store and pool knobs.
+func NewDiskKVSUT(knobs kv.Knobs, pool pager.PoolKnobs) *DiskKVSUT {
+	s, err := kv.OpenDisk(newMemPool(pool), knobs)
+	if err != nil {
+		panic(fmt.Sprintf("core: opening disk store: %v", err))
+	}
+	return &KVSUT{store: s, pool: s.Pool()}
+}
+
+// NewDiskLSMSUTDefault returns a disk-LSM SUT with untuned defaults.
+func NewDiskLSMSUTDefault() SUT {
+	return NewDiskKVSUT(kv.DefaultKnobs(), pager.DefaultPoolKnobs())
+}
+
 // Name implements SUT.
-func (s *KVSUT) Name() string { return "kvstore" }
+func (s *KVSUT) Name() string {
+	if s.pool != nil {
+		return "disk-lsm"
+	}
+	return "kvstore"
+}
 
 // Store exposes the wrapped store (for the tuner experiments).
 func (s *KVSUT) Store() *kv.Store { return s.store }
+
+// Pool exposes the store's buffer pool; nil for the in-memory store.
+func (s *KVSUT) Pool() *pager.Pool { return s.pool }
 
 // Load implements SUT.
 func (s *KVSUT) Load(keys, values []uint64) {
 	for i, k := range keys {
 		s.store.Put(k, values[i])
 	}
-	s.store.Flush()
+	if err := s.store.Checkpoint(); err != nil {
+		panic(fmt.Sprintf("core: kv store load checkpoint: %v", err))
+	}
 }
 
 // Do implements SUT.
@@ -235,22 +323,24 @@ func (s *KVSUT) Do(op workload.Op) OpResult {
 			return limit > 0
 		})
 	}
-	c := s.store.Counters()
-	// Work: probes + compaction volume since the last op; compaction is
-	// the kv store's latency-spike source.
-	work := int64(c.RunProbes-s.last.RunProbes) +
-		int64(c.RunsSearchedSum-s.last.RunsSearchedSum) +
-		int64(res.Visited) + 4
-	work += int64(c.CompactedBytes-s.last.CompactedBytes) / 4
-	s.last = c
-	res.Work = work
+	// Durability: a flush (or the compaction it triggered) leaves new runs
+	// that a disk store must publish; the sync's page writes and fsyncs
+	// land in this op's work — the disk LSM's latency-spike source.
+	if s.pool != nil && s.store.Counters().Flushes != s.last.Flushes {
+		if err := s.store.Sync(); err != nil {
+			panic(fmt.Sprintf("core: disk store sync: %v", err))
+		}
+	}
+	res.Work = s.flushPending() + int64(res.Visited) + 4
 	return res
 }
 
 // DoBatch implements BatchSUT natively: issue-order dispatch through a
 // direct call, so compaction timing — and therefore per-op work — is that
-// of sequential Do. Counter advances pending from Load (which bypasses Do)
-// are flushed to the batch's first slot, matching where sequential
+// of sequential Do. A lookup on the disk store is not read-only — it moves
+// buffer-pool frames — so any reordering would change which later ops hit
+// and what they cost. Counter advances pending from Load (which bypasses
+// Do) are flushed to the batch's first slot, matching where sequential
 // dispatch charges them.
 func (s *KVSUT) DoBatch(ops []workload.Op, out []OpResult) {
 	if len(ops) == 0 {
@@ -263,15 +353,21 @@ func (s *KVSUT) DoBatch(ops []workload.Op, out []OpResult) {
 	out[0].Work += pending
 }
 
-// flushPending consumes any counter advance not yet attributed to an
-// operation, priced exactly as Do would have priced it within the next
-// op's work.
+// flushPending consumes the counter advance not yet attributed to an
+// operation and prices it: probes, plus compaction volume (the kv store's
+// latency-spike source), plus page I/O when there is a pool.
 func (s *KVSUT) flushPending() int64 {
 	c := s.store.Counters()
 	work := int64(c.RunProbes-s.last.RunProbes) +
 		int64(c.RunsSearchedSum-s.last.RunsSearchedSum)
 	work += int64(c.CompactedBytes-s.last.CompactedBytes) / 4
 	s.last = c
+	if s.pool != nil {
+		pc := s.pool.Counters()
+		d := pc.Sub(s.lastPool)
+		work += ioModel.Work(d.PagesRead, d.PagesWritten, d.Fsyncs)
+		s.lastPool = pc
+	}
 	return work
 }
 

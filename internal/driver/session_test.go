@@ -48,7 +48,7 @@ func sessionTrace(t *testing.T, seed uint64) []byte {
 // through the parallel driver twice with one seed: although workers race
 // in real time, each worker's issued op/gap stream is deterministic and
 // the recorded trace (one phase per worker, written in worker order) is
-// byte-identical. Run under -race in the test-drift tier.
+// byte-identical. Run under -race by make test-race.
 func TestRunSessionSourcesDeterministic(t *testing.T) {
 	a := sessionTrace(t, 77)
 	b := sessionTrace(t, 77)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Injector drives a Plan against a clock and hands out fault decisions to
@@ -184,20 +185,15 @@ func (in *Injector) StallFor() time.Duration {
 // recordRetrain accumulates crash-forced retraining work (Wrap calls it).
 func (in *Injector) recordRetrain(work int64) { in.retrainWork.Add(work) }
 
-// hit decides membership of site seq in window wi's affected set: a
-// splitmix64-style finalizer over (seed, window, seq) mapped to [0, 1)
+// hit decides membership of site seq in window wi's affected set: the
+// splitmix64 finalizer over (seed, window, seq) mapped to [0, 1)
 // and compared against the window rate. Stateless, so concurrent callers
 // agree without coordination.
 func (in *Injector) hit(wi int, seq uint64, rate float64) bool {
 	if rate >= 1 {
 		return true
 	}
-	x := in.plan.Seed ^ (uint64(wi)+1)*0x9E3779B97F4A7C15 ^ (seq+1)*0xBF58476D1CE4E5B9
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := stats.Mix64(in.plan.Seed ^ (uint64(wi)+1)*0x9E3779B97F4A7C15 ^ (seq+1)*0xBF58476D1CE4E5B9)
 	return float64(x>>11)/(1<<53) < rate
 }
 

@@ -2,26 +2,22 @@ package figures
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/distgen"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/pager"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Fig1eSUTs is the robustness head-to-head: the static learned index
-// (crash-restart wipes its models and forces a full retrain) against the
-// traditional B+ tree (nothing to retrain — its crash cost is zero).
-func Fig1eSUTs() map[string]func() core.SUT {
-	return map[string]func() core.SUT{
-		"rmi":   core.NewRMISUT,
-		"btree": core.NewBTreeSUT,
-	}
-}
+// fig1eSUTs is the robustness head-to-head, by catalog name: the
+// traditional B+ tree (nothing to retrain — its crash cost is zero)
+// against the static learned index (crash-restart wipes its models and
+// forces a full retrain).
+var fig1eSUTs = []string{"btree", "rmi"}
 
 // Fig1eResult carries the robustness panel: the faulted run per SUT plus
 // the fault ledger and recovery view.
@@ -49,12 +45,7 @@ type Fig1eResult struct {
 // run for recovery measurement. A non-empty spec (fault.ParseSpec
 // syntax) runs identically for every SUT instead.
 func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
-	suts := Fig1eSUTs()
-	names := make([]string, 0, len(suts))
-	for n := range suts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := fig1eSUTs
 
 	scenario := core.Scenario{
 		Name:        "fig1e-robustness",
@@ -91,11 +82,15 @@ func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
 	out := make([]perSUT, len(names))
 	err := par.ForEach(len(names), scale.Parallel, func(i int) error {
 		name := names[i]
+		newSUT, err := core.SUTByName(name, pager.DefaultPoolKnobs())
+		if err != nil {
+			return fmt.Errorf("figures: fig1e: %w", err)
+		}
 
 		// Clean baseline: fixes the duration timebase for the derived
 		// plan and the SLA band the recovery must return to.
 		base := newRunner(scale)
-		baseRes, err := base.Run(scenario, suts[name]())
+		baseRes, err := base.Run(scenario, newSUT())
 		if err != nil {
 			return fmt.Errorf("figures: fig1e baseline %s: %w", name, err)
 		}
@@ -113,7 +108,7 @@ func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
 			inj = fault.NewInjector(plan, clock)
 			return fault.Wrap(s, inj)
 		}
-		fRes, err := faulted.Run(scenario, suts[name]())
+		fRes, err := faulted.Run(scenario, newSUT())
 		if err != nil {
 			return fmt.Errorf("figures: fig1e faulted %s: %w", name, err)
 		}

@@ -8,37 +8,22 @@ import (
 	"repro/internal/pager"
 )
 
-// DiskStore is the disk-backed sibling of Store: the same log-structured
-// design (sorted memtable, immutable sorted runs, merge compaction,
-// newest-first reads through Bloom filters), but with runs laid out in
-// block-aligned slotted pages behind a buffer pool instead of in-memory
-// slices. Reads and compactions therefore move 4 KiB pages, which the
-// pool counts and the cost model prices — the axis the in-memory store
-// cannot exercise.
+// pagedRuns is the disk run store: runs laid out in block-aligned slotted
+// pages behind a buffer pool, listed by a catalog page chain.
 //
 // Durability is checkpoint-based and crash-consistent by construction:
-// run pages are immutable once written, a checkpoint serializes the run
+// run pages are immutable once written, a sync serializes the run
 // directory into fresh catalog pages and flips the catalog root, and
 // pages freed by compaction stay quarantined until the checkpoint that
 // unreferences them is published (see pager.Pool). A crash between
 // checkpoints reverts to the previous catalog, whose runs are intact.
 //
 // The sparse index is per-page (the first key of every run page), which
-// is the block-granular equivalent of Store's SparseEvery knob; Bloom
-// filters and the sparse index live in memory and are rebuilt when a
-// file is reopened. Not safe for concurrent use.
-type DiskStore struct {
-	knobs Knobs
-	pool  *pager.Pool
-
-	memKeys []uint64
-	memVals []uint64
-	memDead []bool
-
-	runs    []*diskRun // runs[0] is newest
+// is the block-granular equivalent of the SparseEvery knob; it and the
+// Bloom filters live in memory and are rebuilt when a file is reopened.
+type pagedRuns struct {
+	pl      *pager.Pool
 	catalog []pager.PageID
-
-	st Counters
 }
 
 const (
@@ -55,14 +40,12 @@ const (
 	catalogRootSlot = 0
 )
 
-// diskRun is one immutable sorted run: its pages, entry count, per-page
-// first keys (the sparse index), and Bloom filter. Only pages are durable;
-// the rest is rebuilt on open.
-type diskRun struct {
-	pages  []pager.PageID
-	n      int
-	first  []uint64
-	filter *bloom.Filter
+// pagedRun is one immutable sorted run: its pages and their first keys
+// (the sparse index). Only the pages are durable.
+type pagedRun struct {
+	pl    *pager.Pool
+	pages []pager.PageID
+	first []uint64
 }
 
 func runCell(e entry) []byte {
@@ -83,128 +66,24 @@ func decodeRunCell(c []byte) entry {
 	}
 }
 
-// OpenDisk returns a disk store over pool. A fresh file starts empty; a
-// file with a published catalog resumes from it, rebuilding the in-memory
-// sparse indexes and Bloom filters and the pool's free-list (by
-// reachability, so a crash anywhere leaves no inconsistency to repair).
-func OpenDisk(pool *pager.Pool, knobs Knobs) (*DiskStore, error) {
-	s := &DiskStore{knobs: knobs.Validate(), pool: pool}
-	if pool.File().Root(catalogRootSlot) != pager.NilPage {
-		if err := s.loadCatalog(); err != nil {
-			return nil, err
-		}
-		pool.RebuildFreeList(s.Reachable())
-	}
-	return s, nil
-}
+func (p *pagedRuns) pool() *pager.Pool { return p.pl }
 
-// Pool exposes the store's buffer pool (for counters and checkpoints).
-func (s *DiskStore) Pool() *pager.Pool { return s.pool }
-
-// Knobs returns the active configuration.
-func (s *DiskStore) Knobs() Knobs { return s.knobs }
-
-// Counters returns a snapshot of the work counters.
-func (s *DiskStore) Counters() Counters { return s.st }
-
-// SetKnobs applies a new configuration (an online re-tune), compacting
-// immediately when the run budget tightened.
-func (s *DiskStore) SetKnobs(k Knobs) {
-	s.knobs = k.Validate()
-	if len(s.runs) > s.knobs.MaxRuns {
-		s.compact()
-	}
-}
-
-// RunCount reports the current number of on-disk runs.
-func (s *DiskStore) RunCount() int { return len(s.runs) }
-
-// MemtableLen reports the number of buffered entries.
-func (s *DiskStore) MemtableLen() int { return len(s.memKeys) }
-
-func (s *DiskStore) get(id pager.PageID) *pager.Page {
-	pg, err := s.pool.Get(id)
+// getPage pins a page the store's own directory says exists, so failure is
+// a bug or a corrupt file and not an input error.
+func getPage(pl *pager.Pool, id pager.PageID) *pager.Page {
+	pg, err := pl.Get(id)
 	if err != nil {
 		panic(fmt.Sprintf("kv: disk store: %v", err))
 	}
 	return pg
 }
 
-func (s *DiskStore) memFind(key uint64) (int, bool) {
-	lo, hi := 0, len(s.memKeys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.memKeys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(s.memKeys) && s.memKeys[lo] == key
-}
-
-// Put inserts or overwrites key.
-func (s *DiskStore) Put(key, value uint64) {
-	s.st.Puts++
-	s.memPut(key, value, false)
-}
-
-// Delete removes key (tombstone semantics).
-func (s *DiskStore) Delete(key uint64) {
-	s.st.Deletes++
-	s.memPut(key, 0, true)
-}
-
-func (s *DiskStore) memPut(key, value uint64, dead bool) {
-	i, found := s.memFind(key)
-	if found {
-		s.memVals[i] = value
-		s.memDead[i] = dead
-		return
-	}
-	s.memKeys = append(s.memKeys, 0)
-	copy(s.memKeys[i+1:], s.memKeys[i:])
-	s.memKeys[i] = key
-	s.memVals = append(s.memVals, 0)
-	copy(s.memVals[i+1:], s.memVals[i:])
-	s.memVals[i] = value
-	s.memDead = append(s.memDead, false)
-	copy(s.memDead[i+1:], s.memDead[i:])
-	s.memDead[i] = dead
-
-	if len(s.memKeys) >= s.knobs.MemtableCap {
-		s.flush()
-	}
-}
-
-// Flush forces the memtable out into a new run (test/benchmark hook).
-func (s *DiskStore) Flush() { s.flush() }
-
-func (s *DiskStore) flush() {
-	if len(s.memKeys) == 0 {
-		return
-	}
-	s.st.Flushes++
-	entries := make([]entry, len(s.memKeys))
-	for i := range s.memKeys {
-		entries[i] = entry{key: s.memKeys[i], val: s.memVals[i], dead: s.memDead[i]}
-	}
-	r := s.buildRun(entries)
-	s.runs = append([]*diskRun{r}, s.runs...)
-	s.memKeys = s.memKeys[:0]
-	s.memVals = s.memVals[:0]
-	s.memDead = s.memDead[:0]
-	if len(s.runs) > s.knobs.MaxRuns {
-		s.compact()
-	}
-}
-
-// buildRun writes entries (sorted, deduped) into fresh pages and returns
-// the run with its in-memory index and filter.
-func (s *DiskStore) buildRun(entries []entry) *diskRun {
-	r := &diskRun{n: len(entries), filter: bloom.New(len(entries), s.knobs.BloomBitsPerKey)}
+// write puts entries (sorted, deduped) into fresh pages and returns the
+// run with its in-memory page index.
+func (p *pagedRuns) write(entries []entry, _ Knobs) runData {
+	r := &pagedRun{pl: p.pl}
 	for off := 0; off < len(entries); {
-		pg, id, err := s.pool.Alloc(pager.TypeRun)
+		pg, id, err := p.pl.Alloc(pager.TypeRun)
 		if err != nil {
 			panic(fmt.Sprintf("kv: disk store: %v", err))
 		}
@@ -214,88 +93,15 @@ func (s *DiskStore) buildRun(entries []entry) *diskRun {
 			if !pg.Insert(slot, runCell(entries[off])) {
 				panic("kv: disk store: run cell does not fit")
 			}
-			r.filter.Add(entries[off].key)
 		}
-		s.pool.Unpin(id, true)
+		p.pl.Unpin(id, true)
 	}
 	return r
 }
 
-// readRun decodes every entry of r (ascending) through the pool.
-func (s *DiskStore) readRun(r *diskRun) []entry {
-	out := make([]entry, 0, r.n)
-	for _, id := range r.pages {
-		pg := s.get(id)
-		for i := 0; i < pg.NumCells(); i++ {
-			out = append(out, decodeRunCell(pg.Cell(i)))
-		}
-		s.pool.Unpin(id, false)
-	}
-	return out
-}
-
-// compact merges all runs into one (single-tier size-tiered policy,
-// matching the in-memory Store so knob effects are comparable), dropping
-// tombstones, and frees the old runs' pages into the quarantine.
-func (s *DiskStore) compact() {
-	if len(s.runs) <= 1 {
-		return
-	}
-	s.st.Compactions++
-	// Streamed k-way merge over per-run cursors; newest run wins ties.
-	type cursor struct {
-		entries []entry
-		idx     int
-	}
-	cursors := make([]cursor, len(s.runs))
-	for i, r := range s.runs {
-		cursors[i] = cursor{entries: s.readRun(r)}
-		s.st.CompactedBytes += uint64(r.n)
-	}
-	var merged []entry
-	for {
-		best := -1
-		var bk uint64
-		for ci := range cursors {
-			c := &cursors[ci]
-			if c.idx >= len(c.entries) {
-				continue
-			}
-			k := c.entries[c.idx].key
-			if best == -1 || k < bk {
-				best, bk = ci, k
-			}
-		}
-		if best == -1 {
-			break
-		}
-		e := cursors[best].entries[cursors[best].idx]
-		for ci := range cursors {
-			c := &cursors[ci]
-			if c.idx < len(c.entries) && c.entries[c.idx].key == bk {
-				c.idx++
-			}
-		}
-		if e.dead {
-			continue // full merge: tombstones have masked everything older
-		}
-		merged = append(merged, e)
-	}
-	old := s.runs
-	s.runs = []*diskRun{s.buildRun(merged)}
-	for _, r := range old {
-		for _, id := range r.pages {
-			if err := s.pool.Free(id); err != nil {
-				panic(fmt.Sprintf("kv: disk store: %v", err))
-			}
-		}
-	}
-}
-
-// runGet searches r for key: binary search the per-page index, then the
-// page's cells. probes counts cell comparisons (the RunProbes metric).
-func (s *DiskStore) runGet(r *diskRun, key uint64) (entry, bool, int) {
-	// Last page with first <= key.
+// pageOf returns the index of the last page whose first key is <= key,
+// -1 when key sorts before the whole run.
+func (r *pagedRun) pageOf(key uint64) int {
 	lo, hi := 0, len(r.first)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -305,11 +111,18 @@ func (s *DiskStore) runGet(r *diskRun, key uint64) (entry, bool, int) {
 			hi = mid
 		}
 	}
-	if lo == 0 {
+	return lo - 1
+}
+
+// get searches r for key: binary search the per-page index, then the
+// page's cells. probes counts cell comparisons.
+func (r *pagedRun) get(key uint64) (entry, bool, int) {
+	pi := r.pageOf(key)
+	if pi < 0 {
 		return entry{}, false, 0
 	}
-	pg := s.get(r.pages[lo-1])
-	defer s.pool.Unpin(r.pages[lo-1], false)
+	pg := getPage(r.pl, r.pages[pi])
+	defer r.pl.Unpin(r.pages[pi], false)
 	probes := 0
 	clo, chi := 0, pg.NumCells()
 	for clo < chi {
@@ -328,168 +141,58 @@ func (s *DiskStore) runGet(r *diskRun, key uint64) (entry, bool, int) {
 	return entry{}, false, probes
 }
 
-// Get returns the value for key.
-func (s *DiskStore) Get(key uint64) (uint64, bool) {
-	s.st.Gets++
-	if i, found := s.memFind(key); found {
-		s.st.MemtableHits++
-		if s.memDead[i] {
-			return 0, false
-		}
-		return s.memVals[i], true
+func (r *pagedRun) seek(lo uint64) int { return max(r.pageOf(lo), 0) }
+
+// appendPage decodes page i's cells onto dst through the pool.
+func (r *pagedRun) appendPage(dst []entry, i int) []entry {
+	pg := getPage(r.pl, r.pages[i])
+	for c := 0; c < pg.NumCells(); c++ {
+		dst = append(dst, decodeRunCell(pg.Cell(c)))
 	}
-	for _, r := range s.runs {
-		s.st.RunsSearchedSum++
-		if !r.filter.MayContain(key) {
-			s.st.BloomNegatives++
-			continue
-		}
-		e, found, probes := s.runGet(r, key)
-		s.st.RunProbes += uint64(probes)
-		if found {
-			if e.dead {
-				return 0, false
-			}
-			return e.val, true
-		}
-	}
-	return 0, false
+	r.pl.Unpin(r.pages[i], false)
+	return dst
 }
 
-// Scan visits live entries with key in [lo, hi] ascending with newest-wins
-// semantics, stopping early if fn returns false; it returns the number
-// visited. Run cursors decode one page at a time through the pool.
-func (s *DiskStore) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
-	if hi < lo {
-		return 0
+func (r *pagedRun) chunk(i int) []entry {
+	if i >= len(r.pages) {
+		return nil
 	}
-	type cursor struct {
-		run     *diskRun
-		pageIdx int
-		cellIdx int
-		page    []entry // decoded current page
-	}
-	load := func(c *cursor) {
-		c.page = nil
-		if c.pageIdx >= len(c.run.pages) {
-			return
-		}
-		pg := s.get(c.run.pages[c.pageIdx])
-		c.page = make([]entry, pg.NumCells())
-		for i := range c.page {
-			c.page[i] = decodeRunCell(pg.Cell(i))
-		}
-		s.pool.Unpin(c.run.pages[c.pageIdx], false)
-	}
-	advance := func(c *cursor) {
-		c.cellIdx++
-		for c.page != nil && c.cellIdx >= len(c.page) {
-			c.pageIdx++
-			c.cellIdx = 0
-			load(c)
-		}
-	}
-	// Position each run cursor at the first entry >= lo.
-	cursors := make([]*cursor, len(s.runs))
-	for ri, r := range s.runs {
-		c := &cursor{run: r}
-		pi, ph := 0, len(r.first)
-		for pi < ph {
-			mid := int(uint(pi+ph) >> 1)
-			if r.first[mid] <= lo {
-				pi = mid + 1
-			} else {
-				ph = mid
-			}
-		}
-		if pi > 0 {
-			pi--
-		}
-		c.pageIdx = pi
-		load(c)
-		for c.page != nil && c.page[c.cellIdx].key < lo {
-			advance(c)
-		}
-		cursors[ri] = c
-	}
-	mi, _ := s.memFind(lo)
-
-	visited := 0
-	for {
-		// Smallest current key across memtable and runs; newer wins ties.
-		best := -1 // -1 none, 0 memtable, 1+ri run
-		var bk, bv uint64
-		var bdead bool
-		if mi < len(s.memKeys) && s.memKeys[mi] <= hi {
-			best, bk, bv, bdead = 0, s.memKeys[mi], s.memVals[mi], s.memDead[mi]
-		}
-		for ri, c := range cursors {
-			if c.page == nil {
-				continue
-			}
-			e := c.page[c.cellIdx]
-			if e.key > hi {
-				continue
-			}
-			if best == -1 || e.key < bk {
-				best, bk, bv, bdead = ri+1, e.key, e.val, e.dead
-			}
-		}
-		if best == -1 {
-			return visited
-		}
-		if mi < len(s.memKeys) && s.memKeys[mi] == bk {
-			mi++
-		}
-		for _, c := range cursors {
-			if c.page != nil && c.page[c.cellIdx].key == bk {
-				advance(c)
-			}
-		}
-		if bdead {
-			continue
-		}
-		visited++
-		if !fn(bk, bv) {
-			return visited
-		}
-	}
+	return r.appendPage(make([]entry, 0, entriesPerPage), i)
 }
 
-// Len returns the number of live keys (O(data); tests and reports only).
-func (s *DiskStore) Len() int {
-	n := 0
-	s.Scan(0, ^uint64(0), func(_, _ uint64) bool { n++; return n >= 0 })
-	return n
-}
-
-// Reachable returns every page referenced by the current catalog and runs
-// — the input to pager consistency checks.
-func (s *DiskStore) Reachable() []pager.PageID {
-	var out []pager.PageID
-	out = append(out, s.catalog...)
-	for _, r := range s.runs {
-		out = append(out, r.pages...)
+func (r *pagedRun) all() []entry {
+	out := make([]entry, 0, len(r.pages)*entriesPerPage)
+	for i := range r.pages {
+		out = r.appendPage(out, i)
 	}
 	return out
 }
 
-// Checkpoint makes the current runs durable: the memtable is flushed, the
-// run directory is serialized into fresh catalog pages, the catalog root
-// flips, and the pool checkpoint publishes it all atomically.
-func (s *DiskStore) Checkpoint() error {
-	s.flush()
-	return s.Sync()
+// free sends the run's pages to the quarantine.
+func (r *pagedRun) free() {
+	for _, id := range r.pages {
+		if err := r.pl.Free(id); err != nil {
+			panic(fmt.Sprintf("kv: disk store: %v", err))
+		}
+	}
 }
 
-// Sync publishes the current run set without forcing a memtable flush —
-// the durability step a store performs after each natural flush or
-// compaction (buffered memtable entries are the volatile tier by design).
-func (s *DiskStore) Sync() error {
-	if err := s.writeCatalog(); err != nil {
+func (p *pagedRuns) reachable(runs []run) []pager.PageID {
+	var out []pager.PageID
+	out = append(out, p.catalog...)
+	for _, r := range runs {
+		out = append(out, r.data.(*pagedRun).pages...)
+	}
+	return out
+}
+
+// sync serializes the run directory into fresh catalog pages, flips the
+// catalog root, and has the pool checkpoint publish it all atomically.
+func (p *pagedRuns) sync(runs []run) error {
+	if err := p.writeCatalog(runs); err != nil {
 		return err
 	}
-	return s.pool.Checkpoint()
+	return p.pl.Checkpoint()
 }
 
 // writeCatalog serializes the run directory (newest first) into a fresh
@@ -502,30 +205,31 @@ func (s *DiskStore) Sync() error {
 //	chunk cell:   0x01, pageID uint32 ... (up to catalogChunkIDs)
 //
 // Each run is one header followed by enough chunks to list its pages.
-func (s *DiskStore) writeCatalog() error {
+func (p *pagedRuns) writeCatalog(runs []run) error {
 	var cells [][]byte
-	for _, r := range s.runs {
+	for _, r := range runs {
+		pages := r.data.(*pagedRun).pages
 		hdr := make([]byte, 9)
 		hdr[0] = 0
 		binary.LittleEndian.PutUint32(hdr[1:], uint32(r.n))
-		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(r.pages)))
+		binary.LittleEndian.PutUint32(hdr[5:], uint32(len(pages)))
 		cells = append(cells, hdr)
-		for off := 0; off < len(r.pages); off += catalogChunkIDs {
+		for off := 0; off < len(pages); off += catalogChunkIDs {
 			end := off + catalogChunkIDs
-			if end > len(r.pages) {
-				end = len(r.pages)
+			if end > len(pages) {
+				end = len(pages)
 			}
 			chunk := make([]byte, 1+4*(end-off))
 			chunk[0] = 1
-			for i, id := range r.pages[off:end] {
+			for i, id := range pages[off:end] {
 				binary.LittleEndian.PutUint32(chunk[1+4*i:], uint32(id))
 			}
 			cells = append(cells, chunk)
 		}
 	}
 
-	old := s.catalog
-	s.catalog = nil
+	old := p.catalog
+	p.catalog = nil
 	head := pager.NilPage
 	var cur *pager.Page
 	var curID pager.PageID
@@ -533,13 +237,13 @@ func (s *DiskStore) writeCatalog() error {
 		if cur != nil && cur.Insert(cur.NumCells(), cell) {
 			continue
 		}
-		pg, id, err := s.pool.Alloc(pager.TypeCatalog)
+		pg, id, err := p.pl.Alloc(pager.TypeCatalog)
 		if err != nil {
 			return err
 		}
 		if cur != nil {
 			cur.SetNext(id)
-			s.pool.Unpin(curID, true)
+			p.pl.Unpin(curID, true)
 		} else {
 			head = id
 		}
@@ -550,47 +254,45 @@ func (s *DiskStore) writeCatalog() error {
 	}
 	if cur == nil {
 		// No runs at all: an empty catalog page marks "empty store".
-		pg, id, err := s.pool.Alloc(pager.TypeCatalog)
+		_, id, err := p.pl.Alloc(pager.TypeCatalog)
 		if err != nil {
 			return err
 		}
-		_ = pg
 		head = id
 		curID = id
 	}
-	s.pool.Unpin(curID, true)
-	s.pool.File().SetRoot(catalogRootSlot, head)
+	p.pl.Unpin(curID, true)
+	p.pl.File().SetRoot(catalogRootSlot, head)
 	for _, id := range old {
-		if err := s.pool.Free(id); err != nil {
+		if err := p.pl.Free(id); err != nil {
 			return err
 		}
 	}
-	s.catalog = s.chainPages(head)
+	p.catalog = p.chainPages(head)
 	return nil
 }
 
 // chainPages walks a page chain from head collecting IDs.
-func (s *DiskStore) chainPages(head pager.PageID) []pager.PageID {
+func (p *pagedRuns) chainPages(head pager.PageID) []pager.PageID {
 	var out []pager.PageID
 	for id := head; id != pager.NilPage; {
 		out = append(out, id)
-		pg := s.get(id)
+		pg := getPage(p.pl, id)
 		next := pg.Next()
-		s.pool.Unpin(id, false)
+		p.pl.Unpin(id, false)
 		id = next
 	}
 	return out
 }
 
 // loadCatalog rebuilds the run directory from the published catalog chain,
-// re-deriving each run's sparse index and Bloom filter from its pages.
-func (s *DiskStore) loadCatalog() error {
-	head := s.pool.File().Root(catalogRootSlot)
-	s.catalog = s.chainPages(head)
-	s.runs = nil
+// re-deriving each run's page index and Bloom filter from its pages.
+func (p *pagedRuns) loadCatalog(bloomBitsPerKey int) ([]run, error) {
+	p.catalog = p.chainPages(p.pl.File().Root(catalogRootSlot))
 
-	var pending *diskRun
-	var want int
+	var runs []run
+	var pending *pagedRun
+	var n, want int
 	finish := func() error {
 		if pending == nil {
 			return nil
@@ -598,47 +300,48 @@ func (s *DiskStore) loadCatalog() error {
 		if len(pending.pages) != want {
 			return fmt.Errorf("kv: catalog lists %d pages, found %d", want, len(pending.pages))
 		}
-		pending.filter = bloom.New(pending.n, s.knobs.BloomBitsPerKey)
+		filter := bloom.New(n, bloomBitsPerKey)
 		for _, id := range pending.pages {
-			pg := s.get(id)
+			pg := getPage(p.pl, id)
 			if pg.NumCells() > 0 {
 				pending.first = append(pending.first, decodeRunCell(pg.Cell(0)).key)
 			}
 			for i := 0; i < pg.NumCells(); i++ {
-				pending.filter.Add(decodeRunCell(pg.Cell(i)).key)
+				filter.Add(decodeRunCell(pg.Cell(i)).key)
 			}
-			s.pool.Unpin(id, false)
+			p.pl.Unpin(id, false)
 		}
-		s.runs = append(s.runs, pending)
+		runs = append(runs, run{n: n, filter: filter, data: pending})
 		pending = nil
 		return nil
 	}
-	for _, cid := range s.catalog {
-		pg := s.get(cid)
+	for _, cid := range p.catalog {
+		pg := getPage(p.pl, cid)
 		for i := 0; i < pg.NumCells(); i++ {
 			cell := pg.Cell(i)
 			switch cell[0] {
 			case 0:
 				if err := finish(); err != nil {
-					s.pool.Unpin(cid, false)
-					return err
+					p.pl.Unpin(cid, false)
+					return nil, err
 				}
-				pending = &diskRun{n: int(binary.LittleEndian.Uint32(cell[1:]))}
+				pending = &pagedRun{pl: p.pl}
+				n = int(binary.LittleEndian.Uint32(cell[1:]))
 				want = int(binary.LittleEndian.Uint32(cell[5:]))
 			case 1:
 				if pending == nil {
-					s.pool.Unpin(cid, false)
-					return fmt.Errorf("kv: catalog chunk before any run header")
+					p.pl.Unpin(cid, false)
+					return nil, fmt.Errorf("kv: catalog chunk before any run header")
 				}
 				for off := 1; off < len(cell); off += 4 {
 					pending.pages = append(pending.pages, pager.PageID(binary.LittleEndian.Uint32(cell[off:])))
 				}
 			default:
-				s.pool.Unpin(cid, false)
-				return fmt.Errorf("kv: unknown catalog cell tag %d", cell[0])
+				p.pl.Unpin(cid, false)
+				return nil, fmt.Errorf("kv: unknown catalog cell tag %d", cell[0])
 			}
 		}
-		s.pool.Unpin(cid, false)
+		p.pl.Unpin(cid, false)
 	}
-	return finish()
+	return runs, finish()
 }

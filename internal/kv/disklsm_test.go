@@ -6,7 +6,7 @@ import (
 	"repro/internal/pager"
 )
 
-func newDiskStore(t *testing.T, knobs Knobs) *DiskStore {
+func newDiskStore(t *testing.T, knobs Knobs) *Store {
 	t.Helper()
 	f, err := pager.Create(pager.NewMemBackend())
 	if err != nil {

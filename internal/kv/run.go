@@ -1,64 +1,55 @@
 package kv
 
 import (
-	"repro/internal/kv/bloom"
+	"repro/internal/pager"
 	"repro/internal/search"
 )
 
-// tombstoneVal marks deletions inside runs. Values written by users are
-// stored alongside a liveness flag, so the full uint64 value space remains
-// usable.
+// entry is one key's state inside a run. Deletions are marked by the dead
+// flag rather than a reserved value, so the full uint64 value space
+// remains usable.
 type entry struct {
 	key  uint64
 	val  uint64
 	dead bool
 }
 
-// run is an immutable sorted run — the "on-disk" unit of the store. A
-// sparse index of every SparseEvery-th key accelerates point and range
-// lookups; a Bloom filter short-circuits misses.
-type run struct {
+// sliceRuns is the in-memory run store.
+type sliceRuns struct{}
+
+func (sliceRuns) write(entries []entry, k Knobs) runData { return newSliceRun(entries, k.SparseEvery) }
+func (sliceRuns) sync([]run) error                       { return nil }
+func (sliceRuns) pool() *pager.Pool                      { return nil }
+func (sliceRuns) reachable([]run) []pager.PageID         { return nil }
+
+// sliceRun is an immutable sorted run held as one slice. A sparse index of
+// every SparseEvery-th key narrows point lookups to one block.
+type sliceRun struct {
 	entries []entry
 	// sparse[i] is the key at entries[i*sparseEvery].
 	sparse      []uint64
 	sparseEvery int
-	filter      *bloom.Filter
 }
 
-// newRun builds a run from sorted, deduplicated entries.
-func newRun(entries []entry, sparseEvery, bloomBitsPerKey int) *run {
-	r := &run{entries: entries, sparseEvery: sparseEvery}
-	if sparseEvery < 1 {
-		r.sparseEvery = 1
-	}
-	for i := 0; i < len(entries); i += r.sparseEvery {
+func newSliceRun(entries []entry, sparseEvery int) *sliceRun {
+	r := &sliceRun{entries: entries, sparseEvery: sparseEvery}
+	for i := 0; i < len(entries); i += sparseEvery {
 		r.sparse = append(r.sparse, entries[i].key)
-	}
-	if bloomBitsPerKey > 0 {
-		r.filter = bloom.New(len(entries), bloomBitsPerKey)
-		for _, e := range entries {
-			r.filter.Add(e.key)
-		}
 	}
 	return r
 }
 
-// get returns the entry for key if present in this run. The probes counter
-// feedback lets the store report read amplification.
-func (r *run) get(key uint64) (entry, bool, int) {
+// get returns the entry for key if present in this run; probes is the
+// width of the block the sparse index narrowed the search to.
+func (r *sliceRun) get(key uint64) (entry, bool, int) {
 	if len(r.entries) == 0 {
 		return entry{}, false, 0
 	}
-	if !r.filter.MayContain(key) {
-		return entry{}, false, 0
-	}
-	probes := 0
-	// Sparse index narrows to a block of sparseEvery entries.
 	b := search.UpperBound(r.sparse, key)
 	if b == 0 {
 		// sparse[0] is entries[0].key, so key below it is absent.
 		if key < r.entries[0].key {
-			return entry{}, false, probes
+			return entry{}, false, 0
 		}
 		b = 1
 	}
@@ -67,30 +58,25 @@ func (r *run) get(key uint64) (entry, bool, int) {
 	if hi > len(r.entries) {
 		hi = len(r.entries)
 	}
-	probes = hi - lo
 	i := lowerBoundEntries(r.entries, lo, hi, key)
 	if i < len(r.entries) && r.entries[i].key == key {
-		return r.entries[i], true, probes
+		return r.entries[i], true, hi - lo
 	}
-	return entry{}, false, probes
+	return entry{}, false, hi - lo
 }
 
-// lowerBound returns the index of the first entry with key >= lo.
-func (r *run) lowerBound(lo uint64) int {
-	b := search.LowerBound(r.sparse, lo)
-	start := 0
-	if b > 0 {
-		start = (b - 1) * r.sparseEvery
+// The whole run is chunk 0.
+func (r *sliceRun) seek(uint64) int { return 0 }
+
+func (r *sliceRun) chunk(i int) []entry {
+	if i > 0 {
+		return nil
 	}
-	end := b*r.sparseEvery + 1
-	if end > len(r.entries) {
-		end = len(r.entries)
-	}
-	if start > end {
-		start = end
-	}
-	return lowerBoundEntries(r.entries, start, end, lo)
+	return r.entries
 }
+
+func (r *sliceRun) all() []entry { return r.entries }
+func (r *sliceRun) free()        {}
 
 // lowerBoundEntries is the branchless lower bound over a window of an
 // entry slice: the smallest i in [lo, hi] with entries[i].key >= key.
@@ -109,55 +95,4 @@ func lowerBoundEntries(entries []entry, lo, hi int, key uint64) int {
 		base++
 	}
 	return base
-}
-
-// mergeRuns merges newest-to-oldest ordered runs into one deduplicated run
-// (newest wins), dropping tombstones when dropDead is true (full merge).
-func mergeRuns(runs []*run, sparseEvery, bloomBitsPerKey int, dropDead bool) *run {
-	// k-way merge via iterative pairwise merging, newest priority.
-	// runs[0] is newest.
-	var merged []entry
-	for _, r := range runs {
-		merged = mergePair(merged, r.entries)
-	}
-	if dropDead {
-		w := 0
-		for _, e := range merged {
-			if !e.dead {
-				merged[w] = e
-				w++
-			}
-		}
-		merged = merged[:w]
-	}
-	return newRun(merged, sparseEvery, bloomBitsPerKey)
-}
-
-// mergePair merges two sorted entry slices; entries in `newer` win ties.
-func mergePair(newer, older []entry) []entry {
-	if len(newer) == 0 {
-		return append([]entry(nil), older...)
-	}
-	if len(older) == 0 {
-		return append([]entry(nil), newer...)
-	}
-	out := make([]entry, 0, len(newer)+len(older))
-	i, j := 0, 0
-	for i < len(newer) && j < len(older) {
-		switch {
-		case newer[i].key < older[j].key:
-			out = append(out, newer[i])
-			i++
-		case newer[i].key > older[j].key:
-			out = append(out, older[j])
-			j++
-		default:
-			out = append(out, newer[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, newer[i:]...)
-	out = append(out, older[j:]...)
-	return out
 }

@@ -1,14 +1,22 @@
 package kv
 
 import (
+	"repro/internal/kv/bloom"
+	"repro/internal/pager"
 	"repro/internal/search"
 )
 
-// Store is an in-memory log-structured KV store: writes land in a sorted
-// memtable; full memtables flush to immutable sorted runs; when more than
+// Store is a log-structured KV store: writes land in a sorted memtable;
+// full memtables flush to immutable sorted runs; when more than
 // Knobs.MaxRuns runs accumulate they are merge-compacted into one. Reads
 // consult the memtable, then runs newest-to-oldest through Bloom filters
-// and sparse indexes.
+// and each run's own index.
+//
+// There is one engine and two places to keep runs, chosen by the
+// constructor: Open keeps them as slices in memory (run.go), OpenDisk as
+// slotted pages behind a buffer pool (disklsm.go), where reads and
+// compactions move 4 KiB pages that the pool counts and the cost model
+// prices.
 //
 // Not safe for concurrent use; the benchmark driver shards or serializes.
 type Store struct {
@@ -20,9 +28,52 @@ type Store struct {
 	memVals []uint64
 	memDead []bool
 
-	runs []*run // runs[0] is newest
+	runs  []run // runs[0] is newest
+	store runStore
 
 	st Counters
+}
+
+// run is one immutable sorted run as the engine holds it. The entry count
+// and Bloom filter stay in memory whichever store keeps the entries.
+type run struct {
+	n      int
+	filter *bloom.Filter
+	data   runData
+}
+
+// runStore is where the engine keeps its runs: sliceRuns or *pagedRuns.
+type runStore interface {
+	// write stores sorted, deduplicated entries as a new run.
+	write(entries []entry, k Knobs) runData
+	// sync makes the run directory (newest first) survive a crash; a
+	// store with nothing durable returns nil.
+	sync(runs []run) error
+	// pool is the buffer pool runs are read through, nil without one.
+	pool() *pager.Pool
+	// reachable lists every page the directory and the runs occupy.
+	reachable(runs []run) []pager.PageID
+}
+
+// runData is one run's entries. The engine takes them a sorted chunk at a
+// time (a slice run is one chunk, a paged run one chunk per page), so
+// merges and scans index plain slices rather than calling through the
+// interface per entry.
+type runData interface {
+	// get looks key up through the run's own index. probes is what the
+	// lookup touched in that index's unit — the block it narrowed to for
+	// a slice run, binary-search steps inside the page for a paged run —
+	// which is why Counters.RunProbes is comparable only within one store.
+	get(key uint64) (e entry, found bool, probes int)
+	// seek returns the chunk that holds the first entry with key >= lo,
+	// when the run has such an entry.
+	seek(lo uint64) int
+	// chunk returns the i-th chunk in key order, nil past the last.
+	chunk(i int) []entry
+	// all returns every entry in key order.
+	all() []entry
+	// free releases the storage of a run that compaction replaced.
+	free()
 }
 
 // Counters exposes the store's internal work counters so benchmarks can
@@ -40,10 +91,33 @@ type Counters struct {
 	RunsSearchedSum uint64 // total runs consulted across Gets
 }
 
-// Open returns an empty store with the given knobs.
+// Open returns an empty in-memory store with the given knobs.
 func Open(knobs Knobs) *Store {
-	return &Store{knobs: knobs.Validate()}
+	return &Store{knobs: knobs.Validate(), store: sliceRuns{}}
 }
+
+// OpenDisk returns a store that keeps its runs in pool's page file. A
+// fresh file starts empty; a file with a published catalog resumes from
+// it, rebuilding the in-memory page indexes and Bloom filters and the
+// pool's free-list (by reachability, so a crash anywhere leaves no
+// inconsistency to repair).
+func OpenDisk(pool *pager.Pool, knobs Knobs) (*Store, error) {
+	p := &pagedRuns{pl: pool}
+	s := &Store{knobs: knobs.Validate(), store: p}
+	if pool.File().Root(catalogRootSlot) != pager.NilPage {
+		runs, err := p.loadCatalog(s.knobs.BloomBitsPerKey)
+		if err != nil {
+			return nil, err
+		}
+		s.runs = runs
+		pool.RebuildFreeList(s.Reachable())
+	}
+	return s, nil
+}
+
+// Pool exposes the buffer pool of a store opened with OpenDisk (for
+// counters and checkpoints); nil for an in-memory store.
+func (s *Store) Pool() *pager.Pool { return s.store.pool() }
 
 // Knobs returns the active configuration.
 func (s *Store) Knobs() Knobs { return s.knobs }
@@ -101,6 +175,19 @@ func (s *Store) memPut(key, value uint64, dead bool) {
 	}
 }
 
+// newRun hands sorted, deduplicated entries to the run store and builds
+// their filter.
+func (s *Store) newRun(entries []entry) run {
+	r := run{n: len(entries), filter: bloom.New(len(entries), s.knobs.BloomBitsPerKey)}
+	if r.filter != nil {
+		for _, e := range entries {
+			r.filter.Add(e.key)
+		}
+	}
+	r.data = s.store.write(entries, s.knobs)
+	return r
+}
+
 // flush turns the memtable into the newest run.
 func (s *Store) flush() {
 	if len(s.memKeys) == 0 {
@@ -111,8 +198,7 @@ func (s *Store) flush() {
 	for i := range s.memKeys {
 		entries[i] = entry{key: s.memKeys[i], val: s.memVals[i], dead: s.memDead[i]}
 	}
-	r := newRun(entries, s.knobs.SparseEvery, s.knobs.BloomBitsPerKey)
-	s.runs = append([]*run{r}, s.runs...)
+	s.runs = append([]run{s.newRun(entries)}, s.runs...)
 	s.memKeys = s.memKeys[:0]
 	s.memVals = s.memVals[:0]
 	s.memDead = s.memDead[:0]
@@ -121,17 +207,56 @@ func (s *Store) flush() {
 	}
 }
 
-// compact merges all runs into one, dropping tombstones.
+// compact merges all runs into one (single-tier size-tiered policy),
+// dropping tombstones. Every input is read whole, newest run first, before
+// the output is written and the inputs are freed: on the paged store that
+// is the order the buffer pool sees, and its state is part of the result.
 func (s *Store) compact() {
 	if len(s.runs) <= 1 {
 		return
 	}
 	s.st.Compactions++
+	var merged []entry
 	for _, r := range s.runs {
-		s.st.CompactedBytes += uint64(len(r.entries))
+		s.st.CompactedBytes += uint64(r.n)
+		merged = mergePair(merged, r.data.all())
 	}
-	merged := mergeRuns(s.runs, s.knobs.SparseEvery, s.knobs.BloomBitsPerKey, true)
-	s.runs = []*run{merged}
+	// Full merge: a tombstone has masked everything older, so it can go.
+	w := 0
+	for _, e := range merged {
+		if !e.dead {
+			merged[w] = e
+			w++
+		}
+	}
+	old := s.runs
+	s.runs = []run{s.newRun(merged[:w])}
+	for _, r := range old {
+		r.data.free()
+	}
+}
+
+// mergePair merges two sorted entry slices into a new one; entries in
+// newer win ties.
+func mergePair(newer, older []entry) []entry {
+	out := make([]entry, 0, len(newer)+len(older))
+	i, j := 0, 0
+	for i < len(newer) && j < len(older) {
+		switch {
+		case newer[i].key < older[j].key:
+			out = append(out, newer[i])
+			i++
+		case newer[i].key > older[j].key:
+			out = append(out, older[j])
+			j++
+		default:
+			out = append(out, newer[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, newer[i:]...)
+	return append(out, older[j:]...)
 }
 
 // Get returns the value for key.
@@ -150,7 +275,7 @@ func (s *Store) Get(key uint64) (uint64, bool) {
 			s.st.BloomNegatives++
 			continue
 		}
-		e, found, probes := r.get(key)
+		e, found, probes := r.data.get(key)
 		s.st.RunProbes += uint64(probes)
 		if found {
 			if e.dead {
@@ -169,63 +294,79 @@ func (s *Store) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 	if hi < lo {
 		return 0
 	}
-	type cursor struct {
-		// source 0 is the memtable; 1..len(runs) are runs newest-first,
-		// so a smaller source index wins ties.
-		source int
-		idx    int
+	// Position each run cursor at the first entry >= lo.
+	cursors := make([]cursor, len(s.runs)) // newest first
+	for i, r := range s.runs {
+		c := &cursors[i]
+		c.data, c.next = r.data, r.data.seek(lo)
+		c.load()
+		c.idx = lowerBoundEntries(c.cur, 0, len(c.cur), lo)
+		c.settle()
 	}
-	cursors := make([]cursor, 0, len(s.runs)+1)
 	mi, _ := s.memFind(lo)
-	cursors = append(cursors, cursor{source: 0, idx: mi})
-	for ri, r := range s.runs {
-		cursors = append(cursors, cursor{source: ri + 1, idx: r.lowerBound(lo)})
-	}
-	keyAt := func(c cursor) (uint64, uint64, bool, bool) { // key, val, dead, ok
-		if c.source == 0 {
-			if c.idx >= len(s.memKeys) {
-				return 0, 0, false, false
-			}
-			return s.memKeys[c.idx], s.memVals[c.idx], s.memDead[c.idx], true
-		}
-		r := s.runs[c.source-1]
-		if c.idx >= len(r.entries) {
-			return 0, 0, false, false
-		}
-		e := r.entries[c.idx]
-		return e.key, e.val, e.dead, true
-	}
+
 	visited := 0
 	for {
-		// Find the smallest current key; newest source wins ties.
-		best := -1
-		var bk, bv uint64
-		var bdead bool
-		for ci := range cursors {
-			k, v, dead, ok := keyAt(cursors[ci])
-			if !ok || k > hi {
+		// Smallest current key across memtable and runs; newer wins ties.
+		var e entry
+		found := false
+		if mi < len(s.memKeys) && s.memKeys[mi] <= hi {
+			e, found = entry{key: s.memKeys[mi], val: s.memVals[mi], dead: s.memDead[mi]}, true
+		}
+		for i := range cursors {
+			c := &cursors[i]
+			if c.cur == nil {
 				continue
 			}
-			if best == -1 || k < bk {
-				best, bk, bv, bdead = ci, k, v, dead
+			if k := c.cur[c.idx].key; k <= hi && (!found || k < e.key) {
+				e, found = c.cur[c.idx], true
 			}
 		}
-		if best == -1 {
+		if !found {
 			return visited
 		}
-		// Advance every cursor sitting on bk (dedup across sources).
-		for ci := range cursors {
-			if k, _, _, ok := keyAt(cursors[ci]); ok && k == bk {
-				cursors[ci].idx++
+		// Step every source sitting on e.key (dedup across sources).
+		if mi < len(s.memKeys) && s.memKeys[mi] == e.key {
+			mi++
+		}
+		for i := range cursors {
+			c := &cursors[i]
+			if c.cur != nil && c.cur[c.idx].key == e.key {
+				c.idx++
+				c.settle()
 			}
 		}
-		if bdead {
+		if e.dead {
 			continue
 		}
 		visited++
-		if !fn(bk, bv) {
+		if !fn(e.key, e.val) {
 			return visited
 		}
+	}
+}
+
+// cursor walks one run a chunk at a time. Past the end cur is nil;
+// otherwise cur[idx] is the entry under the cursor.
+type cursor struct {
+	data runData
+	next int // the chunk after cur
+	cur  []entry
+	idx  int
+}
+
+func (c *cursor) load() {
+	c.cur, c.idx = c.data.chunk(c.next), 0
+	c.next++
+}
+
+// settle moves on to the following chunk when the cursor has run off the
+// current one. It does so at once rather than when the next entry is
+// wanted: a paged chunk is a buffer-pool read, and which reads happen, and
+// in what order, is part of the result.
+func (c *cursor) settle() {
+	for c.cur != nil && c.idx >= len(c.cur) {
+		c.load()
 	}
 }
 
@@ -237,11 +378,28 @@ func (s *Store) Len() int {
 	return n
 }
 
-// RunCount reports the current number of on-"disk" runs.
+// RunCount reports the current number of runs.
 func (s *Store) RunCount() int { return len(s.runs) }
 
 // MemtableLen reports the number of buffered entries.
 func (s *Store) MemtableLen() int { return len(s.memKeys) }
 
-// Flush forces the memtable out (test/benchmark hook).
+// Flush forces the memtable out into a new run (test/benchmark hook).
 func (s *Store) Flush() { s.flush() }
+
+// Reachable returns every page referenced by the current catalog and runs
+// — the input to pager consistency checks. Nil for an in-memory store.
+func (s *Store) Reachable() []pager.PageID { return s.store.reachable(s.runs) }
+
+// Checkpoint makes the current contents durable: the memtable is flushed
+// and the run set published with Sync.
+func (s *Store) Checkpoint() error {
+	s.flush()
+	return s.Sync()
+}
+
+// Sync publishes the current run set without forcing a memtable flush —
+// the durability step a store performs after each natural flush or
+// compaction (buffered memtable entries are the volatile tier by design).
+// On an in-memory store there is nothing to publish.
+func (s *Store) Sync() error { return s.store.sync(s.runs) }

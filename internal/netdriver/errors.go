@@ -3,6 +3,7 @@ package netdriver
 import (
 	"errors"
 	"net"
+	"time"
 )
 
 // Sentinel errors for the wire layer. Every error the netdriver surfaces
@@ -63,4 +64,17 @@ func classify(err error) error {
 // wireErr builds the stage-tagged, classified error for an I/O failure.
 func wireErr(stage string, err error) *WireError {
 	return &WireError{Stage: stage, Class: classify(err), Err: err}
+}
+
+// Backoff is the delay before retry attempt (0-based) of a transient
+// failure — the one schedule every client in the tree sleeps on: base
+// doubled per attempt and capped at max (d <= 0 is the shift overflowing,
+// from attempt 63 at the latest), then placed in [d/2, d) by jitter, a
+// seeded draw from [0, 1) so retry timing is reproducible.
+func Backoff(base, max time.Duration, attempt int, jitter float64) time.Duration {
+	d := base << attempt
+	if d > max || d <= 0 {
+		d = max
+	}
+	return d/2 + time.Duration(jitter*float64(d/2))
 }

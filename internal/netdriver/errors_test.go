@@ -179,3 +179,31 @@ func (d *dropFirstWriteConn) Write(p []byte) (int, error) {
 	}
 	return d.Conn.Write(p)
 }
+
+func TestBackoffSchedule(t *testing.T) {
+	const base, max = 10 * time.Millisecond, 100 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		attempt int
+		d       time.Duration // the un-jittered delay
+	}{
+		{"first", 0, base},
+		{"doubles", 1, 2 * base},
+		{"doubles again", 3, 8 * base},
+		{"cap", 4, max}, // 160 ms > max
+		{"far past the cap", 39, max},
+		{"shift overflows to a negative", 40, max}, // 1e7 ns << 40 is past 2^63
+		{"shift overflows to zero", 63, max},
+		{"shift past the word", 200, max},
+	} {
+		for _, jitter := range []float64{0, 0.25, 0.5, 0.999999} {
+			got := Backoff(base, max, tc.attempt, jitter)
+			if got < tc.d/2 || got >= tc.d {
+				t.Errorf("%s: Backoff(attempt %d, jitter %g) = %v, want in [%v, %v)", tc.name, tc.attempt, jitter, got, tc.d/2, tc.d)
+			}
+		}
+		if lo, mid := Backoff(base, max, tc.attempt, 0), Backoff(base, max, tc.attempt, 0.5); lo != tc.d/2 || mid != tc.d/2+tc.d/4 {
+			t.Errorf("%s: jitter 0 and 0.5 give %v and %v, want %v and %v", tc.name, lo, mid, tc.d/2, tc.d/2+tc.d/4)
+		}
+	}
+}

@@ -447,15 +447,9 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 // Retries returns how many transient-failure retries the session made.
 func (c *Client) Retries() int64 { return c.retries }
 
-// backoff sleeps the capped exponential delay for retry attempt (0-based)
-// with seeded jitter in [d/2, d).
+// backoff sleeps out the Backoff delay for retry attempt (0-based).
 func (c *Client) backoff(attempt int) {
-	d := c.retryBase << attempt
-	if d > c.retryMax || d <= 0 {
-		d = c.retryMax
-	}
-	d = d/2 + time.Duration(c.retryRNG.Float64()*float64(d/2))
-	time.Sleep(d)
+	time.Sleep(Backoff(c.retryBase, c.retryMax, attempt, c.retryRNG.Float64()))
 }
 
 // setWireFaults gates WrapConn fault middleware around framing that

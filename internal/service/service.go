@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/pager"
 	"repro/internal/par"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -266,7 +268,7 @@ func (s *Service) newJob(req JobRequest) (*Job, error) {
 		return nil, fmt.Errorf("service: job needs a sut (see /v1/suts)")
 	}
 	if _, ok := s.cfg.SUTs[req.SUT]; !ok {
-		return nil, fmt.Errorf("service: unknown sut %q (see /v1/suts)", req.SUT)
+		return nil, fmt.Errorf("service: %w", core.UnknownSUT(req.SUT, s.sutNames()))
 	}
 	selectors := 0
 	for _, set := range []bool{req.Scenario != "", req.Holdout != "", len(req.Spec) > 0} {
@@ -672,24 +674,36 @@ func (s *Service) handleHoldouts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleSUTs(w http.ResponseWriter, r *http.Request) {
-	names := make([]string, 0, len(s.cfg.SUTs))
-	for n := range s.cfg.SUTs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	writeJSON(w, http.StatusOK, map[string]any{"suts": names})
+	writeJSON(w, http.StatusOK, map[string]any{"suts": s.sutNames()})
 }
 
-// DefaultSUTs is the standard SUT catalog — the same set cmd/lsbench and
-// cmd/lsbenchd expose.
-func DefaultSUTs() map[string]func() core.SUT {
-	return map[string]func() core.SUT{
-		"btree":   core.NewBTreeSUT,
-		"hash":    core.NewHashSUT,
-		"rmi":     core.NewRMISUT,
-		"alex":    core.NewALEXSUT,
-		"kvstore": core.NewKVSUTDefault,
+// sutNames lists the SUTs this service offers: the core catalog's names
+// in catalog order, then any the configuration added.
+func (s *Service) sutNames() []string {
+	names := make([]string, 0, len(s.cfg.SUTs))
+	for _, n := range core.SUTNames() {
+		if _, ok := s.cfg.SUTs[n]; ok {
+			names = append(names, n)
+		}
 	}
+	catalog := len(names)
+	for n := range s.cfg.SUTs {
+		if !slices.Contains(names[:catalog], n) {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names[catalog:])
+	return names
+}
+
+// DefaultSUTs is the core SUT catalog as a map, with the disk-backed SUTs
+// over the stock buffer pool.
+func DefaultSUTs() map[string]func() core.SUT {
+	suts := map[string]func() core.SUT{}
+	for _, n := range core.SUTNames() {
+		suts[n], _ = core.SUTByName(n, pager.DefaultPoolKnobs())
+	}
+	return suts
 }
 
 // builtinScenarioDocs are the catalog scenarios shipped with the service,

@@ -397,6 +397,42 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestDiskTierIsServable runs a disk-lsm job — a SUT only cmd/lsbench
+// could name before the service read the core catalog — and looks for the
+// buffer-pool block in its result; it also pins /v1/suts and the
+// unknown-SUT error to the catalog's own list.
+func TestDiskTierIsServable(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	j := submit(t, ts, fmt.Sprintf(`{"sut":"disk-lsm","spec":%s}`, detSpec))
+	waitState(t, ts, j.ID, JobDone)
+	code, data := get(t, ts.URL+"/v1/jobs/"+j.ID+"/result")
+	var res struct {
+		SUT     string `json:"sut"`
+		Storage *struct {
+			PoolPages    int    `json:"poolPages"`
+			PagesWritten uint64 `json:"pagesWritten"`
+			Fsyncs       uint64 `json:"fsyncs"`
+		} `json:"storage"`
+	}
+	if err := json.Unmarshal(data, &res); code != http.StatusOK || err != nil {
+		t.Fatalf("result: %d %v %s", code, err, data)
+	}
+	if res.SUT != "disk-lsm" || res.Storage == nil || res.Storage.PoolPages == 0 || res.Storage.PagesWritten == 0 || res.Storage.Fsyncs == 0 {
+		t.Fatalf("disk-lsm result has no storage block: %s", data)
+	}
+
+	names := strings.Join(core.SUTNames(), ",")
+	code, data = get(t, ts.URL+"/v1/suts")
+	var suts struct{ SUTs []string }
+	if err := json.Unmarshal(data, &suts); code != http.StatusOK || err != nil || strings.Join(suts.SUTs, ",") != names {
+		t.Fatalf("/v1/suts = %d %s, want %s", code, data, names)
+	}
+	code, data = postJSON(t, ts.URL+"/v1/jobs", `{"sut":"nope","scenario":"smoke"}`)
+	if want := fmt.Sprintf(`unknown SUT \"nope\" (have: %s)`, names); code != http.StatusBadRequest || !strings.Contains(string(data), want) {
+		t.Fatalf("unknown SUT: %d %s, want 400 with %s", code, data, want)
+	}
+}
+
 func TestNamedScenarioAndCatalogEndpoints(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})
 	code, data := get(t, ts.URL+"/v1/scenarios")

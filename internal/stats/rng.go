@@ -35,7 +35,13 @@ func NewRNG(seed uint64) *RNG {
 
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9E3779B97F4A7C15
-	z := *state
+	return Mix64(*state)
+}
+
+// Mix64 is the splitmix64 finalizer (Steele et al.): full-avalanche
+// bijective mixing of a 64-bit value. Hashes that must agree across
+// processes and runs (ring placement, fault membership) are built on it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
