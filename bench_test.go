@@ -494,6 +494,27 @@ func BenchmarkDiskLSMPut(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskLSMLoad measures the disk LSM's initial load through the SUT
+// adapter (Puts, flushes, full-merge compactions, one checkpoint). Two
+// sizes a factor of four apart show how far from linear it is: ns/key is
+// the number to compare across them.
+func BenchmarkDiskLSMLoad(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"50k", 50_000}, {"200k", 200_000}} {
+		n := size.n
+		keys, vals := loadedKeys(n)
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.NewDiskKVSUT(kv.DefaultKnobs(), pager.DefaultPoolKnobs()).Load(keys, vals)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+		})
+	}
+}
+
 // BenchmarkMicroRunnerOverhead measures the virtual runner's per-op cost.
 func BenchmarkMicroRunnerOverhead(b *testing.B) {
 	scenario := core.Scenario{

@@ -20,9 +20,16 @@ type Backend interface {
 	Close() error
 }
 
-// MemBackend is an in-memory Backend.
+// memChunk is the unit MemBackend grows by. 16 pages keeps the unused tail
+// of the last chunk small against even the smallest benchmark file.
+const memChunk = 16 * PageSize
+
+// MemBackend is an in-memory Backend. The file lives in fixed-size chunks,
+// so extending it appends a chunk and copies nothing. Chunk bytes at and
+// past size are always zero: that is what a file reads back after it grows.
 type MemBackend struct {
-	data []byte
+	chunks [][]byte
+	size   int64
 }
 
 // NewMemBackend returns an empty in-memory backend.
@@ -30,24 +37,44 @@ func NewMemBackend() *MemBackend { return &MemBackend{} }
 
 // ReadAt implements Backend.
 func (m *MemBackend) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(m.data)) {
+	if off >= m.size {
 		return 0, io.EOF
 	}
-	n := copy(p, m.data[off:])
-	if n < len(p) {
-		return n, io.ErrUnexpectedEOF
+	want := len(p)
+	if rest := m.size - off; int64(want) > rest {
+		p = p[:rest]
 	}
-	return n, nil
+	for n := 0; n < len(p); {
+		n += copy(p[n:], m.from(off+int64(n)))
+	}
+	if len(p) < want {
+		return len(p), io.ErrUnexpectedEOF
+	}
+	return want, nil
 }
 
 // WriteAt implements Backend.
 func (m *MemBackend) WriteAt(p []byte, off int64) (int, error) {
-	if need := off + int64(len(p)); need > int64(len(m.data)) {
-		grown := make([]byte, need)
-		copy(grown, m.data)
-		m.data = grown
+	if end := off + int64(len(p)); end > m.size {
+		m.grow(end)
 	}
-	return copy(m.data[off:], p), nil
+	for n := 0; n < len(p); {
+		n += copy(m.from(off+int64(n)), p[n:])
+	}
+	return len(p), nil
+}
+
+// from returns the rest of the chunk that holds byte pos.
+func (m *MemBackend) from(pos int64) []byte {
+	return m.chunks[pos/memChunk][pos%memChunk:]
+}
+
+// grow extends the file to size bytes; the new bytes read as zeros.
+func (m *MemBackend) grow(size int64) {
+	for int64(len(m.chunks))*memChunk < size {
+		m.chunks = append(m.chunks, make([]byte, memChunk))
+	}
+	m.size = size
 }
 
 // Sync implements Backend (no-op).
@@ -55,18 +82,22 @@ func (m *MemBackend) Sync() error { return nil }
 
 // Truncate implements Backend.
 func (m *MemBackend) Truncate(size int64) error {
-	if size < int64(len(m.data)) {
-		m.data = m.data[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, m.data)
-		m.data = grown
+	if size >= m.size {
+		m.grow(size)
+		return nil
 	}
+	keep := int((size + memChunk - 1) / memChunk)
+	clear(m.chunks[keep:]) // let the dropped chunks be collected
+	m.chunks = m.chunks[:keep]
+	if tail := size % memChunk; tail != 0 {
+		clear(m.chunks[keep-1][tail:])
+	}
+	m.size = size
 	return nil
 }
 
 // Size implements Backend.
-func (m *MemBackend) Size() (int64, error) { return int64(len(m.data)), nil }
+func (m *MemBackend) Size() (int64, error) { return m.size, nil }
 
 // Close implements Backend (no-op).
 func (m *MemBackend) Close() error { return nil }

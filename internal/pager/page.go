@@ -198,10 +198,13 @@ func (p *Page) Insert(i int, cell []byte) bool {
 	if i < 0 || i > n {
 		panic("pager: insert slot out of range")
 	}
-	if len(cell) > p.FreeSpace() {
-		return false
-	}
+	// The cell and its slot usually fit between the directory and the
+	// lowest cell; only when they do not is the O(slots) FreeSpace scan
+	// needed to tell fragmentation (compact) from a full page.
 	if p.contiguous() < len(cell)+4 {
+		if len(cell) > p.FreeSpace() {
+			return false
+		}
 		p.compact()
 	}
 	// Claim cell space from the bottom.

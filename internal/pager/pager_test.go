@@ -17,6 +17,20 @@ func memFile(t *testing.T) *File {
 	return f
 }
 
+// corrupt rewrites n bytes of b at off through edit, behind the pager's
+// back but through the Backend's own ReadAt/WriteAt.
+func corrupt(t *testing.T, b Backend, off int64, n int, edit func(p []byte)) {
+	t.Helper()
+	p := make([]byte, n)
+	if _, err := b.ReadAt(p, off); err != nil {
+		t.Fatal(err)
+	}
+	edit(p)
+	if _, err := b.WriteAt(p, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSlottedPageInsertDelete(t *testing.T) {
 	var p Page
 	p.Reset(7, TypeLeaf)
@@ -122,7 +136,7 @@ func TestChecksumRejectionOnReload(t *testing.T) {
 	}
 
 	// Flip one payload byte behind the pager's back.
-	b.data[int64(id)*PageSize+HeaderSize+100] ^= 0xFF
+	corrupt(t, b, int64(id)*PageSize+HeaderSize+100, 1, func(p []byte) { p[0] ^= 0xFF })
 
 	f2, err := Open(b)
 	if err != nil {
@@ -157,8 +171,10 @@ func TestMisdirectedWriteDetected(t *testing.T) {
 	// Copy page ids[0]'s bytes over ids[1]: checksum is valid but the
 	// self-reference betrays the misdirected write.
 	src := make([]byte, PageSize)
-	copy(src, b.data[int64(ids[0])*PageSize:])
-	copy(b.data[int64(ids[1])*PageSize:], src)
+	if _, err := b.ReadAt(src, int64(ids[0])*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(t, b, int64(ids[1])*PageSize, PageSize, func(p []byte) { copy(p, src) })
 
 	f2, err := Open(b)
 	if err != nil {
@@ -206,10 +222,7 @@ func TestTornMetaFallsBackToOlderCheckpoint(t *testing.T) {
 	}
 	// Tear: zero the first half of the just-written meta page (checksum,
 	// magic, and epoch all land there).
-	off := int64(slot) * PageSize
-	for i := int64(0); i < PageSize/2; i++ {
-		b.data[off+i] = 0
-	}
+	corrupt(t, b, int64(slot)*PageSize, PageSize/2, func(p []byte) { clear(p) })
 
 	f2, err := Open(b)
 	if err != nil {

@@ -1,7 +1,5 @@
 package pager
 
-import "container/list"
-
 // evictPolicy decides which resident page to evict. Implementations must
 // be deterministic: victim order may depend only on the admit/touch/remove
 // history, never on map iteration or randomness — the virtual-clock
@@ -30,42 +28,107 @@ func newPolicy(k PoolKnobs) evictPolicy {
 	}
 }
 
-// ---------------------------------------------------------------- LRU --
+// ------------------------------------------------------------ ID list --
 
-// lruPolicy evicts the least recently used page.
-type lruPolicy struct {
-	ll  *list.List // front = most recent
-	pos map[PageID]*list.Element
+// idList is a recency-ordered set of page IDs: a doubly linked list whose
+// nodes live in one slab and are addressed by index, with removed nodes
+// chained for reuse, so a pool at steady state admits, touches and evicts
+// without allocating. nodes[0] is the ring's sentinel (its zero value links
+// to itself): nodes[0].next is the front, nodes[0].prev the back.
+type idList struct {
+	nodes []idNode
+	free  int32 // head of the reuse chain through next; 0 = none
+	pos   map[PageID]int32
 }
 
-func newLRU() *lruPolicy {
-	return &lruPolicy{ll: list.New(), pos: make(map[PageID]*list.Element)}
+type idNode struct {
+	prev, next int32
+	id         PageID
 }
 
-func (l *lruPolicy) admit(id PageID) { l.pos[id] = l.ll.PushFront(id) }
+func newIDList() idList {
+	return idList{nodes: make([]idNode, 1), pos: make(map[PageID]int32)}
+}
 
-func (l *lruPolicy) touch(id PageID) {
-	if e, ok := l.pos[id]; ok {
-		l.ll.MoveToFront(e)
+func (l *idList) len() int { return len(l.pos) }
+
+// pushFront adds id, which must not be in the list, at the front.
+func (l *idList) pushFront(id PageID) {
+	i := l.free
+	if i != 0 {
+		l.free = l.nodes[i].next
+	} else {
+		i = int32(len(l.nodes))
+		l.nodes = append(l.nodes, idNode{})
+	}
+	l.nodes[i].id = id
+	l.linkFront(i)
+	l.pos[id] = i
+}
+
+func (l *idList) linkFront(i int32) {
+	first := l.nodes[0].next
+	l.nodes[i].prev, l.nodes[i].next = 0, first
+	l.nodes[first].prev = i
+	l.nodes[0].next = i
+}
+
+func (l *idList) unlink(i int32) {
+	n := l.nodes[i]
+	l.nodes[n.prev].next = n.next
+	l.nodes[n.next].prev = n.prev
+}
+
+// moveToFront makes id the most recent; a no-op when id is absent.
+func (l *idList) moveToFront(id PageID) {
+	if i, ok := l.pos[id]; ok {
+		l.unlink(i)
+		l.linkFront(i)
 	}
 }
 
-func (l *lruPolicy) victim(pinned func(PageID) bool) (PageID, bool) {
-	for e := l.ll.Back(); e != nil; e = e.Prev() {
-		id := e.Value.(PageID)
-		if !pinned(id) {
+// remove drops id and reports whether it was in the list.
+func (l *idList) remove(id PageID) bool {
+	i, ok := l.pos[id]
+	if !ok {
+		return false
+	}
+	l.unlink(i)
+	l.nodes[i].next = l.free
+	l.free = i
+	delete(l.pos, id)
+	return true
+}
+
+// back returns the least recent ID; the list must not be empty.
+func (l *idList) back() PageID { return l.nodes[l.nodes[0].prev].id }
+
+// oldest returns the ID nearest the back for which skip reports false.
+func (l *idList) oldest(skip func(PageID) bool) (PageID, bool) {
+	for i := l.nodes[0].prev; i != 0; i = l.nodes[i].prev {
+		if id := l.nodes[i].id; !skip(id) {
 			return id, true
 		}
 	}
 	return NilPage, false
 }
 
-func (l *lruPolicy) remove(id PageID) {
-	if e, ok := l.pos[id]; ok {
-		l.ll.Remove(e)
-		delete(l.pos, id)
-	}
+// ---------------------------------------------------------------- LRU --
+
+// lruPolicy evicts the least recently used page.
+type lruPolicy struct {
+	ll idList // front = most recent
 }
+
+func newLRU() *lruPolicy { return &lruPolicy{ll: newIDList()} }
+
+func (l *lruPolicy) admit(id PageID) { l.ll.pushFront(id) }
+
+func (l *lruPolicy) touch(id PageID) { l.ll.moveToFront(id) }
+
+func (l *lruPolicy) victim(pinned func(PageID) bool) (PageID, bool) { return l.ll.oldest(pinned) }
+
+func (l *lruPolicy) remove(id PageID) { l.ll.remove(id) }
 
 // -------------------------------------------------------------- CLOCK --
 
@@ -158,12 +221,9 @@ func (c *clockPolicy) remove(id PageID) {
 // evicting the hot set — the property that separates it from plain LRU on
 // mixed workloads.
 type twoQPolicy struct {
-	a1    *list.List // FIFO: front = newest
-	am    *list.List // LRU: front = most recent
-	ghost *list.List // A1out: front = newest ghost (IDs of pages evicted from a1)
-	pos   map[PageID]*list.Element
-	gpos  map[PageID]*list.Element
-	in    map[PageID]bool // true: element lives in a1
+	a1    idList // FIFO: front = newest
+	am    idList // LRU: front = most recent
+	ghost idList // A1out: front = newest ghost (IDs of pages evicted from a1)
 	// a1Max is the probation share of the pool (capacity / 4, min 1);
 	// ghostMax bounds A1out (2x capacity — ghosts are 4-byte IDs).
 	a1Max    int
@@ -176,84 +236,53 @@ func newTwoQ(capacity int) *twoQPolicy {
 		a1Max = 1
 	}
 	return &twoQPolicy{
-		a1:       list.New(),
-		am:       list.New(),
-		ghost:    list.New(),
-		pos:      make(map[PageID]*list.Element),
-		gpos:     make(map[PageID]*list.Element),
-		in:       make(map[PageID]bool),
+		a1:       newIDList(),
+		am:       newIDList(),
+		ghost:    newIDList(),
 		a1Max:    a1Max,
 		ghostMax: 2 * capacity,
 	}
 }
 
 func (q *twoQPolicy) admit(id PageID) {
-	if e, ok := q.gpos[id]; ok {
+	if q.ghost.remove(id) {
 		// Seen recently: the page is hot with a long re-reference
 		// distance. Skip probation, go straight to the protected queue.
-		q.ghost.Remove(e)
-		delete(q.gpos, id)
-		q.pos[id] = q.am.PushFront(id)
-		q.in[id] = false
+		q.am.pushFront(id)
 		return
 	}
-	q.pos[id] = q.a1.PushFront(id)
-	q.in[id] = true
+	q.a1.pushFront(id)
 }
 
 func (q *twoQPolicy) touch(id PageID) {
-	e, ok := q.pos[id]
-	if !ok {
+	if q.a1.remove(id) {
+		q.am.pushFront(id)
 		return
 	}
-	if q.in[id] {
-		q.a1.Remove(e)
-		q.pos[id] = q.am.PushFront(id)
-		q.in[id] = false
-		return
-	}
-	q.am.MoveToFront(e)
+	q.am.moveToFront(id)
 }
 
 func (q *twoQPolicy) victim(pinned func(PageID) bool) (PageID, bool) {
-	scan := func(ll *list.List) (PageID, bool) {
-		for e := ll.Back(); e != nil; e = e.Prev() {
-			id := e.Value.(PageID)
-			if !pinned(id) {
-				return id, true
-			}
-		}
-		return NilPage, false
-	}
-	if q.a1.Len() > q.a1Max {
-		if id, ok := scan(q.a1); ok {
+	if q.a1.len() > q.a1Max {
+		if id, ok := q.a1.oldest(pinned); ok {
 			return id, true
 		}
 	}
-	if id, ok := scan(q.am); ok {
+	if id, ok := q.am.oldest(pinned); ok {
 		return id, true
 	}
-	return scan(q.a1)
+	return q.a1.oldest(pinned)
 }
 
 func (q *twoQPolicy) remove(id PageID) {
-	e, ok := q.pos[id]
-	if !ok {
+	if !q.a1.remove(id) {
+		q.am.remove(id)
 		return
 	}
-	if q.in[id] {
-		q.a1.Remove(e)
-		// Leaving probation without a promotion: remember the page in
-		// A1out so a prompt return is recognized as a hot page.
-		q.gpos[id] = q.ghost.PushFront(id)
-		for q.ghost.Len() > q.ghostMax {
-			old := q.ghost.Back()
-			q.ghost.Remove(old)
-			delete(q.gpos, old.Value.(PageID))
-		}
-	} else {
-		q.am.Remove(e)
+	// Leaving probation without a promotion: remember the page in A1out
+	// so a prompt return is recognized as a hot page.
+	q.ghost.pushFront(id)
+	for q.ghost.len() > q.ghostMax {
+		q.ghost.remove(q.ghost.back())
 	}
-	delete(q.pos, id)
-	delete(q.in, id)
 }

@@ -84,7 +84,9 @@ func (c Counters) Sub(prev Counters) Counters {
 	}
 }
 
-// frame is one cached page.
+// frame is one cached page. Frames are recycled: one that leaves the pool
+// (evicted, freed, or never filled because its read failed) backs the next
+// page admitted, so a *Page is the caller's only while it is pinned.
 type frame struct {
 	page  Page
 	pins  int
@@ -108,7 +110,11 @@ type Pool struct {
 	f      *File
 	knobs  PoolKnobs
 	frames map[PageID]*frame
+	spare  []*frame // frames out of the pool, contents dead
 	policy evictPolicy
+	// pinned is what policy.victim skips by; built once so that a miss
+	// allocates no closure.
+	pinned func(PageID) bool
 	st     Counters
 
 	freeNow  []PageID // reusable, ascending (pop from the front)
@@ -118,12 +124,18 @@ type Pool struct {
 // NewPool wraps f with a buffer pool.
 func NewPool(f *File, knobs PoolKnobs) *Pool {
 	knobs = knobs.Validate()
-	return &Pool{
+	p := &Pool{
 		f:      f,
 		knobs:  knobs,
 		frames: make(map[PageID]*frame, knobs.Pages),
+		spare:  make([]*frame, 0, knobs.Pages),
 		policy: newPolicy(knobs),
 	}
+	p.pinned = func(id PageID) bool {
+		fr := p.frames[id]
+		return fr == nil || fr.pins > 0
+	}
+	return p
 }
 
 // File exposes the underlying page file (root pointers, meta state).
@@ -149,8 +161,9 @@ func (p *Pool) Get(id PageID) (*Page, error) {
 	if err := p.makeRoom(); err != nil {
 		return nil, err
 	}
-	fr := &frame{pins: 1}
+	fr := p.takeFrame()
 	if err := p.f.ReadPage(id, &fr.page); err != nil {
+		p.spare = append(p.spare, fr)
 		return nil, err
 	}
 	p.st.PagesRead++
@@ -176,6 +189,11 @@ func (p *Pool) Unpin(id PageID, dirty bool) {
 // reusable free page when available and extending the file otherwise. The
 // page is zeroed, typed, and dirty; the caller must Unpin it.
 func (p *Pool) Alloc(t PageType) (*Page, PageID, error) {
+	// Room first: a pool with every frame pinned must fail before an id is
+	// taken, or that id would be neither reachable nor free.
+	if err := p.makeRoom(); err != nil {
+		return nil, NilPage, err
+	}
 	var id PageID
 	if len(p.freeNow) > 0 {
 		id = p.freeNow[0]
@@ -184,10 +202,8 @@ func (p *Pool) Alloc(t PageType) (*Page, PageID, error) {
 		id = PageID(p.f.working.pageCount)
 		p.f.working.pageCount++
 	}
-	if err := p.makeRoom(); err != nil {
-		return nil, NilPage, err
-	}
-	fr := &frame{pins: 1, dirty: true}
+	fr := p.takeFrame()
+	fr.dirty = true
 	fr.page.Reset(id, t)
 	p.frames[id] = fr
 	p.policy.admit(id)
@@ -204,8 +220,7 @@ func (p *Pool) Free(id PageID) error {
 		if fr.pins > 0 {
 			return fmt.Errorf("pager: freeing pinned page %d", id)
 		}
-		delete(p.frames, id)
-		p.policy.remove(id)
+		p.release(id, fr)
 	}
 	p.freeNext = append(p.freeNext, id)
 	return nil
@@ -293,22 +308,42 @@ func (p *Pool) DropCache() error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		p.policy.remove(id)
+		p.release(id, p.frames[id])
 	}
-	p.frames = make(map[PageID]*frame, p.knobs.Pages)
 	return nil
 }
 
 // ResetCounters zeroes the work counters (measurement-window hook).
 func (p *Pool) ResetCounters() { p.st = Counters{} }
 
+// takeFrame returns a frame pinned once and clean, its page image
+// unspecified: the caller overwrites all of it (ReadPage) or resets it. A
+// new frame is allocated only while the pool has never been full — after
+// makeRoom fewer than knobs.Pages frames are resident, and an empty spare
+// stack means those are all the frames there are.
+func (p *Pool) takeFrame() *frame {
+	n := len(p.spare)
+	if n == 0 {
+		return &frame{pins: 1}
+	}
+	fr := p.spare[n-1]
+	p.spare = p.spare[:n-1]
+	fr.pins, fr.dirty = 1, false
+	return fr
+}
+
+// release takes resident page id out of the pool and keeps its frame for
+// the next admission.
+func (p *Pool) release(id PageID, fr *frame) {
+	delete(p.frames, id)
+	p.policy.remove(id)
+	p.spare = append(p.spare, fr)
+}
+
 // makeRoom evicts until a frame slot is available.
 func (p *Pool) makeRoom() error {
 	for len(p.frames) >= p.knobs.Pages {
-		id, ok := p.policy.victim(func(id PageID) bool {
-			fr := p.frames[id]
-			return fr == nil || fr.pins > 0
-		})
+		id, ok := p.policy.victim(p.pinned)
 		if !ok {
 			return fmt.Errorf("pager: pool of %d pages exhausted (all pinned)", p.knobs.Pages)
 		}
@@ -320,8 +355,7 @@ func (p *Pool) makeRoom() error {
 			p.st.DirtyWritebacks++
 			p.st.PagesWritten++
 		}
-		delete(p.frames, id)
-		p.policy.remove(id)
+		p.release(id, fr)
 		p.st.Evictions++
 	}
 	return nil
