@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check cover bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
+.PHONY: all build vet test test-race race check cover loc bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -39,6 +39,11 @@ check: build vet test test-race
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# loc prints the non-test Go line count ROADMAP item 2 tracks: each PR in
+# that campaign must leave it lower than it found it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # One bench target per paper artifact; -benchtime=1x regenerates every
 # series once (the figure experiments are full runs per iteration). The

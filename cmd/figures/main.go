@@ -23,13 +23,13 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/figures"
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/prof"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // panel is one independently runnable artifact of the reproduction.
@@ -99,12 +99,12 @@ func main() {
 		scale.DriftFactors = grid
 	}
 	if *session != "" {
-		gap, budget, err := parseSessionPacing(*session)
+		spec, err := workload.ParseSessionSpec(*session)
 		if err != nil {
 			fatal(err)
 		}
-		scale.SessionGapNs = gap
-		scale.SessionBudgetNs = budget
+		scale.SessionGapNs = spec.GapNs
+		scale.SessionBudgetNs = spec.BudgetNs
 	}
 
 	want := map[string]bool{}
@@ -410,33 +410,6 @@ func parseDriftList(s string) ([]float64, error) {
 		grid = append(grid, d)
 	}
 	return grid, nil
-}
-
-// parseSessionPacing parses the -session flag ("gap=<dur>[,budget=<dur>]")
-// into virtual-ns think gap and per-session budget.
-func parseSessionPacing(s string) (gapNs, budgetNs int64, err error) {
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return 0, 0, fmt.Errorf("-session: %q is not key=value", part)
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return 0, 0, fmt.Errorf("-session %s: %w", k, err)
-		}
-		switch k {
-		case "gap":
-			gapNs = d.Nanoseconds()
-		case "budget":
-			budgetNs = d.Nanoseconds()
-		default:
-			return 0, 0, fmt.Errorf("-session: unknown key %q (want gap, budget)", k)
-		}
-	}
-	if gapNs <= 0 {
-		return 0, 0, fmt.Errorf("-session: needs a positive gap=<dur>")
-	}
-	return gapNs, budgetNs, nil
 }
 
 func runLessons(w io.Writer, scale figures.Scale, seed uint64, _ string) error {

@@ -119,7 +119,7 @@ func main() {
 	}
 	opts := config.Options{DriftFactor: *driftKnob}
 	if *session != "" {
-		spec, err := parseSessionFlag(*session)
+		spec, err := workload.ParseSessionSpec(*session)
 		if err != nil {
 			fatal(err)
 		}
@@ -219,30 +219,22 @@ func main() {
 		}
 		// Every SUT sees the same stream, so recording the first run
 		// captures the shared workload once.
-		var tw *workload.TraceWriter
-		var tf *os.File
-		if so.record != "" && i == 0 {
-			tf, err = os.Create(so.record)
-			if err != nil {
-				fatal(err)
-			}
-			tw = workload.NewTraceWriter(tf, scenario.Name, scenario.Seed)
+		var res *core.Result
+		run := func(tw *workload.TraceWriter) (err error) {
 			runner.TraceSink = tw
+			res, err = runner.Run(scenario, f())
+			return err
 		}
-		res, err := runner.Run(scenario, f())
-		if tw != nil {
-			cErr := tw.Close()
-			if fErr := tf.Close(); cErr == nil {
-				cErr = fErr
-			}
-			if err == nil {
-				err = cErr
-			}
+		record := so.record != "" && i == 0
+		if record {
+			err = workload.RecordTraceFile(so.record, scenario.Name, scenario.Seed, run)
+		} else {
+			err = run(nil)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		if tw != nil {
+		if record {
 			fmt.Printf("op stream recorded to %s\n\n", so.record)
 		}
 		results = append(results, res)
@@ -270,33 +262,6 @@ func printRobustness(results []*core.Result, injectors []*fault.Injector, plan f
 		}
 		fmt.Println()
 	}
-}
-
-// parseSessionFlag parses "gap=<dur>[,budget=<dur>]" into a session spec.
-func parseSessionFlag(s string) (*workload.SessionSpec, error) {
-	spec := &workload.SessionSpec{}
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("-session: %q is not key=value", part)
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, fmt.Errorf("-session %s: %w", k, err)
-		}
-		switch k {
-		case "gap":
-			spec.GapNs = d.Nanoseconds()
-		case "budget":
-			spec.BudgetNs = d.Nanoseconds()
-		default:
-			return nil, fmt.Errorf("-session: unknown key %q (have gap, budget)", k)
-		}
-	}
-	if spec.GapNs <= 0 {
-		return nil, fmt.Errorf("-session requires a positive gap")
-	}
-	return spec, nil
 }
 
 // sourceOpts carries the trace/synth CLI selections into the run paths.
@@ -360,31 +325,21 @@ func runRemote(scenario core.Scenario, addr string, workers, batch int, plan fau
 		spec = scenario.Phases[0].Workload
 		dopts.Ops = scenario.Phases[0].Ops
 	}
-	var tw *workload.TraceWriter
-	var tf *os.File
-	if so.record != "" {
-		var err error
-		tf, err = os.Create(so.record)
-		if err != nil {
-			fatal(err)
-		}
-		tw = workload.NewTraceWriter(tf, scenario.Name, scenario.Seed)
+	var res *driver.Result
+	run := func(tw *workload.TraceWriter) (err error) {
 		dopts.TraceSink = tw
+		res, err = driver.Run(sut, spec, scenario.InitialData, scenario.InitialSize, dopts)
+		return err
 	}
-	res, err := driver.Run(sut, spec, scenario.InitialData, scenario.InitialSize, dopts)
-	if tw != nil {
-		cErr := tw.Close()
-		if fErr := tf.Close(); cErr == nil {
-			cErr = fErr
-		}
-		if err == nil {
-			err = cErr
-		}
+	if so.record != "" {
+		err = workload.RecordTraceFile(so.record, scenario.Name, scenario.Seed, run)
+	} else {
+		err = run(nil)
 	}
 	if err != nil {
 		fatal(err)
 	}
-	if tw != nil {
+	if so.record != "" {
 		fmt.Printf("op stream recorded to %s (one trace phase per worker)\n", so.record)
 	}
 	if cerr := c.Err(); cerr != nil {

@@ -86,22 +86,14 @@ func cmdRecord(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	tf, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	tw := workload.NewTraceWriter(tf, scenario.Name, scenario.Seed)
 	runner := core.NewRunner()
 	runner.Batch = *batch
-	runner.TraceSink = tw
-	res, err := runner.Run(scenario, f())
-	cErr := tw.Close()
-	if fErr := tf.Close(); cErr == nil {
-		cErr = fErr
-	}
-	if err == nil {
-		err = cErr
-	}
+	var res *core.Result
+	err = workload.RecordTraceFile(*out, scenario.Name, scenario.Seed, func(tw *workload.TraceWriter) (err error) {
+		runner.TraceSink = tw
+		res, err = runner.Run(scenario, f())
+		return err
+	})
 	if err != nil {
 		os.Remove(*out)
 		fatal(err)
@@ -192,30 +184,24 @@ func cmdSynth(args []string) {
 	}
 	synth := workload.NewSynthesizer(st, *seed, *repeatFrac)
 
-	tf, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	tw := workload.NewTraceWriter(tf, tr.Name+"-synth", *seed)
-	tw.BeginPhase(0, "synth", *n)
-	const chunk = 4096
-	ops := make([]workload.Op, chunk)
-	gaps := make([]int64, chunk)
-	for i := 0; i < *n; i += chunk {
-		bn := chunk
-		if rest := *n - i; bn > rest {
-			bn = rest
+	err = workload.RecordTraceFile(*out, tr.Name+"-synth", *seed, func(tw *workload.TraceWriter) error {
+		tw.BeginPhase(0, "synth", *n)
+		const chunk = 4096
+		ops := make([]workload.Op, chunk)
+		gaps := make([]int64, chunk)
+		for i := 0; i < *n; i += chunk {
+			bn := chunk
+			if rest := *n - i; bn > rest {
+				bn = rest
+			}
+			synth.Fill(ops[:bn], gaps[:bn], i, *n)
+			tw.Append(ops[:bn], gaps[:bn])
 		}
-		synth.Fill(ops[:bn], gaps[:bn], i, *n)
-		tw.Append(ops[:bn], gaps[:bn])
-	}
-	cErr := tw.Close()
-	if fErr := tf.Close(); cErr == nil {
-		cErr = fErr
-	}
-	if cErr != nil {
+		return nil
+	})
+	if err != nil {
 		os.Remove(*out)
-		fatal(cErr)
+		fatal(err)
 	}
 	fmt.Printf("synthesized %d ops from %s (repeat-frac %.2f) to %s\n", *n, *from, *repeatFrac, *out)
 }
@@ -244,20 +230,14 @@ func cmdImport(args []string) {
 	}
 	gaps := make([]int64, len(ops))
 
-	tf, err := os.Create(*out)
+	err = workload.RecordTraceFile(*out, *name, *seed, func(tw *workload.TraceWriter) error {
+		tw.BeginPhase(0, "import", len(ops))
+		tw.Append(ops, gaps)
+		return nil
+	})
 	if err != nil {
-		fatal(err)
-	}
-	tw := workload.NewTraceWriter(tf, *name, *seed)
-	tw.BeginPhase(0, "import", len(ops))
-	tw.Append(ops, gaps)
-	cErr := tw.Close()
-	if fErr := tf.Close(); cErr == nil {
-		cErr = fErr
-	}
-	if cErr != nil {
 		os.Remove(*out)
-		fatal(cErr)
+		fatal(err)
 	}
 	fmt.Printf("imported %d YCSB ops to %s\n", len(ops), *out)
 }

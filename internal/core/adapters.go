@@ -115,50 +115,6 @@ func (s *IndexSUT) workDelta(op workload.Op, res OpResult) int64 {
 	return work
 }
 
-// DoBatch implements BatchSUT natively: the ops execute in issue order
-// through a direct call (no interface dispatch per op). Order matters even
-// for lookups — a disk-backed index's Get moves buffer-pool state — so the
-// batch never reorders. Counter advances pending from bulk loads or
-// explicit training are flushed once per batch and charged to its first
-// slot, where sequential dispatch charges them.
-func (s *IndexSUT) DoBatch(ops []workload.Op, out []OpResult) {
-	if len(ops) == 0 {
-		return
-	}
-	pending := s.flushPending()
-	for i := range ops {
-		out[i] = s.Do(ops[i])
-	}
-	out[0].Work += pending
-}
-
-// flushPending consumes any instrumentation advance not yet attributed to
-// an operation, pricing it exactly as workDelta would have priced it as
-// part of the next op's work.
-func (s *IndexSUT) flushPending() int64 {
-	if s.in == nil {
-		return 0
-	}
-	st := s.in.Stats()
-	compares := int64(st.Compares - s.lastCompare)
-	splits := int64(st.Splits - s.lastSplits)
-	train := int64(st.TrainWork - s.lastTrainWork)
-	work := compares + ioModel.Work(st.PageReads-s.lastPageReads, st.PageWrites-s.lastPageWrites, 0)
-	s.lastCompare = st.Compares
-	s.lastSplits = st.Splits
-	s.lastTrainWork = st.TrainWork
-	s.lastPageReads = st.PageReads
-	s.lastPageWrites = st.PageWrites
-	if splits > 0 {
-		work += splits * 16
-	}
-	if train > 0 {
-		work += train
-		s.online += train
-	}
-	return work
-}
-
 // Train implements Trainable when the wrapped index is trainable.
 func (s *IndexSUT) Train() TrainReport {
 	tr, ok := s.ix.(index.Trainable)
@@ -276,11 +232,6 @@ func NewDiskKVSUT(knobs kv.Knobs, pool pager.PoolKnobs) *DiskKVSUT {
 	return &KVSUT{store: s, pool: s.Pool()}
 }
 
-// NewDiskLSMSUTDefault returns a disk-LSM SUT with untuned defaults.
-func NewDiskLSMSUTDefault() SUT {
-	return NewDiskKVSUT(kv.DefaultKnobs(), pager.DefaultPoolKnobs())
-}
-
 // Name implements SUT.
 func (s *KVSUT) Name() string {
 	if s.pool != nil {
@@ -305,8 +256,12 @@ func (s *KVSUT) Load(keys, values []uint64) {
 	}
 }
 
-// Do implements SUT.
+// Do implements SUT. Counters that advanced outside Do (Load and its
+// checkpoint) are settled before the op is issued: their work is charged
+// to this op, and the flushes among them — already synced — do not make
+// it sync again.
 func (s *KVSUT) Do(op workload.Op) OpResult {
+	pending := s.flushPending()
 	var res OpResult
 	switch op.Type {
 	case workload.Get:
@@ -331,26 +286,8 @@ func (s *KVSUT) Do(op workload.Op) OpResult {
 			panic(fmt.Sprintf("core: disk store sync: %v", err))
 		}
 	}
-	res.Work = s.flushPending() + int64(res.Visited) + 4
+	res.Work = pending + s.flushPending() + int64(res.Visited) + 4
 	return res
-}
-
-// DoBatch implements BatchSUT natively: issue-order dispatch through a
-// direct call, so compaction timing — and therefore per-op work — is that
-// of sequential Do. A lookup on the disk store is not read-only — it moves
-// buffer-pool frames — so any reordering would change which later ops hit
-// and what they cost. Counter advances pending from Load (which bypasses
-// Do) are flushed to the batch's first slot, matching where sequential
-// dispatch charges them.
-func (s *KVSUT) DoBatch(ops []workload.Op, out []OpResult) {
-	if len(ops) == 0 {
-		return
-	}
-	pending := s.flushPending()
-	for i := range ops {
-		out[i] = s.Do(ops[i])
-	}
-	out[0].Work += pending
 }
 
 // flushPending consumes the counter advance not yet attributed to an
@@ -375,7 +312,5 @@ var (
 	_ SUT           = (*IndexSUT)(nil)
 	_ Trainable     = (*IndexSUT)(nil)
 	_ OnlineLearner = (*IndexSUT)(nil)
-	_ BatchSUT      = (*IndexSUT)(nil)
 	_ SUT           = (*KVSUT)(nil)
-	_ BatchSUT      = (*KVSUT)(nil)
 )

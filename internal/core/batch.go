@@ -4,26 +4,31 @@ import (
 	"repro/internal/workload"
 )
 
-// BatchSUT is an optional SUT extension: execute a slice of operations in
-// one call, writing each operation's result to the matching slot of out
-// (len(out) must be >= len(ops)). Implementations must be semantically
-// equivalent to calling Do per op in order — the same OpResult stream and
-// the same final contents — so engines may dispatch in batches of any size
-// without changing results. What batching buys is amortization: one lock
-// acquisition per batch in the real-time driver, one wire round trip per
-// batch in the network driver, and one interface call per batch instead of
-// per op in the index and kv SUTs. Implementations must not reorder: a
-// lookup on a disk-backed SUT moves buffer-pool state, so execution order
-// is part of the result.
+// BatchSUT executes a slice of operations in one call, writing each
+// operation's result to the matching slot of out (len(out) must be >=
+// len(ops)). A batch is a unit of transport, never of meaning: DoBatch is
+// calling Do per op in order — the same OpResult stream, the same final
+// contents, the same counters — so engines may dispatch in batches of any
+// size without changing results, and nothing may reorder (a lookup on a
+// disk-backed SUT moves buffer-pool state, so execution order is part of
+// the result).
+//
+// The rule: adapters implement Do, the one place that says what an op does
+// and costs. DoBatch exists on netdriver.Client, where a batch is one wire
+// round trip, and on the pass-through fault.SUT, which must not break such
+// a batch up — and nowhere else; every in-process SUT gets the loop below
+// from AsBatch. What batching buys in process is one lock acquisition per
+// batch in the real-time driver.
 type BatchSUT interface {
 	SUT
 	// DoBatch executes ops[i] and stores its result in out[i].
 	DoBatch(ops []workload.Op, out []OpResult)
 }
 
-// AsBatch returns s itself when it implements BatchSUT natively, else a
-// fallback adapter that dispatches the batch one Do at a time. Engines
-// call it once per run and then use a single batched code path.
+// AsBatch returns s itself when a batch is a different unit of transport
+// for it (it implements BatchSUT), else s behind the one in-process batch
+// loop. Engines call it once per run and then use a single batched code
+// path.
 func AsBatch(s SUT) BatchSUT {
 	if b, ok := s.(BatchSUT); ok {
 		return b
@@ -31,7 +36,7 @@ func AsBatch(s SUT) BatchSUT {
 	return seqBatch{s}
 }
 
-// seqBatch adapts a plain SUT to BatchSUT by sequential dispatch.
+// seqBatch is the in-process batch: Do per op, in order.
 type seqBatch struct{ SUT }
 
 // DoBatch implements BatchSUT.

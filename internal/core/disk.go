@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/index/diskbtree"
 	"repro/internal/pager"
-	"repro/internal/workload"
 )
 
 // The disk-backed SUTs run on an in-memory page backend by default: the
@@ -28,9 +27,6 @@ func newMemPool(knobs pager.PoolKnobs) *pager.Pool {
 func NewDiskBTreeSUT(knobs pager.PoolKnobs) *IndexSUT {
 	return NewIndexSUT(diskbtree.New(newMemPool(knobs)))
 }
-
-// NewDiskBTreeSUTDefault returns the disk B+ tree with the stock pool.
-func NewDiskBTreeSUTDefault() SUT { return NewDiskBTreeSUT(pager.DefaultPoolKnobs()) }
 
 // ColdStartSUT wraps a disk-backed SUT so measurement begins from a cold
 // buffer pool: after the initial load it checkpoints (durability), drops
@@ -65,18 +61,6 @@ func (c *ColdStartSUT) Load(keys, values []uint64) {
 	c.base = c.pool.Counters()
 }
 
-// DoBatch forwards to the inner SUT's native batch path when it has one,
-// so wrapping does not change which dispatch strategy runs.
-func (c *ColdStartSUT) DoBatch(ops []workload.Op, out []OpResult) {
-	if b, ok := c.SUT.(BatchSUT); ok {
-		b.DoBatch(ops, out)
-		return
-	}
-	for i := range ops {
-		out[i] = c.SUT.Do(ops[i])
-	}
-}
-
 // Pool exposes the pool so PoolOf (and Result.Storage) see through the
 // wrapper.
 func (c *ColdStartSUT) Pool() *pager.Pool { return c.pool }
@@ -109,7 +93,4 @@ func PoolOf(s SUT) *pager.Pool {
 	return nil
 }
 
-var (
-	_ SUT      = (*ColdStartSUT)(nil)
-	_ BatchSUT = (*ColdStartSUT)(nil)
-)
+var _ SUT = (*ColdStartSUT)(nil)

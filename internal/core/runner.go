@@ -135,12 +135,11 @@ type Runner struct {
 	// stateful input first, are bit-identical at any setting.
 	Parallel int
 	// Batch is the op-dispatch batch size: up to Batch operations are
-	// generated ahead and executed through the SUT's BatchSUT path (native
-	// or adapted) before their completions are priced on the virtual
-	// clock. 0 or 1 dispatches one op at a time. Because op generation
-	// never depends on execution results and BatchSUT implementations
-	// execute in issue order, results are byte-identical at every batch
-	// size.
+	// generated ahead and executed in one AsBatch(sut).DoBatch call before
+	// their completions are priced on the virtual clock. 0 or 1 dispatches
+	// one op at a time. Because op generation never depends on execution
+	// results and a batch is Do per op in issue order, results are
+	// byte-identical at every batch size.
 	Batch int
 	// WrapSUT, when set, wraps the SUT after the run's virtual clock is
 	// created but before the initial load — the injection point for

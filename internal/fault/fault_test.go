@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -312,4 +313,41 @@ func mustRun(t *testing.T, scenario core.Scenario, plan Plan) *core.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestInjectedFaultIsDetected is the benchmark's sensitivity check: a 60x
+// slowdown injected into the middle of a steady run must be visible in
+// every adaptability metric the paper proposes.
+func TestInjectedFaultIsDetected(t *testing.T) {
+	scenario := faultScenario(9000)
+	healthy := mustRun(t, scenario, Plan{})
+	// The window is in virtual time, which the slowdown itself stretches:
+	// ten healthy run lengths of it hold a few thousand degraded ops.
+	start := healthy.DurationNs / 3
+	plan, err := ParseSpec(fmt.Sprintf("slow@%dns-%dns:factor=60", start, start+10*healthy.DurationNs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustRun(t, scenario, plan)
+
+	// 1. The timeline dips during the fault.
+	if dip := res.Timeline.DipDepth(start); dip < 0.5 {
+		t.Fatalf("dip depth %v — fault invisible in the timeline", dip)
+	}
+	// 2. SLA bands light up only in the degraded run.
+	if res.Bands.ViolationRate() <= healthy.Bands.ViolationRate() {
+		t.Fatalf("violations: degraded %v vs healthy %v",
+			res.Bands.ViolationRate(), healthy.Bands.ViolationRate())
+	}
+	if res.Bands.ViolationRate() < 0.05 {
+		t.Fatalf("degraded violation rate %v too low to notice", res.Bands.ViolationRate())
+	}
+	// 3. The cumulative curve departs from ideal more than the healthy run.
+	if res.Cumulative.AreaVsIdeal() <= healthy.Cumulative.AreaVsIdeal() {
+		t.Fatal("area-vs-ideal does not reflect the fault")
+	}
+	// 4. The run is slower overall.
+	if res.Throughput() >= healthy.Throughput() {
+		t.Fatal("throughput unaffected by a 60x fault")
+	}
 }

@@ -108,8 +108,7 @@ func (in *Injector) DecideOp() Decision {
 }
 
 // opFaultsPossible reports whether any op-layer window exists at all —
-// the Wrap fast path: when false, batches delegate straight to the inner
-// SUT's native DoBatch.
+// when false, Wrap hands batches to the inner SUT whole.
 func (in *Injector) opFaultsPossible() bool {
 	for _, w := range in.plan.Windows {
 		if w.Kind.opKind() {

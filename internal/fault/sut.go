@@ -56,10 +56,11 @@ func (s *SUT) Do(op workload.Op) core.OpResult {
 	return res
 }
 
-// DoBatch implements core.BatchSUT. When the plan schedules no op-layer
-// faults the batch delegates to the inner SUT's native batch path
-// untouched (preserving byte-identity with an unwrapped run); otherwise
-// ops dispatch one at a time so each gets its own verdict at the frozen
+// DoBatch implements core.BatchSUT as a pass-through: the middleware adds
+// nothing to a batch, it only must not break one up when the inner SUT is
+// a netdriver.Client, whose batch is one round trip. With no op-layer
+// fault in the plan the batch goes to the inner SUT whole; otherwise ops
+// dispatch one at a time so each gets its own verdict at the frozen
 // dispatch-time clock.
 func (s *SUT) DoBatch(ops []workload.Op, out []core.OpResult) {
 	if !s.inj.opFaultsPossible() {

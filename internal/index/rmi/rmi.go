@@ -331,12 +331,9 @@ func (ix *Index) searchMain(key uint64) (int, bool) {
 	// Track model error for diagnostics.
 	span := hi - lo
 	ix.st.Compares += uint64(bits(span))
-	// Last-mile search: branchless lower bound over the error window.
+	// Last-mile search: inline lower bound over the error window.
 	// Index-exact equivalent of the sort.Search formulation, so
-	// virtual-clock outputs are unchanged. search.InterpolateLowerBound
-	// was measured here too and lost at every window size this hardware
-	// produces (its 128-bit divisions cost more than the probes they save
-	// — see BenchmarkBoundedWindow); it stays available for wider windows.
+	// virtual-clock outputs are unchanged.
 	i := search.LowerBoundRange(ix.keys, lo, hi, key)
 	if i < n && ix.keys[i] == key {
 		d := i - pred

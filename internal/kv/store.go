@@ -381,9 +381,6 @@ func (s *Store) Len() int {
 // RunCount reports the current number of runs.
 func (s *Store) RunCount() int { return len(s.runs) }
 
-// MemtableLen reports the number of buffered entries.
-func (s *Store) MemtableLen() int { return len(s.memKeys) }
-
 // Flush forces the memtable out into a new run (test/benchmark hook).
 func (s *Store) Flush() { s.flush() }
 

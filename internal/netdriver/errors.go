@@ -33,8 +33,8 @@ var (
 // I/O error. It unwraps to both its class sentinel and the cause, so
 // errors.Is works against ErrTransient/ErrFatal and against net errors.
 type WireError struct {
-	// Stage names the protocol step: "request", "response", "batch
-	// request", "batch response", "load", "load ack".
+	// Stage names the protocol step: "request", "response", "load",
+	// "load ack".
 	Stage string
 	// Class is ErrTransient or ErrFatal.
 	Class error

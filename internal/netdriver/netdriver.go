@@ -4,21 +4,23 @@
 // connect to the system under test over a fast network connection") —
 // over loopback in tests, over a real network in deployments.
 //
-// The wire protocol is a fixed-size binary frame per operation (no
-// allocation, no framing ambiguity):
+// The wire protocol is fixed-size binary frames (no allocation, no framing
+// ambiguity), and there is one op frame: the sequence-numbered batch.
 //
+//	header:   opBatchBegin u8 | count u64 | seq u64 | pad u32   (21 bytes)
 //	request:  opType u8 | key u64 | value u64 | scanLimit u32   (21 bytes)
 //	response: flags u8  | visited u32 | work u64                (13 bytes)
 //
-// Batches ship one opBatchBegin header (count u64, per-session sequence
-// number u64) followed by count request frames; the server answers a
-// sequence-numbered batch with a tagged response — one header frame
-// (batchRespMark u8 | count u32 | seq u64) plus count response frames in
-// a single flush. The sequence number makes batch retries idempotent: a
-// re-sent batch (same seq) replays the server's cached answer instead of
-// re-executing, and the client uses the response tags to discard delayed
-// duplicate answers without desyncing the stream. A zero seq selects the
-// legacy untagged path.
+// A batch is one header (count in [1, maxWireBatch], per-session sequence
+// number seq >= 1) followed by count request frames in a single write; a
+// single operation is a batch of one. The server answers with a tagged
+// response — one header frame (batchRespMark u8 | count u32 | seq u64)
+// plus count response frames in a single flush. The sequence number makes
+// every retry idempotent: a re-sent batch (same seq) replays the server's
+// cached answer instead of re-executing, and the client uses the response
+// tags to discard delayed duplicate answers without desyncing the stream.
+// The only other frames are opLoadBegin (a bulk load) and opClose; a frame
+// that starts with anything else, or a batch with seq 0, ends the session.
 //
 // All integers are big-endian.
 package netdriver
@@ -103,8 +105,8 @@ const (
 	reqSize  = 1 + 8 + 8 + 4
 	respSize = 1 + 4 + 8
 	// opBatchBegin announces a batch of n operations (n request frames
-	// follow; the server answers with n response frames and one flush) —
-	// the batched wire path that amortizes per-op flush latency.
+	// follow; the server answers with a header and n response frames in
+	// one flush).
 	opBatchBegin = 249
 	// opLoadBegin announces a bulk load of n pairs (key/value frames of
 	// 16 bytes each follow); opClose ends the session.
@@ -180,8 +182,7 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// decodeOp decodes a request frame (after the opType byte has been
-// inspected) into an operation.
+// decodeOp decodes a request frame into an operation.
 func decodeOp(req []byte) workload.Op {
 	return workload.Op{
 		Type:      workload.OpType(req[0]),
@@ -238,9 +239,9 @@ func (s *Server) handle(raw net.Conn) {
 	req := make([]byte, reqSize)
 	resp := make([]byte, respSize)
 	// Duplicate-batch detection: the last executed batch's sequence number
-	// and its encoded response frames. A re-sent batch (same non-zero seq)
-	// means the client timed out waiting for a response that was delayed or
-	// lost *after* execution — replaying the cached frames instead of
+	// and its encoded response frames. A re-sent batch (same seq) means the
+	// client timed out waiting for a response that was delayed or lost
+	// *after* execution — replaying the cached frames instead of
 	// re-executing keeps retried Puts from double-applying. At most
 	// maxWireBatch*respSize (~832 KiB) per connection.
 	var lastSeq uint64
@@ -249,15 +250,14 @@ func (s *Server) handle(raw net.Conn) {
 		if _, err := io.ReadFull(r, req); err != nil {
 			return
 		}
-		opType := req[0]
-		switch opType {
+		switch req[0] {
 		case opClose:
 			w.Flush()
 			return
 		case opBatchBegin:
 			n := binary.BigEndian.Uint64(req[1:9])
 			seq := binary.BigEndian.Uint64(req[9:17])
-			if n == 0 || n > maxWireBatch {
+			if n == 0 || n > maxWireBatch || seq == 0 {
 				return
 			}
 			ops := make([]workload.Op, n)
@@ -267,29 +267,17 @@ func (s *Server) handle(raw net.Conn) {
 				}
 				ops[i] = decodeOp(req)
 			}
-			if seq != 0 && seq == lastSeq {
+			if seq == lastSeq {
 				// A duplicate must re-send the identical batch; a size
 				// mismatch means the stream desynced beyond repair.
 				if (int(n)+1)*respSize != len(lastResp) {
 					return
 				}
-				if _, err := w.Write(lastResp); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
-					return
-				}
-				continue
-			}
-			results := make([]core.OpResult, n)
-			// Native batch implementations (the index and kv adapters)
-			// kick in here; plain SUTs fall back to sequential dispatch.
-			// Either way the ops execute in frame order.
-			bsut.DoBatch(ops, results)
-			if seq != 0 {
-				// Sequence-numbered batch: build the tagged response
-				// (header + frames), cache it for duplicate replay, and
-				// send it in one write.
+			} else {
+				results := make([]core.OpResult, n)
+				bsut.DoBatch(ops, results)
+				// Build the tagged response (header + frames) and cache it
+				// for duplicate replay.
 				lastSeq = seq
 				if need := (int(n) + 1) * respSize; cap(lastResp) < need {
 					lastResp = make([]byte, 0, need)
@@ -304,24 +292,10 @@ func (s *Server) handle(raw net.Conn) {
 					encodeResult(resp, res)
 					lastResp = append(lastResp, resp...)
 				}
-				if _, err := w.Write(lastResp); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
-					return
-				}
-				continue
 			}
-			// Legacy un-sequenced batch: bare result frames, no replay
-			// protection (pre-seq clients).
-			for _, res := range results {
-				encodeResult(resp, res)
-				if _, err := w.Write(resp); err != nil {
-					return
-				}
+			if _, err := w.Write(lastResp); err != nil {
+				return
 			}
-			// One flush per batch: this is the wire-level amortization
-			// the batched path exists for.
 			if err := w.Flush(); err != nil {
 				return
 			}
@@ -355,15 +329,9 @@ func (s *Server) handle(raw net.Conn) {
 			}
 			w.Flush()
 		default:
-			res := sut.Do(decodeOp(req))
-			encodeResult(resp, res)
-			if _, err := w.Write(resp); err != nil {
-				return
-			}
-			// Flush per op: latency fidelity beats batching here.
-			if err := w.Flush(); err != nil {
-				return
-			}
+			// Not a frame this protocol has: the stream is desynced or
+			// foreign, and nothing in it may run as an op.
+			return
 		}
 	}
 }
@@ -520,52 +488,27 @@ func (c *Client) Load(keys, values []uint64) {
 	}
 }
 
-// Do implements core.SUT.
+// Do implements core.SUT: a batch of one.
 func (c *Client) Do(op workload.Op) core.OpResult {
 	res, _ := c.DoErr(op)
 	return res
 }
 
 // DoErr executes one operation and surfaces the I/O error, if any —
-// callers that can handle failure (the service's remote adapters) should
-// prefer it over the error-swallowing SUT-interface Do. Transient
-// failures (a response timeout: the request frame presumed lost in
-// flight) are re-sent up to Options.MaxRetries times with capped
-// exponential backoff before the session latches the error.
+// callers that can handle failure should prefer it over the
+// error-swallowing SUT-interface Do. It is a batch of one, so it retries
+// and stays idempotent exactly as DoBatch does.
 func (c *Client) DoErr(op workload.Op) (core.OpResult, error) {
-	if c.err != nil {
-		return core.OpResult{}, c.err
-	}
-	c.req[0] = byte(op.Type)
-	binary.BigEndian.PutUint64(c.req[1:9], op.Key)
-	binary.BigEndian.PutUint64(c.req[9:17], op.Value)
-	binary.BigEndian.PutUint32(c.req[17:21], uint32(op.ScanLimit))
-	for attempt := 0; ; attempt++ {
-		if _, err := c.conn.Write(c.req[:]); err != nil {
-			return core.OpResult{}, c.fail("request", err)
-		}
-		_, err := io.ReadFull(c.r, c.resp[:])
-		if err == nil {
-			return decodeResult(c.resp[:]), nil
-		}
-		we := wireErr("response", err)
-		if we.Class == ErrTransient && attempt < c.maxRetries {
-			c.retries++
-			c.backoff(attempt)
-			continue
-		}
-		if c.err == nil {
-			c.err = we
-		}
-		return core.OpResult{}, c.err
-	}
+	var out [1]core.OpResult
+	c.doBatchChunk([]workload.Op{op}, out[:])
+	return out[0], c.err
 }
 
-// DoBatch implements core.BatchSUT with batched wire frames: one batch
-// header plus len(ops) request frames leave in a single write, and the
-// server answers with len(ops) response frames after one flush — one
-// network round trip per batch instead of one per operation. Oversized
-// batches are split to the protocol's frame-count bound.
+// DoBatch implements core.BatchSUT: one batch header plus len(ops) request
+// frames leave in a single write, and the server answers with a header and
+// len(ops) response frames after one flush — one network round trip per
+// batch instead of one per operation. Oversized batches are split to the
+// protocol's frame-count bound.
 func (c *Client) DoBatch(ops []workload.Op, out []core.OpResult) {
 	for len(ops) > maxWireBatch {
 		c.doBatchChunk(ops[:maxWireBatch], out[:maxWireBatch])
@@ -605,7 +548,7 @@ func (c *Client) doBatchChunk(ops []workload.Op, out []core.OpResult) {
 	}
 	for attempt := 0; ; attempt++ {
 		if _, err := c.conn.Write(buf); err != nil {
-			c.fail("batch request", err)
+			c.fail("request", err)
 			for i := range out[:len(ops)] {
 				out[i] = core.OpResult{}
 			}
@@ -615,7 +558,7 @@ func (c *Client) doBatchChunk(ops []workload.Op, out []core.OpResult) {
 		if err == nil {
 			return
 		}
-		we := wireErr("batch response", err)
+		we := wireErr("response", err)
 		// Re-send only when the failure struck at a response-stream
 		// boundary (the stream still frame-aligned). The sequence number
 		// makes the re-send safe either way: if the batch never arrived

@@ -60,11 +60,15 @@ type countingSUT struct {
 	inner core.SUT
 	mu    sync.Mutex
 	puts  map[uint64]int
+	// slowFirst is how long the first Do takes to start.
+	slowFirst time.Duration
+	slept     sync.Once
 }
 
 func (s *countingSUT) Name() string               { return s.inner.Name() }
 func (s *countingSUT) Load(keys, values []uint64) { s.inner.Load(keys, values) }
 func (s *countingSUT) Do(op workload.Op) core.OpResult {
+	s.slept.Do(func() { time.Sleep(s.slowFirst) })
 	if op.Type == workload.Put {
 		s.mu.Lock()
 		s.puts[op.Key]++
@@ -240,5 +244,47 @@ func TestBatchRetryDoesNotDoubleExecute(t *testing.T) {
 	}
 	if err := c.Err(); err != nil {
 		t.Fatalf("session errored after drill: %v", err)
+	}
+}
+
+// TestSlowOpRetryAppliesOnce is the slow-server drill for the single-op
+// path: the server's first op outlasts the client's ReadTimeout, so
+// Client.Do re-sends the Put several times before the answer arrives. A
+// single op is a sequence-numbered batch of one, so the server must apply
+// the Put once and replay its cached answer to every duplicate, and the
+// following Do must get its own answer, not a leftover Put answer.
+func TestSlowOpRetryAppliesOnce(t *testing.T) {
+	sut := &countingSUT{inner: core.NewBTreeSUT(), puts: make(map[uint64]int), slowFirst: 150 * time.Millisecond}
+	srv, err := Serve("127.0.0.1:0", func() core.SUT { return sut })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialOptions(srv.Addr(), Options{
+		ReadTimeout: 40 * time.Millisecond,
+		MaxRetries:  8,
+		RetryBase:   time.Millisecond,
+		RetryMax:    5 * time.Millisecond,
+		RetrySeed:   7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Load([]uint64{1000}, []uint64{1})
+
+	c.Do(workload.Op{Type: workload.Put, Key: 5, Value: 50})
+	if c.Retries() == 0 {
+		t.Fatal("the slow op did not force a retry; the test exercised nothing")
+	}
+	// A Put answers Found=false, so a stale Put answer shows as a miss.
+	if res := c.Do(workload.Op{Type: workload.Get, Key: 1000}); !res.Found {
+		t.Fatalf("Get of a loaded key after %d retries got %+v: a stale Put answer", c.Retries(), res)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("session errored: %v", err)
+	}
+	if n := sut.putCount(5); n != 1 {
+		t.Fatalf("Put applied %d times across %d retries, want exactly 1", n, c.Retries())
 	}
 }

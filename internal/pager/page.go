@@ -105,9 +105,6 @@ func (p *Page) ID() PageID {
 // Type returns the page type tag.
 func (p *Page) Type() PageType { return PageType(p.buf[offType]) }
 
-// SetType updates the page type tag.
-func (p *Page) SetType(t PageType) { p.buf[offType] = byte(t) }
-
 // Next returns the chain pointer.
 func (p *Page) Next() PageID {
 	return PageID(binary.LittleEndian.Uint64(p.buf[offNext:]))

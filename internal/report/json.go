@@ -2,7 +2,6 @@ package report
 
 import (
 	"encoding/json"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -203,14 +202,4 @@ func MarshalResult(r *core.Result) ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// EncodeResult writes MarshalResult output to w.
-func EncodeResult(w io.Writer, r *core.Result) error {
-	data, err := MarshalResult(r)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }

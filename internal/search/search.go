@@ -13,10 +13,8 @@
 // branch lets the CPU speculate past the comparison and overlap the next
 // probe's cache miss, while a conditional move serializes the load chain
 // — and ties on warm, small windows, so it is the one we keep. An
-// interpolation kernel (InterpolateLowerBound) is also provided for
-// model-bounded windows, but measurement showed its 128-bit division
-// probes losing to the plain loop at every window size up to 65536 on the
-// benchmark hardware, so the index hot paths do not use it.
+// interpolation kernel was measured too and lost at every window size
+// (EXPERIMENTS.md, "Kernel choice, measured"); it is gone.
 //
 // Every kernel is semantically pinned to its sort.Search formulation:
 // LowerBound(a, k) == sort.Search(len(a), func(i) bool { return a[i] >= k })
@@ -26,8 +24,6 @@
 // which is what keeps the virtual-clock golden outputs byte-identical
 // after the hot paths were rewritten.
 package search
-
-import "math/bits"
 
 // LowerBound returns the smallest index i in [0, len(a)] such that
 // a[i] >= key (len(a) when no such element exists). a must be sorted
@@ -73,60 +69,5 @@ func UpperBound(a []uint64, key uint64) int {
 // search of a learned index whose model guarantees the answer lies within
 // its error window. lo and hi must satisfy 0 <= lo <= hi <= len(a).
 func LowerBoundRange(a []uint64, lo, hi int, key uint64) int {
-	return lo + LowerBound(a[lo:hi], key)
-}
-
-// interpolationRounds bounds how many interpolation probes
-// InterpolateLowerBound spends before falling back to the binary-search
-// loop. On near-linear data (exactly where a learned model routes tight
-// windows) each probe lands within a few slots of the answer; on
-// adversarial data the cap keeps the worst case at
-// interpolationRounds + log2(window).
-const interpolationRounds = 3
-
-// interpolationMin is the window size below which interpolation is not
-// worth the division; the plain loop resolves small windows faster.
-const interpolationMin = 32
-
-// InterpolateLowerBound returns the same index as LowerBoundRange(a, lo,
-// hi, key): the smallest i in [lo, hi] with a[i] >= key. It first narrows
-// the window with up to interpolationRounds interpolation probes — using
-// the key's position between the window endpoints to guess its slot, the
-// natural refinement inside a learned index's error window where the data
-// is locally near-linear — then finishes with LowerBound on what remains.
-//
-// The invariant maintained by every probe m in [lo, hi) is the classic
-// lower-bound one (a[m] < key ⇒ answer > m; a[m] >= key ⇒ answer <= m),
-// so the returned index is exact regardless of how the probes are chosen.
-func InterpolateLowerBound(a []uint64, lo, hi int, key uint64) int {
-	for round := 0; round < interpolationRounds && hi-lo >= interpolationMin; round++ {
-		first, last := a[lo], a[hi-1]
-		if key <= first {
-			// Answer is lo unless a[lo] < key, which key <= first excludes.
-			return lo
-		}
-		if key > last {
-			return hi
-		}
-		// m = lo + (key-first)/(last-first) * (hi-1-lo), computed in
-		// 128-bit so a full-domain key span cannot overflow.
-		span := last - first // > 0: key <= last and key > first imply last > first
-		h, l := bits.Mul64(key-first, uint64(hi-1-lo))
-		off, _ := bits.Div64(h%span, l, span)
-		m := lo + int(off)
-		// Clamp into the open probe range; both bounds stay probes that
-		// shrink the window because the equal-endpoint cases returned above.
-		if m <= lo {
-			m = lo + 1
-		}
-		if m >= hi-1 {
-			m = hi - 2
-		}
-		if a[m] < key {
-			lo = m + 1
-		} else {
-			hi = m + 1 // answer <= m, keep m in the window
-		}
-	}
 	return lo + LowerBound(a[lo:hi], key)
 }

@@ -87,49 +87,6 @@ func TestLowerBoundRangeEquivalence(t *testing.T) {
 				if got := LowerBoundRange(a, lo, hi, k); got != want {
 					t.Fatalf("LowerBoundRange(lo=%d, hi=%d, %d) = %d, want %d", lo, hi, k, got, want)
 				}
-				if got := InterpolateLowerBound(a, lo, hi, k); got != want {
-					t.Fatalf("InterpolateLowerBound(lo=%d, hi=%d, %d) = %d, want %d", lo, hi, k, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestInterpolateExtremeSkew exercises the interpolation path on data where
-// the linear guess is maximally wrong: one huge outlier at each end, and
-// full-domain spans that stress the 128-bit midpoint arithmetic.
-func TestInterpolateExtremeSkew(t *testing.T) {
-	a := make([]uint64, 200)
-	for i := 1; i < len(a)-1; i++ {
-		a[i] = uint64(i) // dense middle
-	}
-	a[0] = 0
-	a[len(a)-1] = ^uint64(0) // full-domain span
-	for _, k := range probeKeys(a) {
-		want := refLowerBound(a, k)
-		if got := InterpolateLowerBound(a, 0, len(a), k); got != want {
-			t.Fatalf("InterpolateLowerBound(skew, %d) = %d, want %d", k, got, want)
-		}
-	}
-	// Window entirely of duplicates: span == 0 must not divide.
-	dup := []uint64{9, 9, 9, 9, 9, 9, 9, 9, 9, 9}
-	for _, k := range []uint64{8, 9, 10} {
-		want := refLowerBound(dup, k)
-		if got := InterpolateLowerBound(dup, 0, len(dup), k); got != want {
-			t.Fatalf("InterpolateLowerBound(dup, %d) = %d, want %d", k, got, want)
-		}
-	}
-}
-
-func TestInterpolateEmptyAndTinyWindows(t *testing.T) {
-	a := []uint64{1, 3, 5, 7, 9, 11, 13}
-	for lo := 0; lo <= len(a); lo++ {
-		for hi := lo; hi <= len(a); hi++ {
-			for k := uint64(0); k <= 14; k++ {
-				want := lo + refLowerBound(a[lo:hi], k)
-				if got := InterpolateLowerBound(a, lo, hi, k); got != want {
-					t.Fatalf("InterpolateLowerBound(a, %d, %d, %d) = %d, want %d", lo, hi, k, got, want)
-				}
 			}
 		}
 	}
@@ -157,37 +114,7 @@ func FuzzLowerBound(f *testing.F) {
 	})
 }
 
-// FuzzInterpolateLowerBound cross-checks the interpolating bounded search
-// against sort.Search on arbitrary sorted windows.
-func FuzzInterpolateLowerBound(f *testing.F) {
-	f.Add([]byte{10, 20, 30, 40, 50}, uint64(25), uint8(0), uint8(5))
-	f.Add([]byte{0, 255, 255, 255}, uint64(1), uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, raw []byte, key uint64, loB, hiB uint8) {
-		a := make([]uint64, 0, len(raw))
-		var cur uint64
-		for _, b := range raw {
-			// Large strides stress the interpolation midpoint math.
-			cur += uint64(b) << 48
-			a = append(a, cur)
-		}
-		lo, hi := int(loB), int(hiB)
-		if lo > len(a) {
-			lo = len(a)
-		}
-		if hi > len(a) {
-			hi = len(a)
-		}
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		want := lo + refLowerBound(a[lo:hi], key)
-		if got := InterpolateLowerBound(a, lo, hi, key); got != want {
-			t.Fatalf("InterpolateLowerBound(%v, %d, %d, %d) = %d, want %d", a, lo, hi, key, got, want)
-		}
-	})
-}
-
-// --- Benchmarks: branchless kernels vs the sort.Search formulation --------
+// --- Benchmarks: the inline kernels vs the sort.Search formulation --------
 
 var sink int
 
@@ -225,11 +152,10 @@ func BenchmarkSortSearch(b *testing.B) {
 	sink = s
 }
 
-// BenchmarkBoundedWindow compares the last-mile strategies inside a
-// learned index's error window, across the window sizes that matter: small
-// windows (tight models) must favor the pure branchless loop, huge windows
-// (coarse models at 100M+ keys) are where interpolation's division cost
-// pays for itself by cutting the probe count.
+// BenchmarkBoundedWindow compares the last-mile search inside a learned
+// index's error window — the inline halving loop against sort.Search —
+// across the window sizes that matter, from tight models (64) to coarse
+// models at 100M+ keys (65536).
 func BenchmarkBoundedWindow(b *testing.B) {
 	a := benchKeys(1 << 20)
 	for _, win := range []int{64, 256, 4096, 65536} {
@@ -254,21 +180,12 @@ func BenchmarkBoundedWindow(b *testing.B) {
 			}
 			sink = s
 		})
-		b.Run(fmt.Sprintf("win=%d/branchless", win), func(b *testing.B) {
+		b.Run(fmt.Sprintf("win=%d/loop", win), func(b *testing.B) {
 			b.ReportAllocs()
 			s := 0
 			for i := 0; i < b.N; i++ {
 				lo, hi, k := pos(i)
 				s += LowerBoundRange(a, lo, hi, k)
-			}
-			sink = s
-		})
-		b.Run(fmt.Sprintf("win=%d/interpolate", win), func(b *testing.B) {
-			b.ReportAllocs()
-			s := 0
-			for i := 0; i < b.N; i++ {
-				lo, hi, k := pos(i)
-				s += InterpolateLowerBound(a, lo, hi, k)
 			}
 			sink = s
 		})

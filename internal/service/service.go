@@ -421,21 +421,13 @@ func (s *Service) run(job *Job) (*core.Result, error) {
 	// the job's own TraceSink (the runner's other fields are read-only
 	// configuration), so concurrent workers never share a writer.
 	path := filepath.Join(s.cfg.TraceDir, job.ID+".lstrace")
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("service: creating trace file: %w", err)
-	}
-	tw := workload.NewTraceWriter(f, sc.Name, sc.Seed)
 	runner := *s.runner
-	runner.TraceSink = tw
-	res, err := runner.Run(sc, sutFactory())
-	cErr := tw.Close()
-	if fErr := f.Close(); cErr == nil {
-		cErr = fErr
-	}
-	if err == nil {
-		err = cErr
-	}
+	var res *core.Result
+	err := workload.RecordTraceFile(path, sc.Name, sc.Seed, func(tw *workload.TraceWriter) (err error) {
+		runner.TraceSink = tw
+		res, err = runner.Run(sc, sutFactory())
+		return err
+	})
 	if err != nil {
 		os.Remove(path)
 		return nil, err

@@ -342,6 +342,25 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 }
 
+// RecordTraceFile records one run to a new trace file at path: it hands
+// run a writer whose header carries name and seed, then closes the writer
+// and the file. The first error among run's and the two closes wins.
+func RecordTraceFile(path, name string, seed uint64, run func(*TraceWriter) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	tw := NewTraceWriter(f, name, seed)
+	err = run(tw)
+	if cErr := tw.Close(); err == nil {
+		err = cErr
+	}
+	if cErr := f.Close(); err == nil {
+		err = cErr
+	}
+	return err
+}
+
 // ReadTraceFile decodes the trace at path.
 func ReadTraceFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
