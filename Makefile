@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check cover loc bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
+.PHONY: all build vet test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -40,10 +40,17 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# loc prints the non-test Go line count ROADMAP item 2 tracks: each PR in
-# that campaign must leave it lower than it found it.
+# loc prints the non-test Go line count ROADMAP item 1 tracks; loc-check is
+# the ratchet on it: the count may not exceed the number committed in
+# LOC_MAX. A PR that shrinks the tree lowers LOC_MAX to its own `make loc`;
+# one that must grow (a [benchmark] PR) raises it in the open.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+
+loc-check:
+	@n=$$($(MAKE) -s loc); max=$$(cat LOC_MAX); \
+	if [ $$n -gt $$max ]; then echo "loc-check: $$n non-test Go lines > LOC_MAX $$max"; exit 1; fi; \
+	echo "loc-check: $$n <= $$max"
 
 # One bench target per paper artifact; -benchtime=1x regenerates every
 # series once (the figure experiments are full runs per iteration). The

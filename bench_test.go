@@ -272,7 +272,7 @@ func BenchmarkLearnedCache(b *testing.B) {
 
 // BenchmarkQualityScorer exercises the §V-C dataset-quality tool.
 func BenchmarkQualityScorer(b *testing.B) {
-	keys := distgen.NewZipfKeys(1, 1.2, 100000).Keys(100000)
+	keys := distgen.Keys(distgen.NewZipfKeys(1, 1.2, 100000), 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := quality.Score(keys, nil)
@@ -302,7 +302,7 @@ func BenchmarkSynthesizer(b *testing.B) {
 		distgen.NewClustered(3, 8, 1e9))
 	trace := make([]uint64, 40000)
 	for i := range trace {
-		trace[i] = d.KeysAt(float64(i)/float64(len(trace)), 1)[0]
+		trace[i] = distgen.KeysAt(d, float64(i)/float64(len(trace)), 1)[0]
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -319,8 +319,8 @@ func BenchmarkSynthesizer(b *testing.B) {
 
 // BenchmarkSimilarity exercises the Φ estimators (§V-D1).
 func BenchmarkSimilarity(b *testing.B) {
-	a := distgen.NewUniform(1, 0, 1<<40).Keys(10000)
-	c := distgen.NewClustered(2, 10, 1e8).Keys(10000)
+	a := distgen.Keys(distgen.NewUniform(1, 0, 1<<40), 10000)
+	c := distgen.Keys(distgen.NewClustered(2, 10, 1e8), 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = similarity.KS(a, c)
@@ -388,7 +388,7 @@ func BenchmarkMicroBTreeInsert(b *testing.B) {
 }
 
 func BenchmarkMicroLearnedSort(b *testing.B) {
-	src := distgen.NewLognormal(1, 0, 2, 1e9).Keys(200000)
+	src := distgen.Keys(distgen.NewLognormal(1, 0, 2, 1e9), 200000)
 	buf := make([]uint64, len(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -398,7 +398,7 @@ func BenchmarkMicroLearnedSort(b *testing.B) {
 }
 
 func BenchmarkMicroStdSort(b *testing.B) {
-	src := distgen.NewLognormal(1, 0, 2, 1e9).Keys(200000)
+	src := distgen.Keys(distgen.NewLognormal(1, 0, 2, 1e9), 200000)
 	buf := make([]uint64, len(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -541,18 +541,25 @@ func BenchmarkMicroRunnerOverhead(b *testing.B) {
 	}
 }
 
+// preloadedSUT is an index SUT that already holds the scenario's pinned
+// initial keys, so the runner's Load has nothing left to do.
+type preloadedSUT struct{ *core.IndexSUT }
+
+func (preloadedSUT) Load(_, _ []uint64) {}
+
 // BenchmarkMicroRunnerDispatch measures the runner's steady-state per-op
-// dispatch cost: one run whose single phase executes b.N read-only ops, so
-// per-run setup (SUT load, collector, result) amortizes away and allocs/op
-// converges on the true per-op allocation count — which must be 0 (key
-// draws go through fixed buffers, dispatch buffers come from a pool, and
-// the collector's curve is sized from the phase's op count).
+// dispatch cost: one run whose single phase executes b.N read-only ops over
+// a SUT loaded off the clock, so what per-run setup is left (collector,
+// result) amortizes away and allocs/op converges on the true per-op
+// allocation count — which must be 0 (key draws go through fixed buffers,
+// dispatch buffers come from a pool, and the collector's curve is sized
+// from the phase's op count).
 func BenchmarkMicroRunnerDispatch(b *testing.B) {
+	keys := distgen.UniqueKeys(distgen.NewUniform(1, 0, 1<<40), 100000)
 	scenario := core.Scenario{
 		Name:        "dispatch",
 		Seed:        1,
-		InitialData: distgen.NewUniform(1, 0, 1<<40),
-		InitialSize: 100000,
+		InitialKeys: keys,
 		IntervalNs:  1_000_000,
 		Phases: []core.Phase{{
 			Name: "p",
@@ -563,11 +570,13 @@ func BenchmarkMicroRunnerDispatch(b *testing.B) {
 			},
 		}},
 	}
+	sut := preloadedSUT{core.NewBTreeSUT().(*core.IndexSUT)}
+	sut.IndexSUT.Load(keys, core.LoadValues(keys))
 	r := core.NewRunner()
 	r.Batch = 64
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := r.Run(scenario, core.NewBTreeSUT()); err != nil {
+	if _, err := r.Run(scenario, sut); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -748,7 +757,7 @@ func largeKeys(b *testing.B) ([]uint64, []uint64) {
 	b.Helper()
 	largeDataset.once.Do(func() {
 		n := largeN()
-		largeDataset.keys = distgen.NewSequential(1, 1, 16).Keys(n)
+		largeDataset.keys = distgen.Keys(distgen.NewSequential(1, 1, 16), n)
 		largeDataset.vals = make([]uint64, n)
 	})
 	return largeDataset.keys, largeDataset.vals

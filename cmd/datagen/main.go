@@ -20,6 +20,7 @@ import (
 	"os"
 	"strconv"
 
+	"repro/internal/config"
 	"repro/internal/distgen"
 	"repro/internal/synth"
 )
@@ -83,38 +84,23 @@ func main() {
 			distgen.NewUniform(*seed+1, 0, distgen.KeyDomain/8),
 			distgen.NewClustered(*seed+2, *clusters, float64(distgen.KeyDomain)/1e6))
 		for i := 0; i < *n; i++ {
-			fmt.Fprintln(w, d.KeysAt(float64(i)/float64(*n), 1)[0])
+			fmt.Fprintln(w, distgen.KeysAt(d, float64(i)/float64(*n), 1)[0])
 		}
 		return
 	}
 
-	var g distgen.Generator
-	switch *kind {
-	case "uniform":
-		g = distgen.NewUniform(*seed, 0, distgen.KeyDomain)
-	case "normal":
-		g = distgen.NewNormal(*seed, float64(distgen.KeyDomain)/2, float64(distgen.KeyDomain)/64)
-	case "lognormal":
-		g = distgen.NewLognormal(*seed, 0, 2, 1e12)
-	case "zipf":
-		g = distgen.NewZipfKeys(*seed, *theta, 1<<22)
-	case "clustered":
-		g = distgen.NewClustered(*seed, *clusters, float64(distgen.KeyDomain)/1e6)
-	case "segmented":
-		g = distgen.NewSegmented(*seed, *segments)
-	case "sequential":
-		g = distgen.NewSequential(*seed, 1<<20, 64)
-	case "email":
-		g = distgen.NewEmail(*seed)
-	default:
-		fatal(fmt.Errorf("unknown kind %q (try -list)", *kind))
+	// The kinds and their defaults are config.GenSpec's, the catalog scenario
+	// files draw from; only the sequential start is datagen's own.
+	g, err := config.GenSpec{Kind: *kind, Theta: *theta, Clusters: *clusters, Segments: *segments, Start: 1 << 20}.Build(*seed)
+	if err != nil {
+		fatal(fmt.Errorf("%w (try -list)", err))
 	}
 
 	var keys []uint64
 	if *sorted {
 		keys = distgen.Sorted(g, *n)
 	} else {
-		keys = g.Keys(*n)
+		keys = distgen.Keys(g, *n)
 	}
 	for _, k := range keys {
 		fmt.Fprintln(w, k)

@@ -63,11 +63,11 @@ func runDemo() {
 		keys []uint64
 		gaps []int64
 	}{
-		{"uniform-static", distgen.NewUniform(1, 0, distgen.KeyDomain).Keys(n), nil},
-		{"zipf-skewed", distgen.NewZipfKeys(2, 1.3, 100000).Keys(n), nil},
-		{"clustered", distgen.NewClustered(3, 10, 1e9).Keys(n), nil},
+		{"uniform-static", distgen.Keys(distgen.NewUniform(1, 0, distgen.KeyDomain), n), nil},
+		{"zipf-skewed", distgen.Keys(distgen.NewZipfKeys(2, 1.3, 100000), n), nil},
+		{"clustered", distgen.Keys(distgen.NewClustered(3, 10, 1e9), n), nil},
 		{"drifting", driftTrace(n), nil},
-		{"bursty-load", distgen.NewZipfKeys(4, 1.1, 100000).Keys(n), burstGaps(n)},
+		{"bursty-load", distgen.Keys(distgen.NewZipfKeys(4, 1.1, 100000), n), burstGaps(n)},
 	}
 	for _, c := range cases {
 		printReport(c.name, quality.Score(c.keys, c.gaps))
@@ -78,9 +78,9 @@ func driftTrace(n int) []uint64 {
 	d := distgen.NewBlend(5,
 		distgen.NewUniform(6, 0, distgen.KeyDomain/8),
 		distgen.NewClustered(7, 5, 1e8))
-	out := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.KeysAt(float64(i)/float64(n), 1)[0])
+	out := make([]uint64, n)
+	for i := range out {
+		d.FillAt(float64(i)/float64(n), out[i:i+1])
 	}
 	return out
 }

@@ -8,7 +8,8 @@
 //
 //	lsbench -config scenario.json [-suts btree,rmi,alex,hash,kvstore] [-csv dir]
 //	lsbench -example            # print a starter config and exit
-//	lsbench -remote host:port   # drive a remote SUT (netdriver server)
+//	lsbench -remote host:port   # drive a remote SUT (lsbench serve sut)
+//	lsbench serve sut|worker|coordinator [flags]  # the serving roles (serve.go)
 //	lsbench ... -faults spec    # inject a deterministic fault plan
 //	lsbench ... -record t.lstrace       # record the executed op stream
 //	lsbench ... -replay t.lstrace       # replay a recording verbatim
@@ -79,12 +80,15 @@ const exampleConfig = `{
 }`
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		os.Exit(serveMain(os.Args[2:]))
+	}
 	var (
 		configPath = flag.String("config", "", "path to the scenario JSON config")
 		suts       = flag.String("suts", "btree,rmi,alex", "comma-separated SUTs: "+strings.Join(core.SUTNames(), ","))
 		csvDir     = flag.String("csv", "", "directory to write per-figure CSV files into")
 		example    = flag.Bool("example", false, "print an example config and exit")
-		remote     = flag.String("remote", "", "address of a lsbenchd netdriver server (real-time mode)")
+		remote     = flag.String("remote", "", "address of a netdriver server started by lsbench serve sut (real-time mode)")
 		workers    = flag.Int("workers", 4, "driver workers in -remote mode")
 		batch      = flag.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting")
 		faults     = flag.String("faults", "", "deterministic fault plan (kind@start-end:params;... with kinds slow,error,crash,drop,delay,stall)")

@@ -32,7 +32,7 @@ func main() {
 	)
 	orig := make([]uint64, n)
 	for i := range orig {
-		orig[i] = drift.KeysAt(float64(i)/n, 1)[0]
+		drift.FillAt(float64(i)/n, orig[i:i+1])
 	}
 	model, err := synth.Fit(orig, synth.FitOptions{RemapSeed: 42}) // anonymized
 	must(err)

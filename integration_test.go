@@ -79,7 +79,7 @@ func TestRecordSynthesizeBenchmark(t *testing.T) {
 		distgen.NewClustered(9, 6, 1e10))
 	orig := make([]uint64, 20000)
 	for i := range orig {
-		orig[i] = drift.KeysAt(float64(i)/float64(len(orig)), 1)[0]
+		orig[i] = distgen.KeysAt(drift, float64(i)/float64(len(orig)), 1)[0]
 	}
 
 	// 2. Fit + regenerate.

@@ -51,7 +51,7 @@ func fastConfig(workers []string) Config {
 	}
 }
 
-// worker is one lsbench-svc daemon under httptest.
+// worker is one `lsbench serve worker` daemon under httptest.
 type worker struct {
 	svc *service.Service
 	ts  *httptest.Server

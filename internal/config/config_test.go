@@ -2,7 +2,10 @@ package config
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,16 +94,46 @@ func TestLoad(t *testing.T) {
 	}
 }
 
+// streamDigest is FNV-1a over the little-endian bytes of keys: the form the
+// kind tables below pin a drawn stream in.
+func streamDigest(keys []uint64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, k := range keys {
+		binary.LittleEndian.PutUint64(b[:], k)
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestAllGeneratorKinds: every GenSpec kind builds a distgen.Generator whose
+// first 1 024 keys at seed 7 are the ones commit b60e766 drew through
+// Generator.Keys (first key and stream digest recorded there).
 func TestAllGeneratorKinds(t *testing.T) {
-	kinds := []string{"uniform", "normal", "lognormal", "zipf", "clustered",
-		"segmented", "sequential", "email"}
+	kinds := []struct {
+		kind   string
+		first  uint64
+		digest string
+	}{
+		{"uniform", 223579788653171509, "13c53dbd48095e6c"},
+		{"normal", 592648186081763072, "56123dcd2cac6f08"},
+		{"lognormal", 6032528054289, "2017b1c6502f1c70"},
+		{"zipf", 472439530612326400, "bfd255ac674a768a"},
+		{"clustered", 472057510534469312, "88504dc8fde34a49"},
+		{"segmented", 467305061046307722, "c7a3f33453797a8b"},
+		{"sequential", 54, "f494831e5a32f8ee"},
+		{"email", 8301105420960427126, "dcec28a77bbcb029"},
+	}
 	for _, k := range kinds {
-		g, err := GenSpec{Kind: k}.Build(1)
+		g, err := GenSpec{Kind: k.kind}.Build(7)
 		if err != nil {
-			t.Fatalf("%s: %v", k, err)
+			t.Fatalf("%s: %v", k.kind, err)
 		}
-		if len(g.Keys(10)) != 10 {
-			t.Fatalf("%s: no keys", k)
+		keys := make([]uint64, 1024)
+		g.Fill(keys)
+		if keys[0] != k.first || streamDigest(keys) != k.digest {
+			t.Errorf("%s: stream moved: first key %d digest %s, want %d %s",
+				k.kind, keys[0], streamDigest(keys), k.first, k.digest)
 		}
 	}
 	if _, err := (GenSpec{Kind: "nope"}).Build(1); err == nil {
@@ -108,23 +141,44 @@ func TestAllGeneratorKinds(t *testing.T) {
 	}
 }
 
+// TestAllDriftKinds is the same round trip for every DriftSpec kind: 1 024
+// one-key draws at progress i/1024, seed 7, against the streams b60e766 drew
+// through Drift.KeysAt.
 func TestAllDriftKinds(t *testing.T) {
 	u := &GenSpec{Kind: "uniform"}
-	specs := []DriftSpec{
-		{Kind: "static", Gen: u},
-		{Kind: "blend", StartGen: u, EndGen: u},
-		{Kind: "abrupt", StartGen: u, EndGen: u, At: 0.4},
-		{Kind: "hotspot"},
-		{Kind: "growskew"},
-		{Kind: "schedule", Segments: []DriftSpec{{Kind: "static", Gen: u}}},
+	z := &GenSpec{Kind: "zipf"}
+	e := &GenSpec{Kind: "email"}
+	specs := []struct {
+		name   string
+		spec   DriftSpec
+		first  uint64
+		digest string
+	}{
+		{"static", DriftSpec{Kind: "static", Gen: z}, 472439530612326400, "bfd255ac674a768a"},
+		{"blend", DriftSpec{Kind: "blend", StartGen: z, EndGen: u}, 773467947233443840, "2dc573e1e9aaa5bb"},
+		{"abrupt", DriftSpec{Kind: "abrupt", StartGen: z, EndGen: e, At: 0.4}, 773467947233443840, "478d0b1417b5a325"},
+		{"hotspot", DriftSpec{Kind: "hotspot"}, 35098071301801488, "000d5413a8a61bb4"},
+		{"growskew", DriftSpec{Kind: "growskew"}, 1050727396363206656, "a91397b4e9fba1cf"},
+		{"controller", DriftSpec{Kind: "controller", StartGen: z, EndGen: u, Factor: 0.5, Profile: "ramp", Normalize: 0.25},
+			773467947233443840, "ead35cbf07276736"},
+		{"controller-email", DriftSpec{Kind: "controller", StartGen: e, EndGen: u, Factor: 0.7},
+			7954871495453992305, "57edbc09d2d7712c"},
+		{"schedule", DriftSpec{Kind: "schedule", Segments: []DriftSpec{
+			{Kind: "static", Gen: u}, {Kind: "hotspot"}, {Kind: "blend", StartGen: e, EndGen: z}}},
+			223579788653171509, "4fb588d50d09a67e"},
 	}
 	for _, s := range specs {
-		d, err := s.Build(1)
+		d, err := s.spec.Build(7)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Kind, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		if len(d.KeysAt(0.5, 5)) != 5 {
-			t.Fatalf("%s: no keys", s.Kind)
+		keys := make([]uint64, 1024)
+		for i := range keys {
+			d.FillAt(float64(i)/1024, keys[i:i+1])
+		}
+		if keys[0] != s.first || streamDigest(keys) != s.digest {
+			t.Errorf("%s: stream moved: first key %d digest %s, want %d %s",
+				s.name, keys[0], streamDigest(keys), s.first, s.digest)
 		}
 	}
 	bad := []DriftSpec{

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/distgen"
 	"repro/internal/workload"
 )
 
@@ -35,7 +36,7 @@ func TestControllerDriftClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.KeysAt(0.5, 5)) != 5 {
+	if len(distgen.KeysAt(d, 0.5, 5)) != 5 {
 		t.Fatal("controller drift produced no keys")
 	}
 	if !strings.Contains(d.Name(), "D=0.50") {

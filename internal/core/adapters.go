@@ -146,10 +146,10 @@ func NewRMISUT() SUT { return NewIndexSUT(rmi.NewDefault()) }
 // NewALEXSUT returns the adaptive learned-index SUT.
 func NewALEXSUT() SUT { return NewIndexSUT(alex.New()) }
 
-// sutCatalog is the one name → factory table: every front end (lsbench,
-// lsbenchd, lstrace, the service, the figures, the facade) offers exactly
-// these SUTs under exactly these names. pool sizes the buffer pool of the
-// disk-backed entries; the in-memory ones ignore it.
+// sutCatalog is the one name → factory table: every front end (lsbench and
+// its serve sut role, lstrace, the service, the figures, the facade) offers
+// exactly these SUTs under exactly these names. pool sizes the buffer pool
+// of the disk-backed entries; the in-memory ones ignore it.
 var sutCatalog = []struct {
 	name string
 	make func(pool pager.PoolKnobs) SUT

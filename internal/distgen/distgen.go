@@ -21,32 +21,23 @@ import (
 // overflow.
 const KeyDomain = uint64(1) << 60
 
-// Generator produces synthetic keys from a fixed distribution.
+// Generator produces synthetic keys from a fixed distribution. Fill is how
+// a key is drawn: every consumer, allocating or not, reads the one stream it
+// advances.
 type Generator interface {
 	// Name identifies the distribution family and parameters, e.g.
 	// "zipf(theta=1.1)". Names are used in reports and as registry keys.
 	Name() string
-	// Keys returns n keys drawn from the distribution. Keys may repeat;
-	// callers that need a set should use UniqueKeys.
-	Keys(n int) []uint64
-}
-
-// Filler is implemented by generators that can write keys into a
-// caller-provided buffer, avoiding the per-call allocation of Keys. The
-// RNG stream consumed by Fill(out) is identical to Keys(len(out)), so the
-// two are interchangeable without changing determinism.
-type Filler interface {
+	// Fill writes len(out) keys drawn from the distribution into out.
+	// Keys may repeat; callers that need a set should use UniqueKeys.
 	Fill(out []uint64)
 }
 
-// Fill writes len(out) keys from g into out, using the generator's
-// allocation-free path when it has one and falling back to Keys otherwise.
-func Fill(g Generator, out []uint64) {
-	if f, ok := g.(Filler); ok {
-		f.Fill(out)
-		return
-	}
-	copy(out, g.Keys(len(out)))
+// Keys returns n keys drawn from g in a fresh slice.
+func Keys(g Generator, n int) []uint64 {
+	out := make([]uint64, n)
+	g.Fill(out)
+	return out
 }
 
 // UniqueKeys draws from g until n distinct keys have been collected and
@@ -56,9 +47,11 @@ func Fill(g Generator, out []uint64) {
 func UniqueKeys(g Generator, n int) []uint64 {
 	seen := make(map[uint64]struct{}, n)
 	out := make([]uint64, 0, n)
+	batch := make([]uint64, n)
 	attempts := 0
 	for len(out) < n && attempts < 50 {
-		for _, k := range g.Keys(n) {
+		g.Fill(batch)
+		for _, k := range batch {
 			if _, dup := seen[k]; !dup {
 				seen[k] = struct{}{}
 				out = append(out, k)
@@ -99,14 +92,7 @@ func NewUniform(seed uint64, lo, hi uint64) *Uniform {
 // Name implements Generator.
 func (u *Uniform) Name() string { return fmt.Sprintf("uniform[%d,%d)", u.Lo, u.Hi) }
 
-// Keys implements Generator.
-func (u *Uniform) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	u.Fill(out)
-	return out
-}
-
-// Fill implements Filler.
+// Fill implements Generator.
 func (u *Uniform) Fill(out []uint64) {
 	span := u.Hi - u.Lo
 	for i := range out {
@@ -132,14 +118,7 @@ func NewNormal(seed uint64, mu, sigma float64) *Normal {
 // Name implements Generator.
 func (g *Normal) Name() string { return fmt.Sprintf("normal(mu=%.3g,sigma=%.3g)", g.Mu, g.Sigma) }
 
-// Keys implements Generator.
-func (g *Normal) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	g.Fill(out)
-	return out
-}
-
-// Fill implements Filler.
+// Fill implements Generator.
 func (g *Normal) Fill(out []uint64) {
 	for i := range out {
 		out[i] = clampToDomain(g.Mu + g.Sigma*g.rng.NormFloat64())
@@ -167,14 +146,7 @@ func (g *Lognormal) Name() string {
 	return fmt.Sprintf("lognormal(mu=%.3g,sigma=%.3g)", g.Mu, g.Sigma)
 }
 
-// Keys implements Generator.
-func (g *Lognormal) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	g.Fill(out)
-	return out
-}
-
-// Fill implements Filler.
+// Fill implements Generator.
 func (g *Lognormal) Fill(out []uint64) {
 	for i := range out {
 		out[i] = clampToDomain(g.Scale * exp(g.Mu+g.Sigma*g.rng.NormFloat64()))
@@ -202,14 +174,7 @@ func NewZipfKeys(seed uint64, theta float64, universe uint64) *ZipfKeys {
 // Name implements Generator.
 func (g *ZipfKeys) Name() string { return fmt.Sprintf("zipf(theta=%.3g,u=%d)", g.Theta, g.Universe) }
 
-// Keys implements Generator.
-func (g *ZipfKeys) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	g.Fill(out)
-	return out
-}
-
-// Fill implements Filler.
+// Fill implements Generator.
 func (g *ZipfKeys) Fill(out []uint64) {
 	stride := KeyDomain / g.Universe
 	if stride == 0 {
@@ -250,14 +215,7 @@ func (g *Clustered) Name() string {
 	return fmt.Sprintf("clustered(k=%d,spread=%.3g)", g.NumClusters, g.Spread)
 }
 
-// Keys implements Generator.
-func (g *Clustered) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	g.Fill(out)
-	return out
-}
-
-// Fill implements Filler.
+// Fill implements Generator.
 func (g *Clustered) Fill(out []uint64) {
 	for i := range out {
 		c := g.centers[g.rng.Intn(len(g.centers))]
@@ -310,14 +268,7 @@ func NewSegmented(seed uint64, segments int) *Segmented {
 // Name implements Generator.
 func (g *Segmented) Name() string { return fmt.Sprintf("segmented(s=%d)", g.Segments) }
 
-// Keys implements Generator.
-func (g *Segmented) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	g.Fill(out)
-	return out
-}
-
-// Fill implements Filler.
+// Fill implements Generator.
 func (g *Segmented) Fill(out []uint64) {
 	for i := range out {
 		u := g.rng.Float64()
@@ -355,14 +306,7 @@ func NewSequential(seed uint64, start, maxGap uint64) *Sequential {
 // Name implements Generator.
 func (g *Sequential) Name() string { return fmt.Sprintf("sequential(gap<=%d)", g.MaxGap) }
 
-// Keys implements Generator.
-func (g *Sequential) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	g.Fill(out)
-	return out
-}
-
-// Fill implements Filler.
+// Fill implements Generator.
 func (g *Sequential) Fill(out []uint64) {
 	for i := range out {
 		g.next += 1 + g.rng.Uint64()%g.MaxGap
@@ -406,16 +350,8 @@ func (g *Mixture) Name() string {
 	return fmt.Sprintf("mixture(%d components)", len(g.Components))
 }
 
-// Keys implements Generator.
-func (g *Mixture) Keys(n int) []uint64 {
-	out := make([]uint64, n)
-	g.Fill(out)
-	return out
-}
-
-// Fill implements Filler. Each key costs one Float64 from the mixture RNG
-// plus one draw from the chosen component — the same stream Keys consumed
-// when it drew Keys(1) per element.
+// Fill implements Generator. Each key costs one Float64 from the mixture RNG
+// plus one draw from the chosen component.
 func (g *Mixture) Fill(out []uint64) {
 	for i := range out {
 		u := g.rng.Float64()
@@ -429,7 +365,7 @@ func (g *Mixture) Fill(out []uint64) {
 			}
 			idx = j
 		}
-		Fill(g.Components[idx], out[i:i+1])
+		g.Components[idx].Fill(out[i : i+1])
 	}
 }
 

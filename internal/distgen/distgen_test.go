@@ -9,7 +9,7 @@ import (
 
 func TestUniformBounds(t *testing.T) {
 	g := NewUniform(1, 100, 200)
-	for _, k := range g.Keys(10000) {
+	for _, k := range Keys(g, 10000) {
 		if k < 100 || k >= 200 {
 			t.Fatalf("uniform key %d out of [100,200)", k)
 		}
@@ -17,8 +17,8 @@ func TestUniformBounds(t *testing.T) {
 }
 
 func TestUniformDeterministic(t *testing.T) {
-	a := NewUniform(9, 0, KeyDomain).Keys(100)
-	b := NewUniform(9, 0, KeyDomain).Keys(100)
+	a := Keys(NewUniform(9, 0, KeyDomain), 100)
+	b := Keys(NewUniform(9, 0, KeyDomain), 100)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different keys")
@@ -39,7 +39,7 @@ func TestNormalCentering(t *testing.T) {
 	mu := float64(KeyDomain / 2)
 	g := NewNormal(2, mu, 1e12)
 	var sum float64
-	ks := g.Keys(20000)
+	ks := Keys(g, 20000)
 	for _, k := range ks {
 		sum += float64(k)
 	}
@@ -51,7 +51,7 @@ func TestNormalCentering(t *testing.T) {
 
 func TestLognormalHeavyTail(t *testing.T) {
 	g := NewLognormal(3, 0, 2, 1e6)
-	ks := g.Keys(20000)
+	ks := Keys(g, 20000)
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	median := float64(ks[len(ks)/2])
 	var sum float64
@@ -67,7 +67,7 @@ func TestLognormalHeavyTail(t *testing.T) {
 func TestZipfKeysRepeatHotKeys(t *testing.T) {
 	g := NewZipfKeys(4, 1.1, 10000)
 	counts := make(map[uint64]int)
-	for _, k := range g.Keys(50000) {
+	for _, k := range Keys(g, 50000) {
 		counts[k]++
 	}
 	max := 0
@@ -83,7 +83,7 @@ func TestZipfKeysRepeatHotKeys(t *testing.T) {
 
 func TestClusteredConcentration(t *testing.T) {
 	g := NewClustered(5, 10, 1e9)
-	ks := g.Keys(20000)
+	ks := Keys(g, 20000)
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	// With 10 tight clusters, the 10 largest gaps should account for most
 	// of the domain span.
@@ -107,7 +107,7 @@ func TestClusteredConcentration(t *testing.T) {
 
 func TestSegmentedCoversBounds(t *testing.T) {
 	g := NewSegmented(6, 8)
-	for _, k := range g.Keys(10000) {
+	for _, k := range Keys(g, 10000) {
 		if k >= KeyDomain {
 			t.Fatalf("segmented key %d out of domain", k)
 		}
@@ -116,7 +116,7 @@ func TestSegmentedCoversBounds(t *testing.T) {
 
 func TestSequentialStrictlyIncreasing(t *testing.T) {
 	g := NewSequential(7, 100, 10)
-	ks := g.Keys(10000)
+	ks := Keys(g, 10000)
 	for i := 1; i < len(ks); i++ {
 		if ks[i] <= ks[i-1] {
 			t.Fatalf("sequential keys not increasing at %d", i)
@@ -132,7 +132,7 @@ func TestMixtureUsesAllComponents(t *testing.T) {
 	hi := NewUniform(2, KeyDomain-1000, KeyDomain)
 	m := NewMixture(8, []Generator{lo, hi}, []float64{0.5, 0.5})
 	var nLo, nHi int
-	for _, k := range m.Keys(1000) {
+	for _, k := range Keys(m, 1000) {
 		if k < 1000 {
 			nLo++
 		} else {
@@ -237,7 +237,7 @@ func TestEmailAddressesWellFormed(t *testing.T) {
 
 func TestEmailKeysSkewedByFirstLetter(t *testing.T) {
 	g := NewEmail(12)
-	ks := g.Keys(20000)
+	ks := Keys(g, 20000)
 	// First byte of the key = first letter. 's' and 'm' lead the frequency
 	// order, so their share must beat uniform (1/26 each).
 	counts := map[byte]int{}

@@ -14,29 +14,22 @@ import (
 type Drift interface {
 	// Name identifies the drift process for reports.
 	Name() string
-	// KeysAt returns n keys drawn from the distribution as it exists at
-	// the given progress in [0, 1].
-	KeysAt(progress float64, n int) []uint64
-}
-
-// DriftFiller is implemented by drifts that can write keys into a
-// caller-provided buffer. FillAt(p, out) consumes the same RNG stream as
-// KeysAt(p, len(out)), so the two are interchangeable without changing
-// determinism; it exists so per-op key draws on the benchmark hot path
-// allocate nothing.
-type DriftFiller interface {
+	// FillAt writes len(out) keys drawn from the distribution as it
+	// exists at the given progress in [0, 1] into out.
 	FillAt(progress float64, out []uint64)
 }
 
-// FillAt writes len(out) keys from d at the given progress into out, using
-// the drift's allocation-free path when it has one.
-func FillAt(d Drift, progress float64, out []uint64) {
-	if f, ok := d.(DriftFiller); ok {
-		f.FillAt(progress, out)
-		return
-	}
-	copy(out, d.KeysAt(progress, len(out)))
+// KeysAt returns n keys drawn from d at the given progress in a fresh slice.
+func KeysAt(d Drift, progress float64, n int) []uint64 {
+	out := make([]uint64, n)
+	d.FillAt(progress, out)
+	return out
 }
+
+// FillAt forwards to d.FillAt. It survives only because benchmark/layers.go
+// calls it and that directory is frozen outside [benchmark] PRs; the next
+// one calls the method and this function goes.
+func FillAt(d Drift, progress float64, out []uint64) { d.FillAt(progress, out) }
 
 // Static adapts a fixed Generator to the Drift interface (no change over
 // time). It is the baseline Lesson-1 ablations compare against.
@@ -45,11 +38,8 @@ type Static struct{ G Generator }
 // Name implements Drift.
 func (s Static) Name() string { return "static:" + s.G.Name() }
 
-// KeysAt implements Drift.
-func (s Static) KeysAt(_ float64, n int) []uint64 { return s.G.Keys(n) }
-
-// FillAt implements DriftFiller.
-func (s Static) FillAt(_ float64, out []uint64) { Fill(s.G, out) }
+// FillAt implements Drift.
+func (s Static) FillAt(_ float64, out []uint64) { s.G.Fill(out) }
 
 // Blend interpolates between a start and an end distribution: at progress p
 // each key comes from End with probability shape(p) and from Start
@@ -90,14 +80,7 @@ func (b *Blend) Name() string {
 	return fmt.Sprintf("blend[%s](%s->%s)", b.label, b.Start.Name(), b.End.Name())
 }
 
-// KeysAt implements Drift.
-func (b *Blend) KeysAt(p float64, n int) []uint64 {
-	out := make([]uint64, n)
-	b.FillAt(p, out)
-	return out
-}
-
-// FillAt implements DriftFiller.
+// FillAt implements Drift.
 func (b *Blend) FillAt(p float64, out []uint64) {
 	if p < 0 {
 		p = 0
@@ -111,9 +94,9 @@ func (b *Blend) FillAt(p float64, out []uint64) {
 	}
 	for i := range out {
 		if b.rng.Float64() < w {
-			Fill(b.End, out[i:i+1])
+			b.End.Fill(out[i : i+1])
 		} else {
-			Fill(b.Start, out[i:i+1])
+			b.Start.Fill(out[i : i+1])
 		}
 	}
 }
@@ -149,14 +132,7 @@ func (m *MovingHotspot) Name() string {
 		m.HotFraction, m.WindowSize, m.Laps)
 }
 
-// KeysAt implements Drift.
-func (m *MovingHotspot) KeysAt(p float64, n int) []uint64 {
-	out := make([]uint64, n)
-	m.FillAt(p, out)
-	return out
-}
-
-// FillAt implements DriftFiller.
+// FillAt implements Drift.
 func (m *MovingHotspot) FillAt(p float64, out []uint64) {
 	domain := float64(KeyDomain)
 	start := p * m.Laps
@@ -205,14 +181,7 @@ func (g *GrowingSkew) Name() string {
 	return fmt.Sprintf("growing-skew(max=%.2f)", g.MaxTheta)
 }
 
-// KeysAt implements Drift.
-func (g *GrowingSkew) KeysAt(p float64, n int) []uint64 {
-	out := make([]uint64, n)
-	g.FillAt(p, out)
-	return out
-}
-
-// FillAt implements DriftFiller.
+// FillAt implements Drift.
 func (g *GrowingSkew) FillAt(p float64, out []uint64) {
 	if p < 0 {
 		p = 0
@@ -263,14 +232,7 @@ func NewReplay(trace []uint64) *Replay {
 // Name implements Drift.
 func (r *Replay) Name() string { return fmt.Sprintf("replay(%d keys)", len(r.keys)) }
 
-// KeysAt implements Drift.
-func (r *Replay) KeysAt(_ float64, n int) []uint64 {
-	out := make([]uint64, n)
-	r.FillAt(0, out)
-	return out
-}
-
-// FillAt implements DriftFiller.
+// FillAt implements Drift.
 func (r *Replay) FillAt(_ float64, out []uint64) {
 	for i := range out {
 		out[i] = r.keys[r.idx%len(r.keys)]
@@ -300,14 +262,7 @@ func NewSchedule(segments ...Drift) *Schedule {
 // Name implements Drift.
 func (s *Schedule) Name() string { return fmt.Sprintf("schedule(%d segments)", len(s.Segments)) }
 
-// KeysAt implements Drift.
-func (s *Schedule) KeysAt(p float64, n int) []uint64 {
-	out := make([]uint64, n)
-	s.FillAt(p, out)
-	return out
-}
-
-// FillAt implements DriftFiller.
+// FillAt implements Drift.
 func (s *Schedule) FillAt(p float64, out []uint64) {
 	if p < 0 {
 		p = 0
@@ -318,5 +273,5 @@ func (s *Schedule) FillAt(p float64, out []uint64) {
 	k := len(s.Segments)
 	idx := int(p * float64(k))
 	local := p*float64(k) - float64(idx)
-	FillAt(s.Segments[idx], local, out)
+	s.Segments[idx].FillAt(local, out)
 }

@@ -17,7 +17,7 @@ func countBelow(ks []uint64, bound uint64) int {
 func TestStaticIgnoresProgress(t *testing.T) {
 	d := Static{G: NewUniform(1, 0, 1000)}
 	for _, p := range []float64{0, 0.5, 1} {
-		for _, k := range d.KeysAt(p, 1000) {
+		for _, k := range KeysAt(d, p, 1000) {
 			if k >= 1000 {
 				t.Fatalf("static drift leaked key %d", k)
 			}
@@ -29,10 +29,10 @@ func TestBlendEndpoints(t *testing.T) {
 	lo := NewUniform(1, 0, 1000)
 	hi := NewUniform(2, KeyDomain/2, KeyDomain/2+1000)
 	b := NewBlend(3, lo, hi)
-	if got := countBelow(b.KeysAt(0, 2000), 1000); got < 1990 {
+	if got := countBelow(KeysAt(b, 0, 2000), 1000); got < 1990 {
 		t.Fatalf("progress 0 should be ~all Start, got %d/2000", got)
 	}
-	if got := countBelow(b.KeysAt(1, 2000), 1000); got > 10 {
+	if got := countBelow(KeysAt(b, 1, 2000), 1000); got > 10 {
 		t.Fatalf("progress 1 should be ~all End, got %d/2000 from Start", got)
 	}
 }
@@ -41,7 +41,7 @@ func TestBlendMidpointMixes(t *testing.T) {
 	lo := NewUniform(1, 0, 1000)
 	hi := NewUniform(2, KeyDomain/2, KeyDomain/2+1000)
 	b := NewBlend(3, lo, hi)
-	got := countBelow(b.KeysAt(0.5, 4000), 1000)
+	got := countBelow(KeysAt(b, 0.5, 4000), 1000)
 	if got < 1600 || got > 2400 {
 		t.Fatalf("midpoint blend share %d/4000, want ~2000", got)
 	}
@@ -51,10 +51,10 @@ func TestBlendClampsProgress(t *testing.T) {
 	lo := NewUniform(1, 0, 1000)
 	hi := NewUniform(2, 2000, 3000)
 	b := NewBlend(3, lo, hi)
-	if got := countBelow(b.KeysAt(-1, 500), 1000); got != 500 {
+	if got := countBelow(KeysAt(b, -1, 500), 1000); got != 500 {
 		t.Fatalf("progress < 0 must clamp to Start, got %d/500", got)
 	}
-	if got := countBelow(b.KeysAt(2, 500), 1000); got != 0 {
+	if got := countBelow(KeysAt(b, 2, 500), 1000); got != 0 {
 		t.Fatalf("progress > 1 must clamp to End, got %d from Start", got)
 	}
 }
@@ -63,18 +63,18 @@ func TestAbruptSwitch(t *testing.T) {
 	lo := NewUniform(1, 0, 1000)
 	hi := NewUniform(2, 2000, 3000)
 	a := NewAbrupt(3, lo, hi, 0.5)
-	if got := countBelow(a.KeysAt(0.49, 1000), 1000); got != 1000 {
+	if got := countBelow(KeysAt(a, 0.49, 1000), 1000); got != 1000 {
 		t.Fatalf("pre-switch draws from End: %d", 1000-got)
 	}
-	if got := countBelow(a.KeysAt(0.51, 1000), 1000); got != 0 {
+	if got := countBelow(KeysAt(a, 0.51, 1000), 1000); got != 0 {
 		t.Fatalf("post-switch draws from Start: %d", got)
 	}
 }
 
 func TestMovingHotspotMoves(t *testing.T) {
 	m := NewMovingHotspot(4, 0.95, 0.05, 1)
-	early := m.KeysAt(0.1, 5000)
-	late := m.KeysAt(0.9, 5000)
+	early := KeysAt(m, 0.1, 5000)
+	late := KeysAt(m, 0.9, 5000)
 	medianOf := func(ks []uint64) uint64 {
 		s := append([]uint64(nil), ks...)
 		for i := 1; i < len(s); i++ { // insertion sort is fine for medians via sort pkg instead
@@ -92,7 +92,7 @@ func TestMovingHotspotMoves(t *testing.T) {
 
 func TestMovingHotspotHotMass(t *testing.T) {
 	m := NewMovingHotspot(5, 0.9, 0.02, 1)
-	ks := m.KeysAt(0.25, 10000)
+	ks := KeysAt(m, 0.25, 10000)
 	winLo := uint64(0.25 * float64(KeyDomain))
 	winHi := winLo + uint64(0.02*float64(KeyDomain))
 	in := 0
@@ -119,7 +119,7 @@ func TestGrowingSkewSharpens(t *testing.T) {
 	g := NewGrowingSkew(6, 1.5, 10000)
 	distinct := func(p float64) int {
 		seen := map[uint64]bool{}
-		for _, k := range g.KeysAt(p, 20000) {
+		for _, k := range KeysAt(g, p, 20000) {
 			seen[k] = true
 		}
 		return len(seen)
@@ -134,15 +134,15 @@ func TestScheduleSegments(t *testing.T) {
 	a := Static{G: NewUniform(1, 0, 1000)}
 	b := Static{G: NewUniform(2, 2000, 3000)}
 	s := NewSchedule(a, b)
-	if got := countBelow(s.KeysAt(0.25, 500), 1000); got != 500 {
+	if got := countBelow(KeysAt(s, 0.25, 500), 1000); got != 500 {
 		t.Fatalf("first half should use segment A, got %d", got)
 	}
-	if got := countBelow(s.KeysAt(0.75, 500), 1000); got != 0 {
+	if got := countBelow(KeysAt(s, 0.75, 500), 1000); got != 0 {
 		t.Fatalf("second half should use segment B, got %d from A", got)
 	}
 	// progress == 1 must not index out of range
-	s.KeysAt(1, 10)
-	s.KeysAt(-0.5, 10)
+	KeysAt(s, 1, 10)
+	KeysAt(s, -0.5, 10)
 }
 
 func TestSchedulePanicsEmpty(t *testing.T) {
@@ -156,7 +156,7 @@ func TestSchedulePanicsEmpty(t *testing.T) {
 
 func TestReplay(t *testing.T) {
 	r := NewReplay([]uint64{10, 20, 30})
-	got := r.KeysAt(0.5, 5)
+	got := KeysAt(r, 0.5, 5)
 	want := []uint64{10, 20, 30, 10, 20}
 	for i := range want {
 		if got[i] != want[i] {
@@ -167,7 +167,7 @@ func TestReplay(t *testing.T) {
 		t.Fatalf("position = %d", r.Position())
 	}
 	// Progress is irrelevant; the stream continues where it left off.
-	if r.KeysAt(0, 1)[0] != 30 {
+	if KeysAt(r, 0, 1)[0] != 30 {
 		t.Fatal("replay did not continue")
 	}
 }

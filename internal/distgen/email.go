@@ -69,14 +69,13 @@ func (g *Email) Address() string {
 	return string(buf)
 }
 
-// Keys implements Generator: each key is the first 8 bytes of a generated
-// address, big-endian, preserving lexicographic order.
-func (g *Email) Keys(n int) []uint64 {
-	out := make([]uint64, n)
+// Fill implements Generator: each key is the first 8 bytes of a generated
+// address, big-endian, preserving lexicographic order. It is the one draw
+// that allocates — Address builds a string per key.
+func (g *Email) Fill(out []uint64) {
 	for i := range out {
 		out[i] = StringKey(g.Address())
 	}
-	return out
 }
 
 // StringKey maps a string to a uint64 preserving lexicographic order on the
@@ -93,10 +92,10 @@ func StringKey(s string) uint64 {
 	return k
 }
 
-// Sorted returns g.Keys(n) sorted ascending (with duplicates retained).
+// Sorted returns Keys(g, n) sorted ascending (with duplicates retained).
 // Index bulk-loading paths use it.
 func Sorted(g Generator, n int) []uint64 {
-	ks := g.Keys(n)
+	ks := Keys(g, n)
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }

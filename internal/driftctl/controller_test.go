@@ -51,7 +51,7 @@ func streamAt(d float64, n, batch int) []uint64 {
 // controller emits the undrifted base stream byte-for-byte, at any batching.
 func TestControllerZeroIntensityByteIdentical(t *testing.T) {
 	want := make([]uint64, testN)
-	distgen.Fill(zipfBase(7), want)
+	zipfBase(7).Fill(want)
 	for _, batch := range []int{1, 7, 64, testN} {
 		got := streamAt(0, testN, batch)
 		for i := range want {
@@ -70,7 +70,7 @@ func TestControllerZeroIntensityByteIdentical(t *testing.T) {
 func TestControllerCouplingAcrossIntensities(t *testing.T) {
 	base := streamAt(0, testN, 64)
 	target := make([]uint64, testN)
-	distgen.Fill(uniformTarget(8), target)
+	uniformTarget(8).Fill(target)
 
 	var prev map[int]bool
 	for _, d := range []float64{0, 0.25, 0.5, 0.75, 1} {
@@ -96,21 +96,6 @@ func TestControllerCouplingAcrossIntensities(t *testing.T) {
 	for i := range full {
 		if full[i] != target[i] {
 			t.Fatalf("D=1 key %d is not the target stream's", i)
-		}
-	}
-}
-
-// TestControllerKeysAtMatchesFillAt: the two drift entry points draw the
-// same RNG streams.
-func TestControllerKeysAtMatchesFillAt(t *testing.T) {
-	a := New(99, zipfBase(7), uniformTarget(8), Knob{Factor: 0.5})
-	b := New(99, zipfBase(7), uniformTarget(8), Knob{Factor: 0.5})
-	got := a.KeysAt(0.7, 1024)
-	want := make([]uint64, 1024)
-	b.FillAt(0.7, want)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("KeysAt and FillAt diverge at key %d", i)
 		}
 	}
 }
@@ -142,9 +127,9 @@ func TestControllerDivergenceMonotoneInD(t *testing.T) {
 func TestControllerDivergencePredicts(t *testing.T) {
 	for _, d := range []float64{0.3, 0.6, 1} {
 		c := NewCalibrated(99, zipfBase, uniformTarget, Knob{Factor: d}, 0)
-		out := c.KeysAt(1, testN)
+		out := distgen.KeysAt(c, 1, testN)
 		bs := make([]uint64, testN)
-		distgen.Fill(zipfBase(4242), bs)
+		zipfBase(4242).Fill(bs)
 		measured := similarity.KS(out, bs)
 		if diff := math.Abs(c.Divergence(d) - measured); diff > 0.05 {
 			t.Fatalf("D=%.1f: predicted divergence %.4f but measured %.4f", d, c.Divergence(d), measured)
@@ -168,9 +153,9 @@ func TestControllerNormalization(t *testing.T) {
 	for i, f := range families {
 		c := NewCalibrated(99, f.base, f.target, Knob{Factor: 1}, normTo)
 		spans[i] = c.Span()
-		out := c.KeysAt(1, testN)
+		out := distgen.KeysAt(c, 1, testN)
 		bs := make([]uint64, testN)
-		distgen.Fill(f.base(4242), bs)
+		f.base(4242).Fill(bs)
 		div := similarity.KS(out, bs)
 		if math.Abs(div-normTo) > 0.06 {
 			t.Fatalf("%s: normalized divergence %.4f, want ~%.2f (span %.4f)", f.name, div, normTo, c.Span())

@@ -12,8 +12,8 @@
 // across zipf, uniform, clustered, or email bases — and can be normalized
 // to a fixed divergence target.
 //
-// The Controller implements distgen.Drift and distgen.DriftFiller, so it
-// plugs into workload.Spec.Access/InsertKeys, workload.Source, scenario
+// The Controller implements distgen.Drift, so it plugs into
+// workload.Spec.Access/InsertKeys, workload.Source, scenario
 // materialization, and every execution engine unchanged, with the
 // zero-alloc hot path intact.
 //
@@ -66,7 +66,7 @@ func (k Knob) String() string {
 // Controller transports a base key distribution toward a target with the
 // knob's intensity: at progress p, each key is redrawn from the target with
 // probability alpha(Factor·Profile(p)) and comes from the base otherwise.
-// It implements distgen.Drift and distgen.DriftFiller.
+// It implements distgen.Drift.
 type Controller struct {
 	base, target distgen.Generator
 	knob         Knob
@@ -104,11 +104,7 @@ func EstimateSpan(seed uint64, base, target func(seed uint64) distgen.Generator,
 	if n <= 0 {
 		n = CalibrationSamples
 	}
-	a := make([]uint64, n)
-	b := make([]uint64, n)
-	distgen.Fill(base(seed+0x51D1), a)
-	distgen.Fill(target(seed+0xA0B3), b)
-	return similarity.KS(a, b)
+	return similarity.KS(distgen.Keys(base(seed+0x51D1), n), distgen.Keys(target(seed+0xA0B3), n))
 }
 
 // NewCalibrated builds a controller from generator factories and measures
@@ -158,23 +154,15 @@ func (c *Controller) Name() string {
 	return fmt.Sprintf("driftctl[%s](%s->%s)", c.knob, c.base.Name(), c.target.Name())
 }
 
-// KeysAt implements distgen.Drift. It draws the identical RNG streams as
-// FillAt.
-func (c *Controller) KeysAt(p float64, n int) []uint64 {
-	out := make([]uint64, n)
-	c.FillAt(p, out)
-	return out
-}
-
-// FillAt implements distgen.DriftFiller. Every output key costs one base
+// FillAt implements distgen.Drift. Every output key costs one base
 // draw, one target draw, and one selection variate regardless of
 // intensity, so the consumed RNG streams — and therefore the emitted base
 // keys — are identical at every D.
 func (c *Controller) FillAt(p float64, out []uint64) {
 	w := c.alpha(c.knob.weightAt(p))
 	for i := range out {
-		distgen.Fill(c.base, out[i:i+1])
-		distgen.Fill(c.target, c.tbuf[:])
+		c.base.Fill(out[i : i+1])
+		c.target.Fill(c.tbuf[:])
 		if c.rng.Float64() < w {
 			out[i] = c.tbuf[0]
 		}

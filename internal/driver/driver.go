@@ -105,26 +105,18 @@ type lockedDrift struct {
 }
 
 // Name implements distgen.Drift. Stateful drift sources may compute their
-// name from mutable state, so this takes the same lock as KeysAt.
+// name from mutable state, so this takes the same lock as FillAt.
 func (l *lockedDrift) Name() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.d.Name()
 }
 
-// KeysAt implements distgen.Drift.
-func (l *lockedDrift) KeysAt(p float64, n int) []uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.KeysAt(p, n)
-}
-
-// FillAt implements distgen.DriftFiller, preserving the wrapped drift's
-// allocation-free path across the lock.
+// FillAt implements distgen.Drift.
 func (l *lockedDrift) FillAt(p float64, out []uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	distgen.FillAt(l.d, p, out)
+	l.d.FillAt(p, out)
 }
 
 // workerOut is one worker's contribution: samples in completion order plus

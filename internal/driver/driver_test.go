@@ -58,7 +58,7 @@ func TestRunConcurrentWorkers(t *testing.T) {
 	})
 }
 
-// statefulDrift mutates internal state in both KeysAt and Name — the
+// statefulDrift mutates internal state in both FillAt and Name — the
 // worst-case Drift implementation lockedDrift must fully serialize.
 type statefulDrift struct {
 	draws int
@@ -67,14 +67,14 @@ type statefulDrift struct {
 
 func (s *statefulDrift) Name() string { return fmt.Sprintf("stateful(%d draws)", s.draws) }
 
-func (s *statefulDrift) KeysAt(p float64, n int) []uint64 {
-	s.draws += n
-	return s.inner.KeysAt(p, n)
+func (s *statefulDrift) FillAt(p float64, out []uint64) {
+	s.draws += len(out)
+	s.inner.FillAt(p, out)
 }
 
 // TestRunConcurrentStatefulDrift drives many workers through a genuinely
 // stateful drift source; run under -race it proves the lockedDrift
-// wrapping serializes every KeysAt.
+// wrapping serializes every FillAt.
 func TestRunConcurrentStatefulDrift(t *testing.T) {
 	spec := workload.Spec{
 		Mix: workload.Balanced,
@@ -98,11 +98,11 @@ func TestRunConcurrentStatefulDrift(t *testing.T) {
 	}
 }
 
-// TestLockedDriftNameRace hammers Name and KeysAt concurrently: Name must
-// take the same mutex as KeysAt, since Drift implementations may derive
-// their name from state KeysAt mutates. Fails under -race without the lock.
+// TestLockedDriftNameRace hammers Name and FillAt concurrently: Name must
+// take the same mutex as FillAt, since Drift implementations may derive
+// their name from state FillAt mutates. Fails under -race without the lock.
 func TestLockedDriftNameRace(t *testing.T) {
-	ld := &lockedDrift{d: &statefulDrift{inner: distgen.Static{G: distgen.NewUniform(1, 0, 1 << 30)}}}
+	ld := &lockedDrift{d: &statefulDrift{inner: distgen.Static{G: distgen.NewUniform(1, 0, 1<<30)}}}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
@@ -114,8 +114,9 @@ func TestLockedDriftNameRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
+			var buf [4]uint64
 			for i := 0; i < 200; i++ {
-				ld.KeysAt(0.5, 4)
+				ld.FillAt(0.5, buf[:])
 			}
 		}()
 	}
@@ -178,7 +179,7 @@ func TestRunBatchDispatch(t *testing.T) {
 	spec := func() workload.Spec {
 		return workload.Spec{
 			Mix:    workload.Balanced,
-			Access: distgen.Static{G: distgen.NewUniform(30, 0, 1 << 13)},
+			Access: distgen.Static{G: distgen.NewUniform(30, 0, 1<<13)},
 		}
 	}
 	run := func(batch int) *Result {

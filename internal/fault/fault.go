@@ -52,8 +52,7 @@ const (
 	// failures (OpResult.Failed) without executing.
 	ErrorOps
 	// CrashRestart fires once at StartNs: the SUT loses its learned
-	// in-memory state and is forced to retrain (CrashRestarter if
-	// implemented, else core.Trainable.Train).
+	// in-memory state and is forced to retrain (core.Trainable.Train).
 	CrashRestart
 	// WireDrop swallows affected wire writes — the frame is lost and the
 	// peer never sees it (lost-request semantics).

@@ -5,15 +5,6 @@ import (
 	"repro/internal/workload"
 )
 
-// CrashRestarter is implemented by SUTs that can simulate a process
-// crash-restart: wipe volatile learned state (models, caches) while
-// keeping durable contents, leaving the system degraded until retrained.
-// SUTs without it are crash-restarted via core.Trainable.Train — the
-// forced retrain is the observable cost.
-type CrashRestarter interface {
-	CrashRestart()
-}
-
 // SUT is the fault-injection middleware: it wraps any core.SUT and
 // applies the injector's op-layer verdicts (slow, error, crash-restart)
 // around the inner system. With an empty plan it is transparent — results
@@ -36,23 +27,21 @@ func (s *SUT) Name() string { return s.inner.Name() }
 func (s *SUT) Load(keys, values []uint64) { s.inner.Load(keys, values) }
 
 // Do implements core.SUT: one injector verdict per operation. A crash
-// fires before the op and charges the forced retraining work to the op
-// itself — the latency spike is the measurement. A failed op returns
-// immediately with Failed set and no work.
+// fires before the op, which absorbs the forced retraining work — the
+// latency spike is the measurement. A failed op returns immediately with
+// Failed set and no work.
 func (s *SUT) Do(op workload.Op) core.OpResult {
 	d := s.inj.DecideOp()
-	var crashWork int64
 	if d.Crash {
-		crashWork = s.crashRestart()
+		s.crashRestart()
 	}
 	if d.Fail {
-		return core.OpResult{Failed: true, Work: crashWork}
+		return core.OpResult{Failed: true}
 	}
 	res := s.inner.Do(op)
 	if d.SlowFactor > 1 {
 		res.Work = int64(float64(res.Work) * d.SlowFactor)
 	}
-	res.Work += crashWork
 	return res
 }
 
@@ -72,26 +61,16 @@ func (s *SUT) DoBatch(ops []workload.Op, out []core.OpResult) {
 	}
 }
 
-// crashRestart wipes the inner SUT's learned state and retrains it,
-// returning the work the op must absorb. Prefers CrashRestarter; falls
-// back to Trainable (the retrain is the crash cost). For counter-delta
-// SUTs (IndexSUT) the retrain work also lands in the instrumentation
-// counters and is charged to this op via the normal delta path, so the
-// explicit report work is not added twice — recordRetrain only feeds the
-// fault ledger.
-func (s *SUT) crashRestart() int64 {
-	if cr, ok := s.inner.(CrashRestarter); ok {
-		cr.CrashRestart()
-		s.inj.recordRetrain(0)
-		return 0
+// crashRestart is the crash: a forced Train() of a trainable inner SUT
+// (the retrain is the crash cost; anything else has no learned state to
+// lose). The retrain work lands in the SUT's instrumentation counters and
+// reaches the crashing op through the normal work-delta path, so the
+// report's work is not added to the op a second time — recordRetrain only
+// feeds the fault ledger.
+func (s *SUT) crashRestart() {
+	if tr, ok := s.inner.(core.Trainable); ok {
+		s.inj.recordRetrain(tr.Train().WorkUnits)
 	}
-	tr, ok := s.inner.(core.Trainable)
-	if !ok {
-		return 0
-	}
-	rep := tr.Train()
-	s.inj.recordRetrain(rep.WorkUnits)
-	return 0
 }
 
 // Train implements core.Trainable by forwarding to the inner SUT; a

@@ -79,14 +79,14 @@ type AblationPhiResult struct {
 // AblationPhi measures ordering agreement between KS and MMD.
 func AblationPhi(seed uint64) *AblationPhiResult {
 	cases := Fig1aCases()
-	base := cases[0].Gen(seed + 1000).Keys(4096)
+	base := distgen.Keys(cases[0].Gen(seed+1000), 4096)
 	out := &AblationPhiResult{
 		KS:  make(map[string]float64),
 		MMD: make(map[string]float64),
 	}
 	names := make([]string, 0, len(cases))
 	for _, c := range cases {
-		sample := c.Gen(seed + 2000).Keys(4096)
+		sample := distgen.Keys(c.Gen(seed+2000), 4096)
 		out.KS[c.Name] = similarity.KS(base, sample)
 		out.MMD[c.Name] = similarity.MMDSub(base, sample, 0, 256)
 		names = append(names, c.Name)

@@ -54,10 +54,10 @@ func cacheTraces(scale Scale, seed uint64) map[string][]uint64 {
 	// quantized to a 4096-key population; the hot window (~200 keys)
 	// fits in cache, but it moves.
 	mh := distgen.NewMovingHotspot(rng.Uint64(), 0.9, 0.05, 2)
-	t3 := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		k := mh.KeysAt(float64(i)/float64(n), 1)[0]
-		t3 = append(t3, k>>48)
+	t3 := make([]uint64, n)
+	for i := range t3 {
+		mh.FillAt(float64(i)/float64(n), t3[i:i+1])
+		t3[i] >>= 48
 	}
 	traces["moving-hotspot"] = t3
 

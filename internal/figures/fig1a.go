@@ -112,10 +112,10 @@ func Fig1a(scale Scale, seed uint64) (*Fig1aResult, error) {
 	runner := newRunner(scale)
 
 	// Φ: KS distance of each distribution's key sample from the baseline.
-	base := cases[0].Gen(seed + 1000).Keys(4096)
+	base := distgen.Keys(cases[0].Gen(seed+1000), 4096)
 	phi := make(map[string]float64, len(cases))
 	for _, c := range cases {
-		phi[c.Name] = similarity.KS(base, c.Gen(seed+2000).Keys(4096))
+		phi[c.Name] = similarity.KS(base, distgen.Keys(c.Gen(seed+2000), 4096))
 	}
 
 	// Each case builds its own seeded generators and scenario, so the

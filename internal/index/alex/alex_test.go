@@ -32,7 +32,7 @@ func TestNodeSplitting(t *testing.T) {
 
 func TestRoutingInvariant(t *testing.T) {
 	ix := New()
-	keys := distgen.NewZipfKeys(1, 1.1, 100000).Keys(60000)
+	keys := distgen.Keys(distgen.NewZipfKeys(1, 1.1, 100000), 60000)
 	for _, k := range keys {
 		ix.Insert(k, k)
 	}
@@ -62,7 +62,7 @@ func TestRoutingInvariant(t *testing.T) {
 
 func TestNodeOrderInvariant(t *testing.T) {
 	ix := New()
-	keys := distgen.NewClustered(2, 8, 1e7).Keys(30000)
+	keys := distgen.Keys(distgen.NewClustered(2, 8, 1e7), 30000)
 	for _, k := range keys {
 		ix.Insert(k, k)
 	}

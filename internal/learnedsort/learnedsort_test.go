@@ -9,7 +9,7 @@ import (
 )
 
 func TestModelCDFMonotone(t *testing.T) {
-	sample := distgen.NewLognormal(1, 0, 2, 1e9).Keys(10000)
+	sample := distgen.Keys(distgen.NewLognormal(1, 0, 2, 1e9), 10000)
 	m := TrainModel(sample, 256)
 	prev := -1.0
 	for k := uint64(0); k < 1<<34; k += 1 << 28 {
@@ -59,7 +59,7 @@ func TestSortCorrectAllDistributions(t *testing.T) {
 		distgen.NewEmail(7),
 	}
 	for _, g := range gens {
-		keys := g.Keys(20000)
+		keys := distgen.Keys(g, 20000)
 		SortAuto(keys, 0)
 		if !IsSorted(keys) {
 			t.Fatalf("%s: output unsorted", g.Name())
@@ -82,7 +82,7 @@ func TestSortSmallInputs(t *testing.T) {
 
 func TestSortPreservesMultiset(t *testing.T) {
 	f := func(seed uint64) bool {
-		keys := distgen.NewZipfKeys(seed, 1.2, 500).Keys(3000) // heavy duplicates
+		keys := distgen.Keys(distgen.NewZipfKeys(seed, 1.2, 500), 3000) // heavy duplicates
 		want := map[uint64]int{}
 		for _, k := range keys {
 			want[k]++
@@ -110,7 +110,7 @@ func TestSortPreservesMultiset(t *testing.T) {
 func TestGoodModelFewTouchups(t *testing.T) {
 	// Uniform data with a trained model: touch-up work should be a small
 	// multiple of n, far below the n^2/4 of a naive insertion sort.
-	keys := distgen.NewUniform(8, 0, 1<<40).Keys(50000)
+	keys := distgen.Keys(distgen.NewUniform(8, 0, 1<<40), 50000)
 	res := SortAuto(keys, 8192)
 	if !IsSorted(keys) {
 		t.Fatal("unsorted")
@@ -123,8 +123,8 @@ func TestGoodModelFewTouchups(t *testing.T) {
 func TestBadModelStillSorts(t *testing.T) {
 	// Train on one distribution, sort a completely different one — the
 	// model is wrong, the output must still be sorted.
-	model := TrainModel(distgen.NewUniform(9, 0, 1000).Keys(1000), 64)
-	keys := distgen.NewUniform(10, 1<<50, 1<<51).Keys(10000)
+	model := TrainModel(distgen.Keys(distgen.NewUniform(9, 0, 1000), 1000), 64)
+	keys := distgen.Keys(distgen.NewUniform(10, 1<<50, 1<<51), 10000)
 	Sort(keys, model)
 	if !IsSorted(keys) {
 		t.Fatal("bad-model sort produced unsorted output")
@@ -135,7 +135,7 @@ func TestCollisionFallback(t *testing.T) {
 	// All-equal predictions (constant model from constant sample) force
 	// the overflow path and potentially the fallback; output stays sorted.
 	model := TrainModel([]uint64{42}, 16)
-	keys := distgen.NewUniform(11, 0, 1<<40).Keys(5000)
+	keys := distgen.Keys(distgen.NewUniform(11, 0, 1<<40), 5000)
 	res := Sort(keys, model)
 	if !IsSorted(keys) {
 		t.Fatal("fallback did not sort")
@@ -184,7 +184,7 @@ func TestSortedInputCheapest(t *testing.T) {
 }
 
 func BenchmarkLearnedSortUniform(b *testing.B) {
-	src := distgen.NewUniform(1, 0, 1<<40).Keys(100000)
+	src := distgen.Keys(distgen.NewUniform(1, 0, 1<<40), 100000)
 	buf := make([]uint64, len(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -194,7 +194,7 @@ func BenchmarkLearnedSortUniform(b *testing.B) {
 }
 
 func BenchmarkStdSortUniform(b *testing.B) {
-	src := distgen.NewUniform(1, 0, 1<<40).Keys(100000)
+	src := distgen.Keys(distgen.NewUniform(1, 0, 1<<40), 100000)
 	buf := make([]uint64, len(src))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

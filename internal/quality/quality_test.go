@@ -15,7 +15,7 @@ func TestEmptyTrace(t *testing.T) {
 }
 
 func TestUniformStaticScoresLow(t *testing.T) {
-	keys := distgen.NewUniform(1, 0, 1<<40).Keys(20000)
+	keys := distgen.Keys(distgen.NewUniform(1, 0, 1<<40), 20000)
 	r := Score(keys, nil)
 	if r.Overall > 0.2 {
 		t.Fatalf("uniform static trace scored %v: %s", r.Overall, r)
@@ -29,8 +29,8 @@ func TestUniformStaticScoresLow(t *testing.T) {
 }
 
 func TestSkewedScoresAboveUniform(t *testing.T) {
-	uni := Score(distgen.NewUniform(2, 0, 1<<40).Keys(20000), nil)
-	skewed := Score(distgen.NewZipfKeys(3, 1.3, 1000).Keys(20000), nil)
+	uni := Score(distgen.Keys(distgen.NewUniform(2, 0, 1<<40), 20000), nil)
+	skewed := Score(distgen.Keys(distgen.NewZipfKeys(3, 1.3, 1000), 20000), nil)
 	if skewed.SkewScore <= uni.SkewScore {
 		t.Fatalf("skew not rewarded: %v vs %v", skewed.SkewScore, uni.SkewScore)
 	}
@@ -40,8 +40,8 @@ func TestSkewedScoresAboveUniform(t *testing.T) {
 }
 
 func TestClusteredShapeScores(t *testing.T) {
-	uni := Score(distgen.NewUniform(4, 0, 1<<40).Keys(10000), nil)
-	clustered := Score(distgen.NewClustered(5, 5, 1e8).Keys(10000), nil)
+	uni := Score(distgen.Keys(distgen.NewUniform(4, 0, 1<<40), 10000), nil)
+	clustered := Score(distgen.Keys(distgen.NewClustered(5, 5, 1e8), 10000), nil)
 	if clustered.ShapeScore <= uni.ShapeScore {
 		t.Fatalf("shape not rewarded: %v vs %v", clustered.ShapeScore, uni.ShapeScore)
 	}
@@ -54,13 +54,13 @@ func TestDriftingScoresHigh(t *testing.T) {
 	var keys []uint64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		keys = append(keys, drift.KeysAt(float64(i)/n, 1)[0])
+		keys = append(keys, distgen.KeysAt(drift, float64(i)/n, 1)[0])
 	}
 	r := Score(keys, nil)
 	if r.DriftScore < 0.8 {
 		t.Fatalf("full shift drift score %v", r.DriftScore)
 	}
-	static := Score(distgen.NewUniform(9, 0, 1<<30).Keys(n), nil)
+	static := Score(distgen.Keys(distgen.NewUniform(9, 0, 1<<30), n), nil)
 	if r.Overall <= static.Overall {
 		t.Fatal("drifting trace must outscore static")
 	}
@@ -77,7 +77,7 @@ func TestLoadVariationScored(t *testing.T) {
 	for i := range bursty {
 		bursty[i] = b.NextGap(float64(i) / 20000)
 	}
-	keys := distgen.NewUniform(11, 0, 1<<40).Keys(20000)
+	keys := distgen.Keys(distgen.NewUniform(11, 0, 1<<40), 20000)
 	rc := Score(keys, constant)
 	rb := Score(keys, bursty)
 	if rb.LoadScore <= rc.LoadScore {
@@ -86,7 +86,7 @@ func TestLoadVariationScored(t *testing.T) {
 }
 
 func TestLoadlessReweighting(t *testing.T) {
-	keys := distgen.NewZipfKeys(12, 1.2, 1000).Keys(10000)
+	keys := distgen.Keys(distgen.NewZipfKeys(12, 1.2, 1000), 10000)
 	withNil := Score(keys, nil)
 	if withNil.LoadScore != 0 {
 		t.Fatal("nil gaps must skip load score")
@@ -104,7 +104,7 @@ func TestScoresBounded(t *testing.T) {
 		distgen.NewEmail(4),
 	}
 	for _, g := range gens {
-		r := Score(g.Keys(5000), nil)
+		r := Score(distgen.Keys(g, 5000), nil)
 		for name, v := range map[string]float64{
 			"skew": r.SkewScore, "shape": r.ShapeScore,
 			"drift": r.DriftScore, "overall": r.Overall,

@@ -44,8 +44,8 @@ func TestKSKnownValue(t *testing.T) {
 
 func TestKSSymmetric(t *testing.T) {
 	f := func(seedA, seedB uint64) bool {
-		a := distgen.NewUniform(seedA, 0, 1000).Keys(200)
-		b := distgen.NewZipfKeys(seedB, 1.1, 500).Keys(200)
+		a := distgen.Keys(distgen.NewUniform(seedA, 0, 1000), 200)
+		b := distgen.Keys(distgen.NewZipfKeys(seedB, 1.1, 500), 200)
 		return math.Abs(KS(a, b)-KS(b, a)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -55,8 +55,8 @@ func TestKSSymmetric(t *testing.T) {
 
 func TestKSBounds(t *testing.T) {
 	f := func(seedA, seedB uint64) bool {
-		a := distgen.NewNormal(seedA, 1e15, 1e13).Keys(300)
-		b := distgen.NewLognormal(seedB, 0, 2, 1e10).Keys(300)
+		a := distgen.Keys(distgen.NewNormal(seedA, 1e15, 1e13), 300)
+		b := distgen.Keys(distgen.NewLognormal(seedB, 0, 2, 1e10), 300)
 		d := KS(a, b)
 		return d >= 0 && d <= 1
 	}
@@ -66,8 +66,8 @@ func TestKSBounds(t *testing.T) {
 }
 
 func TestKSSameDistributionSmall(t *testing.T) {
-	a := distgen.NewUniform(1, 0, 1<<40).Keys(5000)
-	b := distgen.NewUniform(2, 0, 1<<40).Keys(5000)
+	a := distgen.Keys(distgen.NewUniform(1, 0, 1<<40), 5000)
+	b := distgen.Keys(distgen.NewUniform(2, 0, 1<<40), 5000)
 	if d := KS(a, b); d > 0.06 {
 		t.Fatalf("KS between same-family samples = %v", d)
 	}
@@ -75,7 +75,7 @@ func TestKSSameDistributionSmall(t *testing.T) {
 
 func TestKSMonotoneInShift(t *testing.T) {
 	// Shifting one uniform sample progressively further must not decrease KS.
-	base := distgen.NewUniform(3, 0, 1000000).Keys(3000)
+	base := distgen.Keys(distgen.NewUniform(3, 0, 1000000), 3000)
 	prev := -1.0
 	for _, shift := range []uint64{0, 200000, 400000, 800000, 1600000} {
 		shifted := make([]uint64, len(base))
@@ -91,7 +91,7 @@ func TestKSMonotoneInShift(t *testing.T) {
 }
 
 func TestMMDIdenticalNearZero(t *testing.T) {
-	xs := distgen.NewUniform(4, 0, 1<<40).Keys(300)
+	xs := distgen.Keys(distgen.NewUniform(4, 0, 1<<40), 300)
 	if d := MMD(xs, xs, 0.1); d > 1e-7 {
 		t.Fatalf("MMD(x,x) = %v", d)
 	}
@@ -99,9 +99,9 @@ func TestMMDIdenticalNearZero(t *testing.T) {
 
 func TestMMDSeparatesDistributions(t *testing.T) {
 	uni := distgen.NewUniform(5, 0, 1<<40)
-	a := uni.Keys(300)
-	b := distgen.NewUniform(6, 0, 1<<40).Keys(300)
-	c := distgen.NewClustered(7, 3, 1e9).Keys(300)
+	a := distgen.Keys(uni, 300)
+	b := distgen.Keys(distgen.NewUniform(6, 0, 1<<40), 300)
+	c := distgen.Keys(distgen.NewClustered(7, 3, 1e9), 300)
 	same := MMD(a, b, 0)
 	diff := MMD(a, c, 0)
 	if diff <= same {
@@ -119,8 +119,8 @@ func TestMMDEmpty(t *testing.T) {
 }
 
 func TestMMDSubBoundsWork(t *testing.T) {
-	big := distgen.NewUniform(8, 0, 1<<40).Keys(50000)
-	small := distgen.NewClustered(9, 2, 1e8).Keys(50000)
+	big := distgen.Keys(distgen.NewUniform(8, 0, 1<<40), 50000)
+	small := distgen.Keys(distgen.NewClustered(9, 2, 1e8), 50000)
 	d := MMDSub(big, small, 0, 200)
 	if d <= 0 || math.IsNaN(d) {
 		t.Fatalf("MMDSub = %v", d)
@@ -138,9 +138,9 @@ func TestMMDConstantSamples(t *testing.T) {
 func TestMMDAgreesWithKSOnOrdering(t *testing.T) {
 	// The paper only requires Φ estimators to sort distributions; check KS
 	// and MMD agree on which of two candidates is closer to a baseline.
-	base := distgen.NewUniform(10, 0, 1<<40).Keys(400)
-	near := distgen.NewNormal(11, float64(uint64(1)<<39), 1e11).Keys(400) // broad, centered
-	far := distgen.NewClustered(12, 2, 1e7).Keys(400)                     // two spikes
+	base := distgen.Keys(distgen.NewUniform(10, 0, 1<<40), 400)
+	near := distgen.Keys(distgen.NewNormal(11, float64(uint64(1)<<39), 1e11), 400) // broad, centered
+	far := distgen.Keys(distgen.NewClustered(12, 2, 1e7), 400)                     // two spikes
 	ksNear, ksFar := KS(base, near), KS(base, far)
 	mmdNear, mmdFar := MMD(base, near, 0), MMD(base, far, 0)
 	if (ksNear < ksFar) != (mmdNear < mmdFar) {
@@ -219,9 +219,9 @@ func TestKSDetectsDrift(t *testing.T) {
 	drift := distgen.NewBlend(13,
 		distgen.NewUniform(14, 0, 1<<30),
 		distgen.NewClustered(15, 3, 1e6))
-	early1 := drift.KeysAt(0.05, 1000)
-	early2 := drift.KeysAt(0.06, 1000)
-	late := drift.KeysAt(0.95, 1000)
+	early1 := distgen.KeysAt(drift, 0.05, 1000)
+	early2 := distgen.KeysAt(drift, 0.06, 1000)
+	late := distgen.KeysAt(drift, 0.95, 1000)
 	if KS(early1, late) <= KS(early1, early2) {
 		t.Fatal("KS failed to detect drift")
 	}
@@ -249,8 +249,8 @@ func TestSubsampleStride(t *testing.T) {
 var sinkF float64
 
 func BenchmarkKS(b *testing.B) {
-	a := distgen.NewUniform(1, 0, 1<<40).Keys(10000)
-	c := distgen.NewZipfKeys(2, 1.1, 5000).Keys(10000)
+	a := distgen.Keys(distgen.NewUniform(1, 0, 1<<40), 10000)
+	c := distgen.Keys(distgen.NewZipfKeys(2, 1.1, 5000), 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkF = KS(a, c)
@@ -258,8 +258,8 @@ func BenchmarkKS(b *testing.B) {
 }
 
 func BenchmarkMMDSub(b *testing.B) {
-	a := distgen.NewUniform(1, 0, 1<<40).Keys(10000)
-	c := distgen.NewZipfKeys(2, 1.1, 5000).Keys(10000)
+	a := distgen.Keys(distgen.NewUniform(1, 0, 1<<40), 10000)
+	c := distgen.Keys(distgen.NewZipfKeys(2, 1.1, 5000), 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkF = MMDSub(a, c, 0, 200)
@@ -268,8 +268,8 @@ func BenchmarkMMDSub(b *testing.B) {
 
 // Guard against accidental use of the global rand: similarity must be pure.
 func TestKSPure(t *testing.T) {
-	a := distgen.NewUniform(1, 0, 1000).Keys(100)
-	b := distgen.NewUniform(2, 0, 1000).Keys(100)
+	a := distgen.Keys(distgen.NewUniform(1, 0, 1000), 100)
+	b := distgen.Keys(distgen.NewUniform(2, 0, 1000), 100)
 	d1 := KS(a, b)
 	d2 := KS(a, b)
 	if d1 != d2 {

@@ -24,7 +24,7 @@ func driftingTrace(n int, seed uint64) []uint64 {
 			// Hot head: 30% of refs hit 50 popular keys.
 			out = append(out, 7777000+zipf.Next())
 		} else {
-			out = append(out, d.KeysAt(float64(i)/float64(n), 1)[0])
+			out = append(out, distgen.KeysAt(d, float64(i)/float64(n), 1)[0])
 		}
 	}
 	return out
@@ -150,7 +150,7 @@ func TestFitErrors(t *testing.T) {
 }
 
 func TestFitShortTrace(t *testing.T) {
-	trace := distgen.NewUniform(8, 0, 1000).Keys(100)
+	trace := distgen.Keys(distgen.NewUniform(8, 0, 1000), 100)
 	m, err := Fit(trace, FitOptions{NumSegments: 16, NumQuantiles: 64})
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ type Generator struct {
 	end  *Mix
 	rng  *stats.RNG
 	// keyBuf receives single-key draws so the per-op path allocates
-	// nothing; drifts fill it in place via distgen.FillAt.
+	// nothing; drifts fill it in place through FillAt.
 	keyBuf [1]uint64
 }
 
@@ -172,13 +172,13 @@ func (g *Generator) Next(progress float64) Op {
 }
 
 func (g *Generator) accessKey(p float64) uint64 {
-	distgen.FillAt(g.spec.Access, p, g.keyBuf[:])
+	g.spec.Access.FillAt(p, g.keyBuf[:])
 	return g.keyBuf[0]
 }
 
 func (g *Generator) insertKey(p float64) uint64 {
 	if g.spec.InsertKeys != nil {
-		distgen.FillAt(g.spec.InsertKeys, p, g.keyBuf[:])
+		g.spec.InsertKeys.FillAt(p, g.keyBuf[:])
 		return g.keyBuf[0]
 	}
 	return g.accessKey(p)

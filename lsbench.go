@@ -32,8 +32,9 @@
 //	}
 //	result, err := lsbench.NewRunner().Run(scenario, lsbench.NewRMISUT())
 //
-// See examples/ for complete programs and cmd/figures for the full
-// figure-regeneration pipeline.
+// See examples/ for complete programs, cmd/figures for the full
+// figure-regeneration pipeline, and `lsbench serve sut|worker|coordinator`
+// (cmd/lsbench) for the TCP SUT server and the benchmark service.
 package lsbench
 
 import (
@@ -77,9 +78,9 @@ type (
 	// Arrival paces open-loop workloads (Poisson, diurnal, bursts).
 	Arrival = workload.Arrival
 
-	// Generator produces synthetic keys from a fixed distribution.
+	// Generator fills a caller buffer with keys from a fixed distribution.
 	Generator = distgen.Generator
-	// Drift produces keys from a distribution evolving over progress.
+	// Drift does the same from a distribution evolving over progress.
 	Drift = distgen.Drift
 	// Static adapts a Generator into a non-evolving Drift.
 	Static = distgen.Static
