@@ -87,11 +87,20 @@ bench-check: bench-smoke
 	$(GO) run ./cmd/benchguard -compare -max-regress 0.25
 
 # bench-e2e runs the repository benchmark's end-to-end pass (BENCHMARK.json:
-# four workloads, each checked against its oracle and its digest). The
-# per-layer trace is `$(GO) run ./benchmark -trace 1`; benchmark/README.md
-# describes both.
+# four workloads, each checked against its oracle and its digest) and, when
+# every workload came out correct, appends one record to BENCH_e2e.jsonl —
+# commit, date, toolchain, CPU and the run's last stdout line — so the
+# per-PR trajectory of the end-to-end metrics is a committed file: run it on
+# the final tree of a PR and commit the new line. The per-layer trace is
+# `$(GO) run ./benchmark -trace 1`; benchmark/README.md describes both.
 bench-e2e:
-	$(GO) run ./benchmark -trace 0
+	@res=$$($(GO) run ./benchmark -trace 0 | tee /dev/stderr | tail -n 1); \
+	case "$$res" in \
+		*'"correct":false'*|[!{]*|'') echo "bench-e2e: run failed, nothing recorded" >&2; exit 1;; \
+	esac; \
+	printf '{"commit":"%s","date":"%s","go":"%s","cpu":"%s","result":%s}\n' \
+		"$$(git describe --always --dirty)" "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$$($(GO) env GOVERSION)" \
+		"$$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)" "$$res" >> BENCH_e2e.jsonl
 
 # Regenerate every figure, lesson ablation, and extension experiment.
 figures:

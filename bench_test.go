@@ -387,6 +387,20 @@ func BenchmarkMicroBTreeInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroRMIInsert inserts absent keys drawn from 16 narrow clusters
+// into a 250k-key RMI, so the delta fills, splits blocks and auto-merges
+// several times at real benchtime; allocs/op guards the block recycling.
+func BenchmarkMicroRMIInsert(b *testing.B) {
+	keys, vals := loadedKeys(250_000)
+	ix := rmi.NewDefault()
+	ix.BulkLoad(keys, vals)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Insert(uint64(i%16)<<36+uint64(i)*2654435761%(1<<24), uint64(i))
+	}
+}
+
 func BenchmarkMicroLearnedSort(b *testing.B) {
 	src := distgen.Keys(distgen.NewLognormal(1, 0, 2, 1e9), 200000)
 	buf := make([]uint64, len(src))

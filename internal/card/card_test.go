@@ -299,7 +299,7 @@ func TestLearnedKnotCap(t *testing.T) {
 	for v := uint64(0); v < 3000; v++ {
 		l.Feedback(tab, sqlmini.Predicate{Column: "u", Op: sqlmini.Lt, Value: v + 1}, int(v))
 	}
-	if n := l.KnotCount("t", "u"); n > 512 {
+	if n := len(l.knots["t.u"]); n > 512 {
 		t.Fatalf("knot count %d exceeds cap", n)
 	}
 	if l.String() == "" {

@@ -272,13 +272,6 @@ func (l *Learned) EstimateJoin(lc, rc float64, lt *sqlmini.Table, lcol string, r
 	return containmentJoin(lc, rc, ldv, rdv)
 }
 
-// KnotCount reports the current model size for a column (test hook).
-func (l *Learned) KnotCount(table, column string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.knots[table+"."+column])
-}
-
 // String summarizes the model.
 func (l *Learned) String() string {
 	l.mu.RLock()

@@ -94,9 +94,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Has reports whether node is on the ring.
-func (r *Ring) Has(node string) bool { return r.nodes[node] }
-
 // Len returns the number of nodes on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
 

@@ -88,7 +88,7 @@ func TestRingIdempotentMembership(t *testing.T) {
 		t.Fatalf("double add left %d points, want 8", got)
 	}
 	r.Remove("nope")
-	if r.Len() != 1 || !r.Has("n1") {
+	if r.Len() != 1 || !r.nodes["n1"] {
 		t.Fatalf("membership wrong after no-op remove: %v", r.Nodes())
 	}
 }

@@ -49,13 +49,6 @@ func (h *HoldoutRegistry) Names() []string {
 	return out
 }
 
-// Consumed reports whether the (hold-out, SUT-name) attempt is spent.
-func (h *HoldoutRegistry) Consumed(name, sutName string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.used[name+"|"+sutName]
-}
-
 // RunOnce executes the named hold-out against the SUT built by factory,
 // consuming the SUT's single attempt. Subsequent calls for the same
 // (hold-out, SUT-name) pair fail even if the first run errored — a spent

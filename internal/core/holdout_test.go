@@ -60,8 +60,8 @@ func TestHoldoutConcurrentRunOnce(t *testing.T) {
 	if ok.Load() != 1 || spent.Load() != attempts-1 {
 		t.Fatalf("wins=%d spent=%d, want exactly one win of %d attempts", ok.Load(), spent.Load(), attempts)
 	}
-	if !reg.Consumed("sealed", NewBTreeSUT().Name()) {
-		t.Fatal("Consumed does not reflect the spent attempt")
+	if !reg.used["sealed|"+NewBTreeSUT().Name()] {
+		t.Fatal("the spent attempt is not recorded")
 	}
 }
 
@@ -97,7 +97,7 @@ func TestHoldoutConcurrentRegisterAndRun(t *testing.T) {
 		t.Fatalf("registered %d of %d", got, len(names))
 	}
 	for _, name := range names {
-		if !reg.Consumed(name, NewHashSUT().Name()) {
+		if !reg.used[name+"|"+NewHashSUT().Name()] {
 			t.Fatalf("%s not consumed", name)
 		}
 	}

@@ -11,6 +11,7 @@ package distgen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -71,7 +72,7 @@ func UniqueKeys(g Generator, n int) []uint64 {
 		}
 		next++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -159,9 +159,8 @@ type GrowingSkew struct {
 	Universe uint64
 	seed     uint64
 	rng      *stats.RNG
-	// cache the most recent sampler; rebuilding per call would discard
-	// too much rng state and is O(1) anyway, but we avoid reallocating
-	// for repeated same-progress calls.
+	// The sampler for the current (quantized) theta: consecutive draws at
+	// one theta continue one stream instead of restarting it.
 	lastTheta float64
 	sampler   *stats.ScrambledZipf
 	uniform   *Uniform
@@ -193,12 +192,10 @@ func (g *GrowingSkew) FillAt(p float64, out []uint64) {
 	if theta < 0.05 {
 		theta = 0.05
 	}
+	// Quantize theta before comparing, so the sampler is rebuilt (and
+	// reseeded) only when theta crosses a 0.01 grid line: at most ~100 times.
+	theta = float64(int(theta*100)) / 100
 	if g.sampler == nil || theta != g.lastTheta {
-		// Quantize theta so the sampler is rebuilt at most ~100 times.
-		theta = float64(int(theta*100)) / 100
-		if theta <= 0 {
-			theta = 0.05
-		}
 		g.sampler = stats.NewScrambledZipf(stats.NewRNG(g.seed^uint64(theta*1000)), theta, g.Universe)
 		g.lastTheta = theta
 	}
@@ -239,9 +236,6 @@ func (r *Replay) FillAt(_ float64, out []uint64) {
 		r.idx++
 	}
 }
-
-// Position reports how many keys have been consumed (wrap-around included).
-func (r *Replay) Position() int { return r.idx }
 
 // Schedule sequences multiple Drift segments, each occupying an equal share
 // of progress. It lets a scenario chain, e.g., static -> abrupt shift ->

@@ -130,6 +130,23 @@ func TestGrowingSkewSharpens(t *testing.T) {
 	}
 }
 
+// TestGrowingSkewOneKeyDrawsAdvance: one-key draws at a fixed progress off
+// the 0.01 theta grid continue one stream. FillAt used to compare the raw
+// theta with the quantized one it had stored, so every such call rebuilt and
+// reseeded the sampler and returned the same key.
+func TestGrowingSkewOneKeyDrawsAdvance(t *testing.T) {
+	g := NewGrowingSkew(6, 1.2, 1<<16)
+	seen := map[uint64]bool{}
+	var key [1]uint64
+	for i := 0; i < 1000; i++ {
+		g.FillAt(0.37, key[:])
+		seen[key[0]] = true
+	}
+	if len(seen) <= 100 {
+		t.Fatalf("1000 one-key draws at p=0.37 yielded %d distinct keys", len(seen))
+	}
+}
+
 func TestScheduleSegments(t *testing.T) {
 	a := Static{G: NewUniform(1, 0, 1000)}
 	b := Static{G: NewUniform(2, 2000, 3000)}
@@ -163,8 +180,8 @@ func TestReplay(t *testing.T) {
 			t.Fatalf("replay[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if r.Position() != 5 {
-		t.Fatalf("position = %d", r.Position())
+	if r.idx != 5 {
+		t.Fatalf("position = %d", r.idx)
 	}
 	// Progress is irrelevant; the stream continues where it left off.
 	if KeysAt(r, 0, 1)[0] != 30 {

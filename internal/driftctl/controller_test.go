@@ -152,13 +152,13 @@ func TestControllerNormalization(t *testing.T) {
 	spans := make([]float64, len(families))
 	for i, f := range families {
 		c := NewCalibrated(99, f.base, f.target, Knob{Factor: 1}, normTo)
-		spans[i] = c.Span()
+		spans[i] = c.span
 		out := distgen.KeysAt(c, 1, testN)
 		bs := make([]uint64, testN)
 		f.base(4242).Fill(bs)
 		div := similarity.KS(out, bs)
 		if math.Abs(div-normTo) > 0.06 {
-			t.Fatalf("%s: normalized divergence %.4f, want ~%.2f (span %.4f)", f.name, div, normTo, c.Span())
+			t.Fatalf("%s: normalized divergence %.4f, want ~%.2f (span %.4f)", f.name, div, normTo, c.span)
 		}
 	}
 	if math.Abs(spans[0]-spans[1]) < 0.05 {

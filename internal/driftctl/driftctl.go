@@ -133,9 +133,6 @@ func (c *Controller) alpha(w float64) float64 {
 	return w
 }
 
-// Span returns the measured base→target KS distance (0 until calibrated).
-func (c *Controller) Span() float64 { return c.span }
-
 // Divergence predicts the expected KS divergence from the base stream at
 // intensity d (at full profile weight): the target-selection probability
 // times the measured span. It returns 0 until calibrated.

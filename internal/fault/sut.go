@@ -90,9 +90,6 @@ func (s *SUT) OnlineTrainWork() int64 {
 	return 0
 }
 
-// Inner exposes the wrapped SUT (tests, examples).
-func (s *SUT) Inner() core.SUT { return s.inner }
-
 var (
 	_ core.SUT           = (*SUT)(nil)
 	_ core.BatchSUT      = (*SUT)(nil)

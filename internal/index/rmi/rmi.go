@@ -11,9 +11,19 @@
 // sorted array — when the distribution drifts. The benchmark exercises
 // exactly this trade-off; inserts are absorbed into a sorted delta buffer
 // that is merged on Retrain, modelling the common "RMI + delta" deployment.
+//
+// The delta is logically one flat sorted array, and Insert charges the shift
+// that keeps such an array sorted: (length − insertion rank)/4 work units. That
+// charge is a modelled cost, like cost.IOModel's page I/O on a MemBackend: a
+// function of the delta's length and the rank only, not a timing. Physically
+// the delta is blocked (delta.go) so that the host evaluates the model fast;
+// its layout is free to change as long as length and rank do not.
 package rmi
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/index"
 	"repro/internal/par"
 	"repro/internal/search"
@@ -23,8 +33,8 @@ import (
 // DefaultStage2 is the number of second-stage models used by New.
 const DefaultStage2 = 1024
 
-// deltaMergeThreshold triggers an automatic retrain when the unsorted
-// delta grows beyond this fraction of the main array.
+// deltaMergeThreshold triggers an automatic retrain when the delta grows
+// beyond this fraction of the main array.
 const deltaMergeThreshold = 0.25
 
 // parTrainMin is the main-array size at which Retrain fans the routing
@@ -45,10 +55,10 @@ type Index struct {
 	root   stats.Linear
 	leaves []leafModel
 
-	// delta absorbs inserts between retrains; kept sorted for O(log n)
-	// lookup and ordered scans.
-	deltaKeys []uint64
-	deltaVals []uint64
+	// delta absorbs inserts between retrains: one sorted run, so lookups
+	// are O(log n) and scans ordered. Insert prices it as a flat sorted
+	// array whatever its physical layout (see the package comment).
+	delta delta
 
 	tombstones map[uint64]struct{} // deleted keys awaiting merge
 
@@ -89,7 +99,7 @@ func (ix *Index) Name() string { return "rmi" }
 
 // Len implements index.Ordered.
 func (ix *Index) Len() int {
-	return len(ix.keys) + len(ix.deltaKeys) - len(ix.tombstones)
+	return len(ix.keys) + ix.delta.n - len(ix.tombstones)
 }
 
 // Stats implements index.Instrumented.
@@ -110,8 +120,7 @@ func (ix *Index) BulkLoad(keys, values []uint64) {
 	}
 	ix.keys = append(ix.keys[:0], keys...)
 	ix.values = append(ix.values[:0], values...)
-	ix.deltaKeys = ix.deltaKeys[:0]
-	ix.deltaVals = ix.deltaVals[:0]
+	ix.delta.reset()
 	ix.tombstones = make(map[uint64]struct{})
 	ix.Retrain()
 }
@@ -125,40 +134,22 @@ func (ix *Index) Retrain() int {
 	// Merge delta + main, dropping tombstones. The destination reuses the
 	// arrays retired by the previous merge, so steady-state retrains under
 	// drift allocate nothing once capacities stabilize.
-	if len(ix.deltaKeys) > 0 || len(ix.tombstones) > 0 {
-		need := len(ix.keys) + len(ix.deltaKeys)
+	if ix.delta.n > 0 || len(ix.tombstones) > 0 {
+		need := len(ix.keys) + ix.delta.n
 		merged, mergedV := ix.spareKeys[:0], ix.spareVals[:0]
 		if cap(merged) < need || cap(mergedV) < need {
 			merged = make([]uint64, 0, need)
 			mergedV = make([]uint64, 0, need)
 		}
-		i, j := 0, 0
-		for i < len(ix.keys) || j < len(ix.deltaKeys) {
-			var k, v uint64
-			takeDelta := i >= len(ix.keys) ||
-				(j < len(ix.deltaKeys) && ix.deltaKeys[j] <= ix.keys[i])
-			if takeDelta {
-				k, v = ix.deltaKeys[j], ix.deltaVals[j]
-				// Delta overrides main on equal keys.
-				if i < len(ix.keys) && ix.keys[i] == k {
-					i++
-				}
-				j++
-			} else {
-				k, v = ix.keys[i], ix.values[i]
-				i++
-			}
-			if _, dead := ix.tombstones[k]; dead {
-				continue
-			}
+		ix.walk(0, 0, math.MaxUint64, func(k, v uint64) bool {
 			merged = append(merged, k)
 			mergedV = append(mergedV, v)
-		}
+			return true
+		})
 		work += len(merged)
 		ix.spareKeys, ix.spareVals = ix.keys[:0], ix.values[:0]
 		ix.keys, ix.values = merged, mergedV
-		ix.deltaKeys = ix.deltaKeys[:0]
-		ix.deltaVals = ix.deltaVals[:0]
+		ix.delta.reset()
 		ix.tombstones = make(map[uint64]struct{})
 	}
 
@@ -180,16 +171,13 @@ func (ix *Index) Retrain() int {
 	// Stage 1: map key -> leaf id over the full range. sampleCap pins the
 	// sampling stride to the same value the buffers' capacity implied when
 	// they were allocated fresh, so reuse cannot change the fitted model.
-	sampleCap := minInt(n, 4096)
+	sampleCap := min(n, 4096)
 	if cap(ix.xs2) < sampleCap {
 		ix.xs2 = make([]float64, 0, sampleCap)
 		ix.ys2 = make([]float64, 0, sampleCap)
 	}
 	xs2, ys2 := ix.xs2[:0], ix.ys2[:0]
-	stride := n / sampleCap
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(n/sampleCap, 1)
 	for i := 0; i < n; i += stride {
 		xs2 = append(xs2, float64(ix.keys[i]))
 		ys2 = append(ys2, float64(i)/float64(n)*float64(ix.stage2N))
@@ -222,10 +210,7 @@ func (ix *Index) Retrain() int {
 		const chunk = 1 << 15
 		nc := (n + chunk - 1) / chunk
 		par.ForEach(nc, 0, func(c int) error {
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
+			lo, hi := c*chunk, min((c+1)*chunk, n)
 			for i := lo; i < hi; i++ {
 				leafOf[i] = ix.root.PredictClamped(float64(ix.keys[i]), ix.stage2N)
 			}
@@ -303,13 +288,6 @@ func fitSegment(keys []uint64, offset int) stats.Linear {
 	return m
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // searchMain locates key in the main array via the model, returning its
 // index and presence.
 func (ix *Index) searchMain(key uint64) (int, bool) {
@@ -320,17 +298,11 @@ func (ix *Index) searchMain(key uint64) (int, bool) {
 	l := ix.root.PredictClamped(float64(key), ix.stage2N)
 	lm := ix.leaves[l]
 	pred := lm.model.PredictClamped(float64(key), n)
-	lo := pred - lm.err
-	hi := pred + lm.err + 1
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > n {
-		hi = n
-	}
-	// Track model error for diagnostics.
-	span := hi - lo
-	ix.st.Compares += uint64(bits(span))
+	lo := max(pred-lm.err, 0)
+	hi := min(pred+lm.err+1, n)
+	// The window holds pred, so hi-lo >= 1: a binary search over it costs
+	// floor(log2(hi-lo))+1 comparisons.
+	ix.st.Compares += uint64(bits.Len(uint(hi - lo)))
 	// Last-mile search: inline lower bound over the error window.
 	// Index-exact equivalent of the sort.Search formulation, so
 	// virtual-clock outputs are unchanged.
@@ -346,15 +318,6 @@ func (ix *Index) searchMain(key uint64) (int, bool) {
 	return i, false
 }
 
-func bits(n int) int {
-	b := 1
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
 // Get implements index.Ordered.
 func (ix *Index) Get(key uint64) (uint64, bool) {
 	ix.st.Searches++
@@ -362,8 +325,8 @@ func (ix *Index) Get(key uint64) (uint64, bool) {
 		return 0, false
 	}
 	// Delta first: it overrides the main array.
-	if j := search.LowerBound(ix.deltaKeys, key); j < len(ix.deltaKeys) && ix.deltaKeys[j] == key {
-		return ix.deltaVals[j], true
+	if v, ok := ix.delta.get(key); ok {
+		return v, true
 	}
 	if i, ok := ix.searchMain(key); ok {
 		return ix.values[i], true
@@ -382,24 +345,18 @@ func (ix *Index) Insert(key, value uint64) {
 		ix.values[i] = value
 		return
 	}
-	j := search.LowerBound(ix.deltaKeys, key)
-	if j < len(ix.deltaKeys) && ix.deltaKeys[j] == key {
-		ix.deltaVals[j] = value
+	rank, added := ix.delta.put(key, value)
+	if !added {
 		return
 	}
-	ix.deltaKeys = append(ix.deltaKeys, 0)
-	copy(ix.deltaKeys[j+1:], ix.deltaKeys[j:])
-	ix.deltaKeys[j] = key
-	ix.deltaVals = append(ix.deltaVals, 0)
-	copy(ix.deltaVals[j+1:], ix.deltaVals[j:])
-	ix.deltaVals[j] = value
-	// Charge the memmove that keeps the delta sorted (~16 bytes per
-	// shifted entry, one work unit per cache line): the sorted-array
-	// delta is cheap while small and increasingly expensive as drift
-	// fills it — a real cost of the static-learned-index design.
-	ix.st.Compares += uint64((len(ix.deltaKeys) - j) / 4)
+	// Charge the memmove that keeps a flat sorted-array delta sorted (~16
+	// bytes per shifted entry, one work unit per cache line): cheap while
+	// the delta is small and increasingly expensive as drift fills it — a
+	// real cost of the static-learned-index design, modelled from length
+	// and rank, not performed (see the package comment).
+	ix.st.Compares += uint64((ix.delta.n - rank) / 4)
 
-	if len(ix.keys) > 0 && float64(len(ix.deltaKeys)) > deltaMergeThreshold*float64(len(ix.keys)) {
+	if len(ix.keys) > 0 && float64(ix.delta.n) > deltaMergeThreshold*float64(len(ix.keys)) {
 		ix.st.Splits++
 		ix.st.TrainWork += uint64(ix.Retrain())
 	}
@@ -410,9 +367,7 @@ func (ix *Index) Delete(key uint64) bool {
 	if _, dead := ix.tombstones[key]; dead {
 		return false
 	}
-	if j := search.LowerBound(ix.deltaKeys, key); j < len(ix.deltaKeys) && ix.deltaKeys[j] == key {
-		ix.deltaKeys = append(ix.deltaKeys[:j], ix.deltaKeys[j+1:]...)
-		ix.deltaVals = append(ix.deltaVals[:j], ix.deltaVals[j+1:]...)
+	if ix.delta.remove(key) {
 		return true
 	}
 	if _, ok := ix.searchMain(key); ok {
@@ -441,38 +396,50 @@ func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 	for i < len(ix.keys) && ix.keys[i] < lo {
 		i++
 	}
-	j := search.LowerBound(ix.deltaKeys, lo)
 	visited := 0
-	for i < len(ix.keys) || j < len(ix.deltaKeys) {
+	ix.walk(i, lo, hi, func(k, v uint64) bool {
+		visited++
+		return fn(k, v)
+	})
+	return visited
+}
+
+// walk is the one sorted merge of the main array and the delta: from main
+// position i and the first delta key >= lo, it hands fn every live pair
+// with key <= hi in key order — the delta overriding main on equal keys,
+// tombstoned keys skipped — until fn returns false.
+func (ix *Index) walk(i int, lo, hi uint64, fn func(key, value uint64) bool) {
+	c := ix.delta.seek(lo)
+	for i < len(ix.keys) || c.valid() {
 		var k, v uint64
-		fromDelta := i >= len(ix.keys) ||
-			(j < len(ix.deltaKeys) && ix.deltaKeys[j] <= ix.keys[i])
+		fromDelta := c.valid()
 		if fromDelta {
-			k, v = ix.deltaKeys[j], ix.deltaVals[j]
+			k, v = c.pair()
+			fromDelta = i >= len(ix.keys) || k <= ix.keys[i]
+		}
+		if fromDelta {
 			if i < len(ix.keys) && ix.keys[i] == k {
 				i++ // delta overrides main
 			}
-			j++
+			c.next()
 		} else {
 			k, v = ix.keys[i], ix.values[i]
 			i++
 		}
 		if k > hi {
-			break
+			return
 		}
 		if _, dead := ix.tombstones[k]; dead {
 			continue
 		}
-		visited++
 		if !fn(k, v) {
-			break
+			return
 		}
 	}
-	return visited
 }
 
 // DeltaLen reports the current delta-buffer size (for tests and reports).
-func (ix *Index) DeltaLen() int { return len(ix.deltaKeys) }
+func (ix *Index) DeltaLen() int { return ix.delta.n }
 
 // MaxLeafError returns the largest trained last-mile error bound across
 // leaves — the distribution-difficulty signal Figure 1a explains.

@@ -77,20 +77,3 @@ func (f *Filter) MayContain(key uint64) bool {
 	}
 	return true
 }
-
-// Bits returns the filter's bit-table size in bits (0 for a nil filter) —
-// a memory-accounting hook for reports.
-func (f *Filter) Bits() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.bits) * 64
-}
-
-// Probes returns the per-lookup probe count (0 for a nil filter).
-func (f *Filter) Probes() int {
-	if f == nil {
-		return 0
-	}
-	return f.k
-}

@@ -126,21 +126,6 @@ func (bt *BandTracker) ViolationRate() float64 {
 	return float64(bad) / float64(done)
 }
 
-// WorstInterval returns the interval with the highest violation count and
-// true, or a zero Interval and false when empty.
-func (bt *BandTracker) WorstInterval() (Interval, bool) {
-	if len(bt.intervals) == 0 {
-		return Interval{}, false
-	}
-	worst := bt.intervals[0]
-	for _, iv := range bt.intervals[1:] {
-		if iv.Violated > worst.Violated {
-			worst = iv
-		}
-	}
-	return worst, true
-}
-
 // AdjustmentSpeed is the paper's single-value adjustment-speed metric: "the
 // sum of query times above the SLA threshold over the first N queries after
 // a distribution change". latencies must be the per-query latencies in

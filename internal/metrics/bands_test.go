@@ -152,20 +152,6 @@ func TestViolationRate(t *testing.T) {
 	}
 }
 
-func TestWorstInterval(t *testing.T) {
-	bt := NewBandTracker(1000, 1e9)
-	if _, ok := bt.WorstInterval(); ok {
-		t.Fatal("empty tracker has no worst interval")
-	}
-	bt.Record(5e8, 5000)  // interval 0: 1 violation
-	bt.Record(15e8, 5000) // interval 1: 2 violations
-	bt.Record(16e8, 5000)
-	w, ok := bt.WorstInterval()
-	if !ok || w.Start != 1e9 || w.Violated != 2 {
-		t.Fatalf("worst = %+v ok=%v", w, ok)
-	}
-}
-
 func TestBandTrackerByLevelSums(t *testing.T) {
 	bt := NewBandTracker(1000, 1e9)
 	lats := []int64{100, 600, 1500, 9999}

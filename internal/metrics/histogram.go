@@ -150,25 +150,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// CountAbove returns how many recorded values are (approximately) above the
-// threshold. Values in the threshold's own bucket are counted above only if
-// the bucket midpoint exceeds the threshold, keeping the error within the
-// bucket resolution.
-func (h *Histogram) CountAbove(threshold int64) uint64 {
-	tb := bucketOf(threshold)
-	var n uint64
-	for i := tb; i < len(h.counts); i++ {
-		if i == tb {
-			mid := bucketLow(i) + (bucketLow(i+1)-bucketLow(i))/2
-			if mid <= threshold {
-				continue
-			}
-		}
-		n += h.counts[i]
-	}
-	return n
-}
-
 // Merge folds other into h. Both histograms must have been created by
 // NewHistogram (same bucket count); merging mismatched layouts would
 // silently misattribute counts, so it panics instead.

@@ -92,20 +92,6 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestHistogramCountAbove(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 100; i++ {
-		h.Record(1000) // well below
-	}
-	for i := 0; i < 25; i++ {
-		h.Record(1_000_000) // well above
-	}
-	got := h.CountAbove(10_000)
-	if got != 25 {
-		t.Fatalf("CountAbove = %d, want 25", got)
-	}
-}
-
 func TestHistogramMerge(t *testing.T) {
 	a, b := NewHistogram(), NewHistogram()
 	for i := 0; i < 100; i++ {

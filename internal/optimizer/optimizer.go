@@ -65,9 +65,6 @@ func (h Hint) String() string {
 	}
 }
 
-// Hints lists all steering arms.
-func Hints() []Hint { return []Hint{HintDefault, HintHashOnly, HintNLOnly} }
-
 // planInfo is a DP table entry.
 type planInfo struct {
 	plan *sqlmini.Plan

@@ -313,9 +313,6 @@ func (p *Pool) DropCache() error {
 	return nil
 }
 
-// ResetCounters zeroes the work counters (measurement-window hook).
-func (p *Pool) ResetCounters() { p.st = Counters{} }
-
 // takeFrame returns a frame pinned once and clean, its page image
 // unspecified: the caller overwrites all of it (ReadPage) or resets it. A
 // new frame is allocated only while the pool has never been full — after

@@ -98,9 +98,3 @@ func (c CostModel) TrainTime(work int64) int64 {
 	}
 	return c.PerTrainNs * work
 }
-
-// TrainHours converts training work to hours on the baseline CPU tier —
-// the unitHoursOnCPU input of the cost package.
-func (c CostModel) TrainHours(work int64) float64 {
-	return float64(c.TrainTime(work)) / float64(time.Hour.Nanoseconds())
-}

@@ -65,9 +65,4 @@ func TestCostModel(t *testing.T) {
 	if c.TrainTime(-1) != 0 {
 		t.Fatal("negative train work")
 	}
-	// One hour of training work converts to exactly 1.0 hours.
-	workPerHour := int64(time.Hour.Nanoseconds()) / c.PerTrainNs
-	if h := c.TrainHours(workPerHour); h < 0.999 || h > 1.001 {
-		t.Fatalf("TrainHours = %v", h)
-	}
 }

@@ -198,7 +198,3 @@ func Jaccard(a, b map[string]struct{}) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// JaccardDistance is 1 - Jaccard, so that all Φ estimators in this package
-// agree on direction: 0 means identical, larger means more different.
-func JaccardDistance(a, b map[string]struct{}) float64 { return 1 - Jaccard(a, b) }

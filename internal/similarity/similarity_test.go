@@ -168,8 +168,8 @@ func TestJaccard(t *testing.T) {
 	if Jaccard(nil, nil) != 1 {
 		t.Fatal("empty sets must be similarity 1")
 	}
-	if JaccardDistance(set("a"), set("a")) != 0 {
-		t.Fatal("distance of equal sets")
+	if Jaccard(set("a"), set("a")) != 1 {
+		t.Fatal("similarity of equal sets")
 	}
 }
 

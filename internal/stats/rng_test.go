@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -132,28 +131,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if math.Abs(sum/n-1) > 0.03 {
 		t.Fatalf("exponential mean = %v, want ~1", sum/n)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 50}
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -122,39 +122,6 @@ func HillClimb(eval Evaluator, start kv.Knobs, budget int, seed uint64) Result {
 	return res
 }
 
-// RandomSearch evaluates budget random points — the baseline tuner.
-func RandomSearch(eval Evaluator, budget int, seed uint64) Result {
-	rng := stats.NewRNG(seed)
-	space := kv.Space()
-	var res Result
-	for i := 0; i < budget; i++ {
-		k := space[rng.Intn(len(space))]
-		s := eval(k)
-		res.Evaluations++
-		if s > res.BestScore || i == 0 {
-			res.BestScore = s
-			res.Best = k
-		}
-		res.Trace = append(res.Trace, Step{Knobs: k, Score: s, BestSoFar: res.BestScore})
-	}
-	return res
-}
-
-// Exhaustive evaluates the entire knob space (ground truth for tests).
-func Exhaustive(eval Evaluator) Result {
-	var res Result
-	for i, k := range kv.Space() {
-		s := eval(k)
-		res.Evaluations++
-		if s > res.BestScore || i == 0 {
-			res.BestScore = s
-			res.Best = k
-		}
-		res.Trace = append(res.Trace, Step{Knobs: k, Score: s, BestSoFar: res.BestScore})
-	}
-	return res
-}
-
 // DBAAction is one manual optimization a database administrator performs,
 // with the human effort it costs. Figure 1d's traditional-system curve is
 // the cumulative application of these actions: a step function of effort.

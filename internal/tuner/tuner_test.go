@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/kv"
+	"repro/internal/stats"
 )
 
 // syntheticEval scores knobs with a smooth unimodal function peaking at a
@@ -18,19 +19,9 @@ func syntheticEval(k kv.Knobs) float64 {
 	return score
 }
 
-func TestExhaustiveFindsOptimum(t *testing.T) {
-	res := Exhaustive(syntheticEval)
-	if res.Evaluations != 144 {
-		t.Fatalf("evaluations = %d", res.Evaluations)
-	}
-	want := kv.Knobs{MemtableCap: 16384, MaxRuns: 4, SparseEvery: 32, BloomBitsPerKey: 16}
-	if res.Best != want {
-		t.Fatalf("best = %+v", res.Best)
-	}
-}
-
 func TestHillClimbConvergesOnUnimodal(t *testing.T) {
-	truth := Exhaustive(syntheticEval).BestScore
+	// syntheticEval peaks, penalty-free, at exactly these knobs.
+	truth := syntheticEval(kv.Knobs{MemtableCap: 16384, MaxRuns: 4, SparseEvery: 32, BloomBitsPerKey: 16})
 	res := HillClimb(syntheticEval, kv.DefaultKnobs(), 60, 1)
 	if res.BestScore < truth-1e-9 {
 		t.Fatalf("hill climb best %.1f below optimum %.1f", res.BestScore, truth)
@@ -60,6 +51,18 @@ func TestHillClimbDeterministic(t *testing.T) {
 	}
 }
 
+// randomSearch is the baseline HillClimb has to beat: the best score among
+// budget uniformly drawn points of the knob space.
+func randomSearch(eval Evaluator, budget int, seed uint64) float64 {
+	rng := stats.NewRNG(seed)
+	space := kv.Space()
+	best := math.Inf(-1)
+	for i := 0; i < budget; i++ {
+		best = math.Max(best, eval(space[rng.Intn(len(space))]))
+	}
+	return best
+}
+
 func TestHillClimbBeatsRandomOnAverage(t *testing.T) {
 	// Same small budget; hill climbing should match or beat random
 	// search on a unimodal surface for most seeds.
@@ -67,8 +70,7 @@ func TestHillClimbBeatsRandomOnAverage(t *testing.T) {
 	const trials = 10
 	for seed := uint64(0); seed < trials; seed++ {
 		h := HillClimb(syntheticEval, kv.DefaultKnobs(), 25, seed)
-		r := RandomSearch(syntheticEval, 25, seed)
-		if h.BestScore >= r.BestScore {
+		if h.BestScore >= randomSearch(syntheticEval, 25, seed) {
 			wins++
 		}
 	}
@@ -78,10 +80,7 @@ func TestHillClimbBeatsRandomOnAverage(t *testing.T) {
 }
 
 func TestTraceBestSoFarMonotone(t *testing.T) {
-	for _, res := range []Result{
-		HillClimb(syntheticEval, kv.DefaultKnobs(), 50, 3),
-		RandomSearch(syntheticEval, 50, 3),
-	} {
+	for _, res := range []Result{HillClimb(syntheticEval, kv.DefaultKnobs(), 50, 3)} {
 		prev := math.Inf(-1)
 		for i, s := range res.Trace {
 			if s.BestSoFar < prev {

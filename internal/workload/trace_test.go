@@ -28,7 +28,7 @@ func randomStream(seed uint64, n int) ([]Op, []int64) {
 		}
 		ops[i].Key = rng.Uint64() >> uint(rng.Intn(40)) // mixed magnitudes
 		if rng.Intn(4) > 0 {
-			gaps[i] = rng.Int63() % 5_000_000
+			gaps[i] = int64(rng.Uint64()>>1) % 5_000_000
 		}
 	}
 	return ops, gaps
