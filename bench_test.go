@@ -378,6 +378,23 @@ func BenchmarkMicroALEXInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroALEXInsertDrift is mem-drift's shift phase in miniature: 32
+// clusters of new keys far above a 250k-key zipf load, so the nodes they
+// land in have stale models that clamp predictions to the node's end, each
+// search walks back over a packed run, and the nodes expand and split several
+// times at real benchtime; allocs/op guards the rebuild scratch.
+func BenchmarkMicroALEXInsertDrift(b *testing.B) {
+	loaded := distgen.UniqueKeys(distgen.NewZipfKeys(1, 1.1, 1<<22), 250_000)
+	ix := alex.New()
+	ix.BulkLoad(loaded, make([]uint64, len(loaded)))
+	keys := distgen.Keys(distgen.NewClustered(4, 32, float64(distgen.KeyDomain)/4096), b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, k := range keys {
+		ix.Insert(k, uint64(i))
+	}
+}
+
 func BenchmarkMicroBTreeInsert(b *testing.B) {
 	tr := btree.NewDefault()
 	b.ReportAllocs()

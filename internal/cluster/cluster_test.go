@@ -95,9 +95,15 @@ func submitJob(t *testing.T, co *Coordinator, sut string) JobView {
 	return view
 }
 
+// waitDone polls until the job is done. Its limit is the test binary's own
+// deadline less a margin for the failure report (2 min under -timeout 0), not
+// a fixed wall time: a loaded race tier waits instead of failing.
 func waitDone(t *testing.T, co *Coordinator, id string) JobView {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(2 * time.Minute)
+	if d, ok := t.Deadline(); ok {
+		deadline = d.Add(-15 * time.Second)
+	}
 	for time.Now().Before(deadline) {
 		view, ok := co.Job(id)
 		if !ok {

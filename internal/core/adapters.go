@@ -32,12 +32,21 @@ type IndexSUT struct {
 	lastPageReads  uint64
 	lastPageWrites uint64
 	online         int64
+	// scanLeft is what remains of the running Scan op's limit and scanFn the
+	// callback counting it down, bound once so a scan allocates no closure.
+	scanLeft int
+	scanFn   func(key, value uint64) bool
 }
 
 // NewIndexSUT wraps an index.
 func NewIndexSUT(ix index.Ordered) *IndexSUT {
 	in, _ := ix.(index.Instrumented)
-	return &IndexSUT{ix: ix, in: in}
+	s := &IndexSUT{ix: ix, in: in}
+	s.scanFn = func(_, _ uint64) bool {
+		s.scanLeft--
+		return s.scanLeft > 0
+	}
+	return s
 }
 
 // Name implements SUT.
@@ -65,11 +74,8 @@ func (s *IndexSUT) Do(op workload.Op) OpResult {
 	case workload.Delete:
 		res.Found = s.ix.Delete(op.Key)
 	case workload.Scan:
-		limit := op.ScanLimit
-		res.Visited = s.ix.Scan(op.Key, ^uint64(0), func(_, _ uint64) bool {
-			limit--
-			return limit > 0
-		})
+		s.scanLeft = op.ScanLimit
+		res.Visited = s.ix.Scan(op.Key, ^uint64(0), s.scanFn)
 	}
 	res.Work = s.workDelta(op, res)
 	return res

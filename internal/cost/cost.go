@@ -9,7 +9,6 @@ package cost
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -85,16 +84,6 @@ func (m Model) DBACost(hours float64) float64 {
 // learned system, DBA dollars for a traditional one).
 func (m Model) TCO(executionHoursPerYear float64, oneTimeOptimization float64) float64 {
 	return m.ExecutionCost(executionHoursPerYear*m.AmortizationYears) + oneTimeOptimization
-}
-
-// CostPerformance returns the classic cost-per-performance ratio
-// (dollars per (ops/sec)); lower is better. Returns +Inf for zero
-// throughput.
-func CostPerformance(totalDollars, throughput float64) float64 {
-	if throughput <= 0 {
-		return math.Inf(1)
-	}
-	return totalDollars / throughput
 }
 
 // CurvePoint is one point of a throughput-versus-cost curve (learned

@@ -44,15 +44,6 @@ func TestTCO(t *testing.T) {
 	}
 }
 
-func TestCostPerformance(t *testing.T) {
-	if CostPerformance(100, 50) != 2 {
-		t.Fatal("ratio")
-	}
-	if !math.IsInf(CostPerformance(100, 0), 1) {
-		t.Fatal("zero throughput must be +Inf")
-	}
-}
-
 func TestCurveAt(t *testing.T) {
 	c := Curve{
 		{Dollars: 0, Throughput: 100},

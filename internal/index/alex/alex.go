@@ -35,11 +35,11 @@ const (
 )
 
 // bitset is a fixed-size occupancy bitmap over a node's gapped array. One
-// cache line covers 512 slots, versus 64 for the []bool it replaces. The
-// search path uses only test() — it inlines, and occupied slots are at
-// most a few steps from a model prediction at target density — while the
-// insert path's gap hunts use the word scans below, turning the O(gap)
-// slot-by-slot crawl into O(gap/64).
+// cache line covers 512 slots, versus 64 for the []bool it replaces. test()
+// inlines and serves the steps a search takes inside its landing word; every
+// walk that leaves a word — the search past it, the insert path's gap hunts,
+// scans and rebuilds — goes a 64-slot word at a time through the scans below
+// and math/bits, turning an O(run) slot-by-slot crawl into O(run/64).
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
@@ -76,15 +76,38 @@ func (b bitset) prevClear(i int) int {
 	return -1
 }
 
+// nextSet returns the smallest set index in [i, limit), or limit.
+func (b bitset) nextSet(i, limit int) int {
+	for i < limit {
+		if w := b[i>>6] >> (uint(i) & 63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), limit)
+		}
+		i = (i>>6 + 1) << 6
+	}
+	return limit
+}
+
+// prevSet returns the largest set index in [0, i], or -1 if none.
+func (b bitset) prevSet(i int) int {
+	for i >= 0 {
+		if w := b[i>>6] << (63 - uint(i)&63); w != 0 {
+			return i - bits.LeadingZeros64(w)
+		}
+		i = (i>>6)<<6 - 1
+	}
+	return -1
+}
+
 // Index is an adaptive learned index. Not safe for concurrent use.
 type Index struct {
 	nodes []*dataNode // ordered by key range
 	lows  []uint64    // lows[i] = smallest key ever routed to nodes[i]
 	size  int
 	st    index.Stats
-	// retrains counts whole-node model refits (expansions + splits),
-	// exposed as training work for the cost model.
-	retrains int
+	// sk/sv are collect's buffers: every rebuild and split copies a node's
+	// entries out through them, so a long drift run's expands allocate only
+	// the arrays the rebuilt node keeps.
+	sk, sv []uint64
 }
 
 type dataNode struct {
@@ -119,21 +142,17 @@ func (ix *Index) ModelCount() int { return len(ix.nodes) }
 func (ix *Index) Retrain() int {
 	work := 0
 	for _, n := range ix.nodes {
-		n.rebuild(n.capacityFor(n.size))
+		ix.rebuild(n, n.capacityFor(n.size))
 		work += n.size + 1
 	}
-	ix.retrains += len(ix.nodes)
 	return work
 }
 
-// Retrains reports how many node-level model refits have occurred — the
-// online-training work the benchmark charges as training overhead.
-func (ix *Index) Retrains() int { return ix.retrains }
-
-// newNode builds a node from sorted keys/values (may be empty).
+// newNode builds a node from sorted keys/values (may be empty) at the
+// default density.
 func newNode(keys, vals []uint64) *dataNode {
 	n := &dataNode{}
-	n.loadSorted(keys, vals)
+	n.loadSortedCap(keys, vals, n.capacityFor(len(keys)))
 	return n
 }
 
@@ -143,11 +162,6 @@ func (n *dataNode) capacityFor(m int) int {
 		c = minCapacity
 	}
 	return c
-}
-
-// loadSorted installs sorted entries at the default density.
-func (n *dataNode) loadSorted(keys, vals []uint64) {
-	n.loadSortedCap(keys, vals, n.capacityFor(len(keys)))
 }
 
 // normCap raises a requested gapped-array capacity to fit m entries plus
@@ -204,60 +218,62 @@ func (n *dataNode) place(keys, vals []uint64) {
 	}
 }
 
-// collect appends the node's entries in order to the given slices.
-func (n *dataNode) collect(keys, vals []uint64) ([]uint64, []uint64) {
-	for i := range n.keys {
-		if n.occ.test(i) {
+// collect copies the node's entries out in key order, a word of occupancy
+// at a time, into the index's scratch; the result is valid until the next
+// collect.
+func (ix *Index) collect(n *dataNode) (keys, vals []uint64) {
+	keys, vals = ix.sk[:0], ix.sv[:0]
+	for w, word := range n.occ {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
 			keys = append(keys, n.keys[i])
 			vals = append(vals, n.vals[i])
 		}
 	}
+	ix.sk, ix.sv = keys, vals
 	return keys, vals
 }
 
 // rebuild re-gaps the node at the given capacity.
-func (n *dataNode) rebuild(capacity int) {
-	keys, vals := n.collect(make([]uint64, 0, n.size), make([]uint64, 0, n.size))
+func (ix *Index) rebuild(n *dataNode, capacity int) {
+	keys, vals := ix.collect(n)
 	n.loadSortedCap(keys, vals, capacity)
 }
 
 // search returns the slot holding key (found=true), or the slot of the
 // smallest occupied key greater than key (found=false; slot==len if none).
-// compares counts key comparisons for instrumentation.
+//
+// compares counts the occupied slots the walk passes — one per slot from the
+// landing slot to the answer, which is what the virtual clock charges. How
+// the host finds those slots is free: inside the landing word (where a fresh
+// model's prediction is a step or two from its answer) the walk tests slot by
+// slot inline; once it leaves that word it goes by occupancy word (walkRight
+// and walkLeft), and a stale model that clamps every prediction to the node's
+// end costs the host run/64 steps while compares still counts the run.
 func (n *dataNode) search(key uint64) (slot int, found bool, compares int) {
 	c := len(n.keys)
-	if c == 0 || n.size == 0 {
+	if n.size == 0 {
 		return c, false, 0
 	}
 	i := n.model.PredictClamped(float64(key), c)
-	// Land on an occupied slot. compares counts only occupied-slot key
-	// comparisons, so the virtual clock's work accounting is unchanged.
-	// The walks use the inlinable occ.test — at target density an occupied
-	// slot is at most a few steps away, so inline bit tests beat any
-	// cleverness with per-step function calls.
-	j := i
-	for j < c && !n.occ.test(j) {
+	// Land on the first occupied slot at or right of the prediction, else
+	// the last one left of it.
+	j, end := i, min(i|63+1, c)
+	for j < end && !n.occ.test(j) {
 		j++
 	}
-	if j == c {
-		if i > c-1 {
-			i = c - 1
-		}
-		j = i
-		for j >= 0 && !n.occ.test(j) {
-			j--
-		}
-		if j < 0 {
-			return c, false, compares
+	if j == end {
+		if j = n.occ.nextSet(end, c); j == c {
+			j = n.occ.prevSet(i)
 		}
 	}
-	compares++
+	compares = 1
 	switch {
 	case n.keys[j] == key:
 		return j, true, compares
 	case n.keys[j] < key:
 		// Walk right over occupied slots until >= key.
-		for k := j + 1; k < c; k++ {
+		for k, end := j+1, min(j|63+1, c); k < end; k++ {
 			if !n.occ.test(k) {
 				continue
 			}
@@ -266,11 +282,11 @@ func (n *dataNode) search(key uint64) (slot int, found bool, compares int) {
 				return k, n.keys[k] == key, compares
 			}
 		}
-		return c, false, compares
+		return n.walkRight(j>>6+1, key, compares)
 	default:
 		// Walk left: find the leftmost occupied slot with key' >= key.
 		best := j
-		for k := j - 1; k >= 0; k-- {
+		for k := j - 1; k >= j&^63; k-- {
 			if !n.occ.test(k) {
 				continue
 			}
@@ -283,8 +299,62 @@ func (n *dataNode) search(key uint64) (slot int, found bool, compares int) {
 				return k, true, compares
 			}
 		}
-		return best, false, compares
+		return n.walkLeft(j>>6-1, key, best, compares)
 	}
+}
+
+// walkRight continues search's walk right from occupancy word w. A word whose
+// last occupied key is still below key is passed whole: the slot walk would
+// have compared each of its occupied slots, so compares takes its popcount.
+func (n *dataNode) walkRight(w int, key uint64, compares int) (int, bool, int) {
+	for ; w < len(n.occ); w++ {
+		word := n.occ[w]
+		if word == 0 {
+			continue
+		}
+		if n.keys[w<<6+63-bits.LeadingZeros64(word)] < key {
+			compares += bits.OnesCount64(word)
+			continue
+		}
+		for ; ; word &= word - 1 {
+			k := w<<6 + bits.TrailingZeros64(word)
+			compares++
+			if n.keys[k] >= key {
+				return k, n.keys[k] == key, compares
+			}
+		}
+	}
+	return len(n.keys), false, compares
+}
+
+// walkLeft is walkRight's mirror, from word w down: best is the leftmost slot
+// seen so far with a key above key, and a word whose first occupied key is
+// still above key is passed whole.
+func (n *dataNode) walkLeft(w int, key uint64, best, compares int) (int, bool, int) {
+	for ; w >= 0; w-- {
+		word := n.occ[w]
+		if word == 0 {
+			continue
+		}
+		if first := w<<6 + bits.TrailingZeros64(word); n.keys[first] > key {
+			compares += bits.OnesCount64(word)
+			best = first
+			continue
+		}
+		for {
+			k := w<<6 + 63 - bits.LeadingZeros64(word)
+			compares++
+			if n.keys[k] < key {
+				return best, false, compares
+			}
+			if n.keys[k] == key {
+				return k, true, compares
+			}
+			best = k
+			word &^= 1 << (uint(k) & 63)
+		}
+	}
+	return best, false, compares
 }
 
 // nodeFor routes a key to its data node index.
@@ -325,31 +395,28 @@ func (ix *Index) Insert(key, value uint64) {
 
 	if float64(n.size) > expandDensity*float64(len(n.keys)) {
 		ix.st.Splits++
-		ix.retrains++
 		ix.st.TrainWork += uint64(n.size)
 		if n.size > maxNodeSize {
 			ix.splitNode(ni)
 		} else {
-			n.rebuild(n.capacityFor(n.size * 2))
+			ix.rebuild(n, n.capacityFor(n.size*2))
 		}
 	}
 }
 
 // insertAt places key before the occupied slot `pos` (pos may be len for
-// append), shifting toward the nearest gap — the ALEX insert path.
+// append), shifting toward the nearest gap — the ALEX insert path. The node
+// has a gap: Insert expands or splits a node the moment it passes
+// expandDensity, and every (re)build leaves at least one.
 func (n *dataNode) insertAt(pos int, key, value uint64) {
 	c := len(n.keys)
-	if c == 0 {
-		n.loadSorted([]uint64{key}, []uint64{value})
-		return
-	}
+	n.size++
 	// A gap immediately left of pos can take the entry directly (order
 	// is preserved because slots (gapLeft, pos) are unoccupied).
 	if pos > 0 && !n.occ.test(pos-1) {
 		n.keys[pos-1] = key
 		n.vals[pos-1] = value
 		n.occ.set(pos - 1)
-		n.size++
 		return
 	}
 	// Find nearest gap right of pos, then shift [pos, gap) right by one.
@@ -362,29 +429,24 @@ func (n *dataNode) insertAt(pos int, key, value uint64) {
 		n.occ.set(gapR)
 		n.keys[pos] = key
 		n.vals[pos] = value
-		n.size++
 		return
 	}
 	// No gap to the right: find one to the left and shift left.
-	if gapL := n.occ.prevClear(pos - 1); gapL >= 0 {
-		copy(n.keys[gapL:pos-1], n.keys[gapL+1:pos])
-		copy(n.vals[gapL:pos-1], n.vals[gapL+1:pos])
-		n.occ.set(gapL)
-		n.keys[pos-1] = key
-		n.vals[pos-1] = value
-		n.size++
-		return
+	gapL := n.occ.prevClear(pos - 1)
+	if gapL < 0 {
+		panic("alex: insertAt on a full node")
 	}
-	// Completely full: expand then retry.
-	n.rebuild(n.capacityFor(n.size * 2))
-	slot, _, _ := n.search(key)
-	n.insertAt(slot, key, value)
+	copy(n.keys[gapL:pos-1], n.keys[gapL+1:pos])
+	copy(n.vals[gapL:pos-1], n.vals[gapL+1:pos])
+	n.occ.set(gapL)
+	n.keys[pos-1] = key
+	n.vals[pos-1] = value
 }
 
 // splitNode splits nodes[ni] into two equal halves.
 func (ix *Index) splitNode(ni int) {
 	n := ix.nodes[ni]
-	keys, vals := n.collect(make([]uint64, 0, n.size), make([]uint64, 0, n.size))
+	keys, vals := ix.collect(n)
 	mid := len(keys) / 2
 	left := newNode(keys[:mid], vals[:mid])
 	right := newNode(keys[mid:], vals[mid:])
@@ -412,34 +474,34 @@ func (ix *Index) Delete(key uint64) bool {
 	return true
 }
 
-// Scan implements index.Ordered.
+// Scan implements index.Ordered. It searches once, in lo's node; from that
+// slot on every occupied key is >= lo, so the rest is set bits in order.
 func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 	if hi < lo {
 		return 0
 	}
 	visited := 0
-	for ni := ix.nodeFor(lo); ni < len(ix.nodes); ni++ {
+	ni := ix.nodeFor(lo)
+	start, _, _ := ix.nodes[ni].search(lo)
+	for ; ni < len(ix.nodes); ni++ {
 		n := ix.nodes[ni]
-		start := 0
-		if ni == ix.nodeFor(lo) {
-			s, _, _ := n.search(lo)
-			start = s
-		}
-		for i := start; i < len(n.keys); i++ {
-			if !n.occ.test(i) {
-				continue
+		for w := start >> 6; w < len(n.occ); w++ {
+			word := n.occ[w]
+			if w == start>>6 {
+				word &= ^uint64(0) << (uint(start) & 63)
 			}
-			if n.keys[i] > hi {
-				return visited
-			}
-			if n.keys[i] < lo {
-				continue
-			}
-			visited++
-			if !fn(n.keys[i], n.vals[i]) {
-				return visited
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 + bits.TrailingZeros64(word)
+				if n.keys[i] > hi {
+					return visited
+				}
+				visited++
+				if !fn(n.keys[i], n.vals[i]) {
+					return visited
+				}
 			}
 		}
+		start = 0
 	}
 	return visited
 }

@@ -20,7 +20,7 @@ func TestNodeSplitting(t *testing.T) {
 	if ix.NodeCount() < 2 {
 		t.Fatalf("no splits after 50k inserts: %d nodes", ix.NodeCount())
 	}
-	if ix.Retrains() == 0 {
+	if ix.Stats().TrainWork == 0 {
 		t.Fatal("no retrain work recorded")
 	}
 	for _, k := range []uint64{0, 25000, 49999} {

@@ -407,32 +407,42 @@ func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 // walk is the one sorted merge of the main array and the delta: from main
 // position i and the first delta key >= lo, it hands fn every live pair
 // with key <= hi in key order — the delta overriding main on equal keys,
-// tombstoned keys skipped — until fn returns false.
+// tombstoned keys skipped — until fn returns false. It alternates between a
+// run of main keys below the next delta key and that delta pair; a delta key
+// is never tombstoned (Insert lifts the tombstone, Delete removes the key
+// from the delta first), so only main keys look the map up, and only while
+// it holds anything.
 func (ix *Index) walk(i int, lo, hi uint64, fn func(key, value uint64) bool) {
 	c := ix.delta.seek(lo)
-	for i < len(ix.keys) || c.valid() {
-		var k, v uint64
-		fromDelta := c.valid()
-		if fromDelta {
-			k, v = c.pair()
-			fromDelta = i >= len(ix.keys) || k <= ix.keys[i]
+	dead := len(ix.tombstones) > 0
+	for {
+		var dk, dv uint64
+		more := c.valid()
+		if more {
+			dk, dv = c.pair()
 		}
-		if fromDelta {
-			if i < len(ix.keys) && ix.keys[i] == k {
-				i++ // delta overrides main
+		for ; i < len(ix.keys) && (!more || ix.keys[i] < dk); i++ {
+			k := ix.keys[i]
+			if k > hi {
+				return
 			}
-			c.next()
-		} else {
-			k, v = ix.keys[i], ix.values[i]
-			i++
+			if dead {
+				if _, gone := ix.tombstones[k]; gone {
+					continue
+				}
+			}
+			if !fn(k, ix.values[i]) {
+				return
+			}
 		}
-		if k > hi {
+		if !more || dk > hi {
 			return
 		}
-		if _, dead := ix.tombstones[k]; dead {
-			continue
+		if i < len(ix.keys) && ix.keys[i] == dk {
+			i++ // delta overrides main
 		}
-		if !fn(k, v) {
+		c.next()
+		if !fn(dk, dv) {
 			return
 		}
 	}

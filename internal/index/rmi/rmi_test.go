@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/distgen"
@@ -145,5 +146,63 @@ func TestLookupFasterOnEasyData(t *testing.T) {
 	easy, hard := probe(easyKeys), probe(hardKeys)
 	if easy >= hard {
 		t.Fatalf("easy data compares (%d) not below hard data (%d)", easy, hard)
+	}
+}
+
+// TestWalkMergeCases puts the delta's keys before, between, on and after the
+// main array's, with and without tombstones, and checks walk's merged order,
+// bounds and early stop. Values tell the sides apart: main k*10, delta k*100.
+func TestWalkMergeCases(t *testing.T) {
+	type pair struct{ k, v uint64 }
+	top := ^uint64(0) // a variable, so the value products below wrap
+	for _, c := range []struct {
+		name             string
+		main, delta, rip []uint64 // rip: tombstoned main keys
+		lo, hi           uint64
+		limit            int
+		want             []pair
+	}{
+		{name: "main only", main: []uint64{10, 20, 30}, hi: 99, want: []pair{{10, 100}, {20, 200}, {30, 300}}},
+		{name: "delta only", delta: []uint64{5, 6}, hi: 99, want: []pair{{5, 500}, {6, 600}}},
+		{name: "both empty", hi: 99},
+		{name: "before", main: []uint64{10, 20}, delta: []uint64{1, 2}, hi: 99, want: []pair{{1, 100}, {2, 200}, {10, 100}, {20, 200}}},
+		{name: "between", main: []uint64{10, 20, 30}, delta: []uint64{15, 16, 25}, hi: 99,
+			want: []pair{{10, 100}, {15, 1500}, {16, 1600}, {20, 200}, {25, 2500}, {30, 300}}},
+		{name: "equal: delta overrides", main: []uint64{10, 20, 30}, delta: []uint64{20}, hi: 99, want: []pair{{10, 100}, {20, 2000}, {30, 300}}},
+		{name: "after", main: []uint64{10, 20}, delta: []uint64{21, 40}, hi: 99, want: []pair{{10, 100}, {20, 200}, {21, 2100}, {40, 4000}}},
+		{name: "tombstones", main: []uint64{10, 20, 30, 40}, delta: []uint64{5, 25, 50}, rip: []uint64{10, 30, 40}, hi: 99,
+			want: []pair{{5, 500}, {20, 200}, {25, 2500}, {50, 5000}}},
+		{name: "every main key dead", main: []uint64{10, 20}, delta: []uint64{15}, rip: []uint64{10, 20}, hi: 99, want: []pair{{15, 1500}}},
+		{name: "lo and hi cut both sides", main: []uint64{10, 20, 30, 40}, delta: []uint64{5, 25, 35, 50}, rip: []uint64{30}, lo: 20, hi: 35,
+			want: []pair{{20, 200}, {25, 2500}, {35, 3500}}},
+		{name: "hi stops inside a main run", main: []uint64{10, 20, 30}, delta: []uint64{99}, hi: 20, want: []pair{{10, 100}, {20, 200}}},
+		{name: "hi stops on a delta key", main: []uint64{10, 40}, delta: []uint64{20, 30}, hi: 29, want: []pair{{10, 100}, {20, 2000}}},
+		{name: "fn stops in main", main: []uint64{10, 20, 30}, delta: []uint64{25}, hi: 99, limit: 2, want: []pair{{10, 100}, {20, 200}}},
+		{name: "fn stops on delta", main: []uint64{10, 20, 30}, delta: []uint64{15}, hi: 99, limit: 2, want: []pair{{10, 100}, {15, 1500}}},
+		{name: "max key on both sides", main: []uint64{7, top}, delta: []uint64{top - 1}, hi: top,
+			want: []pair{{7, 70}, {top - 1, (top - 1) * 100}, {top, top * 10}}},
+	} {
+		ix := New(4)
+		for _, k := range c.main {
+			ix.keys, ix.values = append(ix.keys, k), append(ix.values, k*10)
+		}
+		for _, k := range c.delta {
+			ix.delta.put(k, k*100)
+		}
+		for _, k := range c.rip {
+			ix.tombstones[k] = struct{}{}
+		}
+		i := 0
+		for i < len(c.main) && c.main[i] < c.lo {
+			i++
+		}
+		var got []pair
+		ix.walk(i, c.lo, c.hi, func(k, v uint64) bool {
+			got = append(got, pair{k, v})
+			return len(got) != c.limit
+		})
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: walk = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -60,18 +60,6 @@ func (tl *Timeline) ThroughputSummary() stats.Summary {
 	return stats.Summarize(tl.ThroughputSeries())
 }
 
-// LatencyQuantileSeries returns the q-quantile latency per interval in
-// nanoseconds (0 for empty intervals).
-func (tl *Timeline) LatencyQuantileSeries(q float64) []int64 {
-	out := make([]int64, len(tl.lat))
-	for i, h := range tl.lat {
-		if h != nil {
-			out[i] = h.Quantile(q)
-		}
-	}
-	return out
-}
-
 // MergedLatency returns one histogram merging every interval.
 func (tl *Timeline) MergedLatency() *Histogram {
 	m := NewHistogram()

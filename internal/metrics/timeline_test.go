@@ -39,35 +39,12 @@ func TestTimelineSummary(t *testing.T) {
 	}
 }
 
-func TestTimelineLatencyQuantiles(t *testing.T) {
-	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 1, 100, 1000)
-	fillTimeline(tl, 1, 1, 100, 100000)
-	qs := tl.LatencyQuantileSeries(0.5)
-	if len(qs) != 2 {
-		t.Fatalf("series len = %d", len(qs))
-	}
-	if qs[0] >= qs[1] {
-		t.Fatalf("latency quantiles: %v", qs)
-	}
-}
-
 func TestTimelineMergedLatency(t *testing.T) {
 	tl := NewTimeline(1e9)
 	fillTimeline(tl, 0, 2, 50, 1000)
 	m := tl.MergedLatency()
 	if m.Count() != 100 {
 		t.Fatalf("merged count = %d", m.Count())
-	}
-}
-
-func TestTimelineEmptyIntervalQuantileZero(t *testing.T) {
-	tl := NewTimeline(1e9)
-	tl.Record(0, 500)
-	tl.Record(2.5e9, 500) // leaves interval 1 empty
-	qs := tl.LatencyQuantileSeries(0.5)
-	if qs[1] != 0 {
-		t.Fatalf("empty interval quantile = %d", qs[1])
 	}
 }
 

@@ -87,3 +87,60 @@ func TestPolicyVictimSequence(t *testing.T) {
 		}
 	}
 }
+
+// floodingHitRatio replays a hot/cold page access pattern — a 12-page hot
+// set re-touched between steps of a cold sweep over 116 more, the pattern
+// that floods a pure recency policy — against one pool configuration.
+func floodingHitRatio(t *testing.T, knobs PoolKnobs) float64 {
+	t.Helper()
+	f, err := Create(NewMemBackend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(f, knobs)
+	ids := make([]PageID, 128)
+	for i := range ids {
+		_, id, err := pool.Alloc(TypeLeaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(id, false)
+		ids[i] = id
+	}
+	if err := pool.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	base := pool.Counters()
+	for i := 0; i < 4000; i++ {
+		id := ids[12+(i*13)%116] // cold sweep
+		if i%2 == 0 {
+			id = ids[(i/2)%12] // hot set
+		}
+		if _, err := pool.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(id, false)
+	}
+	return pool.Counters().Sub(base).HitRatio()
+}
+
+// TestTwoQSurvivesFlooding: with room for the hot set but not the sweep,
+// plain recency (lru, and its clock approximation) loses the hot set to every
+// pass of the cold sweep while 2Q's probation queue shields it; once the whole
+// file is resident the policy no longer matters.
+func TestTwoQSurvivesFlooding(t *testing.T) {
+	for _, pages := range []int{16, 64} {
+		q := floodingHitRatio(t, PoolKnobs{Pages: pages, Policy: "2q"})
+		for _, policy := range []string{"lru", "clock"} {
+			if r := floodingHitRatio(t, PoolKnobs{Pages: pages, Policy: policy}); q < r+0.01 {
+				t.Errorf("%d pages: 2q hit ratio %.3f does not beat %s's %.3f under flooding", pages, q, policy, r)
+			}
+		}
+	}
+	all := floodingHitRatio(t, PoolKnobs{Pages: 256, Policy: "lru"})
+	for _, policy := range []string{"clock", "2q"} {
+		if r := floodingHitRatio(t, PoolKnobs{Pages: 256, Policy: policy}); r != all {
+			t.Errorf("256 pages hold the whole file, yet %s hits %.3f and lru %.3f", policy, r, all)
+		}
+	}
+}

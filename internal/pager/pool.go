@@ -37,18 +37,6 @@ func (k PoolKnobs) String() string {
 	return fmt.Sprintf("pool{pages=%d policy=%s}", k.Pages, k.Policy)
 }
 
-// PoolSpace enumerates the discrete pool knob space the tuner searches:
-// capacities spanning cache-starved to comfortable, times every policy.
-func PoolSpace() []PoolKnobs {
-	var out []PoolKnobs
-	for _, pages := range []int{16, 64, 256} {
-		for _, policy := range []string{"lru", "clock", "2q"} {
-			out = append(out, PoolKnobs{Pages: pages, Policy: policy})
-		}
-	}
-	return out
-}
-
 // Counters are the pool's work counters: the "why" behind a disk SUT's
 // throughput. Reads/writes count page-sized I/Os against the backend;
 // hits/misses count Get requests against the cache.
