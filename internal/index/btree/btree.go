@@ -5,6 +5,8 @@
 package btree
 
 import (
+	mathbits "math/bits"
+
 	"repro/internal/index"
 	"repro/internal/par"
 	"repro/internal/search"
@@ -106,14 +108,9 @@ func (n *inner) childFor(t *Tree, key uint64) (int, node) {
 	return i, n.children[i]
 }
 
-func bits(n int) int {
-	b := 1
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
+// bits is the comparison count charged for a binary search over n keys:
+// ⌊log2 n⌋ + 1, and 1 for an empty node.
+func bits(n int) int { return max(mathbits.Len(uint(n)), 1) }
 
 func (n *inner) get(t *Tree, key uint64) (uint64, bool) {
 	_, c := n.childFor(t, key)

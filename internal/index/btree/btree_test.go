@@ -17,6 +17,20 @@ func TestSmallOrderConformance(t *testing.T) {
 	indextest.Run(t, func() index.Ordered { return New(4) })
 }
 
+// TestBitsIsTheShiftLoop pins the comparison price of a node visit to the
+// loop it was first written as, over every node size a tree can hold.
+func TestBitsIsTheShiftLoop(t *testing.T) {
+	for n := 0; n <= DefaultOrder+1; n++ {
+		want := 1
+		for m := n; m > 1; m >>= 1 {
+			want++
+		}
+		if got := bits(n); got != want {
+			t.Errorf("bits(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
 func TestOrderClamped(t *testing.T) {
 	tr := New(1)
 	for k := uint64(0); k < 100; k++ {

@@ -40,6 +40,7 @@ type Tree struct {
 	pool  *pager.Pool
 	count int
 	st    index.Stats
+	path  []pager.PageID // Insert's root-to-parent scratch, kept across calls
 }
 
 // New opens (or initializes) a B+ tree on pool. A fresh file gets an empty
@@ -185,8 +186,8 @@ func (t *Tree) Get(key uint64) (uint64, bool) {
 
 // Insert implements index.Ordered.
 func (t *Tree) Insert(key, value uint64) {
-	var path []pager.PageID
-	pg, id := t.descend(key, &path)
+	t.path = t.path[:0]
+	pg, id := t.descend(key, &t.path)
 	i, ok := t.findSlot(pg, key)
 	if ok {
 		pg.SetCell(i, leafCell(key, value))
@@ -211,7 +212,7 @@ func (t *Tree) Insert(key, value uint64) {
 	t.pool.Unpin(id, true)
 	t.pool.Unpin(rightID, true)
 	t.setCount(t.count + 1)
-	t.propagate(path, sep, rightID)
+	t.propagate(t.path, sep, rightID)
 }
 
 // splitLeaf moves the upper half of left (pinned, full) into a fresh right

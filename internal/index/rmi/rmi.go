@@ -451,18 +451,6 @@ func (ix *Index) walk(i int, lo, hi uint64, fn func(key, value uint64) bool) {
 // DeltaLen reports the current delta-buffer size (for tests and reports).
 func (ix *Index) DeltaLen() int { return ix.delta.n }
 
-// MaxLeafError returns the largest trained last-mile error bound across
-// leaves — the distribution-difficulty signal Figure 1a explains.
-func (ix *Index) MaxLeafError() int {
-	m := 0
-	for _, l := range ix.leaves {
-		if l.err > m {
-			m = l.err
-		}
-	}
-	return m
-}
-
 var _ index.Ordered = (*Index)(nil)
 var _ index.BulkLoader = (*Index)(nil)
 var _ index.Trainable = (*Index)(nil)

@@ -206,3 +206,15 @@ func TestWalkMergeCases(t *testing.T) {
 		}
 	}
 }
+
+// MaxLeafError returns the largest trained last-mile error bound across
+// leaves — the distribution-difficulty signal Figure 1a explains.
+func (ix *Index) MaxLeafError() int {
+	m := 0
+	for _, l := range ix.leaves {
+		if l.err > m {
+			m = l.err
+		}
+	}
+	return m
+}

@@ -11,11 +11,7 @@
 // (adversarial or tiny inputs).
 package learnedsort
 
-import (
-	"sort"
-
-	"repro/internal/stats"
-)
+import "sort"
 
 // Model approximates the CDF of a key sample with an equi-width histogram
 // of linear splines: the domain [min,max] is cut into buckets; within each
@@ -207,13 +203,4 @@ func IsSorted(keys []uint64) bool {
 		}
 	}
 	return true
-}
-
-// Shuffled returns a deterministically shuffled copy of keys (test helper
-// exported for the benchmark harness).
-func Shuffled(keys []uint64, seed uint64) []uint64 {
-	out := append([]uint64(nil), keys...)
-	r := stats.NewRNG(seed)
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
 }

@@ -202,3 +202,11 @@ func BenchmarkStdSortUniform(b *testing.B) {
 		StdSort(buf)
 	}
 }
+
+// Shuffled returns a deterministically shuffled copy of keys.
+func Shuffled(keys []uint64, seed uint64) []uint64 {
+	out := append([]uint64(nil), keys...)
+	r := stats.NewRNG(seed)
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}

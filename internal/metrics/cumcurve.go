@@ -29,16 +29,6 @@ func (c *CumCurve) Add(t int64, completed int64) {
 	c.counts = append(c.counts, completed)
 }
 
-// AddCompletion records a single query completion at time t; the cumulative
-// count is maintained internally.
-func (c *CumCurve) AddCompletion(t int64) {
-	var next int64 = 1
-	if n := len(c.counts); n > 0 {
-		next = c.counts[n-1] + 1
-	}
-	c.Add(t, next)
-}
-
 // Len returns the number of recorded points.
 func (c *CumCurve) Len() int { return len(c.times) }
 

@@ -188,3 +188,13 @@ func TestAreaVsIdealBounded(t *testing.T) {
 		}
 	}
 }
+
+// AddCompletion records a single query completion at time t; the cumulative
+// count is maintained internally.
+func (c *CumCurve) AddCompletion(t int64) {
+	var next int64 = 1
+	if n := len(c.counts); n > 0 {
+		next = c.counts[n-1] + 1
+	}
+	c.Add(t, next)
+}

@@ -199,6 +199,7 @@ type File struct {
 	// state (allocations, root updates) the next checkpoint publishes.
 	published meta
 	working   meta
+	metaPage  Page // writeMeta's image, kept so a checkpoint allocates nothing
 }
 
 // Create initializes a fresh page file on backend (truncating whatever is
@@ -256,7 +257,7 @@ func Open(b Backend) (*File, error) {
 
 // writeMeta serializes m into meta slot (page 0 or 1).
 func (f *File) writeMeta(slot PageID, m meta) error {
-	var p Page
+	p := &f.metaPage
 	p.Reset(slot, TypeMeta)
 	pl := p.buf[HeaderSize:]
 	binary.LittleEndian.PutUint32(pl[0:], metaMagic)
@@ -265,7 +266,7 @@ func (f *File) writeMeta(slot PageID, m meta) error {
 	for i, r := range m.roots {
 		binary.LittleEndian.PutUint32(pl[16+4*i:], uint32(r))
 	}
-	return f.WritePage(slot, &p)
+	return f.WritePage(slot, p)
 }
 
 // readMeta loads and validates meta slot.

@@ -2,8 +2,8 @@ package pager
 
 // evictPolicy decides which resident page to evict. Implementations must
 // be deterministic: victim order may depend only on the admit/touch/remove
-// history, never on map iteration or randomness — the virtual-clock
-// benchmark requires identical counters on identical op sequences.
+// history, never on randomness — the virtual-clock benchmark requires
+// identical counters on identical op sequences.
 type evictPolicy interface {
 	// admit records a page entering the pool.
 	admit(id PageID)
@@ -20,11 +20,11 @@ type evictPolicy interface {
 func newPolicy(k PoolKnobs) evictPolicy {
 	switch k.Policy {
 	case "clock":
-		return newClock()
+		return &clockPolicy{}
 	case "2q":
 		return newTwoQ(k.Pages)
 	default:
-		return newLRU()
+		return &lruPolicy{ll: newIDList()}
 	}
 }
 
@@ -37,8 +37,9 @@ func newPolicy(k PoolKnobs) evictPolicy {
 // to itself): nodes[0].next is the front, nodes[0].prev the back.
 type idList struct {
 	nodes []idNode
-	free  int32 // head of the reuse chain through next; 0 = none
-	pos   map[PageID]int32
+	free  int32        // head of the reuse chain through next; 0 = none
+	pos   table[int32] // each ID's node; 0, the sentinel, = absent
+	n     int          // IDs in the list
 }
 
 type idNode struct {
@@ -46,11 +47,9 @@ type idNode struct {
 	id         PageID
 }
 
-func newIDList() idList {
-	return idList{nodes: make([]idNode, 1), pos: make(map[PageID]int32)}
-}
+func newIDList() idList { return idList{nodes: make([]idNode, 1)} }
 
-func (l *idList) len() int { return len(l.pos) }
+func (l *idList) len() int { return l.n }
 
 // pushFront adds id, which must not be in the list, at the front.
 func (l *idList) pushFront(id PageID) {
@@ -63,7 +62,8 @@ func (l *idList) pushFront(id PageID) {
 	}
 	l.nodes[i].id = id
 	l.linkFront(i)
-	l.pos[id] = i
+	l.pos.set(id, i)
+	l.n++
 }
 
 func (l *idList) linkFront(i int32) {
@@ -81,7 +81,7 @@ func (l *idList) unlink(i int32) {
 
 // moveToFront makes id the most recent; a no-op when id is absent.
 func (l *idList) moveToFront(id PageID) {
-	if i, ok := l.pos[id]; ok {
+	if i := l.pos.at(id); i != 0 {
 		l.unlink(i)
 		l.linkFront(i)
 	}
@@ -89,14 +89,15 @@ func (l *idList) moveToFront(id PageID) {
 
 // remove drops id and reports whether it was in the list.
 func (l *idList) remove(id PageID) bool {
-	i, ok := l.pos[id]
-	if !ok {
+	i := l.pos.at(id)
+	if i == 0 {
 		return false
 	}
 	l.unlink(i)
 	l.nodes[i].next = l.free
 	l.free = i
-	delete(l.pos, id)
+	l.pos[id] = 0
+	l.n--
 	return true
 }
 
@@ -120,8 +121,6 @@ type lruPolicy struct {
 	ll idList // front = most recent
 }
 
-func newLRU() *lruPolicy { return &lruPolicy{ll: newIDList()} }
-
 func (l *lruPolicy) admit(id PageID) { l.ll.pushFront(id) }
 
 func (l *lruPolicy) touch(id PageID) { l.ll.moveToFront(id) }
@@ -137,28 +136,27 @@ func (l *lruPolicy) remove(id PageID) { l.ll.remove(id) }
 // unreferenced page it meets. Cheaper bookkeeping than LRU, coarser
 // recency — the gap the cold-cache experiment surfaces.
 type clockPolicy struct {
-	ring []PageID // insertion ring; NilPage marks holes
-	ref  map[PageID]bool
-	pos  map[PageID]int
-	hand int
+	ring  []PageID          // insertion ring; NilPage marks holes
+	pages table[clockEntry] // by page number
+	hand  int
 }
 
-func newClock() *clockPolicy {
-	return &clockPolicy{ref: make(map[PageID]bool), pos: make(map[PageID]int)}
+// clockEntry is what the ring knows of one page.
+type clockEntry struct {
+	slot int32 // ring position + 1; 0 = not in the ring
+	ref  bool  // the reference bit
 }
 
 func (c *clockPolicy) admit(id PageID) {
-	// Reuse a hole if the hand is on one, else append. Holes are rare
-	// (remove punches them, the sweep reuses them) and scanning from the
-	// hand keeps placement deterministic.
-	c.pos[id] = len(c.ring)
+	// Always appended: holes are rare (remove punches them, the sweep
+	// compacts them), and placement stays deterministic.
 	c.ring = append(c.ring, id)
-	c.ref[id] = false
+	c.pages.set(id, clockEntry{slot: int32(len(c.ring))})
 }
 
 func (c *clockPolicy) touch(id PageID) {
-	if _, ok := c.pos[id]; ok {
-		c.ref[id] = true
+	if c.pages.at(id).slot != 0 {
+		c.pages[id].ref = true
 	}
 }
 
@@ -181,8 +179,8 @@ func (c *clockPolicy) victim(pinned func(PageID) bool) (PageID, bool) {
 			c.hand++
 			continue
 		}
-		if c.ref[id] {
-			c.ref[id] = false
+		if c.pages[id].ref {
+			c.pages[id].ref = false
 			c.hand++
 			continue
 		}
@@ -196,16 +194,15 @@ func (c *clockPolicy) compactHole() {
 	c.ring = append(c.ring[:c.hand], c.ring[c.hand+1:]...)
 	for i := c.hand; i < len(c.ring); i++ {
 		if c.ring[i] != NilPage {
-			c.pos[c.ring[i]] = i
+			c.pages[c.ring[i]].slot = int32(i) + 1
 		}
 	}
 }
 
 func (c *clockPolicy) remove(id PageID) {
-	if i, ok := c.pos[id]; ok {
-		c.ring[i] = NilPage // punch a hole; the sweep compacts it
-		delete(c.pos, id)
-		delete(c.ref, id)
+	if e := c.pages.at(id); e.slot != 0 {
+		c.ring[e.slot-1] = NilPage // punch a hole; the sweep compacts it
+		c.pages[id] = clockEntry{}
 	}
 }
 
@@ -231,15 +228,11 @@ type twoQPolicy struct {
 }
 
 func newTwoQ(capacity int) *twoQPolicy {
-	a1Max := capacity / 4
-	if a1Max < 1 {
-		a1Max = 1
-	}
 	return &twoQPolicy{
 		a1:       newIDList(),
 		am:       newIDList(),
 		ghost:    newIDList(),
-		a1Max:    a1Max,
+		a1Max:    max(capacity/4, 1),
 		ghostMax: 2 * capacity,
 	}
 }

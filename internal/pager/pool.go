@@ -2,7 +2,7 @@ package pager
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PoolKnobs configures a buffer pool — the new tuner target: capacity and
@@ -72,11 +72,36 @@ func (c Counters) Sub(prev Counters) Counters {
 	}
 }
 
+// table is a value per page number. Page numbers are file offsets divided
+// by the page size — dense small integers — so everything the pool and its
+// policies key by page is a slice indexed by PageID, never a map. A table
+// grows only for an ID the file verified or the pool issued, so it never
+// has more than File.PageCount entries.
+type table[T any] []T
+
+// at returns the value for id: the zero value for one never set.
+func (t table[T]) at(id PageID) (v T) {
+	if int(id) < len(t) {
+		v = t[id]
+	}
+	return v
+}
+
+// set stores v for id, growing the table (by append's doubling) to reach it.
+func (t *table[T]) set(id PageID, v T) {
+	if n := int(id) + 1 - len(*t); n > 0 {
+		*t = append(*t, make([]T, n)...)
+	}
+	(*t)[id] = v
+}
+
 // frame is one cached page. Frames are recycled: one that leaves the pool
 // (evicted, freed, or never filled because its read failed) backs the next
 // page admitted, so a *Page is the caller's only while it is pinned.
 type frame struct {
 	page  Page
+	id    PageID // the page held; stale once the frame is spare
+	slot  int    // the frame's index in Pool.slots
 	pins  int
 	dirty bool
 }
@@ -97,15 +122,19 @@ type frame struct {
 type Pool struct {
 	f      *File
 	knobs  PoolKnobs
-	frames map[PageID]*frame
-	spare  []*frame // frames out of the pool, contents dead
-	policy evictPolicy
+	frames table[*frame] // by page number; nil = not resident
+	// slots is every frame there is, at most knobs.Pages: the first
+	// resident of them hold pages, the rest are spare, contents dead.
+	slots    []*frame
+	resident int
+	ids      []PageID // heldIDs' result, reused
+	policy   evictPolicy
 	// pinned is what policy.victim skips by; built once so that a miss
 	// allocates no closure.
 	pinned func(PageID) bool
 	st     Counters
 
-	freeNow  []PageID // reusable, ascending (pop from the front)
+	freeNow  []PageID // reusable, descending (pop the lowest from the back)
 	freeNext []PageID // freed since last checkpoint, quarantined
 }
 
@@ -115,12 +144,11 @@ func NewPool(f *File, knobs PoolKnobs) *Pool {
 	p := &Pool{
 		f:      f,
 		knobs:  knobs,
-		frames: make(map[PageID]*frame, knobs.Pages),
-		spare:  make([]*frame, 0, knobs.Pages),
+		slots:  make([]*frame, 0, knobs.Pages),
 		policy: newPolicy(knobs),
 	}
 	p.pinned = func(id PageID) bool {
-		fr := p.frames[id]
+		fr := p.frames.at(id)
 		return fr == nil || fr.pins > 0
 	}
 	return p
@@ -137,9 +165,10 @@ func (p *Pool) Counters() Counters { return p.st }
 
 // Get returns page id pinned; the caller must Unpin it. A miss evicts (and
 // writes back) per the pool's policy, reads the page from the file, and
-// verifies its checksum.
+// verifies its checksum — all before any table is touched, so an ID past
+// the end of the file is refused without growing one.
 func (p *Pool) Get(id PageID) (*Page, error) {
-	if fr, ok := p.frames[id]; ok {
+	if fr := p.frames.at(id); fr != nil {
 		p.st.Hits++
 		fr.pins++
 		p.policy.touch(id)
@@ -151,20 +180,18 @@ func (p *Pool) Get(id PageID) (*Page, error) {
 	}
 	fr := p.takeFrame()
 	if err := p.f.ReadPage(id, &fr.page); err != nil {
-		p.spare = append(p.spare, fr)
-		return nil, err
+		return nil, err // fr was never admitted: still spare
 	}
 	p.st.PagesRead++
-	p.frames[id] = fr
-	p.policy.admit(id)
+	p.admit(id, fr)
 	return &fr.page, nil
 }
 
 // Unpin releases one pin on id; dirty marks the page modified so eviction
 // and Flush write it back.
 func (p *Pool) Unpin(id PageID, dirty bool) {
-	fr, ok := p.frames[id]
-	if !ok || fr.pins == 0 {
+	fr := p.frames.at(id)
+	if fr == nil || fr.pins == 0 {
 		panic(fmt.Sprintf("pager: unpin of unpinned page %d", id))
 	}
 	fr.pins--
@@ -183,9 +210,8 @@ func (p *Pool) Alloc(t PageType) (*Page, PageID, error) {
 		return nil, NilPage, err
 	}
 	var id PageID
-	if len(p.freeNow) > 0 {
-		id = p.freeNow[0]
-		p.freeNow = p.freeNow[1:]
+	if n := len(p.freeNow); n > 0 {
+		id, p.freeNow = p.freeNow[n-1], p.freeNow[:n-1]
 	} else {
 		id = PageID(p.f.working.pageCount)
 		p.f.working.pageCount++
@@ -193,8 +219,7 @@ func (p *Pool) Alloc(t PageType) (*Page, PageID, error) {
 	fr := p.takeFrame()
 	fr.dirty = true
 	fr.page.Reset(id, t)
-	p.frames[id] = fr
-	p.policy.admit(id)
+	p.admit(id, fr)
 	return &fr.page, id, nil
 }
 
@@ -202,13 +227,17 @@ func (p *Pool) Alloc(t PageType) (*Page, PageID, error) {
 // cached dirty state is discarded (its content is dead). The page enters
 // the quarantined set and becomes reusable only after the next checkpoint
 // — until then the published checkpoint may still reference it, and its
-// bytes must survive a crash.
+// bytes must survive a crash. Only a page Alloc could have issued can be
+// freed: a meta slot on the free-list would be handed out as a data page.
 func (p *Pool) Free(id PageID) error {
-	if fr, ok := p.frames[id]; ok {
+	if id < 2 || uint32(id) >= p.f.working.pageCount {
+		return fmt.Errorf("pager: freeing page %d outside [2,%d)", id, p.f.working.pageCount)
+	}
+	if fr := p.frames.at(id); fr != nil {
 		if fr.pins > 0 {
 			return fmt.Errorf("pager: freeing pinned page %d", id)
 		}
-		p.release(id, fr)
+		p.release(fr)
 	}
 	p.freeNext = append(p.freeNext, id)
 	return nil
@@ -217,10 +246,8 @@ func (p *Pool) Free(id PageID) error {
 // FreePages returns the free set (reusable + quarantined), ascending —
 // the consistency-audit view of the free-list.
 func (p *Pool) FreePages() []PageID {
-	out := make([]PageID, 0, len(p.freeNow)+len(p.freeNext))
-	out = append(out, p.freeNow...)
-	out = append(out, p.freeNext...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Concat(p.freeNow, p.freeNext)
+	slices.Sort(out)
 	return out
 }
 
@@ -229,14 +256,16 @@ func (p *Pool) FreePages() []PageID {
 // after reopening a file — the free-list can then never disagree with the
 // data that survived, regardless of where a crash landed.
 func (p *Pool) RebuildFreeList(reachable []PageID) {
-	live := make(map[PageID]bool, len(reachable))
+	live := make([]bool, p.f.working.pageCount)
 	for _, id := range reachable {
-		live[id] = true
+		if int(id) < len(live) {
+			live[id] = true
+		}
 	}
 	p.freeNow = p.freeNow[:0]
 	p.freeNext = p.freeNext[:0]
-	for id := uint32(2); id < p.f.working.pageCount; id++ {
-		if !live[PageID(id)] {
+	for id := len(live) - 1; id >= 2; id-- {
+		if !live[id] {
 			p.freeNow = append(p.freeNow, PageID(id))
 		}
 	}
@@ -250,7 +279,7 @@ func (p *Pool) CheckConsistency(reachable []PageID) error {
 		live = 1
 		free = 2
 	)
-	state := make(map[PageID]int, p.f.working.pageCount)
+	state := make([]uint8, p.f.working.pageCount)
 	for _, id := range reachable {
 		if id < 2 || uint32(id) >= p.f.working.pageCount {
 			return fmt.Errorf("pager: reachable page %d out of bounds [2,%d)", id, p.f.working.pageCount)
@@ -260,7 +289,7 @@ func (p *Pool) CheckConsistency(reachable []PageID) error {
 		}
 		state[id] = live
 	}
-	for _, id := range p.FreePages() {
+	for _, id := range p.FreePages() { // in bounds: Free refuses the rest
 		if state[id] == live {
 			return fmt.Errorf("pager: page %d is both reachable and free", id)
 		}
@@ -269,8 +298,8 @@ func (p *Pool) CheckConsistency(reachable []PageID) error {
 		}
 		state[id] = free
 	}
-	for id := uint32(2); id < p.f.working.pageCount; id++ {
-		if state[PageID(id)] == 0 {
+	for id := 2; id < len(state); id++ {
+		if state[id] == 0 {
 			return fmt.Errorf("pager: page %d is neither reachable nor free (orphan)", id)
 		}
 	}
@@ -280,7 +309,7 @@ func (p *Pool) CheckConsistency(reachable []PageID) error {
 // DropCache writes back dirty pages and empties the pool — the cold-cache
 // experiment hook. Fails if any page is pinned.
 func (p *Pool) DropCache() error {
-	for _, fr := range p.frames {
+	for _, fr := range p.slots[:p.resident] {
 		if fr.pins > 0 {
 			return fmt.Errorf("pager: dropping cache with pinned pages")
 		}
@@ -288,46 +317,63 @@ func (p *Pool) DropCache() error {
 	if err := p.Flush(); err != nil {
 		return err
 	}
-	// Sorted removal keeps policy-internal state (e.g. 2Q's ghost queue)
-	// deterministic — map iteration order must never leak into results.
-	ids := make([]PageID, 0, len(p.frames))
-	for id := range p.frames {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p.release(id, p.frames[id])
+	// Removal in page order keeps policy-internal state (e.g. 2Q's ghost
+	// queue) independent of which frame happens to hold which page.
+	for _, id := range p.heldIDs(false) {
+		p.release(p.frames[id])
 	}
 	return nil
 }
 
-// takeFrame returns a frame pinned once and clean, its page image
-// unspecified: the caller overwrites all of it (ReadPage) or resets it. A
-// new frame is allocated only while the pool has never been full — after
-// makeRoom fewer than knobs.Pages frames are resident, and an empty spare
-// stack means those are all the frames there are.
-func (p *Pool) takeFrame() *frame {
-	n := len(p.spare)
-	if n == 0 {
-		return &frame{pins: 1}
+// heldIDs returns the resident pages (the dirty ones only, if dirtyOnly),
+// ascending. It walks the pool's frames, never the table, so its cost is
+// the pool's size at any file size; the result is valid until the next call.
+func (p *Pool) heldIDs(dirtyOnly bool) []PageID {
+	p.ids = p.ids[:0]
+	for _, fr := range p.slots[:p.resident] {
+		if fr.dirty || !dirtyOnly {
+			p.ids = append(p.ids, fr.id)
+		}
 	}
-	fr := p.spare[n-1]
-	p.spare = p.spare[:n-1]
+	slices.Sort(p.ids)
+	return p.ids
+}
+
+// takeFrame returns the first spare frame pinned once and clean, its page
+// image unspecified: the caller overwrites all of it (ReadPage) or resets
+// it, then admits it. A new frame is allocated only while the pool has never
+// been full — after makeRoom fewer than knobs.Pages frames are resident.
+func (p *Pool) takeFrame() *frame {
+	if p.resident == len(p.slots) {
+		p.slots = append(p.slots, &frame{slot: len(p.slots)})
+	}
+	fr := p.slots[p.resident]
 	fr.pins, fr.dirty = 1, false
 	return fr
 }
 
-// release takes resident page id out of the pool and keeps its frame for
-// the next admission.
-func (p *Pool) release(id PageID, fr *frame) {
-	delete(p.frames, id)
-	p.policy.remove(id)
-	p.spare = append(p.spare, fr)
+// admit makes fr, the first spare frame now filled with page id, resident.
+func (p *Pool) admit(id PageID, fr *frame) {
+	fr.id = id
+	p.frames.set(id, fr)
+	p.resident++
+	p.policy.admit(id)
+}
+
+// release takes resident frame fr out of the pool: it trades slots with the
+// last resident frame and so becomes the first spare one.
+func (p *Pool) release(fr *frame) {
+	p.frames[fr.id] = nil
+	p.policy.remove(fr.id)
+	p.resident--
+	last := p.slots[p.resident]
+	p.slots[fr.slot], p.slots[last.slot] = last, fr
+	fr.slot, last.slot = last.slot, fr.slot
 }
 
 // makeRoom evicts until a frame slot is available.
 func (p *Pool) makeRoom() error {
-	for len(p.frames) >= p.knobs.Pages {
+	for p.resident >= p.knobs.Pages {
 		id, ok := p.policy.victim(p.pinned)
 		if !ok {
 			return fmt.Errorf("pager: pool of %d pages exhausted (all pinned)", p.knobs.Pages)
@@ -340,7 +386,7 @@ func (p *Pool) makeRoom() error {
 			p.st.DirtyWritebacks++
 			p.st.PagesWritten++
 		}
-		p.release(id, fr)
+		p.release(fr)
 		p.st.Evictions++
 	}
 	return nil
@@ -349,14 +395,7 @@ func (p *Pool) makeRoom() error {
 // Flush writes back every dirty page (in ascending page order, for
 // deterministic backend write sequences) without evicting.
 func (p *Pool) Flush() error {
-	ids := make([]PageID, 0, len(p.frames))
-	for id, fr := range p.frames {
-		if fr.dirty {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range p.heldIDs(true) {
 		fr := p.frames[id]
 		if err := p.f.WritePage(id, &fr.page); err != nil {
 			return err
@@ -388,6 +427,7 @@ func (p *Pool) Checkpoint() error {
 	// Quarantined pages are now unreferenced by any durable state.
 	p.freeNow = append(p.freeNow, p.freeNext...)
 	p.freeNext = p.freeNext[:0]
-	sort.Slice(p.freeNow, func(i, j int) bool { return p.freeNow[i] < p.freeNow[j] })
+	slices.Sort(p.freeNow)
+	slices.Reverse(p.freeNow)
 	return nil
 }

@@ -66,7 +66,7 @@ func TestBoxCSV(t *testing.T) {
 func makeCurve(n int, gap int64) *metrics.CumCurve {
 	c := &metrics.CumCurve{}
 	for i := 1; i <= n; i++ {
-		c.AddCompletion(int64(i) * gap)
+		c.Add(int64(i)*gap, int64(i))
 	}
 	return c
 }
