@@ -25,9 +25,9 @@ test:
 # and the real-time driver; the cluster's health/poll/anti-entropy loops,
 # which are genuinely concurrent with dispatch; the pager and disk LSM
 # crash-safety suites, which hammer the same pool the Fig 1f runs fan out
-# over; trace recording, which tees op streams off concurrently
-# dispatching workers; and the session driver test, which races real
-# workers over session-paced sources.
+# over; the real-time driver's after-the-fact trace recording, which
+# gathers op streams from concurrently dispatching workers; and the session
+# driver test, which races real workers over session-paced sources.
 test-race:
 	$(GO) test -race ./...
 
@@ -40,7 +40,7 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# loc prints the non-test Go line count ROADMAP item 1 tracks; loc-check is
+# loc prints the non-test Go line count ROADMAP item 2 tracks; loc-check is
 # the ratchet on it: the count may not exceed the number committed in
 # LOC_MAX. A PR that shrinks the tree lowers LOC_MAX to its own `make loc`;
 # one that must grow (a [benchmark] PR) raises it in the open.

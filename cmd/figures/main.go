@@ -465,7 +465,7 @@ func runOptDrift(w io.Writer, scale figures.Scale, seed uint64, _ string) error 
 		labels = append(labels, name)
 		curves = append(curves, r.Cumulative)
 		fmt.Fprintf(w, "%-18s %.0f q/s, train work %d, over-SLA after drift %.3fms\n",
-			name, r.Throughput(), r.TrainWork, float64(res.AdjustmentSpeed[name])/1e6)
+			name, r.Throughput(), r.OnlineTrainWork, float64(res.AdjustmentSpeed[name])/1e6)
 	}
 	fmt.Fprintln(w)
 	report.CumulativePlot(w, "cumulative queries (drift at midpoint)", labels, curves, 100, 14)

@@ -11,7 +11,9 @@
 //	lsbench -remote host:port   # drive a remote SUT (lsbench serve sut)
 //	lsbench serve sut|worker|coordinator [flags]  # the serving roles (serve.go)
 //	lsbench ... -faults spec    # inject a deterministic fault plan
-//	lsbench ... -record t.lstrace       # record the executed op stream
+//	lsbench ... -record t.lstrace       # write the op stream down: the
+//	                                    # materialized scenario, before
+//	                                    # any SUT runs
 //	lsbench ... -replay t.lstrace       # replay a recording verbatim
 //	lsbench ... -synth-from t.lstrace   # drive phases with load fitted
 //	                                    # from a recording (-repeat-frac
@@ -22,7 +24,9 @@
 //	                                          # with a per-session budget
 //
 // With -remote the scenario runs in real time over TCP via the concurrent
-// driver; otherwise it runs on the deterministic virtual clock.
+// driver; otherwise it runs on the deterministic virtual clock. Both hand a
+// core.Result to the same report path, so -csv works under either; a
+// session spec is refused under -remote (the driver ignores arrival gaps).
 //
 // -faults takes a fault.ParseSpec schedule, e.g.
 // "slow@10ms-30ms:factor=8;crash@50ms;error@70ms-80ms". On the virtual
@@ -35,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -83,74 +88,81 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		os.Exit(serveMain(os.Args[2:]))
 	}
+	if err := benchMain(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "lsbench:", err)
+		os.Exit(1)
+	}
+}
+
+// benchMain is `lsbench [flags]`: build the scenario, run it under one of
+// the two clocks, and hand whatever ran to the one report path.
+func benchMain(args []string) error {
+	fs := flag.NewFlagSet("lsbench", flag.ExitOnError)
 	var (
-		configPath = flag.String("config", "", "path to the scenario JSON config")
-		suts       = flag.String("suts", "btree,rmi,alex", "comma-separated SUTs: "+strings.Join(core.SUTNames(), ","))
-		csvDir     = flag.String("csv", "", "directory to write per-figure CSV files into")
-		example    = flag.Bool("example", false, "print an example config and exit")
-		remote     = flag.String("remote", "", "address of a netdriver server started by lsbench serve sut (real-time mode)")
-		workers    = flag.Int("workers", 4, "driver workers in -remote mode")
-		batch      = flag.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting")
-		faults     = flag.String("faults", "", "deterministic fault plan (kind@start-end:params;... with kinds slow,error,crash,drop,delay,stall)")
-		poolPages  = flag.Int("pool-pages", 64, "buffer-pool capacity in 4KiB pages for disk-backed SUTs")
-		poolPolicy = flag.String("pool-policy", "lru", "buffer-pool eviction policy for disk-backed SUTs: lru, clock, 2q")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		record     = flag.String("record", "", "record the executed op stream to this trace file (first SUT's run; with -remote, the driver run)")
-		replay     = flag.String("replay", "", "replay this recorded trace instead of the config's phases")
-		synthFrom  = flag.String("synth-from", "", "fit this recorded trace and drive the config's phases with synthesized lookalike load")
-		repeatFrac = flag.Float64("repeat-frac", 0, "with -synth-from: fraction of keys re-drawn from the recently issued window [0,1)")
-		driftKnob  = flag.Float64("drift-factor", -1, "override every controller drift clause's intensity D in [0,1] (-1 keeps the config's factors)")
-		session    = flag.String("session", "", "segment interactive sessions: gap=<dur>[,budget=<dur>] (e.g. gap=2ms,budget=50ms)")
+		configPath = fs.String("config", "", "path to the scenario JSON config")
+		suts       = fs.String("suts", "btree,rmi,alex", "comma-separated SUTs: "+strings.Join(core.SUTNames(), ","))
+		csvDir     = fs.String("csv", "", "directory to write per-figure CSV files into")
+		example    = fs.Bool("example", false, "print an example config and exit")
+		remote     = fs.String("remote", "", "address of a netdriver server started by lsbench serve sut (real-time mode)")
+		workers    = fs.Int("workers", 4, "driver workers in -remote mode")
+		batch      = fs.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting")
+		faults     = fs.String("faults", "", "deterministic fault plan (kind@start-end:params;... with kinds slow,error,crash,drop,delay,stall)")
+		poolPages  = fs.Int("pool-pages", 64, "buffer-pool capacity in 4KiB pages for disk-backed SUTs")
+		poolPolicy = fs.String("pool-policy", "lru", "buffer-pool eviction policy for disk-backed SUTs: lru, clock, 2q")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		record     = fs.String("record", "", "record the op stream to this trace file (the materialized scenario, written before any SUT runs; with -remote, what the driver's workers issued)")
+		replay     = fs.String("replay", "", "replay this recorded trace instead of the config's phases")
+		synthFrom  = fs.String("synth-from", "", "fit this recorded trace and drive the config's phases with synthesized lookalike load")
+		repeatFrac = fs.Float64("repeat-frac", 0, "with -synth-from: fraction of keys re-drawn from the recently issued window [0,1)")
+		driftKnob  = fs.Float64("drift-factor", -1, "override every controller drift clause's intensity D in [0,1] (-1 keeps the config's factors)")
+		session    = fs.String("session", "", "segment interactive sessions: gap=<dur>[,budget=<dur>] (e.g. gap=2ms,budget=50ms)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *example {
 		fmt.Println(exampleConfig)
-		return
+		return nil
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProf()
 	if *configPath == "" {
-		fmt.Fprintln(os.Stderr, "lsbench: -config is required (see -example)")
-		os.Exit(2)
+		return fmt.Errorf("-config is required (see -example)")
 	}
 	if *driftKnob > 1 {
-		fatal(fmt.Errorf("-drift-factor %v outside [0,1]", *driftKnob))
+		return fmt.Errorf("-drift-factor %v outside [0,1]", *driftKnob)
 	}
 	opts := config.Options{DriftFactor: *driftKnob}
 	if *session != "" {
 		spec, err := workload.ParseSessionSpec(*session)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		opts.Session = spec
 	}
 	scenario, err := config.LoadWith(*configPath, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	plan, err := fault.ParseSpec(*faults, scenario.Seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *replay != "" && *synthFrom != "" {
-		fatal(fmt.Errorf("-replay and -synth-from are mutually exclusive"))
+		return fmt.Errorf("-replay and -synth-from are mutually exclusive")
 	}
 	if *repeatFrac < 0 || *repeatFrac >= 1 {
-		fatal(fmt.Errorf("-repeat-frac %v outside [0,1)", *repeatFrac))
+		return fmt.Errorf("-repeat-frac %v outside [0,1)", *repeatFrac)
 	}
-	var so sourceOpts
-	so.record = *record
-	so.repeatFrac = *repeatFrac
+	so := sourceOpts{csvDir: *csvDir, record: *record, repeatFrac: *repeatFrac}
 	if *replay != "" {
 		tr, err := workload.ReadTraceFile(*replay)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if tr.Truncated {
 			fmt.Fprintf(os.Stderr, "lsbench: warning: %s has a torn tail, replaying the intact %d ops\n", *replay, tr.TotalOps())
@@ -160,33 +172,31 @@ func main() {
 	if *synthFrom != "" {
 		tr, err := workload.ReadTraceFile(*synthFrom)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		st := workload.FitTrace(tr, workload.FitOptions{})
 		if st.Ops == 0 {
-			fatal(fmt.Errorf("%s is empty, nothing to fit", *synthFrom))
+			return fmt.Errorf("%s is empty, nothing to fit", *synthFrom)
 		}
 		so.stats = st
 	}
 
 	if *remote != "" {
-		runRemote(scenario, *remote, *workers, *batch, plan, so)
-		return
+		return runRemote(scenario, *remote, *workers, *batch, plan, so)
 	}
+	knobs := pager.PoolKnobs{Pages: *poolPages, Policy: *poolPolicy}.Validate()
+	return runVirtual(scenario, strings.Split(*suts, ","), *batch, plan, knobs, so)
+}
 
-	// Virtual mode: -replay replaces the config's phases with the
-	// recording; -synth-from keeps the phase structure but swaps each
-	// phase's op source for a fitted synthesizer (the runner reseeds it
-	// per phase, so every SUT replays the identical synthetic stream).
+// runVirtual runs the scenario against each named SUT on the virtual clock
+// and reports.
+func runVirtual(scenario core.Scenario, suts []string, batch int, plan fault.Plan, knobs pager.PoolKnobs, so sourceOpts) error {
+	// -replay replaces the config's phases with the recording;
+	// -synth-from keeps the phase structure but swaps each phase's op
+	// source for a fitted synthesizer (reseeded per phase, so every SUT
+	// draws the identical synthetic stream).
 	if so.replay != nil {
-		scenario.Phases = nil
-		for pi, ph := range so.replay.Phases {
-			scenario.Phases = append(scenario.Phases, core.Phase{
-				Name:   ph.Name,
-				Ops:    len(ph.Ops),
-				Source: so.replay.PhaseReader(pi),
-			})
-		}
+		scenario = scenario.Replay(so.replay)
 	}
 	if so.stats != nil {
 		for pi := range scenario.Phases {
@@ -197,23 +207,33 @@ func main() {
 	// Head-to-head runs must replay identical inputs: stateful generators
 	// and arrival processes (drift controllers, session pacers, poisson)
 	// would otherwise advance between the per-SUT runs below. Pin the
-	// streams once; each run is then a pure replay.
-	if len(strings.Split(*suts, ",")) > 1 {
+	// streams once; each run is then a pure replay, and a recording is
+	// the pinned streams written down before the first of them.
+	if len(suts) > 1 || so.record != "" {
 		scenario = scenario.Materialize()
 	}
+	if so.record != "" {
+		tr, err := scenario.Trace()
+		if err == nil {
+			err = tr.WriteFile(so.record)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Printf("op stream recorded to %s\n\n", so.record)
+	}
 
-	poolKnobs := pager.PoolKnobs{Pages: *poolPages, Policy: *poolPolicy}.Validate()
 	var results []*core.Result
 	var injectors []*fault.Injector
-	for i, name := range strings.Split(*suts, ",") {
-		f, err := core.SUTByName(strings.TrimSpace(name), poolKnobs)
+	for _, name := range suts {
+		f, err := core.SUTByName(strings.TrimSpace(name), knobs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// One runner (and injector) per SUT: the injector rides each
 		// run's own virtual clock via the WrapSUT hook.
 		runner := core.NewRunner()
-		runner.Batch = *batch
+		runner.Batch = batch
 		var inj *fault.Injector
 		if !plan.Empty() {
 			runner.WrapSUT = func(s core.SUT, clock sim.Clock) core.SUT {
@@ -221,64 +241,34 @@ func main() {
 				return fault.Wrap(s, inj)
 			}
 		}
-		// Every SUT sees the same stream, so recording the first run
-		// captures the shared workload once.
-		var res *core.Result
-		run := func(tw *workload.TraceWriter) (err error) {
-			runner.TraceSink = tw
-			res, err = runner.Run(scenario, f())
-			return err
-		}
-		record := so.record != "" && i == 0
-		if record {
-			err = workload.RecordTraceFile(so.record, scenario.Name, scenario.Seed, run)
-		} else {
-			err = run(nil)
-		}
+		res, err := runner.Run(scenario, f())
 		if err != nil {
-			fatal(err)
-		}
-		if record {
-			fmt.Printf("op stream recorded to %s\n\n", so.record)
+			return err
 		}
 		results = append(results, res)
 		injectors = append(injectors, inj)
 	}
-	printReport(results, *csvDir)
-	printRobustness(results, injectors, plan)
+	return printReport(results, injectors, plan, 0, so.csvDir)
 }
 
-// printRobustness renders the Fig 1e robustness panel per SUT when a
-// fault plan was active.
-func printRobustness(results []*core.Result, injectors []*fault.Injector, plan fault.Plan) {
-	start, end, ok := plan.OpFaultSpan()
-	if !ok {
-		return
-	}
-	for i, r := range results {
-		report.RobustnessPanel(os.Stdout,
-			fmt.Sprintf("robustness — %s under %q (Fig 1e)", r.SUT, plan.String()),
-			r.Snapshot, r.Snapshot.Recovery(start, end, 0))
-		if inj := injectors[i]; inj != nil {
-			rep := inj.Report()
-			fmt.Printf("  fault ledger        slowed %d, failed %d, crashes %d (retrain work %d)\n",
-				rep.SlowedOps, rep.FailedOps, rep.Crashes, rep.CrashRetrainWork)
-		}
-		fmt.Println()
-	}
-}
-
-// sourceOpts carries the trace/synth CLI selections into the run paths.
+// sourceOpts carries the trace/synth/CSV CLI selections into the run paths.
 type sourceOpts struct {
+	csvDir     string
 	record     string
 	replay     *workload.Trace
 	stats      *workload.TraceStats
 	repeatFrac float64
 }
 
-func runRemote(scenario core.Scenario, addr string, workers, batch int, plan fault.Plan, so sourceOpts) {
+// runRemote drives one remote SUT in real time and reports through the
+// path runVirtual uses.
+func runRemote(scenario core.Scenario, addr string, workers, batch int, plan fault.Plan, so sourceOpts) error {
 	if so.replay == nil && len(scenario.Phases) != 1 {
-		fatal(fmt.Errorf("-remote mode supports single-phase scenarios"))
+		return fmt.Errorf("-remote mode supports single-phase scenarios")
+	}
+	if scenario.Session != nil {
+		return fmt.Errorf("-remote cannot segment sessions: the real-time driver ignores arrival gaps, so the gap of %s that opens a session is never observed (drop -session or the config's session clause, or run on the virtual clock)",
+			ns(scenario.Session.GapNs))
 	}
 	opts := netdriver.Options{}
 	var inj *fault.Injector
@@ -295,7 +285,7 @@ func runRemote(scenario core.Scenario, addr string, workers, batch int, plan fau
 	}
 	c, err := netdriver.DialOptions(addr, opts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer c.Close()
 	var sut core.SUT = c
@@ -329,7 +319,9 @@ func runRemote(scenario core.Scenario, addr string, workers, batch int, plan fau
 		spec = scenario.Phases[0].Workload
 		dopts.Ops = scenario.Phases[0].Ops
 	}
-	var res *driver.Result
+	// The driver is the one executor that records after the fact: its
+	// workers' streams may come from opaque Sources.
+	var res *core.Result
 	run := func(tw *workload.TraceWriter) (err error) {
 		dopts.TraceSink = tw
 		res, err = driver.Run(sut, spec, scenario.InitialData, scenario.InitialSize, dopts)
@@ -341,36 +333,24 @@ func runRemote(scenario core.Scenario, addr string, workers, batch int, plan fau
 		err = run(nil)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if so.record != "" {
 		fmt.Printf("op stream recorded to %s (one trace phase per worker)\n", so.record)
 	}
 	if cerr := c.Err(); cerr != nil {
-		fatal(fmt.Errorf("remote session failed mid-run (results incomplete): %w", cerr))
+		return fmt.Errorf("remote session failed mid-run (results incomplete): %w", cerr)
 	}
-	fmt.Printf("remote run against %s\n", addr)
-	fmt.Printf("  completed: %d ops in %.3fs (%.0f ops/s)\n",
-		res.Completed, float64(res.DurationNs)/1e9, res.Throughput())
-	fmt.Printf("  latency: p50=%s p99=%s max=%s (SLA %s, %.2f%% violations)\n",
-		ns(res.Latency.Quantile(0.5)), ns(res.Latency.Quantile(0.99)),
-		ns(res.Latency.Max()), ns(res.SLANs), res.Bands.ViolationRate()*100)
-	if inj != nil {
-		if start, end, ok := plan.OpFaultSpan(); ok {
-			report.RobustnessPanel(os.Stdout,
-				fmt.Sprintf("robustness — remote under %q (Fig 1e)", plan.String()),
-				res.Snapshot, res.Snapshot.Recovery(start, end, 0))
-		}
-		rep := inj.Report()
-		fmt.Printf("  fault ledger        failed %d, wire drops %d, wire delays %d, client retries %d\n",
-			rep.FailedOps, rep.WireDrops, rep.WireDelays, c.Retries())
-	}
+	res.Scenario = scenario.Name
+	fmt.Printf("remote run against %s (wall clock)\n", addr)
+	return printReport([]*core.Result{res}, []*fault.Injector{inj}, plan, c.Retries(), so.csvDir)
 }
 
-func printReport(results []*core.Result, csvDir string) {
-	if len(results) == 0 {
-		return
-	}
+// printReport is the one report path of both clocks: summary table, Fig
+// 1a/1b/1c panels, session and storage digests, CSVs, robustness. injectors
+// is parallel to results (nil entries: no fault plan); retries is the remote
+// client's retry count (0 on the virtual clock).
+func printReport(results []*core.Result, injectors []*fault.Injector, plan fault.Plan, retries int64, csvDir string) error {
 	fmt.Printf("scenario: %s\n\n", results[0].Scenario)
 
 	// Summary table.
@@ -394,8 +374,11 @@ func printReport(results []*core.Result, csvDir string) {
 	report.Table(os.Stdout, header, rows)
 	fmt.Println()
 
-	// Per-phase breakdown (the Figure 1a material).
+	// Per-phase breakdown (the Figure 1a material); a real-time run has none.
 	for _, r := range results {
+		if len(r.Phases) == 0 {
+			continue
+		}
 		fmt.Printf("%s phases:\n", r.SUT)
 		ph := []string{"phase", "ops/s", "completed", "retrain-work"}
 		var prows [][]string
@@ -461,34 +444,49 @@ func printReport(results []*core.Result, csvDir string) {
 	}
 
 	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			fatal(err)
+		files := map[string]func(io.Writer){
+			"fig1b.csv": func(w io.Writer) { report.CumulativeCSV(w, labels, curves, 500) },
 		}
-		writeCSV(filepath.Join(csvDir, "fig1b.csv"), func(f *os.File) {
-			report.CumulativeCSV(f, labels, curves, 500)
-		})
 		if haveStorage {
-			writeCSV(filepath.Join(csvDir, "storage.csv"), func(f *os.File) {
-				report.StorageCSV(f, results)
-			})
+			files["storage.csv"] = func(w io.Writer) { report.StorageCSV(w, results) }
 		}
 		for _, r := range results {
-			r := r
-			writeCSV(filepath.Join(csvDir, "fig1c-"+r.SUT+".csv"), func(f *os.File) {
-				report.BandCSV(f, r.Bands)
-			})
+			files["fig1c-"+r.SUT+".csv"] = func(w io.Writer) { report.BandCSV(w, r.Bands) }
+		}
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+			return err
+		}
+		for name, emit := range files {
+			f, err := os.Create(filepath.Join(csvDir, name))
+			if err != nil {
+				return err
+			}
+			emit(f)
+			if err := f.Close(); err != nil {
+				return err
+			}
 		}
 		fmt.Printf("CSV series written to %s\n", csvDir)
 	}
-}
 
-func writeCSV(path string, emit func(*os.File)) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
+	// Fig 1e robustness panel (when the plan has an op-fault span to recover
+	// from) and the one fault-ledger line, per run that had an injector.
+	start, end, hasSpan := plan.OpFaultSpan()
+	for i, r := range results {
+		inj := injectors[i]
+		if inj == nil {
+			continue
+		}
+		if hasSpan {
+			report.RobustnessPanel(os.Stdout,
+				fmt.Sprintf("robustness — %s under %q (Fig 1e)", r.SUT, plan.String()),
+				r.Snapshot, r.Snapshot.Recovery(start, end, 0))
+		}
+		rep := inj.Report()
+		fmt.Printf("  fault ledger        slowed %d, failed %d, crashes %d (retrain work %d), wire drops %d, wire delays %d, client retries %d\n\n",
+			rep.SlowedOps, rep.FailedOps, rep.Crashes, rep.CrashRetrainWork, rep.WireDrops, rep.WireDelays, retries)
 	}
-	defer f.Close()
-	emit(f)
+	return nil
 }
 
 // ns renders nanoseconds human-readably.
@@ -503,9 +501,4 @@ func ns(v int64) string {
 	default:
 		return fmt.Sprintf("%dns", v)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lsbench:", err)
-	os.Exit(1)
 }

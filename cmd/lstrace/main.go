@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	lstrace record -config scenario.json -o run.lstrace [-sut btree] [-batch n]
-//	    run the scenario on the virtual clock, recording the exact op
-//	    stream each phase executes
+//	lstrace record -config scenario.json -o run.lstrace
+//	    materialize the scenario and write down the exact op stream every
+//	    run of it issues (no SUT runs: the stream is decided before one does)
 //	lstrace inspect run.lstrace
 //	    print the trace's header, phase layout, op mix, and gap summary
 //	lstrace fit run.lstrace [-topk n] [-buckets n]
@@ -30,11 +30,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/pager"
 	"repro/internal/workload"
 )
 
@@ -70,10 +67,8 @@ func fatal(err error) {
 
 func cmdRecord(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	configPath := fs.String("config", "", "scenario JSON config to run")
+	configPath := fs.String("config", "", "scenario JSON config to materialize")
 	out := fs.String("o", "", "trace file to write")
-	sut := fs.String("sut", "btree", "SUT to execute the run (the recorded stream is SUT-independent): "+strings.Join(core.SUTNames(), ","))
-	batch := fs.Int("batch", 0, "op-dispatch batch size")
 	fs.Parse(args)
 	if *configPath == "" || *out == "" {
 		fatal(fmt.Errorf("record needs -config and -o"))
@@ -82,23 +77,14 @@ func cmdRecord(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	f, err := core.SUTByName(*sut, pager.DefaultPoolKnobs())
+	tr, err := scenario.Materialize().Trace()
+	if err == nil {
+		err = tr.WriteFile(*out)
+	}
 	if err != nil {
 		fatal(err)
 	}
-	runner := core.NewRunner()
-	runner.Batch = *batch
-	var res *core.Result
-	err = workload.RecordTraceFile(*out, scenario.Name, scenario.Seed, func(tw *workload.TraceWriter) (err error) {
-		runner.TraceSink = tw
-		res, err = runner.Run(scenario, f())
-		return err
-	})
-	if err != nil {
-		os.Remove(*out)
-		fatal(err)
-	}
-	fmt.Printf("recorded %d ops (%d phases) to %s\n", res.Completed+res.Outcomes.Failed, len(res.Phases), *out)
+	fmt.Printf("recorded %d ops (%d phases) to %s\n", tr.TotalOps(), len(tr.Phases), *out)
 }
 
 func cmdInspect(args []string) {
@@ -200,7 +186,6 @@ func cmdSynth(args []string) {
 		return nil
 	})
 	if err != nil {
-		os.Remove(*out)
 		fatal(err)
 	}
 	fmt.Printf("synthesized %d ops from %s (repeat-frac %.2f) to %s\n", *n, *from, *repeatFrac, *out)
@@ -228,15 +213,9 @@ func cmdImport(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	gaps := make([]int64, len(ops))
-
-	err = workload.RecordTraceFile(*out, *name, *seed, func(tw *workload.TraceWriter) error {
-		tw.BeginPhase(0, "import", len(ops))
-		tw.Append(ops, gaps)
-		return nil
-	})
+	err = (&workload.Trace{Name: *name, Seed: *seed, Phases: []workload.TracePhase{
+		{Name: "import", DeclaredOps: len(ops), Ops: ops}}}).WriteFile(*out)
 	if err != nil {
-		os.Remove(*out)
 		fatal(err)
 	}
 	fmt.Printf("imported %d YCSB ops to %s\n", len(ops), *out)

@@ -38,7 +38,7 @@ func main() {
 		fmt.Printf("SLA %dns; over-SLA after the drift: %.3fms\n",
 			r.SLANs, float64(res.AdjustmentSpeed[name])/1e6)
 		fmt.Printf("training work: %d units (label collection + bandit updates)\n",
-			r.TrainWork)
+			r.OnlineTrainWork)
 		report.BandChart(os.Stdout, "SLA bands", r.Bands, 8)
 		fmt.Println()
 	}

@@ -72,12 +72,7 @@ func main() {
 		InitialSize: 20_000,
 		TrainBefore: true,
 		IntervalNs:  1_000_000,
-	}
-	for pi, ph := range tr.Phases {
-		sc.Phases = append(sc.Phases, core.Phase{
-			Name: ph.Name, Ops: len(ph.Ops), Source: tr.PhaseReader(pi),
-		})
-	}
+	}.Replay(tr)
 	res, err := core.NewRunner().Run(sc, core.NewBTreeSUT())
 	must(err)
 	local, err := report.MarshalResult(res)

@@ -125,7 +125,11 @@ func TestRecordSynthesizeBenchmark(t *testing.T) {
 
 // TestNetworkDriverMatchesVirtualSemantics runs the same single-phase
 // workload against a local SUT (virtual clock) and a remote SUT (real
-// clock over TCP) and checks they agree on every non-timing observable.
+// clock over TCP, one worker) and checks they agree on every non-timing
+// observable — the outcome tallies and the final database — and that both
+// results are one type through one marshaller. (That the driver's one
+// worker issues the virtual run's phase 0 op for op is internal/driver's
+// TestRunSpecStreamsDecidedBeforeStart.)
 func TestNetworkDriverMatchesVirtualSemantics(t *testing.T) {
 	srv, err := netdriver.Serve("127.0.0.1:0", core.NewBTreeSUT)
 	if err != nil {
@@ -133,11 +137,16 @@ func TestNetworkDriverMatchesVirtualSemantics(t *testing.T) {
 	}
 	defer srv.Close()
 
-	spec := workload.Spec{
-		Mix:    workload.Balanced,
-		Access: distgen.Static{G: distgen.NewUniform(13, 0, 1<<30)},
+	scenario := func() core.Scenario {
+		return core.Scenario{
+			Name: "net-vs-virtual", Seed: 15,
+			InitialData: distgen.NewUniform(14, 0, 1<<30), InitialSize: 2000,
+			Phases: []core.Phase{{Name: "p", Ops: 3000, Workload: workload.Spec{
+				Mix:    workload.Balanced,
+				Access: distgen.Static{G: distgen.NewUniform(13, 0, 1<<30)},
+			}}},
+		}
 	}
-	initial := distgen.NewUniform(14, 0, 1<<30)
 
 	// Remote, real clock.
 	client, err := netdriver.Dial(srv.Addr())
@@ -145,32 +154,34 @@ func TestNetworkDriverMatchesVirtualSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	remote, err := driver.Run(client, spec, initial, 2000,
-		driver.Options{Workers: 1, Ops: 3000, Seed: 15})
+	rs := scenario()
+	remote, err := driver.Run(client, rs.Phases[0].Workload, rs.InitialData, rs.InitialSize,
+		driver.Options{Workers: 1, Ops: 3000, Seed: rs.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Local, virtual clock — identical op stream (same seed derivation
-	// as driver.Run uses for worker 0).
+	// Local, virtual clock: the same scenario, whose phase 0 is worker 0's
+	// stream.
 	localSUT := core.NewBTreeSUT()
-	keys := distgen.UniqueKeys(distgen.NewUniform(14, 0, 1<<30), 2000)
-	localSUT.Load(keys, core.LoadValues(keys))
-	// Worker 0 of driver.Run derives its stream as seed + 0*7919 + 1.
-	gen := workload.NewGenerator(spec, 15+1)
-	for i := 0; i < 3000; i++ {
-		localSUT.Do(gen.Next(float64(i) / 3000))
+	local, err := core.NewRunner().Run(scenario(), localSUT)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if remote.Completed != 3000 {
-		t.Fatalf("remote completed %d", remote.Completed)
+	if remote.Completed != 3000 || remote.Outcomes.Found != local.Outcomes.Found ||
+		remote.Outcomes.NotFound != local.Outcomes.NotFound {
+		t.Fatalf("outcomes diverge: remote %d ops %+v, local %+v", remote.Completed, remote.Outcomes, local.Outcomes)
 	}
-	// The remote run used the same generator stream; spot-check final
-	// database size equivalence via a full scan on both sides.
 	remoteScan := client.Do(workload.Op{Type: workload.Scan, Key: 0, ScanLimit: 1 << 30})
 	localScan := localSUT.Do(workload.Op{Type: workload.Scan, Key: 0, ScanLimit: 1 << 30})
 	if remoteScan.Visited != localScan.Visited {
 		t.Fatalf("diverged databases: remote %d keys, local %d keys",
 			remoteScan.Visited, localScan.Visited)
+	}
+	for _, r := range []*core.Result{remote, local} {
+		if data, err := report.MarshalResult(r); err != nil || !strings.Contains(string(data), `"completed": 3000`) {
+			t.Fatalf("result does not marshal: %v\n%s", err, data)
+		}
 	}
 }
 

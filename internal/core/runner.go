@@ -60,8 +60,11 @@ func (p PhaseResult) Throughput() float64 {
 	return float64(p.Completed) / (float64(d) / 1e9)
 }
 
-// Result is the full outcome of one scenario run against one SUT,
-// carrying every metric family of Figure 1.
+// Result is the full outcome of one run against one SUT, carrying every
+// metric family of Figure 1. All three executors return it — Runner.Run,
+// RunSQL and the real-time driver.Run — so one report layer serves them;
+// an executor leaves zero what it has no notion of (the driver trains
+// nothing, RunSQL has no per-phase breakdown).
 type Result struct {
 	Scenario string
 	SUT      string
@@ -146,14 +149,6 @@ type Runner struct {
 	// middleware that needs the run's own clock (fault.Wrap). A wrapper
 	// returning its argument unchanged leaves the run untouched.
 	WrapSUT func(sut SUT, clock sim.Clock) SUT
-	// TraceSink, when set, records the exact operation/gap stream each
-	// phase executes (whatever its source — generator, pinned trace, or
-	// replay) into the writer, one BeginPhase per phase. The recorded
-	// trace replayed through workload.TraceReader sources reproduces the
-	// run byte-for-byte. The writer is not safe for concurrent runs: set
-	// it only on a runner executing a single Run (not RunAll with
-	// Parallel > 1).
-	TraceSink *workload.TraceWriter
 }
 
 // NewRunner returns a runner with the default cost model.
@@ -247,25 +242,7 @@ func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
 			}
 		}
 
-		// Select the phase's op source. A pinned trace replays verbatim;
-		// an explicit Source (trace replay, synthesizer, …) is reset to
-		// the phase's derived seed; otherwise the spec's generator and
-		// arrival process are wrapped in a GeneratorSource — drawing the
-		// byte-identical stream the pre-Source runner drew inline.
-		var src workload.Source
-		switch {
-		case phase.Trace != nil:
-			src = workload.NewTraceReader(phase.Name, phase.Trace.Ops, phase.Trace.Gaps)
-		case phase.Source != nil:
-			src = phase.Source
-			src.Reset(workload.PhaseSeed(s.Seed, pi))
-		default:
-			src = workload.NewSource(phase.Workload, phase.Arrival, workload.PhaseSeed(s.Seed, pi))
-		}
-		if r.TraceSink != nil {
-			r.TraceSink.BeginPhase(pi, phase.Name, phase.Ops)
-			src = workload.Record(src, r.TraceSink)
-		}
+		src := phase.source(workload.PhaseSeed(s.Seed, pi))
 
 		// Single-server queue in virtual time. Operations are generated
 		// and dispatched in batches; generation draws (op stream, arrival

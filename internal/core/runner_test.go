@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -267,6 +268,39 @@ func TestRunnerValidation(t *testing.T) {
 	for i, s := range bad {
 		if _, err := r.Run(s, NewBTreeSUT()); err == nil {
 			t.Fatalf("scenario %d: no validation error", i)
+		}
+	}
+}
+
+// TestScenarioTraceReplay: Trace and Replay are inverses on a materialized
+// scenario, and Trace refuses what would not be a recording of a run — a
+// scenario that is still live, one that does not validate, and one whose
+// bounded source drained before the phase's op count.
+func TestScenarioTraceReplay(t *testing.T) {
+	s := shiftScenario().Materialize()
+	tr, err := s.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Name != s.Name || tr.Seed != s.Seed || len(tr.Phases) != 2 || tr.TotalOps() != 8000 ||
+		tr.Phases[1].Index != 1 || tr.Phases[1].Name != "shifted" || tr.Phases[1].DeclaredOps != 4000 {
+		t.Fatalf("trace identity: %q seed %d, %d phases, %d ops", tr.Name, tr.Seed, len(tr.Phases), tr.TotalOps())
+	}
+	back := quickScenario(1).Replay(tr)
+	for pi, p := range back.Phases {
+		if p.Name != s.Phases[pi].Name || p.Ops != s.Phases[pi].Ops || p.Source != nil ||
+			!reflect.DeepEqual(p.Trace.Ops, s.Phases[pi].Trace.Ops) || !reflect.DeepEqual(p.Trace.Gaps, s.Phases[pi].Trace.Gaps) {
+			t.Fatalf("phase %d did not survive Trace → Replay", pi)
+		}
+	}
+
+	short := quickScenario(10)
+	short.Phases[0].Source = workload.NewTraceReader("short", make([]workload.Op, 4), nil)
+	for name, bad := range map[string]Scenario{
+		"live": shiftScenario(), "invalid": Scenario{}.Materialize(), "drained source": short.Materialize(),
+	} {
+		if _, err := bad.Trace(); err == nil {
+			t.Errorf("%s scenario: Trace returned no error", name)
 		}
 	}
 }

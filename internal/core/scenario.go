@@ -39,12 +39,26 @@ type Phase struct {
 	Source workload.Source
 }
 
-// PhaseTrace is a materialized phase input: the exact operations and
-// inter-arrival gaps, in issue order.
-type PhaseTrace struct {
-	Ops  []workload.Op
-	Gaps []int64
+// source returns the phase's op source rewound to seed — the one place
+// that decides where a phase's ops come from, for a live run and for
+// Materialize alike. A pinned trace replays verbatim; an explicit Source
+// (trace replay, synthesizer, …) is reset to the seed; otherwise the spec's
+// generator and arrival process are wrapped in a GeneratorSource.
+func (p Phase) source(seed uint64) workload.Source {
+	switch {
+	case p.Trace != nil:
+		return workload.NewTraceReader(p.Name, p.Trace.Ops, p.Trace.Gaps)
+	case p.Source != nil:
+		p.Source.Reset(seed)
+		return p.Source
+	}
+	return workload.NewSource(p.Workload, p.Arrival, seed)
 }
+
+// PhaseTrace is a materialized phase input: the exact operations and
+// inter-arrival gaps, in issue order — the same value a decoded trace file
+// holds per phase, so a pinned phase and a recorded one are one type.
+type PhaseTrace = workload.TracePhase
 
 // Scenario is a full benchmark configuration: initial database, training
 // budget, and a sequence of phases. It mirrors the configuration surface
@@ -95,17 +109,10 @@ func (s Scenario) Materialize() Scenario {
 	copy(phases, s.Phases)
 	for pi := range phases {
 		p := &phases[pi]
-		if p.Trace != nil || p.Ops <= 0 {
+		if p.Trace != nil || p.Ops <= 0 || (p.Source == nil && p.Workload.Access == nil) {
 			continue
 		}
-		src := p.Source
-		if src == nil {
-			if p.Workload.Access == nil {
-				continue
-			}
-			src = workload.NewSource(p.Workload, p.Arrival, 0)
-		}
-		src.Reset(workload.PhaseSeed(s.Seed, pi))
+		src := p.source(workload.PhaseSeed(s.Seed, pi))
 		tr := &PhaseTrace{
 			Ops:  make([]workload.Op, p.Ops),
 			Gaps: make([]int64, p.Ops),
@@ -119,6 +126,38 @@ func (s Scenario) Materialize() Scenario {
 		p.Source = nil
 	}
 	s.Phases = phases
+	return s
+}
+
+// Trace returns a materialized scenario's op streams as a workload.Trace.
+// Generation never depends on execution, so this is what every run of the
+// scenario issues: writing it down before the first SUT runs is the
+// recording of all of them. It refuses a scenario that would not run or
+// that still has an unpinned phase.
+func (s Scenario) Trace() (*workload.Trace, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	tr := &workload.Trace{Name: s.Name, Seed: s.Seed}
+	for pi, p := range s.Phases {
+		if p.Trace == nil {
+			return nil, fmt.Errorf("core: scenario %q phase %d is not materialized", s.Name, pi)
+		}
+		tr.Phases = append(tr.Phases, workload.TracePhase{
+			Index: pi, Name: p.Name, DeclaredOps: p.Ops, Ops: p.Trace.Ops, Gaps: p.Trace.Gaps,
+		})
+	}
+	return tr, nil
+}
+
+// Replay returns the scenario with its phases replaced by the trace's, each
+// pinned to its recorded stream — the inverse of Trace. A trace carries
+// streams only: the replayed phases have no retrain windows.
+func (s Scenario) Replay(tr *workload.Trace) Scenario {
+	s.Phases = nil
+	for pi, ph := range tr.Phases {
+		s.Phases = append(s.Phases, Phase{Name: ph.Name, Ops: len(ph.Ops), Trace: &tr.Phases[pi]})
+	}
 	return s
 }
 

@@ -102,29 +102,6 @@ func (s *SteeredOptimizer) Execute(q optimizer.Query) (int, error) {
 	return c, nil
 }
 
-// SQLRunResult carries the metrics of a SQL workload run — the same metric
-// families as the KV runner (one shared metrics.Snapshot), so the report
-// layer is shared.
-type SQLRunResult struct {
-	System string
-	metrics.Snapshot
-	DurationNs int64
-	TrainWork  int64
-	// ChangeAt is the virtual time of the database drift instant (0 if
-	// the run had none).
-	ChangeAt int64
-	// PostChangeLatencies feed the adjustment-speed metric.
-	PostChangeLatencies []int64
-}
-
-// Throughput returns queries/second over the run.
-func (r *SQLRunResult) Throughput() float64 {
-	if r.DurationNs <= 0 {
-		return 0
-	}
-	return float64(r.Completed) / (float64(r.DurationNs) / 1e9)
-}
-
 // SQLScenario drives a query stream against a QuerySystem with an optional
 // mid-run database mutation (data drift).
 type SQLScenario struct {
@@ -144,8 +121,11 @@ type SQLScenario struct {
 }
 
 // RunSQL executes the scenario on the virtual clock: each query's service
-// time is its rows-touched cost priced by the cost model.
-func RunSQL(s SQLScenario, sys QuerySystem, cm sim.CostModel) (*SQLRunResult, error) {
+// time is its rows-touched cost priced by the cost model. The Result's
+// OnlineTrainWork is the system's learning work; a mid-run mutation is its
+// second PhaseStarts entry, and the latencies after it are its one
+// PostChangeLatencies row.
+func RunSQL(s SQLScenario, sys QuerySystem, cm sim.CostModel) (*Result, error) {
 	if s.N <= 0 || s.Queries == nil {
 		return nil, fmt.Errorf("core: SQL scenario %q incomplete", s.Name)
 	}
@@ -154,7 +134,7 @@ func RunSQL(s SQLScenario, sys QuerySystem, cm sim.CostModel) (*SQLRunResult, er
 		interval = 1_000_000
 	}
 	clock := &sim.Virtual{}
-	res := &SQLRunResult{System: sys.Name()}
+	res := &Result{Scenario: s.Name, SUT: sys.Name(), PhaseStarts: []int64{0}}
 	mutateAfter := -1
 	if s.MutateAt > 0 && s.MutateAt < 1 && s.Mutate != nil {
 		mutateAfter = int(s.MutateAt * float64(s.N))
@@ -175,7 +155,8 @@ func RunSQL(s SQLScenario, sys QuerySystem, cm sim.CostModel) (*SQLRunResult, er
 	for i := 0; i < s.N; i++ {
 		if i == mutateAfter {
 			s.Mutate()
-			res.ChangeAt = clock.Now()
+			res.PhaseStarts = append(res.PhaseStarts, clock.Now())
+			res.PostChangeLatencies = make([][]int64, 1)
 		}
 		work, err := sys.Execute(s.Queries(i, s.N))
 		if err != nil {
@@ -184,12 +165,12 @@ func RunSQL(s SQLScenario, sys QuerySystem, cm sim.CostModel) (*SQLRunResult, er
 		service := cm.ServiceTime(int64(work))
 		clock.Advance(service)
 		col.Record(clock.Now(), service)
-		if res.ChangeAt > 0 {
-			res.PostChangeLatencies = append(res.PostChangeLatencies, service)
+		if res.PostChangeLatencies != nil {
+			res.PostChangeLatencies[0] = append(res.PostChangeLatencies[0], service)
 		}
 	}
 	res.Snapshot = col.Snapshot()
 	res.DurationNs = clock.Now()
-	res.TrainWork = sys.TrainWork()
+	res.OnlineTrainWork = sys.TrainWork()
 	return res, nil
 }

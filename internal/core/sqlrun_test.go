@@ -63,7 +63,7 @@ func TestRunSQLStatic(t *testing.T) {
 	if total != 300 {
 		t.Fatalf("bands cover %d ops", total)
 	}
-	if res.TrainWork != 0 {
+	if res.OnlineTrainWork != 0 {
 		t.Fatal("static optimizer charged training")
 	}
 	if res.Throughput() <= 0 {
@@ -90,7 +90,7 @@ func TestRunSQLSteeredLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TrainWork <= 0 {
+	if res.OnlineTrainWork <= 0 {
 		t.Fatal("steered optimizer reported no training work")
 	}
 	if l.FeedbackCount() == 0 {
@@ -127,11 +127,11 @@ func TestRunSQLMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ChangeAt <= 0 || res.ChangeAt >= res.DurationNs {
-		t.Fatalf("change instant %d outside run", res.ChangeAt)
+	if len(res.PhaseStarts) != 2 || res.PhaseStarts[1] <= 0 || res.PhaseStarts[1] >= res.DurationNs {
+		t.Fatalf("change instant %v outside run", res.PhaseStarts)
 	}
-	if len(res.PostChangeLatencies) != 200 {
-		t.Fatalf("post-change latencies = %d", len(res.PostChangeLatencies))
+	if len(res.PostChangeLatencies) != 1 || len(res.PostChangeLatencies[0]) != 200 {
+		t.Fatalf("post-change latencies = %d rows", len(res.PostChangeLatencies))
 	}
 }
 

@@ -47,8 +47,10 @@ type Options struct {
 	// batch's wall latency, since the batch is the unit of service.
 	Batch int
 	// Sources, when set, supplies each worker's operation stream (trace
-	// replay, synthesized load, …) instead of a per-worker generator over
-	// the Spec; the Spec's access distribution may then be nil. A bounded
+	// replay, synthesized load, …) instead of the worker's share of the
+	// Spec drawn and pinned before the run starts (worker w's stream is
+	// workload.NewSource(spec, nil, workload.PhaseSeed(Seed, w))'s first
+	// share); the Spec's access distribution may then be nil. A bounded
 	// source that drains before the worker's op budget simply ends that
 	// worker's stream early. Workers run in real time and ignore the
 	// source's inter-arrival gaps.
@@ -56,31 +58,18 @@ type Options struct {
 	// TraceSink, when set, records each worker's issued stream into the
 	// writer as one trace phase (phase index = worker id), written after
 	// the run completes so recording never perturbs the measured timing.
-	// Replay the recording by handing phase readers back per worker:
+	// This is the one executor that records after the fact, because it is
+	// the one whose input can be a caller's opaque Sources: those are known
+	// only as they are issued. Replay by handing phase readers back:
 	// Sources: func(w int) workload.Source { return trace.PhaseReader(w) }.
 	TraceSink *workload.TraceWriter
 }
 
-// Result carries the real-time measurements — the same metric families as
-// the virtual runner (one shared metrics.Snapshot), measured with the
-// wall clock.
-type Result struct {
-	SUT string
-	metrics.Snapshot
-	DurationNs int64
-	// Outcomes tallies found/not-found lookups and total SUT-reported
-	// work, mirroring what the virtual runner reports so real-time runs
-	// can be sanity-checked against virtual runs of the same workload.
-	Outcomes core.OpOutcomes
-}
-
-// Throughput returns ops/second of wall time.
-func (r *Result) Throughput() float64 {
-	if r.DurationNs <= 0 {
-		return 0
-	}
-	return float64(r.Completed) / (float64(r.DurationNs) / 1e9)
-}
+// Result is core.Result: the real-time run fills the shared
+// metrics.Snapshot, DurationNs and Outcomes with wall-clock measurements
+// and leaves the virtual runner's training and per-phase fields zero, so
+// one report layer serves both clocks.
+type Result = core.Result
 
 // lockedSUT serializes access to a non-thread-safe SUT. Contention is part
 // of the measured behaviour, as it would be on a single-writer engine;
@@ -94,29 +83,6 @@ func (l *lockedSUT) doBatch(ops []workload.Op, out []core.OpResult) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.batch.DoBatch(ops, out)
-}
-
-// lockedDrift serializes a stateful drift source shared by concurrent
-// workers. (The virtual-clock runner is single-threaded and does not need
-// this; real-time workers do.)
-type lockedDrift struct {
-	mu sync.Mutex
-	d  distgen.Drift
-}
-
-// Name implements distgen.Drift. Stateful drift sources may compute their
-// name from mutable state, so this takes the same lock as FillAt.
-func (l *lockedDrift) Name() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.Name()
-}
-
-// FillAt implements distgen.Drift.
-func (l *lockedDrift) FillAt(p float64, out []uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.d.FillAt(p, out)
 }
 
 // workerOut is one worker's contribution: samples in completion order plus
@@ -157,36 +123,41 @@ func Run(sut core.SUT, spec workload.Spec, initial distgen.Generator, initialSiz
 
 	locked := &lockedSUT{batch: core.AsBatch(sut)}
 
-	// Workers share the spec's stateful key sources; guard them. (With
-	// explicit Sources the spec is not drawn from; each source belongs to
-	// one worker and needs no lock.)
-	if opts.Sources == nil {
-		spec.Access = &lockedDrift{d: spec.Access}
-		if spec.InsertKeys != nil {
-			spec.InsertKeys = &lockedDrift{d: spec.InsertKeys}
+	// share is worker w's op budget: the first Ops%workers take one more.
+	share := func(w int) int {
+		if w < opts.Ops%workers {
+			return opts.Ops/workers + 1
 		}
+		return opts.Ops / workers
+	}
+
+	// Randomness is consumed before the clock starts. Without explicit
+	// Sources each worker's share is drawn here, one worker after the other,
+	// from its own generator over the spec and pinned: the timed region
+	// below then holds no generator, the spec's stateful key sources are
+	// never shared between running workers (so they need no lock), and two
+	// runs of one seed hand every worker the same stream. The stream is
+	// closed-loop, so its all-zero gaps are not kept.
+	if opts.Sources == nil {
+		pinned := make([]workload.Source, workers)
+		for w := range pinned {
+			src := workload.NewSource(spec, nil, workload.PhaseSeed(opts.Seed, w))
+			ops, gaps := make([]workload.Op, share(w)), make([]int64, share(w))
+			src.Fill(ops, gaps, 0, len(ops))
+			pinned[w] = workload.NewTraceReader(src.Name(), ops, nil)
+		}
+		opts.Sources = func(w int) workload.Source { return pinned[w] }
 	}
 
 	outs := make([]workerOut, workers)
-	perWorker := opts.Ops / workers
-	extra := opts.Ops % workers
 
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		n := perWorker
-		if w < extra {
-			n++
-		}
 		wg.Add(1)
 		go func(id, n int) {
 			defer wg.Done()
-			var src workload.Source
-			if opts.Sources != nil {
-				src = opts.Sources(id)
-			} else {
-				src = workload.NewSource(spec, nil, workload.PhaseSeed(opts.Seed, id))
-			}
+			src := opts.Sources(id)
 			out := workerOut{samples: make([]sample, 0, n)}
 			ops := make([]workload.Op, batch)
 			gaps := make([]int64, batch)
@@ -225,7 +196,7 @@ func Run(sut core.SUT, spec workload.Spec, initial distgen.Generator, initialSiz
 				}
 			}
 			outs[id] = out
-		}(w, n)
+		}(w, share(w))
 	}
 	wg.Wait()
 	// The measured run ends when the last worker finishes; merging and

@@ -1,8 +1,9 @@
 package driver
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -59,7 +60,7 @@ func TestRunConcurrentWorkers(t *testing.T) {
 }
 
 // statefulDrift mutates internal state in both FillAt and Name — the
-// worst-case Drift implementation lockedDrift must fully serialize.
+// worst-case Drift implementation for workers to share.
 type statefulDrift struct {
 	draws int
 	inner distgen.Drift
@@ -73,8 +74,8 @@ func (s *statefulDrift) FillAt(p float64, out []uint64) {
 }
 
 // TestRunConcurrentStatefulDrift drives many workers through a genuinely
-// stateful drift source; run under -race it proves the lockedDrift
-// wrapping serializes every FillAt.
+// stateful drift source; run under -race it proves no two running workers
+// touch it (every share is drawn before the first worker starts).
 func TestRunConcurrentStatefulDrift(t *testing.T) {
 	spec := workload.Spec{
 		Mix: workload.Balanced,
@@ -98,31 +99,63 @@ func TestRunConcurrentStatefulDrift(t *testing.T) {
 	}
 }
 
-// TestLockedDriftNameRace hammers Name and FillAt concurrently: Name must
-// take the same mutex as FillAt, since Drift implementations may derive
-// their name from state FillAt mutates. Fails under -race without the lock.
-func TestLockedDriftNameRace(t *testing.T) {
-	ld := &lockedDrift{d: &statefulDrift{inner: distgen.Static{G: distgen.NewUniform(1, 0, 1<<30)}}}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_ = ld.Name()
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			var buf [4]uint64
-			for i := 0; i < 200; i++ {
-				ld.FillAt(0.5, buf[:])
-			}
-		}()
+// blendSpec builds a fresh spec whose insert keys come from a stateful
+// drift (a Blend owns an RNG every draw advances), with fixed seeds.
+func blendSpec() workload.Spec {
+	return workload.Spec{
+		Mix:    workload.Balanced,
+		Access: distgen.Static{G: distgen.NewUniform(21, 0, 1<<40)},
+		InsertKeys: distgen.NewBlend(22,
+			distgen.NewUniform(23, 0, 1<<40),
+			distgen.NewClustered(24, 5, 1e9)),
 	}
-	wg.Wait()
-	if got := ld.Name(); got != "stateful(3200 draws)" {
-		t.Fatalf("draw accounting lost under concurrency: %s", got)
+}
+
+// issued runs the spec path and returns what each worker issued, decoded
+// from the driver's own after-the-fact recording (one phase per worker).
+func issued(t *testing.T, spec workload.Spec, opts Options) []workload.TracePhase {
+	t.Helper()
+	var buf bytes.Buffer
+	opts.TraceSink = workload.NewTraceWriter(&buf, "issued", opts.Seed)
+	if _, err := Run(core.NewBTreeSUT(), spec, distgen.NewUniform(25, 0, 1<<40), 500, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := opts.TraceSink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Phases
+}
+
+// TestRunSpecStreamsDecidedBeforeStart: on the spec path every worker's
+// stream is drawn before the clock starts, one worker after the other. So
+// two runs of one seed over a stateful drift issue the same ops to the same
+// worker although the workers race, and worker w's stream is exactly
+// NewSource(spec, nil, PhaseSeed(seed, w))'s first share, drawn in worker
+// order — which at one worker is the virtual run's phase 0, op for op.
+func TestRunSpecStreamsDecidedBeforeStart(t *testing.T) {
+	opts := Options{Workers: 2, Ops: 4001, Seed: 26}
+	a, b := issued(t, blendSpec(), opts), issued(t, blendSpec(), opts)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two runs of one seed issued different per-worker streams")
+	}
+
+	spec := blendSpec()
+	for w, share := range []int{2001, 2000} {
+		ops, gaps := make([]workload.Op, share), make([]int64, share)
+		workload.NewSource(spec, nil, workload.PhaseSeed(opts.Seed, w)).Fill(ops, gaps, 0, share)
+		if len(a) != 2 || !reflect.DeepEqual(a[w].Ops, ops) || !reflect.DeepEqual(a[w].Gaps, gaps) {
+			t.Fatalf("worker %d did not issue its generator's first %d ops", w, share)
+		}
+	}
+
+	one := issued(t, blendSpec(), Options{Workers: 1, Ops: 3000, Seed: 26})
+	virtual := core.Scenario{Seed: 26, Phases: []core.Phase{{Ops: 3000, Workload: blendSpec()}}}.Materialize()
+	if len(one) != 1 || !reflect.DeepEqual(one[0].Ops, virtual.Phases[0].Trace.Ops) {
+		t.Fatal("the one worker did not issue the virtual run's phase 0")
 	}
 }
 

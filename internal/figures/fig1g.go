@@ -86,7 +86,7 @@ type Fig1gResult struct {
 	Query       []Fig1gQuery
 	Session     []Fig1gSession
 	Results     map[string]*core.Result
-	SQLResults  map[string]*core.SQLRunResult
+	SQLResults  map[string]*core.Result
 }
 
 // fig1gController builds the data-drift controller for intensity d: keys
@@ -163,7 +163,7 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 	res := &Fig1gResult{
 		Intensities: intensities,
 		Results:     make(map[string]*core.Result),
-		SQLResults:  make(map[string]*core.SQLRunResult),
+		SQLResults:  make(map[string]*core.Result),
 	}
 	runner := newRunner(scale)
 	names, factories := fig1gKVSUTs()
@@ -266,7 +266,7 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 				Throughput:    r.Throughput(),
 				P99Ns:         r.Latency.Quantile(0.99),
 				ViolationRate: r.Bands.ViolationRate(),
-				TrainWork:     r.TrainWork,
+				TrainWork:     r.OnlineTrainWork,
 			})
 			res.SQLResults[fmt.Sprintf("query/%.2f/%s", d, cfg.name)] = r
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/card"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/sim"
 	"repro/internal/sqlmini"
@@ -17,7 +18,7 @@ import (
 // cardinality feedback. It exercises every §V-D metric on the SQL
 // substrate.
 type OptDriftResult struct {
-	Results map[string]*core.SQLRunResult
+	Results map[string]*core.Result
 	// AdjustmentSpeed per system: over-SLA time after the drift.
 	AdjustmentSpeed map[string]int64
 }
@@ -83,7 +84,7 @@ func OptDrift(scale Scale, seed uint64) (*OptDriftResult, error) {
 		n = 200
 	}
 	out := &OptDriftResult{
-		Results:         make(map[string]*core.SQLRunResult),
+		Results:         make(map[string]*core.Result),
 		AdjustmentSpeed: make(map[string]int64),
 	}
 
@@ -133,13 +134,8 @@ func OptDrift(scale Scale, seed uint64) (*OptDriftResult, error) {
 		}
 		out.Results[cfg.name] = res
 		if len(res.PostChangeLatencies) > 0 {
-			var over int64
-			for _, l := range res.PostChangeLatencies {
-				if l > res.SLANs {
-					over += l - res.SLANs
-				}
-			}
-			out.AdjustmentSpeed[cfg.name] = over
+			post := res.PostChangeLatencies[0]
+			out.AdjustmentSpeed[cfg.name] = metrics.AdjustmentSpeed(post, res.SLANs, len(post))
 		}
 	}
 	return out, nil

@@ -1,6 +1,11 @@
 package figures
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+
+	"repro/internal/report"
+)
 
 func TestOptDriftShape(t *testing.T) {
 	res, err := OptDrift(SmallScale(), 11)
@@ -18,18 +23,18 @@ func TestOptDriftShape(t *testing.T) {
 	if static.Completed != learned.Completed {
 		t.Fatal("unequal query counts")
 	}
-	if learned.TrainWork <= 0 {
+	if learned.OnlineTrainWork <= 0 {
 		t.Fatal("learned system reports no training work")
 	}
-	if static.TrainWork != 0 {
+	if static.OnlineTrainWork != 0 {
 		t.Fatal("static system reports training work")
 	}
 	// Both have a change instant and post-change data.
 	for name, r := range res.Results {
-		if r.ChangeAt <= 0 {
+		if len(r.PhaseStarts) != 2 || r.PhaseStarts[1] <= 0 {
 			t.Fatalf("%s: no change instant", name)
 		}
-		if len(r.PostChangeLatencies) == 0 {
+		if len(r.PostChangeLatencies) != 1 || len(r.PostChangeLatencies[0]) == 0 {
 			t.Fatalf("%s: no post-change latencies", name)
 		}
 	}
@@ -40,5 +45,19 @@ func TestOptDriftShape(t *testing.T) {
 	if learned.DurationNs >= static.DurationNs {
 		t.Fatalf("learned (%d ns) not faster than stale static (%d ns)",
 			learned.DurationNs, static.DurationNs)
+	}
+	// A SQL run is a core.Result like any other: it goes through the one
+	// marshaller, with its learning work and its one change instant.
+	data, err := report.MarshalResult(learned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v report.ResultView
+	if err := json.Unmarshal(data, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Scenario != "optdrift" || v.SUT != "learned-steered" || v.Completed != learned.Completed ||
+		v.OnlineTrainWork != learned.OnlineTrainWork || len(v.AdjustmentNs) != 1 {
+		t.Fatalf("SQL result view: %+v", v)
 	}
 }

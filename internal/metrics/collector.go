@@ -47,10 +47,6 @@ type CollectorConfig struct {
 	// CalibrateAfter is how many completions are buffered before the SLA
 	// is calibrated from their latencies (default 1000).
 	CalibrateAfter int
-	// CalibrateQuantile and CalibrateHeadroom parameterize CalibrateSLA
-	// (defaults 0.5 and 20: 20x the median).
-	CalibrateQuantile float64
-	CalibrateHeadroom float64
 	// Ops is how many completions the engine expects to record, when it
 	// knows: the cumulative curve is allocated once at that size instead
 	// of growing (and copying itself) inside the measured loop. 0 grows on
@@ -70,12 +66,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	}
 	if cfg.CalibrateAfter <= 0 {
 		cfg.CalibrateAfter = 1000
-	}
-	if cfg.CalibrateQuantile <= 0 {
-		cfg.CalibrateQuantile = 0.5
-	}
-	if cfg.CalibrateHeadroom <= 0 {
-		cfg.CalibrateHeadroom = 20
 	}
 	return &Collector{
 		cfg:      cfg,
@@ -148,6 +138,12 @@ func (c *Collector) Calibrate() {
 	c.startBands()
 }
 
+// The calibrated SLA is 20x the buffered completions' median latency.
+const (
+	calibrateQuantile = 0.5
+	calibrateHeadroom = 20
+)
+
 // calibrateFromPending derives the SLA threshold from the buffered
 // completions per the paper's baseline-statistics rule, falling back to
 // 1ms when there are none.
@@ -159,7 +155,7 @@ func (c *Collector) calibrateFromPending() int64 {
 	for _, p := range c.pending {
 		h.Record(p.lat)
 	}
-	return CalibrateSLA(h, c.cfg.CalibrateQuantile, c.cfg.CalibrateHeadroom)
+	return CalibrateSLA(h, calibrateQuantile, calibrateHeadroom)
 }
 
 // startBands creates the band tracker and replays the parked completions.
@@ -200,9 +196,8 @@ func (c *Collector) Snapshot() Snapshot {
 }
 
 // Snapshot is the finalized measurement quadruple plus the SLA threshold
-// and completion count — the common core of every engine's result type
-// (core.Result, core.SQLRunResult, driver.Result), consumed by
-// report.ResultView.
+// and completion count — the measured core of core.Result, the one result
+// type all three executors (core.Runner, core.RunSQL, driver.Run) return.
 type Snapshot struct {
 	// Timeline backs Figure 1a: per-interval throughput and latency.
 	Timeline *Timeline

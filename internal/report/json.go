@@ -118,49 +118,38 @@ type StorageView struct {
 	Fsyncs          uint64  `json:"fsyncs"`
 }
 
-// viewFromSnapshot digests the engine-shared measurement quadruple — the
-// fields every execution mode produces through metrics.Collector — into
-// the common part of a ResultView.
-func viewFromSnapshot(s metrics.Snapshot) ResultView {
+// NewResultView digests a core.Result — whichever executor produced it —
+// into its JSON view.
+func NewResultView(r *core.Result) ResultView {
 	v := ResultView{
-		Completed: s.Completed,
-		Failed:    s.Failed,
-		Latency:   SummarizeLatency(s.Latency),
-		SLANs:     s.SLANs,
+		Scenario:         r.Scenario,
+		SUT:              r.SUT,
+		Completed:        r.Completed,
+		Failed:           r.Failed,
+		DurationNs:       r.DurationNs,
+		Throughput:       r.Throughput(),
+		Latency:          SummarizeLatency(r.Latency),
+		SLANs:            r.SLANs,
+		ViolationRate:    r.Bands.ViolationRate(),
+		AreaVsIdeal:      r.Cumulative.AreaVsIdeal(),
+		OfflineTrainWork: r.OfflineTrainWork,
+		OnlineTrainWork:  r.OnlineTrainWork,
+		Models:           r.Models,
+		MaxModels:        r.MaxModels,
+		Retrains:         r.Retrains,
 	}
-	if s.Bands != nil {
-		v.ViolationRate = s.Bands.ViolationRate()
-	}
-	if s.Cumulative != nil {
-		v.AreaVsIdeal = s.Cumulative.AreaVsIdeal()
-	}
-	if s.Sessions != nil {
+	if s := r.Sessions; s != nil {
 		v.Sessions = &SessionView{
-			BudgetNs:      s.Sessions.BudgetNs,
-			Sessions:      s.Sessions.Sessions,
-			MetBudget:     s.Sessions.MetBudget,
-			MetRate:       s.Sessions.MetRate(),
-			LateOps:       s.Sessions.LateOps,
-			MakespanP50Ns: s.Sessions.Makespan.Quantile(0.5),
-			MakespanP99Ns: s.Sessions.Makespan.Quantile(0.99),
-			MakespanMaxNs: s.Sessions.Makespan.Max(),
+			BudgetNs:      s.BudgetNs,
+			Sessions:      s.Sessions,
+			MetBudget:     s.MetBudget,
+			MetRate:       s.MetRate(),
+			LateOps:       s.LateOps,
+			MakespanP50Ns: s.Makespan.Quantile(0.5),
+			MakespanP99Ns: s.Makespan.Quantile(0.99),
+			MakespanMaxNs: s.Makespan.Max(),
 		}
 	}
-	return v
-}
-
-// NewResultView digests a core.Result into its JSON view.
-func NewResultView(r *core.Result) ResultView {
-	v := viewFromSnapshot(r.Snapshot)
-	v.Scenario = r.Scenario
-	v.SUT = r.SUT
-	v.DurationNs = r.DurationNs
-	v.Throughput = r.Throughput()
-	v.OfflineTrainWork = r.OfflineTrainWork
-	v.OnlineTrainWork = r.OnlineTrainWork
-	v.Models = r.Models
-	v.MaxModels = r.MaxModels
-	v.Retrains = r.Retrains
 	for _, p := range r.Phases {
 		v.Phases = append(v.Phases, PhaseView{
 			Name:        p.Name,

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -46,7 +45,6 @@ import (
 	"repro/internal/pager"
 	"repro/internal/par"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 // Config wires a Service.
@@ -72,9 +70,9 @@ type Config struct {
 	// StorePath is the JSON-lines result store ("" = in-memory only).
 	StorePath string
 	// TraceDir, when set, enables trace-recording jobs: a submission
-	// with "record": true runs with a per-job TraceSink and serves the
-	// recorded binary trace from GET /v1/jobs/{id}/trace. "" disables
-	// recording.
+	// with "record": true has its materialized scenario written there
+	// before it runs and serves that binary trace from
+	// GET /v1/jobs/{id}/trace. "" disables recording.
 	TraceDir string
 	// LogWriter receives structured request logs (nil = disabled).
 	LogWriter io.Writer
@@ -417,25 +415,21 @@ func (s *Service) run(job *Job) (*core.Result, error) {
 		return s.runner.Run(sc, sutFactory())
 	}
 
-	// Recording run: a shallow per-job copy of the shared runner carries
-	// the job's own TraceSink (the runner's other fields are read-only
-	// configuration), so concurrent workers never share a writer.
+	// Recording run: the job's trace is its materialized scenario, written
+	// before the SUT runs — nothing is teed off the shared runner.
+	sc = sc.Materialize()
 	path := filepath.Join(s.cfg.TraceDir, job.ID+".lstrace")
-	runner := *s.runner
-	var res *core.Result
-	err := workload.RecordTraceFile(path, sc.Name, sc.Seed, func(tw *workload.TraceWriter) (err error) {
-		runner.TraceSink = tw
-		res, err = runner.Run(sc, sutFactory())
-		return err
-	})
+	tr, err := sc.Trace()
+	if err == nil {
+		err = tr.WriteFile(path)
+	}
 	if err != nil {
-		os.Remove(path)
 		return nil, err
 	}
 	s.mu.Lock()
 	job.tracePath = path
 	s.mu.Unlock()
-	return res, nil
+	return s.runner.Run(sc, sutFactory())
 }
 
 // finish records a completed run: encodes the deterministic result JSON,

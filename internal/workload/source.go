@@ -11,7 +11,9 @@ package workload
 // Three implementations ship: GeneratorSource (the classic synthetic
 // spec+arrival generator), TraceReader (replay of a recorded binary
 // trace), and Synthesizer (unbounded lookalike load fitted from a trace's
-// statistics). Record tees any of them into a TraceWriter.
+// statistics). None is teed while it runs: what a run issues is decided
+// before it starts (core.Scenario.Materialize), so a recording is that
+// pinned stream written down (Trace.WriteFile).
 type Source interface {
 	// Name identifies the source in reports and trace metadata.
 	Name() string
@@ -126,28 +128,3 @@ func (t *TraceReader) Fill(ops []Op, gaps []int64, pos, total int) int {
 
 // Reset implements Source. Replay is exact; the seed is ignored.
 func (t *TraceReader) Reset(uint64) {}
-
-// recorder tees everything the wrapped source produces into a TraceWriter
-// — the hook the runner, driver, and service use to record any run they
-// execute. Encoding errors latch inside the writer and surface at Close.
-type recorder struct {
-	src Source
-	w   *TraceWriter
-}
-
-// Record returns a source that forwards src and appends every filled
-// operation/gap pair to w.
-func Record(src Source, w *TraceWriter) Source { return &recorder{src: src, w: w} }
-
-// Name implements Source.
-func (r *recorder) Name() string { return r.src.Name() }
-
-// Fill implements Source.
-func (r *recorder) Fill(ops []Op, gaps []int64, pos, total int) int {
-	n := r.src.Fill(ops, gaps, pos, total)
-	r.w.Append(ops[:n], gaps[:n])
-	return n
-}
-
-// Reset implements Source.
-func (r *recorder) Reset(seed uint64) { r.src.Reset(seed) }

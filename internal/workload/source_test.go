@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/distgen"
@@ -95,49 +94,5 @@ func TestTraceReaderBounded(t *testing.T) {
 	bg[0], bg[1] = 99, 99
 	if n := NewTraceReader("t", ops, nil).Fill(bo, bg, 0, 3); n != 2 || bg[0] != 0 || bg[1] != 0 {
 		t.Fatalf("nil-gap Fill = %d %v", n, bg)
-	}
-}
-
-// TestRecordTee asserts the recording wrapper is transparent to the
-// consumer and captures exactly the stream that passed through it.
-func TestRecordTee(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewTraceWriter(&buf, "tee", 5)
-	w.BeginPhase(0, "p0", 300)
-	src := Record(NewSource(mixedSpec(3), NewPoisson(4, 100_000), 11), w)
-
-	ops := make([]Op, 32)
-	gaps := make([]int64, 32)
-	var passed []Op
-	var passedGaps []int64
-	for i := 0; i < 300; i += 32 {
-		bn := 32
-		if rest := 300 - i; bn > rest {
-			bn = rest
-		}
-		src.Fill(ops[:bn], gaps[:bn], i, 300)
-		passed = append(passed, ops[:bn]...)
-		passedGaps = append(passedGaps, gaps[:bn]...)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	tr, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Name != "tee" || tr.Seed != 5 || len(tr.Phases) != 1 {
-		t.Fatalf("trace meta: %+v", tr)
-	}
-	ph := tr.Phases[0]
-	if ph.Name != "p0" || ph.DeclaredOps != 300 || len(ph.Ops) != 300 {
-		t.Fatalf("phase meta: %+v len=%d", ph, len(ph.Ops))
-	}
-	for i := range passed {
-		if ph.Ops[i] != passed[i] || ph.Gaps[i] != passedGaps[i] {
-			t.Fatalf("op %d: recorded %+v/%d, passed %+v/%d",
-				i, ph.Ops[i], ph.Gaps[i], passed[i], passedGaps[i])
-		}
 	}
 }

@@ -92,9 +92,6 @@ func NewTraceWriter(w io.Writer, name string, seed uint64) *TraceWriter {
 	return tw
 }
 
-// Err returns the latched error, if any.
-func (t *TraceWriter) Err() error { return t.err }
-
 // BeginPhase marks a phase boundary: subsequent Appends belong to phase
 // index (named name, declaredOps operations). The runner calls it at each
 // phase start so replay can reproduce per-phase streams exactly.
@@ -124,19 +121,16 @@ func (t *TraceWriter) Append(ops []Op, gaps []int64) {
 	}
 }
 
-// Flush writes any buffered operations out as a (possibly short) block
-// and flushes the underlying writer.
-func (t *TraceWriter) Flush() error {
+// Close writes any buffered operations out as a (possibly short) block,
+// flushes, and returns the latched error. It does not close the underlying
+// writer.
+func (t *TraceWriter) Close() error {
 	t.flushOps()
 	if t.err == nil {
 		t.err = t.w.Flush()
 	}
 	return t.err
 }
-
-// Close flushes and returns the latched error. It does not close the
-// underlying writer.
-func (t *TraceWriter) Close() error { return t.Flush() }
 
 // flushOps encodes the pending ops into one block.
 func (t *TraceWriter) flushOps() {
@@ -342,9 +336,11 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 }
 
-// RecordTraceFile records one run to a new trace file at path: it hands
-// run a writer whose header carries name and seed, then closes the writer
-// and the file. The first error among run's and the two closes wins.
+// RecordTraceFile records to a new trace file at path: it hands run a
+// writer whose header carries name and seed, then closes the writer and
+// the file. The first error among run's and the two closes wins, and a
+// recording that failed leaves no file behind — decided here, once, so no
+// caller cleans up after it.
 func RecordTraceFile(path, name string, seed uint64, run func(*TraceWriter) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -358,7 +354,23 @@ func RecordTraceFile(path, name string, seed uint64, run func(*TraceWriter) erro
 	if cErr := f.Close(); err == nil {
 		err = cErr
 	}
+	if err != nil {
+		os.Remove(path)
+	}
 	return err
+}
+
+// WriteFile records the trace to a new file at path, one phase marker and
+// one stream per phase. The writer cuts blocks by op count, not by call, so
+// the bytes depend on the streams alone, not on how they reached Append.
+func (t *Trace) WriteFile(path string) error {
+	return RecordTraceFile(path, t.Name, t.Seed, func(tw *TraceWriter) error {
+		for _, p := range t.Phases {
+			tw.BeginPhase(p.Index, p.Name, p.DeclaredOps)
+			tw.Append(p.Ops, p.Gaps)
+		}
+		return nil
+	})
 }
 
 // ReadTraceFile decodes the trace at path.

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/stats"
@@ -83,6 +86,44 @@ func TestTraceRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: op %d = %+v/%d, want %+v/%d", n, i, o[0], g[0], ops[i], gaps[i])
 			}
 		}
+	}
+}
+
+// TestTraceWriteFile: a decoded trace written back out is the bytes it was
+// decoded from, however ragged the Appends that first produced them (blocks
+// are cut by op count, not by call) — which is why a recording can be the
+// pinned streams written in one go. And a recording that fails leaves no
+// file behind.
+func TestTraceWriteFile(t *testing.T) {
+	ops, gaps := randomStream(5, 10_000)
+	data := encodeStream("wf", 9, [][2]int{{0, 4500}, {4500, 10_000}}, ops, gaps)
+	tr, err := ReadTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.lstrace")
+	if err := tr.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("rewritten trace differs from its source (%d vs %d bytes)", len(got), len(data))
+	}
+
+	boom := errors.New("boom")
+	torn := filepath.Join(t.TempDir(), "torn.lstrace")
+	err = RecordTraceFile(torn, "x", 1, func(tw *TraceWriter) error {
+		tw.Append(ops[:5000], gaps[:5000])
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("RecordTraceFile error = %v", err)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Fatalf("failed recording left a file behind (stat: %v)", err)
 	}
 }
 

@@ -54,7 +54,9 @@ type (
 	Phase = core.Phase
 	// Runner executes scenarios on the deterministic virtual clock.
 	Runner = core.Runner
-	// Result carries every Figure 1 metric family for one run.
+	// Result carries every Figure 1 metric family for one run — the one
+	// result type of the virtual runner, the SQL runner and the real-time
+	// driver.
 	Result = core.Result
 	// PhaseResult is the per-phase breakdown.
 	PhaseResult = core.PhaseResult
