@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e figures examples clean
+.PHONY: all build vet test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e bench-pairs figures examples clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -21,13 +21,12 @@ test:
 	$(GO) test ./...
 
 # The race tier: every package under the race detector. What it protects,
-# by layer: the parallel orchestration (core.RunAll, cmd/figures -parallel)
-# and the real-time driver; the cluster's health/poll/anti-entropy loops,
-# which are genuinely concurrent with dispatch; the pager and disk LSM
-# crash-safety suites, which hammer the same pool the Fig 1f runs fan out
-# over; the real-time driver's after-the-fact trace recording, which
-# gathers op streams from concurrently dispatching workers; and the session
-# driver test, which races real workers over session-paced sources.
+# by layer: the parallel orchestration (core.RunAll, cmd/figures -parallel);
+# the cluster's health/poll/anti-entropy loops, which are genuinely
+# concurrent with dispatch; the netdriver server's per-connection
+# goroutines; and the pager and disk LSM crash-safety suites, which hammer
+# the same pool the Fig 1f runs fan out over. (The real-time driver is one
+# goroutine and has nothing left to race.)
 test-race:
 	$(GO) test -race ./...
 
@@ -101,6 +100,74 @@ bench-e2e:
 	printf '{"commit":"%s","date":"%s","go":"%s","cpu":"%s","result":%s}\n' \
 		"$$(git describe --always --dirty)" "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$$($(GO) env GOVERSION)" \
 		"$$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)" "$$res" >> BENCH_e2e.jsonl
+
+# bench-pairs is the paired comparison a perf claim rests on, as a tool:
+#   make bench-pairs PARENT=<rev> W=<workload> SEED=<n> [N=10]
+# It unpacks PARENT into a temp dir (git archive: nothing is left behind in
+# .git), builds that tree's ./benchmark and the working tree's, and runs N
+# pairs of `-workload W -seed SEED -trace 0`, alternating which side goes
+# first, each binary from its own directory. Every pair is printed; then, per
+# end-to-end metric of BENCHMARK.json, each side's quartiles and median
+# (Python's exclusive method, as benchmark/stats.go), the ratio of the medians
+# and in how many pairs the change read better (ties count for neither). A run
+# that is not `"correct":true` stops it. Shell and awk only: both sides run
+# their own benchmark code, and `make loc` does not see the tool.
+N ?= 10
+define BENCH_PAIRS_AWK
+function sorted(side, m, out,   i, j, t) {
+	for (i = 1; i <= n[side]; i++) out[i] = v[side, m, i]
+	for (i = 2; i <= n[side]; i++) for (j = i; j > 1 && out[j-1] > out[j]; j--) { t = out[j]; out[j] = out[j-1]; out[j-1] = t }
+}
+function quartile(s, cnt, i,   p, j) {
+	if (cnt < 2) return s[1]
+	p = i * (cnt + 1) / 4; j = int(p)
+	if (j < 1) j = 1
+	if (j > cnt - 1) j = cnt - 1
+	return s[j] * (1 - (p - j)) + s[j+1] * (p - j)
+}
+FILENAME == ARGV[1] {
+	if (/"end_to_end"/) e2e = 1
+	if (/"per_layer"/) e2e = 0
+	if (e2e && match($$0, /"name": *"[^"]*"/)) { name = substr($$0, RSTART, RLENGTH); gsub(/"name": *"|"/, "", name); names[++nm] = name }
+	if (e2e && /"better": *"higher"/) higher[name] = 1
+	next
+}
+{
+	side = FILENAME == ARGV[2] ? "parent" : "change"; n[side]++
+	for (k = 1; k <= nm; k++) if (match($$0, "\"" names[k] "\":.\"value\":[^,]*")) { x = substr($$0, RSTART, RLENGTH); sub(/.*:/, "", x); v[side, names[k], n[side]] = x + 0 }
+}
+END {
+	for (k = 1; k <= nm; k++) {
+		m = names[k]; wins = 0
+		for (i = 1; i <= n["change"]; i++) { d = v["change", m, i] - v["parent", m, i]; if (higher[m] ? d > 0 : d < 0) wins++ }
+		sorted("parent", m, p); sorted("change", m, c)
+		pm = quartile(p, n["parent"], 2); cm = quartile(c, n["change"], 2)
+		printf "%-14s %-6s parent q1 %.6g median %.6g q3 %.6g | change q1 %.6g median %.6g q3 %.6g | change/parent %.4f | change better in %d/%d\n", m, higher[m] ? "higher" : "lower", quartile(p, n["parent"], 1), pm, quartile(p, n["parent"], 3), quartile(c, n["change"], 1), cm, quartile(c, n["change"], 3), pm ? cm / pm : 0, wins, n["change"]
+	}
+}
+endef
+export BENCH_PAIRS_AWK
+bench-pairs:
+	@[ -n "$(PARENT)" ] && [ -n "$(W)" ] && [ -n "$(SEED)" ] || { echo 'usage: make bench-pairs PARENT=<rev> W=<workload> SEED=<n> [N=10]' >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir $$tmp/src $$tmp/parent $$tmp/change; \
+	git archive $(PARENT) | tar -x -C $$tmp/src; \
+	(cd $$tmp/src && $(GO) build -o $$tmp/parent/bench ./benchmark); \
+	$(GO) build -o $$tmp/change/bench ./benchmark; \
+	echo "bench-pairs: $(W), seed $(SEED), $(N) pairs, parent $$(git rev-parse --short $(PARENT)) vs $$(git describe --always --dirty)"; \
+	run() { \
+		(cd $$tmp/$$1 && ./bench -workload $(W) -seed $(SEED) -trace 0) > $$tmp/$$1/log || { cat $$tmp/$$1/log >&2; exit 1; }; \
+		tail -n 1 $$tmp/$$1/log | grep '"correct":true' >> $$tmp/$$1.jsonl || { cat $$tmp/$$1/log >&2; echo "bench-pairs: $$1 run not correct" >&2; exit 1; }; \
+		sed -n 's/.*virt_digest=\([0-9a-f]*\).*/\1/p' $$tmp/$$1/log >> $$tmp/$$1.digests; \
+	}; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then first=parent; run parent; run change; else first=change; run change; run parent; fi; \
+		echo "pair $$i ($$first first)"; \
+		for side in parent change; do echo "  $$side $$(tail -n 1 $$tmp/$$side.jsonl | sed 's/.*"metrics"://; s/{"value"://g; s/,"unit":"[^"]*"}//g; s/}$$//')"; done; \
+		i=$$((i + 1)); \
+	done; \
+	awk "$$BENCH_PAIRS_AWK" BENCHMARK.json $$tmp/parent.jsonl $$tmp/change.jsonl; \
+	for side in parent change; do echo "virt_digest $$side: $$(sort -u $$tmp/$$side.digests | tr '\n' ' ')"; done
 
 # Regenerate every figure, lesson ablation, and extension experiment.
 figures:

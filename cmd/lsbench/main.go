@@ -104,7 +104,7 @@ func benchMain(args []string) error {
 		csvDir     = fs.String("csv", "", "directory to write per-figure CSV files into")
 		example    = fs.Bool("example", false, "print an example config and exit")
 		remote     = fs.String("remote", "", "address of a netdriver server started by lsbench serve sut (real-time mode)")
-		workers    = fs.Int("workers", 4, "driver workers in -remote mode")
+		workers    = fs.Int("workers", 4, "closed-loop clients in -remote mode; the N clients share each round trip (N x -batch ops per dispatch), so a reported latency is the round's")
 		batch      = fs.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting")
 		faults     = fs.String("faults", "", "deterministic fault plan (kind@start-end:params;... with kinds slow,error,crash,drop,delay,stall)")
 		poolPages  = fs.Int("pool-pages", 64, "buffer-pool capacity in 4KiB pages for disk-backed SUTs")

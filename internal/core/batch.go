@@ -17,8 +17,8 @@ import (
 // and costs. DoBatch exists on netdriver.Client, where a batch is one wire
 // round trip, and on the pass-through fault.SUT, which must not break such
 // a batch up — and nowhere else; every in-process SUT gets the loop below
-// from AsBatch. What batching buys in process is one lock acquisition per
-// batch in the real-time driver.
+// from AsBatch. What batching buys in process is one dispatch, and one pair
+// of clock reads, per round of the real-time driver.
 type BatchSUT interface {
 	SUT
 	// DoBatch executes ops[i] and stores its result in out[i].

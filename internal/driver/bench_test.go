@@ -10,8 +10,9 @@ import (
 )
 
 // BenchmarkDriverDispatch measures real-time driver throughput at several
-// dispatch batch sizes: batch=1 pays one lock acquisition (and, remotely,
-// one wire round trip) per op; larger batches amortize it. Run via
+// dispatch batch sizes: with 4 workers, batch=1 pays one dispatch and one
+// pair of clock reads (and, remotely, one wire round trip) per 4 ops; larger
+// batches amortize it further. Run via
 // `make bench-smoke` or `go test -bench=DriverDispatch ./internal/driver`.
 func BenchmarkDriverDispatch(b *testing.B) {
 	spec := workload.Spec{

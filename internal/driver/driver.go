@@ -1,14 +1,14 @@
-// Package driver executes workloads against a SUT in *real time* with
-// concurrent workers — the counterpart of the virtual-clock runner in
-// internal/core. The figure experiments use virtual time for determinism;
-// this driver exists for wall-clock validation (the calibration
-// micro-benches), for the network mode (internal/netdriver), and for
-// users who want to benchmark their own real systems.
+// Package driver executes workloads against a SUT in *real time* — the
+// counterpart of the virtual-clock runner in internal/core. One goroutine
+// multiplexes Options.Workers closed-loop clients onto the one SUT, a round
+// at a time. The figure experiments use virtual time for determinism; this
+// driver exists for wall-clock validation (the calibration micro-benches),
+// for the network mode (internal/netdriver), and for users who want to
+// benchmark their own real systems.
 package driver
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -27,10 +27,24 @@ type sample struct {
 }
 
 // Options configures a real-time run.
+//
+// The run proceeds in rounds. A round takes, in worker order, the next Batch
+// ops of every client that still has budget — up to Workers × Batch ops —
+// and hands them to the SUT in one dispatch: one BatchSUT call and, for a
+// remote SUT, one wire round trip. The round is the unit of service: every
+// op in it completes when the dispatch returns and reports the round's wall
+// latency, so a client's latency includes the service of the ops it shared
+// the round with, as it would behind any single-threaded engine. Workers and
+// Batch both stay because they choose different things. Workers picks the
+// streams: one seed, one Sources call and one trace phase per client. Batch
+// picks how many consecutive ops of one stream enter a round, i.e. how far
+// a client runs ahead of its own results.
 type Options struct {
-	// Workers is the number of concurrent client goroutines (default 1).
+	// Workers is the number of closed-loop clients sharing each round
+	// (default 1). The SUT is never called concurrently.
 	Workers int
-	// Ops is the total operation count across workers.
+	// Ops is the total operation count across workers: the first
+	// Ops%Workers clients issue one op more than the others.
 	Ops int
 	// Seed derives per-worker generator streams.
 	Seed uint64
@@ -39,21 +53,18 @@ type Options struct {
 	// SLANs fixes the SLA threshold; 0 calibrates from the first 1000
 	// completions (20x median).
 	SLANs int64
-	// Batch is the dispatch batch size per worker: up to Batch operations
-	// are generated ahead and executed in one BatchSUT call under a
-	// single lock acquisition (and, for remote SUTs, one wire round
-	// trip). 0 or 1 dispatches one op at a time. Batched completions
-	// share the batch's timestamps: each op in a batch reports the
-	// batch's wall latency, since the batch is the unit of service.
+	// Batch is how many consecutive ops each client contributes to a round
+	// (0 or 1: one op). At Workers 1 a round is a plain Fill/DoBatch loop
+	// over the one stream.
 	Batch int
 	// Sources, when set, supplies each worker's operation stream (trace
 	// replay, synthesized load, …) instead of the worker's share of the
 	// Spec drawn and pinned before the run starts (worker w's stream is
 	// workload.NewSource(spec, nil, workload.PhaseSeed(Seed, w))'s first
 	// share); the Spec's access distribution may then be nil. A bounded
-	// source that drains before the worker's op budget simply ends that
-	// worker's stream early. Workers run in real time and ignore the
-	// source's inter-arrival gaps.
+	// source that drains before the worker's op budget ends that worker's
+	// stream after the round its short Fill went into. Clients run closed
+	// loop and ignore the source's inter-arrival gaps.
 	Sources func(worker int) workload.Source
 	// TraceSink, when set, records each worker's issued stream into the
 	// writer as one trace phase (phase index = worker id), written after
@@ -71,31 +82,18 @@ type Options struct {
 // one report layer serves both clocks.
 type Result = core.Result
 
-// lockedSUT serializes access to a non-thread-safe SUT. Contention is part
-// of the measured behaviour, as it would be on a single-writer engine;
-// batched dispatch amortizes the lock over Options.Batch operations.
-type lockedSUT struct {
-	mu    sync.Mutex
-	batch core.BatchSUT
+// client is one closed-loop client: its stream, how much of its op budget
+// it has issued and, when recording, what it issued.
+type client struct {
+	src            workload.Source
+	issued, budget int
+	recOps         []workload.Op
+	recGaps        []int64
 }
 
-func (l *lockedSUT) doBatch(ops []workload.Op, out []core.OpResult) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.batch.DoBatch(ops, out)
-}
-
-// workerOut is one worker's contribution: samples in completion order plus
-// its op-outcome tallies (and, when recording, the issued stream).
-type workerOut struct {
-	samples  []sample
-	outcomes core.OpOutcomes
-	recOps   []workload.Op
-	recGaps  []int64
-}
-
-// Run drives the SUT with Options.Workers concurrent workers issuing
-// Options.Ops operations from the workload spec, measuring real latencies.
+// Run drives the SUT with Options.Ops operations from the workload spec,
+// issued by Options.Workers closed-loop clients a round at a time (see
+// Options), measuring real latencies. For one seed the op order is fixed.
 func Run(sut core.SUT, spec workload.Spec, initial distgen.Generator, initialSize int, opts Options) (*Result, error) {
 	if opts.Ops <= 0 {
 		return nil, fmt.Errorf("driver: Ops must be positive")
@@ -120,120 +118,97 @@ func Run(sut core.SUT, spec workload.Spec, initial distgen.Generator, initialSiz
 		keys := distgen.UniqueKeys(initial, initialSize)
 		sut.Load(keys, core.LoadValues(keys))
 	}
+	bsut := core.AsBatch(sut)
 
-	locked := &lockedSUT{batch: core.AsBatch(sut)}
-
-	// share is worker w's op budget: the first Ops%workers take one more.
-	share := func(w int) int {
+	// Everything but the dispatches happens before the clock starts: each
+	// client's budget, stream and recording buffers, and the round's buffers.
+	// Without explicit Sources a client's share is drawn here, one client
+	// after the other, from its own generator over the spec and pinned, so
+	// the timed region holds no generator and two runs of one seed issue the
+	// same ops in the same order. The stream is closed-loop, so its all-zero
+	// gaps are not kept.
+	clients := make([]client, workers)
+	live := make([]*client, 0, workers) // still issuing, in worker order
+	for w := range clients {
+		c := &clients[w]
+		c.budget = opts.Ops / workers
 		if w < opts.Ops%workers {
-			return opts.Ops/workers + 1
+			c.budget++
 		}
-		return opts.Ops / workers
-	}
-
-	// Randomness is consumed before the clock starts. Without explicit
-	// Sources each worker's share is drawn here, one worker after the other,
-	// from its own generator over the spec and pinned: the timed region
-	// below then holds no generator, the spec's stateful key sources are
-	// never shared between running workers (so they need no lock), and two
-	// runs of one seed hand every worker the same stream. The stream is
-	// closed-loop, so its all-zero gaps are not kept.
-	if opts.Sources == nil {
-		pinned := make([]workload.Source, workers)
-		for w := range pinned {
+		if opts.Sources != nil {
+			c.src = opts.Sources(w)
+		} else {
 			src := workload.NewSource(spec, nil, workload.PhaseSeed(opts.Seed, w))
-			ops, gaps := make([]workload.Op, share(w)), make([]int64, share(w))
+			ops, gaps := make([]workload.Op, c.budget), make([]int64, c.budget)
 			src.Fill(ops, gaps, 0, len(ops))
-			pinned[w] = workload.NewTraceReader(src.Name(), ops, nil)
+			c.src = workload.NewTraceReader(src.Name(), ops, nil)
 		}
-		opts.Sources = func(w int) workload.Source { return pinned[w] }
+		if opts.TraceSink != nil {
+			c.recOps = make([]workload.Op, 0, c.budget)
+			c.recGaps = make([]int64, 0, c.budget)
+		}
+		if c.budget > 0 {
+			live = append(live, c)
+		}
 	}
-
-	outs := make([]workerOut, workers)
+	round := min(workers*batch, opts.Ops)
+	ops, gaps, res := make([]workload.Op, round), make([]int64, round), make([]core.OpResult, round)
+	samples := make([]sample, 0, opts.Ops)
+	var outcomes core.OpOutcomes
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id, n int) {
-			defer wg.Done()
-			src := opts.Sources(id)
-			out := workerOut{samples: make([]sample, 0, n)}
-			ops := make([]workload.Op, batch)
-			gaps := make([]int64, batch)
-			res := make([]core.OpResult, batch)
+	for len(live) > 0 {
+		// Fill the round; a client whose budget is spent or whose source ran
+		// short does not come back for the next one.
+		n, still := 0, live[:0]
+		for _, c := range live {
+			want := min(batch, c.budget-c.issued)
+			got := c.src.Fill(ops[n:n+want], gaps[n:n+want], c.issued, c.budget)
 			if opts.TraceSink != nil {
-				out.recOps = make([]workload.Op, 0, n)
-				out.recGaps = make([]int64, 0, n)
+				c.recOps = append(c.recOps, ops[n:n+got]...)
+				c.recGaps = append(c.recGaps, gaps[n:n+got]...)
 			}
-			for i := 0; i < n; i += batch {
-				bn := batch
-				if rest := n - i; bn > rest {
-					bn = rest
-				}
-				fn := src.Fill(ops[:bn], gaps[:bn], i, n)
-				if fn == 0 {
-					break // bounded source drained
-				}
-				if opts.TraceSink != nil {
-					out.recOps = append(out.recOps, ops[:fn]...)
-					out.recGaps = append(out.recGaps, gaps[:fn]...)
-				}
-				t0 := time.Now()
-				locked.doBatch(ops[:fn], res[:fn])
-				t1 := time.Now()
-				s := sample{
-					done:    t1.Sub(start).Nanoseconds(),
-					latency: t1.Sub(t0).Nanoseconds(),
-				}
-				for j := 0; j < fn; j++ {
-					s.failed = res[j].Failed
-					out.samples = append(out.samples, s)
-					out.outcomes.Observe(ops[j], res[j])
-				}
-				if fn < bn {
-					break // bounded source drained mid-batch
-				}
+			c.issued += got
+			n += got
+			if got == want && c.issued < c.budget {
+				still = append(still, c)
 			}
-			outs[id] = out
-		}(w, share(w))
-	}
-	wg.Wait()
-	// The measured run ends when the last worker finishes; merging and
-	// histogram post-processing below are not part of the workload and
-	// must not deflate Throughput().
-	duration := time.Since(start).Nanoseconds()
-
-	// Recording is written only now, one phase per worker in worker
-	// order, so the trace layout is deterministic even though workers
-	// raced in real time.
-	if opts.TraceSink != nil {
-		for id, o := range outs {
-			opts.TraceSink.BeginPhase(id, fmt.Sprintf("worker-%d", id), len(o.recOps))
-			opts.TraceSink.Append(o.recOps, o.recGaps)
+		}
+		live = still
+		if n == 0 {
+			break // every remaining source was already drained
+		}
+		t0 := time.Now()
+		bsut.DoBatch(ops[:n], res[:n])
+		t1 := time.Now()
+		s := sample{
+			done:    t1.Sub(start).Nanoseconds(),
+			latency: t1.Sub(t0).Nanoseconds(),
+		}
+		for j := 0; j < n; j++ {
+			s.failed = res[j].Failed
+			samples = append(samples, s)
+			outcomes.Observe(ops[j], res[j])
 		}
 	}
+	// The measured run ends with the last round; recording and histogram
+	// post-processing below are not part of the workload and must not
+	// deflate Throughput().
+	duration := time.Since(start).Nanoseconds()
 
-	// Merge worker samples into completion order. Each worker's slice is
-	// already sorted by done (appended as its ops complete), so a k-way
-	// merge suffices — no O(n log n) global sort.
-	parts := make([][]sample, workers)
-	outcomes := core.OpOutcomes{}
-	for i, o := range outs {
-		parts[i] = o.samples
-		outcomes.Found += o.outcomes.Found
-		outcomes.NotFound += o.outcomes.NotFound
-		outcomes.WorkUnits += o.outcomes.WorkUnits
-		outcomes.Failed += o.outcomes.Failed
+	if opts.TraceSink != nil {
+		for w, c := range clients {
+			opts.TraceSink.BeginPhase(w, fmt.Sprintf("worker-%d", w), len(c.recOps))
+			opts.TraceSink.Append(c.recOps, c.recGaps)
+		}
 	}
-	all := mergeSamples(parts)
 
 	col := metrics.NewCollector(metrics.CollectorConfig{
 		IntervalNs: interval,
 		SLANs:      opts.SLANs,
-		Ops:        len(all),
+		Ops:        len(samples),
 	})
-	for _, s := range all {
+	for _, s := range samples {
 		if s.failed {
 			col.RecordFailed(s.done)
 			continue

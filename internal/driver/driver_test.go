@@ -49,7 +49,7 @@ func TestRunConcurrentWorkers(t *testing.T) {
 	if res.Completed != 8000 {
 		t.Fatalf("completed = %d", res.Completed)
 	}
-	// Cumulative curve must be monotone despite concurrent completion.
+	// Cumulative curve must be monotone across the workers' rounds.
 	prev := int64(-1)
 	res.Cumulative.Points(func(tm, c int64) {
 		if tm < prev {
@@ -74,8 +74,8 @@ func (s *statefulDrift) FillAt(p float64, out []uint64) {
 }
 
 // TestRunConcurrentStatefulDrift drives many workers through a genuinely
-// stateful drift source; run under -race it proves no two running workers
-// touch it (every share is drawn before the first worker starts).
+// stateful drift source: every share is drawn from it, one worker after the
+// other, before the first round starts.
 func TestRunConcurrentStatefulDrift(t *testing.T) {
 	spec := workload.Spec{
 		Mix: workload.Balanced,
@@ -111,13 +111,14 @@ func blendSpec() workload.Spec {
 	}
 }
 
-// issued runs the spec path and returns what each worker issued, decoded
-// from the driver's own after-the-fact recording (one phase per worker).
-func issued(t *testing.T, spec workload.Spec, opts Options) []workload.TracePhase {
+// issued runs the spec path against sut and returns what each worker issued,
+// decoded from the driver's own after-the-fact recording (one phase per
+// worker).
+func issued(t *testing.T, sut core.SUT, spec workload.Spec, opts Options) []workload.TracePhase {
 	t.Helper()
 	var buf bytes.Buffer
 	opts.TraceSink = workload.NewTraceWriter(&buf, "issued", opts.Seed)
-	if _, err := Run(core.NewBTreeSUT(), spec, distgen.NewUniform(25, 0, 1<<40), 500, opts); err != nil {
+	if _, err := Run(sut, spec, distgen.NewUniform(25, 0, 1<<40), 500, opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := opts.TraceSink.Close(); err != nil {
@@ -133,12 +134,12 @@ func issued(t *testing.T, spec workload.Spec, opts Options) []workload.TracePhas
 // TestRunSpecStreamsDecidedBeforeStart: on the spec path every worker's
 // stream is drawn before the clock starts, one worker after the other. So
 // two runs of one seed over a stateful drift issue the same ops to the same
-// worker although the workers race, and worker w's stream is exactly
+// worker, and worker w's stream is exactly
 // NewSource(spec, nil, PhaseSeed(seed, w))'s first share, drawn in worker
 // order — which at one worker is the virtual run's phase 0, op for op.
 func TestRunSpecStreamsDecidedBeforeStart(t *testing.T) {
 	opts := Options{Workers: 2, Ops: 4001, Seed: 26}
-	a, b := issued(t, blendSpec(), opts), issued(t, blendSpec(), opts)
+	a, b := issued(t, core.NewBTreeSUT(), blendSpec(), opts), issued(t, core.NewBTreeSUT(), blendSpec(), opts)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two runs of one seed issued different per-worker streams")
 	}
@@ -152,7 +153,7 @@ func TestRunSpecStreamsDecidedBeforeStart(t *testing.T) {
 		}
 	}
 
-	one := issued(t, blendSpec(), Options{Workers: 1, Ops: 3000, Seed: 26})
+	one := issued(t, core.NewBTreeSUT(), blendSpec(), Options{Workers: 1, Ops: 3000, Seed: 26})
 	virtual := core.Scenario{Seed: 26, Phases: []core.Phase{{Ops: 3000, Workload: blendSpec()}}}.Materialize()
 	if len(one) != 1 || !reflect.DeepEqual(one[0].Ops, virtual.Phases[0].Trace.Ops) {
 		t.Fatal("the one worker did not issue the virtual run's phase 0")
@@ -168,8 +169,8 @@ func TestRunDurationExcludesPostProcessing(t *testing.T) {
 	}
 	// The run duration must cover every recorded completion: the last
 	// sample's completion offset cannot exceed the measured duration, and
-	// the duration is captured at worker exit (not after merging), so the
-	// two agree tightly.
+	// the duration is captured after the last round (not after the collector
+	// replay), so the two agree tightly.
 	var lastDone int64
 	res.Cumulative.Points(func(tm, _ int64) {
 		if tm > lastDone {
@@ -203,10 +204,9 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRunBatchDispatch proves the batch knob changes only how ops are
-// dispatched, not which ops run: with one worker (so the shared drift
-// source yields a deterministic op stream), batched and per-op runs issue
-// identical ops against identical SUT state, so the outcome tallies and
-// completion counts must match exactly.
+// dispatched, not which ops run: with one worker, batched and per-op runs
+// issue identical ops in one order against identical SUT state, so the
+// outcome tallies and completion counts must match exactly.
 func TestRunBatchDispatch(t *testing.T) {
 	// A small key domain so lookups actually hit loaded/inserted keys.
 	spec := func() workload.Spec {
@@ -243,8 +243,8 @@ func TestRunBatchDispatch(t *testing.T) {
 	}
 }
 
-// TestRunBatchConcurrent smoke-tests batched dispatch under real worker
-// concurrency: every op completes and the merged curve stays monotone.
+// TestRunBatchConcurrent smoke-tests batched dispatch with many workers
+// (rounds of 8 × 64 ops): every op completes and the curve stays monotone.
 func TestRunBatchConcurrent(t *testing.T) {
 	res, err := Run(core.NewALEXSUT(), specFor(33),
 		distgen.NewUniform(34, 0, 1<<40), 2000,

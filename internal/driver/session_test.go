@@ -25,8 +25,8 @@ func sessionSources(seed uint64) func(worker int) workload.Source {
 	}
 }
 
-// sessionTrace runs the concurrent driver with session-paced per-worker
-// sources, recording the issued streams, and returns the trace bytes.
+// sessionTrace runs the driver with session-paced per-worker sources,
+// recording the issued streams, and returns the trace bytes.
 func sessionTrace(t *testing.T, seed uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -45,10 +45,9 @@ func sessionTrace(t *testing.T, seed uint64) []byte {
 }
 
 // TestRunSessionSourcesDeterministic drives session-arrival workloads
-// through the parallel driver twice with one seed: although workers race
-// in real time, each worker's issued op/gap stream is deterministic and
-// the recorded trace (one phase per worker, written in worker order) is
-// byte-identical. Run under -race by make test-race.
+// through the multi-worker driver twice with one seed: each worker's issued
+// op/gap stream is deterministic and the recorded trace (one phase per
+// worker, written in worker order) is byte-identical.
 func TestRunSessionSourcesDeterministic(t *testing.T) {
 	a := sessionTrace(t, 77)
 	b := sessionTrace(t, 77)

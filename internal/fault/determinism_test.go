@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// driverFaultRun executes one concurrent real-time driver run with the
+// driverFaultRun executes one multi-worker real-time driver run with the
 // plan's injector on the wall clock and returns the measured outcomes and
 // the fault ledger.
 func driverFaultRun(t *testing.T, plan Plan, workers, batch int) (*driver.Result, Report) {
@@ -31,11 +31,11 @@ func driverFaultRun(t *testing.T, plan Plan, workers, batch int) (*driver.Result
 	return res, inj.Report()
 }
 
-// TestDriverFaultCountsDeterministic: under the concurrent wall-clock
-// driver, which ops fail depends on scheduling, but how many fail does
-// not — decisions are pure functions of the injector's op sequence, so a
-// run-long probabilistic window yields identical totals on every run.
-// (Run with -race in CI: the injector is exercised from many workers.)
+// TestDriverFaultCountsDeterministic: under the wall-clock driver, how
+// many ops fail does not depend on timing — decisions are pure functions of
+// the injector's op sequence, so a run-long probabilistic window yields
+// identical totals on every run, however workers and batch size group the
+// ops into rounds.
 func TestDriverFaultCountsDeterministic(t *testing.T) {
 	plan, err := ParseSpec("error@0s-1h:rate=0.2", 31)
 	if err != nil {

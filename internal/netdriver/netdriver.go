@@ -246,6 +246,10 @@ func (s *Server) handle(raw net.Conn) {
 	// maxWireBatch*respSize (~832 KiB) per connection.
 	var lastSeq uint64
 	var lastResp []byte
+	// One batch's ops and results, grown on demand and reused: n is bounded
+	// by maxWireBatch, and nothing keeps either past the batch.
+	var ops []workload.Op
+	var results []core.OpResult
 	for {
 		if _, err := io.ReadFull(r, req); err != nil {
 			return
@@ -260,8 +264,11 @@ func (s *Server) handle(raw net.Conn) {
 			if n == 0 || n > maxWireBatch || seq == 0 {
 				return
 			}
-			ops := make([]workload.Op, n)
-			for i := uint64(0); i < n; i++ {
+			if uint64(cap(ops)) < n {
+				ops, results = make([]workload.Op, n), make([]core.OpResult, n)
+			}
+			ops, results = ops[:n], results[:n]
+			for i := range ops {
 				if _, err := io.ReadFull(r, req); err != nil {
 					return
 				}
@@ -274,7 +281,6 @@ func (s *Server) handle(raw net.Conn) {
 					return
 				}
 			} else {
-				results := make([]core.OpResult, n)
 				bsut.DoBatch(ops, results)
 				// Build the tagged response (header + frames) and cache it
 				// for duplicate replay.
@@ -337,8 +343,10 @@ func (s *Server) handle(raw net.Conn) {
 }
 
 // Client is a core.SUT whose operations execute on a remote Server. It is
-// not safe for concurrent use (matching the SUT contract); open one client
-// per driver worker.
+// not safe for concurrent use (matching the SUT contract), and needs no
+// more: driver.Run takes one SUT and calls it from one goroutine, so one
+// client serves every driver worker — a round of the driver is one DoBatch
+// here, i.e. one wire round trip carrying every worker's ops.
 //
 // The SUT interface cannot return I/O errors, so the first failure is
 // latched: every later operation short-circuits to a zero result and

@@ -182,6 +182,80 @@ func TestDriverReplayOverNetwork(t *testing.T) {
 	}
 }
 
+// batchSizes logs the size of every batch the server hands its SUT.
+type batchSizes struct {
+	core.SUT
+	batches *[]int
+}
+
+func (c batchSizes) DoBatch(ops []workload.Op, out []core.OpResult) {
+	*c.batches = append(*c.batches, len(ops))
+	for i, op := range ops {
+		out[i] = c.Do(op)
+	}
+}
+
+// TestDriverRoundIsOneRoundTrip: a round of the driver reaches the server as
+// one batch frame carrying one op per worker, so 4 workers make a quarter of
+// the round trips of 1 — and, the ops being the same, tally the same
+// outcomes.
+func TestDriverRoundIsOneRoundTrip(t *testing.T) {
+	// Outcomes that do not depend on op order: gets of loaded (even) and
+	// absent (odd) keys, and puts that overwrite loaded keys.
+	keys := make([]uint64, 1000)
+	for i := range keys {
+		keys[i] = uint64(2 * i)
+	}
+	ops := make([]workload.Op, 4000)
+	for i := range ops {
+		ops[i] = workload.Op{Type: workload.Get, Key: uint64(i * 7919 % 2000)}
+		if i%8 == 7 {
+			ops[i] = workload.Op{Type: workload.Put, Key: keys[i%len(keys)], Value: uint64(i)}
+		}
+	}
+	run := func(workers int) (core.OpOutcomes, []int) {
+		var batches []int
+		srv, err := Serve("127.0.0.1:0", func() core.SUT { return batchSizes{core.NewBTreeSUT(), &batches} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		c.Load(keys, core.LoadValues(keys))
+		share := len(ops) / workers
+		res, err := driver.Run(c, workload.Spec{}, nil, 0, driver.Options{Workers: workers, Batch: 1, Ops: len(ops),
+			Sources: func(w int) workload.Source {
+				return workload.NewTraceReader("w", ops[w*share:(w+1)*share], nil)
+			}})
+		retries, cerr := c.Retries(), c.Err()
+		c.Close()
+		srv.Close() // waits for the connection's goroutine: batches is safe to read
+		if err != nil || cerr != nil {
+			t.Fatalf("workers=%d: run error %v, session error %v", workers, err, cerr)
+		}
+		if retries != 0 || res.Completed != int64(len(ops)) {
+			t.Fatalf("workers=%d: %d retries, %d ops completed", workers, retries, res.Completed)
+		}
+		return res.Outcomes, batches
+	}
+	one, single := run(1)
+	four, rounds := run(4)
+	if len(single) != 4000 || len(rounds) != 1000 {
+		t.Fatalf("server saw %d and %d batches, want 4000 and 1000", len(single), len(rounds))
+	}
+	for i, n := range rounds {
+		if n != 4 {
+			t.Fatalf("round %d carried %d ops, want one per worker", i, n)
+		}
+	}
+	if one != four || one.Found == 0 || one.NotFound == 0 {
+		t.Fatalf("outcomes differ: 1 worker %+v, 4 workers %+v", one, four)
+	}
+}
+
 func TestDialFailure(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
