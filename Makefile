@@ -25,8 +25,8 @@ test:
 # the cluster's health/poll/anti-entropy loops, which are genuinely
 # concurrent with dispatch; the netdriver server's per-connection
 # goroutines; and the pager and disk LSM crash-safety suites, which hammer
-# the same pool the Fig 1f runs fan out over. (The real-time driver is one
-# goroutine and has nothing left to race.)
+# the same pool the Fig 1f runs fan out over. (A run is one goroutine under
+# either clock and has nothing of its own to race.)
 test-race:
 	$(GO) test -race ./...
 

@@ -23,15 +23,18 @@
 //	lsbench ... -session gap=2ms,budget=50ms  # segment interactive sessions
 //	                                          # with a per-session budget
 //
-// With -remote the scenario runs in real time over TCP via the concurrent
-// driver; otherwise it runs on the deterministic virtual clock. Both hand a
-// core.Result to the same report path, so -csv works under either; a
-// session spec is refused under -remote (the driver ignores arrival gaps).
+// With -remote the scenario — every phase, training windows included — runs
+// over TCP on the wall clock; otherwise it runs against the named SUTs on the
+// deterministic virtual clock. Both are core.Runner.RunOn and hand a
+// core.Result to the same report path, so -record and -csv work under
+// either. The wall clock runs every phase closed loop: arrival gaps are not
+// paced (one stderr line says so) and a session spec is refused.
 //
 // -faults takes a fault.ParseSpec schedule, e.g.
 // "slow@10ms-30ms:factor=8;crash@50ms;error@70ms-80ms". On the virtual
 // clock the windows are in virtual time and results are byte-identical
-// per (plan, seed, batch); with -remote they are wall time from run start
+// per (plan, seed, batch); with -remote they are wall time from run start,
+// i.e. from the end of the initial load, like every time in the report
 // (wire drop/delay windows apply, and the client retries with capped
 // seeded backoff). The report gains a robustness panel per SUT.
 package main
@@ -43,12 +46,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/driver"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/netdriver"
@@ -94,8 +97,8 @@ func main() {
 	}
 }
 
-// benchMain is `lsbench [flags]`: build the scenario, run it under one of
-// the two clocks, and hand whatever ran to the one report path.
+// benchMain is `lsbench [flags]`: build the scenario and hand it to
+// runScenario.
 func benchMain(args []string) error {
 	fs := flag.NewFlagSet("lsbench", flag.ExitOnError)
 	var (
@@ -103,15 +106,14 @@ func benchMain(args []string) error {
 		suts       = fs.String("suts", "btree,rmi,alex", "comma-separated SUTs: "+strings.Join(core.SUTNames(), ","))
 		csvDir     = fs.String("csv", "", "directory to write per-figure CSV files into")
 		example    = fs.Bool("example", false, "print an example config and exit")
-		remote     = fs.String("remote", "", "address of a netdriver server started by lsbench serve sut (real-time mode)")
-		workers    = fs.Int("workers", 4, "closed-loop clients in -remote mode; the N clients share each round trip (N x -batch ops per dispatch), so a reported latency is the round's")
-		batch      = fs.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting")
+		remote     = fs.String("remote", "", "address of a netdriver server started by lsbench serve sut: run the scenario against it on the wall clock")
+		batch      = fs.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting, with -remote a batch is one round trip and its ops share the round's latency")
 		faults     = fs.String("faults", "", "deterministic fault plan (kind@start-end:params;... with kinds slow,error,crash,drop,delay,stall)")
 		poolPages  = fs.Int("pool-pages", 64, "buffer-pool capacity in 4KiB pages for disk-backed SUTs")
 		poolPolicy = fs.String("pool-policy", "lru", "buffer-pool eviction policy for disk-backed SUTs: lru, clock, 2q")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		record     = fs.String("record", "", "record the op stream to this trace file (the materialized scenario, written before any SUT runs; with -remote, what the driver's workers issued)")
+		record     = fs.String("record", "", "record the op stream to this trace file (the materialized scenario, written before any SUT runs, under either clock)")
 		replay     = fs.String("replay", "", "replay this recorded trace instead of the config's phases")
 		synthFrom  = fs.String("synth-from", "", "fit this recorded trace and drive the config's phases with synthesized lookalike load")
 		repeatFrac = fs.Float64("repeat-frac", 0, "with -synth-from: fraction of keys re-drawn from the recently issued window [0,1)")
@@ -181,16 +183,32 @@ func benchMain(args []string) error {
 		so.stats = st
 	}
 
-	if *remote != "" {
-		return runRemote(scenario, *remote, *workers, *batch, plan, so)
-	}
 	knobs := pager.PoolKnobs{Pages: *poolPages, Policy: *poolPolicy}.Validate()
-	return runVirtual(scenario, strings.Split(*suts, ","), *batch, plan, knobs, so)
+	return runScenario(scenario, strings.Split(*suts, ","), *remote, *batch, plan, knobs, so)
 }
 
-// runVirtual runs the scenario against each named SUT on the virtual clock
-// and reports.
-func runVirtual(scenario core.Scenario, suts []string, batch int, plan fault.Plan, knobs pager.PoolKnobs, so sourceOpts) error {
+// sourceOpts carries the trace/synth/CSV CLI selections into runScenario.
+type sourceOpts struct {
+	csvDir     string
+	record     string
+	replay     *workload.Trace
+	stats      *workload.TraceStats
+	repeatFrac float64
+}
+
+// runScenario is the one run path: it decides the scenario's streams, runs
+// it once per SUT and reports. remote changes the clock (wall instead of
+// virtual), where the SUT comes from (one netdriver client instead of the
+// named in-process SUTs) and that the scenario is always materialized, so
+// the wall-clock run does not time its own generators.
+func runScenario(scenario core.Scenario, suts []string, remote string, batch int, plan fault.Plan, knobs pager.PoolKnobs, so sourceOpts) error {
+	if remote != "" {
+		if scenario.Session != nil {
+			return fmt.Errorf("-remote cannot segment sessions: the wall clock ignores arrival gaps, so the gap of %s that opens a session is never observed (drop -session or the config's session clause, or run on the virtual clock)",
+				ns(scenario.Session.GapNs))
+		}
+		suts = []string{remote} // one run; -suts names in-process SUTs
+	}
 	// -replay replaces the config's phases with the recording;
 	// -synth-from keeps the phase structure but swaps each phase's op
 	// source for a fitted synthesizer (reseeded per phase, so every SUT
@@ -209,7 +227,7 @@ func runVirtual(scenario core.Scenario, suts []string, batch int, plan fault.Pla
 	// would otherwise advance between the per-SUT runs below. Pin the
 	// streams once; each run is then a pure replay, and a recording is
 	// the pinned streams written down before the first of them.
-	if len(suts) > 1 || so.record != "" {
+	if len(suts) > 1 || so.record != "" || remote != "" {
 		scenario = scenario.Materialize()
 	}
 	if so.record != "" {
@@ -222,128 +240,74 @@ func runVirtual(scenario core.Scenario, suts []string, batch int, plan fault.Pla
 		}
 		fmt.Printf("op stream recorded to %s\n\n", so.record)
 	}
+	if remote != "" && slices.ContainsFunc(scenario.Phases, func(p core.Phase) bool {
+		return slices.ContainsFunc(p.Trace.Gaps, func(gap int64) bool { return gap != 0 })
+	}) {
+		fmt.Fprintln(os.Stderr, "lsbench: arrival gaps are not paced on the wall clock: every phase runs closed loop")
+	}
 
 	var results []*core.Result
 	var injectors []*fault.Injector
+	var retries int64
 	for _, name := range suts {
-		f, err := core.SUTByName(strings.TrimSpace(name), knobs)
-		if err != nil {
-			return err
+		// One clock, runner and injector per SUT: the injector reads the
+		// run's own clock, virtual or wall.
+		var clock sim.Clock = &sim.Virtual{}
+		if remote != "" {
+			clock = sim.NewReal()
 		}
-		// One runner (and injector) per SUT: the injector rides each
-		// run's own virtual clock via the WrapSUT hook.
 		runner := core.NewRunner()
 		runner.Batch = batch
 		var inj *fault.Injector
 		if !plan.Empty() {
-			runner.WrapSUT = func(s core.SUT, clock sim.Clock) core.SUT {
-				inj = fault.NewInjector(plan, clock)
-				return fault.Wrap(s, inj)
-			}
+			inj = fault.NewInjector(plan, clock)
+			runner.WrapSUT = func(s core.SUT, _ sim.Clock) core.SUT { return fault.Wrap(s, inj) }
 		}
-		res, err := runner.Run(scenario, f())
+		var sut core.SUT
+		if remote != "" {
+			c, err := dial(remote, scenario.Seed, inj)
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			sut = c
+		} else {
+			f, err := core.SUTByName(strings.TrimSpace(name), knobs)
+			if err != nil {
+				return err
+			}
+			sut = f()
+		}
+		res, err := runner.RunOn(clock, scenario, sut)
 		if err != nil {
 			return err
+		}
+		if c, ok := sut.(*netdriver.Client); ok {
+			if cerr := c.Err(); cerr != nil {
+				return fmt.Errorf("remote session failed mid-run (results incomplete): %w", cerr)
+			}
+			retries = c.Retries()
+			fmt.Printf("remote run against %s (wall clock)\n", remote)
 		}
 		results = append(results, res)
 		injectors = append(injectors, inj)
 	}
-	return printReport(results, injectors, plan, 0, so.csvDir)
+	return printReport(results, injectors, plan, retries, so.csvDir)
 }
 
-// sourceOpts carries the trace/synth/CSV CLI selections into the run paths.
-type sourceOpts struct {
-	csvDir     string
-	record     string
-	replay     *workload.Trace
-	stats      *workload.TraceStats
-	repeatFrac float64
-}
-
-// runRemote drives one remote SUT in real time and reports through the
-// path runVirtual uses.
-func runRemote(scenario core.Scenario, addr string, workers, batch int, plan fault.Plan, so sourceOpts) error {
-	if so.replay == nil && len(scenario.Phases) != 1 {
-		return fmt.Errorf("-remote mode supports single-phase scenarios")
-	}
-	if scenario.Session != nil {
-		return fmt.Errorf("-remote cannot segment sessions: the real-time driver ignores arrival gaps, so the gap of %s that opens a session is never observed (drop -session or the config's session clause, or run on the virtual clock)",
-			ns(scenario.Session.GapNs))
-	}
+// dial connects to the remote SUT. With a fault plan the injector's wire
+// windows perturb the client's frames, and retries plus deadlines make
+// dropped frames survivable.
+func dial(addr string, seed uint64, inj *fault.Injector) (*netdriver.Client, error) {
 	opts := netdriver.Options{}
-	var inj *fault.Injector
-	if !plan.Empty() {
-		// Wall-clock injector from run start: wire windows perturb the
-		// client's frames, op windows act through the SUT middleware.
-		// Retries + deadlines make dropped frames survivable.
-		inj = fault.NewInjector(plan, nil)
+	if inj != nil {
 		opts.ReadTimeout = 250 * time.Millisecond
 		opts.WriteTimeout = 250 * time.Millisecond
 		opts.MaxRetries = 8
-		opts.RetrySeed = scenario.Seed
+		opts.RetrySeed = seed
 		opts.WrapConn = func(c net.Conn) net.Conn { return fault.NewConn(c, inj) }
 	}
-	c, err := netdriver.DialOptions(addr, opts)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	var sut core.SUT = c
-	if inj != nil {
-		sut = fault.Wrap(c, inj)
-	}
-	var spec workload.Spec
-	dopts := driver.Options{
-		Workers: workers,
-		Seed:    scenario.Seed,
-		SLANs:   scenario.SLANs,
-		Batch:   batch,
-	}
-	switch {
-	case so.replay != nil:
-		// Replay flattens the recording into one in-order stream; a
-		// single worker preserves the recorded op order exactly.
-		r := so.replay.Reader()
-		dopts.Workers = 1
-		dopts.Ops = r.Len()
-		dopts.Sources = func(int) workload.Source { return r }
-		if workers != 1 {
-			fmt.Fprintln(os.Stderr, "lsbench: -replay forces -workers 1 (recorded order is a single stream)")
-		}
-	case so.stats != nil:
-		dopts.Ops = scenario.Phases[0].Ops
-		dopts.Sources = func(w int) workload.Source {
-			return workload.NewSynthesizer(so.stats, workload.PhaseSeed(scenario.Seed, w), so.repeatFrac)
-		}
-	default:
-		spec = scenario.Phases[0].Workload
-		dopts.Ops = scenario.Phases[0].Ops
-	}
-	// The driver is the one executor that records after the fact: its
-	// workers' streams may come from opaque Sources.
-	var res *core.Result
-	run := func(tw *workload.TraceWriter) (err error) {
-		dopts.TraceSink = tw
-		res, err = driver.Run(sut, spec, scenario.InitialData, scenario.InitialSize, dopts)
-		return err
-	}
-	if so.record != "" {
-		err = workload.RecordTraceFile(so.record, scenario.Name, scenario.Seed, run)
-	} else {
-		err = run(nil)
-	}
-	if err != nil {
-		return err
-	}
-	if so.record != "" {
-		fmt.Printf("op stream recorded to %s (one trace phase per worker)\n", so.record)
-	}
-	if cerr := c.Err(); cerr != nil {
-		return fmt.Errorf("remote session failed mid-run (results incomplete): %w", cerr)
-	}
-	res.Scenario = scenario.Name
-	fmt.Printf("remote run against %s (wall clock)\n", addr)
-	return printReport([]*core.Result{res}, []*fault.Injector{inj}, plan, c.Retries(), so.csvDir)
+	return netdriver.DialOptions(addr, opts)
 }
 
 // printReport is the one report path of both clocks: summary table, Fig
@@ -374,11 +338,8 @@ func printReport(results []*core.Result, injectors []*fault.Injector, plan fault
 	report.Table(os.Stdout, header, rows)
 	fmt.Println()
 
-	// Per-phase breakdown (the Figure 1a material); a real-time run has none.
+	// Per-phase breakdown (the Figure 1a material).
 	for _, r := range results {
-		if len(r.Phases) == 0 {
-			continue
-		}
 		fmt.Printf("%s phases:\n", r.SUT)
 		ph := []string{"phase", "ops/s", "completed", "retrain-work"}
 		var prows [][]string

@@ -18,7 +18,7 @@ import (
 // round trip, and on the pass-through fault.SUT, which must not break such
 // a batch up — and nowhere else; every in-process SUT gets the loop below
 // from AsBatch. What batching buys in process is one dispatch, and one pair
-// of clock reads, per round of the real-time driver.
+// of clock reads, per round on the wall clock.
 type BatchSUT interface {
 	SUT
 	// DoBatch executes ops[i] and stores its result in out[i].
@@ -48,9 +48,8 @@ func (b seqBatch) DoBatch(ops []workload.Op, out []OpResult) {
 
 // OpOutcomes tallies what a run's operations did: how many found their
 // key, how many lookups (Gets and Deletes) missed, and the total abstract
-// work the SUT reported. The virtual runner and the real-time driver both
-// surface it, so a driver run can be sanity-checked against the virtual
-// run of the same workload.
+// work the SUT reported. It does not depend on the clock, so a wall-clock
+// run can be checked against the virtual run of the same workload.
 type OpOutcomes struct {
 	// Found counts operations whose OpResult.Found was true.
 	Found int64

@@ -40,7 +40,7 @@ func (sc *runScratch) ensure(batch int) {
 // throughput statistics rather than a single average.
 type PhaseResult struct {
 	Name string
-	// StartNs/EndNs are virtual times bounding the phase.
+	// StartNs/EndNs are the run clock's times bounding the phase.
 	StartNs, EndNs int64
 	Completed      int64
 	// Failed counts operations that completed as errors (injected faults);
@@ -61,10 +61,9 @@ func (p PhaseResult) Throughput() float64 {
 }
 
 // Result is the full outcome of one run against one SUT, carrying every
-// metric family of Figure 1. All three executors return it — Runner.Run,
-// RunSQL and the real-time driver.Run — so one report layer serves them;
-// an executor leaves zero what it has no notion of (the driver trains
-// nothing, RunSQL has no per-phase breakdown).
+// metric family of Figure 1. Both executors return it — Runner.RunOn under
+// either clock and RunSQL — so one report layer serves them; an executor
+// leaves zero what it has no notion of (RunSQL has no per-phase breakdown).
 type Result struct {
 	Scenario string
 	SUT      string
@@ -77,7 +76,7 @@ type Result struct {
 
 	// Per-phase breakdown.
 	Phases []PhaseResult
-	// PhaseStarts are the virtual times each phase began — the
+	// PhaseStarts are the run clock's times each phase began — the
 	// "distribution change" instants for adaptation metrics.
 	PhaseStarts []int64
 	// PostChangeLatencies records, for each phase after the first, the
@@ -86,7 +85,7 @@ type Result struct {
 	PostChangeLatencies [][]int64
 
 	// Outcomes tallies found/not-found lookups and total SUT work, for
-	// sanity-checking against real-time driver runs of the same workload.
+	// checking a run on one clock against the same workload on the other.
 	Outcomes OpOutcomes
 
 	// Lesson 3: training accounting.
@@ -104,7 +103,8 @@ type Result struct {
 	// fsyncs) for disk-backed SUTs; nil for in-memory structures.
 	Storage *StorageStats
 
-	// Total virtual duration (ns).
+	// Total duration on the run's clock (ns), from the end of the initial
+	// load to the last completion.
 	DurationNs int64
 }
 
@@ -126,7 +126,8 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Completed) / (float64(r.DurationNs) / 1e9)
 }
 
-// Runner executes scenarios against SUTs on a virtual clock.
+// Runner executes scenarios against SUTs: Run on a fresh virtual clock,
+// RunOn on the clock it is handed.
 type Runner struct {
 	Cost sim.CostModel
 	// PostChangeN is how many operations after each phase change feed
@@ -144,8 +145,8 @@ type Runner struct {
 	// results and a batch is Do per op in issue order, results are
 	// byte-identical at every batch size.
 	Batch int
-	// WrapSUT, when set, wraps the SUT after the run's virtual clock is
-	// created but before the initial load — the injection point for
+	// WrapSUT, when set, wraps the SUT once the run's clock is known but
+	// before the initial load — the injection point for
 	// middleware that needs the run's own clock (fault.Wrap). A wrapper
 	// returning its argument unchanged leaves the run untouched.
 	WrapSUT func(sut SUT, clock sim.Clock) SUT
@@ -156,12 +157,28 @@ func NewRunner() *Runner {
 	return &Runner{Cost: sim.DefaultCostModel(), PostChangeN: 1000}
 }
 
-// Run executes the scenario against the SUT and returns the full result.
+// Run executes the scenario against the SUT on a fresh virtual clock and
+// returns the full result.
 func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
+	return r.RunOn(&sim.Virtual{}, s, sut)
+}
+
+// RunOn is the one dispatch loop under both clocks. On a *sim.Virtual a
+// completion is priced: the single-server queue over the source's gaps and
+// Cost.ServiceTime, bit-identical at any Batch. On any other clock it is
+// measured: the clock is read before and after each dispatch, every op of
+// the dispatch arrives at the first reading and completes at the second (the
+// round is the unit of service), the loop is closed and the source's gaps
+// are not paced, and training takes the time it takes. Either way every time
+// in the Result counts from the end of the initial load — a *sim.Real is
+// restarted there, so middleware holding the clock (a fault.Injector) opens
+// its windows at the same instant the result's times start from.
+func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	clock := &sim.Virtual{}
+	// virt is nil on a wall clock: completions are measured, not priced.
+	virt, _ := clock.(*sim.Virtual)
 	pool := PoolOf(sut) // before wrapping: middleware hides the accessor
 	if r.WrapSUT != nil {
 		sut = r.WrapSUT(sut, clock)
@@ -174,6 +191,9 @@ func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
 		keys = distgen.UniqueKeys(s.InitialData, s.InitialSize)
 	}
 	sut.Load(keys, LoadValues(keys))
+	if real, ok := clock.(*sim.Real); ok {
+		*real = *sim.NewReal() // restart in place: every holder of the clock sees the new epoch
+	}
 
 	res := &Result{Scenario: s.Name, SUT: sut.Name()}
 
@@ -261,7 +281,9 @@ func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
 				return nil, fmt.Errorf("core: scenario %q phase %d: source %s exhausted at op %d of %d",
 					s.Name, pi, src.Name(), i+n, phase.Ops)
 			}
+			t0 := clock.Now()
 			bsut.DoBatch(ops[:bn], outs[:bn])
+			t1 := clock.Now()
 			for j := 0; j < bn; j++ {
 				var arrive int64
 				if gaps[j] == 0 {
@@ -271,10 +293,6 @@ func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
 					arrive = prevArrival + gaps[j]
 				}
 				prevArrival = arrive
-				if s.Session != nil && (!sessionStarted || gaps[j] >= s.Session.GapNs) {
-					col.BeginSession(arrive)
-					sessionStarted = true
-				}
 
 				start := arrive
 				if serverFree > start {
@@ -282,8 +300,16 @@ func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
 				}
 				service := r.Cost.ServiceTime(outs[j].Work)
 				done := start + service
+				if virt != nil {
+					virt.AdvanceTo(done)
+				} else {
+					arrive, done = t0, t1
+				}
 				serverFree = done
-				clock.AdvanceTo(done)
+				if s.Session != nil && (!sessionStarted || gaps[j] >= s.Session.GapNs) {
+					col.BeginSession(arrive)
+					sessionStarted = true
+				}
 
 				latency := done - arrive
 				if outs[j].Failed {
@@ -317,8 +343,8 @@ func (r *Runner) Run(s Scenario, sut SUT) (*Result, error) {
 		}
 	}
 
+	res.DurationNs = clock.Now() // before Snapshot: post-processing is not part of the run
 	res.Snapshot = col.Snapshot()
-	res.DurationNs = clock.Now()
 	if ol, ok := sut.(OnlineLearner); ok {
 		res.OnlineTrainWork = ol.OnlineTrainWork() - onlineBase
 	}

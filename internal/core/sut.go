@@ -36,7 +36,7 @@ type SUT interface {
 }
 
 // ValueFor derives the canonical load value for a key. Every engine that
-// bulk-loads an initial database (virtual runner, real-time driver, tests)
+// bulk-loads an initial database (the runner under either clock, tests)
 // uses this one derivation so loaded contents are comparable across
 // execution modes.
 func ValueFor(k uint64) uint64 { return k ^ 0xDEADBEEF }

@@ -1,9 +1,9 @@
 package driver
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -111,74 +111,49 @@ func blendSpec() workload.Spec {
 	}
 }
 
-// issued runs the spec path against sut and returns what each worker issued,
-// decoded from the driver's own after-the-fact recording (one phase per
-// worker).
-func issued(t *testing.T, sut core.SUT, spec workload.Spec, opts Options) []workload.TracePhase {
+// issued runs the spec path and returns every dispatch the SUT was handed:
+// what the driver issued, round by round.
+func issued(t *testing.T, spec workload.Spec, opts Options) [][]workload.Op {
 	t.Helper()
-	var buf bytes.Buffer
-	opts.TraceSink = workload.NewTraceWriter(&buf, "issued", opts.Seed)
+	sut := newRoundLog()
 	if _, err := Run(sut, spec, distgen.NewUniform(25, 0, 1<<40), 500, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := opts.TraceSink.Close(); err != nil {
-		t.Fatal(err)
+	return sut.rounds
+}
+
+// shares draws what the spec path pins: worker w's stream is
+// NewSource(spec, nil, PhaseSeed(seed, w))'s first share, drawn in worker
+// order from the one (possibly stateful) spec.
+func shares(spec workload.Spec, seed uint64, share ...int) [][]workload.Op {
+	streams := make([][]workload.Op, len(share))
+	for w, n := range share {
+		streams[w] = make([]workload.Op, n)
+		workload.NewSource(spec, nil, workload.PhaseSeed(seed, w)).Fill(streams[w], make([]int64, n), 0, n)
 	}
-	tr, err := workload.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr.Phases
+	return streams
 }
 
 // TestRunSpecStreamsDecidedBeforeStart: on the spec path every worker's
 // stream is drawn before the clock starts, one worker after the other. So
-// two runs of one seed over a stateful drift issue the same ops to the same
-// worker, and worker w's stream is exactly
-// NewSource(spec, nil, PhaseSeed(seed, w))'s first share, drawn in worker
-// order — which at one worker is the virtual run's phase 0, op for op.
+// two runs of one seed over a stateful drift issue the same ops in the same
+// rounds, and those rounds interleave exactly each worker's generator's first
+// share, drawn in worker order — which at one worker is the virtual run's
+// phase 0, op for op.
 func TestRunSpecStreamsDecidedBeforeStart(t *testing.T) {
 	opts := Options{Workers: 2, Ops: 4001, Seed: 26}
-	a, b := issued(t, core.NewBTreeSUT(), blendSpec(), opts), issued(t, core.NewBTreeSUT(), blendSpec(), opts)
+	a, b := issued(t, blendSpec(), opts), issued(t, blendSpec(), opts)
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two runs of one seed issued different per-worker streams")
+		t.Fatal("two runs of one seed issued different rounds")
+	}
+	if want := interleave(shares(blendSpec(), opts.Seed, 2001, 2000), 1); !reflect.DeepEqual(a, want) {
+		t.Fatal("the rounds do not interleave each worker's generator's first share")
 	}
 
-	spec := blendSpec()
-	for w, share := range []int{2001, 2000} {
-		ops, gaps := make([]workload.Op, share), make([]int64, share)
-		workload.NewSource(spec, nil, workload.PhaseSeed(opts.Seed, w)).Fill(ops, gaps, 0, share)
-		if len(a) != 2 || !reflect.DeepEqual(a[w].Ops, ops) || !reflect.DeepEqual(a[w].Gaps, gaps) {
-			t.Fatalf("worker %d did not issue its generator's first %d ops", w, share)
-		}
-	}
-
-	one := issued(t, core.NewBTreeSUT(), blendSpec(), Options{Workers: 1, Ops: 3000, Seed: 26})
+	one := issued(t, blendSpec(), Options{Workers: 1, Ops: 3000, Seed: 26})
 	virtual := core.Scenario{Seed: 26, Phases: []core.Phase{{Ops: 3000, Workload: blendSpec()}}}.Materialize()
-	if len(one) != 1 || !reflect.DeepEqual(one[0].Ops, virtual.Phases[0].Trace.Ops) {
+	if !reflect.DeepEqual(slices.Concat(one...), virtual.Phases[0].Trace.Ops) {
 		t.Fatal("the one worker did not issue the virtual run's phase 0")
-	}
-}
-
-func TestRunDurationExcludesPostProcessing(t *testing.T) {
-	res, err := Run(core.NewBTreeSUT(), specFor(20),
-		distgen.NewUniform(21, 0, 1<<40), 2000,
-		Options{Workers: 4, Ops: 4000, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The run duration must cover every recorded completion: the last
-	// sample's completion offset cannot exceed the measured duration, and
-	// the duration is captured after the last round (not after the collector
-	// replay), so the two agree tightly.
-	var lastDone int64
-	res.Cumulative.Points(func(tm, _ int64) {
-		if tm > lastDone {
-			lastDone = tm
-		}
-	})
-	if lastDone > res.DurationNs {
-		t.Fatalf("last completion at %dns after measured duration %dns", lastDone, res.DurationNs)
 	}
 }
 
@@ -215,7 +190,7 @@ func TestRunBatchDispatch(t *testing.T) {
 			Access: distgen.Static{G: distgen.NewUniform(30, 0, 1<<13)},
 		}
 	}
-	run := func(batch int) *Result {
+	run := func(batch int) *core.Result {
 		res, err := Run(core.NewBTreeSUT(), spec(),
 			distgen.NewUniform(31, 0, 1<<13), 3000,
 			Options{Workers: 1, Ops: 6000, Seed: 32, Batch: batch})

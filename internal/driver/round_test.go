@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,8 +69,7 @@ func keys(rounds [][]workload.Op) [][]uint64 {
 }
 
 // interleave is the round rule written down: in worker order, each stream
-// that is still live gives its next batch ops; one that gives fewer (its
-// share or its source ran out) is gone after that round.
+// with ops left gives its next batch of them.
 func interleave(streams [][]workload.Op, batch int) [][]workload.Op {
 	var rounds [][]workload.Op
 	for pos := 0; ; pos += batch {
@@ -90,67 +90,51 @@ func interleave(streams [][]workload.Op, batch int) [][]workload.Op {
 // which order, and what the ops of one dispatch report.
 func TestRunRoundOrder(t *testing.T) {
 	// Uneven shares (6, 6, 5) and a source that drains early, mid-batch:
-	// worker 1 holds 3 ops of its 6.
+	// worker 1 holds 3 ops of its 6. The run fails as any run over a short
+	// phase source does, and the round that came up short is not dispatched.
 	t.Run("bounded source", func(t *testing.T) {
 		sut := newRoundLog()
-		res, err := Run(sut, workload.Spec{}, nil, 0, Options{Workers: 3, Batch: 2, Ops: 17,
+		_, err := Run(sut, workload.Spec{}, nil, 0, Options{Workers: 3, Batch: 2, Ops: 17,
 			Sources: func(w int) workload.Source {
 				return workload.NewTraceReader("w", stream(w, []int{6, 3, 5}[w]), nil)
 			}})
-		if err != nil {
-			t.Fatal(err)
+		if err == nil || !strings.Contains(err.Error(), "exhausted at op 11 of 17") {
+			t.Fatalf("err = %v, want the runner's exhausted-source error", err)
 		}
-		want := [][]uint64{
-			{0, 1, 100, 101, 200, 201},
-			{2, 3, 102, 202, 203}, // worker 1 comes up short and is retired
-			{4, 5, 204},           // worker 2's share is 5
-		}
-		if got := keys(sut.rounds); !reflect.DeepEqual(got, want) {
-			t.Fatalf("rounds = %v, want %v", got, want)
-		}
-		if res.Completed != 14 {
-			t.Fatalf("completed = %d, want the 14 ops the sources held", res.Completed)
+		if got, want := keys(sut.rounds), [][]uint64{{0, 1, 100, 101, 200, 201}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("rounds = %v, want only the full first round %v", got, want)
 		}
 	})
 
 	// The spec path: the rounds are the interleave of the pinned per-worker
-	// streams (read back from the driver's own recording), and a second run
-	// of the seed issues the same ops in the same order.
+	// streams, and a second run of the seed issues the same ops in the same
+	// order.
 	t.Run("spec streams", func(t *testing.T) {
-		run := func() ([][]workload.Op, []workload.TracePhase) {
-			sut := newRoundLog()
-			phases := issued(t, sut, blendSpec(), Options{Workers: 3, Batch: 2, Ops: 17, Seed: 26})
-			return sut.rounds, phases
-		}
-		rounds, phases := run()
-		streams := make([][]workload.Op, len(phases))
-		for w, ph := range phases {
-			streams[w] = ph.Ops
-		}
-		if len(streams) != 3 || len(streams[0]) != 6 || len(streams[1]) != 6 || len(streams[2]) != 5 {
-			t.Fatalf("recorded %d streams with unexpected shares", len(streams))
-		}
-		if want := interleave(streams, 2); !reflect.DeepEqual(rounds, want) {
+		opts := Options{Workers: 3, Batch: 2, Ops: 17, Seed: 26}
+		rounds := issued(t, blendSpec(), opts)
+		if want := interleave(shares(blendSpec(), opts.Seed, 6, 6, 5), 2); !reflect.DeepEqual(rounds, want) {
 			t.Fatalf("rounds are not the interleave of the workers' streams:\n got %v\nwant %v", rounds, want)
 		}
-		if again, _ := run(); !reflect.DeepEqual(rounds, again) {
+		if again := issued(t, blendSpec(), opts); !reflect.DeepEqual(rounds, again) {
 			t.Fatal("two runs of one seed issued different op sequences")
 		}
 	})
 
-	// One worker: the Fill and DoBatch calls are those of the plain loop the
-	// driver has always run over one stream, call for call — also when the
-	// source drains mid-batch (5 ops) or exactly on a batch boundary (6).
+	// One worker: the Fill and DoBatch calls are those of the plain loop over
+	// one stream, call for call. A source that drains mid-batch (5 ops) or
+	// exactly on a batch boundary (6) fails the run at the short Fill, before
+	// any partial round is dispatched.
 	t.Run("one worker", func(t *testing.T) {
 		for _, held := range []int{7, 5, 6} {
 			var got, want []string
 			sut := newRoundLog()
 			sut.calls = &got
-			if _, err := Run(sut, workload.Spec{}, nil, 0, Options{Workers: 1, Batch: 3, Ops: 7,
+			_, err := Run(sut, workload.Spec{}, nil, 0, Options{Workers: 1, Batch: 3, Ops: 7,
 				Sources: func(int) workload.Source {
 					return callLog{workload.NewTraceReader("w", stream(0, held), nil), &got}
-				}}); err != nil {
-				t.Fatal(err)
+				}})
+			if exhausted := err != nil && strings.Contains(err.Error(), fmt.Sprintf("exhausted at op %d of 7", held)); exhausted != (held < 7) {
+				t.Fatalf("source of %d ops: err = %v", held, err)
 			}
 
 			ref := newRoundLog()
@@ -159,14 +143,10 @@ func TestRunRoundOrder(t *testing.T) {
 			ops, gaps, res := make([]workload.Op, 3), make([]int64, 3), make([]core.OpResult, 3)
 			for i, n := 0, 7; i < n; i += 3 {
 				bn := min(3, n-i)
-				fn := src.Fill(ops[:bn], gaps[:bn], i, n)
-				if fn == 0 {
+				if src.Fill(ops[:bn], gaps[:bn], i, n) < bn {
 					break
 				}
-				ref.DoBatch(ops[:fn], res[:fn])
-				if fn < bn {
-					break
-				}
+				ref.DoBatch(ops[:bn], res[:bn])
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("source of %d ops: calls %v, want %v", held, got, want)

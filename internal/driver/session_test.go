@@ -1,7 +1,7 @@
 package driver
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -25,51 +25,57 @@ func sessionSources(seed uint64) func(worker int) workload.Source {
 	}
 }
 
-// sessionTrace runs the driver with session-paced per-worker sources,
-// recording the issued streams, and returns the trace bytes.
-func sessionTrace(t *testing.T, seed uint64) []byte {
+// recorded is a Source that keeps what it served.
+type recorded struct {
+	workload.Source
+	ops  []workload.Op
+	gaps []int64
+}
+
+func (r *recorded) Fill(ops []workload.Op, gaps []int64, pos, total int) int {
+	n := r.Source.Fill(ops, gaps, pos, total)
+	r.ops, r.gaps = append(r.ops, ops[:n]...), append(r.gaps, gaps[:n]...)
+	return n
+}
+
+// sessionStreams runs the driver with session-paced per-worker sources and
+// returns what each worker's source served.
+func sessionStreams(t *testing.T, seed uint64) []*recorded {
 	t.Helper()
-	var buf bytes.Buffer
-	tw := workload.NewTraceWriter(&buf, "driver-sessions", seed)
+	streams := make([]*recorded, 4)
+	sources := sessionSources(seed)
 	_, err := Run(core.NewBTreeSUT(), workload.Spec{},
 		distgen.NewUniform(seed+1, 0, 1<<40), 2000,
 		Options{Workers: 4, Ops: 8000, Seed: seed,
-			Sources: sessionSources(seed), TraceSink: tw})
+			Sources: func(w int) workload.Source {
+				streams[w] = &recorded{Source: sources(w)}
+				return streams[w]
+			}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return streams
 }
 
 // TestRunSessionSourcesDeterministic drives session-arrival workloads
 // through the multi-worker driver twice with one seed: each worker's issued
-// op/gap stream is deterministic and the recorded trace (one phase per
-// worker, written in worker order) is byte-identical.
+// op/gap stream is deterministic.
 func TestRunSessionSourcesDeterministic(t *testing.T) {
-	a := sessionTrace(t, 77)
-	b := sessionTrace(t, 77)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("session trace not reproducible: %d vs %d bytes differ", len(a), len(b))
+	a := sessionStreams(t, 77)
+	for w, b := range sessionStreams(t, 77) {
+		if !reflect.DeepEqual(a[w].ops, b.ops) || !reflect.DeepEqual(a[w].gaps, b.gaps) {
+			t.Fatalf("worker %d: session stream not reproducible", w)
+		}
 	}
-	if c := sessionTrace(t, 78); bytes.Equal(a, c) {
-		t.Fatal("different seeds recorded identical traces")
+	if c := sessionStreams(t, 78); reflect.DeepEqual(a[0].ops, c[0].ops) {
+		t.Fatal("different seeds issued identical streams")
 	}
 
-	// The recorded per-worker streams must carry the session structure:
-	// think gaps >= ThinkNs and intra gaps below it, in 2..6-op bursts.
-	tr, err := workload.ReadTrace(bytes.NewReader(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Phases) != 4 {
-		t.Fatalf("trace has %d phases, want one per worker (4)", len(tr.Phases))
-	}
-	for _, ph := range tr.Phases {
-		if len(ph.Gaps) == 0 || ph.Gaps[0] < 1_000_000 {
-			t.Fatalf("worker phase %q does not open with a think gap", ph.Name)
+	// The per-worker streams must carry the session structure: each is its
+	// worker's whole share and opens with a think gap >= ThinkNs.
+	for w, s := range a {
+		if len(s.ops) != 2000 || s.gaps[0] < 1_000_000 {
+			t.Fatalf("worker %d issued %d ops, first gap %d: want 2000 opening with a think gap", w, len(s.ops), s.gaps[0])
 		}
 	}
 }

@@ -9,13 +9,14 @@ import (
 	"repro/internal/distgen"
 	"repro/internal/driver"
 	"repro/internal/netdriver"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // driverFaultRun executes one multi-worker real-time driver run with the
 // plan's injector on the wall clock and returns the measured outcomes and
 // the fault ledger.
-func driverFaultRun(t *testing.T, plan Plan, workers, batch int) (*driver.Result, Report) {
+func driverFaultRun(t *testing.T, plan Plan, workers, batch int) (*core.Result, Report) {
 	t.Helper()
 	inj := NewInjector(plan, nil)
 	res, err := driver.Run(Wrap(core.NewBTreeSUT(), inj),
@@ -143,5 +144,66 @@ func TestWireFaultsRecoverE2E(t *testing.T) {
 	}
 	if c.Retries() == 0 {
 		t.Fatal("client recovered dropped frames without retrying?")
+	}
+}
+
+// slowLoad is a SUT whose Load outlasts the fault window of the test below.
+type slowLoad struct{ core.SUT }
+
+func (s slowLoad) Load(keys, values []uint64) {
+	time.Sleep(50 * time.Millisecond)
+	s.SUT.Load(keys, values)
+}
+
+// TestWallClockWindowsCountFromTheLoad: on the wall clock the injector's
+// time, like every time in the result, starts when the initial load ends. A
+// window [0, 20ms) therefore hits the first ops of the run however long the
+// load took (anchored at dial time it would have closed during the 50 ms
+// load and hit nothing), and the failures it causes sit where the result's
+// own time axis says the window was.
+func TestWallClockWindowsCountFromTheLoad(t *testing.T) {
+	srv, err := netdriver.Serve("127.0.0.1:0", func() core.SUT { return slowLoad{core.NewBTreeSUT()} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	plan, err := ParseSpec("slow@0ms-20ms:factor=8;error@0ms-20ms:rate=0.5", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := sim.NewReal()
+	inj := NewInjector(plan, clock)
+	c, err := netdriver.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const ops = 20000
+	runner := core.NewRunner()
+	runner.WrapSUT = func(s core.SUT, _ sim.Clock) core.SUT { return Wrap(s, inj) }
+	res, err := runner.RunOn(clock, core.Scenario{
+		Seed: 3, InitialData: distgen.NewUniform(1, 0, 1<<30), InitialSize: 1000, IntervalNs: 10_000_000,
+		Phases: []core.Phase{{Ops: ops, Workload: workload.Spec{
+			Mix: workload.ReadHeavy, Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<30)}}}},
+	}, c)
+	if err != nil || c.Err() != nil {
+		t.Fatal(err, c.Err())
+	}
+
+	rep := inj.Report()
+	if rep.SlowedOps == 0 || rep.FailedOps == 0 || rep.SlowedOps+rep.FailedOps >= ops {
+		t.Fatalf("window [0, 20ms) slowed %d and failed %d of %d ops: want some of each, and not all", rep.SlowedOps, rep.FailedOps, ops)
+	}
+	start, end, _ := plan.OpFaultSpan()
+	if rec := res.Recovery(start, end, 0); rec.FailedOps != rep.FailedOps || res.Completed+rec.FailedOps != ops {
+		t.Fatalf("result saw %d failures and %d completions, ledger %d failures of %d ops", rec.FailedOps, res.Completed, rep.FailedOps, ops)
+	}
+	// An op decided just inside the window may complete just outside it:
+	// one interval of slack.
+	for idx := 0; idx < res.Fails.Len(); idx++ {
+		if at := int64(idx) * res.Fails.Width(); res.Fails.At(idx) > 0 && at > end {
+			t.Fatalf("%d ops failed in the interval at %d ns, after the window closed at %d ns", res.Fails.At(idx), at, end)
+		}
 	}
 }

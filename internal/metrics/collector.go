@@ -1,8 +1,8 @@
 package metrics
 
 // Collector is the one measurement pipeline shared by every execution
-// engine (virtual-clock runner, SQL runner, real-time driver, network
-// driver): it owns the Figure 1 quadruple — Timeline (1a), CumCurve (1b),
+// engine (the runner under either clock, in process or over the network
+// driver, and the SQL runner): it owns the Figure 1 quadruple — Timeline (1a), CumCurve (1b),
 // BandTracker (1c), and the overall latency Histogram — and implements the
 // paper's deferred SLA calibration exactly once.
 //
@@ -17,9 +17,8 @@ package metrics
 // tracker so no completion is lost. A fixed SLA (Config.SLANs > 0) starts
 // band tracking on the first completion.
 //
-// Collector is not safe for concurrent use; engines with concurrent
-// workers merge per-worker samples into completion order first (see
-// internal/driver).
+// Collector is not safe for concurrent use; every engine records from the
+// one goroutine that dispatches.
 type Collector struct {
 	cfg       CollectorConfig
 	timeline  *Timeline
@@ -197,7 +196,7 @@ func (c *Collector) Snapshot() Snapshot {
 
 // Snapshot is the finalized measurement quadruple plus the SLA threshold
 // and completion count — the measured core of core.Result, the one result
-// type all three executors (core.Runner, core.RunSQL, driver.Run) return.
+// type both executors (core.Runner.RunOn, core.RunSQL) return.
 type Snapshot struct {
 	// Timeline backs Figure 1a: per-interval throughput and latency.
 	Timeline *Timeline

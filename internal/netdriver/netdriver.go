@@ -344,9 +344,9 @@ func (s *Server) handle(raw net.Conn) {
 
 // Client is a core.SUT whose operations execute on a remote Server. It is
 // not safe for concurrent use (matching the SUT contract), and needs no
-// more: driver.Run takes one SUT and calls it from one goroutine, so one
-// client serves every driver worker — a round of the driver is one DoBatch
-// here, i.e. one wire round trip carrying every worker's ops.
+// more: core.Runner.RunOn calls its one SUT from one goroutine, and a
+// dispatch of Runner.Batch ops is one DoBatch here, i.e. one wire round
+// trip.
 //
 // The SUT interface cannot return I/O errors, so the first failure is
 // latched: every later operation short-circuits to a zero result and

@@ -1,7 +1,6 @@
 package netdriver
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -136,24 +135,19 @@ func TestDriverOverNetwork(t *testing.T) {
 }
 
 func TestDriverReplayOverNetwork(t *testing.T) {
-	// Record a real-time run against a local SUT, then replay the trace
-	// through the driver against the remote SUT: every wire op is drawn
-	// from a workload.Source (one TraceReader per worker), and the remote
-	// run must issue exactly the recorded op count.
+	// Record two streams as every recording is made — a materialized
+	// scenario written down — then replay the trace through the driver
+	// against the remote SUT: every wire op is drawn from a workload.Source
+	// (one TraceReader per worker), and the remote run must issue exactly
+	// the recorded op count.
 	spec := workload.Spec{
 		Mix:    workload.ReadHeavy,
 		Access: distgen.Static{G: distgen.NewUniform(4, 0, 1<<30)},
 	}
-	var buf bytes.Buffer
-	w := workload.NewTraceWriter(&buf, "net-replay", 6)
-	if _, err := driver.Run(core.NewBTreeSUT(), spec, distgen.NewUniform(5, 0, 1<<30), 1000,
-		driver.Options{Workers: 2, Ops: 2000, Seed: 6, TraceSink: w}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := workload.ReadTrace(&buf)
+	tr, err := core.Scenario{
+		Name: "net-replay", Seed: 6, InitialKeys: []uint64{},
+		Phases: []core.Phase{{Name: "worker-0", Ops: 1000, Workload: spec}, {Name: "worker-1", Ops: 1000, Workload: spec}},
+	}.Materialize().Trace()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package workload
 
 // Source is the one seam every execution layer draws operations through:
-// the virtual-clock runner, the real-time driver (and with it the
-// netdriver client), the service's job runs, and the figure sweeps all
+// the runner under either clock (and with it the netdriver client), the
+// driver shim, the service's job runs, and the figure sweeps all
 // consume a Source instead of a concrete *Generator. A Source produces a
 // phase's operation stream in caller-provided batches (the PR-8 zero-alloc
 // discipline: Fill writes into buffers, the per-op path allocates nothing)
@@ -34,7 +34,7 @@ type Source interface {
 // PhaseSeed derives the deterministic per-stream seed for phase (or
 // driver-worker) index i of a run seeded with seed. Every layer that
 // splits one scenario seed into per-phase generator streams — the core
-// runner, scenario materialization, and the real-time driver's workers —
+// runner, scenario materialization, and the driver shim's clients —
 // uses this single formula, so a trace recorded from any of them can be
 // re-derived or replayed stream-exactly.
 func PhaseSeed(seed uint64, i int) uint64 {
