@@ -30,7 +30,6 @@ import (
 	"repro/internal/index/diskbtree"
 	"repro/internal/index/rmi"
 	"repro/internal/kv"
-	"repro/internal/learnedsort"
 	"repro/internal/metrics"
 	"repro/internal/pager"
 	"repro/internal/quality"
@@ -258,18 +257,6 @@ func BenchmarkAblationHoldout(b *testing.B) {
 	}
 }
 
-// BenchmarkLearnedCache compares LRU / LFU / learned eviction against the
-// Belady bound on drifting and scan-polluted traces.
-func BenchmarkLearnedCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := figures.CacheExperiment(benchScale(), 31)
-		scans := res.HitRate["zipf+scans"]
-		b.ReportMetric(scans["lru"]*100, "scans-lru-pct")
-		b.ReportMetric(scans["learned"]*100, "scans-learned-pct")
-		b.ReportMetric(res.Belady["zipf+scans"]*100, "scans-belady-pct")
-	}
-}
-
 // BenchmarkQualityScorer exercises the §V-C dataset-quality tool.
 func BenchmarkQualityScorer(b *testing.B) {
 	keys := distgen.Keys(distgen.NewZipfKeys(1, 1.2, 100000), 100000)
@@ -279,18 +266,6 @@ func BenchmarkQualityScorer(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(r.Overall, "overall-score")
 		}
-	}
-}
-
-// BenchmarkLearnedScheduler compares scheduling policies on a drifting
-// job workload (learned scheduling, paper §II / [30]).
-func BenchmarkLearnedScheduler(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := figures.SchedExperiment(benchScale(), 41)
-		b.ReportMetric(res.MeanSojournNs["fifo"]/1e6, "fifo-ms")
-		b.ReportMetric(res.MeanSojournNs["static-sjf"]/1e6, "static-ms")
-		b.ReportMetric(res.MeanSojournNs["learned-sjf"]/1e6, "learned-ms")
-		b.ReportMetric(res.MeanSojournNs["oracle-sjf"]/1e6, "oracle-ms")
 	}
 }
 
@@ -415,26 +390,6 @@ func BenchmarkMicroRMIInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Insert(uint64(i%16)<<36+uint64(i)*2654435761%(1<<24), uint64(i))
-	}
-}
-
-func BenchmarkMicroLearnedSort(b *testing.B) {
-	src := distgen.Keys(distgen.NewLognormal(1, 0, 2, 1e9), 200000)
-	buf := make([]uint64, len(src))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		learnedsort.SortAuto(buf, 0)
-	}
-}
-
-func BenchmarkMicroStdSort(b *testing.B) {
-	src := distgen.Keys(distgen.NewLognormal(1, 0, 2, 1e9), 200000)
-	buf := make([]uint64, len(src))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		learnedsort.StdSort(buf)
 	}
 }
 

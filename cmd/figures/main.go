@@ -52,8 +52,6 @@ func panels() []panel {
 		{"lessons", runLessons},
 		{"optdrift", runOptDrift},
 		{"ablations", runAblations},
-		{"cache", runCache},
-		{"sched", runSched},
 	}
 }
 
@@ -61,7 +59,7 @@ func main() {
 	var (
 		scaleName  = flag.String("scale", "small", "experiment scale: small or full")
 		seed       = flag.Uint64("seed", 42, "base random seed")
-		only       = flag.String("only", "", "comma-separated subset: fig1a,fig1aw,fig1b,fig1c,fig1d,fig1e,fig1f,fig1g,lessons,optdrift,ablations,cache,sched")
+		only       = flag.String("only", "", "comma-separated subset: fig1a,fig1aw,fig1b,fig1c,fig1d,fig1e,fig1f,fig1g,lessons,optdrift,ablations")
 		csvDir     = flag.String("csv", "", "directory for CSV series")
 		parallelN  = flag.Int("parallel", 0, "max concurrent experiment runs (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
 		batchN     = flag.Int("batch", 0, "op-dispatch batch size for the virtual runner (0/1 = per-op); output is byte-identical at any setting")
@@ -144,24 +142,6 @@ func main() {
 	}
 }
 
-func runSched(w io.Writer, scale figures.Scale, seed uint64, _ string) error {
-	section(w, "Extension — learned scheduling on drifting job durations")
-	res := figures.SchedExperiment(scale, seed)
-	header := []string{"policy", "mean sojourn", "p99 sojourn", "train work"}
-	var rows [][]string
-	for _, p := range []string{"fifo", "static-sjf", "learned-sjf", "oracle-sjf"} {
-		rows = append(rows, []string{
-			p,
-			fmt.Sprintf("%.3fms", res.MeanSojournNs[p]/1e6),
-			fmt.Sprintf("%.3fms", float64(res.P99SojournNs[p])/1e6),
-			fmt.Sprintf("%d", res.TrainWork[p]),
-		})
-	}
-	report.Table(w, header, rows)
-	fmt.Fprintln(w)
-	return nil
-}
-
 func runAblations(w io.Writer, scale figures.Scale, seed uint64, _ string) error {
 	section(w, "Design-choice ablations (DESIGN.md §5)")
 
@@ -197,26 +177,6 @@ func runAblations(w io.Writer, scale figures.Scale, seed uint64, _ string) error
 	}
 	fmt.Fprintf(w, "5. Hold-out gap — in/out-of-sample throughput ratio: learned %.2fx vs traditional %.2fx\n\n",
 		ho.LearnedGap, ho.TraditionalGap)
-	return nil
-}
-
-func runCache(w io.Writer, scale figures.Scale, seed uint64, _ string) error {
-	section(w, "Extension — learning-based cache eviction")
-	res := figures.CacheExperiment(scale, seed)
-	header := []string{"trace", "lru", "lfu", "learned", "belady (optimal)"}
-	var rows [][]string
-	for _, tr := range []string{"stable-zipf", "zipf+scans", "moving-hotspot"} {
-		row := res.HitRate[tr]
-		rows = append(rows, []string{
-			tr,
-			fmt.Sprintf("%.1f%%", row["lru"]*100),
-			fmt.Sprintf("%.1f%%", row["lfu"]*100),
-			fmt.Sprintf("%.1f%%", row["learned"]*100),
-			fmt.Sprintf("%.1f%%", res.Belady[tr]*100),
-		})
-	}
-	report.Table(w, header, rows)
-	fmt.Fprintln(w)
 	return nil
 }
 

@@ -28,7 +28,10 @@
 // deterministic virtual clock. Both are core.Runner.RunOn and hand a
 // core.Result to the same report path, so -record and -csv work under
 // either. The wall clock runs every phase closed loop: arrival gaps are not
-// paced (one stderr line says so) and a session spec is refused.
+// paced (one stderr line says so) and a session spec is refused. Training
+// happens on the remote SUT and is charged as in process: on the -example
+// config against `lsbench serve sut -sut rmi` the row reads train-work 1025,
+// online-work 283287 and models 1025, as the virtual `-suts rmi` row does.
 //
 // -faults takes a fault.ParseSpec schedule, e.g.
 // "slow@10ms-30ms:factor=8;crash@50ms;error@70ms-80ms". On the virtual

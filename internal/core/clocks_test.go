@@ -40,10 +40,18 @@ func (s slowLoad) Load(keys, values []uint64) {
 // pinned scenario run on the virtual and on the wall clock, in process and
 // over a loopback netdriver pair, at Batch 1 and 7, does the same things —
 // the same ops complete, find and miss, phase by phase, with the same
-// training windows — and only the times differ: priced on one clock,
-// measured on the other.
+// training windows and the same work, training included, as the in-process
+// virtual run — and only the times differ: priced on one clock, measured on
+// the other.
 func TestRunOnBothClocks(t *testing.T) {
 	s := twoPhase()
+	ref, err := core.NewRunner().Run(s, core.NewRMISUT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.OfflineTrainWork == 0 || ref.Models == 0 || ref.OnlineTrainWork == 0 {
+		t.Fatalf("the scenario trains nothing: train work %d, %d models, online work %d", ref.OfflineTrainWork, ref.Models, ref.OnlineTrainWork)
+	}
 	srv, err := netdriver.Serve("127.0.0.1:0", core.NewRMISUT)
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +83,13 @@ func TestRunOnBothClocks(t *testing.T) {
 					wall.Outcomes.Found != virt.Outcomes.Found || wall.Outcomes.NotFound != virt.Outcomes.NotFound {
 					t.Fatalf("outcomes diverge: wall %d ops %+v, virtual %d ops %+v", wall.Completed, wall.Outcomes, virt.Completed, virt.Outcomes)
 				}
-				if where == "in process" && (wall.Outcomes.WorkUnits != virt.Outcomes.WorkUnits || wall.Retrains != 1 || wall.OfflineTrainWork != virt.OfflineTrainWork) {
-					t.Fatalf("work diverges: wall %+v (%d retrains, train work %d), virtual %+v (train work %d)",
-						wall.Outcomes, wall.Retrains, wall.OfflineTrainWork, virt.Outcomes, virt.OfflineTrainWork)
+				for _, got := range []*core.Result{virt, wall} {
+					if got.Outcomes.WorkUnits != ref.Outcomes.WorkUnits || got.Retrains != 1 || got.OfflineTrainWork != ref.OfflineTrainWork ||
+						got.Models != ref.Models || got.OnlineTrainWork != ref.OnlineTrainWork {
+						t.Fatalf("work diverges from the in-process virtual run: %+v, %d retrains, train work %d, %d models, online work %d; want %+v, 1, %d, %d, %d",
+							got.Outcomes, got.Retrains, got.OfflineTrainWork, got.Models, got.OnlineTrainWork,
+							ref.Outcomes, ref.OfflineTrainWork, ref.Models, ref.OnlineTrainWork)
+					}
 				}
 				if wall.Retrains != virt.Retrains || len(wall.PhaseStarts) != 2 || len(virt.PhaseStarts) != 2 || len(wall.PostChangeLatencies) != 1 {
 					t.Fatalf("phase structure diverges: wall %d retrains, starts %v; virtual %d retrains, starts %v",

@@ -191,6 +191,12 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 		keys = distgen.UniqueKeys(s.InitialData, s.InitialSize)
 	}
 	sut.Load(keys, LoadValues(keys))
+	// The online-work baseline is bookkeeping, so it is read before a wall
+	// clock restarts: for a remote SUT it is a round trip.
+	onlineBase := int64(0)
+	if ol, ok := sut.(OnlineLearner); ok {
+		onlineBase = ol.OnlineTrainWork()
+	}
 	if real, ok := clock.(*sim.Real); ok {
 		*real = *sim.NewReal() // restart in place: every holder of the clock sees the new epoch
 	}
@@ -232,11 +238,6 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 	scratch.ensure(batch)
 	defer runScratchPool.Put(scratch)
 	ops, gaps, outs := scratch.ops, scratch.gaps, scratch.outs
-
-	onlineBase := int64(0)
-	if ol, ok := sut.(OnlineLearner); ok {
-		onlineBase = ol.OnlineTrainWork()
-	}
 
 	// Session segmentation state: the very first op always opens a
 	// session; afterwards a gap at or above the spec's boundary does.

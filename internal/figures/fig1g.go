@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/card"
 	"repro/internal/core"
 	"repro/internal/distgen"
 	"repro/internal/driftctl"
@@ -204,37 +203,8 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 	if n < 200 {
 		n = 200
 	}
-	type sqlCfg struct {
-		name  string
-		build func(db *optDriftDB) core.QuerySystem
-	}
-	sqlCfgs := []sqlCfg{
-		{name: "static-histogram", build: func(db *optDriftDB) core.QuerySystem {
-			h := card.NewHistogram(64)
-			h.Analyze(db.dim)
-			h.Analyze(db.fact)
-			return &core.StaticOptimizer{Label: "static-histogram", Est: h, Hint: optimizer.HintDefault}
-		}},
-		{name: "static-sample", build: func(db *optDriftDB) core.QuerySystem {
-			s := card.NewSample(0.1)
-			s.Analyze(db.dim)
-			s.Analyze(db.fact)
-			return &core.StaticOptimizer{Label: "static-sample", Est: s, Hint: optimizer.HintDefault}
-		}},
-		{name: "learned-steered", build: func(db *optDriftDB) core.QuerySystem {
-			l := card.NewLearned()
-			l.ObserveTable(db.dim)
-			l.ObserveTable(db.fact)
-			return &core.SteeredOptimizer{
-				Label:         "learned-steered",
-				Est:           l,
-				Steering:      optimizer.NewSteering(0.5),
-				FeedbackEvery: 2,
-			}
-		}},
-	}
 	for _, d := range intensities {
-		for _, cfg := range sqlCfgs {
+		for _, name := range []string{"static-histogram", "static-sample", "learned-steered"} {
 			db := newOptDriftDB(scale, seed+500)
 			pd := driftctl.NewPredicateDrift(seed+501,
 				driftctl.Knob{Factor: d, Profile: driftctl.Ramp()},
@@ -256,19 +226,19 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 				},
 				IntervalNs: scale.IntervalNs * 10,
 			}
-			r, err := core.RunSQL(scenario, cfg.build(db), sim.DefaultCostModel())
+			r, err := core.RunSQL(scenario, sqlSystems[name](db), sim.DefaultCostModel())
 			if err != nil {
-				return nil, fmt.Errorf("figures: fig1g query D=%.2f %s: %w", d, cfg.name, err)
+				return nil, fmt.Errorf("figures: fig1g query D=%.2f %s: %w", d, name, err)
 			}
 			res.Query = append(res.Query, Fig1gQuery{
 				D:             d,
-				System:        cfg.name,
+				System:        name,
 				Throughput:    r.Throughput(),
 				P99Ns:         r.Latency.Quantile(0.99),
 				ViolationRate: r.Bands.ViolationRate(),
 				TrainWork:     r.OnlineTrainWork,
 			})
-			res.SQLResults[fmt.Sprintf("query/%.2f/%s", d, cfg.name)] = r
+			res.SQLResults[fmt.Sprintf("query/%.2f/%s", d, name)] = r
 		}
 	}
 

@@ -13,10 +13,9 @@ import (
 )
 
 // OptDriftResult compares query-optimization SUTs on a drifting database:
-// a histogram-driven static optimizer (stale after drift), the same with a
-// scheduled re-ANALYZE, and a learned steered optimizer with online
-// cardinality feedback. It exercises every §V-D metric on the SQL
-// substrate.
+// a histogram-driven static optimizer (stale after drift) and a learned
+// steered optimizer with online cardinality feedback. It exercises every
+// §V-D metric on the SQL substrate.
 type OptDriftResult struct {
 	Results map[string]*core.Result
 	// AdjustmentSpeed per system: over-SLA time after the drift.
@@ -56,6 +55,37 @@ func (db *optDriftDB) shift() {
 	db.fact.ReplaceRows(rows)
 }
 
+// sqlSystems is the one table of query-optimization systems the SQL panels
+// (OptDrift, Fig 1g's query panel) compare, by name. Each builder readies
+// its estimator on the database it will serve: the static optimizers
+// ANALYZE it once, the learned one observes its tables and keeps learning
+// from cardinality feedback.
+var sqlSystems = map[string]func(db *optDriftDB) core.QuerySystem{
+	"static-histogram": func(db *optDriftDB) core.QuerySystem {
+		h := card.NewHistogram(64)
+		h.Analyze(db.dim)
+		h.Analyze(db.fact)
+		return &core.StaticOptimizer{Label: "static-histogram", Est: h, Hint: optimizer.HintDefault}
+	},
+	"static-sample": func(db *optDriftDB) core.QuerySystem {
+		s := card.NewSample(0.1)
+		s.Analyze(db.dim)
+		s.Analyze(db.fact)
+		return &core.StaticOptimizer{Label: "static-sample", Est: s, Hint: optimizer.HintDefault}
+	},
+	"learned-steered": func(db *optDriftDB) core.QuerySystem {
+		l := card.NewLearned()
+		l.ObserveTable(db.dim)
+		l.ObserveTable(db.fact)
+		return &core.SteeredOptimizer{
+			Label:         "learned-steered",
+			Est:           l,
+			Steering:      optimizer.NewSteering(0.5),
+			FeedbackEvery: 2,
+		}
+	},
+}
+
 // query returns the i-th workload query: join dim-fact with a selective
 // val range whose location tracks the *current* distribution (clients ask
 // about data that exists), so after the shift the predicate constants move
@@ -88,31 +118,7 @@ func OptDrift(scale Scale, seed uint64) (*OptDriftResult, error) {
 		AdjustmentSpeed: make(map[string]int64),
 	}
 
-	type sutCfg struct {
-		name  string
-		build func(db *optDriftDB) core.QuerySystem
-	}
-	cfgs := []sutCfg{
-		{name: "static-histogram", build: func(db *optDriftDB) core.QuerySystem {
-			h := card.NewHistogram(64)
-			h.Analyze(db.dim)
-			h.Analyze(db.fact)
-			return &core.StaticOptimizer{Label: "static-histogram", Est: h, Hint: optimizer.HintDefault}
-		}},
-		{name: "learned-steered", build: func(db *optDriftDB) core.QuerySystem {
-			l := card.NewLearned()
-			l.ObserveTable(db.dim)
-			l.ObserveTable(db.fact)
-			return &core.SteeredOptimizer{
-				Label:         "learned-steered",
-				Est:           l,
-				Steering:      optimizer.NewSteering(0.5),
-				FeedbackEvery: 2,
-			}
-		}},
-	}
-
-	for _, cfg := range cfgs {
+	for _, name := range []string{"static-histogram", "learned-steered"} {
 		db := newOptDriftDB(scale, seed)
 		shifted := false
 		scenario := core.SQLScenario{
@@ -128,14 +134,14 @@ func OptDrift(scale Scale, seed uint64) (*OptDriftResult, error) {
 			},
 			IntervalNs: scale.IntervalNs * 10,
 		}
-		res, err := core.RunSQL(scenario, cfg.build(db), sim.DefaultCostModel())
+		res, err := core.RunSQL(scenario, sqlSystems[name](db), sim.DefaultCostModel())
 		if err != nil {
-			return nil, fmt.Errorf("figures: optdrift %s: %w", cfg.name, err)
+			return nil, fmt.Errorf("figures: optdrift %s: %w", name, err)
 		}
-		out.Results[cfg.name] = res
+		out.Results[name] = res
 		if len(res.PostChangeLatencies) > 0 {
 			post := res.PostChangeLatencies[0]
-			out.AdjustmentSpeed[cfg.name] = metrics.AdjustmentSpeed(post, res.SLANs, len(post))
+			out.AdjustmentSpeed[name] = metrics.AdjustmentSpeed(post, res.SLANs, len(post))
 		}
 	}
 	return out, nil

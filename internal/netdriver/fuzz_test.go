@@ -13,13 +13,14 @@ import (
 )
 
 // wireModel is the reference reading of a client byte stream: how many ops
-// a server must execute, how many loads, and how many response bytes it
-// must send before the session ends — at end of input, at a close frame, or
-// at the first frame the protocol does not have.
-func wireModel(data []byte) (ops, loads, respBytes int) {
+// a server must execute, how many loads, how many training frames it must
+// put to the SUT, and how many response bytes it must send before the
+// session ends — at end of input, at a close frame, or at the first frame
+// the protocol does not have.
+func wireModel(data []byte) (ops, loads, trains, respBytes int) {
 	var lastSeq, lastN uint64
 	for len(data) >= reqSize {
-		first, n := data[0], binary.BigEndian.Uint64(data[1:9])
+		first, kind, n := data[0], data[1], binary.BigEndian.Uint64(data[1:9])
 		seq := binary.BigEndian.Uint64(data[9:17])
 		data = data[reqSize:]
 		switch first {
@@ -42,6 +43,12 @@ func wireModel(data []byte) (ops, loads, respBytes int) {
 			data = data[n*16:]
 			loads++
 			respBytes += respSize
+		case opTrain:
+			if kind != trainRun && kind != trainOnline {
+				return
+			}
+			trains++
+			respBytes += respSize
 		default: // opClose, and every frame the protocol does not have
 			return
 		}
@@ -51,13 +58,21 @@ func wireModel(data []byte) (ops, loads, respBytes int) {
 
 // wireRecorder is the SUT behind the fuzzed server: it only counts what
 // reaches it, so the fuzzer exercises the handler and not an index.
-type wireRecorder struct{ ops, loads int }
+type wireRecorder struct{ ops, loads, trains int }
 
 func (r *wireRecorder) Name() string       { return "recorder" }
 func (r *wireRecorder) Load(_, _ []uint64) { r.loads++ }
 func (r *wireRecorder) Do(workload.Op) core.OpResult {
 	r.ops++
 	return core.OpResult{Work: 1}
+}
+func (r *wireRecorder) Train() core.TrainReport {
+	r.trains++
+	return core.TrainReport{WorkUnits: 1, Models: 1}
+}
+func (r *wireRecorder) OnlineTrainWork() int64 {
+	r.trains++
+	return 1
 }
 
 // wireFrame builds one request-sized frame.
@@ -96,8 +111,10 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(cat(wireFrame(opBatchBegin, maxWireBatch+1, 1), put))    // n > maxWireBatch
 	f.Add(cat(wireFrame(opLoadBegin, 1<<40, 0), make([]byte, 48))) // a load no peer could back
 	f.Add(cat(batch, wireFrame(opBatchBegin, 1, 1), put))          // a duplicate of another size
+	f.Add(cat(wireFrame(opTrain, trainRun<<56, 0), batch, wireFrame(opTrain, trainOnline<<56, 0)))
+	f.Add(cat(wireFrame(opTrain, 2<<56, 0), batch)) // a training frame of unknown kind
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wantOps, wantLoads, wantBytes := wireModel(data)
+		wantOps, wantLoads, wantTrains, wantBytes := wireModel(data)
 		rec := &wireRecorder{}
 		srv := &Server{factory: func() core.SUT { return rec }}
 		client, server := net.Pipe()
@@ -135,8 +152,9 @@ func FuzzWireFrame(f *testing.F) {
 		waitFor(handled, "handler still running after the peer hung up")
 		runtime.ReadMemStats(&after)
 
-		if rec.ops != wantOps || rec.loads != wantLoads {
-			t.Fatalf("SUT saw %d ops and %d loads, the frames hold %d and %d", rec.ops, rec.loads, wantOps, wantLoads)
+		if rec.ops != wantOps || rec.loads != wantLoads || rec.trains != wantTrains {
+			t.Fatalf("SUT saw %d ops, %d loads and %d training frames, the frames hold %d, %d and %d",
+				rec.ops, rec.loads, rec.trains, wantOps, wantLoads, wantTrains)
 		}
 		// One unbacked header may cost up to maxWireBatch ops or
 		// maxLoadPrealloc pairs (about 2 MiB); everything else is paid for

@@ -19,8 +19,11 @@
 // every retry idempotent: a re-sent batch (same seq) replays the server's
 // cached answer instead of re-executing, and the client uses the response
 // tags to discard delayed duplicate answers without desyncing the stream.
-// The only other frames are opLoadBegin (a bulk load) and opClose; a frame
-// that starts with anything else, or a batch with seq 0, ends the session.
+// The only other frames are opLoadBegin (a bulk load), opTrain (a training
+// window, or a read of the online-training counter; the kind byte follows
+// the op byte, and one response frame answers) and opClose; a frame that
+// starts with anything else, a training frame of another kind, or a batch
+// with seq 0 ends the session.
 //
 // All integers are big-endian.
 package netdriver
@@ -52,8 +55,8 @@ type Options struct {
 	// WrapConn, when set, wraps the client's raw connection before
 	// deadlines apply — the injection point for wire-fault middleware
 	// (fault.NewConn). If the wrapped conn implements WireFaultGater the
-	// client gates faults off around load and close framing, whose
-	// multi-write streams cannot tolerate a dropped chunk.
+	// client gates faults off around load, train and close framing, which
+	// cannot tolerate a dropped chunk or a retry.
 	WrapConn func(net.Conn) net.Conn
 	// MaxRetries is how many times the client re-sends an operation after
 	// a transient failure (ErrTransient: a response timeout, i.e. a frame
@@ -71,8 +74,8 @@ type Options struct {
 }
 
 // WireFaultGater is implemented by WrapConn wrappers whose faults must be
-// suspended around multi-write framing (load, close). fault.Conn
-// implements it.
+// suspended around framing that cannot be retried (load, train, close).
+// fault.Conn implements it.
 type WireFaultGater interface {
 	SetWireFaults(on bool)
 }
@@ -112,6 +115,13 @@ const (
 	// 16 bytes each follow); opClose ends the session.
 	opLoadBegin = 250
 	opClose     = 255
+	// opTrain asks the server's SUT for its training accounting: kind
+	// trainRun runs Train, trainOnline reads OnlineTrainWork. The answer is
+	// one response frame with work = work units and visited = model count,
+	// zeros when the SUT has nothing to train.
+	opTrain     = 251
+	trainRun    = 0
+	trainOnline = 1
 
 	// maxWireBatch bounds a batch frame count so a corrupt or malicious
 	// header cannot force an unbounded allocation server-side.
@@ -334,6 +344,27 @@ func (s *Server) handle(raw net.Conn) {
 				return
 			}
 			w.Flush()
+		case opTrain:
+			var rep core.TrainReport
+			switch req[1] {
+			case trainRun:
+				if tr, ok := sut.(core.Trainable); ok {
+					rep = tr.Train()
+				}
+			case trainOnline:
+				if ol, ok := sut.(core.OnlineLearner); ok {
+					rep.WorkUnits = ol.OnlineTrainWork()
+				}
+			default:
+				return
+			}
+			encodeResult(resp, core.OpResult{Visited: rep.Models, Work: rep.WorkUnits})
+			if _, err := w.Write(resp); err != nil {
+				return
+			}
+			if err := w.Flush(); err != nil {
+				return
+			}
 		default:
 			// Not a frame this protocol has: the stream is desynced or
 			// foreign, and nothing in it may run as an op.
@@ -342,7 +373,8 @@ func (s *Server) handle(raw net.Conn) {
 	}
 }
 
-// Client is a core.SUT whose operations execute on a remote Server. It is
+// Client is a core.SUT whose operations, training steps included, execute
+// on a remote Server. It is
 // not safe for concurrent use (matching the SUT contract), and needs no
 // more: core.Runner.RunOn calls its one SUT from one goroutine, and a
 // dispatch of Runner.Batch ops is one DoBatch here, i.e. one wire round
@@ -496,6 +528,39 @@ func (c *Client) Load(keys, values []uint64) {
 	}
 }
 
+// Train implements core.Trainable: the remote SUT runs its training step
+// and reports it back. A SUT with nothing to train reports zeros, which the
+// runner ignores.
+func (c *Client) Train() core.TrainReport {
+	res := c.train(trainRun)
+	return core.TrainReport{WorkUnits: res.Work, Models: res.Visited}
+}
+
+// OnlineTrainWork implements core.OnlineLearner by reading the remote SUT's
+// counter.
+func (c *Client) OnlineTrainWork() int64 { return c.train(trainOnline).Work }
+
+// train sends one opTrain frame of the given kind and decodes the answer.
+// Wire faults are gated off, as for Load: a training step is not idempotent,
+// so a lost frame cannot be retried.
+func (c *Client) train(kind byte) core.OpResult {
+	if c.err != nil {
+		return core.OpResult{}
+	}
+	c.setWireFaults(false)
+	defer c.setWireFaults(true)
+	c.req = [reqSize]byte{opTrain, kind}
+	if _, err := c.conn.Write(c.req[:]); err != nil {
+		c.fail("train", err)
+		return core.OpResult{}
+	}
+	if _, err := io.ReadFull(c.r, c.resp[:]); err != nil {
+		c.fail("train reply", err)
+		return core.OpResult{}
+	}
+	return decodeResult(c.resp[:])
+}
+
 // Do implements core.SUT: a batch of one.
 func (c *Client) Do(op workload.Op) core.OpResult {
 	res, _ := c.DoErr(op)
@@ -623,5 +688,9 @@ func (c *Client) readBatchResponse(seq uint64, out []core.OpResult) (atHeader bo
 	}
 }
 
-var _ core.SUT = (*Client)(nil)
-var _ core.BatchSUT = (*Client)(nil)
+var (
+	_ core.SUT           = (*Client)(nil)
+	_ core.BatchSUT      = (*Client)(nil)
+	_ core.Trainable     = (*Client)(nil)
+	_ core.OnlineLearner = (*Client)(nil)
+)

@@ -102,11 +102,3 @@ func (r *RNG) ExpFloat64() float64 {
 		}
 	}
 }
-
-// Shuffle permutes the n elements addressed by swap in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

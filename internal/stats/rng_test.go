@@ -133,16 +133,3 @@ func TestExpFloat64Mean(t *testing.T) {
 		t.Fatalf("exponential mean = %v, want ~1", sum/n)
 	}
 }
-
-func TestShufflePreservesElements(t *testing.T) {
-	r := NewRNG(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, x := range xs {
-		sum += x
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements, sum=%d", sum)
-	}
-}
