@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e bench-pairs figures examples clean
+.PHONY: all build vet fmt-check test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e bench-pairs figures examples clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -16,6 +16,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing them.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -32,8 +36,9 @@ test-race:
 
 race: test-race
 
-# check is the full local CI gate: build, vet, tier-1 tests, race tier.
-check: build vet test test-race
+# check is the full local CI gate: build, vet, formatting, tier-1 tests,
+# race tier.
+check: build vet fmt-check test test-race
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

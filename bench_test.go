@@ -34,6 +34,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/quality"
 	"repro/internal/similarity"
+	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/workload"
 )
@@ -498,6 +499,35 @@ func BenchmarkDiskLSMLoad(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
 		})
+	}
+}
+
+// BenchmarkMicroDiskLSMGetOverwrite is the disk-cold workload's disk LSM in
+// miniature: 50k keys under a 16-page LRU pool, driven through the SUT
+// adapter's Do by a pre-generated Balanced stream of zipf(0.9) lookups and
+// overwrites of loaded keys. Each op pays the memtable insert, its share of
+// flushes, compactions and pool misses, and the adapter's counter pricing;
+// the steady state allocates nothing per op.
+func BenchmarkMicroDiskLSMGetOverwrite(b *testing.B) {
+	const streamLen = 1 << 16
+	keys, vals := loadedKeys(50_000)
+	sut := core.NewDiskKVSUT(kv.DefaultKnobs(), pager.PoolKnobs{Pages: 16, Policy: "lru"})
+	sut.Load(keys, vals)
+	z := stats.NewScrambledZipf(stats.NewRNG(2), 0.9, uint64(len(keys)))
+	pick := func() []uint64 {
+		out := make([]uint64, streamLen)
+		for i := range out {
+			out[i] = keys[z.Next()]
+		}
+		return out
+	}
+	spec := workload.Spec{Mix: workload.Balanced, Access: distgen.NewReplay(pick()), InsertKeys: distgen.NewReplay(pick())}
+	ops := make([]workload.Op, streamLen)
+	workload.NewSource(spec, nil, 3).Fill(ops, make([]int64, streamLen), 0, streamLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sut.Do(ops[i%streamLen])
 	}
 }
 

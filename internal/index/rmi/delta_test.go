@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/search"
+	"repro/internal/sortbuf"
 	"repro/internal/stats"
 )
 
@@ -170,39 +171,11 @@ func (f *flatRMI) scan(lo, hi uint64, fn func(k, v uint64) bool) int {
 	return visited
 }
 
-// checkDelta verifies the layout's invariants and returns the run it holds.
-func checkDelta(t *testing.T, d *delta) (keys, vals []uint64) {
-	t.Helper()
-	if len(d.first) != len(d.blocks) || len(d.cnt) != len(d.blocks) {
-		t.Fatalf("directory lengths %d/%d/%d", len(d.first), len(d.cnt), len(d.blocks))
-	}
-	for b, blk := range d.blocks {
-		if d.cnt[b] < 1 || d.cnt[b] > deltaBlockCap {
-			t.Fatalf("block %d holds %d pairs", b, d.cnt[b])
-		}
-		if d.first[b] != blk.keys[0] {
-			t.Fatalf("first[%d] = %d, block starts at %d", b, d.first[b], blk.keys[0])
-		}
-		keys = append(keys, blk.keys[:d.cnt[b]]...)
-		vals = append(vals, blk.vals[:d.cnt[b]]...)
-	}
-	if len(keys) != d.n {
-		t.Fatalf("n = %d, blocks hold %d", d.n, len(keys))
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("run not strictly sorted at %d: %d, %d", i, keys[i-1], keys[i])
-		}
-	}
-	i := 0
-	for c := d.seek(0); c.valid(); c.next() {
-		if k, v := c.pair(); i >= len(keys) || k != keys[i] || v != vals[i] {
-			t.Fatalf("cursor pair %d = %d→%d", i, k, v)
-		}
-		i++
-	}
-	if i != len(keys) {
-		t.Fatalf("cursor yielded %d of %d pairs", i, len(keys))
+// deltaPairs returns the run the delta holds, walked with its cursor.
+func deltaPairs(ix *Index) (keys, vals []uint64) {
+	for c := ix.delta.Seek(0); c.Valid(); c.Next() {
+		k, v, _ := c.Pair()
+		keys, vals = append(keys, k), append(vals, v)
 	}
 	return keys, vals
 }
@@ -234,7 +207,7 @@ func TestBlockedDeltaMatchesFlatReference(t *testing.T) {
 		return mainKeys[rng.Intn(nMain)]
 	}
 
-	draining, emptied, maxBlocks := false, 0, 0
+	draining, emptied, maxDelta := false, 0, 0
 	for op := 0; op < nOps; op++ {
 		// Grow the delta for 14 000 ops (past the merge threshold while the
 		// main array is small), then drain what is left until it is empty.
@@ -296,101 +269,23 @@ func TestBlockedDeltaMatchesFlatReference(t *testing.T) {
 		if ix.Len() != ref.len() || ix.DeltaLen() != len(ref.dk) {
 			t.Fatalf("op %d: Len/DeltaLen = %d/%d, want %d/%d", op, ix.Len(), ix.DeltaLen(), ref.len(), len(ref.dk))
 		}
-		maxBlocks = max(maxBlocks, len(ix.delta.blocks))
+		maxDelta = max(maxDelta, ix.DeltaLen())
 		if op%1000 == 0 {
-			if keys, dvals := checkDelta(t, &ix.delta); !slices.Equal(keys, ref.dk) || !slices.Equal(dvals, ref.dv) {
+			if keys, dvals := deltaPairs(ix); !slices.Equal(keys, ref.dk) || !slices.Equal(dvals, ref.dv) {
 				t.Fatalf("op %d: delta contents differ from the reference", op)
 			}
 		}
 	}
 	st := ix.Stats()
-	if st.Splits < 3 || emptied < 3 || maxBlocks < 8 {
-		t.Fatalf("test did not reach its cases: %d auto-merges, %d drains to empty, at most %d blocks", st.Splits, emptied, maxBlocks)
+	if st.Splits < 3 || emptied < 3 || maxDelta < 8*sortbuf.BlockCap {
+		t.Fatalf("test did not reach its cases: %d auto-merges, %d drains to empty, at most %d delta pairs", st.Splits, emptied, maxDelta)
 	}
 }
 
-// seqDelta returns a delta holding keys 10, 20, …, 10n (value = key+1),
-// inserted in order, so blocks split as they fill.
-func seqDelta(n int) *delta {
-	d := &delta{}
-	for i := 1; i <= n; i++ {
-		d.put(uint64(10*i), uint64(10*i+1))
-	}
-	return d
-}
-
+// TestDeltaSeams pins what the Index adds around its delta: the shift
+// price, tombstones, and BulkLoad over a delta. The delta's own block seams
+// are sortbuf's tests.
 func TestDeltaSeams(t *testing.T) {
-	t.Run("key below the first block", func(t *testing.T) {
-		d := seqDelta(1000)
-		if rank, added := d.put(5, 6); rank != 0 || !added {
-			t.Fatalf("put = %d,%v", rank, added)
-		}
-		if keys, _ := checkDelta(t, d); keys[0] != 5 || len(keys) != 1001 {
-			t.Fatalf("run starts %d, len %d", keys[0], len(keys))
-		}
-		if c := d.seek(0); !c.valid() || c.b != 0 || c.o != 0 {
-			t.Fatalf("seek(0) = block %d offset %d", c.b, c.o)
-		}
-		if _, ok := d.get(4); ok {
-			t.Fatal("get below the run found a key")
-		}
-	})
-	t.Run("key equal to a block's first key", func(t *testing.T) {
-		d := seqDelta(1000)
-		k := d.first[1]
-		if v, ok := d.get(k); !ok || v != k+1 {
-			t.Fatalf("get = %d,%v", v, ok)
-		}
-		if _, added := d.put(k, 7); added {
-			t.Fatal("overwrite reported as added")
-		}
-		if c := d.seek(k); c.b != 1 || c.o != 0 {
-			t.Fatalf("seek = block %d offset %d", c.b, c.o)
-		}
-		if !d.remove(k) || d.first[1] != k+10 {
-			t.Fatalf("after remove first[1] = %d, want %d", d.first[1], k+10)
-		}
-		checkDelta(t, d)
-	})
-	for _, tc := range []struct {
-		name string
-		key  uint64
-	}{
-		{"insert at a full block's midpoint", 10*deltaBlockCap/2 + 5},
-		{"insert just above the midpoint", 10*deltaBlockCap/2 + 15},
-		{"insert at a full block's end", 10*deltaBlockCap + 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			d := seqDelta(deltaBlockCap)
-			if len(d.blocks) != 1 {
-				t.Fatalf("%d blocks before the split", len(d.blocks))
-			}
-			rank, added := d.put(tc.key, 1)
-			if want := int(tc.key / 10); rank != want || !added {
-				t.Fatalf("put = %d,%v, want rank %d", rank, added, want)
-			}
-			keys, _ := checkDelta(t, d)
-			if len(d.blocks) != 2 || keys[rank] != tc.key {
-				t.Fatalf("%d blocks, run[%d] = %d", len(d.blocks), rank, keys[rank])
-			}
-		})
-	}
-	t.Run("remove emptying a block", func(t *testing.T) {
-		d := seqDelta(3 * deltaBlockCap)
-		nb, lo, hi := len(d.blocks), d.first[1], d.first[2]
-		for k := lo; k < hi; k += 10 {
-			if !d.remove(k) {
-				t.Fatalf("remove(%d) missed", k)
-			}
-		}
-		if len(d.blocks) != nb-1 || len(d.spare) != 1 || d.first[1] != hi {
-			t.Fatalf("%d blocks (was %d), %d spare, first[1] = %d", len(d.blocks), nb, len(d.spare), d.first[1])
-		}
-		checkDelta(t, d)
-		if d.remove(lo) {
-			t.Fatal("removed a key twice")
-		}
-	})
 	t.Run("overwrite of a delta key is not charged", func(t *testing.T) {
 		ix := NewDefault() // empty main array: searchMain charges nothing
 		for k := uint64(1); k <= 100; k++ {
@@ -425,39 +320,26 @@ func TestDeltaSeams(t *testing.T) {
 		for k := uint64(1); k <= 2000; k++ {
 			ix.Insert(k, k)
 		}
-		nb := len(ix.delta.blocks)
 		ix.BulkLoad([]uint64{5000, 6000}, []uint64{1, 2})
 		if _, ok := ix.Get(7); ok || ix.DeltaLen() != 0 || ix.Len() != 2 {
 			t.Fatalf("old delta survived: found %v, delta %d, Len %d", ok, ix.DeltaLen(), ix.Len())
 		}
-		if len(ix.delta.spare) != nb {
-			t.Fatalf("%d of %d blocks recycled", len(ix.delta.spare), nb)
-		}
 		if n := ix.Scan(0, ^uint64(0), func(_, _ uint64) bool { return true }); n != 2 {
 			t.Fatalf("scan visited %d", n)
 		}
+		// BulkLoad kept the old delta's blocks: refilling the delta to its
+		// old size (over an empty main array, so no merge fires) allocates
+		// nothing. AllocsPerRun runs the refill's first half as its warm-up
+		// and counts the second half's allocations whole.
+		ix.BulkLoad(nil, nil)
+		k := uint64(0)
+		if allocs := testing.AllocsPerRun(1, func() {
+			for range 1000 {
+				k++
+				ix.Insert(k, k)
+			}
+		}); allocs != 0 || ix.DeltaLen() != 2000 {
+			t.Fatalf("refilling the delta to %d allocated %v times", ix.DeltaLen(), allocs)
+		}
 	})
-}
-
-// TestDeltaPutAfterResetDoesNotAllocate pins the block recycling: a delta
-// refilled to the size it had before reset reuses every array it owns, so
-// steady-state retrains allocate nothing.
-func TestDeltaPutAfterResetDoesNotAllocate(t *testing.T) {
-	const n = 20000
-	key := func(i int) uint64 { return stats.Mix64(uint64(i)) }
-	d := &delta{}
-	for i := 0; i < n; i++ {
-		d.put(key(i), 0)
-	}
-	d.reset()
-	i := 0
-	if allocs := testing.AllocsPerRun(n-1, func() {
-		d.put(key(i), 0)
-		i++
-	}); allocs != 0 {
-		t.Fatalf("put after reset allocates %v times per call", allocs)
-	}
-	if d.n != n {
-		t.Fatalf("refilled to %d of %d", d.n, n)
-	}
 }

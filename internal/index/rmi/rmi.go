@@ -16,8 +16,8 @@
 // that keeps such an array sorted: (length − insertion rank)/4 work units. That
 // charge is a modelled cost, like cost.IOModel's page I/O on a MemBackend: a
 // function of the delta's length and the rank only, not a timing. Physically
-// the delta is blocked (delta.go) so that the host evaluates the model fast;
-// its layout is free to change as long as length and rank do not.
+// the delta is blocked (sortbuf, like the LSM memtable) so the host evaluates
+// the model fast; its layout may change as long as length and rank do not.
 package rmi
 
 import (
@@ -27,6 +27,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/par"
 	"repro/internal/search"
+	"repro/internal/sortbuf"
 	"repro/internal/stats"
 )
 
@@ -58,7 +59,7 @@ type Index struct {
 	// delta absorbs inserts between retrains: one sorted run, so lookups
 	// are O(log n) and scans ordered. Insert prices it as a flat sorted
 	// array whatever its physical layout (see the package comment).
-	delta delta
+	delta sortbuf.Buffer[uint64]
 
 	tombstones map[uint64]struct{} // deleted keys awaiting merge
 
@@ -99,7 +100,7 @@ func (ix *Index) Name() string { return "rmi" }
 
 // Len implements index.Ordered.
 func (ix *Index) Len() int {
-	return len(ix.keys) + ix.delta.n - len(ix.tombstones)
+	return len(ix.keys) + ix.delta.Len() - len(ix.tombstones)
 }
 
 // Stats implements index.Instrumented.
@@ -120,7 +121,7 @@ func (ix *Index) BulkLoad(keys, values []uint64) {
 	}
 	ix.keys = append(ix.keys[:0], keys...)
 	ix.values = append(ix.values[:0], values...)
-	ix.delta.reset()
+	ix.delta.Reset()
 	ix.tombstones = make(map[uint64]struct{})
 	ix.Retrain()
 }
@@ -134,8 +135,8 @@ func (ix *Index) Retrain() int {
 	// Merge delta + main, dropping tombstones. The destination reuses the
 	// arrays retired by the previous merge, so steady-state retrains under
 	// drift allocate nothing once capacities stabilize.
-	if ix.delta.n > 0 || len(ix.tombstones) > 0 {
-		need := len(ix.keys) + ix.delta.n
+	if ix.delta.Len() > 0 || len(ix.tombstones) > 0 {
+		need := len(ix.keys) + ix.delta.Len()
 		merged, mergedV := ix.spareKeys[:0], ix.spareVals[:0]
 		if cap(merged) < need || cap(mergedV) < need {
 			merged = make([]uint64, 0, need)
@@ -149,7 +150,7 @@ func (ix *Index) Retrain() int {
 		work += len(merged)
 		ix.spareKeys, ix.spareVals = ix.keys[:0], ix.values[:0]
 		ix.keys, ix.values = merged, mergedV
-		ix.delta.reset()
+		ix.delta.Reset()
 		ix.tombstones = make(map[uint64]struct{})
 	}
 
@@ -325,7 +326,7 @@ func (ix *Index) Get(key uint64) (uint64, bool) {
 		return 0, false
 	}
 	// Delta first: it overrides the main array.
-	if v, ok := ix.delta.get(key); ok {
+	if v, ok := ix.delta.Get(key); ok {
 		return v, true
 	}
 	if i, ok := ix.searchMain(key); ok {
@@ -345,7 +346,7 @@ func (ix *Index) Insert(key, value uint64) {
 		ix.values[i] = value
 		return
 	}
-	rank, added := ix.delta.put(key, value)
+	rank, added := ix.delta.Put(key, value)
 	if !added {
 		return
 	}
@@ -354,9 +355,9 @@ func (ix *Index) Insert(key, value uint64) {
 	// the delta is small and increasingly expensive as drift fills it — a
 	// real cost of the static-learned-index design, modelled from length
 	// and rank, not performed (see the package comment).
-	ix.st.Compares += uint64((ix.delta.n - rank) / 4)
+	ix.st.Compares += uint64((ix.delta.Len() - rank) / 4)
 
-	if len(ix.keys) > 0 && float64(ix.delta.n) > deltaMergeThreshold*float64(len(ix.keys)) {
+	if len(ix.keys) > 0 && float64(ix.delta.Len()) > deltaMergeThreshold*float64(len(ix.keys)) {
 		ix.st.Splits++
 		ix.st.TrainWork += uint64(ix.Retrain())
 	}
@@ -367,7 +368,7 @@ func (ix *Index) Delete(key uint64) bool {
 	if _, dead := ix.tombstones[key]; dead {
 		return false
 	}
-	if ix.delta.remove(key) {
+	if ix.delta.Remove(key) {
 		return true
 	}
 	if _, ok := ix.searchMain(key); ok {
@@ -413,14 +414,10 @@ func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 // from the delta first), so only main keys look the map up, and only while
 // it holds anything.
 func (ix *Index) walk(i int, lo, hi uint64, fn func(key, value uint64) bool) {
-	c := ix.delta.seek(lo)
+	c := ix.delta.Seek(lo)
 	dead := len(ix.tombstones) > 0
 	for {
-		var dk, dv uint64
-		more := c.valid()
-		if more {
-			dk, dv = c.pair()
-		}
+		dk, dv, more := c.Pair()
 		for ; i < len(ix.keys) && (!more || ix.keys[i] < dk); i++ {
 			k := ix.keys[i]
 			if k > hi {
@@ -441,7 +438,7 @@ func (ix *Index) walk(i int, lo, hi uint64, fn func(key, value uint64) bool) {
 		if i < len(ix.keys) && ix.keys[i] == dk {
 			i++ // delta overrides main
 		}
-		c.next()
+		c.Next()
 		if !fn(dk, dv) {
 			return
 		}
@@ -449,7 +446,7 @@ func (ix *Index) walk(i int, lo, hi uint64, fn func(key, value uint64) bool) {
 }
 
 // DeltaLen reports the current delta-buffer size (for tests and reports).
-func (ix *Index) DeltaLen() int { return ix.delta.n }
+func (ix *Index) DeltaLen() int { return ix.delta.Len() }
 
 var _ index.Ordered = (*Index)(nil)
 var _ index.BulkLoader = (*Index)(nil)

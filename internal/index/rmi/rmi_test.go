@@ -187,7 +187,7 @@ func TestWalkMergeCases(t *testing.T) {
 			ix.keys, ix.values = append(ix.keys, k), append(ix.values, k*10)
 		}
 		for _, k := range c.delta {
-			ix.delta.put(k, k*100)
+			ix.delta.Put(k, k*100)
 		}
 		for _, k := range c.rip {
 			ix.tombstones[k] = struct{}{}

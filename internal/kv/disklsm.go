@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kv/bloom"
 	"repro/internal/pager"
+	"repro/internal/search"
 )
 
 // pagedRuns is the disk run store: runs laid out in block-aligned slotted
@@ -99,25 +100,10 @@ func (p *pagedRuns) write(entries []entry, _ Knobs) runData {
 	return r
 }
 
-// pageOf returns the index of the last page whose first key is <= key,
-// -1 when key sorts before the whole run.
-func (r *pagedRun) pageOf(key uint64) int {
-	lo, hi := 0, len(r.first)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.first[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// get searches r for key: binary search the per-page index, then the
-// page's cells. probes counts cell comparisons.
+// get searches r for key: the last page whose first key is <= key, then
+// that page's cells. probes counts cell comparisons.
 func (r *pagedRun) get(key uint64) (entry, bool, int) {
-	pi := r.pageOf(key)
+	pi := search.UpperBound(r.first, key) - 1
 	if pi < 0 {
 		return entry{}, false, 0
 	}
@@ -141,7 +127,7 @@ func (r *pagedRun) get(key uint64) (entry, bool, int) {
 	return entry{}, false, probes
 }
 
-func (r *pagedRun) seek(lo uint64) int { return max(r.pageOf(lo), 0) }
+func (r *pagedRun) seek(lo uint64) int { return max(search.UpperBound(r.first, lo)-1, 0) }
 
 // appendPage decodes page i's cells onto dst through the pool.
 func (r *pagedRun) appendPage(dst []entry, i int) []entry {

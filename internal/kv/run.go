@@ -78,10 +78,10 @@ func (r *sliceRun) chunk(i int) []entry {
 func (r *sliceRun) all() []entry { return r.entries }
 func (r *sliceRun) free()        {}
 
-// lowerBoundEntries is the branchless lower bound over a window of an
-// entry slice: the smallest i in [lo, hi] with entries[i].key >= key.
-// Same kernel as search.LowerBound, restated because the key lives inside
-// a struct.
+// lowerBoundEntries returns the smallest i in [lo, hi] with entries[i].key
+// >= key, as search.LowerBoundRange does for a []uint64: restated because a
+// run's keys live inside entry structs. It is the branchless form (a base
+// index advanced conditionally), not the search package's branchy loop.
 func lowerBoundEntries(entries []entry, lo, hi int, key uint64) int {
 	base, n := lo, hi-lo
 	for n > 1 {

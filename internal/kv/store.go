@@ -1,9 +1,11 @@
 package kv
 
 import (
+	"encoding/binary"
+
 	"repro/internal/kv/bloom"
 	"repro/internal/pager"
-	"repro/internal/search"
+	"repro/internal/sortbuf"
 )
 
 // Store is a log-structured KV store: writes land in a sorted memtable;
@@ -22,16 +24,24 @@ import (
 type Store struct {
 	knobs Knobs
 
-	// memtable: sorted keys with parallel values/liveness. A slice-based
-	// sorted memtable keeps the hot path allocation-free.
-	memKeys []uint64
-	memVals []uint64
-	memDead []bool
+	// mem is the memtable: each key written since the last flush, in key
+	// order, with its newest value or tombstone; flushes reuse its blocks.
+	mem sortbuf.Buffer[memVal]
 
 	runs  []run // runs[0] is newest
 	store runStore
 
 	st Counters
+}
+
+// memVal is a memtable value: the newest value, little-endian, and a last
+// byte of 1 for a tombstone (value 0). Nine unpadded bytes keep a memtable
+// block at 8.5 KiB; a {uint64, bool} struct would pad it to 12.
+type memVal [9]byte
+
+// entry returns key's state as a run holds it.
+func (v *memVal) entry(key uint64) entry {
+	return entry{key: key, val: binary.LittleEndian.Uint64(v[:]), dead: v[8] == 1}
 }
 
 // run is one immutable sorted run as the engine holds it. The entry count
@@ -125,6 +135,10 @@ func (s *Store) Knobs() Knobs { return s.knobs }
 // Counters returns a snapshot of the work counters.
 func (s *Store) Counters() Counters { return s.st }
 
+// LiveCounters returns the work counters in place, for a caller that prices
+// every op without copying a snapshot; it must not write them.
+func (s *Store) LiveCounters() *Counters { return &s.st }
+
 // SetKnobs applies a new configuration (an online re-tune). The new
 // MaxRuns takes effect at the next write; a stricter run budget triggers an
 // immediate compaction so reads benefit right away.
@@ -135,42 +149,23 @@ func (s *Store) SetKnobs(k Knobs) {
 	}
 }
 
-// memFind locates key in the memtable.
-func (s *Store) memFind(key uint64) (int, bool) {
-	i := search.LowerBound(s.memKeys, key)
-	return i, i < len(s.memKeys) && s.memKeys[i] == key
-}
-
 // Put inserts or overwrites key.
 func (s *Store) Put(key, value uint64) {
 	s.st.Puts++
-	s.memPut(key, value, false)
+	var v memVal
+	binary.LittleEndian.PutUint64(v[:], value)
+	s.memPut(key, v)
 }
 
 // Delete removes key (tombstone semantics: the deletion masks older runs).
 func (s *Store) Delete(key uint64) {
 	s.st.Deletes++
-	s.memPut(key, 0, true)
+	s.memPut(key, memVal{8: 1})
 }
 
-func (s *Store) memPut(key, value uint64, dead bool) {
-	i, found := s.memFind(key)
-	if found {
-		s.memVals[i] = value
-		s.memDead[i] = dead
-		return
-	}
-	s.memKeys = append(s.memKeys, 0)
-	copy(s.memKeys[i+1:], s.memKeys[i:])
-	s.memKeys[i] = key
-	s.memVals = append(s.memVals, 0)
-	copy(s.memVals[i+1:], s.memVals[i:])
-	s.memVals[i] = value
-	s.memDead = append(s.memDead, false)
-	copy(s.memDead[i+1:], s.memDead[i:])
-	s.memDead[i] = dead
-
-	if len(s.memKeys) >= s.knobs.MemtableCap {
+// memPut writes v for key; a new key may fill the memtable, which flushes.
+func (s *Store) memPut(key uint64, v memVal) {
+	if _, added := s.mem.Put(key, v); added && s.mem.Len() >= s.knobs.MemtableCap {
 		s.flush()
 	}
 }
@@ -190,18 +185,17 @@ func (s *Store) newRun(entries []entry) run {
 
 // flush turns the memtable into the newest run.
 func (s *Store) flush() {
-	if len(s.memKeys) == 0 {
+	if s.mem.Len() == 0 {
 		return
 	}
 	s.st.Flushes++
-	entries := make([]entry, len(s.memKeys))
-	for i := range s.memKeys {
-		entries[i] = entry{key: s.memKeys[i], val: s.memVals[i], dead: s.memDead[i]}
+	entries := make([]entry, 0, s.mem.Len())
+	for c := s.mem.Seek(0); c.Valid(); c.Next() {
+		k, v, _ := c.Pair()
+		entries = append(entries, v.entry(k))
 	}
 	s.runs = append([]run{s.newRun(entries)}, s.runs...)
-	s.memKeys = s.memKeys[:0]
-	s.memVals = s.memVals[:0]
-	s.memDead = s.memDead[:0]
+	s.mem.Reset()
 	if len(s.runs) > s.knobs.MaxRuns {
 		s.compact()
 	}
@@ -262,12 +256,10 @@ func mergePair(newer, older []entry) []entry {
 // Get returns the value for key.
 func (s *Store) Get(key uint64) (uint64, bool) {
 	s.st.Gets++
-	if i, found := s.memFind(key); found {
+	if v, found := s.mem.Get(key); found {
 		s.st.MemtableHits++
-		if s.memDead[i] {
-			return 0, false
-		}
-		return s.memVals[i], true
+		e := v.entry(key)
+		return e.val, !e.dead
 	}
 	for _, r := range s.runs {
 		s.st.RunsSearchedSum++
@@ -303,15 +295,15 @@ func (s *Store) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 		c.idx = lowerBoundEntries(c.cur, 0, len(c.cur), lo)
 		c.settle()
 	}
-	mi, _ := s.memFind(lo)
+	mc := s.mem.Seek(lo)
 
 	visited := 0
 	for {
 		// Smallest current key across memtable and runs; newer wins ties.
 		var e entry
 		found := false
-		if mi < len(s.memKeys) && s.memKeys[mi] <= hi {
-			e, found = entry{key: s.memKeys[mi], val: s.memVals[mi], dead: s.memDead[mi]}, true
+		if k, v, ok := mc.Pair(); ok && k <= hi {
+			e, found = v.entry(k), true
 		}
 		for i := range cursors {
 			c := &cursors[i]
@@ -326,8 +318,8 @@ func (s *Store) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 			return visited
 		}
 		// Step every source sitting on e.key (dedup across sources).
-		if mi < len(s.memKeys) && s.memKeys[mi] == e.key {
-			mi++
+		if k, _, ok := mc.Pair(); ok && k == e.key {
+			mc.Next()
 		}
 		for i := range cursors {
 			c := &cursors[i]

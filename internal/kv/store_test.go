@@ -248,7 +248,6 @@ func TestSpaceSizeAndUniqueness(t *testing.T) {
 	}
 }
 
-
 // Detailed filter behavior (FPR at several bits-per-key, nil semantics)
 // lives in internal/kv/bloom since the extraction; here we only pin that
 // runs actually wire the shared filter in and that it pays off on misses.

@@ -163,6 +163,10 @@ func (p *Pool) Knobs() PoolKnobs { return p.knobs }
 // Counters returns a snapshot of the work counters.
 func (p *Pool) Counters() Counters { return p.st }
 
+// LiveCounters returns the work counters in place, for a caller that prices
+// every op without copying a snapshot; it must not write them.
+func (p *Pool) LiveCounters() *Counters { return &p.st }
+
 // Get returns page id pinned; the caller must Unpin it. A miss evicts (and
 // writes back) per the pool's policy, reads the page from the file, and
 // verifies its checksum — all before any table is touched, so an ID past

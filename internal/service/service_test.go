@@ -36,9 +36,9 @@ const detSpec = `{
 // blockSUT blocks in Load until released — a controllable long run.
 type blockSUT struct{ release chan struct{} }
 
-func (b *blockSUT) Name() string                     { return "block" }
-func (b *blockSUT) Load(keys, values []uint64)       { <-b.release }
-func (b *blockSUT) Do(op workload.Op) core.OpResult  { return core.OpResult{Found: true, Work: 1} }
+func (b *blockSUT) Name() string                    { return "block" }
+func (b *blockSUT) Load(keys, values []uint64)      { <-b.release }
+func (b *blockSUT) Do(op workload.Op) core.OpResult { return core.OpResult{Found: true, Work: 1} }
 
 func newTestService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
