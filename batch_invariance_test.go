@@ -11,10 +11,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distgen"
+	"repro/internal/fault"
 	"repro/internal/figures"
 	"repro/internal/kv"
 	"repro/internal/pager"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -52,33 +54,65 @@ func batchGoldenScenario() core.Scenario {
 	}
 }
 
+// batchSessionFaultScenario is the golden scenario with phase 0 paced as
+// interactive sessions and segmented by the runner, so a batch holds
+// session boundaries.
+func batchSessionFaultScenario() core.Scenario {
+	s := batchGoldenScenario()
+	arrival := workload.NewSessionArrival(47, 400_000, 20_000, 3, 9)
+	s.Phases[0].Arrival = arrival
+	s.Session = arrival.Spec(1_000_000)
+	return s
+}
+
 // TestBatchSizeInvariance runs the golden scenario against every SUT at
 // several batch sizes and asserts the marshalled result JSON is
 // byte-for-byte identical to the unbatched (per-op) run. The disk SUTs run
 // under a 16-page pool, a small fraction of the 10k-key data: there a
 // lookup evicts a page, so a batch path that reordered lookups would read
-// different pages and price different virtual times.
+// different pages and price different virtual times. The sessions+errors
+// row puts session boundaries and failed ops inside batches: an error
+// window open for the whole run fails a seeded fifth of the ops whatever
+// the clock reads, so its failures are batch-invariant too.
 func TestBatchSizeInvariance(t *testing.T) {
 	smallPool := pager.PoolKnobs{Pages: 16, Policy: "lru"}
-	factories := map[string]func() core.SUT{
-		"btree":      core.NewBTreeSUT,
-		"hash":       core.NewHashSUT,
-		"rmi":        core.NewRMISUT,
-		"alex":       core.NewALEXSUT,
-		"kvstore":    core.NewKVSUTDefault,
-		"disk-btree": func() core.SUT { return core.NewDiskBTreeSUT(smallPool) },
-		"disk-lsm":   func() core.SUT { return core.NewDiskKVSUT(kv.DefaultKnobs(), smallPool) },
+	errors, err := fault.ParseSpec("error@0s-1h:rate=0.2", 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		sut      func() core.SUT
+		scenario func() core.Scenario
+		wrap     func(core.SUT, sim.Clock) core.SUT
+	}
+	golden := func(f func() core.SUT) row { return row{sut: f, scenario: batchGoldenScenario} }
+	rows := map[string]row{
+		"btree":      golden(core.NewBTreeSUT),
+		"hash":       golden(core.NewHashSUT),
+		"rmi":        golden(core.NewRMISUT),
+		"alex":       golden(core.NewALEXSUT),
+		"kvstore":    golden(core.NewKVSUTDefault),
+		"disk-btree": golden(func() core.SUT { return core.NewDiskBTreeSUT(smallPool) }),
+		"disk-lsm":   golden(func() core.SUT { return core.NewDiskKVSUT(kv.DefaultKnobs(), smallPool) }),
+		"rmi/sessions+errors": {sut: core.NewRMISUT, scenario: batchSessionFaultScenario,
+			wrap: func(s core.SUT, clock sim.Clock) core.SUT { return fault.Wrap(s, fault.NewInjector(errors, clock)) }},
 	}
 	batches := []int{2, 7, 64, 1000}
-	for name, f := range factories {
-		f := f
+	for name, rw := range rows {
+		rw := rw
 		t.Run(name, func(t *testing.T) {
-			runner := core.NewRunner()
 			// Scenarios hold stateful generators: build a fresh one per run.
-			base, err := runner.Run(batchGoldenScenario(), f())
-			if err != nil {
-				t.Fatal(err)
+			run := func(batch int) *core.Result {
+				r := core.NewRunner()
+				r.Batch = batch
+				r.WrapSUT = rw.wrap
+				res, err := r.Run(rw.scenario(), rw.sut())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
+			base := run(1)
 			golden, err := report.MarshalResult(base)
 			if err != nil {
 				t.Fatal(err)
@@ -86,13 +120,11 @@ func TestBatchSizeInvariance(t *testing.T) {
 			if base.Outcomes.Found == 0 || base.Outcomes.WorkUnits == 0 {
 				t.Fatalf("golden run has empty outcomes: %+v", base.Outcomes)
 			}
+			if rw.wrap != nil && (base.Failed == 0 || base.Snapshot.Sessions == nil) {
+				t.Fatalf("golden run has %d failures and sessions %v: the row tests nothing", base.Failed, base.Snapshot.Sessions)
+			}
 			for _, b := range batches {
-				br := core.NewRunner()
-				br.Batch = b
-				res, err := br.Run(batchGoldenScenario(), f())
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := run(b)
 				got, err := report.MarshalResult(res)
 				if err != nil {
 					t.Fatal(err)

@@ -609,10 +609,11 @@ func BenchmarkMicroHistogramRecord(b *testing.B) {
 }
 
 // BenchmarkMicroCollectorRecord measures the collector's share of one
-// completion: curve point, interval histogram, SLA band. The collector is
-// told its op count, as the runner tells it, so the curve never regrows
-// and the loop must stay at 0 allocs/op; it is replaced (off the clock)
-// every 64k records so the curve stays cache-sized at any b.N.
+// completion recorded on its own: curve point, interval count, phase
+// histogram, SLA band. The collector is told its op count, as the runner
+// tells it, so the curve never regrows and the loop must stay at 0
+// allocs/op; it is replaced (off the clock) every 64k records so the curve
+// stays cache-sized at any b.N.
 func BenchmarkMicroCollectorRecord(b *testing.B) {
 	const chunk = 1 << 16
 	var col *metrics.Collector
@@ -623,12 +624,43 @@ func BenchmarkMicroCollectorRecord(b *testing.B) {
 			b.StopTimer()
 			col = metrics.NewCollector(metrics.CollectorConfig{IntervalNs: 1 << 40, SLANs: 10_000, Ops: chunk + 1})
 			done = 0
-			col.Record(done, 200) // the interval's histogram and band exist from here on
+			col.Record(done, 200) // the phase histogram and band exist from here on
 			b.StartTimer()
 		}
 		lat := 200 + int64(uint32(i)*2654435761>>22)
 		done += lat
 		col.Record(done, lat)
+	}
+}
+
+// BenchmarkMicroCollectorRecordBatch measures what the runner hands the
+// collector per dispatch batch: one op is one RecordBatch of a 64-completion
+// run, and the interval is about three runs wide, so every few runs cross
+// into the next one. The completion stream is generated off the clock; the
+// collector is replaced (off the clock) every 1024 runs, and the loop must
+// stay at 0 allocs/op.
+func BenchmarkMicroCollectorRecordBatch(b *testing.B) {
+	const run, chunk = 64, 1 << 10
+	done := make([]int64, run*chunk)
+	lat := make([]int64, run*chunk)
+	var t int64
+	for i := range done {
+		lat[i] = 200 + int64(uint32(i)*2654435761>>22)
+		t += lat[i]
+		done[i] = t
+	}
+	var col *metrics.Collector
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % chunk
+		if k == 0 {
+			b.StopTimer()
+			col = metrics.NewCollector(metrics.CollectorConfig{IntervalNs: 1 << 17, SLANs: 10_000, Ops: run*chunk + 1})
+			col.Record(0, 200) // the phase histogram, first interval and band exist from here on
+			b.StartTimer()
+		}
+		col.RecordBatch(done[k*run:(k+1)*run], lat[k*run:(k+1)*run])
 	}
 }
 

@@ -19,6 +19,8 @@ type runScratch struct {
 	ops  []workload.Op
 	gaps []int64
 	outs []OpResult
+	done []int64 // a batch's completion times, as priced or measured
+	lat  []int64 // and latencies
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -29,10 +31,14 @@ func (sc *runScratch) ensure(batch int) {
 		sc.ops = make([]workload.Op, batch)
 		sc.gaps = make([]int64, batch)
 		sc.outs = make([]OpResult, batch)
+		sc.done = make([]int64, batch)
+		sc.lat = make([]int64, batch)
 	}
 	sc.ops = sc.ops[:batch]
 	sc.gaps = sc.gaps[:batch]
 	sc.outs = sc.outs[:batch]
+	sc.done = sc.done[:batch]
+	sc.lat = sc.lat[:batch]
 }
 
 // PhaseResult carries the per-phase measurements that back Figure 1a: one
@@ -237,14 +243,14 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 	scratch := runScratchPool.Get().(*runScratch)
 	scratch.ensure(batch)
 	defer runScratchPool.Put(scratch)
-	ops, gaps, outs := scratch.ops, scratch.gaps, scratch.outs
+	ops, gaps, outs, dones, lats := scratch.ops, scratch.gaps, scratch.outs, scratch.done, scratch.lat
 
 	// Session segmentation state: the very first op always opens a
 	// session; afterwards a gap at or above the spec's boundary does.
 	sessionStarted := false
 
 	for pi, phase := range s.Phases {
-		pres := PhaseResult{Name: phase.Name, StartNs: clock.Now(), Latency: metrics.NewHistogram()}
+		pres := PhaseResult{Name: phase.Name, StartNs: clock.Now(), Latency: col.BeginPhase()}
 		res.PhaseStarts = append(res.PhaseStarts, pres.StartNs)
 
 		if phase.RetrainBefore {
@@ -285,6 +291,11 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 			t0 := clock.Now()
 			bsut.DoBatch(ops[:bn], outs[:bn])
 			t1 := clock.Now()
+			// Price the batch; its successes reach the collector as runs that a
+			// failure or a session boundary ends. Completions are non-decreasing
+			// and nothing reads the clock before the next DoBatch, so a virtual
+			// clock advances once, to the batch's last.
+			run := 0
 			for j := 0; j < bn; j++ {
 				var arrive int64
 				if gaps[j] == 0 {
@@ -294,41 +305,37 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 					arrive = prevArrival + gaps[j]
 				}
 				prevArrival = arrive
-
-				start := arrive
-				if serverFree > start {
-					start = serverFree
-				}
-				service := r.Cost.ServiceTime(outs[j].Work)
-				done := start + service
-				if virt != nil {
-					virt.AdvanceTo(done)
-				} else {
+				done := max(arrive, serverFree) + r.Cost.ServiceTime(outs[j].Work)
+				if virt == nil {
 					arrive, done = t0, t1
 				}
 				serverFree = done
+				res.Outcomes.Observe(ops[j], outs[j])
 				if s.Session != nil && (!sessionStarted || gaps[j] >= s.Session.GapNs) {
+					col.RecordBatch(dones[run:j], lats[run:j])
+					run = j
 					col.BeginSession(arrive)
 					sessionStarted = true
 				}
-
-				latency := done - arrive
 				if outs[j].Failed {
 					// Failed ops hold the server for their work but
 					// produce no latency sample: an error is not a fast
 					// success, it is burned availability.
+					col.RecordBatch(dones[run:j], lats[run:j])
+					run = j + 1
 					col.RecordFailed(done)
 					pres.Failed++
-					res.Outcomes.Observe(ops[j], outs[j])
 					continue
 				}
-				col.Record(done, latency)
-				pres.Latency.Record(latency)
+				dones[j], lats[j] = done, done-arrive
 				pres.Completed++
-				res.Outcomes.Observe(ops[j], outs[j])
 				if pi > 0 && len(postChange) < r.PostChangeN {
-					postChange = append(postChange, latency)
+					postChange = append(postChange, done-arrive)
 				}
+			}
+			col.RecordBatch(dones[run:bn], lats[run:bn])
+			if virt != nil {
+				virt.AdvanceTo(serverFree)
 			}
 		}
 		pres.EndNs = clock.Now()

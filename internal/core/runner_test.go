@@ -456,7 +456,7 @@ func TestAdaptabilityShiftVisibleInMetrics(t *testing.T) {
 	if changeAt <= 0 || changeAt >= res.DurationNs {
 		t.Fatalf("change instant %d outside run", changeAt)
 	}
-	if res.Timeline.Intervals() < 2 {
+	if res.Timeline.Len() < 2 {
 		t.Fatal("timeline too coarse to analyze")
 	}
 }

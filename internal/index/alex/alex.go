@@ -405,9 +405,13 @@ func (ix *Index) Insert(key, value uint64) {
 }
 
 // insertAt places key before the occupied slot `pos` (pos may be len for
-// append), shifting toward the nearest gap — the ALEX insert path. The node
-// has a gap: Insert expands or splits a node the moment it passes
-// expandDensity, and every (re)build leaves at least one.
+// append). A gap just left of pos takes the key directly. Otherwise the
+// slots from pos shift right into the first gap right of pos whenever one
+// exists, however far away, and left into the first gap left of pos only
+// when none does. The ALEX paper shifts toward the closer gap, which moves
+// fewer slots; switching rules would change slot layout and with it the
+// priced compares. The node has a gap: Insert expands or splits a node the
+// moment it passes expandDensity, and every (re)build leaves at least one.
 func (n *dataNode) insertAt(pos int, key, value uint64) {
 	c := len(n.keys)
 	n.size++
@@ -419,7 +423,7 @@ func (n *dataNode) insertAt(pos int, key, value uint64) {
 		n.occ.set(pos - 1)
 		return
 	}
-	// Find nearest gap right of pos, then shift [pos, gap) right by one.
+	// Find the first gap right of pos, then shift [pos, gap) right by one.
 	// Every slot in [pos, gap) is occupied by construction, so the shifted
 	// range ends fully occupied: the occupancy update is one set bit at the
 	// consumed gap instead of the old per-slot shuffle.

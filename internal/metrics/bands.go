@@ -67,6 +67,7 @@ type BandTracker struct {
 	sla       int64
 	width     int64
 	intervals []Interval
+	cur       cursor
 }
 
 // NewBandTracker returns a tracker with the given SLA threshold and
@@ -87,24 +88,29 @@ func (bt *BandTracker) Width() int64 { return bt.width }
 // Record accounts a query that completed at time t with the given latency.
 // Completions may arrive out of interval order (concurrent workers).
 func (bt *BandTracker) Record(t, latency int64) {
-	if t < 0 {
-		t = 0
-	}
-	idx := int(t / bt.width)
-	for len(bt.intervals) <= idx {
-		bt.intervals = append(bt.intervals, Interval{
-			Start: int64(len(bt.intervals)) * bt.width,
-		})
-	}
-	iv := &bt.intervals[idx]
-	iv.Completed++
-	lvl := ClassifyLatency(latency, bt.sla)
-	iv.ByLevel[lvl]++
-	if latency <= bt.sla {
-		iv.WithinSLA++
-	} else {
-		iv.Violated++
-		iv.OverSLATime += latency - bt.sla
+	bt.recordRun([]int64{t}, []int64{latency})
+}
+
+// recordRun accounts queries that completed at times done[i] with
+// latencies lat[i]; a time-ordered run divides only when it crosses into
+// another interval.
+func (bt *BandTracker) recordRun(done, lat []int64) {
+	for i, t := range done {
+		idx := bt.cur.at(t, bt.width)
+		for len(bt.intervals) <= idx {
+			bt.intervals = append(bt.intervals, Interval{
+				Start: int64(len(bt.intervals)) * bt.width,
+			})
+		}
+		iv := &bt.intervals[idx]
+		iv.Completed++
+		iv.ByLevel[ClassifyLatency(lat[i], bt.sla)]++
+		if lat[i] <= bt.sla {
+			iv.WithinSLA++
+		} else {
+			iv.Violated++
+			iv.OverSLATime += lat[i] - bt.sla
+		}
 	}
 }
 

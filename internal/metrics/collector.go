@@ -6,30 +6,33 @@ package metrics
 // BandTracker (1c), and the overall latency Histogram — and implements the
 // paper's deferred SLA calibration exactly once.
 //
-// Completions enter through Record(done, latency). The timeline (which
-// buckets the latency into its interval's histogram) and the curve account
-// every completion immediately; the overall latency histogram is the merge
-// of the timeline's intervals, taken at Snapshot, so a completion is never
-// bucketed twice for the same answer. Band tracking is deferred while the
-// SLA threshold is unknown: the first CalibrateAfter
-// samples are buffered, the threshold is derived from their latency
-// distribution via CalibrateSLA, and the buffer is replayed into the
-// tracker so no completion is lost. A fixed SLA (Config.SLANs > 0) starts
-// band tracking on the first completion.
+// Completions enter through RecordBatch(done, latencies), a run of them in
+// completion order; Record is its one-element call. Each completion is
+// bucketed once, into the current phase's latency histogram (BeginPhase);
+// the overall latency histogram is the merge of the phase histograms, taken
+// at Snapshot. The timeline counts completions per interval and the curve
+// keeps every completion's time. Each structure takes a run in one call, and
+// the timeline and band tracker divide only when a run crosses into another
+// interval. Band tracking is deferred while the SLA threshold is unknown:
+// the first CalibrateAfter samples are buffered, the threshold is derived
+// from their latency distribution via CalibrateSLA, and the buffer is
+// replayed into the tracker so no completion is lost. A fixed SLA
+// (Config.SLANs > 0) starts band tracking on the first completion.
 //
 // Collector is not safe for concurrent use; every engine records from the
 // one goroutine that dispatches.
 type Collector struct {
-	cfg       CollectorConfig
-	timeline  *Timeline
-	cum       *CumCurve
-	bands     *BandTracker
-	sla       int64
-	completed int64
-	failed    int64
-	fails     *FailSeries
-	pending   []pendingSample
-	session   *SessionTracker
+	cfg      CollectorConfig
+	timeline *Timeline
+	cum      *CumCurve
+	bands    *BandTracker
+	sla      int64
+	failed   int64
+	fails    *FailSeries
+	pending  []pendingSample
+	session  *SessionTracker
+	phase    *Histogram   // the current phase's latencies
+	phases   []*Histogram // every phase's, in order
 }
 
 // pendingSample is a completion parked while the SLA is uncalibrated.
@@ -85,27 +88,52 @@ func (c *Collector) BeginSession(arrive int64) {
 	c.session.Begin(arrive)
 }
 
+// BeginPhase starts a phase and returns the histogram its completions'
+// latencies are bucketed into, which the engine may keep as the phase's
+// latency distribution. A collector whose engine never calls it records
+// into one implicit phase.
+func (c *Collector) BeginPhase() *Histogram {
+	c.phase = NewHistogram()
+	c.phases = append(c.phases, c.phase)
+	return c.phase
+}
+
 // Record accounts one completed operation at time done (ns since run
-// start) with the given latency. Completions must arrive in non-decreasing
-// done order (the CumCurve contract).
+// start) with the given latency: RecordBatch of one.
 func (c *Collector) Record(done, latency int64) {
-	c.completed++
-	if c.session != nil {
-		c.session.Observe(done)
+	c.RecordBatch([]int64{done}, []int64{latency})
+}
+
+// RecordBatch accounts a run of completed operations: done[i] is the i-th
+// completion time (ns since run start), lat[i] its latency. Completions
+// must arrive in non-decreasing done order across calls (the CumCurve
+// contract). The result is the same however a stream is split into runs.
+func (c *Collector) RecordBatch(done, lat []int64) {
+	if c.phase == nil {
+		c.BeginPhase()
 	}
-	c.cum.Add(done, c.completed)
-	c.timeline.Record(done, latency)
-	if c.bands != nil {
-		c.bands.Record(done, latency)
-		return
+	for i, t := range done {
+		if c.session != nil {
+			c.session.Observe(t)
+		}
+		c.cum.Add(t)
+		c.phase.Record(lat[i])
 	}
-	c.pending = append(c.pending, pendingSample{done, latency})
-	if c.sla == 0 && len(c.pending) == c.cfg.CalibrateAfter {
-		c.sla = c.calibrateFromPending()
+	c.timeline.add(done)
+	if c.bands == nil && c.sla == 0 {
+		// Park up to the calibration window; calibrate the moment it fills,
+		// even inside a run, and band the rest of the run after it.
+		k := min(len(done), c.cfg.CalibrateAfter-len(c.pending))
+		for i, t := range done[:k] {
+			c.pending = append(c.pending, pendingSample{t, lat[i]})
+		}
+		if len(c.pending) < c.cfg.CalibrateAfter {
+			return
+		}
+		done, lat = done[k:], lat[k:]
 	}
-	if c.sla > 0 {
-		c.startBands()
-	}
+	c.Calibrate()
+	c.bands.recordRun(done, lat)
 }
 
 // RecordFailed accounts one operation that completed as an error at time
@@ -134,7 +162,11 @@ func (c *Collector) Calibrate() {
 	if c.sla == 0 {
 		c.sla = c.calibrateFromPending()
 	}
-	c.startBands()
+	c.bands = NewBandTracker(c.sla, c.cfg.IntervalNs)
+	for _, p := range c.pending {
+		c.bands.Record(p.t, p.lat)
+	}
+	c.pending = nil
 }
 
 // The calibrated SLA is 20x the buffered completions' median latency.
@@ -157,20 +189,8 @@ func (c *Collector) calibrateFromPending() int64 {
 	return CalibrateSLA(h, calibrateQuantile, calibrateHeadroom)
 }
 
-// startBands creates the band tracker and replays the parked completions.
-func (c *Collector) startBands() {
-	c.bands = NewBandTracker(c.sla, c.cfg.IntervalNs)
-	for _, p := range c.pending {
-		c.bands.Record(p.t, p.lat)
-	}
-	c.pending = nil
-}
-
 // SLA returns the current SLA threshold (0 while uncalibrated).
 func (c *Collector) SLA() int64 { return c.sla }
-
-// Completed returns the number of recorded completions.
-func (c *Collector) Completed() int64 { return c.completed }
 
 // Snapshot finalizes the pipeline — calibrating and replaying if band
 // tracking has not started — and returns the metric quadruple. Further
@@ -178,13 +198,17 @@ func (c *Collector) Completed() int64 { return c.completed }
 // snapshot once, when the run is over.
 func (c *Collector) Snapshot() Snapshot {
 	c.Calibrate()
+	lat := NewHistogram()
+	for _, h := range c.phases {
+		lat.Merge(h)
+	}
 	s := Snapshot{
 		Timeline:   c.timeline,
 		Cumulative: c.cum,
 		Bands:      c.bands,
-		Latency:    c.timeline.MergedLatency(),
+		Latency:    lat,
 		SLANs:      c.sla,
-		Completed:  c.completed,
+		Completed:  c.cum.Total(),
 		Failed:     c.failed,
 		Fails:      c.fails,
 	}
@@ -198,14 +222,14 @@ func (c *Collector) Snapshot() Snapshot {
 // and completion count — the measured core of core.Result, the one result
 // type both executors (core.Runner.RunOn, core.RunSQL) return.
 type Snapshot struct {
-	// Timeline backs Figure 1a: per-interval throughput and latency.
+	// Timeline backs Figure 1a: per-interval throughput.
 	Timeline *Timeline
 	// Cumulative backs Figure 1b: completions over time.
 	Cumulative *CumCurve
 	// Bands backs Figure 1c: SLA latency bands.
 	Bands *BandTracker
 	// Latency is the overall latency histogram: the merge of the
-	// timeline's per-interval histograms.
+	// collector's per-phase histograms.
 	Latency *Histogram
 	// SLANs is the SLA threshold used (fixed or calibrated).
 	SLANs int64

@@ -1,0 +1,126 @@
+package metrics
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// Event kinds of a fuzzed completion stream (an event's first byte mod 8).
+const (
+	evFailed  = 5 // the op completes as an error
+	evSession = 6 // a session starts with this op, which then succeeds
+	evPhase   = 7 // a phase boundary; no op
+	// 0-4: the op succeeds.
+
+	maxEvents = 256
+)
+
+// collectorCase decodes fuzz bytes into a collector configuration and a
+// completion stream. data[0] picks a fixed SLA or a small CalibrateAfter,
+// data[1] the interval width; then each event is three bytes: kind, time
+// step (completion times are non-decreasing and start below zero) and
+// latency. At most maxEvents are read, so a case spans a few thousand
+// intervals at most.
+func collectorCase(data []byte) (CollectorConfig, [][3]int64) {
+	for len(data) < 2 {
+		data = append(data, 0)
+	}
+	cfg := CollectorConfig{IntervalNs: 1 + int64(data[1]%64)}
+	if data[0]&1 == 1 {
+		cfg.SLANs = 1 + int64(data[0]>>1)*8
+	} else {
+		cfg.CalibrateAfter = 1 + int(data[0]>>1)%8
+	}
+	t := int64(-100)
+	var evs [][3]int64
+	for ev := data[2:]; len(ev) >= 3 && len(evs) < maxEvents; ev = ev[3:] {
+		t += int64(ev[1] % 64)
+		evs = append(evs, [3]int64{int64(ev[0] % 8), t, int64(ev[2]) * 37})
+	}
+	return cfg, evs
+}
+
+// FuzzCollectorBatch is the differential check of the collector's one
+// recording path: a stream fed op at a time (Record, the one-element
+// RecordBatch) and the same stream fed in runs of random length must
+// snapshot identically, phase histograms included — wherever a run
+// crosses an interval, the calibration point or a failure, session or
+// phase boundary.
+func FuzzCollectorBatch(f *testing.F) {
+	ev := func(kind, dt, lat byte) []byte { return []byte{kind, dt, lat} }
+	cat := func(head []byte, evs ...[]byte) []byte {
+		for _, e := range evs {
+			head = append(head, e...)
+		}
+		return head
+	}
+	var crossings, calibration, phases, interrupts []byte
+	crossings = []byte{9, 3} // SLA 33, interval 4
+	calibration = []byte{4, 50}
+	for i := byte(0); i < 12; i++ {
+		crossings = cat(crossings, ev(0, 1, i))
+		calibration = cat(calibration, ev(i%5, 2, 3+i)) // CalibrateAfter 3
+	}
+	phases = cat([]byte{2, 10}, ev(0, 1, 1), ev(1, 3, 2), ev(evPhase, 0, 0), ev(2, 4, 3), ev(3, 5, 4))
+	interrupts = cat([]byte{7, 8}, ev(evSession, 1, 1), ev(0, 1, 2), ev(evFailed, 9, 0),
+		ev(1, 2, 3), ev(evSession, 20, 4), ev(evFailed, 0, 0), ev(evFailed, 1, 0), ev(2, 3, 5))
+	for _, seed := range [][]byte{crossings, calibration, phases, interrupts} {
+		f.Add(seed, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, split int64) {
+		cfg, evs := collectorCase(data)
+
+		single := NewCollector(cfg)
+		var singlePhases []*Histogram
+		for _, e := range evs {
+			switch e[0] {
+			case evPhase:
+				singlePhases = append(singlePhases, single.BeginPhase())
+				continue
+			case evFailed:
+				single.RecordFailed(e[1])
+				continue
+			case evSession:
+				single.BeginSession(e[1])
+			}
+			single.Record(e[1], e[2])
+		}
+
+		runs := NewCollector(cfg)
+		var runsPhases []*Histogram
+		rng := rand.New(rand.NewSource(split))
+		var done, lat []int64
+		flush := func() {
+			for len(done) > 0 {
+				n := rng.Intn(len(done) + 1)
+				runs.RecordBatch(done[:n], lat[:n])
+				done, lat = done[n:], lat[n:]
+			}
+		}
+		for _, e := range evs {
+			switch e[0] {
+			case evPhase:
+				flush()
+				runsPhases = append(runsPhases, runs.BeginPhase())
+				continue
+			case evFailed:
+				flush()
+				runs.RecordFailed(e[1])
+				continue
+			case evSession:
+				flush()
+				runs.BeginSession(e[1])
+			}
+			done, lat = append(done, e[1]), append(lat, e[2])
+		}
+		flush()
+
+		if !reflect.DeepEqual(singlePhases, runsPhases) {
+			t.Fatalf("phase histograms differ:\n  op at a time %v\n  in runs      %v", singlePhases, runsPhases)
+		}
+		if a, b := single.Snapshot(), runs.Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("snapshots differ:\n  op at a time %+v\n  in runs      %+v", a, b)
+		}
+	})
+}

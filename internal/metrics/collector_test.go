@@ -1,6 +1,9 @@
 package metrics
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestCollectorFixedSLA: with a fixed threshold, band tracking starts on
 // the first completion and nothing is buffered.
@@ -117,8 +120,8 @@ func histOf(lats []int64) *Histogram {
 }
 
 // TestCollectorLatencyMatchesDirectHistogram: the overall histogram is
-// derived from the timeline at Snapshot, and must be the histogram that
-// recording every latency directly would have produced.
+// derived from the phase histograms at Snapshot, and must be the histogram
+// that recording every latency directly would have produced.
 func TestCollectorLatencyMatchesDirectHistogram(t *testing.T) {
 	c := NewCollector(CollectorConfig{IntervalNs: 1000, SLANs: 500})
 	direct := NewHistogram()
@@ -137,6 +140,38 @@ func TestCollectorLatencyMatchesDirectHistogram(t *testing.T) {
 	for i, n := range direct.counts {
 		if got.counts[i] != n {
 			t.Fatalf("bucket %d: derived %d, direct %d", i, got.counts[i], n)
+		}
+	}
+}
+
+// TestCollectorPhasesMergeToOneHistogram: each completion is bucketed once,
+// into its phase's histogram; Snapshot's overall histogram is their merge
+// and equals, field for field, one histogram fed every sample.
+func TestCollectorPhasesMergeToOneHistogram(t *testing.T) {
+	c := NewCollector(CollectorConfig{IntervalNs: 1000, CalibrateAfter: 10})
+	whole := NewHistogram()
+	var phases []*Histogram
+	var done int64
+	for p := int64(0); p < 4; p++ {
+		phase, direct := c.BeginPhase(), NewHistogram()
+		phases = append(phases, phase)
+		for i := int64(0); i < 500*p; i++ { // phase 0 is empty
+			lat := (i*7919+p)%50_000 + 1
+			done += i % 300
+			c.Record(done, lat)
+			whole.Record(lat)
+			direct.Record(lat)
+		}
+		if !reflect.DeepEqual(phase, direct) {
+			t.Fatalf("phase %d histogram %v, want %v", p, phase, direct)
+		}
+	}
+	if got := c.Snapshot().Latency; !reflect.DeepEqual(got, whole) {
+		t.Fatalf("merged %v, want %v", got, whole)
+	}
+	for p, h := range phases {
+		if p > 0 && h.Count() != uint64(500*p) {
+			t.Fatalf("Snapshot changed phase %d: count %d", p, h.Count())
 		}
 	}
 }

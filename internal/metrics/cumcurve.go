@@ -6,39 +6,33 @@ import (
 
 // CumCurve is the cumulative-queries-completed-over-time curve of Figure 1b.
 // The paper: "the slope of the curve is the throughput, and it is easy to
-// see the impact of a change". Points are (time ns, completed count) and
-// must be appended in non-decreasing time order (Add enforces it).
+// see the impact of a change". It keeps one point per completion, in
+// non-decreasing time order (Add enforces it); point i is (times[i], i+1),
+// so only the times are stored.
 type CumCurve struct {
-	times  []int64 // completion timestamps, ns since run start
-	counts []int64 // cumulative completions at that timestamp
+	times []int64 // completion timestamps, ns since run start
 }
 
 // newCumCurve returns an empty curve with room for n points.
 func newCumCurve(n int) *CumCurve {
-	return &CumCurve{times: make([]int64, 0, n), counts: make([]int64, 0, n)}
+	return &CumCurve{times: make([]int64, 0, n)}
 }
 
-// Add records that by time t (ns since run start) a total of the given
-// number of queries had completed. Calls must have non-decreasing t; a
-// regression panics since it indicates a measurement bug.
-func (c *CumCurve) Add(t int64, completed int64) {
+// Add records one more completion at time t (ns since run start). Calls
+// must have non-decreasing t; a regression panics since it indicates a
+// measurement bug.
+func (c *CumCurve) Add(t int64) {
 	if n := len(c.times); n > 0 && t < c.times[n-1] {
 		panic("metrics: CumCurve.Add with decreasing time")
 	}
 	c.times = append(c.times, t)
-	c.counts = append(c.counts, completed)
 }
 
 // Len returns the number of recorded points.
 func (c *CumCurve) Len() int { return len(c.times) }
 
 // Total returns the final cumulative count (0 when empty).
-func (c *CumCurve) Total() int64 {
-	if len(c.counts) == 0 {
-		return 0
-	}
-	return c.counts[len(c.counts)-1]
-}
+func (c *CumCurve) Total() int64 { return int64(len(c.times)) }
 
 // Duration returns the time of the last point (0 when empty).
 func (c *CumCurve) Duration() int64 {
@@ -51,11 +45,7 @@ func (c *CumCurve) Duration() int64 {
 // At returns the cumulative count at time t (step interpolation: the count
 // of the latest point with time <= t).
 func (c *CumCurve) At(t int64) int64 {
-	idx := sort.Search(len(c.times), func(i int) bool { return c.times[i] > t })
-	if idx == 0 {
-		return 0
-	}
-	return c.counts[idx-1]
+	return int64(sort.Search(len(c.times), func(i int) bool { return c.times[i] > t }))
 }
 
 // Throughput returns the overall average throughput in queries/second.
@@ -78,7 +68,7 @@ func (c *CumCurve) area(horizon int64) float64 {
 			t = horizon
 		}
 		total += float64(prevC) * float64(t-prevT)
-		prevT, prevC = t, c.counts[i]
+		prevT, prevC = t, int64(i+1)
 		if c.times[i] >= horizon {
 			return total
 		}
@@ -146,28 +136,24 @@ func (c *CumCurve) Slope(t, window int64) float64 {
 	return float64(dq) / (float64(t-lo) / 1e9)
 }
 
-// Downsample returns an at-most-n-point copy of the curve, preserving the
-// first and last points, for plotting.
-func (c *CumCurve) Downsample(n int) *CumCurve {
+// Sample invokes f, in order, for at most n evenly spaced points of the
+// curve, the first and last included, for plotting; for every point when
+// n <= 0 or the curve is no longer than n.
+func (c *CumCurve) Sample(n int, f func(t int64, count int64)) {
 	if n <= 0 || len(c.times) <= n {
-		out := newCumCurve(len(c.times))
-		out.times = append(out.times, c.times...)
-		out.counts = append(out.counts, c.counts...)
-		return out
+		c.Points(f)
+		return
 	}
-	out := newCumCurve(n)
 	stride := float64(len(c.times)-1) / float64(n-1)
 	for i := 0; i < n; i++ {
 		idx := int(float64(i) * stride)
-		out.times = append(out.times, c.times[idx])
-		out.counts = append(out.counts, c.counts[idx])
+		f(c.times[idx], int64(idx+1))
 	}
-	return out
 }
 
 // Points invokes f for each (time, cumulative count) pair in order.
 func (c *CumCurve) Points(f func(t int64, count int64)) {
-	for i := range c.times {
-		f(c.times[i], c.counts[i])
+	for i, t := range c.times {
+		f(t, int64(i+1))
 	}
 }

@@ -10,7 +10,7 @@ import (
 func constantCurve(n int, interval int64) *CumCurve {
 	c := &CumCurve{}
 	for i := 1; i <= n; i++ {
-		c.AddCompletion(int64(i) * interval)
+		c.Add(int64(i) * interval)
 	}
 	return c
 }
@@ -40,13 +40,13 @@ func TestCumCurveAt(t *testing.T) {
 
 func TestCumCurvePanicsOnRegression(t *testing.T) {
 	c := &CumCurve{}
-	c.Add(100, 1)
+	c.Add(100)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on decreasing time")
 		}
 	}()
-	c.Add(50, 2)
+	c.Add(50)
 }
 
 func TestAreaVsIdealConstantIsZero(t *testing.T) {
@@ -63,11 +63,11 @@ func TestAreaVsIdealSlowStartPositive(t *testing.T) {
 	tNow := int64(0)
 	for i := 0; i < 500; i++ { // slow: 1 per 4ms
 		tNow += 4e6
-		c.AddCompletion(tNow)
+		c.Add(tNow)
 	}
 	for i := 0; i < 1500; i++ { // fast: 1 per 1ms
 		tNow += 1e6
-		c.AddCompletion(tNow)
+		c.Add(tNow)
 	}
 	if a := c.AreaVsIdeal(); a <= 0.05 {
 		t.Fatalf("slow-start area score = %v, want clearly positive", a)
@@ -79,11 +79,11 @@ func TestAreaVsIdealFastStartNegative(t *testing.T) {
 	tNow := int64(0)
 	for i := 0; i < 1500; i++ {
 		tNow += 1e6
-		c.AddCompletion(tNow)
+		c.Add(tNow)
 	}
 	for i := 0; i < 500; i++ {
 		tNow += 4e6
-		c.AddCompletion(tNow)
+		c.Add(tNow)
 	}
 	if a := c.AreaVsIdeal(); a >= -0.05 {
 		t.Fatalf("fast-start area score = %v, want clearly negative", a)
@@ -122,11 +122,11 @@ func TestSlopeReflectsLocalThroughput(t *testing.T) {
 	tNow := int64(0)
 	for i := 0; i < 1000; i++ { // 1000 q/s for 1s
 		tNow += 1e6
-		c.AddCompletion(tNow)
+		c.Add(tNow)
 	}
 	for i := 0; i < 100; i++ { // 100 q/s for 1s
 		tNow += 10e6
-		c.AddCompletion(tNow)
+		c.Add(tNow)
 	}
 	early := c.Slope(1e9, 5e8)
 	late := c.Slope(2e9, 5e8)
@@ -143,15 +143,25 @@ func TestSlopeReflectsLocalThroughput(t *testing.T) {
 
 func TestDownsample(t *testing.T) {
 	c := constantCurve(1000, 1e6)
-	d := c.Downsample(10)
-	if d.Len() != 10 {
-		t.Fatalf("downsampled len = %d", d.Len())
+	var times, counts []int64
+	sample := func(n int) int {
+		times, counts = times[:0], counts[:0]
+		c.Sample(n, func(t, cnt int64) { times, counts = append(times, t), append(counts, cnt) })
+		return len(times)
 	}
-	if d.Total() != c.Total() || d.Duration() != c.Duration() {
+	if n := sample(10); n != 10 {
+		t.Fatalf("downsampled len = %d", n)
+	}
+	if counts[9] != c.Total() || times[9] != c.Duration() || counts[0] != 1 || times[0] != 1e6 {
 		t.Fatal("downsample must preserve endpoints")
 	}
-	// No-op when already small.
-	if c.Downsample(10000).Len() != 1000 {
+	for i, cnt := range counts {
+		if times[i] != cnt*1e6 {
+			t.Fatalf("point %d is (%d, %d), not on the curve", i, times[i], cnt)
+		}
+	}
+	// Every point when already small.
+	if sample(10000) != 1000 || sample(0) != 1000 {
 		t.Fatal("oversized downsample changed length")
 	}
 }
@@ -180,21 +190,11 @@ func TestAreaVsIdealBounded(t *testing.T) {
 		tNow := int64(0)
 		for i := 0; i < 500; i++ {
 			tNow += int64(1 + r.Intn(1000))
-			c.AddCompletion(tNow)
+			c.Add(tNow)
 		}
 		a := c.AreaVsIdeal()
 		if a < -1 || a > 1 {
 			t.Fatalf("score out of range: %v", a)
 		}
 	}
-}
-
-// AddCompletion records a single query completion at time t; the cumulative
-// count is maintained internally.
-func (c *CumCurve) AddCompletion(t int64) {
-	var next int64 = 1
-	if n := len(c.counts); n > 0 {
-		next = c.counts[n-1] + 1
-	}
-	c.Add(t, next)
 }

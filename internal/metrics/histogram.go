@@ -30,15 +30,16 @@ type Histogram struct {
 	counts []uint64
 	total  uint64
 	// sum is an integer so that Record order and Merge grouping cannot
-	// change it: the merged per-interval histograms of a Timeline report
-	// the same mean as one histogram fed every sample.
+	// change it: the merged per-phase histograms of a Collector report the
+	// same mean as one histogram fed every sample.
 	sum      uint64
 	min, max int64
 }
 
 // NewHistogram returns an empty histogram covering [0, 2^62) ns.
 func NewHistogram() *Histogram {
-	// 63 octaves * subBuckets is a safe upper bound on bucket count.
+	// 63 octaves * subBuckets is a safe upper bound on bucket count: every
+	// int64 has a bucket, so Record never clamps.
 	return &Histogram{
 		counts: make([]uint64, 63*subBuckets),
 		min:    math.MaxInt64,
@@ -73,11 +74,7 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	b := bucketOf(v)
-	if b >= len(h.counts) {
-		b = len(h.counts) - 1
-	}
-	h.counts[b]++
+	h.counts[bucketOf(v)]++ // at most bucketOf(MaxInt64) = 959
 	h.total++
 	h.sum += uint64(v)
 	if v < h.min {

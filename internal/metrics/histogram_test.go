@@ -230,26 +230,26 @@ func TestBucketMatchesReference(t *testing.T) {
 }
 
 // TestHistogramMergeEqualsConcatenation pins what lets the collector
-// derive the overall histogram from the timeline's intervals: merging
-// per-interval histograms is indistinguishable from recording every
-// sample into one, however the samples are split and however large.
+// derive the overall histogram from its phases: merging histograms is
+// indistinguishable from recording every sample into one, however the
+// samples are split and however large.
 func TestHistogramMergeEqualsConcatenation(t *testing.T) {
 	f := func(seed uint64, parts uint8) bool {
 		r := stats.NewRNG(seed)
 		n := int(parts)%7 + 1
 		whole, merged := NewHistogram(), NewHistogram()
-		intervals := make([]*Histogram, n)
-		for i := range intervals {
-			intervals[i] = NewHistogram()
+		split := make([]*Histogram, n)
+		for i := range split {
+			split[i] = NewHistogram()
 		}
 		for i := 0; i < 2000; i++ {
 			// Up to 2^52 each: the sum passes 2^53, where a float64
 			// accumulator rounds and so depends on the order of addition.
 			v := int64(r.Uint64() >> (12 + r.Intn(48)))
 			whole.Record(v)
-			intervals[r.Intn(n)].Record(v)
+			split[r.Intn(n)].Record(v)
 		}
-		for _, h := range intervals {
+		for _, h := range split {
 			merged.Merge(h)
 		}
 		if merged.Count() != whole.Count() || merged.Mean() != whole.Mean() ||

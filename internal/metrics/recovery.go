@@ -3,50 +3,10 @@ package metrics
 // FailSeries counts failed operations per time interval — the companion
 // of BandTracker for availability: bands show how slow the successes
 // were, the fail series shows how many operations never succeeded at all.
-type FailSeries struct {
-	width  int64
-	counts []int64
-	total  int64
-}
+type FailSeries struct{ intervalCounts }
 
 // NewFailSeries returns a series with the given interval width (ns).
-func NewFailSeries(width int64) *FailSeries {
-	if width <= 0 {
-		panic("metrics: NewFailSeries with non-positive width")
-	}
-	return &FailSeries{width: width}
-}
-
-// Width returns the interval width in nanoseconds.
-func (f *FailSeries) Width() int64 { return f.width }
-
-// Record accounts one failure at time t (ns since run start). Failures
-// may arrive out of interval order (concurrent workers).
-func (f *FailSeries) Record(t int64) {
-	if t < 0 {
-		t = 0
-	}
-	idx := int(t / f.width)
-	for len(f.counts) <= idx {
-		f.counts = append(f.counts, 0)
-	}
-	f.counts[idx]++
-	f.total++
-}
-
-// At returns the failure count of interval idx (0 past the end).
-func (f *FailSeries) At(idx int) int64 {
-	if idx < 0 || idx >= len(f.counts) {
-		return 0
-	}
-	return f.counts[idx]
-}
-
-// Len returns the number of intervals recorded.
-func (f *FailSeries) Len() int { return len(f.counts) }
-
-// Total returns the total failure count.
-func (f *FailSeries) Total() int64 { return f.total }
+func NewFailSeries(width int64) *FailSeries { return &FailSeries{newIntervalCounts(width)} }
 
 // RecoveryStats is the robustness view of a faulted run: how far the
 // system degraded during the fault window and how long it took to return
@@ -103,11 +63,7 @@ func (s Snapshot) Recovery(faultStartNs, faultEndNs int64, budgetFrac float64) R
 		FaultEndNs:      faultEndNs,
 		TimeToRecoverNs: -1,
 	}
-	if s.Fails != nil {
-		rec.FailedOps = s.Fails.Total()
-	} else {
-		rec.FailedOps = s.Failed
-	}
+	rec.FailedOps = s.Failed
 	total := s.Completed + rec.FailedOps
 	if total > 0 {
 		rec.Availability = float64(s.Completed) / float64(total)

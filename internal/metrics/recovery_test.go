@@ -23,9 +23,6 @@ func TestFailSeries(t *testing.T) {
 	if f.At(-1) != 0 || f.At(99) != 0 {
 		t.Fatal("out-of-range At not zero")
 	}
-	if f.Total() != 4 {
-		t.Fatalf("total = %d", f.Total())
-	}
 }
 
 // synthSnapshot builds a run with interval width 100 and SLA 100:

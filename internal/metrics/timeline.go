@@ -2,52 +2,84 @@ package metrics
 
 import "repro/internal/stats"
 
-// Timeline tracks per-interval throughput and latency over a run, the raw
-// material for Figure 1a box plots ("descriptive statistics" of throughput
-// per workload/data distribution) and for adaptation-time detection.
-type Timeline struct {
-	width     int64
-	completed []int64      // per-interval completion counts
-	lat       []*Histogram // per-interval latency histograms (lazy)
+// Timeline tracks per-interval throughput over a run, the raw material for
+// Figure 1a box plots ("descriptive statistics" of throughput per
+// workload/data distribution) and for adaptation-time detection. It holds
+// counts only: a completion's latency is bucketed once, into its phase's
+// histogram (Collector.BeginPhase).
+type Timeline struct{ intervalCounts }
+
+// intervalCounts counts events per interval of a fixed width (ns); negative
+// times count in the first interval.
+type intervalCounts struct {
+	width  int64
+	counts []int64
+	cur    cursor
 }
 
-// NewTimeline returns a timeline with the given interval width in
-// nanoseconds.
-func NewTimeline(width int64) *Timeline {
-	if width <= 0 {
-		panic("metrics: NewTimeline with non-positive width")
+// cursor caches the interval the previous time fell in and its bounds
+// [lo, hi), so a time-ordered stream divides only when it crosses into
+// another interval; an out-of-order time re-seeks.
+type cursor struct {
+	idx    int
+	lo, hi int64
+}
+
+// at returns the interval index of time t (clamped to 0) for the width.
+func (c *cursor) at(t, width int64) int {
+	t = max(t, 0)
+	if t < c.lo || t >= c.hi {
+		c.idx = int(t / width)
+		c.lo, c.hi = int64(c.idx)*width, int64(c.idx+1)*width
 	}
-	return &Timeline{width: width}
+	return c.idx
+}
+
+func newIntervalCounts(width int64) intervalCounts {
+	if width <= 0 {
+		panic("metrics: non-positive interval width")
+	}
+	return intervalCounts{width: width}
 }
 
 // Width returns the interval width in nanoseconds.
-func (tl *Timeline) Width() int64 { return tl.width }
+func (ic *intervalCounts) Width() int64 { return ic.width }
 
-// Record accounts a completion at time t with the given latency.
-func (tl *Timeline) Record(t, latency int64) {
-	if t < 0 {
-		t = 0
+// Record counts one event at time t (ns since run start). Events may
+// arrive out of interval order (concurrent workers).
+func (ic *intervalCounts) Record(t int64) { ic.add([]int64{t}) }
+
+// add counts one event at each of the given times.
+func (ic *intervalCounts) add(ts []int64) {
+	for _, t := range ts {
+		idx := ic.cur.at(t, ic.width)
+		for len(ic.counts) <= idx {
+			ic.counts = append(ic.counts, 0)
+		}
+		ic.counts[idx]++
 	}
-	idx := int(t / tl.width)
-	for len(tl.completed) <= idx {
-		tl.completed = append(tl.completed, 0)
-		tl.lat = append(tl.lat, nil)
-	}
-	tl.completed[idx]++
-	if tl.lat[idx] == nil {
-		tl.lat[idx] = NewHistogram()
-	}
-	tl.lat[idx].Record(latency)
 }
 
-// Intervals returns the number of recorded intervals.
-func (tl *Timeline) Intervals() int { return len(tl.completed) }
+// At returns the count of interval idx (0 past the end).
+func (ic *intervalCounts) At(idx int) int64 {
+	if idx < 0 || idx >= len(ic.counts) {
+		return 0
+	}
+	return ic.counts[idx]
+}
+
+// Len returns the number of intervals recorded.
+func (ic *intervalCounts) Len() int { return len(ic.counts) }
+
+// NewTimeline returns a timeline with the given interval width in
+// nanoseconds.
+func NewTimeline(width int64) *Timeline { return &Timeline{newIntervalCounts(width)} }
 
 // ThroughputSeries returns per-interval throughput in queries/second.
 func (tl *Timeline) ThroughputSeries() []float64 {
-	out := make([]float64, len(tl.completed))
+	out := make([]float64, len(tl.counts))
 	secs := float64(tl.width) / 1e9
-	for i, c := range tl.completed {
+	for i, c := range tl.counts {
 		out[i] = float64(c) / secs
 	}
 	return out
@@ -58,17 +90,6 @@ func (tl *Timeline) ThroughputSeries() []float64 {
 // distribution.
 func (tl *Timeline) ThroughputSummary() stats.Summary {
 	return stats.Summarize(tl.ThroughputSeries())
-}
-
-// MergedLatency returns one histogram merging every interval.
-func (tl *Timeline) MergedLatency() *Histogram {
-	m := NewHistogram()
-	for _, h := range tl.lat {
-		if h != nil {
-			m.Merge(h)
-		}
-	}
-	return m
 }
 
 // AdaptationTime estimates how long after changeAt (ns) the system took to
@@ -86,12 +107,12 @@ func (tl *Timeline) AdaptationTime(changeAt int64, recoveryFraction float64, sus
 		sustainIntervals = 1
 	}
 	changeIdx := int(changeAt / tl.width)
-	if changeIdx <= 0 || changeIdx >= len(tl.completed) {
+	if changeIdx <= 0 || changeIdx >= len(tl.counts) {
 		return 0, false
 	}
 	// Pre-change mean throughput (counts/interval suffice, same scale).
 	var pre float64
-	for _, c := range tl.completed[:changeIdx] {
+	for _, c := range tl.counts[:changeIdx] {
 		pre += float64(c)
 	}
 	pre /= float64(changeIdx)
@@ -100,8 +121,8 @@ func (tl *Timeline) AdaptationTime(changeAt int64, recoveryFraction float64, sus
 	}
 	need := pre * recoveryFraction
 	run := 0
-	for i := changeIdx; i < len(tl.completed); i++ {
-		if float64(tl.completed[i]) >= need {
+	for i := changeIdx; i < len(tl.counts); i++ {
+		if float64(tl.counts[i]) >= need {
 			run++
 			if run >= sustainIntervals {
 				recoveredAt := int64(i-sustainIntervals+2) * tl.width
@@ -123,11 +144,11 @@ func (tl *Timeline) AdaptationTime(changeAt int64, recoveryFraction float64, sus
 // Returns 0 if there is no baseline or no post-change data.
 func (tl *Timeline) DipDepth(changeAt int64) float64 {
 	changeIdx := int(changeAt / tl.width)
-	if changeIdx <= 0 || changeIdx >= len(tl.completed) {
+	if changeIdx <= 0 || changeIdx >= len(tl.counts) {
 		return 0
 	}
 	var pre float64
-	for _, c := range tl.completed[:changeIdx] {
+	for _, c := range tl.counts[:changeIdx] {
 		pre += float64(c)
 	}
 	pre /= float64(changeIdx)
@@ -135,7 +156,7 @@ func (tl *Timeline) DipDepth(changeAt int64) float64 {
 		return 0
 	}
 	worst := 0.0
-	for _, c := range tl.completed[changeIdx:] {
+	for _, c := range tl.counts[changeIdx:] {
 		drop := 1 - float64(c)/pre
 		if drop > worst {
 			worst = drop

@@ -5,19 +5,19 @@ import (
 )
 
 // fillTimeline records `perInterval` completions in each of `n` intervals.
-func fillTimeline(tl *Timeline, startInterval, n, perInterval int, latency int64) {
+func fillTimeline(tl *Timeline, startInterval, n, perInterval int) {
 	w := tl.Width()
 	for i := 0; i < n; i++ {
 		base := int64(startInterval+i) * w
 		for j := 0; j < perInterval; j++ {
-			tl.Record(base+int64(j), latency)
+			tl.Record(base + int64(j))
 		}
 	}
 }
 
 func TestTimelineThroughputSeries(t *testing.T) {
 	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 3, 100, 1000)
+	fillTimeline(tl, 0, 3, 100)
 	s := tl.ThroughputSeries()
 	if len(s) != 3 {
 		t.Fatalf("series len = %d", len(s))
@@ -31,28 +31,19 @@ func TestTimelineThroughputSeries(t *testing.T) {
 
 func TestTimelineSummary(t *testing.T) {
 	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 5, 100, 1000)
-	fillTimeline(tl, 5, 5, 200, 1000)
+	fillTimeline(tl, 0, 5, 100)
+	fillTimeline(tl, 5, 5, 200)
 	sum := tl.ThroughputSummary()
 	if sum.N != 10 || sum.Min != 100 || sum.Max != 200 || sum.Median != 150 {
 		t.Fatalf("summary = %+v", sum)
 	}
 }
 
-func TestTimelineMergedLatency(t *testing.T) {
-	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 2, 50, 1000)
-	m := tl.MergedLatency()
-	if m.Count() != 100 {
-		t.Fatalf("merged count = %d", m.Count())
-	}
-}
-
 func TestAdaptationTimeRecovery(t *testing.T) {
 	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 10, 100, 1000) // baseline 100/s for 10s
-	fillTimeline(tl, 10, 3, 10, 1000)  // dip to 10/s for 3s after change
-	fillTimeline(tl, 13, 5, 100, 1000) // recovered
+	fillTimeline(tl, 0, 10, 100) // baseline 100/s for 10s
+	fillTimeline(tl, 10, 3, 10)  // dip to 10/s for 3s after change
+	fillTimeline(tl, 13, 5, 100) // recovered
 	d, ok := tl.AdaptationTime(10e9, 0.9, 2)
 	if !ok {
 		t.Fatal("recovery not detected")
@@ -68,8 +59,8 @@ func TestAdaptationTimeRecovery(t *testing.T) {
 
 func TestAdaptationTimeNeverRecovers(t *testing.T) {
 	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 5, 100, 1000)
-	fillTimeline(tl, 5, 10, 10, 1000) // permanent degradation
+	fillTimeline(tl, 0, 5, 100)
+	fillTimeline(tl, 5, 10, 10) // permanent degradation
 	if _, ok := tl.AdaptationTime(5e9, 0.9, 2); ok {
 		t.Fatal("false recovery detected")
 	}
@@ -77,7 +68,7 @@ func TestAdaptationTimeNeverRecovers(t *testing.T) {
 
 func TestAdaptationTimeNoBaseline(t *testing.T) {
 	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 5, 100, 1000)
+	fillTimeline(tl, 0, 5, 100)
 	if _, ok := tl.AdaptationTime(0, 0.9, 2); ok {
 		t.Fatal("recovery with no pre-change baseline")
 	}
@@ -88,7 +79,7 @@ func TestAdaptationTimeNoBaseline(t *testing.T) {
 
 func TestAdaptationTimeInstantRecovery(t *testing.T) {
 	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 10, 100, 1000) // no dip at all
+	fillTimeline(tl, 0, 10, 100) // no dip at all
 	d, ok := tl.AdaptationTime(5e9, 0.9, 1)
 	if !ok {
 		t.Fatal("instant recovery not detected")
@@ -100,9 +91,9 @@ func TestAdaptationTimeInstantRecovery(t *testing.T) {
 
 func TestDipDepth(t *testing.T) {
 	tl := NewTimeline(1e9)
-	fillTimeline(tl, 0, 5, 100, 1000)
-	fillTimeline(tl, 5, 1, 20, 1000) // 80% drop
-	fillTimeline(tl, 6, 4, 100, 1000)
+	fillTimeline(tl, 0, 5, 100)
+	fillTimeline(tl, 5, 1, 20) // 80% drop
+	fillTimeline(tl, 6, 4, 100)
 	d := tl.DipDepth(5e9)
 	if d < 0.75 || d > 0.85 {
 		t.Fatalf("dip depth = %v, want ~0.8", d)
@@ -123,8 +114,8 @@ func TestTimelinePanics(t *testing.T) {
 
 func TestTimelineNegativeTimeClamped(t *testing.T) {
 	tl := NewTimeline(1e9)
-	tl.Record(-1, 100)
-	if tl.Intervals() != 1 {
+	tl.Record(-1)
+	if tl.Len() != 1 {
 		t.Fatal("negative time not clamped")
 	}
 }

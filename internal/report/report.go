@@ -179,8 +179,7 @@ func CumulativePlot(w io.Writer, title string, labels []string, curves []*metric
 func CumulativeCSV(w io.Writer, labels []string, curves []*metrics.CumCurve, points int) {
 	fmt.Fprintln(w, "label,time_ns,completed")
 	for i, c := range curves {
-		d := c.Downsample(points)
-		d.Points(func(t, cnt int64) {
+		c.Sample(points, func(t, cnt int64) {
 			fmt.Fprintf(w, "%s,%d,%d\n", csvEscape(labels[i]), t, cnt)
 		})
 	}

@@ -66,7 +66,7 @@ func TestBoxCSV(t *testing.T) {
 func makeCurve(n int, gap int64) *metrics.CumCurve {
 	c := &metrics.CumCurve{}
 	for i := 1; i <= n; i++ {
-		c.Add(int64(i)*gap, int64(i))
+		c.Add(int64(i) * gap)
 	}
 	return c
 }
