@@ -158,7 +158,7 @@ type MixSpec struct {
 	Put       float64 `json:"put"`
 	Delete    float64 `json:"delete"`
 	Scan      float64 `json:"scan"`
-	ScanLimit int     `json:"scanLimit"`
+	ScanLimit int     `json:"scanLimit"` // 0 means the default, 100
 }
 
 func (m MixSpec) build() workload.Mix {
@@ -514,6 +514,10 @@ func (s Scenario) BuildWith(opts Options) (core.Scenario, error) {
 	traces := make(map[string]*workload.Trace)
 	for i, p := range s.Phases {
 		base := s.Seed + uint64(i+2)*1009
+		// Only mix's limit is used: the generator blends fractions, not limits.
+		if l := p.Mix.ScanLimit; l < 0 || l > workload.MaxScanLimit {
+			return core.Scenario{}, fmt.Errorf("config: phase %d scanLimit %d outside [0,%d] (0 = default 100)", i, l, workload.MaxScanLimit)
+		}
 		if p.Source != nil && p.Source.Kind != "" && p.Source.Kind != "generator" {
 			src, n, err := p.Source.build(base, traces)
 			if err != nil {

@@ -378,3 +378,25 @@ func TestSourceClauseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestScanLimitMustFitWire: the netdriver frame carries a scan limit in 32
+// bits, so a config may not ask for more (nor for a negative one); 0 keeps
+// the default.
+func TestScanLimitMustFitWire(t *testing.T) {
+	doc := func(lim int) []byte {
+		return []byte(fmt.Sprintf(`{"name":"x","initialData":{"kind":"uniform"},"initialSize":10,"phases":[{"name":"p","ops":5,`+
+			`"mix":{"scan":1,"scanLimit":%d},"access":{"kind":"static","gen":{"kind":"uniform"}}}]}`, lim))
+	}
+	for _, lim := range []int{1 << 32, -1} {
+		if _, err := Parse(doc(lim)); err == nil || !strings.Contains(err.Error(), "scanLimit") {
+			t.Errorf("scanLimit %d: err = %v, want a scanLimit error", lim, err)
+		}
+	}
+	s, err := Parse(doc(workload.MaxScanLimit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Phases[0].Workload.Mix.ScanLimit; got != workload.MaxScanLimit {
+		t.Fatalf("scanLimit %d, want %d", got, workload.MaxScanLimit)
+	}
+}

@@ -24,14 +24,12 @@ var ioModel = cost.DefaultIOModel()
 // operation's Work from the index's instrumentation counters so the
 // virtual clock charges realistic, distribution-dependent service times.
 type IndexSUT struct {
-	ix             index.Ordered
-	in             index.Instrumented // ix's counters; nil when uninstrumented
-	lastCompare    uint64
-	lastSplits     uint64
-	lastTrainWork  uint64
-	lastPageReads  uint64
-	lastPageWrites uint64
-	online         int64
+	ix   index.Ordered
+	st   *index.Stats // ix's counters read in place (LiveStats); nil when uninstrumented
+	pool *pager.Pool  // ix's buffer pool; nil in memory
+	// last is the five priced counters as of the previous op boundary.
+	last   struct{ compares, splits, trainWork, pagesRead, pagesWritten uint64 }
+	online int64
 	// scanLeft is what remains of the running Scan op's limit and scanFn the
 	// callback counting it down, bound once so a scan allocates no closure.
 	scanLeft int
@@ -40,8 +38,13 @@ type IndexSUT struct {
 
 // NewIndexSUT wraps an index.
 func NewIndexSUT(ix index.Ordered) *IndexSUT {
-	in, _ := ix.(index.Instrumented)
-	s := &IndexSUT{ix: ix, in: in}
+	s := &IndexSUT{ix: ix}
+	if in, ok := ix.(index.Instrumented); ok {
+		s.st = in.LiveStats()
+	}
+	if h, ok := ix.(poolHolder); ok {
+		s.pool = h.Pool()
+	}
 	s.scanFn = func(_, _ uint64) bool {
 		s.scanLeft--
 		return s.scanLeft > 0
@@ -84,30 +87,30 @@ func (s *IndexSUT) Do(op workload.Op) OpResult {
 // workDelta derives the operation's work from instrumentation counters,
 // falling back to coarse estimates for uninstrumented indexes.
 func (s *IndexSUT) workDelta(op workload.Op, res OpResult) int64 {
-	if s.in == nil {
+	if s.st == nil {
 		w := int64(20)
 		if op.Type == workload.Scan {
 			w += int64(res.Visited)
 		}
 		return w
 	}
-	st := s.in.Stats()
-	compares := int64(st.Compares - s.lastCompare)
-	splits := int64(st.Splits - s.lastSplits)
-	train := int64(st.TrainWork - s.lastTrainWork)
-	ioWork := ioModel.Work(st.PageReads-s.lastPageReads, st.PageWrites-s.lastPageWrites, 0)
-	s.lastCompare = st.Compares
-	s.lastSplits = st.Splits
-	s.lastTrainWork = st.TrainWork
-	s.lastPageReads = st.PageReads
-	s.lastPageWrites = st.PageWrites
+	st, l := s.st, &s.last
+	compares := int64(st.Compares - l.compares)
+	splits := int64(st.Splits - l.splits)
+	train := int64(st.TrainWork - l.trainWork)
+	l.compares, l.splits, l.trainWork = st.Compares, st.Splits, st.TrainWork
 	// Structural modifications and online model rebuilds are charged at
 	// their full entry-touching cost — these are exactly the latency
 	// spikes the adaptability metrics must surface — and also count as
 	// training overhead (the paper's online-learning cost accounting).
 	// Page I/O (disk-backed indexes only) dominates everything else when
 	// the buffer pool misses; it is priced through the shared IOModel.
-	work := compares + int64(res.Visited) + ioWork
+	work := compares + int64(res.Visited)
+	if s.pool != nil {
+		p := s.pool.LiveCounters()
+		work += ioModel.Work(p.PagesRead-l.pagesRead, p.PagesWritten-l.pagesWritten, 0)
+		l.pagesRead, l.pagesWritten = p.PagesRead, p.PagesWritten
+	}
 	if splits > 0 {
 		work += splits * 16 // tree split / directory bookkeeping
 	}
@@ -137,6 +140,9 @@ func (s *IndexSUT) OnlineTrainWork() int64 { return s.online }
 
 // Underlying exposes the wrapped index (examples and tests).
 func (s *IndexSUT) Underlying() index.Ordered { return s.ix }
+
+// Pool exposes the index's buffer pool; nil for an in-memory index.
+func (s *IndexSUT) Pool() *pager.Pool { return s.pool }
 
 // Factories for the standard SUT lineup.
 
@@ -196,17 +202,9 @@ func UnknownSUT(name string, have []string) error {
 }
 
 // StandardSUTs returns factories for the in-memory index comparison
-// lineup, picked from the catalog by name.
+// lineup: the catalog's btree, hash, rmi and alex rows.
 func StandardSUTs() []func() SUT {
-	var out []func() SUT
-	for _, name := range []string{"btree", "hash", "rmi", "alex"} {
-		f, err := SUTByName(name, pager.PoolKnobs{})
-		if err != nil {
-			panic(err) // the names above are catalog rows
-		}
-		out = append(out, f)
-	}
-	return out
+	return []func() SUT{NewBTreeSUT, NewHashSUT, NewRMISUT, NewALEXSUT}
 }
 
 // KVSUT adapts the log-structured kv.Store, in memory ("kvstore") or over a

@@ -78,17 +78,13 @@ type StorageStats struct {
 	Counters pager.Counters
 }
 
-// PoolOf returns the buffer pool behind a SUT, unwrapping the index
-// adapter if needed; nil for in-memory SUTs.
+// poolHolder is a SUT or index with a buffer pool.
+type poolHolder interface{ Pool() *pager.Pool }
+
+// PoolOf returns the buffer pool behind a SUT; nil for in-memory SUTs.
 func PoolOf(s SUT) *pager.Pool {
-	type holder interface{ Pool() *pager.Pool }
-	if h, ok := s.(holder); ok {
+	if h, ok := s.(poolHolder); ok {
 		return h.Pool()
-	}
-	if ix, ok := s.(*IndexSUT); ok {
-		if h, ok := ix.Underlying().(holder); ok {
-			return h.Pool()
-		}
 	}
 	return nil
 }

@@ -180,8 +180,8 @@ func TestReplay(t *testing.T) {
 			t.Fatalf("replay[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if r.idx != 5 {
-		t.Fatalf("position = %d", r.idx)
+	if r.idx != 5%3 {
+		t.Fatalf("position = %d, want the wrapped %d", r.idx, 5%3)
 	}
 	// Progress is irrelevant; the stream continues where it left off.
 	if KeysAt(r, 0, 1)[0] != 30 {

@@ -103,7 +103,7 @@ type Index struct {
 	nodes []*dataNode // ordered by key range
 	lows  []uint64    // lows[i] = smallest key ever routed to nodes[i]
 	size  int
-	st    index.Stats
+	index.Counters
 	// sk/sv are collect's buffers: every rebuild and split copies a node's
 	// entries out through them, so a long drift run's expands allocate only
 	// the arrays the rebuilt node keeps.
@@ -129,9 +129,6 @@ func (ix *Index) Name() string { return "alex" }
 
 // Len implements index.Ordered.
 func (ix *Index) Len() int { return ix.size }
-
-// Stats implements index.Instrumented.
-func (ix *Index) Stats() index.Stats { return ix.st }
 
 // ModelCount implements index.Trainable.
 func (ix *Index) ModelCount() int { return len(ix.nodes) }
@@ -370,10 +367,10 @@ func (ix *Index) nodeFor(key uint64) int {
 
 // Get implements index.Ordered.
 func (ix *Index) Get(key uint64) (uint64, bool) {
-	ix.st.Searches++
+	ix.St.Searches++
 	n := ix.nodes[ix.nodeFor(key)]
 	slot, found, cmp := n.search(key)
-	ix.st.Compares += uint64(cmp)
+	ix.St.Compares += uint64(cmp)
 	if !found {
 		return 0, false
 	}
@@ -385,7 +382,7 @@ func (ix *Index) Insert(key, value uint64) {
 	ni := ix.nodeFor(key)
 	n := ix.nodes[ni]
 	slot, found, cmp := n.search(key)
-	ix.st.Compares += uint64(cmp)
+	ix.St.Compares += uint64(cmp)
 	if found {
 		n.vals[slot] = value
 		return
@@ -394,8 +391,8 @@ func (ix *Index) Insert(key, value uint64) {
 	ix.size++
 
 	if float64(n.size) > expandDensity*float64(len(n.keys)) {
-		ix.st.Splits++
-		ix.st.TrainWork += uint64(n.size)
+		ix.St.Splits++
+		ix.St.TrainWork += uint64(n.size)
 		if n.size > maxNodeSize {
 			ix.splitNode(ni)
 		} else {
@@ -468,7 +465,7 @@ func (ix *Index) splitNode(ni int) {
 func (ix *Index) Delete(key uint64) bool {
 	n := ix.nodes[ix.nodeFor(key)]
 	slot, found, cmp := n.search(key)
-	ix.st.Compares += uint64(cmp)
+	ix.St.Compares += uint64(cmp)
 	if !found {
 		return false
 	}
@@ -517,7 +514,7 @@ func (ix *Index) BulkLoad(keys, values []uint64) {
 		panic("alex: BulkLoad length mismatch")
 	}
 	ix.size = len(keys)
-	ix.st = index.Stats{}
+	ix.St = index.Stats{}
 	if len(keys) == 0 {
 		ix.nodes = append(ix.nodes[:0], newNode(nil, nil))
 		ix.lows = append(ix.lows[:0], 0)

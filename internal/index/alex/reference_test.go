@@ -85,7 +85,7 @@ type refIndex struct {
 
 // refFrom deep-copies ix, so both sides start from one bulk-loaded layout.
 func refFrom(ix *Index) *refIndex {
-	r := &refIndex{lows: slices.Clone(ix.lows), size: ix.size, st: ix.st}
+	r := &refIndex{lows: slices.Clone(ix.lows), size: ix.size, st: ix.St}
 	for _, n := range ix.nodes {
 		r.nodes = append(r.nodes, &dataNode{
 			keys: slices.Clone(n.keys), vals: slices.Clone(n.vals),
@@ -417,8 +417,8 @@ func TestExpandAllocatesOnlyTheNode(t *testing.T) {
 	node := 0
 	// Each run fills a node nobody has touched yet up to its expand.
 	allocs := testing.AllocsPerRun(10, func() {
-		was := ix.st.Splits
-		for i := node * per; ix.st.Splits == was; i++ {
+		was := ix.St.Splits
+		for i := node * per; ix.St.Splits == was; i++ {
 			ix.Insert(keys[i]+1, 0)
 		}
 		node++

@@ -26,7 +26,7 @@ type Tree struct {
 	order int
 	root  node
 	size  int
-	stats index.Stats
+	index.Counters
 }
 
 type node interface {
@@ -67,12 +67,9 @@ func (t *Tree) Name() string { return "btree" }
 // Len implements index.Ordered.
 func (t *Tree) Len() int { return t.size }
 
-// Stats implements index.Instrumented.
-func (t *Tree) Stats() index.Stats { return t.stats }
-
 // Get implements index.Ordered.
 func (t *Tree) Get(key uint64) (uint64, bool) {
-	t.stats.Searches++
+	t.St.Searches++
 	return t.root.get(t, key)
 }
 
@@ -83,7 +80,7 @@ func (t *Tree) Insert(key, value uint64) {
 		t.size++
 	}
 	if right != nil {
-		t.stats.Splits++
+		t.St.Splits++
 		t.root = &inner{keys: []uint64{sep}, children: []node{t.root, right}}
 	}
 }
@@ -101,7 +98,7 @@ func (t *Tree) Delete(key uint64) bool {
 }
 
 func (n *inner) childFor(t *Tree, key uint64) (int, node) {
-	t.stats.Compares += uint64(bits(len(n.keys)))
+	t.St.Compares += uint64(bits(len(n.keys)))
 	// Branchless upper bound: child i holds keys < keys[i], so the route
 	// for key is the first separator strictly greater than it.
 	i := search.UpperBound(n.keys, key)
@@ -123,7 +120,7 @@ func (n *inner) insert(t *Tree, key, value uint64) (node, uint64, bool) {
 	if right == nil {
 		return nil, 0, added
 	}
-	t.stats.Splits++
+	t.St.Splits++
 	// Splice the new child in at position i.
 	n.keys = append(n.keys, 0)
 	copy(n.keys[i+1:], n.keys[i:])
@@ -153,7 +150,7 @@ func (n *inner) delete(key uint64) bool {
 
 func (l *leaf) find(t *Tree, key uint64) (int, bool) {
 	if t != nil {
-		t.stats.Compares += uint64(bits(len(l.keys)))
+		t.St.Compares += uint64(bits(len(l.keys)))
 	}
 	i := search.LowerBound(l.keys, key)
 	return i, i < len(l.keys) && l.keys[i] == key
@@ -249,7 +246,7 @@ func (t *Tree) BulkLoad(keys, values []uint64) {
 		panic("btree: BulkLoad length mismatch")
 	}
 	t.size = len(keys)
-	t.stats = index.Stats{}
+	t.St = index.Stats{}
 	if len(keys) == 0 {
 		t.root = &leaf{}
 		return

@@ -39,8 +39,8 @@ const (
 type Tree struct {
 	pool  *pager.Pool
 	count int
-	st    index.Stats
-	path  []pager.PageID // Insert's root-to-parent scratch, kept across calls
+	index.Counters
+	path []pager.PageID // Insert's root-to-parent scratch, kept across calls
 }
 
 // New opens (or initializes) a B+ tree on pool. A fresh file gets an empty
@@ -70,16 +70,6 @@ func (t *Tree) Name() string { return "disk-btree" }
 
 // Len implements index.Ordered.
 func (t *Tree) Len() int { return t.count }
-
-// Stats implements index.Instrumented: tree-level counters plus the pool's
-// backend I/O (reads/writes of 4 KiB pages).
-func (t *Tree) Stats() index.Stats {
-	s := t.st
-	c := t.pool.Counters()
-	s.PageReads = c.PagesRead
-	s.PageWrites = c.PagesWritten
-	return s
-}
 
 func (t *Tree) setCount(n int) {
 	t.count = n
@@ -123,7 +113,7 @@ func (t *Tree) findSlot(pg *pager.Page, key uint64) (int, bool) {
 	lo, hi := 0, pg.NumCells()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		t.st.Compares++
+		t.St.Compares++
 		k := cellKey(pg.Cell(mid))
 		switch {
 		case k < key:
@@ -174,7 +164,7 @@ func (t *Tree) descend(key uint64, path *[]pager.PageID) (*pager.Page, pager.Pag
 
 // Get implements index.Ordered.
 func (t *Tree) Get(key uint64) (uint64, bool) {
-	t.st.Searches++
+	t.St.Searches++
 	pg, id := t.descend(key, nil)
 	defer t.pool.Unpin(id, false)
 	i, ok := t.findSlot(pg, key)
@@ -220,7 +210,7 @@ func (t *Tree) Insert(key, value uint64) {
 // caller's pin, right by Alloc); the caller unpins both. Returns the
 // separator (right's first key), the pinned right page, and its ID.
 func (t *Tree) splitLeaf(left *pager.Page) (uint64, *pager.Page, pager.PageID) {
-	t.st.Splits++
+	t.St.Splits++
 	right, rightID, err := t.pool.Alloc(pager.TypeLeaf)
 	if err != nil {
 		panic(fmt.Sprintf("diskbtree: %v", err))
@@ -274,7 +264,7 @@ func (t *Tree) propagate(path []pager.PageID, sep uint64, rightID pager.PageID) 
 // i as part of the split. Returns the separator and page promoted to the
 // parent. The median key moves up (it is not duplicated into either half).
 func (t *Tree) splitInner(left *pager.Page, i int, sep uint64, rightID pager.PageID) (uint64, pager.PageID) {
-	t.st.Splits++
+	t.St.Splits++
 	// Materialize the full ordered cell list including the pending entry.
 	n := left.NumCells()
 	cells := make([][]byte, 0, n+1)

@@ -203,9 +203,9 @@ func TestTinyPoolStillCorrect(t *testing.T) {
 			t.Fatalf("get %d = (%d,%v)", i, v, ok)
 		}
 	}
-	st := tr.Stats()
-	if st.PageReads == 0 || st.PageWrites == 0 {
-		t.Fatalf("tiny pool produced no backend I/O: %+v", st)
+	c := tr.Pool().Counters()
+	if c.PagesRead == 0 || c.PagesWritten == 0 {
+		t.Fatalf("tiny pool produced no backend I/O: %+v", c)
 	}
 }
 

@@ -22,7 +22,7 @@ type Index struct {
 	globalDepth uint
 	dirs        []*bucket
 	size        int
-	stats       index.Stats
+	index.Counters
 }
 
 type bucket struct {
@@ -43,9 +43,6 @@ func (ix *Index) Name() string { return "hash" }
 // Len implements index.Ordered.
 func (ix *Index) Len() int { return ix.size }
 
-// Stats implements index.Instrumented.
-func (ix *Index) Stats() index.Stats { return ix.stats }
-
 func hash64(k uint64) uint64 {
 	// Fibonacci hashing with an avalanche pass; cheap and well mixed.
 	k ^= k >> 33
@@ -65,10 +62,10 @@ func (ix *Index) dirIndex(key uint64) int {
 
 // Get implements index.Ordered.
 func (ix *Index) Get(key uint64) (uint64, bool) {
-	ix.stats.Searches++
+	ix.St.Searches++
 	b := ix.dirs[ix.dirIndex(key)]
 	for i, k := range b.keys {
-		ix.stats.Compares++
+		ix.St.Compares++
 		if k == key {
 			return b.values[i], true
 		}
@@ -102,7 +99,7 @@ func (ix *Index) Insert(key, value uint64) {
 
 // split doubles the directory if needed and redistributes b.
 func (ix *Index) split(b *bucket) {
-	ix.stats.Splits++
+	ix.St.Splits++
 	if b.localDepth == ix.globalDepth {
 		// Double the directory.
 		nd := make([]*bucket, len(ix.dirs)*2)

@@ -58,15 +58,23 @@ type Stats struct {
 	// service time (the op that triggered it stalls) and training
 	// overhead (the paper's online-learning cost accounting).
 	TrainWork uint64
-	// PageReads and PageWrites count 4 KiB pages moved between the
-	// buffer pool and the backing file (disk-backed indexes only; zero
-	// for in-memory structures). The cost model prices them separately
-	// from CPU work — they are the dominant term for cold caches.
-	PageReads  uint64
-	PageWrites uint64
 }
 
-// Instrumented exposes internal counters.
+// Instrumented exposes internal counters. A disk-backed index's page I/O is
+// its buffer pool's to count, not these.
 type Instrumented interface {
 	Stats() Stats
+	// LiveStats returns the counters in place, for a reader that samples
+	// them at every op boundary: Stats copies them through the interface.
+	LiveStats() *Stats
 }
+
+// Counters is the Stats an index keeps in St. An index that embeds it is
+// Instrumented.
+type Counters struct{ St Stats }
+
+// Stats implements Instrumented.
+func (c *Counters) Stats() Stats { return c.St }
+
+// LiveStats implements Instrumented.
+func (c *Counters) LiveStats() *Stats { return &c.St }

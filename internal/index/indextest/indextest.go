@@ -197,6 +197,8 @@ func testBulkLoad(t *testing.T, ix index.Ordered) {
 // every result against a map-based reference model.
 func testRandomOps(t *testing.T, newIndex Factory, seed uint64) {
 	ix := newIndex()
+	in := ix.(index.Instrumented) // every index under test counts its work
+	live := in.LiveStats()
 	rng := stats.NewRNG(seed)
 	ref := make(map[uint64]uint64)
 	var keyPool []uint64
@@ -277,6 +279,10 @@ func testRandomOps(t *testing.T, newIndex Factory, seed uint64) {
 		if ix.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, model has %d", op, ix.Len(), len(ref))
 		}
+	}
+	// A per-op reader keeps the pointer taken before the stream.
+	if in.LiveStats() != live || *live != in.Stats() || live.Searches == 0 {
+		t.Fatalf("LiveStats %+v is not Stats %+v", *live, in.Stats())
 	}
 }
 

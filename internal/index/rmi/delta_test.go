@@ -20,7 +20,7 @@ type flatRMI struct {
 	main   *Index
 	dk, dv []uint64
 	tomb   map[uint64]struct{}
-	st     index.Stats // what the delta side adds to main.st
+	st     index.Stats // what the delta side adds to main.St
 }
 
 func newFlatRMI(stage2 int) *flatRMI {
@@ -28,7 +28,7 @@ func newFlatRMI(stage2 int) *flatRMI {
 }
 
 func (f *flatRMI) stats() index.Stats {
-	s := f.main.st
+	s := f.main.St
 	s.Searches += f.st.Searches
 	s.Compares += f.st.Compares
 	s.Splits += f.st.Splits

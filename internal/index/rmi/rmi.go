@@ -63,7 +63,7 @@ type Index struct {
 
 	tombstones map[uint64]struct{} // deleted keys awaiting merge
 
-	st      index.Stats
+	index.Counters
 	trained bool
 
 	// Retrain scratch, reused across retrains so the periodic merges of a
@@ -102,9 +102,6 @@ func (ix *Index) Name() string { return "rmi" }
 func (ix *Index) Len() int {
 	return len(ix.keys) + ix.delta.Len() - len(ix.tombstones)
 }
-
-// Stats implements index.Instrumented.
-func (ix *Index) Stats() index.Stats { return ix.st }
 
 // ModelCount implements index.Trainable.
 func (ix *Index) ModelCount() int {
@@ -303,7 +300,7 @@ func (ix *Index) searchMain(key uint64) (int, bool) {
 	hi := min(pred+lm.err+1, n)
 	// The window holds pred, so hi-lo >= 1: a binary search over it costs
 	// floor(log2(hi-lo))+1 comparisons.
-	ix.st.Compares += uint64(bits.Len(uint(hi - lo)))
+	ix.St.Compares += uint64(bits.Len(uint(hi - lo)))
 	// Last-mile search: inline lower bound over the error window.
 	// Index-exact equivalent of the sort.Search formulation, so
 	// virtual-clock outputs are unchanged.
@@ -313,7 +310,7 @@ func (ix *Index) searchMain(key uint64) (int, bool) {
 		if d < 0 {
 			d = -d
 		}
-		ix.st.ModelErrSum += uint64(d)
+		ix.St.ModelErrSum += uint64(d)
 		return i, true
 	}
 	return i, false
@@ -321,7 +318,7 @@ func (ix *Index) searchMain(key uint64) (int, bool) {
 
 // Get implements index.Ordered.
 func (ix *Index) Get(key uint64) (uint64, bool) {
-	ix.st.Searches++
+	ix.St.Searches++
 	if _, dead := ix.tombstones[key]; dead {
 		return 0, false
 	}
@@ -355,11 +352,11 @@ func (ix *Index) Insert(key, value uint64) {
 	// the delta is small and increasingly expensive as drift fills it — a
 	// real cost of the static-learned-index design, modelled from length
 	// and rank, not performed (see the package comment).
-	ix.st.Compares += uint64((ix.delta.Len() - rank) / 4)
+	ix.St.Compares += uint64((ix.delta.Len() - rank) / 4)
 
 	if len(ix.keys) > 0 && float64(ix.delta.Len()) > deltaMergeThreshold*float64(len(ix.keys)) {
-		ix.st.Splits++
-		ix.st.TrainWork += uint64(ix.Retrain())
+		ix.St.Splits++
+		ix.St.TrainWork += uint64(ix.Retrain())
 	}
 }
 

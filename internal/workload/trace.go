@@ -168,6 +168,9 @@ func (t *TraceWriter) flushOps() {
 	}
 	for _, op := range t.ops {
 		if op.Type == Scan {
+			if (op.ScanLimit < 1 || op.ScanLimit > MaxScanLimit) && t.err == nil {
+				t.err = fmt.Errorf("workload: trace: scan limit %d outside [1,%d]", op.ScanLimit, MaxScanLimit)
+			}
 			p = binary.AppendUvarint(p, uint64(op.ScanLimit))
 		}
 	}
@@ -502,7 +505,7 @@ func decodeOpsBlock(p []byte, ph *TracePhase, lastKey *uint64) bool {
 			continue
 		}
 		u, n := binary.Uvarint(p)
-		if n <= 0 {
+		if n <= 0 || u == 0 || u > MaxScanLimit {
 			return fail()
 		}
 		p = p[n:]

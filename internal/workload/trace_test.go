@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -251,4 +252,38 @@ func FuzzTraceDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTraceScanLimitFitsWire: the netdriver frame carries a scan limit in 32
+// bits, so the writer refuses a limit outside [1, MaxScanLimit] at Close, and
+// the reader takes a block from elsewhere that holds one as corrupt, where it
+// used to decode it (a uvarint ≥ 2^63 into a negative int).
+func TestTraceScanLimitFitsWire(t *testing.T) {
+	for _, lim := range []uint64{0, 1 << 32, 1 << 63, MaxScanLimit} {
+		valid := lim == MaxScanLimit
+		w := NewTraceWriter(new(bytes.Buffer), "lim", 1)
+		w.Append([]Op{{Type: Scan, Key: 2, ScanLimit: int(lim)}}, nil)
+		if err := w.Close(); (err == nil) != valid {
+			t.Fatalf("writing limit %d: err = %v", lim, err)
+		}
+
+		// One Scan of key 2 with gap 0, as flushOps lays it out.
+		var buf bytes.Buffer
+		w = NewTraceWriter(&buf, "lim", 1)
+		p := []byte{1, byte(Scan), 1, byte(zigzag(2)), 0}
+		w.writeBlock(blockOps, binary.AppendUvarint(p, lim))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Truncated == valid || (tr.TotalOps() == 1) != valid {
+			t.Fatalf("reading limit %d: truncated %v with %d ops decoded", lim, tr.Truncated, tr.TotalOps())
+		}
+		if valid && tr.Phases[0].Ops[0] != (Op{Type: Scan, Key: 2, ScanLimit: MaxScanLimit}) {
+			t.Fatalf("limit %d decoded as %+v", lim, tr.Phases[0].Ops[0])
+		}
+	}
 }

@@ -45,9 +45,12 @@ type Op struct {
 	Key  uint64
 	// Value for Put.
 	Value uint64
-	// ScanLimit is the maximum entries a Scan visits.
+	// ScanLimit is the maximum entries a Scan visits, in [1, MaxScanLimit].
 	ScanLimit int
 }
+
+// MaxScanLimit is the largest scan limit: the netdriver frame carries 32 bits.
+const MaxScanLimit = 1<<32 - 1
 
 // Mix fixes the operation-type proportions. Fractions must be non-negative
 // and sum to ~1 (Normalize enforces it).
@@ -126,17 +129,9 @@ func NewGenerator(spec Spec, seed uint64) *Generator {
 // Spec returns the generator's spec.
 func (g *Generator) Spec() Spec { return g.spec }
 
-// mixAt interpolates the operation mix at the given progress.
+// mixAt interpolates the operation mix at the given progress; end is set.
 func (g *Generator) mixAt(p float64) Mix {
-	if g.end == nil {
-		return g.mix
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
+	p = min(max(p, 0), 1)
 	lerp := func(a, b float64) float64 { return a + p*(b-a) }
 	return Mix{
 		GetFrac:    lerp(g.mix.GetFrac, g.end.GetFrac),
@@ -148,8 +143,13 @@ func (g *Generator) mixAt(p float64) Mix {
 }
 
 // Next generates the next operation for the given phase progress in [0,1].
+// A fixed mix is read in place, not copied per op.
 func (g *Generator) Next(progress float64) Op {
-	m := g.mixAt(progress)
+	m := &g.mix
+	if g.end != nil {
+		lerped := g.mixAt(progress)
+		m = &lerped
+	}
 	r := g.rng.Float64()
 	var op Op
 	switch {

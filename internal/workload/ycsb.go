@@ -67,7 +67,7 @@ func ParseYCSBOp(line string) (Op, bool) {
 			return Op{}, false
 		}
 		n, err := strconv.Atoi(fields[3])
-		if err != nil || n <= 0 {
+		if err != nil || n <= 0 || n > MaxScanLimit {
 			return Op{}, false
 		}
 		return Op{Type: Scan, Key: key, ScanLimit: n}, true

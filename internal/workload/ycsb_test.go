@@ -101,3 +101,15 @@ func TestYCSBImportRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestParseYCSBScanLimitFitsWire: a SCAN count the netdriver frame cannot
+// carry in 32 bits is skipped like a non-positive one.
+func TestParseYCSBScanLimitFitsWire(t *testing.T) {
+	if _, ok := ParseYCSBOp("SCAN usertable user5 4294967296"); ok {
+		t.Fatal("a 2^32 scan count parsed as an op")
+	}
+	op, ok := ParseYCSBOp("SCAN usertable user5 4294967295")
+	if !ok || op.ScanLimit != MaxScanLimit {
+		t.Fatalf("largest scan count parsed as %+v, %v", op, ok)
+	}
+}
