@@ -26,11 +26,10 @@ test:
 
 # The race tier: every package under the race detector. What it protects,
 # by layer: the parallel orchestration (core.RunAll, cmd/figures -parallel);
-# the cluster's health/poll/anti-entropy loops, which are genuinely
-# concurrent with dispatch; the netdriver server's per-connection
-# goroutines; and the pager and disk LSM crash-safety suites, which hammer
-# the same pool the Fig 1f runs fan out over. (A run is one goroutine under
-# either clock and has nothing of its own to race.)
+# the service's job queue and HTTP handlers; the netdriver server's
+# per-connection goroutines; and the pager and disk LSM crash-safety suites,
+# which hammer the same pool the Fig 1f runs fan out over. (A run is one
+# goroutine under either clock and has nothing of its own to race.)
 test-race:
 	$(GO) test -race ./...
 

@@ -144,9 +144,9 @@ func TestBatchSizeInvariance(t *testing.T) {
 // TestKVGoldens pins both run stores of the one LSM engine on the golden
 // scenario, under knobs small enough that it flushes 25 times and compacts
 // 8: total work, virtual duration and the final store counters (and, on
-// disk, what the 16-page pool saw). The values were read off the commit
-// before the two stores were folded into one engine, where kvstore had no
-// pinned number at all; every counter but RunProbes is the same in both
+// disk, what the 16-page pool saw). Work and counters were read off the
+// commit before the two stores were folded into one engine, where kvstore
+// had no pinned number at all; every counter but RunProbes is the same in both
 // rows because the engine, not the run store, keeps them.
 func TestKVGoldens(t *testing.T) {
 	knobs := kv.Knobs{MemtableCap: 512, MaxRuns: 3, SparseEvery: 64, BloomBitsPerKey: 8}
@@ -159,8 +159,8 @@ func TestKVGoldens(t *testing.T) {
 		runProbes  uint64
 		pool       pager.Counters
 	}{
-		{core.NewKVSUT(knobs), 162910, 8965068, 100880, pager.Counters{}},
-		{core.NewDiskKVSUT(knobs, pager.PoolKnobs{Pages: 16, Policy: "lru"}), 2834081, 26943575, 10801,
+		{core.NewKVSUT(knobs), 162910, 8964774, 100880, pager.Counters{}},
+		{core.NewDiskKVSUT(knobs, pager.PoolKnobs{Pages: 16, Policy: "lru"}), 2834081, 25994256, 10801,
 			pager.Counters{Hits: 1451, Misses: 1313, Evictions: 1679, DirtyWritebacks: 382, Fsyncs: 12, PagesRead: 1313, PagesWritten: 388}},
 	} {
 		t.Run(tc.sut.Name(), func(t *testing.T) {

@@ -9,7 +9,7 @@
 //	lsbench -config scenario.json [-suts btree,rmi,alex,hash,kvstore] [-csv dir]
 //	lsbench -example            # print a starter config and exit
 //	lsbench -remote host:port   # drive a remote SUT (lsbench serve sut)
-//	lsbench serve sut|worker|coordinator [flags]  # the serving roles (serve.go)
+//	lsbench serve sut|worker [flags]  # the serving roles (serve.go)
 //	lsbench ... -faults spec    # inject a deterministic fault plan
 //	lsbench ... -record t.lstrace       # write the op stream down: the
 //	                                    # materialized scenario, before

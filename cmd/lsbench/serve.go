@@ -15,7 +15,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/netdriver"
@@ -38,10 +37,10 @@ type role struct {
 // binds, the skeleton does the rest; the result is the process exit code.
 func serveMain(args []string) int {
 	roles := map[string]func(string, []string) (role, error){
-		"sut": sutRole, "worker": workerRole, "coordinator": coordinatorRole,
+		"sut": sutRole, "worker": workerRole,
 	}
 	if len(args) == 0 || roles[args[0]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: lsbench serve sut|worker|coordinator [flags]    (-h after the role lists its flags)")
+		fmt.Fprintln(os.Stderr, "usage: lsbench serve sut|worker [flags]    (-h after the role lists its flags)")
 		return 2
 	}
 	name := "lsbench serve " + args[0]
@@ -130,10 +129,10 @@ func sutRole(name string, args []string) (role, error) {
 	}, nil
 }
 
-// httpRole is the listener half the two HTTP roles share: bind (a role
-// exists, and is announced, only once that succeeded), hand a later serving
-// error to the skeleton, and on drain let in-flight requests finish within
-// the budget, then close the backend — which waits for the work it accepted.
+// httpRole is the listener half of the worker role: bind (a role exists,
+// and is announced, only once that succeeded), hand a later serving error to
+// the skeleton, and on drain let in-flight requests finish within the
+// budget, then close the backend — which waits for the work it accepted.
 func httpRole(addr string, h http.Handler, backend io.Closer, detail string) (role, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -228,47 +227,4 @@ func registerHoldouts(name string, reg *core.HoldoutRegistry, dir string) error 
 		fmt.Printf("%s: sealed hold-out %q\n", name, holdout)
 	}
 	return nil
-}
-
-// coordinatorRole runs the sharded benchmark cluster coordinator: it
-// consistent-hashes submitted jobs across a fleet of `lsbench serve worker`
-// daemons, replicates every worker's result store into a merged
-// cluster-wide store by anti-entropy catch-up, serves the merged
-// leaderboard, and re-routes work when a worker dies or leaves
-// (EXPERIMENTS.md has the three-worker recipe and the join/leave calls).
-func coordinatorRole(name string, args []string) (role, error) {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	var (
-		addr     = fs.String("addr", ":9090", "coordinator listen address")
-		workers  = fs.String("workers", "", "comma-separated worker base URLs (http://host:port)")
-		store    = fs.String("store", "cluster.jsonl", "replicated store path (JSON lines; empty = in-memory)")
-		timeout  = fs.Duration("timeout", 5*time.Second, "per-op deadline on worker calls")
-		retries  = fs.Int("retries", 3, "transient-failure re-sends per worker call")
-		seed     = fs.Uint64("seed", 1, "retry backoff jitter seed")
-		replicas = fs.Int("replicas", 64, "consistent-hash virtual points per node")
-	)
-	fs.Parse(args)
-
-	var nodes []string
-	for _, w := range strings.Split(*workers, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			nodes = append(nodes, w)
-		}
-	}
-	if len(nodes) == 0 {
-		return role{}, errors.New("no workers: pass -workers http://host:port[,...]")
-	}
-	co, err := cluster.New(cluster.Config{
-		Workers:        nodes,
-		Replicas:       *replicas,
-		RequestTimeout: *timeout,
-		MaxRetries:     *retries,
-		RetrySeed:      *seed,
-		StorePath:      *store,
-	})
-	if err != nil {
-		return role{}, err
-	}
-	return httpRole(*addr, co.Handler(), co, fmt.Sprintf("%d workers, store %q, %d replicated results",
-		len(nodes), *store, co.Store().Len()))
 }

@@ -164,3 +164,24 @@ func TestServeBusyPortFailsBeforeAnnouncing(t *testing.T) {
 		t.Fatalf("exit %d, stdout %q: want 1 and no announcement", code, out)
 	}
 }
+
+// TestServeRolesAreSutAndWorker: the retired coordinator role, like any
+// unknown role, is a usage error (exit 2) whose usage line names exactly the
+// two roles there are.
+func TestServeRolesAreSutAndWorker(t *testing.T) {
+	captured, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = captured
+	code := serveMain([]string{"coordinator"})
+	os.Stderr = stderr
+	out, err := os.ReadFile(captured.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 2 || !strings.HasPrefix(string(out), "usage: lsbench serve sut|worker [flags]") {
+		t.Fatalf("exit %d, stderr %q: want 2 and the usage line for sut|worker", code, out)
+	}
+}

@@ -334,6 +334,9 @@ func (d DriftSpec) buildWith(base uint64, driftFactor float64) (distgen.Drift, e
 		if laps <= 0 {
 			laps = 1
 		}
+		if hot > 1 || win > 1 {
+			return nil, fmt.Errorf("config: hotspot hotFraction %v and windowSize %v must be at most 1", hot, win)
+		}
 		return distgen.NewMovingHotspot(base, hot, win, laps), nil
 	case "growskew":
 		mt := d.MaxTheta
@@ -454,9 +457,12 @@ func (a ArrivalSpec) Build(base uint64) (workload.Arrival, error) {
 		if think <= 0 {
 			think = 2_000_000 // 2ms virtual think time
 		}
+		if think < 2 {
+			return nil, fmt.Errorf("config: session thinkNs %d leaves no room for an intra-session gap", think)
+		}
 		intra := a.IntraGapNs
 		if intra <= 0 || intra >= think {
-			intra = think / 40
+			intra = max(1, think/40)
 		}
 		lo, hi := a.MinOps, a.MaxOps
 		if lo <= 0 {

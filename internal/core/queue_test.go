@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/distgen"
@@ -98,5 +99,102 @@ func TestQueueKnownAnswer(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// constWork is an M/D/1 server: every op costs w work units.
+func constWork(n int, w int64) *scriptedSUT {
+	work := make([]int64, n)
+	for i := range work {
+		work[i] = w
+	}
+	return &scriptedSUT{work: work}
+}
+
+// queuePhase is one n-op phase over a single-key database with the given
+// arrival process (nil: closed loop).
+func queuePhase(seed uint64, n int, arrival workload.Arrival) Scenario {
+	return Scenario{
+		Name:        "md1",
+		Seed:        seed,
+		InitialKeys: []uint64{1},
+		Phases: []Phase{{
+			Name:     "p",
+			Ops:      n,
+			Workload: workload.Spec{Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<20)}},
+			Arrival:  arrival,
+		}},
+	}
+}
+
+// TestQueueMeanSojournPollaczekKhinchine runs an M/D/1 queue (Poisson
+// arrivals, constant service S) through the real Runner and Collector and
+// checks the phase histogram's exact mean sojourn against
+// Pollaczek–Khinchine, W = ρS/(2(1−ρ)), plus S. The sample mean of n
+// correlated waits has a standard error of order W/((1−ρ)√(nρ)): the
+// heavy-traffic (reflected Brownian motion) 1/((1−ρ)√n) with the light-traffic
+// factor 1/√ρ for the share of ops that wait at all. The bound is five of
+// them (sixteen seeds per ρ at this n stayed within 3.1).
+func TestQueueMeanSojournPollaczekKhinchine(t *testing.T) {
+	const n, w = 200_000, 1000
+	r := NewRunner()
+	S := float64(r.Cost.ServiceTime(w))
+	for i, rho := range []float64{0.3, 0.7, 0.9} {
+		s := queuePhase(uint64(i+1), n, workload.NewPoisson(uint64(11+i), rho/S*1e9))
+		res, err := r.Run(s, constWork(n, w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := res.Phases[0].Latency
+		if lat.Count() != n {
+			t.Fatalf("ρ=%.1f: %d sojourns recorded, want %d", rho, lat.Count(), n)
+		}
+		wq := rho * S / (2 * (1 - rho))
+		bound := 5 * wq / ((1 - rho) * math.Sqrt(n*rho))
+		if got := lat.Mean(); math.Abs(got-(wq+S)) > bound {
+			t.Errorf("ρ=%.1f: mean sojourn %.1f ns, Pollaczek–Khinchine %.1f ± %.1f", rho, got, wq+S, bound)
+		}
+	}
+}
+
+// TestQueueClosedLoopThroughput: with zero gaps every op arrives as the
+// previous one completes, so the server never idles and never queues —
+// throughput is 1/S exactly and every sojourn is S.
+func TestQueueClosedLoopThroughput(t *testing.T) {
+	const n, w = 10_000, 1000
+	r := NewRunner()
+	S := r.Cost.ServiceTime(w)
+	res, err := r.Run(queuePhase(1, n, nil), constWork(n, w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Phases[0]
+	if p.Completed != n || p.EndNs-p.StartNs != n*S {
+		t.Fatalf("%d ops in %d ns, want %d in %d (throughput 1/S)", p.Completed, p.EndNs-p.StartNs, n, n*S)
+	}
+	if p.Latency.Min() != S || p.Latency.Max() != S {
+		t.Fatalf("sojourns span [%d, %d] ns, want exactly S = %d", p.Latency.Min(), p.Latency.Max(), S)
+	}
+}
+
+// TestQueueOverloadKeepsBacklog runs the queue at ρ = 2: the backlog grows
+// by S − 1/λ per op, so after n ops the last sojourn is the fluid backlog
+// n(S − 1/λ), up to the arrival process's √n/λ noise. Sojourns grow by S/2
+// per op, so the largest recorded is the final op's up to the same noise.
+// An open-loop gap that truncates to 0 ns and is read as closed loop drops
+// the whole backlog; at this rate that happens every few thousand ops.
+func TestQueueOverloadKeepsBacklog(t *testing.T) {
+	const n, w, rho = 100_000, 1000, 2.0
+	r := NewRunner()
+	S := float64(r.Cost.ServiceTime(w))
+	lambda := rho / S // per ns
+	res, err := r.Run(queuePhase(1, n, workload.NewPoisson(5, lambda*1e9)), constWork(n, w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fluid := n * (S - 1/lambda)
+	bound := 5*math.Sqrt(n)/lambda + S
+	if got := float64(res.Phases[0].Latency.Max()); math.Abs(got-fluid) > bound {
+		t.Fatalf("final sojourn %.0f ns, fluid backlog %.0f ± %.0f", got, fluid, bound)
 	}
 }

@@ -33,12 +33,6 @@ func (s JobState) Terminal() bool {
 // from the service catalog), Holdout (a sealed hold-out name), or Spec
 // (an inline internal/config scenario document) selects what to run.
 type JobRequest struct {
-	// ID, when set, names the job instead of the service's auto-assigned
-	// "jN" counter — the hook cluster coordinators use to dispatch with
-	// their own cluster-wide IDs. Submitting a duplicate ID returns the
-	// existing job (200, not 202) instead of enqueuing a second run, so
-	// re-dispatch after an ambiguous failure is idempotent.
-	ID string `json:"id,omitempty"`
 	// SUT names the system under test (see GET /v1/suts).
 	SUT string `json:"sut"`
 	// Scenario names a catalog scenario (see GET /v1/scenarios).

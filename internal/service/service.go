@@ -11,6 +11,7 @@
 //	GET    /v1/jobs/{id}        poll job status
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/result full core.Result as deterministic JSON
+//	GET    /v1/jobs/{id}/trace  recorded binary trace (jobs submitted with "record": true)
 //	GET    /v1/results          stored results (survive restarts)
 //	GET    /v1/leaderboard      rank SUTs on a scenario (?scenario=&metric=)
 //	GET    /v1/scenarios        catalog scenario names
@@ -35,7 +36,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -152,8 +152,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("GET /v1/results", s.handleResults)
-	mux.HandleFunc("GET /v1/store/ids", s.handleStoreIDs)
-	mux.HandleFunc("GET /v1/store/entries", s.handleStoreEntries)
 	mux.HandleFunc("GET /v1/leaderboard", s.handleLeaderboard)
 	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
 	mux.HandleFunc("GET /v1/holdouts", s.handleHoldouts)
@@ -205,28 +203,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if req.ID != "" {
-		if existing, ok := s.jobs[req.ID]; ok {
-			// Idempotent re-dispatch: the job is already known (the
-			// earlier submission's response was lost, or a coordinator is
-			// catching up after a failover) — report its current state
-			// instead of running it a second time.
-			view := existing.view()
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, view)
-			return
-		}
-		job.ID = req.ID
-	} else {
-		// Skip counter values taken by externally-named jobs.
-		for {
-			s.nextID++
-			if _, taken := s.jobs["j"+strconv.Itoa(s.nextID)]; !taken {
-				break
-			}
-		}
-		job.ID = "j" + strconv.Itoa(s.nextID)
-	}
+	s.nextID++
+	job.ID = "j" + strconv.Itoa(s.nextID)
 	job.State = JobQueued
 	job.cancel = make(chan struct{})
 	s.jobs[job.ID] = job
@@ -259,9 +237,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // newJob validates a request into a Job (not yet registered or queued).
 func (s *Service) newJob(req JobRequest) (*Job, error) {
-	if len(req.ID) > 128 || strings.ContainsAny(req.ID, "/ \t\r\n") {
-		return nil, fmt.Errorf("service: job id %q invalid (max 128 chars, no slashes or whitespace)", req.ID)
-	}
 	if req.SUT == "" {
 		return nil, fmt.Errorf("service: job needs a sut (see /v1/suts)")
 	}
@@ -598,36 +573,6 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 		out = append(out, e)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": out})
-}
-
-// handleStoreIDs lists the JobIDs of every stored entry — the cheap half
-// of the cluster's anti-entropy protocol: a coordinator diffs this set
-// against its replica and pulls only the missing entries.
-func (s *Service) handleStoreIDs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ids": s.store.IDs()})
-}
-
-// handleStoreEntries returns stored entries by JobID (?ids=a,b,c;
-// unknown IDs are skipped, no IDs means everything) — the pull half of
-// anti-entropy catch-up.
-func (s *Service) handleStoreEntries(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("ids")
-	entries := s.store.Entries()
-	out := make([]Entry, 0, len(entries))
-	if q == "" {
-		out = entries
-	} else {
-		want := make(map[string]bool)
-		for _, id := range strings.Split(q, ",") {
-			want[id] = true
-		}
-		for _, e := range entries {
-			if want[e.JobID] {
-				out = append(out, e)
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"entries": out})
 }
 
 func (s *Service) handleLeaderboard(w http.ResponseWriter, r *http.Request) {

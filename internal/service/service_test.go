@@ -386,14 +386,17 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad spec", `{"sut":"rmi","spec":{"name":"x"}}`},
 		{"unknown field", `{"sut":"rmi","scenrio":"smoke"}`},
 		{"negative timeout", fmt.Sprintf(`{"sut":"rmi","timeoutMs":-1,"spec":%s}`, detSpec)},
+		{"job id", fmt.Sprintf(`{"id":"c1","sut":"rmi","spec":%s}`, detSpec)},
 	}
 	for _, c := range cases {
 		if code, data := postJSON(t, ts.URL+"/v1/jobs", c.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", c.name, code, data)
 		}
 	}
-	if code, _ := get(t, ts.URL+"/v1/jobs/nope"); code != http.StatusNotFound {
-		t.Error("unknown job id not 404")
+	for _, path := range []string{"/v1/jobs/nope", "/v1/store/ids", "/v1/store/entries"} {
+		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, code)
+		}
 	}
 }
 

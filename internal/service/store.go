@@ -125,17 +125,6 @@ func (st *Store) rollback() {
 	st.f.Seek(st.size, io.SeekStart)
 }
 
-// IDs returns the JobIDs of all entries in append order.
-func (st *Store) IDs() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]string, len(st.entries))
-	for i, e := range st.entries {
-		out[i] = e.JobID
-	}
-	return out
-}
-
 // Entries returns a snapshot of all entries in append order.
 func (st *Store) Entries() []Entry {
 	st.mu.Lock()

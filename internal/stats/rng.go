@@ -40,7 +40,7 @@ func splitmix64(state *uint64) uint64 {
 
 // Mix64 is the splitmix64 finalizer (Steele et al.): full-avalanche
 // bijective mixing of a 64-bit value. Hashes that must agree across
-// processes and runs (ring placement, fault membership) are built on it.
+// processes and runs (fault membership) are built on it.
 func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB

@@ -15,7 +15,10 @@ type Arrival interface {
 	// Name identifies the process in reports.
 	Name() string
 	// NextGap returns the nanoseconds between the previous arrival and
-	// the next one at the given phase progress in [0, 1].
+	// the next one at the given phase progress in [0, 1]. A gap of 0 is
+	// reserved for closed loop (ClosedLoop): the runner reads it as "arrive
+	// when the server frees", so an open-loop process returns at least 1,
+	// else a draw that truncates to 0 would drop the queue's backlog.
 	NextGap(progress float64) int64
 }
 
@@ -49,7 +52,7 @@ func (p *Poisson) Name() string { return fmt.Sprintf("poisson(%.0f/s)", p.RatePe
 
 // NextGap implements Arrival.
 func (p *Poisson) NextGap(float64) int64 {
-	return int64(p.rng.ExpFloat64() / p.RatePerSec * 1e9)
+	return max(1, int64(p.rng.ExpFloat64()/p.RatePerSec*1e9))
 }
 
 // Diurnal modulates a Poisson process sinusoidally: rate(t) = Base *
@@ -83,7 +86,7 @@ func (d *Diurnal) RateAt(p float64) float64 {
 
 // NextGap implements Arrival.
 func (d *Diurnal) NextGap(p float64) int64 {
-	return int64(d.rng.ExpFloat64() / d.RateAt(p) * 1e9)
+	return max(1, int64(d.rng.ExpFloat64()/d.RateAt(p)*1e9))
 }
 
 // Bursty overlays square-wave bursts on a base Poisson process: for
@@ -122,5 +125,5 @@ func (b *Bursty) NextGap(p float64) int64 {
 	if b.InBurst(p) {
 		rate *= b.BurstFactor
 	}
-	return int64(b.rng.ExpFloat64() / rate * 1e9)
+	return max(1, int64(b.rng.ExpFloat64()/rate*1e9))
 }

@@ -28,7 +28,8 @@ type SessionArrival struct {
 	// are ThinkNs plus an exponential tail.
 	ThinkNs int64
 	// IntraGapNs is the mean gap between operations inside a session;
-	// draws are capped at ThinkNs-1 so the two regimes never overlap.
+	// draws are at least 1 (0 means closed loop, see Arrival) and capped
+	// at ThinkNs-1 so the two regimes never overlap.
 	IntraGapNs int64
 	// MinOps and MaxOps bound the session length (uniform, inclusive).
 	MinOps, MaxOps int
@@ -71,7 +72,7 @@ func (s *SessionArrival) NextGap(float64) int64 {
 		return s.ThinkNs + int64(s.rng.ExpFloat64()*float64(s.ThinkNs)/2)
 	}
 	s.remaining--
-	g := int64(s.rng.ExpFloat64() * float64(s.IntraGapNs))
+	g := max(1, int64(s.rng.ExpFloat64()*float64(s.IntraGapNs)))
 	if g >= s.ThinkNs {
 		g = s.ThinkNs - 1
 	}

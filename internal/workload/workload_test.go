@@ -237,6 +237,24 @@ func TestArrivalNames(t *testing.T) {
 	}
 }
 
+// TestOpenLoopGapNeverZero: a gap of 0 means closed loop to the runner, so
+// an open-loop process must never emit one — not even at a rate where
+// nearly every exponential draw truncates to 0 ns.
+func TestOpenLoopGapNeverZero(t *testing.T) {
+	for _, a := range []Arrival{
+		NewPoisson(1, 1e9),
+		NewDiurnal(2, 1e9, 0.5, 3),
+		NewBursty(3, 1e9, 10, 0.2, 2),
+		NewSessionArrival(4, 1000, 1, 1_000_000, 1_000_000),
+	} {
+		for i := 0; i < 100_000; i++ {
+			if g := a.NextGap(float64(i) / 100_000); g < 1 {
+				t.Fatalf("%s: draw %d is a %d ns gap, which the runner reads as closed loop", a.Name(), i, g)
+			}
+		}
+	}
+}
+
 func TestArrivalPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"diurnal-amp":     func() { NewDiurnal(1, 100, 1.5, 1) },

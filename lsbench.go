@@ -33,7 +33,7 @@
 //	result, err := lsbench.NewRunner().Run(scenario, lsbench.NewRMISUT())
 //
 // See examples/ for complete programs, cmd/figures for the full
-// figure-regeneration pipeline, and `lsbench serve sut|worker|coordinator`
+// figure-regeneration pipeline, and `lsbench serve sut|worker`
 // (cmd/lsbench) for the TCP SUT server and the benchmark service.
 package lsbench
 
