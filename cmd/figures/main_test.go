@@ -1,0 +1,47 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/figures"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestSQLPanelGoldens pins the stdout of the query panels (fig1aw, optdrift)
+// at the default small scale and seed byte-for-byte. Regenerate with
+//
+//	go test ./cmd/figures -run TestSQLPanelGoldens -update
+func TestSQLPanelGoldens(t *testing.T) {
+	for _, p := range panels() {
+		if p.key != "fig1aw" && p.key != "optdrift" {
+			continue
+		}
+		t.Run(p.key, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := p.run(&buf, figures.SmallScale(), 42, ""); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", p.key+".golden")
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("reading golden (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s stdout drifted from golden\n--- got ---\n%s\n--- want ---\n%s", p.key, buf.Bytes(), want)
+			}
+		})
+	}
+}

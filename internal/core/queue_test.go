@@ -127,32 +127,62 @@ func queuePhase(seed uint64, n int, arrival workload.Arrival) Scenario {
 	}
 }
 
-// TestQueueMeanSojournPollaczekKhinchine runs an M/D/1 queue (Poisson
-// arrivals, constant service S) through the real Runner and Collector and
-// checks the phase histogram's exact mean sojourn against
-// Pollaczek–Khinchine, W = ρS/(2(1−ρ)), plus S. The sample mean of n
-// correlated waits has a standard error of order W/((1−ρ)√(nρ)): the
-// heavy-traffic (reflected Brownian motion) 1/((1−ρ)√n) with the light-traffic
-// factor 1/√ρ for the share of ops that wait at all. The bound is five of
-// them (sixteen seeds per ρ at this n stayed within 3.1).
+// TestQueueMeanSojournPollaczekKhinchine runs M/G/1 queues (Poisson arrivals,
+// scripted service times) through the real Runner and Collector and checks
+// the phase histogram's exact mean sojourn against Pollaczek–Khinchine,
+// W = ρ·E[S²]/(2(1−ρ)·E[S]), plus E[S]. The scripts are constant (M/D/1),
+// exponential work (M/M/1 but for the cost model's BaseNs) and two-point
+// (M/G/1); E[S] and E[S²] are taken from the scripted service times
+// themselves, since ServiceTime adds BaseNs to the work's price. The sample
+// mean of n correlated waits has a standard error of order
+// W·√(1+c²)/((1−ρ)√(nρ)), c the service's coefficient of variation: the
+// heavy-traffic (reflected Brownian motion) 1/((1−ρ)√n), whose variance grows
+// with the arrivals' and the service's squared variation (1 and c² here),
+// with the light-traffic factor 1/√ρ for the share of ops that wait at all.
+// The bound is five of them (sixteen seeds per ρ and script at this n stayed
+// within 3.8).
 func TestQueueMeanSojournPollaczekKhinchine(t *testing.T) {
-	const n, w = 200_000, 1000
+	const n = 200_000
 	r := NewRunner()
-	S := float64(r.Cost.ServiceTime(w))
-	for i, rho := range []float64{0.3, 0.7, 0.9} {
-		s := queuePhase(uint64(i+1), n, workload.NewPoisson(uint64(11+i), rho/S*1e9))
-		res, err := r.Run(s, constWork(n, w))
-		if err != nil {
-			t.Fatal(err)
+	rng := stats.NewRNG(31)
+	exp, twoPoint := make([]int64, n), make([]int64, n)
+	for j := range exp {
+		exp[j] = int64(rng.ExpFloat64() * 1000)
+		twoPoint[j] = 200
+		if rng.Float64() < 0.2 {
+			twoPoint[j] = 4000
 		}
-		lat := res.Phases[0].Latency
-		if lat.Count() != n {
-			t.Fatalf("ρ=%.1f: %d sojourns recorded, want %d", rho, lat.Count(), n)
+	}
+	for _, sc := range []struct {
+		name string
+		work []int64
+	}{
+		{"M/D/1", constWork(n, 1000).work},
+		{"M/M/1", exp},
+		{"M/G/1", twoPoint},
+	} {
+		var es, es2 float64
+		for _, w := range sc.work {
+			s := float64(r.Cost.ServiceTime(w))
+			es += s / n
+			es2 += s * s / n
 		}
-		wq := rho * S / (2 * (1 - rho))
-		bound := 5 * wq / ((1 - rho) * math.Sqrt(n*rho))
-		if got := lat.Mean(); math.Abs(got-(wq+S)) > bound {
-			t.Errorf("ρ=%.1f: mean sojourn %.1f ns, Pollaczek–Khinchine %.1f ± %.1f", rho, got, wq+S, bound)
+		c2 := es2/(es*es) - 1
+		for i, rho := range []float64{0.3, 0.7, 0.9} {
+			s := queuePhase(uint64(i+1), n, workload.NewPoisson(uint64(11+i), rho/es*1e9))
+			res, err := r.Run(s, &scriptedSUT{work: sc.work})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat := res.Phases[0].Latency
+			if lat.Count() != n {
+				t.Fatalf("%s ρ=%.1f: %d sojourns recorded, want %d", sc.name, rho, lat.Count(), n)
+			}
+			wq := rho * es2 / (2 * (1 - rho) * es)
+			bound := 5 * wq * math.Sqrt(1+c2) / ((1 - rho) * math.Sqrt(n*rho))
+			if got := lat.Mean(); math.Abs(got-(wq+es)) > bound {
+				t.Errorf("%s ρ=%.1f: mean sojourn %.1f ns, Pollaczek–Khinchine %.1f ± %.1f", sc.name, rho, got, wq+es, bound)
+			}
 		}
 	}
 }

@@ -67,9 +67,9 @@ func (p PhaseResult) Throughput() float64 {
 }
 
 // Result is the full outcome of one run against one SUT, carrying every
-// metric family of Figure 1. Both executors return it — Runner.RunOn under
-// either clock and RunSQL — so one report layer serves them; an executor
-// leaves zero what it has no notion of (RunSQL has no per-phase breakdown).
+// metric family of Figure 1. The one executor, Runner.RunOn, returns it under
+// either clock and for KV and query SUTs alike, so one report layer serves
+// them all; a run leaves zero what it has no notion of.
 type Result struct {
 	Scenario string
 	SUT      string
@@ -221,11 +221,12 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 
 	// One measurement pipeline for the whole run. SLA: fixed by the
 	// scenario, else calibrated deterministically from the first phase's
-	// first (up to) 1000 latencies — the paper's rule of deriving the
-	// threshold from baseline latency statistics on the same workload.
+	// first (up to) CalibrateAfter latencies — the paper's rule of deriving
+	// the threshold from baseline latency statistics on the same workload.
 	colCfg := metrics.CollectorConfig{
-		IntervalNs: s.interval(),
-		SLANs:      s.SLANs,
+		IntervalNs:     s.interval(),
+		SLANs:          s.SLANs,
+		CalibrateAfter: s.CalibrateAfter,
 	}
 	for _, phase := range s.Phases {
 		colCfg.Ops += phase.Ops

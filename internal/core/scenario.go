@@ -87,6 +87,9 @@ type Scenario struct {
 	// SLANs fixes the SLA threshold; 0 means calibrate from the
 	// baseline run (paper's rule) or fall back to 20x median.
 	SLANs int64
+	// CalibrateAfter is how many first completions calibrate the SLA when
+	// SLANs is 0 (0: the collector's default of 1000).
+	CalibrateAfter int
 	// Session, when non-nil, segments the operation stream into
 	// interactive sessions (a gap >= Session.GapNs begins a new one) and
 	// applies the per-session budget — the IDEBench-style dimension for

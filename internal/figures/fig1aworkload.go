@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/optimizer"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/similarity"
 	"repro/internal/sqlmini"
 	"repro/internal/stats"
@@ -153,16 +152,10 @@ func Fig1aWorkload(scale Scale, seed uint64) (*Fig1aWorkloadResult, error) {
 	out := &Fig1aWorkloadResult{Rows: make(map[string][]report.BoxRow), Phi: phi}
 	for _, f := range families {
 		rng := stats.NewRNG(seed + 300)
-		scenario := core.SQLScenario{
-			Name: "fig1a-workload-" + f.name,
-			N:    n,
-			Queries: func(i, total int) optimizer.Query {
-				return f.query(rng, db)
-			},
-			IntervalNs: scale.IntervalNs * 20,
-		}
+		scenario := core.QueryScenario("fig1a-workload-"+f.name, n)
+		scenario.IntervalNs = scale.IntervalNs * 20
 		sys := &core.StaticOptimizer{Label: "histogram-optimizer", Est: est, Hint: optimizer.HintDefault}
-		res, err := core.RunSQL(scenario, sys, sim.DefaultCostModel())
+		res, err := runQueries(scenario, sys, func(int) optimizer.Query { return f.query(rng, db) })
 		if err != nil {
 			return nil, fmt.Errorf("figures: fig1a-workload %s: %w", f.name, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/sqlmini"
 	"repro/internal/workload"
 )
@@ -209,24 +208,20 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 			pd := driftctl.NewPredicateDrift(seed+501,
 				driftctl.Knob{Factor: d, Profile: driftctl.Ramp()},
 				"val", 512, 64, 0, 8)
-			scenario := core.SQLScenario{
-				Name: fmt.Sprintf("fig1g-query-D%.2f", d),
-				N:    n,
-				Queries: func(i, total int) optimizer.Query {
-					return optimizer.Query{
-						Tables: []*sqlmini.Table{db.dim, db.fact},
-						Preds: map[string][]sqlmini.Predicate{
-							"dim":  {{Column: "kind", Op: sqlmini.Eq, Value: db.rng.Uint64() % 10}},
-							"fact": {pd.PredicateAt(float64(i) / float64(total))},
-						},
-						Joins: []optimizer.JoinEdge{{
-							LeftTable: "dim", LeftCol: "id", RightTable: "fact", RightCol: "dimid",
-						}},
-					}
-				},
-				IntervalNs: scale.IntervalNs * 10,
-			}
-			r, err := core.RunSQL(scenario, sqlSystems[name](db), sim.DefaultCostModel())
+			scenario := core.QueryScenario(fmt.Sprintf("fig1g-query-D%.2f", d), n)
+			scenario.IntervalNs = scale.IntervalNs * 10
+			r, err := runQueries(scenario, sqlSystems[name](db), func(i int) optimizer.Query {
+				return optimizer.Query{
+					Tables: []*sqlmini.Table{db.dim, db.fact},
+					Preds: map[string][]sqlmini.Predicate{
+						"dim":  {{Column: "kind", Op: sqlmini.Eq, Value: db.rng.Uint64() % 10}},
+						"fact": {pd.PredicateAt(float64(i) / float64(n))},
+					},
+					Joins: []optimizer.JoinEdge{{
+						LeftTable: "dim", LeftCol: "id", RightTable: "fact", RightCol: "dimid",
+					}},
+				}
+			})
 			if err != nil {
 				return nil, fmt.Errorf("figures: fig1g query D=%.2f %s: %w", d, name, err)
 			}

@@ -2,12 +2,12 @@ package figures
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/card"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
-	"repro/internal/sim"
 	"repro/internal/sqlmini"
 	"repro/internal/stats"
 )
@@ -86,6 +86,23 @@ var sqlSystems = map[string]func(db *optDriftDB) core.QuerySystem{
 	},
 }
 
+// runQueries runs a query scenario on the one executor and fails on the
+// first query error. The post-change list is uncapped: the adjustment-speed
+// metric sums every latency after the change.
+func runQueries(s core.Scenario, sys core.QuerySystem, query func(i int) optimizer.Query) (*core.Result, error) {
+	sut := &core.QuerySUT{Sys: sys, Query: query}
+	r := core.NewRunner()
+	r.PostChangeN = math.MaxInt
+	res, err := r.Run(s, sut)
+	if err == nil {
+		err = sut.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // query returns the i-th workload query: join dim-fact with a selective
 // val range whose location tracks the *current* distribution (clients ask
 // about data that exists), so after the shift the predicate constants move
@@ -120,21 +137,14 @@ func OptDrift(scale Scale, seed uint64) (*OptDriftResult, error) {
 
 	for _, name := range []string{"static-histogram", "learned-steered"} {
 		db := newOptDriftDB(scale, seed)
-		shifted := false
-		scenario := core.SQLScenario{
-			Name: "optdrift",
-			N:    n,
-			Queries: func(i, total int) optimizer.Query {
-				return db.query(shifted)
-			},
-			MutateAt: 0.5,
-			Mutate: func() {
-				db.shift()
-				shifted = true
-			},
-			IntervalNs: scale.IntervalNs * 10,
-		}
-		res, err := core.RunSQL(scenario, sqlSystems[name](db), sim.DefaultCostModel())
+		scenario := core.QueryScenario("optdrift", n, n/2)
+		scenario.IntervalNs = scale.IntervalNs * 10
+		res, err := runQueries(scenario, sqlSystems[name](db), func(i int) optimizer.Query {
+			if i == n/2 {
+				db.shift() // the data drift: the first query of phase 2 sees it
+			}
+			return db.query(i >= n/2)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("figures: optdrift %s: %w", name, err)
 		}

@@ -1,8 +1,8 @@
 package metrics
 
-// Collector is the one measurement pipeline shared by every execution
-// engine (the runner under either clock, in process or over the network
-// driver, and the SQL runner): it owns the Figure 1 quadruple — Timeline (1a), CumCurve (1b),
+// Collector is the one measurement pipeline of every run (the runner under
+// either clock, in process or over the network driver, for KV and query
+// SUTs): it owns the Figure 1 quadruple — Timeline (1a), CumCurve (1b),
 // BandTracker (1c), and the overall latency Histogram — and implements the
 // paper's deferred SLA calibration exactly once.
 //
@@ -219,8 +219,8 @@ func (c *Collector) Snapshot() Snapshot {
 }
 
 // Snapshot is the finalized measurement quadruple plus the SLA threshold
-// and completion count — the measured core of core.Result, the one result
-// type both executors (core.Runner.RunOn, core.RunSQL) return.
+// and completion count — the measured core of core.Result, the result type
+// the one executor (core.Runner.RunOn) returns.
 type Snapshot struct {
 	// Timeline backs Figure 1a: per-interval throughput.
 	Timeline *Timeline

@@ -20,6 +20,13 @@ READ usertable frontier-key-aa17 [ <all fields>]
 [OVERALL], RunTime(ms), 1795
 `
 
+// ycsbJunkLines are lines that are not YCSB operations.
+var ycsbJunkLines = []string{
+	"", "READ", "READ usertable", "SCAN usertable user5",
+	"SCAN usertable user5 x", "SCAN usertable user5 0",
+	"FROB usertable user5", "[OVERALL], Throughput(ops/sec), 5571",
+}
+
 func TestParseYCSBOp(t *testing.T) {
 	ops, err := ImportYCSB(strings.NewReader(sampleYCSBLog))
 	if err != nil {
@@ -53,11 +60,7 @@ func TestParseYCSBOp(t *testing.T) {
 		t.Fatal("hashed key not deterministic")
 	}
 
-	for _, junk := range []string{
-		"", "READ", "READ usertable", "SCAN usertable user5",
-		"SCAN usertable user5 x", "SCAN usertable user5 0",
-		"FROB usertable user5", "[OVERALL], Throughput(ops/sec), 5571",
-	} {
+	for _, junk := range ycsbJunkLines {
 		if _, ok := ParseYCSBOp(junk); ok {
 			t.Fatalf("junk line %q parsed as an op", junk)
 		}
@@ -112,4 +115,46 @@ func TestParseYCSBScanLimitFitsWire(t *testing.T) {
 	if !ok || op.ScanLimit != MaxScanLimit {
 		t.Fatalf("largest scan count parsed as %+v, %v", op, ok)
 	}
+}
+
+// FuzzYCSBImport throws arbitrary logs at the importer: it must never panic,
+// every op it returns must be in the op alphabet with a scan limit in
+// [1, MaxScanLimit] exactly when it is a Scan, and the ops must survive a
+// trace write and read unchanged.
+func FuzzYCSBImport(f *testing.F) {
+	for _, line := range strings.Split(sampleYCSBLog, "\n") {
+		f.Add(line)
+	}
+	for _, line := range ycsbJunkLines {
+		f.Add(line)
+	}
+	f.Add("READ usertable frontier-key-aa17")
+	f.Fuzz(func(t *testing.T, log string) {
+		ops, err := ImportYCSB(strings.NewReader(log))
+		if err != nil {
+			return
+		}
+		for i, op := range ops {
+			if op.Type < 0 || op.Type >= numOpTypes {
+				t.Fatalf("op %d: type %v outside the op alphabet", i, op.Type)
+			}
+			if lim := op.ScanLimit; op.Type == Scan && (lim < 1 || lim > MaxScanLimit) || op.Type != Scan && lim != 0 {
+				t.Fatalf("op %d: %v with scan limit %d", i, op.Type, lim)
+			}
+		}
+		var buf bytes.Buffer
+		tw := NewTraceWriter(&buf, "ycsb-fuzz", 0)
+		tw.BeginPhase(0, "import", len(ops))
+		tw.Append(ops, make([]int64, len(ops)))
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Phases) != 1 || !reflect.DeepEqual(tr.Phases[0].Ops, ops) {
+			t.Fatal("ops did not survive a trace round trip")
+		}
+	})
 }

@@ -55,8 +55,7 @@ type (
 	// Runner executes scenarios on the deterministic virtual clock.
 	Runner = core.Runner
 	// Result carries every Figure 1 metric family for one run — the one
-	// result type of the virtual runner, the SQL runner and the real-time
-	// driver.
+	// result type of the runner under either clock, for KV and query SUTs.
 	Result = core.Result
 	// PhaseResult is the per-phase breakdown.
 	PhaseResult = core.PhaseResult
