@@ -760,6 +760,29 @@ func BenchmarkDriftFill(b *testing.B) {
 	}
 }
 
+// BenchmarkUniqueKeys measures initial-data generation at the benchmark's
+// sizes: mem-drift's 250k keys from zipf(1.1) over 2^22, where duplicates
+// cost several whole batches of draws, and mem-point's 262k uniform keys
+// over 2^40. Each iteration starts from a fresh, identically seeded
+// generator, so every iteration does the same work.
+func BenchmarkUniqueKeys(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		gen  func() distgen.Generator
+	}{
+		{"zipf-250k", 250_000, func() distgen.Generator { return distgen.NewZipfKeys(1, 1.1, 1<<22) }},
+		{"uniform-262k", 262_144, func() distgen.Generator { return distgen.NewUniform(1, 0, 1<<40) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				distgen.UniqueKeys(c.gen(), c.n)
+			}
+		})
+	}
+}
+
 // BenchmarkSessionArrival measures the IDEBench-style session pacer: one
 // think/intra gap draw per iteration. It runs inside every op-dispatch
 // loop, so it must stay at 0 allocs/op (benchguard-gated).

@@ -11,6 +11,8 @@ package distgen
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -42,35 +44,50 @@ func Keys(g Generator, n int) []uint64 {
 }
 
 // UniqueKeys draws from g until n distinct keys have been collected and
-// returns them sorted ascending. It gives up and pads deterministically if
-// the distribution's support is too small, so it always returns exactly n
-// keys.
+// returns them sorted ascending. It draws whole batches of n keys, at most
+// 50 of them, and a caller that keeps drawing from g depends on that count.
+// If 50 batches hold fewer than n distinct keys, it pads with the smallest
+// unused keys from 1 up, so it always returns exactly n keys.
 func UniqueKeys(g Generator, n int) []uint64 {
-	seen := make(map[uint64]struct{}, n)
+	// The seen set: linear probing over 2^ceil(log2 2n) slots from a
+	// multiplicative hash. 0 marks a free slot; a drawn 0 sets seenZero.
+	lg := bits.Len(uint(max(2*n-1, 1)))
+	table := make([]uint64, 1<<lg)
+	mask := uint64(len(table) - 1)
+	seenZero := false
+	add := func(k uint64) bool {
+		if k == 0 {
+			added := !seenZero
+			seenZero = true
+			return added
+		}
+		for i := (k * 0x9E3779B97F4A7C15) >> (64 - lg); ; i = (i + 1) & mask {
+			switch table[i] {
+			case k:
+				return false
+			case 0:
+				table[i] = k
+				return true
+			}
+		}
+	}
 	out := make([]uint64, 0, n)
 	batch := make([]uint64, n)
-	attempts := 0
-	for len(out) < n && attempts < 50 {
+	for attempts := 0; len(out) < n && attempts < 50; attempts++ {
 		g.Fill(batch)
 		for _, k := range batch {
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				out = append(out, k)
-				if len(out) == n {
+			if add(k) {
+				if out = append(out, k); len(out) == n {
 					break
 				}
 			}
 		}
-		attempts++
 	}
 	// Deterministic padding for tiny-support distributions.
-	next := uint64(1)
-	for len(out) < n {
-		if _, dup := seen[next]; !dup {
-			seen[next] = struct{}{}
+	for next := uint64(1); len(out) < n; next++ {
+		if add(next) {
 			out = append(out, next)
 		}
-		next++
 	}
 	slices.Sort(out)
 	return out
@@ -150,7 +167,7 @@ func (g *Lognormal) Name() string {
 // Fill implements Generator.
 func (g *Lognormal) Fill(out []uint64) {
 	for i := range out {
-		out[i] = clampToDomain(g.Scale * exp(g.Mu+g.Sigma*g.rng.NormFloat64()))
+		out[i] = clampToDomain(g.Scale * math.Exp(min(g.Mu+g.Sigma*g.rng.NormFloat64(), 700)))
 	}
 }
 
@@ -177,12 +194,10 @@ func (g *ZipfKeys) Name() string { return fmt.Sprintf("zipf(theta=%.3g,u=%d)", g
 
 // Fill implements Generator.
 func (g *ZipfKeys) Fill(out []uint64) {
-	stride := KeyDomain / g.Universe
-	if stride == 0 {
-		stride = 1
-	}
+	g.sampler.Fill(out)
+	stride := max(KeyDomain/g.Universe, 1)
 	for i := range out {
-		out[i] = g.sampler.Next() * stride
+		out[i] *= stride
 	}
 }
 
@@ -378,13 +393,4 @@ func clampToDomain(x float64) uint64 {
 		return KeyDomain - 1
 	}
 	return uint64(x)
-}
-
-// exp is a tiny wrapper to keep math import local to one spot.
-func exp(x float64) float64 {
-	// Guard against overflow for extreme sigma draws.
-	if x > 700 {
-		x = 700
-	}
-	return mathExp(x)
 }

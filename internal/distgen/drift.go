@@ -82,12 +82,7 @@ func (b *Blend) Name() string {
 
 // FillAt implements Drift.
 func (b *Blend) FillAt(p float64, out []uint64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
+	p = min(max(p, 0), 1)
 	w := p
 	if b.Shape != nil {
 		w = b.Shape(p)
@@ -158,21 +153,15 @@ type GrowingSkew struct {
 	MaxTheta float64
 	Universe uint64
 	seed     uint64
-	rng      *stats.RNG
-	// The sampler for the current (quantized) theta: consecutive draws at
-	// one theta continue one stream instead of restarting it.
+	// The generator for the current (quantized) theta: consecutive draws
+	// at one theta continue one stream instead of restarting it.
 	lastTheta float64
-	sampler   *stats.ScrambledZipf
-	uniform   *Uniform
+	zipf      *ZipfKeys
 }
 
 // NewGrowingSkew returns a drift whose skew grows from ~0 to maxTheta.
 func NewGrowingSkew(seed uint64, maxTheta float64, universe uint64) *GrowingSkew {
-	return &GrowingSkew{
-		MaxTheta: maxTheta, Universe: universe, seed: seed,
-		rng:     stats.NewRNG(seed),
-		uniform: NewUniform(seed+1, 0, KeyDomain),
-	}
+	return &GrowingSkew{MaxTheta: maxTheta, Universe: universe, seed: seed}
 }
 
 // Name implements Drift.
@@ -182,30 +171,16 @@ func (g *GrowingSkew) Name() string {
 
 // FillAt implements Drift.
 func (g *GrowingSkew) FillAt(p float64, out []uint64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	theta := 0.05 + p*(g.MaxTheta-0.05)
-	if theta < 0.05 {
-		theta = 0.05
-	}
+	p = min(max(p, 0), 1)
+	theta := max(0.05+p*(g.MaxTheta-0.05), 0.05)
 	// Quantize theta before comparing, so the sampler is rebuilt (and
 	// reseeded) only when theta crosses a 0.01 grid line: at most ~100 times.
 	theta = float64(int(theta*100)) / 100
-	if g.sampler == nil || theta != g.lastTheta {
-		g.sampler = stats.NewScrambledZipf(stats.NewRNG(g.seed^uint64(theta*1000)), theta, g.Universe)
+	if g.zipf == nil || theta != g.lastTheta {
+		g.zipf = NewZipfKeys(g.seed^uint64(theta*1000), theta, g.Universe)
 		g.lastTheta = theta
 	}
-	stride := KeyDomain / g.Universe
-	if stride == 0 {
-		stride = 1
-	}
-	for i := range out {
-		out[i] = g.sampler.Next() * stride
-	}
+	g.zipf.Fill(out)
 }
 
 // Replay feeds a recorded key sequence as a Drift source, wrapping around

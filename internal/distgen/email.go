@@ -1,13 +1,10 @@
 package distgen
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/stats"
 )
-
-func mathExp(x float64) float64 { return math.Exp(x) }
 
 // Email generates synthetic email-address keys. The paper (§V-C) uses
 // exactly this example: "a table column containing email addresses could be

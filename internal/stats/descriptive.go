@@ -118,54 +118,3 @@ func Mean(sample []float64) float64 {
 	}
 	return sum / float64(len(sample))
 }
-
-// Welford tracks mean and variance online in O(1) space. The driver uses it
-// to account training-overhead resource metrics without retaining samples.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of samples folded in.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest sample (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 when empty).
-func (w *Welford) Max() float64 { return w.max }
-
-// Variance returns the unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }

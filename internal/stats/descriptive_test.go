@@ -125,26 +125,6 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	r := NewRNG(17)
-	xs := make([]float64, 5000)
-	var w Welford
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 10
-		w.Add(xs[i])
-	}
-	s := Summarize(xs)
-	if math.Abs(w.Mean()-s.Mean) > 1e-9 {
-		t.Fatalf("welford mean %v vs batch %v", w.Mean(), s.Mean)
-	}
-	if math.Abs(w.Stddev()-s.Stddev) > 1e-9 {
-		t.Fatalf("welford stddev %v vs batch %v", w.Stddev(), s.Stddev)
-	}
-	if w.Min() != s.Min || w.Max() != s.Max {
-		t.Fatal("welford min/max mismatch")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean([]float64{2, 4}) != 3 {
 		t.Fatal("mean of {2,4}")

@@ -1,6 +1,11 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"runtime"
+
+	"repro/internal/par"
+)
 
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(rank+1)^theta, using the rejection-inversion method of Hörmann and
@@ -10,14 +15,13 @@ import "math"
 // theta (the skew) around 0.99 matches the YCSB default; larger values
 // concentrate more mass on the most popular items.
 type Zipf struct {
-	rng              *RNG
-	n                uint64
-	theta            float64
-	oneMinusTheta    float64
-	oneMinusThetaInv float64
-	hIntegralX1      float64
-	hIntegralN       float64
-	s                float64
+	rng           *RNG
+	n             uint64
+	theta         float64
+	oneMinusTheta float64
+	hIntegralX1   float64
+	hIntegralN    float64
+	s             float64
 }
 
 // NewZipf returns a Zipf sampler over [0, n) with skew theta > 0.
@@ -30,9 +34,6 @@ func NewZipf(rng *RNG, theta float64, n uint64) *Zipf {
 	}
 	z := &Zipf{rng: rng, n: n, theta: theta}
 	z.oneMinusTheta = 1 - theta
-	if z.oneMinusTheta != 0 {
-		z.oneMinusThetaInv = 1 / z.oneMinusTheta
-	}
 	z.hIntegralX1 = z.hIntegral(1.5) - 1
 	z.hIntegralN = z.hIntegral(float64(n) + 0.5)
 	z.s = 2 - z.hIntegralInv(z.hIntegral(2.5)-z.h(2))
@@ -77,20 +78,29 @@ func helper2(x float64) float64 {
 // popular item.
 func (z *Zipf) Next() uint64 {
 	for {
-		u := z.hIntegralN + z.rng.Float64()*(z.hIntegralX1-z.hIntegralN)
-		x := z.hIntegralInv(u)
-		k := uint64(x + 0.5)
-		switch {
-		case k < 1:
-			k = 1
-		case k > z.n:
-			k = z.n
-		}
-		kf := float64(k)
-		if kf-x <= z.s || u >= z.hIntegral(kf+0.5)-z.h(kf) {
-			return k - 1
+		if k, ok := z.try(z.rng.Uint64()); ok {
+			return k
 		}
 	}
+}
+
+// try is one rejection round of Next on the raw RNG output raw: the rank it
+// yields and whether the round accepted it. It never touches the RNG.
+func (z *Zipf) try(raw uint64) (uint64, bool) {
+	u := z.hIntegralN + float64(raw>>11)/(1<<53)*(z.hIntegralX1-z.hIntegralN)
+	x := z.hIntegralInv(u)
+	k := uint64(x + 0.5)
+	switch {
+	case k < 1:
+		k = 1
+	case k > z.n:
+		k = z.n
+	}
+	kf := float64(k)
+	if kf-x <= z.s || u >= z.hIntegral(kf+0.5)-z.h(kf) {
+		return k - 1, true
+	}
+	return 0, false
 }
 
 // ScrambledZipf wraps Zipf so that the popular ranks are scattered across
@@ -110,6 +120,57 @@ func NewScrambledZipf(rng *RNG, theta float64, n uint64) *ScrambledZipf {
 func (s *ScrambledZipf) Next() uint64 {
 	r := s.z.Next()
 	return fnvHash64(r) % s.n
+}
+
+// fillParMin is the smallest fill whose rounds Fill spreads over every core.
+const fillParMin = 1 << 15
+
+// Fill writes into out the ranks that len(out) calls of Next would return
+// and leaves the RNG where those calls would leave it. A rejection round
+// reads only its own raw RNG output, so Fill takes the raw outputs in order,
+// runs a round on each, keeps the accepted ranks in order and draws the
+// shortfall the same way.
+func (s *ScrambledZipf) Fill(out []uint64) {
+	for len(out) > 0 {
+		for i := range out {
+			out[i] = s.z.rng.Uint64()
+		}
+		if len(out) >= fillParMin {
+			out = out[s.acceptPar(out):]
+		} else {
+			out = out[s.accept(out):]
+		}
+	}
+}
+
+// accept overwrites raws with the scrambled ranks their rounds accept,
+// packed in order at the front, and returns how many there are.
+func (s *ScrambledZipf) accept(raws []uint64) int {
+	kept := 0
+	for _, raw := range raws {
+		if k, ok := s.z.try(raw); ok {
+			raws[kept] = fnvHash64(k) % s.n
+			kept++
+		}
+	}
+	return kept
+}
+
+// acceptPar is accept over one chunk of raws per core. The closure lives
+// here rather than in Fill so that Fill's small fills allocate nothing.
+func (s *ScrambledZipf) acceptPar(raws []uint64) int {
+	chunks := runtime.GOMAXPROCS(0)
+	lo := func(c int) int { return c * len(raws) / chunks }
+	kept := make([]int, chunks)
+	par.ForEach(chunks, chunks, func(c int) error {
+		kept[c] = s.accept(raws[lo(c):lo(c+1)])
+		return nil
+	})
+	n := 0
+	for c, k := range kept {
+		n += copy(raws[n:], raws[lo(c):lo(c)+k])
+	}
+	return n
 }
 
 func fnvHash64(v uint64) uint64 {

