@@ -31,6 +31,7 @@ import (
 	"repro/internal/index/rmi"
 	"repro/internal/kv"
 	"repro/internal/metrics"
+	"repro/internal/netdriver"
 	"repro/internal/pager"
 	"repro/internal/quality"
 	"repro/internal/similarity"
@@ -780,6 +781,33 @@ func BenchmarkUniqueKeys(b *testing.B) {
 				distgen.UniqueKeys(c.gen(), c.n)
 			}
 		})
+	}
+}
+
+// BenchmarkWireLoad measures wire-rt's bulk load: serve a B+ tree on the
+// loopback interface, dial it and Load 200 000 pairs, so an iteration is
+// the connection set-up plus the pairs' trip through both ends' framing and
+// the server's BulkLoad.
+func BenchmarkWireLoad(b *testing.B) {
+	keys := distgen.UniqueKeys(distgen.NewUniform(1, 0, 1<<40), 200_000)
+	values := core.LoadValues(keys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv, err := netdriver.Serve("127.0.0.1:0", core.NewBTreeSUT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := netdriver.Dial(srv.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Load(keys, values)
+		if err := c.Err(); err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+		srv.Close()
 	}
 }
 

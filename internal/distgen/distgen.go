@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -89,8 +88,43 @@ func UniqueKeys(g Generator, n int) []uint64 {
 			out = append(out, next)
 		}
 	}
-	slices.Sort(out)
+	radixSort(out, batch)
 	return out
+}
+
+// radixSort sorts keys ascending by LSD radix over 8-bit digits, with buf
+// (at least as long) as the second buffer. One read pass counts all eight
+// digits; a digit every key shares is skipped, so 40-bit keys take five
+// passes. The result always ends in keys.
+func radixSort(keys, buf []uint64) {
+	var counts [8][256]int
+	for _, k := range keys {
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	src, dst := keys, buf[:len(keys)]
+	for d := range counts {
+		c := &counts[d]
+		if len(keys) == 0 || c[byte(keys[0]>>(8*d))] == len(keys) {
+			continue
+		}
+		for i, sum := 0, 0; i < len(c); i++ {
+			c[i], sum = sum, sum+c[i]
+		}
+		for _, k := range src {
+			b := byte(k >> (8 * d))
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(keys, src)
 }
 
 // Uniform draws keys uniformly from [Lo, Hi).
@@ -258,23 +292,21 @@ func NewSegmented(seed uint64, segments int) *Segmented {
 	}
 	rng := stats.NewRNG(seed)
 	bounds := make([]uint64, segments+1)
-	bounds[0] = 0
 	bounds[segments] = KeyDomain
 	for i := 1; i < segments; i++ {
 		bounds[i] = rng.Uint64() % KeyDomain
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
 	// Random segment masses, skewed so a few segments dominate.
-	raw := make([]float64, segments)
-	var total float64
-	for i := range raw {
-		raw[i] = rng.ExpFloat64() * rng.ExpFloat64() // heavy-tailed mass
-		total += raw[i]
-	}
 	weights := make([]float64, segments)
+	var total float64
+	for i := range weights {
+		weights[i] = rng.ExpFloat64() * rng.ExpFloat64() // heavy-tailed mass
+		total += weights[i]
+	}
 	cum := 0.0
-	for i := range raw {
-		cum += raw[i] / total
+	for i, w := range weights {
+		cum += w / total
 		weights[i] = cum
 	}
 	weights[segments-1] = 1
@@ -287,11 +319,7 @@ func (g *Segmented) Name() string { return fmt.Sprintf("segmented(s=%d)", g.Segm
 // Fill implements Generator.
 func (g *Segmented) Fill(out []uint64) {
 	for i := range out {
-		u := g.rng.Float64()
-		seg := sort.SearchFloat64s(g.weights, u)
-		if seg >= g.Segments {
-			seg = g.Segments - 1
-		}
+		seg := min(sort.SearchFloat64s(g.weights, g.rng.Float64()), g.Segments-1)
 		lo, hi := g.bounds[seg], g.bounds[seg+1]
 		if hi <= lo {
 			out[i] = lo
@@ -313,10 +341,7 @@ type Sequential struct {
 // NewSequential returns a sequential generator starting at start with gaps
 // uniform in [1, maxGap].
 func NewSequential(seed uint64, start, maxGap uint64) *Sequential {
-	if maxGap == 0 {
-		maxGap = 1
-	}
-	return &Sequential{next: start, MaxGap: maxGap, rng: stats.NewRNG(seed)}
+	return &Sequential{next: start, MaxGap: max(maxGap, 1), rng: stats.NewRNG(seed)}
 }
 
 // Name implements Generator.
@@ -370,27 +395,20 @@ func (g *Mixture) Name() string {
 // plus one draw from the chosen component.
 func (g *Mixture) Fill(out []uint64) {
 	for i := range out {
-		u := g.rng.Float64()
-		idx := 0
-		cum := 0.0
+		u, idx, cum := g.rng.Float64(), len(g.Weights)-1, 0.0
 		for j, w := range g.Weights {
-			cum += w
-			if u < cum {
+			if cum += w; u < cum {
 				idx = j
 				break
 			}
-			idx = j
 		}
 		g.Components[idx].Fill(out[i : i+1])
 	}
 }
 
 func clampToDomain(x float64) uint64 {
-	if x < 0 {
-		return 0
-	}
 	if x >= float64(KeyDomain) {
 		return KeyDomain - 1
 	}
-	return uint64(x)
+	return uint64(max(x, 0))
 }

@@ -2,11 +2,15 @@ package distgen
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestUniformBounds(t *testing.T) {
@@ -233,6 +237,45 @@ func TestUniqueKeysPinned(t *testing.T) {
 		c.g.Fill(next[:])
 		if h.Sum64() != c.digest || next[0] != c.afterDraws {
 			t.Errorf("%s: digest %#x, next draw %d; want %#x, %d", c.name, h.Sum64(), next[0], c.digest, c.afterDraws)
+		}
+	}
+}
+
+// TestRadixSortMatchesSlicesSort holds UniqueKeys' sort to slices.Sort on
+// key sets that reach each of its branches: full 64-bit keys (the top bit
+// set included), keys that share every digit, keys that differ in exactly
+// one digit (one pass, so the result must be copied back from the second
+// buffer, or an even number, so it must not), heavy duplicates, and Zipf's
+// multiples of 2^38.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	rng := stats.NewRNG(11)
+	type keySet struct {
+		name string
+		key  func(i int) uint64
+	}
+	sets := []keySet{
+		{"full-64-bit", func(i int) uint64 { return rng.Uint64() | uint64(i%2)<<63 }},
+		{"all-equal", func(int) uint64 { return 0xDEADBEEF_01234567 }},
+		{"duplicates", func(int) uint64 { return rng.Uint64() % 7 << 40 }},
+		{"zipf-like", func(int) uint64 { return rng.Uint64() % (1 << 22) << 38 }},
+	}
+	for d := 0; d < 8; d++ {
+		sets = append(sets, keySet{fmt.Sprintf("byte-%d", d), func(int) uint64 {
+			return 0x5A5A5A5A_5A5A5A5A ^ (rng.Uint64()%256)<<(8*d)
+		}})
+	}
+	for _, set := range sets {
+		for _, n := range []int{0, 1, 2, 255, 256, 257, 4097} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = set.key(i)
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			radixSort(keys, make([]uint64, n))
+			if !slices.Equal(keys, want) {
+				t.Fatalf("%s, n=%d: radixSort differs from slices.Sort", set.name, n)
+			}
 		}
 	}
 }

@@ -236,12 +236,10 @@ func (s *Schedule) Name() string { return fmt.Sprintf("schedule(%d segments)", l
 
 // FillAt implements Drift.
 func (s *Schedule) FillAt(p float64, out []uint64) {
-	if p < 0 {
-		p = 0
-	}
 	if p >= 1 {
 		p = 0.999999
 	}
+	p = max(p, 0)
 	k := len(s.Segments)
 	idx := int(p * float64(k))
 	local := p*float64(k) - float64(idx)

@@ -113,6 +113,13 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(cat(batch, wireFrame(opBatchBegin, 1, 1), put))          // a duplicate of another size
 	f.Add(cat(wireFrame(opTrain, trainRun<<56, 0), batch, wireFrame(opTrain, trainOnline<<56, 0)))
 	f.Add(cat(wireFrame(opTrain, 2<<56, 0), batch)) // a training frame of unknown kind
+	f.Add(cat(wireFrame(opLoadBegin, loadBlock+3, 0), make([]byte, 16*(loadBlock+3)), batch))
+	var tiny []byte // one-pair loads: each sizes its own block
+	for i := 0; i < 64; i++ {
+		tiny = cat(tiny, wireFrame(opLoadBegin, 1, 0), make([]byte, 16))
+	}
+	f.Add(cat(tiny, batch))
+	f.Add(cat(wireFrame(opLoadBegin, 2*loadBlock, 0), make([]byte, 16*(loadBlock+5)))) // cut in its second block
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wantOps, wantLoads, wantTrains, wantBytes := wireModel(data)
 		rec := &wireRecorder{}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -134,6 +135,9 @@ const (
 	// (the opBatchBegin bound, adapted to a stream whose length is
 	// legitimately unbounded).
 	maxLoadPrealloc = 1 << 16
+	// loadBlock is how many 16-byte pairs a bulk load moves per write and
+	// per read: 64 KiB, the size of the server's read buffer.
+	loadBlock = 1 << 12
 )
 
 // Server exposes a SUT factory over TCP. Each accepted connection gets a
@@ -317,29 +321,30 @@ func (s *Server) handle(raw net.Conn) {
 			}
 		case opLoadBegin:
 			n := binary.BigEndian.Uint64(req[1:9])
-			// Pre-size only up to maxLoadPrealloc pairs: beyond that the
-			// buffers grow with the data actually received, so the header
-			// cannot force an allocation the peer never backs with bytes.
-			hint := n
-			if hint > maxLoadPrealloc {
-				hint = maxLoadPrealloc
-			}
-			keys := make([]uint64, 0, hint)
-			values := make([]uint64, 0, hint)
-			pair := make([]byte, 16)
-			for i := uint64(0); i < n; i++ {
-				if _, err := io.ReadFull(r, pair); err != nil {
+			// Pre-size only up to maxLoadPrealloc pairs, and the read block
+			// to min(n, loadBlock): beyond that the buffers double, up to n,
+			// as the data actually arrives, so the header cannot force an
+			// allocation the peer never backs with bytes.
+			keys := make([]uint64, 0, min(n, maxLoadPrealloc))
+			values := make([]uint64, 0, min(n, maxLoadPrealloc))
+			block := make([]byte, 16*min(n, loadBlock))
+			for left := n; left > 0; left -= min(left, loadBlock) {
+				b := block[:16*min(left, loadBlock)]
+				if _, err := io.ReadFull(r, b); err != nil {
 					return
 				}
-				keys = append(keys, binary.BigEndian.Uint64(pair[0:8]))
-				values = append(values, binary.BigEndian.Uint64(pair[8:16]))
+				if len(keys)+len(b)/16 > cap(keys) {
+					grow := int(min(left, uint64(cap(keys))))
+					keys, values = slices.Grow(keys, grow), slices.Grow(values, grow)
+				}
+				for ; len(b) > 0; b = b[16:] {
+					keys = append(keys, binary.BigEndian.Uint64(b[0:8]))
+					values = append(values, binary.BigEndian.Uint64(b[8:16]))
+				}
 			}
 			sut.Load(keys, values)
 			// Ack with an empty response frame.
-			for i := range resp {
-				resp[i] = 0
-			}
-			resp[0] = 1
+			encodeResult(resp, core.OpResult{Found: true})
 			if _, err := w.Write(resp); err != nil {
 				return
 			}
@@ -509,19 +514,16 @@ func (c *Client) Load(keys, values []uint64) {
 		c.fail("load", err)
 		return
 	}
-	buf := bufio.NewWriterSize(c.conn, 1<<16)
-	pair := make([]byte, 16)
+	block := make([]byte, 0, 16*min(len(keys), loadBlock))
 	for i, k := range keys {
-		binary.BigEndian.PutUint64(pair[0:8], k)
-		binary.BigEndian.PutUint64(pair[8:16], values[i])
-		if _, err := buf.Write(pair); err != nil {
-			c.fail("load", err)
-			return
+		block = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(block, k), values[i])
+		if len(block) == cap(block) || i == len(keys)-1 {
+			if _, err := c.conn.Write(block); err != nil {
+				c.fail("load", err)
+				return
+			}
+			block = block[:0]
 		}
-	}
-	if err := buf.Flush(); err != nil {
-		c.fail("load", err)
-		return
 	}
 	if _, err := io.ReadFull(c.r, c.resp[:]); err != nil { // ack
 		c.fail("load ack", err)
@@ -595,9 +597,7 @@ func (c *Client) doBatchChunk(ops []workload.Op, out []core.OpResult) {
 		return
 	}
 	if c.err != nil {
-		for i := range out[:len(ops)] {
-			out[i] = core.OpResult{}
-		}
+		clear(out[:len(ops)])
 		return
 	}
 	c.batchSeq++
@@ -622,9 +622,7 @@ func (c *Client) doBatchChunk(ops []workload.Op, out []core.OpResult) {
 	for attempt := 0; ; attempt++ {
 		if _, err := c.conn.Write(buf); err != nil {
 			c.fail("request", err)
-			for i := range out[:len(ops)] {
-				out[i] = core.OpResult{}
-			}
+			clear(out[:len(ops)])
 			return
 		}
 		atHeader, err := c.readBatchResponse(c.batchSeq, out[:len(ops)])
@@ -646,9 +644,7 @@ func (c *Client) doBatchChunk(ops []workload.Op, out []core.OpResult) {
 		if c.err == nil {
 			c.err = we
 		}
-		for i := range out[:len(ops)] {
-			out[i] = core.OpResult{}
-		}
+		clear(out[:len(ops)])
 		return
 	}
 }

@@ -90,6 +90,43 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestBulkLoadBlocks loads more pairs than maxLoadPrealloc, ending
+// mid-block, and checks every loaded key answers as on a local B+ tree.
+func TestBulkLoadBlocks(t *testing.T) {
+	srv := startServer(t)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	local := core.NewBTreeSUT()
+	keys := distgen.UniqueKeys(distgen.NewUniform(4, 0, 1<<40), maxLoadPrealloc+4465)
+	if len(keys)%loadBlock == 0 {
+		t.Fatal("the load must end mid-block")
+	}
+	vals := make([]uint64, len(keys))
+	for i := range vals {
+		vals[i] = uint64(i) * 3
+	}
+	c.Load(keys, vals)
+	local.Load(keys, vals)
+	// Each loaded key and its successor, which is almost never loaded.
+	ops := make([]workload.Op, 0, 2*len(keys))
+	for _, k := range keys {
+		ops = append(ops, workload.Op{Type: workload.Get, Key: k}, workload.Op{Type: workload.Get, Key: k + 1})
+	}
+	remote := make([]core.OpResult, len(ops))
+	c.DoBatch(ops, remote)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range ops {
+		if want := local.Do(op); remote[i] != want || (i%2 == 0 && !want.Found) {
+			t.Fatalf("Get %d: remote %+v, local %+v", op.Key, remote[i], want)
+		}
+	}
+}
+
 func TestConnectionsIsolated(t *testing.T) {
 	srv := startServer(t)
 	a, err := Dial(srv.Addr())
