@@ -11,7 +11,10 @@
 //
 // Usage:
 //
-//	figures [-scale small|full] [-seed N] [-only fig1a,...] [-csv dir] [-parallel N]
+//	figures [-scale small|full] [-seed N] [-only fig1a,...] [-csv dir] [-parallel N] [-faults plan]
+//
+// An unknown -only key is an error. Fig 1g's drift grid and session pacing
+// are figures.Fig1gIntensities and the Fig1gSession* constants.
 package main
 
 import (
@@ -21,7 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 
 	"repro/internal/figures"
@@ -29,7 +32,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/prof"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
 // panel is one independently runnable artifact of the reproduction.
@@ -55,17 +57,41 @@ func panels() []panel {
 	}
 }
 
+// panelKeys lists every panel key in output order.
+func panelKeys() (keys []string) {
+	for _, p := range panels() {
+		keys = append(keys, p.key)
+	}
+	return keys
+}
+
+// selectPanels returns the panels named in only, a comma list of keys, in
+// output order; "" selects every panel. An unknown key is an error that
+// lists the valid ones.
+func selectPanels(only string) ([]panel, error) {
+	if only == "" {
+		return panels(), nil
+	}
+	want := map[string]bool{}
+	for _, k := range strings.Split(only, ",") {
+		k = strings.TrimSpace(k)
+		if !slices.Contains(panelKeys(), k) {
+			return nil, fmt.Errorf("unknown panel %q (have: %s)", k, strings.Join(panelKeys(), ","))
+		}
+		want[k] = true
+	}
+	return slices.DeleteFunc(panels(), func(p panel) bool { return !want[p.key] }), nil
+}
+
 func main() {
 	var (
 		scaleName  = flag.String("scale", "small", "experiment scale: small or full")
 		seed       = flag.Uint64("seed", 42, "base random seed")
-		only       = flag.String("only", "", "comma-separated subset: fig1a,fig1aw,fig1b,fig1c,fig1d,fig1e,fig1f,fig1g,lessons,optdrift,ablations")
+		only       = flag.String("only", "", "comma-separated subset: "+strings.Join(panelKeys(), ","))
 		csvDir     = flag.String("csv", "", "directory for CSV series")
 		parallelN  = flag.Int("parallel", 0, "max concurrent experiment runs (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
 		batchN     = flag.Int("batch", 0, "op-dispatch batch size for the virtual runner (0/1 = per-op); output is byte-identical at any setting")
 		faults     = flag.String("faults", "", "fig1e fault plan override, e.g. 'slow@2ms-4ms:factor=8;crash@6ms' (default: derived from each SUT's baseline run)")
-		driftList  = flag.String("drift-factor", "", "fig1g drift-intensity grid as a comma list in [0,1], e.g. '0,0.5,1' (default: the built-in 5-point sweep)")
-		session    = flag.String("session", "", "fig1g session pacing override 'gap=<dur>[,budget=<dur>]', e.g. 'gap=200us,budget=34us'")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -89,42 +115,14 @@ func main() {
 	scale.Parallel = *parallelN
 	scale.Batch = *batchN
 	scale.Faults = *faults
-	if *driftList != "" {
-		grid, err := parseDriftList(*driftList)
-		if err != nil {
-			fatal(err)
-		}
-		scale.DriftFactors = grid
-	}
-	if *session != "" {
-		spec, err := workload.ParseSessionSpec(*session)
-		if err != nil {
-			fatal(err)
-		}
-		scale.SessionGapNs = spec.GapNs
-		scale.SessionBudgetNs = spec.BudgetNs
-	}
 
-	want := map[string]bool{}
-	if *only == "" {
-		for _, p := range panels() {
-			want[p.key] = true
-		}
-	} else {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
+	selected, err := selectPanels(*only)
+	if err != nil {
+		fatal(err)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fatal(err)
-		}
-	}
-
-	var selected []panel
-	for _, p := range panels() {
-		if want[p.key] {
-			selected = append(selected, p)
 		}
 	}
 
@@ -353,23 +351,6 @@ func runFig1g(w io.Writer, scale figures.Scale, seed uint64, csvDir string) erro
 		}
 	}
 	return nil
-}
-
-// parseDriftList parses the -drift-factor comma list into the fig1g
-// intensity grid.
-func parseDriftList(s string) ([]float64, error) {
-	var grid []float64
-	for _, part := range strings.Split(s, ",") {
-		d, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("-drift-factor: %w", err)
-		}
-		if d < 0 || d > 1 {
-			return nil, fmt.Errorf("-drift-factor: %v outside [0,1]", d)
-		}
-		grid = append(grid, d)
-	}
-	return grid, nil
 }
 
 func runLessons(w io.Writer, scale figures.Scale, seed uint64, _ string) error {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/figures"
@@ -43,5 +44,24 @@ func TestSQLPanelGoldens(t *testing.T) {
 				t.Fatalf("%s stdout drifted from golden\n--- got ---\n%s\n--- want ---\n%s", p.key, buf.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestSelectPanels: -only picks panels in output order whatever order it
+// names them in, "" picks all of them, and an unknown key is an error that
+// lists the valid keys instead of a run that prints nothing.
+func TestSelectPanels(t *testing.T) {
+	got, err := selectPanels(" fig1g,fig1a")
+	if err != nil || len(got) != 2 || got[0].key != "fig1a" || got[1].key != "fig1g" {
+		t.Fatalf("selectPanels(fig1g,fig1a) = %v, %v", got, err)
+	}
+	if all, err := selectPanels(""); err != nil || len(all) != len(panels()) {
+		t.Fatalf("selectPanels(\"\") = %d panels, %v; want %d", len(all), err, len(panels()))
+	}
+	for _, only := range []string{"fig1x", "fig1a,fig1x", "fig1a,"} {
+		_, err := selectPanels(only)
+		if keys := strings.Join(panelKeys(), ","); err == nil || !strings.Contains(err.Error(), keys) {
+			t.Errorf("selectPanels(%q): err = %v, want one listing %s", only, err, keys)
+		}
 	}
 }

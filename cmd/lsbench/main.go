@@ -15,20 +15,19 @@
 //	                                    # materialized scenario, before
 //	                                    # any SUT runs
 //	lsbench ... -replay t.lstrace       # replay a recording verbatim
-//	lsbench ... -synth-from t.lstrace   # drive phases with load fitted
-//	                                    # from a recording (-repeat-frac
-//	                                    # adds temporal locality)
-//	lsbench ... -drift-factor 0.5       # override every controller drift
-//	                                    # clause's intensity D (sweep knob)
-//	lsbench ... -session gap=2ms,budget=50ms  # segment interactive sessions
-//	                                          # with a per-session budget
+//
+// Everything else about a run is in the config document: a controller
+// drift clause's "factor" is its intensity D, a "session" clause segments
+// interactive sessions with a per-session budget, and a phase's
+// "source": {"kind": "synth", "path": ..., "repeatFrac": ...} drives it
+// with load fitted from a recording.
 //
 // With -remote the scenario — every phase, training windows included — runs
 // over TCP on the wall clock; otherwise it runs against the named SUTs on the
 // deterministic virtual clock. Both are core.Runner.RunOn and hand a
 // core.Result to the same report path, so -record and -csv work under
 // either. The wall clock runs every phase closed loop: arrival gaps are not
-// paced (one stderr line says so) and a session spec is refused. Training
+// paced (one stderr line says so) and a session clause is refused. Training
 // happens on the remote SUT and is charged as in process: on the -example
 // config against `lsbench serve sut -sut rmi` the row reads train-work 1025,
 // online-work 283287 and models 1025, as the virtual `-suts rmi` row does.
@@ -118,10 +117,6 @@ func benchMain(args []string) error {
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		record     = fs.String("record", "", "record the op stream to this trace file (the materialized scenario, written before any SUT runs, under either clock)")
 		replay     = fs.String("replay", "", "replay this recorded trace instead of the config's phases")
-		synthFrom  = fs.String("synth-from", "", "fit this recorded trace and drive the config's phases with synthesized lookalike load")
-		repeatFrac = fs.Float64("repeat-frac", 0, "with -synth-from: fraction of keys re-drawn from the recently issued window [0,1)")
-		driftKnob  = fs.Float64("drift-factor", -1, "override every controller drift clause's intensity D in [0,1] (-1 keeps the config's factors)")
-		session    = fs.String("session", "", "segment interactive sessions: gap=<dur>[,budget=<dur>] (e.g. gap=2ms,budget=50ms)")
 	)
 	fs.Parse(args)
 
@@ -137,18 +132,7 @@ func benchMain(args []string) error {
 	if *configPath == "" {
 		return fmt.Errorf("-config is required (see -example)")
 	}
-	if *driftKnob > 1 {
-		return fmt.Errorf("-drift-factor %v outside [0,1]", *driftKnob)
-	}
-	opts := config.Options{DriftFactor: *driftKnob}
-	if *session != "" {
-		spec, err := workload.ParseSessionSpec(*session)
-		if err != nil {
-			return err
-		}
-		opts.Session = spec
-	}
-	scenario, err := config.LoadWith(*configPath, opts)
+	scenario, err := config.Load(*configPath)
 	if err != nil {
 		return err
 	}
@@ -157,13 +141,7 @@ func benchMain(args []string) error {
 		return err
 	}
 
-	if *replay != "" && *synthFrom != "" {
-		return fmt.Errorf("-replay and -synth-from are mutually exclusive")
-	}
-	if *repeatFrac < 0 || *repeatFrac >= 1 {
-		return fmt.Errorf("-repeat-frac %v outside [0,1)", *repeatFrac)
-	}
-	so := sourceOpts{csvDir: *csvDir, record: *record, repeatFrac: *repeatFrac}
+	// -replay replaces the config's phases with the recording.
 	if *replay != "" {
 		tr, err := workload.ReadTraceFile(*replay)
 		if err != nil {
@@ -172,76 +150,44 @@ func benchMain(args []string) error {
 		if tr.Truncated {
 			fmt.Fprintf(os.Stderr, "lsbench: warning: %s has a torn tail, replaying the intact %d ops\n", *replay, tr.TotalOps())
 		}
-		so.replay = tr
-	}
-	if *synthFrom != "" {
-		tr, err := workload.ReadTraceFile(*synthFrom)
-		if err != nil {
-			return err
-		}
-		st := workload.FitTrace(tr, workload.FitOptions{})
-		if st.Ops == 0 {
-			return fmt.Errorf("%s is empty, nothing to fit", *synthFrom)
-		}
-		so.stats = st
+		scenario = scenario.Replay(tr)
 	}
 
 	knobs := pager.PoolKnobs{Pages: *poolPages, Policy: *poolPolicy}.Validate()
-	return runScenario(scenario, strings.Split(*suts, ","), *remote, *batch, plan, knobs, so)
-}
-
-// sourceOpts carries the trace/synth/CSV CLI selections into runScenario.
-type sourceOpts struct {
-	csvDir     string
-	record     string
-	replay     *workload.Trace
-	stats      *workload.TraceStats
-	repeatFrac float64
+	return runScenario(scenario, strings.Split(*suts, ","), *remote, *batch, plan, knobs, *record, *csvDir)
 }
 
 // runScenario is the one run path: it decides the scenario's streams, runs
-// it once per SUT and reports. remote changes the clock (wall instead of
+// it once per SUT and reports; record and csvDir are the -record and -csv
+// paths ("" for none). remote changes the clock (wall instead of
 // virtual), where the SUT comes from (one netdriver client instead of the
 // named in-process SUTs) and that the scenario is always materialized, so
 // the wall-clock run does not time its own generators.
-func runScenario(scenario core.Scenario, suts []string, remote string, batch int, plan fault.Plan, knobs pager.PoolKnobs, so sourceOpts) error {
+func runScenario(scenario core.Scenario, suts []string, remote string, batch int, plan fault.Plan, knobs pager.PoolKnobs, record, csvDir string) error {
 	if remote != "" {
 		if scenario.Session != nil {
-			return fmt.Errorf("-remote cannot segment sessions: the wall clock ignores arrival gaps, so the gap of %s that opens a session is never observed (drop -session or the config's session clause, or run on the virtual clock)",
+			return fmt.Errorf("-remote cannot segment sessions: the wall clock ignores arrival gaps, so the gap of %s that opens a session is never observed (drop the config's session clause, or run on the virtual clock)",
 				ns(scenario.Session.GapNs))
 		}
 		suts = []string{remote} // one run; -suts names in-process SUTs
 	}
-	// -replay replaces the config's phases with the recording;
-	// -synth-from keeps the phase structure but swaps each phase's op
-	// source for a fitted synthesizer (reseeded per phase, so every SUT
-	// draws the identical synthetic stream).
-	if so.replay != nil {
-		scenario = scenario.Replay(so.replay)
-	}
-	if so.stats != nil {
-		for pi := range scenario.Phases {
-			scenario.Phases[pi].Source = workload.NewSynthesizer(so.stats, workload.PhaseSeed(scenario.Seed, pi), so.repeatFrac)
-		}
-	}
-
 	// Head-to-head runs must replay identical inputs: stateful generators
 	// and arrival processes (drift controllers, session pacers, poisson)
 	// would otherwise advance between the per-SUT runs below. Pin the
 	// streams once; each run is then a pure replay, and a recording is
 	// the pinned streams written down before the first of them.
-	if len(suts) > 1 || so.record != "" || remote != "" {
+	if len(suts) > 1 || record != "" || remote != "" {
 		scenario = scenario.Materialize()
 	}
-	if so.record != "" {
+	if record != "" {
 		tr, err := scenario.Trace()
 		if err == nil {
-			err = tr.WriteFile(so.record)
+			err = tr.WriteFile(record)
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Printf("op stream recorded to %s\n\n", so.record)
+		fmt.Printf("op stream recorded to %s\n\n", record)
 	}
 	if remote != "" && slices.ContainsFunc(scenario.Phases, func(p core.Phase) bool {
 		return slices.ContainsFunc(p.Trace.Gaps, func(gap int64) bool { return gap != 0 })
@@ -295,7 +241,7 @@ func runScenario(scenario core.Scenario, suts []string, remote string, batch int
 		results = append(results, res)
 		injectors = append(injectors, inj)
 	}
-	return printReport(results, injectors, plan, retries, so.csvDir)
+	return printReport(results, injectors, plan, retries, csvDir)
 }
 
 // dial connects to the remote SUT. With a fault plan the injector's wire

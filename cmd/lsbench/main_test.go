@@ -146,21 +146,16 @@ func TestRemoteRunsEveryPhase(t *testing.T) {
 }
 
 // TestRemoteRefusesSessions: the wall clock ignores arrival gaps, so
-// session segmentation cannot mean anything under -remote; both ways of
-// asking for it are refused with the reason instead of silently dropped.
+// session segmentation cannot mean anything under -remote; a config's
+// session clause is refused with the reason instead of silently dropped.
 func TestRemoteRefusesSessions(t *testing.T) {
 	srv, err := netdriver.Serve("127.0.0.1:0", core.NewBTreeSUT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for name, args := range map[string][]string{
-		"flag":   {"-config", onePhase(t, ""), "-session", "gap=2ms,budget=50ms"},
-		"clause": {"-config", onePhase(t, `"session": {"gapNs": 2000000, "budgetNs": 50000000},`)},
-	} {
-		err := benchMain(append(args, "-remote", srv.Addr()))
-		if err == nil || !strings.Contains(err.Error(), "ignores arrival gaps") {
-			t.Errorf("%s: -remote with a session spec: err = %v, want a refusal that says why", name, err)
-		}
+	err = benchMain([]string{"-config", onePhase(t, `"session": {"gapNs": 2000000, "budgetNs": 50000000},`), "-remote", srv.Addr()})
+	if err == nil || !strings.Contains(err.Error(), "ignores arrival gaps") {
+		t.Errorf("-remote with a session clause: err = %v, want a refusal that says why", err)
 	}
 }

@@ -286,13 +286,6 @@ type DriftSpec struct {
 
 // Build constructs the drift process, deriving seeds from base.
 func (d DriftSpec) Build(base uint64) (distgen.Drift, error) {
-	return d.buildWith(base, -1)
-}
-
-// buildWith is Build with an optional drift-factor override: a value in
-// [0,1] replaces the factor of every "controller" clause — the -drift-factor
-// sweep knob. Negative leaves the document's factors.
-func (d DriftSpec) buildWith(base uint64, driftFactor float64) (distgen.Drift, error) {
 	switch d.Kind {
 	case "", "static":
 		if d.Gen == nil {
@@ -352,12 +345,8 @@ func (d DriftSpec) buildWith(base uint64, driftFactor float64) (distgen.Drift, e
 		if d.StartGen == nil || d.EndGen == nil {
 			return nil, fmt.Errorf("config: controller drift requires startGen (base) and endGen (target)")
 		}
-		factor := d.Factor
-		if driftFactor >= 0 {
-			factor = driftFactor
-		}
-		if factor < 0 || factor > 1 {
-			return nil, fmt.Errorf("config: controller factor %v outside [0,1]", factor)
+		if d.Factor < 0 || d.Factor > 1 {
+			return nil, fmt.Errorf("config: controller factor %v outside [0,1]", d.Factor)
 		}
 		prof, err := driftctl.ParseProfile(d.Profile)
 		if err != nil {
@@ -379,7 +368,7 @@ func (d DriftSpec) buildWith(base uint64, driftFactor float64) (distgen.Drift, e
 			g, _ := d.EndGen.Build(seed)
 			return g
 		}
-		knob := driftctl.Knob{Factor: factor, Profile: prof}
+		knob := driftctl.Knob{Factor: d.Factor, Profile: prof}
 		return driftctl.NewCalibrated(base, baseF, targetF, knob, d.Normalize), nil
 	case "schedule":
 		if len(d.Segments) == 0 {
@@ -387,7 +376,7 @@ func (d DriftSpec) buildWith(base uint64, driftFactor float64) (distgen.Drift, e
 		}
 		segs := make([]distgen.Drift, 0, len(d.Segments))
 		for i, s := range d.Segments {
-			dr, err := s.buildWith(base+uint64(i)*101, driftFactor)
+			dr, err := s.Build(base + uint64(i)*101)
 			if err != nil {
 				return nil, err
 			}
@@ -477,27 +466,14 @@ func (a ArrivalSpec) Build(base uint64) (workload.Arrival, error) {
 	}
 }
 
-// Options are CLI-level overrides applied while building a scenario.
-type Options struct {
-	// DriftFactor, when in [0,1], overrides the factor of every
-	// "controller" drift clause — the -drift-factor sweep knob. Negative
-	// (the zero value via NoOverrides) keeps the document's factors.
-	DriftFactor float64
-	// Session, when non-nil, replaces the document's session clause.
-	Session *workload.SessionSpec
-}
-
-// NoOverrides is the identity Options value: Build(doc) == BuildWith(doc, NoOverrides).
-func NoOverrides() Options { return Options{DriftFactor: -1} }
+// maxCount bounds what a document may ask the runner to hold: its
+// initialSize, and the total of its phases' ops. The runner allocates the
+// initial keys and the per-op results up front, so a document far past it
+// would crash the process that runs it instead of failing to parse.
+const maxCount = 1 << 28
 
 // Build converts the document into a runnable scenario.
 func (s Scenario) Build() (core.Scenario, error) {
-	return s.BuildWith(NoOverrides())
-}
-
-// BuildWith converts the document into a runnable scenario, applying the
-// given CLI overrides.
-func (s Scenario) BuildWith(opts Options) (core.Scenario, error) {
 	out := core.Scenario{
 		Name:        s.Name,
 		Seed:        s.Seed,
@@ -506,11 +482,11 @@ func (s Scenario) BuildWith(opts Options) (core.Scenario, error) {
 		IntervalNs:  s.IntervalNs,
 		SLANs:       s.SLANs,
 	}
+	if s.InitialSize > maxCount {
+		return core.Scenario{}, fmt.Errorf("config: initialSize %d above %d", s.InitialSize, maxCount)
+	}
 	if s.Session != nil {
 		out.Session = &workload.SessionSpec{GapNs: s.Session.GapNs, BudgetNs: s.Session.BudgetNs}
-	}
-	if opts.Session != nil {
-		out.Session = opts.Session
 	}
 	gen, err := s.InitialData.Build(s.Seed + 1)
 	if err != nil {
@@ -544,7 +520,7 @@ func (s Scenario) BuildWith(opts Options) (core.Scenario, error) {
 			})
 			continue
 		}
-		access, err := p.Access.buildWith(base, opts.DriftFactor)
+		access, err := p.Access.Build(base)
 		if err != nil {
 			return core.Scenario{}, fmt.Errorf("config: phase %d access: %w", i, err)
 		}
@@ -554,7 +530,7 @@ func (s Scenario) BuildWith(opts Options) (core.Scenario, error) {
 			Access: access,
 		}
 		if p.InsertKeys != nil {
-			ins, err := p.InsertKeys.buildWith(base+13, opts.DriftFactor)
+			ins, err := p.InsertKeys.Build(base + 13)
 			if err != nil {
 				return core.Scenario{}, fmt.Errorf("config: phase %d insertKeys: %w", i, err)
 			}
@@ -579,6 +555,13 @@ func (s Scenario) BuildWith(opts Options) (core.Scenario, error) {
 		}
 		out.Phases = append(out.Phases, phase)
 	}
+	total := 0
+	for i, p := range out.Phases {
+		if p.Ops > maxCount-total {
+			return core.Scenario{}, fmt.Errorf("config: phase %d ops %d bring the phases' total above %d", i, p.Ops, maxCount)
+		}
+		total += max(p.Ops, 0)
+	}
 	if err := out.Validate(); err != nil {
 		return core.Scenario{}, err
 	}
@@ -587,28 +570,18 @@ func (s Scenario) BuildWith(opts Options) (core.Scenario, error) {
 
 // Load reads and builds a scenario from a JSON file.
 func Load(path string) (core.Scenario, error) {
-	return LoadWith(path, NoOverrides())
-}
-
-// LoadWith reads and builds a scenario from a JSON file with overrides.
-func LoadWith(path string, opts Options) (core.Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return core.Scenario{}, fmt.Errorf("config: %w", err)
 	}
-	return ParseWith(data, opts)
+	return Parse(data)
 }
 
 // Parse builds a scenario from JSON bytes.
 func Parse(data []byte) (core.Scenario, error) {
-	return ParseWith(data, NoOverrides())
-}
-
-// ParseWith builds a scenario from JSON bytes with overrides.
-func ParseWith(data []byte, opts Options) (core.Scenario, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
 		return core.Scenario{}, fmt.Errorf("config: parsing: %w", err)
 	}
-	return s.BuildWith(opts)
+	return s.Build()
 }

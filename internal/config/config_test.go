@@ -400,3 +400,39 @@ func TestScanLimitMustFitWire(t *testing.T) {
 		t.Fatalf("scanLimit %d, want %d", got, workload.MaxScanLimit)
 	}
 }
+
+// TestCountsAreBounded: initialSize and the phases' total ops may not pass
+// maxCount. A document asking for 2^62 ops once parsed cleanly and then
+// crashed the runner allocating its result buffers; the error names the
+// field instead. The bound itself is accepted.
+func TestCountsAreBounded(t *testing.T) {
+	doc := func(size int, ops ...int) []byte {
+		var phases []string
+		for _, n := range ops {
+			phases = append(phases, fmt.Sprintf(`{"ops":%d,"access":{"gen":{"kind":"uniform"}}}`, n))
+		}
+		return []byte(fmt.Sprintf(`{"name":"x","initialData":{"kind":"uniform"},"initialSize":%d,"phases":[%s]}`,
+			size, strings.Join(phases, ",")))
+	}
+	for _, c := range []struct {
+		doc   []byte
+		field string
+	}{
+		{doc(10, 1<<62), "ops"},
+		{doc(10, maxCount/2, maxCount/2+1), "ops"},
+		{doc(10, 1<<62, 1<<62, 1<<62, 1<<62), "ops"},
+		{doc(maxCount+1, 5), "initialSize"},
+		{doc(1<<62, 5), "initialSize"},
+	} {
+		if _, err := Parse(c.doc); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want a %s error", c.doc, err, c.field)
+		}
+	}
+	s, err := Parse(doc(maxCount, maxCount/2, maxCount/2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.InitialSize != maxCount || s.Phases[1].Ops != maxCount/2 {
+		t.Fatalf("bound rejected or changed: %d, %d", s.InitialSize, s.Phases[1].Ops)
+	}
+}

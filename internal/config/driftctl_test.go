@@ -43,15 +43,6 @@ func TestControllerDriftClause(t *testing.T) {
 		t.Fatalf("name %q does not carry the factor", d.Name())
 	}
 
-	// The sweep override replaces the document's factor.
-	o, err := DriftSpec{Kind: "controller", StartGen: z, EndGen: u, Factor: 0.5}.buildWith(1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(o.Name(), "D=0.90") {
-		t.Fatalf("override not applied: %q", o.Name())
-	}
-
 	bad := []DriftSpec{
 		{Kind: "controller", StartGen: z},                                    // missing target
 		{Kind: "controller", StartGen: z, EndGen: u, Factor: 1.5},            // factor out of range
@@ -93,21 +84,5 @@ func TestDriftSessionEndToEnd(t *testing.T) {
 	}
 	if res.Snapshot.Sessions == nil || res.Snapshot.Sessions.Sessions == 0 {
 		t.Fatal("run produced no session stats")
-	}
-
-	// CLI overrides: -drift-factor rewrites the controller's D, -session
-	// replaces the document's clause.
-	over, err := ParseWith([]byte(driftSessionJSON), Options{
-		DriftFactor: 1,
-		Session:     &workload.SessionSpec{GapNs: 2_000_000, BudgetNs: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over.Session.BudgetNs != 1 {
-		t.Fatalf("session override lost: %+v", over.Session)
-	}
-	if !strings.Contains(over.Phases[0].Workload.Access.Name(), "D=1.00") {
-		t.Fatalf("drift-factor override lost: %q", over.Phases[0].Workload.Access.Name())
 	}
 }

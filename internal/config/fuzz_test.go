@@ -60,6 +60,8 @@ func FuzzConfig(f *testing.F) {
 	for _, access := range []string{`{"kind":"hotspot","hotFraction":5}`, `{"kind":"hotspot","windowSize":2}`} {
 		f.Add([]byte(fmt.Sprintf(minimal, access, "")))
 	}
+	// A document that parsed and then crashed the runner: 2^62 ops.
+	f.Add([]byte(`{"name":"m","initialData":{"kind":"uniform"},"phases":[{"ops":4611686018427387904,"access":{"gen":{"kind":"uniform"}}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var doc Scenario
 		if json.Unmarshal(data, &doc) == nil && !buildable(doc) {

@@ -36,14 +36,6 @@ type Scale struct {
 	// Faults optionally overrides the Fig 1e fault plan (fault.ParseSpec
 	// syntax). "" derives the default plan from each SUT's baseline run.
 	Faults string
-	// DriftFactors overrides the Fig 1g drift-intensity grid (cmd/figures
-	// -drift-factor). Empty uses Fig1gIntensities.
-	DriftFactors []float64
-	// SessionGapNs / SessionBudgetNs override the Fig 1g session panel's
-	// think-gap and per-session budget (cmd/figures -session). Zero uses
-	// the Fig1gSession* defaults.
-	SessionGapNs    int64
-	SessionBudgetNs int64
 }
 
 // SmallScale keeps experiments under a second for tests.

@@ -25,10 +25,10 @@ import (
 // virtual-clock deterministic and byte-identical at any parallelism or
 // batch size.
 
-// Fig1gIntensities is the default drift-factor sweep (≥4 points).
+// Fig1gIntensities is the drift-factor sweep (≥4 points).
 var Fig1gIntensities = []float64{0, 0.25, 0.5, 0.75, 1}
 
-// Fig1g session-pacing defaults (virtual ns). Bursts of 4–10 ops arrive
+// Fig1g session pacing (virtual ns). Bursts of 4–10 ops arrive
 // 2µs apart — comparable to service times, so queueing inside a burst
 // makes the session makespan latency-sensitive — separated by ≥200µs
 // think gaps, with a 34µs per-session completion budget — tight enough
@@ -142,24 +142,11 @@ func fig1gKVSUTs() (names []string, factories []func() core.SUT) {
 	return
 }
 
-// Fig1g runs the drift-intensity sweep. The intensity grid and session
-// pacing come from the scale when set (cmd/figures -drift-factor and
-// -session), else the package defaults.
+// Fig1g runs the drift-intensity sweep over Fig1gIntensities, with the
+// session panel paced by the Fig1gSession* constants.
 func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
-	intensities := scale.DriftFactors
-	if len(intensities) == 0 {
-		intensities = Fig1gIntensities
-	}
-	gapNs := scale.SessionGapNs
-	if gapNs <= 0 {
-		gapNs = Fig1gSessionThinkNs
-	}
-	budgetNs := scale.SessionBudgetNs
-	if budgetNs <= 0 {
-		budgetNs = Fig1gSessionBudgetNs
-	}
 	res := &Fig1gResult{
-		Intensities: intensities,
+		Intensities: Fig1gIntensities,
 		Results:     make(map[string]*core.Result),
 		SQLResults:  make(map[string]*core.Result),
 	}
@@ -167,7 +154,7 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 	names, factories := fig1gKVSUTs()
 
 	// Panel 1: data drift.
-	for _, d := range intensities {
+	for _, d := range Fig1gIntensities {
 		scenario, ctrl := fig1gDataScenario(scale, seed, d)
 		results, err := runner.RunAll(scenario, factories)
 		if err != nil {
@@ -202,7 +189,7 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 	if n < 200 {
 		n = 200
 	}
-	for _, d := range intensities {
+	for _, d := range Fig1gIntensities {
 		for _, name := range []string{"static-histogram", "static-sample", "learned-steered"} {
 			db := newOptDriftDB(scale, seed+500)
 			pd := driftctl.NewPredicateDrift(seed+501,
@@ -239,14 +226,14 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 
 	// Panel 3: interactive sessions under data drift — the same transport
 	// paced by think-time sessions, scored by the per-session budget.
-	for _, d := range intensities {
+	for _, d := range Fig1gIntensities {
 		scenario, _ := fig1gDataScenario(scale, seed+900, d)
 		for pi := range scenario.Phases {
 			scenario.Phases[pi].Arrival = workload.NewSessionArrival(
-				seed+901+uint64(pi)*31, gapNs, Fig1gSessionIntraNs, 4, 10)
+				seed+901+uint64(pi)*31, Fig1gSessionThinkNs, Fig1gSessionIntraNs, 4, 10)
 		}
 		scenario.Name = fmt.Sprintf("fig1g-session-D%.2f", d)
-		scenario.Session = &workload.SessionSpec{GapNs: gapNs, BudgetNs: budgetNs}
+		scenario.Session = &workload.SessionSpec{GapNs: Fig1gSessionThinkNs, BudgetNs: Fig1gSessionBudgetNs}
 		results, err := runner.RunAll(scenario, factories)
 		if err != nil {
 			return nil, fmt.Errorf("figures: fig1g session D=%.2f: %w", d, err)

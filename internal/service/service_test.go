@@ -387,6 +387,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown field", `{"sut":"rmi","scenrio":"smoke"}`},
 		{"negative timeout", fmt.Sprintf(`{"sut":"rmi","timeoutMs":-1,"spec":%s}`, detSpec)},
 		{"job id", fmt.Sprintf(`{"id":"c1","sut":"rmi","spec":%s}`, detSpec)},
+		{"oversized spec", `{"sut":"btree","spec":{"name":"big","initialData":{"kind":"uniform"},` +
+			`"phases":[{"ops":4611686018427387904,"access":{"gen":{"kind":"uniform"}}}]}}`},
 	}
 	for _, c := range cases {
 		if code, data := postJSON(t, ts.URL+"/v1/jobs", c.body); code != http.StatusBadRequest {

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -99,32 +97,4 @@ type SessionSpec struct {
 	// first arrival. 0 disables budget accounting (sessions are still
 	// counted and their makespans recorded).
 	BudgetNs int64
-}
-
-// ParseSessionSpec parses the -session flag grammar,
-// "gap=<dur>[,budget=<dur>]", into a session spec.
-func ParseSessionSpec(s string) (*SessionSpec, error) {
-	spec := &SessionSpec{}
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("-session: %q is not key=value", part)
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return nil, fmt.Errorf("-session %s: %w", k, err)
-		}
-		switch k {
-		case "gap":
-			spec.GapNs = d.Nanoseconds()
-		case "budget":
-			spec.BudgetNs = d.Nanoseconds()
-		default:
-			return nil, fmt.Errorf("-session: unknown key %q (have gap, budget)", k)
-		}
-	}
-	if spec.GapNs <= 0 {
-		return nil, fmt.Errorf("-session requires a positive gap")
-	}
-	return spec, nil
 }
