@@ -183,14 +183,10 @@ figures-full:
 figures-csv:
 	$(GO) run ./cmd/figures -csv out/
 
+# examples runs every program under examples/, stopping at the first that
+# fails.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/driftstorm
-	$(GO) run ./examples/optimizersla
-	$(GO) run ./examples/tuningcost
-	$(GO) run ./examples/holdout
-	$(GO) run ./examples/synthesize
-	$(GO) run ./examples/chaosdrill
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt BENCH_smoke.json BENCH_large.json

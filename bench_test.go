@@ -36,7 +36,6 @@ import (
 	"repro/internal/quality"
 	"repro/internal/similarity"
 	"repro/internal/stats"
-	"repro/internal/synth"
 	"repro/internal/workload"
 )
 
@@ -281,15 +280,22 @@ func BenchmarkSynthesizer(b *testing.B) {
 	for i := range trace {
 		trace[i] = distgen.KeysAt(d, float64(i)/float64(len(trace)), 1)[0]
 	}
+	ops := make([]workload.Op, len(trace))
+	for i, k := range trace {
+		ops[i].Key = k
+	}
+	syn := make([]workload.Op, len(trace))
+	gaps := make([]int64, len(trace))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := synth.Fit(trace, synth.FitOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		syn := m.Generate(len(trace), 4)
+		st := workload.FitStream(ops, nil, workload.FitOptions{})
+		workload.NewSynthesizer(st, 4, 0).Fill(syn, gaps, 0, len(syn))
 		if i == 0 {
-			b.ReportMetric(similarity.KS(trace, syn), "ks-orig-vs-synth")
+			keys := make([]uint64, len(syn))
+			for j, op := range syn {
+				keys[j] = op.Key
+			}
+			b.ReportMetric(similarity.KS(trace, keys), "ks-orig-vs-synth")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 // Command lstrace works with binary workload traces (.lstrace): the
-// record → inspect → fit → synthesize flywheel around the benchmark's
-// trace format.
+// record → inspect → score → fit → synthesize flywheel around the
+// benchmark's trace format — the paper's §V-C synthesizer and quality
+// tool.
 //
 // Usage:
 //
@@ -9,10 +10,14 @@
 //	    run of it issues (no SUT runs: the stream is decided before one does)
 //	lstrace inspect run.lstrace
 //	    print the trace's header, phase layout, op mix, and gap summary
-//	lstrace fit run.lstrace [-topk n] [-buckets n]
-//	    fit the trace's statistics and print them as JSON
+//	lstrace score run.lstrace
+//	    score the trace's keys and gaps for benchmark suitability
+//	    (skew, shape, drift, load), per phase and for the whole trace
+//	lstrace fit run.lstrace
+//	    fit the trace's statistics — op mix, gap buckets, and per-segment
+//	    key sketches — and print them as JSON, the shareable model
 //	lstrace synth -from run.lstrace -n 100000 -o synthetic.lstrace
-//	    [-seed s] [-repeat-frac f] [-topk n] [-buckets n]
+//	    [-seed s] [-repeat-frac f]
 //	    fit the trace and write a statistically equivalent synthetic
 //	    trace, optionally with added temporal locality
 //	lstrace import -o run.lstrace [-name n] [-seed s] ycsb.log
@@ -21,17 +26,18 @@
 //
 // A recorded trace replayed through the runner (lsbench -replay)
 // reproduces the recorded run's result JSON byte-for-byte; a synthetic
-// trace preserves the source's key popularity, op mix, and inter-arrival
-// distribution without exposing the original stream.
+// trace preserves the source's key popularity and its drift across the
+// recorded phases, the op mix, and the inter-arrival distribution without
+// exposing the original stream.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/config"
+	"repro/internal/quality"
 	"repro/internal/workload"
 )
 
@@ -44,6 +50,8 @@ func main() {
 		cmdRecord(os.Args[2:])
 	case "inspect":
 		cmdInspect(os.Args[2:])
+	case "score":
+		cmdScore(os.Args[2:])
 	case "fit":
 		cmdFit(os.Args[2:])
 	case "synth":
@@ -56,7 +64,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: lstrace record|inspect|fit|synth|import [flags] (see go doc for details)")
+	fmt.Fprintln(os.Stderr, "usage: lstrace record|inspect|score|fit|synth|import [flags] (see go doc for details)")
 	os.Exit(2)
 }
 
@@ -88,15 +96,7 @@ func cmdRecord(args []string) {
 }
 
 func cmdInspect(args []string) {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("inspect needs exactly one trace file"))
-	}
-	tr, err := workload.ReadTraceFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
+	tr := readOne(flag.NewFlagSet("inspect", flag.ExitOnError), args)
 	fmt.Printf("trace %q (seed %d): %d phases, %d ops", tr.Name, tr.Seed, len(tr.Phases), tr.TotalOps())
 	if tr.Truncated {
 		fmt.Print(" [TORN TAIL: trailing block(s) dropped]")
@@ -121,22 +121,43 @@ func cmdInspect(args []string) {
 	}
 }
 
-func cmdFit(args []string) {
-	fs := flag.NewFlagSet("fit", flag.ExitOnError)
-	topK := fs.Int("topk", 0, "head keys tracked exactly (0 = default)")
-	buckets := fs.Int("buckets", 0, "tail histogram buckets (0 = default)")
+// readOne parses a subcommand's flags and reads its one trace argument.
+func readOne(fs *flag.FlagSet, args []string) *workload.Trace {
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("fit needs exactly one trace file"))
+		fatal(fmt.Errorf("%s needs exactly one trace file", fs.Name()))
 	}
 	tr, err := workload.ReadTraceFile(fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	st := workload.FitTrace(tr, workload.FitOptions{TopK: *topK, TailBuckets: *buckets})
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(st); err != nil {
+	return tr
+}
+
+func cmdScore(args []string) {
+	tr := readOne(flag.NewFlagSet("score", flag.ExitOnError), args)
+	var keys []uint64
+	var gaps []int64
+	for _, ph := range tr.Phases {
+		phKeys := make([]uint64, len(ph.Ops))
+		for i, op := range ph.Ops {
+			phKeys[i] = op.Key
+		}
+		printScore(fmt.Sprintf("phase %d %q", ph.Index, ph.Name), quality.Score(phKeys, ph.Gaps))
+		keys = append(keys, phKeys...)
+		gaps = append(gaps, ph.Gaps...)
+	}
+	printScore("trace", quality.Score(keys, gaps))
+}
+
+func printScore(name string, r quality.Report) {
+	fmt.Printf("%-24s skew=%.2f shape=%.2f drift=%.2f load=%.2f overall=%.2f — %s\n",
+		name, r.SkewScore, r.ShapeScore, r.DriftScore, r.LoadScore, r.Overall, quality.Grade(r.Overall))
+}
+
+func cmdFit(args []string) {
+	tr := readOne(flag.NewFlagSet("fit", flag.ExitOnError), args)
+	if err := workload.FitTrace(tr, workload.FitOptions{}).Write(os.Stdout); err != nil {
 		fatal(err)
 	}
 }
@@ -148,8 +169,6 @@ func cmdSynth(args []string) {
 	n := fs.Int("n", 100_000, "ops to synthesize")
 	seed := fs.Uint64("seed", 1, "synthesizer seed")
 	repeatFrac := fs.Float64("repeat-frac", 0, "fraction of keys re-drawn from the recently issued window [0,1)")
-	topK := fs.Int("topk", 0, "head keys tracked exactly (0 = default)")
-	buckets := fs.Int("buckets", 0, "tail histogram buckets (0 = default)")
 	fs.Parse(args)
 	if *from == "" || *out == "" {
 		fatal(fmt.Errorf("synth needs -from and -o"))
@@ -164,7 +183,7 @@ func cmdSynth(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	st := workload.FitTrace(tr, workload.FitOptions{TopK: *topK, TailBuckets: *buckets})
+	st := workload.FitTrace(tr, workload.FitOptions{})
 	if st.Ops == 0 {
 		fatal(fmt.Errorf("%s is empty, nothing to fit", *from))
 	}

@@ -85,8 +85,8 @@ func main() {
 
 	// --- Flywheel: fit and sweep temporal locality --------------------
 	st := workload.FitTrace(tr, workload.FitOptions{})
-	fmt.Printf("\nfitted: %d ops, %d exact head keys, mean gap %.0fns\n",
-		st.Ops, len(st.TopKeys), st.GapMeanNs)
+	fmt.Printf("\nfitted: %d ops in %d segments, mean gap %.0fns\n",
+		st.Ops, len(st.Segments), st.GapMeanNs)
 	fmt.Println("\nrepeat-frac sweep (synthesized load, same fitted statistics):")
 	fmt.Println("  frac   btree ops/s    rmi ops/s")
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75} {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/quality"
 	"repro/internal/report"
 	"repro/internal/similarity"
-	"repro/internal/synth"
 	"repro/internal/workload"
 )
 
@@ -78,16 +77,20 @@ func TestRecordSynthesizeBenchmark(t *testing.T) {
 		distgen.NewUniform(8, 0, distgen.KeyDomain/8),
 		distgen.NewClustered(9, 6, 1e10))
 	orig := make([]uint64, 20000)
+	ops := make([]workload.Op, len(orig))
 	for i := range orig {
 		orig[i] = distgen.KeysAt(drift, float64(i)/float64(len(orig)), 1)[0]
+		ops[i].Key = orig[i]
 	}
 
-	// 2. Fit + regenerate.
-	model, err := synth.Fit(orig, synth.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
+	// 2. Fit + synthesize.
+	st := workload.FitStream(ops, nil, workload.FitOptions{})
+	synOps := make([]workload.Op, len(ops))
+	workload.NewSynthesizer(st, 10, 0).Fill(synOps, make([]int64, len(ops)), 0, len(ops))
+	syn := make([]uint64, len(synOps))
+	for i, op := range synOps {
+		syn[i] = op.Key
 	}
-	syn := model.Generate(len(orig), 10)
 
 	// 3. Interchangeability checks.
 	if d := similarity.KS(orig, syn); d > 0.06 {

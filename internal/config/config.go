@@ -68,17 +68,14 @@ type SourceSpec struct {
 	// submitters attach a trace without a shared filesystem. Takes
 	// precedence over Path.
 	Data []byte `json:"data,omitempty"`
-	// Phase selects one phase of the trace; nil uses the whole trace
-	// flattened (replay) or fits across all phases (synth).
+	// Phase selects one phase of the trace; nil uses the whole trace:
+	// flattened (replay), or fitted phase by phase so the synthesized
+	// stream walks the recorded phases in order (synth).
 	Phase *int `json:"phase,omitempty"`
 	// RepeatFrac is the synth repetition knob: the fraction of keys
 	// re-drawn from the recently issued window (Redbench-style temporal
 	// locality). 0 ≤ RepeatFrac < 1.
 	RepeatFrac float64 `json:"repeatFrac,omitempty"`
-	// TopK / Buckets tune the fit (defaults: 64 head keys, 256 tail
-	// buckets).
-	TopK    int `json:"topK,omitempty"`
-	Buckets int `json:"buckets,omitempty"`
 }
 
 // build resolves the spec into a Source. The returned length is the
@@ -106,7 +103,6 @@ func (sp SourceSpec) build(base uint64, traces map[string]*workload.Trace) (work
 		if sp.RepeatFrac < 0 || sp.RepeatFrac >= 1 {
 			return nil, 0, fmt.Errorf("config: repeatFrac %v outside [0,1)", sp.RepeatFrac)
 		}
-		opt := workload.FitOptions{TopK: sp.TopK, TailBuckets: sp.Buckets}
 		var st *workload.TraceStats
 		if sp.Phase != nil {
 			pi := *sp.Phase
@@ -114,9 +110,9 @@ func (sp SourceSpec) build(base uint64, traces map[string]*workload.Trace) (work
 				return nil, 0, fmt.Errorf("config: trace has %d phases, no phase %d", len(tr.Phases), pi)
 			}
 			ph := tr.Phases[pi]
-			st = workload.FitStream(ph.Ops, ph.Gaps, opt)
+			st = workload.FitStream(ph.Ops, ph.Gaps, workload.FitOptions{})
 		} else {
-			st = workload.FitTrace(tr, opt)
+			st = workload.FitTrace(tr, workload.FitOptions{})
 		}
 		if st.Ops == 0 {
 			return nil, 0, fmt.Errorf("config: trace is empty, nothing to fit")

@@ -322,7 +322,7 @@ func TestSourceClauseSynth(t *testing.T) {
 		InitialSize: 1000,
 		Phases: []Phase{
 			// Unbounded synth: ops must be explicit.
-			{Name: "fit", Ops: 2500, Source: &SourceSpec{Kind: "synth", Path: path, RepeatFrac: 0.25, TopK: 16, Buckets: 32}},
+			{Name: "fit", Ops: 2500, Source: &SourceSpec{Kind: "synth", Path: path, RepeatFrac: 0.25}},
 		},
 	}
 	sc, err := doc.Build()
