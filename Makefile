@@ -94,15 +94,21 @@ bench-check: bench-smoke
 # every workload came out correct, appends one record to BENCH_e2e.jsonl —
 # commit, date, toolchain, CPU and the run's last stdout line — so the
 # per-PR trajectory of the end-to-end metrics is a committed file: run it on
-# the final tree of a PR and commit the new line. The per-layer trace is
+# the final tree of a PR and commit the new line. It refuses a tree with
+# uncommitted changes to tracked files, whose record would name a commit
+# that is not the code it measured. The per-layer trace is
 # `$(GO) run ./benchmark -trace 1`; benchmark/README.md describes both.
 bench-e2e:
+	@if [ -n "$$(git status --porcelain --untracked-files=no)" ]; then \
+		echo "bench-e2e: tracked files have uncommitted changes, so the record could not name the code it measured; commit them first:" >&2; \
+		git status --short --untracked-files=no >&2; exit 1; \
+	fi
 	@res=$$($(GO) run ./benchmark -trace 0 | tee /dev/stderr | tail -n 1); \
 	case "$$res" in \
 		*'"correct":false'*|[!{]*|'') echo "bench-e2e: run failed, nothing recorded" >&2; exit 1;; \
 	esac; \
 	printf '{"commit":"%s","date":"%s","go":"%s","cpu":"%s","result":%s}\n' \
-		"$$(git describe --always --dirty)" "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$$($(GO) env GOVERSION)" \
+		"$$(git describe --always)" "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$$($(GO) env GOVERSION)" \
 		"$$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)" "$$res" >> BENCH_e2e.jsonl
 
 # bench-pairs is the paired comparison a perf claim rests on, as a tool:

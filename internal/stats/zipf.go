@@ -9,8 +9,8 @@ import (
 
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(rank+1)^theta, using the rejection-inversion method of Hörmann and
-// Derflinger, which is O(1) per sample for any theta > 0, theta != 1 handled
-// via the generalized harmonic transform.
+// Derflinger, which is O(1) per sample for any theta > 0 (theta = 1 takes
+// the series branches of helper1 and helper2).
 //
 // theta (the skew) around 0.99 matches the YCSB default; larger values
 // concentrate more mass on the most popular items.
@@ -87,7 +87,7 @@ func (z *Zipf) Next() uint64 {
 // try is one rejection round of Next on the raw RNG output raw: the rank it
 // yields and whether the round accepted it. It never touches the RNG.
 func (z *Zipf) try(raw uint64) (uint64, bool) {
-	u := z.hIntegralN + float64(raw>>11)/(1<<53)*(z.hIntegralX1-z.hIntegralN)
+	u := z.u(raw)
 	x := z.hIntegralInv(u)
 	k := uint64(x + 0.5)
 	switch {
@@ -103,12 +103,21 @@ func (z *Zipf) try(raw uint64) (uint64, bool) {
 	return 0, false
 }
 
+// u maps raw onto hIntegral's scale, from hIntegralN (rank n) at raw 0 down
+// to hIntegralX1 (rank 1); each step rounds monotonically, so it never rises.
+func (z *Zipf) u(raw uint64) float64 {
+	return z.hIntegralN + float64(raw>>11)/(1<<53)*(z.hIntegralX1-z.hIntegralN)
+}
+
 // ScrambledZipf wraps Zipf so that the popular ranks are scattered across
 // the whole key space instead of clustering at the low end, matching the
 // YCSB "scrambled zipfian" access pattern.
 type ScrambledZipf struct {
 	z *Zipf
 	n uint64
+	// head (buildHead) is nil until served reaches fillParMin draws.
+	head   *[1 << headBits]uint64
+	served int
 }
 
 // NewScrambledZipf returns a scrambled Zipf sampler over [0, n).
@@ -118,8 +127,78 @@ func NewScrambledZipf(rng *RNG, theta float64, n uint64) *ScrambledZipf {
 
 // Next returns the next scrambled rank in [0, n).
 func (s *ScrambledZipf) Next() uint64 {
-	r := s.z.Next()
-	return fnvHash64(r) % s.n
+	s.count(1)
+	for {
+		if r, ok := s.round(s.z.rng.Uint64()); ok {
+			return r
+		}
+	}
+}
+
+// round is Zipf.try on raw, yielding the scrambled rank; a raw in a pure
+// head bucket costs one table load.
+func (s *ScrambledZipf) round(raw uint64) (uint64, bool) {
+	if s.head != nil && s.head[raw>>headShift] != headImpure {
+		return s.head[raw>>headShift], true
+	}
+	k, ok := s.z.try(raw)
+	return fnvHash64(k) % s.n, ok
+}
+
+// count notes n more draws and builds the head table once fillParMin have
+// been asked for, so a sampler that serves only a few never pays for it.
+func (s *ScrambledZipf) count(n int) {
+	if s.head == nil {
+		if s.served += n; s.served >= fillParMin {
+			s.head = s.buildHead()
+		}
+	}
+}
+
+// The head table has a bucket per value of a raw's top headBits bits.
+// headImpure, above every rank, marks a bucket that is not pure; headMargin
+// dwarfs the few ulps by which hIntegral and hIntegralInv can be off.
+const (
+	headBits   = 16
+	headShift  = 64 - headBits
+	headImpure = ^uint64(0)
+	headMargin = 1e-6
+)
+
+// buildHead returns the head table. Bucket b holds the scrambled rank that
+// z.try gives, through its squeeze test, every raw with top bits b, or
+// headImpure. Rank k takes that branch for every x in [k - min(s, 0.5),
+// k + 0.5); its pure buckets have their u range inside the hIntegral image
+// of that interval shrunk by headMargin at both ends. As u falls with raw,
+// the walk goes down from the top bucket (rank 1) while the ranks climb,
+// and stops at the first rank narrower than a bucket, as all after it are.
+func (s *ScrambledZipf) buildHead() *[1 << headBits]uint64 {
+	z := s.z
+	head := new([1 << headBits]uint64)
+	for b := range head {
+		head[b] = headImpure
+	}
+	low := math.Min(z.s, 0.5) - headMargin
+	width := (z.hIntegralN - z.hIntegralX1) / (1 << headBits)
+	k, uLo, uHi := uint64(0), math.Inf(-1), math.Inf(-1)
+	for b := len(head) - 1; b >= 0; b-- {
+		first := uint64(b) << headShift
+		uMin, uMax := z.u(first|(1<<headShift-1)), z.u(first)
+		for uMax > uHi {
+			if k++; k > z.n {
+				return head
+			}
+			kf := float64(k)
+			uLo, uHi = z.hIntegral(kf-low), z.hIntegral(kf+0.5-headMargin)
+			if !(uHi-uLo >= width) {
+				return head
+			}
+		}
+		if uMin >= uLo {
+			head[b] = fnvHash64(k-1) % s.n
+		}
+	}
+	return head
 }
 
 // fillParMin is the smallest fill whose rounds Fill spreads over every core.
@@ -131,6 +210,7 @@ const fillParMin = 1 << 15
 // runs a round on each, keeps the accepted ranks in order and draws the
 // shortfall the same way.
 func (s *ScrambledZipf) Fill(out []uint64) {
+	s.count(len(out))
 	for len(out) > 0 {
 		for i := range out {
 			out[i] = s.z.rng.Uint64()
@@ -148,8 +228,8 @@ func (s *ScrambledZipf) Fill(out []uint64) {
 func (s *ScrambledZipf) accept(raws []uint64) int {
 	kept := 0
 	for _, raw := range raws {
-		if k, ok := s.z.try(raw); ok {
-			raws[kept] = fnvHash64(k) % s.n
+		if r, ok := s.round(raw); ok {
+			raws[kept] = r
 			kept++
 		}
 	}

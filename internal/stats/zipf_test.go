@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -135,6 +136,8 @@ func TestZipfPanics(t *testing.T) {
 
 // TestScrambledZipfFillMatchesNext: Fill yields what len(out) calls of Next
 // yield and leaves the RNG where they leave it, split over cores or not.
+// Next here is the table-free reference, refScrambled, so the head table
+// that the larger fills build answers to it too.
 // Every fill the cores share passes through rejected rounds (counted by
 // replaying its raw outputs through try), so the in-order compaction of the
 // accepted ranks is exercised.
@@ -147,15 +150,15 @@ func TestScrambledZipfFillMatchesNext(t *testing.T) {
 			for _, size := range []int{1, 63, 1<<15 - 1, 1 << 15, 3<<15 + 7} {
 				seed := uint64(size)
 				got := NewScrambledZipf(NewRNG(seed), theta, universe)
-				want := NewScrambledZipf(NewRNG(seed), theta, universe)
+				want := NewZipf(NewRNG(seed), theta, universe)
 				out := make([]uint64, size)
 				got.Fill(out)
 				for i, k := range out {
-					if w := want.Next(); k != w {
+					if w := refScrambled(want); k != w {
 						t.Fatalf("procs %d theta %v size %d: rank %d is %d, Next gives %d", procs, theta, size, i, k, w)
 					}
 				}
-				if g, w := got.z.rng.Uint64(), want.z.rng.Uint64(); g != w {
+				if g, w := got.z.rng.Uint64(), want.rng.Uint64(); g != w {
 					t.Fatalf("procs %d theta %v size %d: RNG after Fill gives %d, after Next %d", procs, theta, size, g, w)
 				}
 
@@ -174,4 +177,98 @@ func TestScrambledZipfFillMatchesNext(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refScrambled is ScrambledZipf.Next without the head table: a Zipf draw,
+// then the scramble.
+func refScrambled(z *Zipf) uint64 { return fnvHash64(z.Next()) % z.n }
+
+// TestScrambledZipfHeadExact: each pure head bucket holds what try gives
+// every raw in it (checked at its ends, next to them, in its middle, and on
+// a million random raws over the pure buckets), and with the table built
+// part-way, interleaved Next and Fill calls draw the table-free stream and
+// leave the RNG where it leaves it.
+func TestScrambledZipfHeadExact(t *testing.T) {
+	const mask = 1<<headShift - 1
+	for _, theta := range []float64{0.5, 0.9, 0.99, 1.1, 1.5, 3.0} {
+		for _, n := range []uint64{1, 3, 1000, 50_000, 1 << 22, 1 << 30} {
+			t.Run(fmt.Sprintf("theta=%v/n=%d", theta, n), func(t *testing.T) {
+				t.Parallel()
+				s := NewScrambledZipf(NewRNG(n), theta, n)
+				head := s.buildHead()
+				var pure []uint64
+				for b, r := range head {
+					if r != headImpure {
+						pure = append(pure, uint64(b))
+					}
+				}
+				t.Logf("%d of %d buckets pure", len(pure), len(head))
+				check := func(raw uint64) {
+					k, ok := s.z.try(raw)
+					if r := head[raw>>headShift]; !ok || fnvHash64(k)%n != r {
+						t.Fatalf("raw %#x: table holds %d, try gives %d (accepted %v)", raw, r, fnvHash64(k)%n, ok)
+					}
+				}
+				for _, b := range pure {
+					first := b << headShift
+					for _, low := range []uint64{0, 1, mask / 2, mask - 1, mask} {
+						check(first | low)
+					}
+				}
+				if len(pure) > 0 {
+					rng := NewRNG(n)
+					for i := 0; i < 1_000_000; i++ {
+						check(pure[rng.Uint64()%uint64(len(pure))]<<headShift | rng.Uint64()&mask)
+					}
+				}
+
+				// The table is built by the Next that makes the 2^15th draw;
+				// a parallel Fill, more Nexts and a serial Fill then use it.
+				got := NewScrambledZipf(NewRNG(n+1), theta, n)
+				want := NewZipf(NewRNG(n+1), theta, n)
+				for _, step := range []struct{ next, fill int }{{10, fillParMin - 20}, {20, 3*fillParMin + 7}, {1000, 63}} {
+					for i := 0; i < step.next; i++ {
+						if g, w := got.Next(), refScrambled(want); g != w {
+							t.Fatalf("Next gives %d, reference %d", g, w)
+						}
+					}
+					out := make([]uint64, step.fill)
+					got.Fill(out)
+					for i, g := range out {
+						if w := refScrambled(want); g != w {
+							t.Fatalf("Fill rank %d is %d, reference %d", i, g, w)
+						}
+					}
+				}
+				if got.head == nil {
+					t.Fatalf("no head table after %d draws", got.served)
+				}
+				if *got.z.rng != *want.rng {
+					t.Fatal("RNG state differs from the reference's")
+				}
+			})
+		}
+	}
+}
+
+// FuzzZipfHead: wherever the head table marks raw's bucket pure, try
+// accepts raw and yields the rank the bucket holds.
+func FuzzZipfHead(f *testing.F) {
+	f.Add(1.1, uint64(1<<22), uint64(0xFFFF_0123_4567_89AB))
+	f.Add(0.5, uint64(1000), uint64(1)<<63)
+	f.Add(3.0, uint64(3), ^uint64(0))
+	f.Fuzz(func(t *testing.T, theta float64, n, raw uint64) {
+		theta = min(math.Abs(theta), 8)
+		if !(theta > 0) {
+			t.Skip("theta must be positive")
+		}
+		s := NewScrambledZipf(NewRNG(1), theta, max(n, 1))
+		r := s.buildHead()[raw>>headShift]
+		if r == headImpure {
+			return
+		}
+		if k, ok := s.z.try(raw); !ok || fnvHash64(k)%s.n != r {
+			t.Fatalf("theta %v n %d raw %#x: table holds %d, try gives %d (accepted %v)", theta, s.n, raw, r, fnvHash64(k)%s.n, ok)
+		}
+	})
 }
