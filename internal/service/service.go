@@ -338,6 +338,12 @@ func (s *Service) execute(job *Job) {
 	ch := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
+		// A panicking SUT or run fails its job, not the worker.
+		defer func() {
+			if p := recover(); p != nil {
+				ch <- outcome{err: fmt.Errorf("service: run panicked: %v", p)}
+			}
+		}()
 		res, err := s.run(job)
 		ch <- outcome{res, err}
 	}()

@@ -40,6 +40,13 @@ func (b *blockSUT) Name() string                    { return "block" }
 func (b *blockSUT) Load(keys, values []uint64)      { <-b.release }
 func (b *blockSUT) Do(op workload.Op) core.OpResult { return core.OpResult{Found: true, Work: 1} }
 
+// panicSUT panics on its first op.
+type panicSUT struct{}
+
+func (panicSUT) Name() string                    { return "panic" }
+func (panicSUT) Load(keys, values []uint64)      {}
+func (panicSUT) Do(op workload.Op) core.OpResult { panic("panicSUT: boom") }
+
 func newTestService(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	svc, err := New(cfg)
@@ -185,6 +192,21 @@ func TestJobTimeout(t *testing.T) {
 	}
 	j2 := submit(t, ts, fmt.Sprintf(`{"sut":"btree","spec":%s}`, detSpec))
 	waitState(t, ts, j2.ID, JobDone)
+}
+
+// TestPanickingSUTFailsItsJob: a SUT that panics fails its job with the
+// panic text, and the one worker goes on to serve the next job.
+func TestPanickingSUTFailsItsJob(t *testing.T) {
+	suts := DefaultSUTs()
+	suts["panic"] = func() core.SUT { return panicSUT{} }
+	_, ts := newTestService(t, Config{Workers: 1, SUTs: suts})
+
+	j := submit(t, ts, fmt.Sprintf(`{"sut":"panic","spec":%s}`, detSpec))
+	if v := waitState(t, ts, j.ID, JobFailed); !strings.Contains(v.Error, "panicSUT: boom") {
+		t.Fatalf("panicked job error = %q, want the panic text", v.Error)
+	}
+	next := submit(t, ts, fmt.Sprintf(`{"sut":"btree","spec":%s}`, detSpec))
+	waitState(t, ts, next.ID, JobDone)
 }
 
 func TestJobCancel(t *testing.T) {
