@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e bench-pairs figures examples clean
+.PHONY: all build vet fmt-check test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e bench-pairs figures clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -189,11 +189,6 @@ figures-full:
 
 figures-csv:
 	$(GO) run ./cmd/figures -csv out/
-
-# examples runs every program under examples/, stopping at the first that
-# fails.
-examples:
-	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt BENCH_smoke.json BENCH_large.json

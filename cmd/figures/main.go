@@ -90,7 +90,6 @@ func main() {
 		only       = flag.String("only", "", "comma-separated subset: "+strings.Join(panelKeys(), ","))
 		csvDir     = flag.String("csv", "", "directory for CSV series")
 		parallelN  = flag.Int("parallel", 0, "max concurrent experiment runs (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
-		batchN     = flag.Int("batch", 0, "op-dispatch batch size for the virtual runner (0/1 = per-op); output is byte-identical at any setting")
 		faults     = flag.String("faults", "", "fig1e fault plan override, e.g. 'slow@2ms-4ms:factor=8;crash@6ms' (default: derived from each SUT's baseline run)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -113,7 +112,6 @@ func main() {
 		fatal(fmt.Errorf("unknown scale %q", *scaleName))
 	}
 	scale.Parallel = *parallelN
-	scale.Batch = *batchN
 	scale.Faults = *faults
 
 	selected, err := selectPanels(*only)

@@ -109,8 +109,8 @@ func benchMain(args []string) error {
 		csvDir     = fs.String("csv", "", "directory to write per-figure CSV files into")
 		example    = fs.Bool("example", false, "print an example config and exit")
 		remote     = fs.String("remote", "", "address of a netdriver server started by lsbench serve sut: run the scenario against it on the wall clock")
-		batch      = fs.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting, with -remote a batch is one round trip and its ops share the round's latency")
-		faults     = fs.String("faults", "", "deterministic fault plan (kind@start-end:params;... with kinds slow,error,crash,drop,delay,stall)")
+		batch      = fs.Int("batch", 0, "op-dispatch batch size (0/1 = per-op); virtual-clock results are byte-identical at any setting unless a -faults window opens or closes mid-run (windows are read once per batch); with -remote a batch is one round trip and its ops share the round's latency")
+		faults     = fs.String("faults", "", "deterministic fault plan (kind@start-end:params;... with kinds slow,error,crash,drop,delay; drop and delay need -remote)")
 		poolPages  = fs.Int("pool-pages", 64, "buffer-pool capacity in 4KiB pages for disk-backed SUTs")
 		poolPolicy = fs.String("pool-policy", "lru", "buffer-pool eviction policy for disk-backed SUTs: lru, clock, 2q")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -137,6 +137,9 @@ func benchMain(args []string) error {
 		return err
 	}
 	plan, err := fault.ParseSpec(*faults, scenario.Seed)
+	if err == nil && *remote == "" {
+		err = plan.CheckInProcess()
+	}
 	if err != nil {
 		return err
 	}

@@ -159,3 +159,15 @@ func TestRemoteRefusesSessions(t *testing.T) {
 		t.Errorf("-remote with a session clause: err = %v, want a refusal that says why", err)
 	}
 }
+
+// TestInProcessRefusesWireFaults: drop and delay windows act on a wire
+// connection, so a run without -remote refuses them by kind instead of
+// reporting a ledger of zeros.
+func TestInProcessRefusesWireFaults(t *testing.T) {
+	for _, kind := range []string{"drop", "delay"} {
+		err := benchMain([]string{"-config", onePhase(t, ""), "-suts", "btree", "-faults", "slow@0s-1ms;" + kind + "@0s-1s"})
+		if err == nil || !strings.Contains(err.Error(), kind) {
+			t.Errorf("-faults %s without -remote: err = %v, want a refusal naming the kind", kind, err)
+		}
+	}
+}

@@ -168,7 +168,7 @@ func workerRole(name string, args []string) (role, error) {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
-		store    = fs.String("store", "results.jsonl", "result store path (JSON lines; empty = in-memory)")
+		store    = fs.String("store", "results.jsonl", "result store path (JSON lines; record jobs keep their traces in traces/ beside it; empty = in-memory, record jobs refused)")
 		holdouts = fs.String("holdouts", "", "directory of sealed hold-out scenario JSON files")
 		workers  = fs.Int("workers", 2, "concurrent benchmark runs")
 		queue    = fs.Int("queue", 16, "pending-job bound (full queue returns 429)")

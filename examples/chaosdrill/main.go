@@ -1,16 +1,11 @@
 // Chaos drill: measure how learned and traditional indexes degrade and
-// recover under a deterministic fault schedule, then run the same drill
-// against the benchmark service's job queue (429 + Retry-After).
+// recover under a deterministic fault schedule.
 //
-// Part 1 wraps each SUT with a fault injector on the run's own virtual
+// Each SUT is wrapped with a fault injector on the run's own virtual
 // clock: a slow-I/O window, a crash-restart that wipes learned state
 // mid-run (the RMI must retrain; the B+ tree has nothing to relearn), and
 // a full error outage. Identical seeds reproduce identical faults, so the
 // recovery numbers are exact, not sampled.
-//
-// Part 2 stalls the service's only worker and overfills its queue: the
-// service answers 429 with a Retry-After hint, and a polite client comes
-// back marked X-Retry-Attempt — both visible in /metrics.
 //
 //	go run ./examples/chaosdrill
 package main
@@ -18,27 +13,23 @@ package main
 import (
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/report"
-	"repro/internal/service"
 	"repro/internal/sim"
 
 	lsbench "repro"
 )
 
 func main() {
-	virtualDrill()
-	serviceDrill()
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
-func virtualDrill() {
+func run(w io.Writer) error {
 	scenario := lsbench.Scenario{
 		Name:        "chaosdrill",
 		Seed:        42,
@@ -56,14 +47,13 @@ func virtualDrill() {
 		}},
 	}
 
-	fmt.Println("=== chaos drill: virtual clock, deterministic faults ===")
+	fmt.Fprintln(w, "=== chaos drill: virtual clock, deterministic faults ===")
 	for _, factory := range []func() lsbench.SUT{lsbench.NewRMISUT, lsbench.NewBTreeSUT} {
 		// Clean baseline: fixes the timebase the fault schedule is cut
 		// from and the SLA band recovery is measured against.
 		clean, err := lsbench.NewRunner().Run(scenario, factory())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		d := time.Duration(clean.DurationNs)
 
@@ -72,8 +62,7 @@ func virtualDrill() {
 			d*15/100, d*25/100, d*35/100, d*55/100, d*65/100)
 		plan, err := lsbench.ParseFaultSpec(spec, scenario.Seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 
 		var inj *lsbench.FaultInjector
@@ -84,105 +73,15 @@ func virtualDrill() {
 		}
 		res, err := runner.Run(scenario, factory())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 
 		start, end, _ := plan.OpFaultSpan()
 		rec := res.Snapshot.Recovery(start, end, 0)
-		report.RobustnessPanel(os.Stdout, res.SUT, res.Snapshot, rec)
+		report.RobustnessPanel(w, res.SUT, res.Snapshot, rec)
 		rep := inj.Report()
-		fmt.Printf("  faults         %d slowed, %d failed, %d crash(es), retrain work %d\n\n",
+		fmt.Fprintf(w, "  faults         %d slowed, %d failed, %d crash(es), retrain work %d\n\n",
 			rep.SlowedOps, rep.FailedOps, rep.Crashes, rep.CrashRetrainWork)
 	}
-}
-
-const drillSpec = `{
-  "name": "drill",
-  "seed": 3,
-  "initialData": {"kind": "uniform"},
-  "initialSize": 2000,
-  "trainBefore": true,
-  "intervalNs": 1000000,
-  "phases": [{
-    "name": "p",
-    "ops": 5000,
-    "mix": {"get": 0.9, "put": 0.1},
-    "access": {"kind": "static", "gen": {"kind": "zipf", "theta": 1.1, "universe": 1048576}}
-  }]
-}`
-
-func serviceDrill() {
-	fmt.Println("=== chaos drill: service queue under a stalled worker ===")
-
-	// One worker, one queue slot, and a fault plan that stalls the worker
-	// for the first 1.5s of wall time.
-	stall, err := lsbench.ParseFaultSpec("stall@0s-1500ms", 3)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	svc, err := service.New(service.Config{
-		Workers:    1,
-		QueueDepth: 1,
-		Fault:      fault.NewInjector(stall, nil),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ts := httptest.NewServer(svc.Handler())
-	defer func() { ts.Close(); svc.Close() }()
-
-	body := fmt.Sprintf(`{"sut":"btree","spec":%s}`, drillSpec)
-	submit := func(retry bool) (int, http.Header) {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		if retry {
-			req.Header.Set("X-Retry-Attempt", "1")
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, resp.Header
-	}
-
-	code1, _ := submit(false) // occupies the stalled worker
-	code2, _ := submit(false) // fills the one queue slot
-	code3, hdr := submit(false)
-	fmt.Printf("  submit x3      -> %d, %d, %d (worker stalled, queue full)\n", code1, code2, code3)
-	fmt.Printf("  Retry-After    %ss (derived from observed run latency)\n", hdr.Get("Retry-After"))
-
-	// A polite client honors the hint: sleep Retry-After seconds, then
-	// resubmit marked as a retry, until the woken worker drains the queue.
-	wait, err := strconv.Atoi(hdr.Get("Retry-After"))
-	if err != nil || wait < 1 {
-		wait = 1
-	}
-	for attempt := 1; ; attempt++ {
-		time.Sleep(time.Duration(wait) * time.Second)
-		code, _ := submit(true)
-		fmt.Printf("  retry %d        -> %d (X-Retry-Attempt set)\n", attempt, code)
-		if code == http.StatusAccepted {
-			break
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "lsbench_jobs_rejected_total") ||
-			strings.HasPrefix(line, "lsbench_jobs_retried_total") {
-			fmt.Printf("  /metrics       %s\n", line)
-		}
-	}
+	return nil
 }

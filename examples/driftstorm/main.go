@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/metrics"
@@ -18,6 +19,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	// Three situations in one run:
 	//   1. moving hotspot over the loaded key range (diurnal load)
 	//   2. growing skew (bursty load)
@@ -65,10 +73,9 @@ func main() {
 	for _, factory := range []func() lsbench.SUT{lsbench.NewALEXSUT, lsbench.NewBTreeSUT} {
 		res, err := runner.Run(scenario, factory())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("=== %s ===\n", res.SUT)
+		fmt.Fprintf(w, "=== %s ===\n", res.SUT)
 		header := []string{"phase", "ops/s", "p99(ns)"}
 		var rows [][]string
 		for _, p := range res.Phases {
@@ -78,23 +85,24 @@ func main() {
 				fmt.Sprintf("%d", p.Latency.Quantile(0.99)),
 			})
 		}
-		report.Table(os.Stdout, header, rows)
+		report.Table(w, header, rows)
 
 		// Adaptability metrics around each phase change.
 		for i := 1; i < len(res.PhaseStarts); i++ {
 			changeAt := res.PhaseStarts[i]
 			if d, ok := res.Timeline.AdaptationTime(changeAt, 0.8, 3); ok {
-				fmt.Printf("adaptation after %q: recovered in %.2fms (dip depth %.0f%%)\n",
+				fmt.Fprintf(w, "adaptation after %q: recovered in %.2fms (dip depth %.0f%%)\n",
 					res.Phases[i].Name, float64(d)/1e6, res.Timeline.DipDepth(changeAt)*100)
 			} else {
-				fmt.Printf("adaptation after %q: no recovery within the run (dip depth %.0f%%)\n",
+				fmt.Fprintf(w, "adaptation after %q: no recovery within the run (dip depth %.0f%%)\n",
 					res.Phases[i].Name, res.Timeline.DipDepth(changeAt)*100)
 			}
 			adj := metrics.AdjustmentSpeed(res.PostChangeLatencies[i-1], res.SLANs, 2000)
-			fmt.Printf("adjustment speed (first 2000 ops): %.3fms over SLA\n", float64(adj)/1e6)
+			fmt.Fprintf(w, "adjustment speed (first 2000 ops): %.3fms over SLA\n", float64(adj)/1e6)
 		}
-		fmt.Printf("online training work: %d units\n\n", res.OnlineTrainWork)
-		report.BandChart(os.Stdout, "SLA bands — "+res.SUT, res.Bands, 8)
-		fmt.Println()
+		fmt.Fprintf(w, "online training work: %d units\n\n", res.OnlineTrainWork)
+		report.BandChart(w, "SLA bands — "+res.SUT, res.Bands, 8)
+		fmt.Fprintln(w)
 	}
+	return nil
 }

@@ -7,7 +7,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	lsbench "repro"
@@ -33,10 +35,17 @@ func devScenario() lsbench.Scenario {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	reg := lsbench.NewHoldoutRegistry()
 	// Hold-outs are registered as sealed factories: the SUT owner sees
 	// only the names.
-	must(reg.Register("holdout-alpha", func() lsbench.Scenario {
+	err := reg.Register("holdout-alpha", func() lsbench.Scenario {
 		return lsbench.Scenario{
 			Name:        "holdout-alpha",
 			Seed:        9001,
@@ -53,8 +62,11 @@ func main() {
 				},
 			}},
 		}
-	}))
-	must(reg.Register("holdout-beta", func() lsbench.Scenario {
+	})
+	if err != nil {
+		return err
+	}
+	err = reg.Register("holdout-beta", func() lsbench.Scenario {
 		return lsbench.Scenario{
 			Name: "holdout-beta",
 			Seed: 9002,
@@ -76,37 +88,37 @@ func main() {
 				},
 			}},
 		}
-	}))
+	})
+	if err != nil {
+		return err
+	}
 
 	runner := lsbench.NewRunner()
-	fmt.Printf("%-8s %-16s %12s\n", "sut", "scenario", "ops/s")
+	fmt.Fprintf(w, "%-8s %-16s %12s\n", "sut", "scenario", "ops/s")
 	for _, factory := range []func() lsbench.SUT{lsbench.NewRMISUT, lsbench.NewBTreeSUT} {
 		// In-sample: the development scenario the SUT was tuned on.
 		dev, err := runner.Run(devScenario(), factory())
-		must(err)
-		fmt.Printf("%-8s %-16s %12.0f\n", dev.SUT, "dev (in-sample)", dev.Throughput())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-8s %-16s %12.0f\n", dev.SUT, "dev (in-sample)", dev.Throughput())
 
 		for _, name := range []string{"holdout-alpha", "holdout-beta"} {
 			res, err := reg.RunOnce(runner, name, factory)
-			must(err)
+			if err != nil {
+				return err
+			}
 			gap := res.Throughput() / dev.Throughput()
-			fmt.Printf("%-8s %-16s %12.0f   (%.0f%% of in-sample)\n",
+			fmt.Fprintf(w, "%-8s %-16s %12.0f   (%.0f%% of in-sample)\n",
 				res.SUT, name, res.Throughput(), gap*100)
 		}
 	}
 
 	// The single-attempt rule is enforced:
-	if _, err := reg.RunOnce(runner, "holdout-alpha", lsbench.NewRMISUT); err != nil {
-		fmt.Printf("\nsecond attempt refused as required: %v\n", err)
-	} else {
-		fmt.Fprintln(os.Stderr, "BUG: second hold-out attempt was allowed")
-		os.Exit(1)
+	_, err = reg.RunOnce(runner, "holdout-alpha", lsbench.NewRMISUT)
+	if err == nil {
+		return errors.New("BUG: second hold-out attempt was allowed")
 	}
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(w, "\nsecond attempt refused as required: %v\n", err)
+	return nil
 }

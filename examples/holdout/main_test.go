@@ -1,0 +1,34 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden file")
+
+// TestOutputGolden pins the example's stdout byte-for-byte. Regenerate with
+//
+//	go test ./examples/holdout -update
+func TestOutputGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "holdout.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("holdout output drifted from golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	}
+}

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/metrics"
@@ -16,6 +17,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	// A workload whose key-access distribution drifts from uniform to
 	// clustered during the run, with a day/night arrival pattern.
 	scenario := lsbench.Scenario{
@@ -34,7 +42,10 @@ func main() {
 					lsbench.NewUniform(3, 0, lsbench.KeyDomain),
 					lsbench.NewClustered(4, 25, float64(lsbench.KeyDomain)/1e6)),
 			},
-			Arrival: lsbench.NewDiurnal(5, 700_000, 0.5, 2),
+			// A base rate well under the RMI's capacity: at 700 k/s its
+			// queue never drained and p50 grew with Ops (189 ms at 200 k
+			// ops, 528 ms at 400 k); here it moves 164 → 188 ns.
+			Arrival: lsbench.NewDiurnal(5, 50_000, 0.5, 2),
 		}},
 	}
 
@@ -44,23 +55,23 @@ func main() {
 	for _, factory := range []func() lsbench.SUT{lsbench.NewRMISUT, lsbench.NewBTreeSUT} {
 		res, err := runner.Run(scenario, factory())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("%s:\n", res.SUT)
-		fmt.Printf("  throughput     %.0f ops/s (average — do not stop here!)\n", res.Throughput())
+		fmt.Fprintf(w, "%s:\n", res.SUT)
+		fmt.Fprintf(w, "  throughput     %.0f ops/s (average — do not stop here!)\n", res.Throughput())
 		sum := res.Timeline.ThroughputSummary()
-		fmt.Printf("  per-interval   median %.0f, IQR [%.0f, %.0f], %d outlier intervals\n",
+		fmt.Fprintf(w, "  per-interval   median %.0f, IQR [%.0f, %.0f], %d outlier intervals\n",
 			sum.Median, sum.P25, sum.P75, sum.OutlierCount)
-		fmt.Printf("  latency        p50 %dns, p99 %dns, max %dns\n",
+		fmt.Fprintf(w, "  latency        p50 %dns, p99 %dns, max %dns\n",
 			res.Latency.Quantile(0.5), res.Latency.Quantile(0.99), res.Latency.Max())
-		fmt.Printf("  SLA            %dns calibrated, %.2f%% violations\n",
+		fmt.Fprintf(w, "  SLA            %dns calibrated, %.2f%% violations\n",
 			res.SLANs, res.Bands.ViolationRate()*100)
-		fmt.Printf("  training       offline %d work units, online %d\n",
+		fmt.Fprintf(w, "  training       offline %d work units, online %d\n",
 			res.OfflineTrainWork, res.OnlineTrainWork)
-		fmt.Printf("  area-vs-ideal  %.3f\n\n", res.Cumulative.AreaVsIdeal())
+		fmt.Fprintf(w, "  area-vs-ideal  %.3f\n\n", res.Cumulative.AreaVsIdeal())
 		labels = append(labels, res.SUT)
 		curves = append(curves, res.Cumulative)
 	}
-	report.CumulativePlot(os.Stdout, "cumulative queries over time", labels, curves, 80, 14)
+	report.CumulativePlot(w, "cumulative queries over time", labels, curves, 80, 14)
+	return nil
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -21,6 +22,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- Production side ---------------------------------------------
 	const n = 60_000
 	drift := distgen.NewSchedule(
@@ -35,21 +43,25 @@ func main() {
 	model := workload.FitStream(orig, gaps, workload.FitOptions{RemapSeed: 42}) // anonymized
 
 	var wire bytes.Buffer
-	must(model.Write(&wire))
-	fmt.Printf("recorded %d ops; shareable model is %d segments, %d bytes of JSON\n",
+	if err := model.Write(&wire); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "recorded %d ops; shareable model is %d segments, %d bytes of JSON\n",
 		n, len(model.Segments), wire.Len())
 
 	// --- Benchmark side ----------------------------------------------
 	received, err := workload.ReadStats(&wire)
-	must(err)
+	if err != nil {
+		return err
+	}
 	replica := synthKeys(received, n)
 	// What anonymity costs: the same fit with identities kept.
 	plain := synthKeys(workload.FitStream(orig, gaps, workload.FitOptions{}), n)
 
 	ok := keys(orig)
-	fmt.Printf("fidelity: KS(original, replica) = %.4f (identities kept: %.4f)\n",
+	fmt.Fprintf(w, "fidelity: KS(original, replica) = %.4f (identities kept: %.4f)\n",
 		similarity.KS(ok, replica), similarity.KS(ok, plain))
-	fmt.Printf("quality:  original %s\n          replica  %s\n", quality.Score(ok, nil), quality.Score(replica, nil))
+	fmt.Fprintf(w, "quality:  original %s\n          replica  %s\n", quality.Score(ok, nil), quality.Score(replica, nil))
 
 	// Benchmark against the replica stream.
 	scenario := core.Scenario{
@@ -67,10 +79,13 @@ func main() {
 	}
 	for _, f := range []func() core.SUT{core.NewRMISUT, core.NewBTreeSUT} {
 		res, err := core.NewRunner().Run(scenario, f())
-		must(err)
-		fmt.Printf("benchmark on replica: %-6s %.0f ops/s (p99 %dns)\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "benchmark on replica: %-6s %.0f ops/s (p99 %dns)\n",
 			res.SUT, res.Throughput(), res.Latency.Quantile(0.99))
 	}
+	return nil
 }
 
 // synthKeys draws the keys of n ops from a synthesizer over st.
@@ -86,11 +101,4 @@ func keys(ops []workload.Op) []uint64 {
 		out[i] = op.Key
 	}
 	return out
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

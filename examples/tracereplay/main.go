@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -44,25 +45,51 @@ const spec = `{
 }`
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "tracereplay:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- Service side: run and record ---------------------------------
+	// The service keeps a recording job's trace in traces/ beside its
+	// result store.
 	dir, err := os.MkdirTemp("", "tracereplay")
-	must(err)
+	if err != nil {
+		return err
+	}
 	defer os.RemoveAll(dir)
-	svc, err := service.New(service.Config{TraceDir: dir})
-	must(err)
+	svc, err := service.New(service.Config{StorePath: filepath.Join(dir, "results.jsonl")})
+	if err != nil {
+		return err
+	}
 	ts := httptest.NewServer(svc.Handler())
 	defer func() { ts.Close(); svc.Close() }()
 
-	job := submit(ts.URL, `{"sut": "btree", "record": true, "spec": `+spec+`}`)
-	waitDone(ts.URL, job)
-	golden := get(ts.URL + "/v1/jobs/" + job + "/result")
-	traceData := get(ts.URL + "/v1/jobs/" + job + "/trace")
-	fmt.Printf("service recorded job %s: %d bytes of trace, %d bytes of result JSON\n",
+	job, err := submit(ts.URL, `{"sut": "btree", "record": true, "spec": `+spec+`}`)
+	if err != nil {
+		return err
+	}
+	if err := waitDone(ts.URL, job); err != nil {
+		return err
+	}
+	golden, err := get(ts.URL + "/v1/jobs/" + job + "/result")
+	if err != nil {
+		return err
+	}
+	traceData, err := get(ts.URL + "/v1/jobs/" + job + "/trace")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "service recorded job %s: %d bytes of trace, %d bytes of result JSON\n",
 		job, len(traceData), len(golden))
 
 	// --- Client side: replay locally ----------------------------------
 	tr, err := workload.ReadTrace(bytes.NewReader(traceData))
-	must(err)
+	if err != nil {
+		return err
+	}
 	// Same initial database as the service's run: the spec's uniform
 	// generator with the seed the config layer derives (seed+1).
 	sc := core.Scenario{
@@ -74,21 +101,25 @@ func main() {
 		IntervalNs:  1_000_000,
 	}.Replay(tr)
 	res, err := core.NewRunner().Run(sc, core.NewBTreeSUT())
-	must(err)
+	if err != nil {
+		return err
+	}
 	local, err := report.MarshalResult(res)
-	must(err)
+	if err != nil {
+		return err
+	}
 	if bytes.Equal(bytes.TrimSpace(local), bytes.TrimSpace(golden)) {
-		fmt.Println("local replay reproduced the service's result JSON byte-for-byte")
+		fmt.Fprintln(w, "local replay reproduced the service's result JSON byte-for-byte")
 	} else {
-		fmt.Println("WARNING: local replay diverged from the service result")
+		fmt.Fprintln(w, "WARNING: local replay diverged from the service result")
 	}
 
 	// --- Flywheel: fit and sweep temporal locality --------------------
 	st := workload.FitTrace(tr, workload.FitOptions{})
-	fmt.Printf("\nfitted: %d ops in %d segments, mean gap %.0fns\n",
+	fmt.Fprintf(w, "\nfitted: %d ops in %d segments, mean gap %.0fns\n",
 		st.Ops, len(st.Segments), st.GapMeanNs)
-	fmt.Println("\nrepeat-frac sweep (synthesized load, same fitted statistics):")
-	fmt.Println("  frac   btree ops/s    rmi ops/s")
+	fmt.Fprintln(w, "\nrepeat-frac sweep (synthesized load, same fitted statistics):")
+	fmt.Fprintln(w, "  frac   btree ops/s    rmi ops/s")
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75} {
 		row := fmt.Sprintf("  %.2f", frac)
 		for _, mk := range []func() core.SUT{core.NewBTreeSUT, core.NewRMISUT} {
@@ -99,58 +130,64 @@ func main() {
 				Source: workload.NewSynthesizer(st, 0, frac),
 			}}
 			r, err := core.NewRunner().Run(ss, mk())
-			must(err)
+			if err != nil {
+				return err
+			}
 			row += fmt.Sprintf("  %12.0f", r.Throughput())
 		}
-		fmt.Println(row)
+		fmt.Fprintln(w, row)
 	}
+	return nil
 }
 
-func submit(base, body string) string {
+func submit(base, body string) (string, error) {
 	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-	must(err)
+	if err != nil {
+		return "", err
+	}
 	defer resp.Body.Close()
 	var v struct {
 		ID    string `json:"id"`
 		Error string `json:"error"`
 	}
-	must(json.NewDecoder(resp.Body).Decode(&v))
-	if v.Error != "" {
-		must(fmt.Errorf("submit: %s", v.Error))
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		return "", err
 	}
-	return v.ID
+	if v.Error != "" {
+		return "", fmt.Errorf("submit: %s", v.Error)
+	}
+	return v.ID, nil
 }
 
-func waitDone(base, id string) {
+func waitDone(base, id string) error {
 	for i := 0; i < 600; i++ {
+		data, err := get(base + "/v1/jobs/" + id)
+		if err != nil {
+			return err
+		}
 		var v struct {
 			State string `json:"state"`
 			Error string `json:"error"`
 		}
-		must(json.Unmarshal(get(base+"/v1/jobs/"+id), &v))
+		if err := json.Unmarshal(data, &v); err != nil {
+			return err
+		}
 		switch v.State {
 		case "done":
-			return
+			return nil
 		case "failed", "canceled", "timeout":
-			must(fmt.Errorf("job %s: %s (%s)", id, v.State, v.Error))
+			return fmt.Errorf("job %s: %s (%s)", id, v.State, v.Error)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	must(fmt.Errorf("job %s never finished", id))
+	return fmt.Errorf("job %s never finished", id)
 }
 
-func get(url string) []byte {
+func get(url string) ([]byte, error) {
 	resp, err := http.Get(url)
-	must(err)
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	must(err)
-	return data
-}
-
-func must(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracereplay:", err)
-		os.Exit(1)
+		return nil, err
 	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
 }

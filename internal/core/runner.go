@@ -149,7 +149,10 @@ type Runner struct {
 	// their completions are priced on the virtual clock. 0 or 1 dispatches
 	// one op at a time. Because op generation never depends on execution
 	// results and a batch is Do per op in issue order, results are
-	// byte-identical at every batch size.
+	// byte-identical at every batch size, except under middleware that
+	// reads the clock: a fault.Injector sees one reading per batch, so a
+	// window that opens or closes mid-run makes results identical per
+	// (plan, seed, batch) only.
 	Batch int
 	// WrapSUT, when set, wraps the SUT once the run's clock is known but
 	// before the initial load — the injection point for

@@ -7,23 +7,21 @@
 // A Plan is a schedule of fault windows on the run's clock: per-operation
 // latency inflation (SlowOps), injected operation errors (ErrorOps), a
 // crash-restart that wipes learned state and forces retraining
-// (CrashRestart), wire-frame drop/delay on the network driver (WireDrop,
-// WireDelay), and stalled workers in the benchmark service (WorkerStall).
+// (CrashRestart), and wire-frame drop/delay on the network driver
+// (WireDrop, WireDelay).
 // An Injector drives the plan: every decision is a pure function of the
 // plan seed and a fault-site sequence number, so identical (plan, seed)
 // runs make identical decisions — on the virtual clock the full result is
 // byte-identical; on the wall clock the decision stream and fault counts
 // still are.
 //
-// The subsystem plugs in at three layers without touching engine code:
+// The subsystem plugs in at two layers without touching engine code:
 //
 //   - Wrap turns any core.SUT into a fault-carrying SUT (the runner's
 //     WrapSUT hook hands it the run's virtual clock);
 //   - NewConn wraps a net.Conn with wire-frame faults (the netdriver's
 //     Options.WrapConn hook), against which the client's capped
-//     exponential backoff makes degradation survivable and measurable;
-//   - Injector.StallFor is the service-queue hook: workers picking up a
-//     job inside a WorkerStall window sleep the window out first.
+//     exponential backoff makes degradation survivable and measurable.
 //
 // Recovery measurement lives in internal/metrics (Snapshot.Recovery):
 // time to return to the pre-fault SLA band, availability, and error
@@ -43,7 +41,7 @@ type Kind int
 
 // Fault kinds. SlowOps, ErrorOps, and CrashRestart act at the SUT
 // middleware (Wrap); WireDrop and WireDelay act at the conn wrapper
-// (NewConn); WorkerStall acts at the service queue (Injector.StallFor).
+// (NewConn).
 const (
 	// SlowOps multiplies the work of affected operations by Factor,
 	// inflating their service time (a slow device, a noisy neighbour).
@@ -59,14 +57,11 @@ const (
 	WireDrop
 	// WireDelay sleeps DelayNs before affected wire writes.
 	WireDelay
-	// WorkerStall stalls service-queue workers for the remainder of the
-	// window before they start a job.
-	WorkerStall
 	numKinds
 )
 
 // kindNames is the spec vocabulary, indexed by Kind.
-var kindNames = [numKinds]string{"slow", "error", "crash", "drop", "delay", "stall"}
+var kindNames = [numKinds]string{"slow", "error", "crash", "drop", "delay"}
 
 // String returns the spec name of the kind.
 func (k Kind) String() string {
@@ -163,6 +158,18 @@ func (p Plan) Validate() error {
 	return nil
 }
 
+// CheckInProcess returns an error naming the first window whose kind only
+// a wire connection consults (drop, delay): a run with no connection under
+// it would accept such a window and never apply it.
+func (p Plan) CheckInProcess() error {
+	for _, w := range p.Windows {
+		if w.Kind.wireKind() {
+			return fmt.Errorf("fault: %s windows act only on a wire connection to a remote SUT, and this run is in process", w.Kind)
+		}
+	}
+	return nil
+}
+
 // OpFaultSpan returns the [start, end) hull of the plan's op-affecting
 // windows — the default recovery-measurement window when the caller has
 // no more specific fault of interest. CrashRestart contributes its start
@@ -223,7 +230,7 @@ func formatNs(ns int64) string { return time.Duration(ns).String() }
 //
 //	spec    := window (';' window)*
 //	window  := kind '@' start [ '-' end ] [ ':' param (',' param)* ]
-//	kind    := slow | error | crash | drop | delay | stall
+//	kind    := slow | error | crash | drop | delay
 //	param   := rate=<0..1> | factor=<float> | delay=<duration>
 //
 // start, end, and delay are Go durations ("10ms", "1.5s", "0"); windows

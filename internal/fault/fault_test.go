@@ -65,12 +65,12 @@ func runWith(t *testing.T, scenario core.Scenario, sut core.SUT, plan *Plan, bat
 }
 
 func TestParseSpecRoundTrip(t *testing.T) {
-	spec := "slow@10ms-20ms:factor=8,rate=0.5;crash@35ms;error@55ms-65ms;drop@1ms-2ms:rate=0.25;delay@3ms-4ms:delay=500us;stall@5ms-6ms"
+	spec := "slow@10ms-20ms:factor=8,rate=0.5;crash@35ms;error@55ms-65ms;drop@1ms-2ms:rate=0.25;delay@3ms-4ms:delay=500us"
 	p, err := ParseSpec(spec, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 42 || len(p.Windows) != 6 {
+	if p.Seed != 42 || len(p.Windows) != 5 {
 		t.Fatalf("parsed plan: seed=%d windows=%d", p.Seed, len(p.Windows))
 	}
 	// String() is canonical and re-parses to the same plan.

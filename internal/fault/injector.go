@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // Injector drives a Plan against a clock and hands out fault decisions to
-// the three plug-in layers. Decisions are pure functions of (plan seed,
+// the two plug-in layers. Decisions are pure functions of (plan seed,
 // window index, site sequence number): the sequence numbers are taken
 // from atomic counters, so under concurrent dispatch the *set* of
 // affected sites — and therefore every counter in Report — is identical
@@ -32,13 +31,12 @@ type Injector struct {
 	// perturbed — dropping a mid-load chunk desyncs the stream).
 	wireOff atomic.Bool
 
-	slowed       atomic.Int64
-	failed       atomic.Int64
-	crashes      atomic.Int64
-	retrainWork  atomic.Int64
-	wireDrops    atomic.Int64
-	wireDelays   atomic.Int64
-	workerStalls atomic.Int64
+	slowed      atomic.Int64
+	failed      atomic.Int64
+	crashes     atomic.Int64
+	retrainWork atomic.Int64
+	wireDrops   atomic.Int64
+	wireDelays  atomic.Int64
 }
 
 // NewInjector builds an injector for plan driven by clock. A nil clock
@@ -161,26 +159,6 @@ func (in *Injector) DecideWrite() WireDecision {
 // streams cannot tolerate a dropped chunk.
 func (in *Injector) SetWireFaults(on bool) { in.wireOff.Store(!on) }
 
-// StallFor returns how long a service worker picking up a job right now
-// must stall before starting it: the remainder of the longest active
-// WorkerStall window, or zero.
-func (in *Injector) StallFor() time.Duration {
-	if in.plan.Empty() {
-		return 0
-	}
-	now := in.clock.Now()
-	var stall int64
-	for _, w := range in.plan.Windows {
-		if w.Kind == WorkerStall && w.covers(now) && w.EndNs-now > stall {
-			stall = w.EndNs - now
-		}
-	}
-	if stall > 0 {
-		in.workerStalls.Add(1)
-	}
-	return time.Duration(stall)
-}
-
 // recordRetrain accumulates crash-forced retraining work (Wrap calls it).
 func (in *Injector) recordRetrain(work int64) { in.retrainWork.Add(work) }
 
@@ -207,7 +185,6 @@ type Report struct {
 	CrashRetrainWork int64  `json:"crash_retrain_work"`
 	WireDrops        int64  `json:"wire_drops"`
 	WireDelays       int64  `json:"wire_delays"`
-	WorkerStalls     int64  `json:"worker_stalls"`
 }
 
 // Report snapshots the fault ledger.
@@ -221,7 +198,6 @@ func (in *Injector) Report() Report {
 		CrashRetrainWork: in.retrainWork.Load(),
 		WireDrops:        in.wireDrops.Load(),
 		WireDelays:       in.wireDelays.Load(),
-		WorkerStalls:     in.workerStalls.Load(),
 	}
 }
 

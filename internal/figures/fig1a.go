@@ -30,9 +30,6 @@ type Scale struct {
 	// replays materialized inputs with its own seeded generators, so
 	// results are bit-identical at any setting.
 	Parallel int
-	// Batch is the runner's op-dispatch batch size (see core.Runner.Batch);
-	// virtual-clock results are byte-identical at any setting.
-	Batch int
 	// Faults optionally overrides the Fig 1e fault plan (fault.ParseSpec
 	// syntax). "" derives the default plan from each SUT's baseline run.
 	Faults string

@@ -43,7 +43,8 @@ type Fig1eResult struct {
 // crash-restart at 35%·D (learned state wiped, retraining forced), and a
 // full error outage over [55%, 65%]·D — leaving the last third of the
 // run for recovery measurement. A non-empty spec (fault.ParseSpec
-// syntax) runs identically for every SUT instead.
+// syntax) runs identically for every SUT instead; it may not hold drop or
+// delay windows, which only a wire connection consults.
 func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
 	names := fig1eSUTs
 
@@ -143,7 +144,11 @@ func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
 // default schedule derived from the baseline duration.
 func fig1ePlan(spec string, seed uint64, baselineNs int64) (fault.Plan, error) {
 	if spec != "" {
-		return fault.ParseSpec(spec, seed)
+		plan, err := fault.ParseSpec(spec, seed)
+		if err == nil {
+			err = plan.CheckInProcess()
+		}
+		return plan, err
 	}
 	d := baselineNs
 	return fault.Plan{

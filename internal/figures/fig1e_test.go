@@ -2,6 +2,7 @@ package figures
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -90,6 +91,21 @@ func TestFig1eExplicitSpec(t *testing.T) {
 		}
 		if rep.FailedOps == 0 {
 			t.Fatalf("%s: error window never fired", name)
+		}
+	}
+}
+
+// TestFig1eRefusesWireFaults: Fig 1e runs in process, where nothing
+// consults drop or delay windows, so a spec holding one is an error that
+// names the kind rather than a clean 100 % availability.
+func TestFig1eRefusesWireFaults(t *testing.T) {
+	s := fig1eScale()
+	s.Ops /= 10
+	s.DataSize /= 10
+	for _, kind := range []string{"drop", "delay"} {
+		_, err := Fig1e(s, 5, "slow@0s-1ms;"+kind+"@0s-1s")
+		if err == nil || !strings.Contains(err.Error(), kind) {
+			t.Errorf("fig1e spec with %s: err = %v, want a refusal naming the kind", kind, err)
 		}
 	}
 }

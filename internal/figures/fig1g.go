@@ -22,8 +22,7 @@ import (
 // drift (predicate location/selectivity transport, SQL optimizer
 // families), and interactive sessions (the same data drift paced by
 // think-time sessions with a per-session budget). Every run is
-// virtual-clock deterministic and byte-identical at any parallelism or
-// batch size.
+// virtual-clock deterministic and byte-identical at any parallelism.
 
 // Fig1gIntensities is the drift-factor sweep (≥4 points).
 var Fig1gIntensities = []float64{0, 0.25, 0.5, 0.75, 1}

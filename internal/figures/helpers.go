@@ -6,13 +6,11 @@ import (
 )
 
 // newRunner returns the core runner configured with the scale's
-// parallelism bound and dispatch batch size, so every RunAll in this
-// package runs under the same -parallel / -batch settings as the panel
-// orchestration in cmd/figures.
+// parallelism bound, so every RunAll in this package runs under the same
+// -parallel setting as the panel orchestration in cmd/figures.
 func newRunner(scale Scale) *core.Runner {
 	r := core.NewRunner()
 	r.Parallel = scale.Parallel
-	r.Batch = scale.Batch
 	return r
 }
 

@@ -7,10 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 )
 
 func postWithHeaders(t *testing.T, url, body string, hdr map[string]string) (int, http.Header, []byte) {
@@ -74,27 +72,5 @@ func TestRetryAfterOn429(t *testing.T) {
 	}
 	if !strings.Contains(m, "lsbench_jobs_retried_total 1") {
 		t.Fatalf("metrics missing retried=1:\n%s", m)
-	}
-}
-
-// TestWorkerStall: a stall window in the service's fault plan delays job
-// execution without failing it — the benchmark-service flavor of a
-// stalled worker process.
-func TestWorkerStall(t *testing.T) {
-	plan, err := fault.ParseSpec("stall@0s-400ms", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.NewInjector(plan, nil) // wall clock, anchored now
-	_, ts := newTestService(t, Config{Workers: 1, Fault: inj})
-
-	start := time.Now()
-	j := submit(t, ts, fmt.Sprintf(`{"sut":"btree","spec":%s}`, detSpec))
-	waitState(t, ts, j.ID, JobDone)
-	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
-		t.Fatalf("stalled job finished in %v, want >= ~400ms stall", elapsed)
-	}
-	if n := inj.Report().WorkerStalls; n != 1 {
-		t.Fatalf("worker stalls = %d, want 1", n)
 	}
 }

@@ -50,7 +50,7 @@ type JobRequest struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	// Record asks the service to record the run's exact op stream as a
 	// binary trace, retrievable from GET /v1/jobs/{id}/trace once the
-	// job is done. Requires Config.TraceDir; refused for sealed
+	// job is done. Requires Config.StorePath; refused for sealed
 	// hold-outs (their workloads never leave the service).
 	Record bool `json:"record,omitempty"`
 }

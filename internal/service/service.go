@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -41,7 +42,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/pager"
 	"repro/internal/par"
 	"repro/internal/report"
@@ -68,19 +68,13 @@ type Config struct {
 	// Individual jobs may override via timeoutMs.
 	JobTimeout time.Duration
 	// StorePath is the JSON-lines result store ("" = in-memory only).
+	// Trace-recording jobs need it: a submission with "record": true has
+	// its materialized scenario written to traces/ beside the store file
+	// before it runs, and serves that binary trace from
+	// GET /v1/jobs/{id}/trace.
 	StorePath string
-	// TraceDir, when set, enables trace-recording jobs: a submission
-	// with "record": true has its materialized scenario written there
-	// before it runs and serves that binary trace from
-	// GET /v1/jobs/{id}/trace. "" disables recording.
-	TraceDir string
 	// LogWriter receives structured request logs (nil = disabled).
 	LogWriter io.Writer
-	// Fault, when set, is the chaos-drill hook: workers picking up a job
-	// inside one of its WorkerStall windows sleep the window out before
-	// running (the queue backs up, clients see 429 + Retry-After, and the
-	// service's recovery is measurable from /metrics).
-	Fault *fault.Injector
 }
 
 // Service is the benchmark-as-a-service daemon state.
@@ -259,8 +253,8 @@ func (s *Service) newJob(req JobRequest) (*Job, error) {
 		return nil, fmt.Errorf("service: negative timeoutMs")
 	}
 	if req.Record {
-		if s.cfg.TraceDir == "" {
-			return nil, fmt.Errorf("service: recording disabled (no trace directory configured)")
+		if s.cfg.StorePath == "" {
+			return nil, fmt.Errorf("service: recording needs a result store (-store): traces are kept beside it")
 		}
 		if req.Holdout != "" {
 			return nil, fmt.Errorf("service: hold-out workloads are sealed and cannot be recorded")
@@ -322,14 +316,6 @@ func (s *Service) execute(job *Job) {
 		timeout = time.Duration(job.Req.TimeoutMs) * time.Millisecond
 	}
 	s.mu.Unlock()
-
-	// Chaos drill: a worker inside a stall window sleeps it out before
-	// running, so the queue visibly backs up and drains.
-	if s.cfg.Fault != nil {
-		if d := s.cfg.Fault.StallFor(); d > 0 {
-			time.Sleep(d)
-		}
-	}
 
 	type outcome struct {
 		res *core.Result
@@ -399,8 +385,12 @@ func (s *Service) run(job *Job) (*core.Result, error) {
 	// Recording run: the job's trace is its materialized scenario, written
 	// before the SUT runs — nothing is teed off the shared runner.
 	sc = sc.Materialize()
-	path := filepath.Join(s.cfg.TraceDir, job.ID+".lstrace")
+	dir := filepath.Join(filepath.Dir(s.cfg.StorePath), "traces")
+	path := filepath.Join(dir, job.ID+".lstrace")
 	tr, err := sc.Trace()
+	if err == nil {
+		err = os.MkdirAll(dir, 0o755)
+	}
 	if err == nil {
 		err = tr.WriteFile(path)
 	}

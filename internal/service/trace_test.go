@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -11,12 +14,17 @@ import (
 
 // TestJobTraceRecordReplay walks the service's record→replay loop: a
 // recording job serves its binary trace, and a second job replaying that
-// trace as an inline source produces byte-identical result JSON.
+// trace as an inline source produces byte-identical result JSON. The
+// trace is kept in traces/ beside the result store.
 func TestJobTraceRecordReplay(t *testing.T) {
-	_, ts := newTestService(t, Config{TraceDir: t.TempDir()})
+	dir := t.TempDir()
+	_, ts := newTestService(t, Config{StorePath: filepath.Join(dir, "results.jsonl")})
 
 	rec := submit(t, ts, `{"sut": "btree", "record": true, "spec": `+detSpec+`}`)
 	waitState(t, ts, rec.ID, JobDone)
+	if _, err := os.Stat(filepath.Join(dir, "traces", rec.ID+".lstrace")); err != nil {
+		t.Fatalf("trace not beside the store: %v", err)
+	}
 	code, golden := get(t, ts.URL+"/v1/jobs/"+rec.ID+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("result: %d: %s", code, golden)
@@ -57,11 +65,11 @@ func TestJobTraceRecordReplay(t *testing.T) {
 }
 
 func TestJobTraceErrors(t *testing.T) {
-	// Recording refused when no trace directory is configured.
+	// Recording refused by an in-memory store, naming the flag that fixes it.
 	_, tsOff := newTestService(t, Config{})
 	code, data := postJSON(t, tsOff.URL+"/v1/jobs", `{"sut": "btree", "record": true, "spec": `+detSpec+`}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("record without TraceDir: %d: %s", code, data)
+	if code != http.StatusBadRequest || !strings.Contains(string(data), "-store") {
+		t.Fatalf("record without a result store: %d: %s", code, data)
 	}
 
 	// Sealed hold-outs cannot be recorded.
@@ -69,7 +77,7 @@ func TestJobTraceErrors(t *testing.T) {
 	if err := holdouts.Register("sealed", func() core.Scenario { return core.Scenario{} }); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestService(t, Config{TraceDir: t.TempDir(), Holdouts: holdouts})
+	_, ts := newTestService(t, Config{StorePath: filepath.Join(t.TempDir(), "results.jsonl"), Holdouts: holdouts})
 	code, data = postJSON(t, ts.URL+"/v1/jobs", `{"sut": "btree", "record": true, "holdout": "sealed"}`)
 	if code != http.StatusBadRequest {
 		t.Fatalf("record holdout: %d: %s", code, data)

@@ -168,7 +168,6 @@ const (
 	FaultCrashRestart = fault.CrashRestart
 	FaultWireDrop     = fault.WireDrop
 	FaultWireDelay    = fault.WireDelay
-	FaultWorkerStall  = fault.WorkerStall
 )
 
 var (
