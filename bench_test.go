@@ -378,6 +378,28 @@ func BenchmarkMicroALEXInsertDrift(b *testing.B) {
 	}
 }
 
+// BenchmarkALEXShiftPhase is that shift phase as one iteration long enough
+// for benchguard's 1 ms floor: 16 384 inserts from one narrow cluster into a
+// freshly bulk-loaded copy of the same zipf index (the load is untimed). The
+// cluster packs into a run that grows to thousands of slots, so insertAt's
+// gap shift is most of the work.
+func BenchmarkALEXShiftPhase(b *testing.B) {
+	loaded := distgen.UniqueKeys(distgen.NewZipfKeys(1, 1.1, 1<<22), 250_000)
+	vals := make([]uint64, len(loaded))
+	keys := distgen.Keys(distgen.NewClustered(4, 1, float64(distgen.KeyDomain)/4096), 16_384)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ix := alex.New()
+		ix.BulkLoad(loaded, vals)
+		b.StartTimer()
+		for j, k := range keys {
+			ix.Insert(k, uint64(j))
+		}
+	}
+}
+
 func BenchmarkMicroBTreeInsert(b *testing.B) {
 	tr := btree.NewDefault()
 	b.ReportAllocs()

@@ -110,13 +110,24 @@ type Index struct {
 	sk, sv []uint64
 }
 
+// dataNode is one gapped array. Slots are logical: search, occ and the model
+// all speak of slot s, and every slot keeps its own entry (a gap keeps a stale
+// one) exactly as in a plain array. Physically, each full 64-slot block (one
+// occupancy word) is a ring with its own rotation: slot s lives at keys[at(s)]
+// = keys[s&^63 | (s+rot[s>>6])&63]. That lets insertAt shift a packed run by
+// rotating the blocks inside it rather than moving their entries. A partial
+// last block never rotates, and every (re)build starts from zero rotations.
 type dataNode struct {
 	keys  []uint64
 	vals  []uint64
 	occ   bitset
+	rot   []uint8 // per occupancy word, in [0, 64)
 	size  int
 	model stats.Linear // key -> slot
 }
+
+// at maps logical slot s to its index in keys and vals.
+func (n *dataNode) at(s int) int { return s&^63 | (s+int(n.rot[s>>6]))&63 }
 
 // New returns an empty adaptive index.
 func New() *Index {
@@ -177,14 +188,15 @@ func normCap(m, c int) int {
 // capacity (raised to fit if needed) using model-based placement.
 func (n *dataNode) loadSortedCap(keys, vals []uint64, c int) {
 	c = normCap(len(keys), c)
-	n.keys = make([]uint64, c)
-	n.vals = make([]uint64, c)
+	kv := make([]uint64, 2*c)
+	n.keys, n.vals = kv[:c:c], kv[c:]
 	n.occ = newBitset(c)
+	n.rot = make([]uint8, len(n.occ))
 	n.place(keys, vals)
 }
 
 // place model-places sorted entries into the node's already sized arrays;
-// n.keys/n.vals/n.occ must be zeroed and len(n.keys) is the capacity.
+// n.keys/n.vals/n.occ/n.rot must be zeroed and len(n.keys) is the capacity.
 func (n *dataNode) place(keys, vals []uint64) {
 	c := len(n.keys)
 	m := len(keys)
@@ -221,8 +233,9 @@ func (n *dataNode) place(keys, vals []uint64) {
 func (ix *Index) collect(n *dataNode) (keys, vals []uint64) {
 	keys, vals = ix.sk[:0], ix.sv[:0]
 	for w, word := range n.occ {
+		base, r := w<<6, int(n.rot[w])
 		for ; word != 0; word &= word - 1 {
-			i := w<<6 + bits.TrailingZeros64(word)
+			i := base | (bits.TrailingZeros64(word)+r)&63
 			keys = append(keys, n.keys[i])
 			vals = append(vals, n.vals[i])
 		}
@@ -265,34 +278,38 @@ func (n *dataNode) search(key uint64) (slot int, found bool, compares int) {
 		}
 	}
 	compares = 1
+	// Inside the landing word one rotation maps every slot.
+	base, r := j&^63, int(n.rot[j>>6])
+	kj := n.keys[base|(j+r)&63]
 	switch {
-	case n.keys[j] == key:
+	case kj == key:
 		return j, true, compares
-	case n.keys[j] < key:
+	case kj < key:
 		// Walk right over occupied slots until >= key.
 		for k, end := j+1, min(j|63+1, c); k < end; k++ {
 			if !n.occ.test(k) {
 				continue
 			}
 			compares++
-			if n.keys[k] >= key {
-				return k, n.keys[k] == key, compares
+			if kk := n.keys[base|(k+r)&63]; kk >= key {
+				return k, kk == key, compares
 			}
 		}
 		return n.walkRight(j>>6+1, key, compares)
 	default:
 		// Walk left: find the leftmost occupied slot with key' >= key.
 		best := j
-		for k := j - 1; k >= j&^63; k-- {
+		for k := j - 1; k >= base; k-- {
 			if !n.occ.test(k) {
 				continue
 			}
 			compares++
-			if n.keys[k] < key {
+			kk := n.keys[base|(k+r)&63]
+			if kk < key {
 				return best, false, compares
 			}
 			best = k
-			if n.keys[k] == key {
+			if kk == key {
 				return k, true, compares
 			}
 		}
@@ -309,15 +326,16 @@ func (n *dataNode) walkRight(w int, key uint64, compares int) (int, bool, int) {
 		if word == 0 {
 			continue
 		}
-		if n.keys[w<<6+63-bits.LeadingZeros64(word)] < key {
+		base, r := w<<6, int(n.rot[w])
+		if n.keys[base|(63-bits.LeadingZeros64(word)+r)&63] < key {
 			compares += bits.OnesCount64(word)
 			continue
 		}
 		for ; ; word &= word - 1 {
-			k := w<<6 + bits.TrailingZeros64(word)
+			k := bits.TrailingZeros64(word)
 			compares++
-			if n.keys[k] >= key {
-				return k, n.keys[k] == key, compares
+			if kk := n.keys[base|(k+r)&63]; kk >= key {
+				return base + k, kk == key, compares
 			}
 		}
 	}
@@ -333,22 +351,24 @@ func (n *dataNode) walkLeft(w int, key uint64, best, compares int) (int, bool, i
 		if word == 0 {
 			continue
 		}
-		if first := w<<6 + bits.TrailingZeros64(word); n.keys[first] > key {
+		base, r := w<<6, int(n.rot[w])
+		if first := bits.TrailingZeros64(word); n.keys[base|(first+r)&63] > key {
 			compares += bits.OnesCount64(word)
-			best = first
+			best = base + first
 			continue
 		}
 		for {
-			k := w<<6 + 63 - bits.LeadingZeros64(word)
+			k := 63 - bits.LeadingZeros64(word)
 			compares++
-			if n.keys[k] < key {
+			kk := n.keys[base|(k+r)&63]
+			if kk < key {
 				return best, false, compares
 			}
-			if n.keys[k] == key {
-				return k, true, compares
+			if kk == key {
+				return base + k, true, compares
 			}
-			best = k
-			word &^= 1 << (uint(k) & 63)
+			best = base + k
+			word &^= 1 << uint(k)
 		}
 	}
 	return best, false, compares
@@ -374,7 +394,7 @@ func (ix *Index) Get(key uint64) (uint64, bool) {
 	if !found {
 		return 0, false
 	}
-	return n.vals[slot], true
+	return n.vals[n.at(slot)], true
 }
 
 // Insert implements index.Ordered.
@@ -384,7 +404,7 @@ func (ix *Index) Insert(key, value uint64) {
 	slot, found, cmp := n.search(key)
 	ix.St.Compares += uint64(cmp)
 	if found {
-		n.vals[slot] = value
+		n.vals[n.at(slot)] = value
 		return
 	}
 	n.insertAt(slot, key, value)
@@ -409,14 +429,18 @@ func (ix *Index) Insert(key, value uint64) {
 // fewer slots; switching rules would change slot layout and with it the
 // priced compares. The node has a gap: Insert expands or splits a node the
 // moment it passes expandDensity, and every (re)build leaves at least one.
+//
+// The shift is logical (see dataNode): shiftRight and shiftLeft leave every
+// slot as a plain copy over the run would, but rotate the full blocks inside
+// the run by one instead of moving their entries, so a shift costs
+// O(run/64 + 64) word moves on the host.
 func (n *dataNode) insertAt(pos int, key, value uint64) {
 	c := len(n.keys)
 	n.size++
 	// A gap immediately left of pos can take the entry directly (order
 	// is preserved because slots (gapLeft, pos) are unoccupied).
 	if pos > 0 && !n.occ.test(pos-1) {
-		n.keys[pos-1] = key
-		n.vals[pos-1] = value
+		n.put(pos-1, key, value)
 		n.occ.set(pos - 1)
 		return
 	}
@@ -425,11 +449,9 @@ func (n *dataNode) insertAt(pos int, key, value uint64) {
 	// range ends fully occupied: the occupancy update is one set bit at the
 	// consumed gap instead of the old per-slot shuffle.
 	if gapR := n.occ.nextClear(pos, c); gapR < c {
-		copy(n.keys[pos+1:gapR+1], n.keys[pos:gapR])
-		copy(n.vals[pos+1:gapR+1], n.vals[pos:gapR])
+		n.shiftRight(pos, gapR)
 		n.occ.set(gapR)
-		n.keys[pos] = key
-		n.vals[pos] = value
+		n.put(pos, key, value)
 		return
 	}
 	// No gap to the right: find one to the left and shift left.
@@ -437,11 +459,84 @@ func (n *dataNode) insertAt(pos int, key, value uint64) {
 	if gapL < 0 {
 		panic("alex: insertAt on a full node")
 	}
-	copy(n.keys[gapL:pos-1], n.keys[gapL+1:pos])
-	copy(n.vals[gapL:pos-1], n.vals[gapL+1:pos])
+	n.shiftLeft(gapL, pos-1)
 	n.occ.set(gapL)
-	n.keys[pos-1] = key
-	n.vals[pos-1] = value
+	n.put(pos-1, key, value)
+}
+
+// put writes an entry into slot s.
+func (n *dataNode) put(s int, key, value uint64) {
+	p := n.at(s)
+	n.keys[p], n.vals[p] = key, value
+}
+
+// shiftRight moves slots [lo, hi) to [lo+1, hi+1); slot lo keeps its entry.
+// Each block strictly inside the run rotates by one, right to left, and its
+// last entry, which the rotation would wrap to its front, goes to the next
+// block's first slot instead; only the two end blocks move entries.
+func (n *dataNode) shiftRight(lo, hi int) {
+	b0, b1 := lo>>6, hi>>6
+	n.unrotate(b1)
+	dst := max(lo, b1<<6)
+	n.move(dst+1, dst, hi-dst)
+	if b0 == b1 {
+		return
+	}
+	for b := b1 - 1; b > b0; b-- {
+		src := n.at(b<<6 + 63)
+		n.keys[dst], n.vals[dst] = n.keys[src], n.vals[src]
+		n.rot[b] = (n.rot[b] - 1) & 63 // src is now the block's first slot
+		dst = src
+	}
+	n.unrotate(b0)
+	end := b0<<6 + 63
+	n.keys[dst], n.vals[dst] = n.keys[end], n.vals[end]
+	n.move(lo+1, lo, end-lo)
+}
+
+// shiftLeft is shiftRight's mirror: slots [lo+1, hi+1) move to [lo, hi),
+// slot hi keeps its entry, and the inner blocks rotate left to right.
+func (n *dataNode) shiftLeft(lo, hi int) {
+	b0, b1 := lo>>6, hi>>6
+	n.unrotate(b0)
+	dst := min(hi, b0<<6+63)
+	n.move(lo, lo+1, dst-lo)
+	if b0 == b1 {
+		return
+	}
+	for b := b0 + 1; b < b1; b++ {
+		src := n.at(b << 6)
+		n.keys[dst], n.vals[dst] = n.keys[src], n.vals[src]
+		n.rot[b] = (n.rot[b] + 1) & 63 // src is now the block's last slot
+		dst = src
+	}
+	n.unrotate(b1)
+	first := b1 << 6
+	n.keys[dst], n.vals[dst] = n.keys[first], n.vals[first]
+	n.move(first, first+1, hi-first)
+}
+
+// move copies m entries from index src to index dst of keys and vals;
+// the ranges may overlap.
+func (n *dataNode) move(dst, src, m int) {
+	copy(n.keys[dst:dst+m], n.keys[src:src+m])
+	copy(n.vals[dst:dst+m], n.vals[src:src+m])
+}
+
+// unrotate brings block b's rotation to zero without changing its slots, so
+// the end blocks of a shift move entries with a plain copy.
+func (n *dataNode) unrotate(b int) {
+	r := int(n.rot[b])
+	if r == 0 {
+		return
+	}
+	n.rot[b] = 0
+	var t [64]uint64
+	for _, a := range [2][]uint64{n.keys[b<<6 : b<<6+64], n.vals[b<<6 : b<<6+64]} {
+		copy(t[:r], a[:r])
+		copy(a, a[r:])
+		copy(a[64-r:], t[:r])
+	}
 }
 
 // splitNode splits nodes[ni] into two equal halves.
@@ -491,8 +586,9 @@ func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 			if w == start>>6 {
 				word &= ^uint64(0) << (uint(start) & 63)
 			}
+			base, r := w<<6, int(n.rot[w])
 			for ; word != 0; word &= word - 1 {
-				i := w<<6 + bits.TrailingZeros64(word)
+				i := base | (bits.TrailingZeros64(word)+r)&63
 				if n.keys[i] > hi {
 					return visited
 				}
@@ -520,9 +616,9 @@ func (ix *Index) BulkLoad(keys, values []uint64) {
 		ix.lows = append(ix.lows[:0], 0)
 		return
 	}
-	// Arena layout: one slab of node structs and flat key/value/occupancy
-	// slabs that every node slices into (capacity-capped windows), instead
-	// of three allocations per node. Node builds write disjoint windows, so
+	// Arena layout: one slab of node structs and flat key/value, occupancy
+	// and rotation slabs that every node slices into (capacity-capped
+	// windows), instead of three allocations per node. Node builds write disjoint windows, so
 	// large loads fan out over internal/par without changing a byte.
 	per := maxNodeSize / 2
 	n := len(keys)
@@ -542,16 +638,18 @@ func (ix *Index) BulkLoad(keys, values []uint64) {
 		woffs[i+1] = woffs[i] + (c+63)>>6
 	}
 	starts[nNodes] = n
-	keySlab := make([]uint64, offs[nNodes])
-	valSlab := make([]uint64, offs[nNodes])
+	total := offs[nNodes]
+	kvSlab := make([]uint64, 2*total) // keys, then values
 	occSlab := make(bitset, woffs[nNodes])
+	rotSlab := make([]uint8, woffs[nNodes])
 	ix.nodes = make([]*dataNode, nNodes)
 	ix.lows = make([]uint64, nNodes)
 	build := func(i int) {
 		nd := &nodeArr[i]
-		nd.keys = keySlab[offs[i]:offs[i+1]:offs[i+1]]
-		nd.vals = valSlab[offs[i]:offs[i+1]:offs[i+1]]
+		nd.keys = kvSlab[offs[i]:offs[i+1]:offs[i+1]]
+		nd.vals = kvSlab[total+offs[i] : total+offs[i+1] : total+offs[i+1]]
 		nd.occ = occSlab[woffs[i]:woffs[i+1]:woffs[i+1]]
+		nd.rot = rotSlab[woffs[i]:woffs[i+1]:woffs[i+1]]
 		nd.place(keys[starts[i]:starts[i+1]], values[starts[i]:starts[i+1]])
 		ix.nodes[i] = nd
 		if i > 0 {

@@ -49,12 +49,13 @@ func TestRoutingInvariant(t *testing.T) {
 		if i+1 < len(ix.lows) {
 			hi = ix.lows[i+1] - 1
 		}
-		for s := range n.keys {
+		keys, _ := logical(n)
+		for s, k := range keys {
 			if !n.occ.test(s) {
 				continue
 			}
-			if n.keys[s] < lo || n.keys[s] > hi {
-				t.Fatalf("node %d holds key %d outside [%d,%d]", i, n.keys[s], lo, hi)
+			if k < lo || k > hi {
+				t.Fatalf("node %d holds key %d outside [%d,%d]", i, k, lo, hi)
 			}
 		}
 	}
@@ -69,14 +70,15 @@ func TestNodeOrderInvariant(t *testing.T) {
 	for ni, n := range ix.nodes {
 		prev := uint64(0)
 		first := true
-		for s := range n.keys {
+		keys, _ := logical(n)
+		for s, k := range keys {
 			if !n.occ.test(s) {
 				continue
 			}
-			if !first && n.keys[s] <= prev {
-				t.Fatalf("node %d slot %d breaks order: %d after %d", ni, s, n.keys[s], prev)
+			if !first && k <= prev {
+				t.Fatalf("node %d slot %d breaks order: %d after %d", ni, s, k, prev)
 			}
-			prev = n.keys[s]
+			prev = k
 			first = false
 		}
 	}

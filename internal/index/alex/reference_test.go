@@ -75,7 +75,9 @@ func refSearch(n *dataNode, key uint64) (slot int, found bool, compares int) {
 
 // refIndex is the index over refSearch, with the per-slot collect and Scan
 // and a fresh pair of slices per rebuild. It shares dataNode and the builders
-// the kernels left alone (loadSortedCap, place, capacityFor).
+// the kernels left alone (loadSortedCap, place, capacityFor). Its nodes never
+// rotate (refInsertAt shifts with a plain copy), so their arrays are in slot
+// order and it reads them directly.
 type refIndex struct {
 	nodes []*dataNode
 	lows  []uint64
@@ -83,16 +85,27 @@ type refIndex struct {
 	st    index.Stats
 }
 
-// refFrom deep-copies ix, so both sides start from one bulk-loaded layout.
+// refFrom deep-copies ix slot by slot into unrotated nodes, so both sides
+// start from one bulk-loaded layout.
 func refFrom(ix *Index) *refIndex {
 	r := &refIndex{lows: slices.Clone(ix.lows), size: ix.size, st: ix.St}
 	for _, n := range ix.nodes {
+		keys, vals := logical(n)
 		r.nodes = append(r.nodes, &dataNode{
-			keys: slices.Clone(n.keys), vals: slices.Clone(n.vals),
-			occ: slices.Clone(n.occ), size: n.size, model: n.model,
+			keys: keys, vals: vals, occ: slices.Clone(n.occ),
+			rot: make([]uint8, len(n.occ)), size: n.size, model: n.model,
 		})
 	}
 	return r
+}
+
+// logical returns a copy of the node's arrays in slot order, gaps included.
+func logical(n *dataNode) (keys, vals []uint64) {
+	keys, vals = make([]uint64, len(n.keys)), make([]uint64, len(n.vals))
+	for s := range keys {
+		keys[s], vals[s] = n.keys[n.at(s)], n.vals[n.at(s)]
+	}
+	return keys, vals
 }
 
 func (r *refIndex) nodeFor(key uint64) int {
@@ -236,26 +249,37 @@ func (r *refIndex) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 	return visited
 }
 
-// sameLayout requires every node's arrays, occupancy, size and model — and so
-// every slot and gap position — to match the reference's.
-func sameLayout(t *testing.T, op int, ix *Index, ref *refIndex) {
+// sameLayout requires every node's slots read through its rotations (gaps
+// included), occupancy, size and model to match the reference's, and no
+// rotation on a partial block or outside [0, 64). It returns how many blocks
+// are rotated.
+func sameLayout(t *testing.T, op int, ix *Index, ref *refIndex) (rotated int) {
 	t.Helper()
 	if !slices.Equal(ix.lows, ref.lows) || len(ix.nodes) != len(ref.nodes) || ix.size != ref.size {
 		t.Fatalf("op %d: routing diverged: %d nodes size %d, want %d / %d", op, len(ix.nodes), ix.size, len(ref.nodes), ref.size)
 	}
 	for ni, n := range ix.nodes {
 		w := ref.nodes[ni]
+		keys, vals := logical(n)
 		if n.size != w.size || n.model != w.model || !slices.Equal(n.occ, w.occ) ||
-			!slices.Equal(n.keys, w.keys) || !slices.Equal(n.vals, w.vals) {
+			!slices.Equal(keys, w.keys) || !slices.Equal(vals, w.vals) {
 			t.Fatalf("op %d: node %d layout diverged from the slot-by-slot reference", op, ni)
 		}
+		checkRotations(t, n)
+		for _, r := range n.rot {
+			if r != 0 {
+				rotated++
+			}
+		}
 	}
+	return rotated
 }
 
 // TestSearchMatchesSlotWalk: on random nodes — sparse to full, packed runs
 // across word boundaries, capacities off the word grid, fresh and stale
-// models — search returns the reference's (slot, found, compares) for keys
-// below, above, between and equal to the node's.
+// models, unrotated and with random rotations on every full block — search
+// returns the reference's (slot, found, compares) for keys below, above,
+// between and equal to the node's.
 func TestSearchMatchesSlotWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	caps := []int{16, 17, 63, 64, 65, 100, 127, 128, 129, 200, 333, 1000, 2926}
@@ -272,6 +296,7 @@ func TestSearchMatchesSlotWalk(t *testing.T) {
 			size = c // no gap at all: every word full, the last one partial
 		}
 		n := &dataNode{keys: make([]uint64, c), vals: make([]uint64, c), occ: newBitset(c), size: size}
+		n.rot = make([]uint8, len(n.occ))
 		// Occupied slots: a packed run from a random start (so runs cross
 		// word boundaries and reach either end), the rest scattered.
 		perm := rng.Perm(c)
@@ -313,14 +338,17 @@ func TestSearchMatchesSlotWalk(t *testing.T) {
 		for _, key := range keys {
 			probes = append(probes, key-1, key, key+1)
 		}
+		twin := rotatedTwin(n, func(int) uint8 { return uint8(1 + rng.Intn(63)) })
 		for _, m := range models {
-			n.model = m
+			n.model, twin.model = m, m
 			for _, key := range probes {
-				gs, gf, gc := n.search(key)
 				ws, wf, wc := refSearch(n, key)
-				if gs != ws || gf != wf || gc != wc {
-					t.Fatalf("trial %d cap %d size %d model %+v key %d: search = (%d,%v,%d), slot walk = (%d,%v,%d)",
-						trial, c, size, m, key, gs, gf, gc, ws, wf, wc)
+				for _, nd := range []*dataNode{n, twin} {
+					gs, gf, gc := nd.search(key)
+					if gs != ws || gf != wf || gc != wc {
+						t.Fatalf("trial %d cap %d size %d rot %v model %+v key %d: search = (%d,%v,%d), slot walk = (%d,%v,%d)",
+							trial, c, size, nd.rot, m, key, gs, gf, gc, ws, wf, wc)
+					}
 				}
 			}
 		}
@@ -342,6 +370,7 @@ func TestMixedRunMatchesReference(t *testing.T) {
 	front := base[len(base)-1] // clusters climb from the top of the loaded range
 	type kv struct{ k, v uint64 }
 	var got, want []kv
+	rotated := 0 // rotated blocks summed over the layout checks
 	for op := 0; op < 200000; op++ {
 		pick := live[rng.Intn(len(live))]
 		switch r := rng.Intn(100); {
@@ -393,19 +422,19 @@ func TestMixedRunMatchesReference(t *testing.T) {
 			t.Fatalf("op %d: Stats %+v Len %d, want %+v Len %d", op, ix.Stats(), ix.Len(), ref.st, ref.size)
 		}
 		if op%512 == 0 {
-			sameLayout(t, op, ix, ref)
+			rotated += sameLayout(t, op, ix, ref)
 		}
 	}
-	sameLayout(t, 200000, ix, ref)
+	rotated += sameLayout(t, 200000, ix, ref)
 	splits := ix.NodeCount() - (len(base)+maxNodeSize/2-1)/(maxNodeSize/2)
-	if expands := int(ix.Stats().Splits) - splits; splits < 5 || expands < 5 {
-		t.Fatalf("run too tame to mean anything: %d splits, %d expands", splits, expands)
+	if expands := int(ix.Stats().Splits) - splits; splits < 5 || expands < 5 || rotated < 100 {
+		t.Fatalf("run too tame to mean anything: %d splits, %d expands, %d rotated blocks", splits, expands, rotated)
 	}
 }
 
 // TestExpandAllocatesOnlyTheNode: once the scratch has grown to a node's size,
 // an insert that triggers an expand allocates the rebuilt node's three arrays
-// and nothing else.
+// (keys and values share one, then occupancy and rotations) and nothing else.
 func TestExpandAllocatesOnlyTheNode(t *testing.T) {
 	const per = maxNodeSize / 2
 	keys := make([]uint64, 12*per)

@@ -152,7 +152,9 @@ func (ix *Index) Delete(key uint64) bool {
 
 // Scan implements index.Ordered. Hash indexes have no order, so Scan
 // collects and sorts matching entries — deliberately expensive, reflecting
-// the real cost of range queries on hash structures.
+// the real cost of range queries on hash structures. That cost is counted:
+// every entry tested and every comparison the sort makes adds to Compares,
+// so the price grows with the table, not with the entries passed to fn.
 func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 	if hi < lo {
 		return 0
@@ -165,13 +167,17 @@ func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 			continue
 		}
 		seen[b] = struct{}{}
+		ix.St.Compares += uint64(len(b.keys))
 		for i, k := range b.keys {
 			if k >= lo && k <= hi {
 				hits = append(hits, kv{k, b.values[i]})
 			}
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].k < hits[j].k })
+	sort.Slice(hits, func(i, j int) bool {
+		ix.St.Compares++
+		return hits[i].k < hits[j].k
+	})
 	visited := 0
 	for _, h := range hits {
 		visited++
