@@ -82,6 +82,18 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if s2 := p2.String(); s1 != s2 {
 		t.Fatalf("round trip unstable:\n  %s\n  %s", s1, s2)
 	}
+	// Each kind alone: an in-process run refuses the wire kinds (drop,
+	// delay) with an error naming the kind and accepts the op kinds.
+	for _, w := range p.Windows {
+		err := Plan{Windows: []Window{w}}.CheckInProcess()
+		if w.Kind == WireDrop || w.Kind == WireDelay {
+			if err == nil || !strings.Contains(err.Error(), w.Kind.String()) {
+				t.Errorf("%s: CheckInProcess = %v, want a refusal naming the kind", w.Kind, err)
+			}
+		} else if err != nil {
+			t.Errorf("%s: CheckInProcess = %v, want nil", w.Kind, err)
+		}
+	}
 }
 
 func TestParseSpecDefaults(t *testing.T) {

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/distgen"
@@ -312,4 +313,50 @@ func AblationHoldout(scale Scale, seed uint64) (*AblationHoldoutResult, error) {
 		*cfg.gap = in.Throughput() / outOf.Throughput()
 	}
 	return out, nil
+}
+
+// ablationsResult is the ablations panel: the five design-choice
+// ablations of DESIGN.md §5.
+type ablationsResult struct {
+	sla *AblationSLAResult
+	phi *AblationPhiResult
+	tr  *AblationTransitionResult
+	tp  *AblationTrainingPlacementResult
+	ho  *AblationHoldoutResult
+}
+
+func ablations(scale Scale, seed uint64) (*ablationsResult, error) {
+	sla, err := AblationSLA(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	phi := AblationPhi(seed)
+	tr, err := AblationTransition(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	tp, err := AblationTrainingPlacement(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	ho, err := AblationHoldout(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &ablationsResult{sla: sla, phi: phi, tr: tr, tp: tp, ho: ho}, nil
+}
+
+func renderAblations(w io.Writer, res *ablationsResult, _ csvFunc) {
+	sla, phi, tr, tp, ho := res.sla, res.phi, res.tr, res.tp, res.ho
+	fmt.Fprintf(w, "1. SLA threshold source — violation rate: calibrated %.1f%%, 100x-loose %.1f%%, 20x-tight %.1f%%\n",
+		sla.CalibratedViolationRate*100, sla.LooseViolationRate*100, sla.TightViolationRate*100)
+	fmt.Fprintf(w, "2. Φ estimator choice — KS/MMD pairwise ordering agreement: %.0f%%\n",
+		phi.OrderAgreement*100)
+	fmt.Fprintf(w, "3. Transition type — throughput dip: abrupt %.0f%% vs gradual %.0f%%; over-SLA %.3fms vs %.3fms\n",
+		tr.AbruptDip*100, tr.GradualDip*100,
+		float64(tr.AbruptOverSLA)/1e6, float64(tr.GradualOverSLA)/1e6)
+	fmt.Fprintf(w, "4. Training placement — post-shift over-SLA: online %.3fms vs scheduled window %.3fms (window work %d)\n",
+		float64(tp.OnlineOverSLA)/1e6, float64(tp.ScheduledOverSLA)/1e6, tp.ScheduledRetrainWork)
+	fmt.Fprintf(w, "5. Hold-out gap — in/out-of-sample throughput ratio: learned %.2fx vs traditional %.2fx\n\n",
+		ho.LearnedGap, ho.TraditionalGap)
 }

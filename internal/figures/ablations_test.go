@@ -3,10 +3,8 @@ package figures
 import "testing"
 
 func TestAblationSLA(t *testing.T) {
-	res, err := AblationSLA(SmallScale(), 21)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*ablationsResult](t, "ablations").sla
 	// Calibrated threshold must be discriminative: some violations
 	// (adaptation disruptions) but far from drowning.
 	if res.CalibratedViolationRate <= 0 || res.CalibratedViolationRate >= 0.9 {
@@ -25,7 +23,8 @@ func TestAblationSLA(t *testing.T) {
 }
 
 func TestAblationPhi(t *testing.T) {
-	res := AblationPhi(22)
+	t.Parallel()
+	res := result[*ablationsResult](t, "ablations").phi
 	if res.OrderAgreement < 0.7 {
 		t.Fatalf("KS/MMD ordering agreement %v below 0.7 — Φ choice would matter too much",
 			res.OrderAgreement)
@@ -41,10 +40,8 @@ func TestAblationPhi(t *testing.T) {
 }
 
 func TestAblationTransition(t *testing.T) {
-	res, err := AblationTransition(SmallScale(), 23)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*ablationsResult](t, "ablations").tr
 	if res.AbruptDip < 0 || res.AbruptDip > 1 || res.GradualDip < 0 || res.GradualDip > 1 {
 		t.Fatalf("dips out of range: %+v", res)
 	}
@@ -58,10 +55,8 @@ func TestAblationTransition(t *testing.T) {
 }
 
 func TestAblationTrainingPlacement(t *testing.T) {
-	res, err := AblationTrainingPlacement(SmallScale(), 24)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*ablationsResult](t, "ablations").tp
 	if res.ScheduledRetrainWork <= 0 {
 		t.Fatal("scheduled window did no retraining")
 	}
@@ -76,10 +71,8 @@ func TestAblationTrainingPlacement(t *testing.T) {
 }
 
 func TestAblationHoldout(t *testing.T) {
-	res, err := AblationHoldout(SmallScale(), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*ablationsResult](t, "ablations").ho
 	// The learned index's in-sample advantage must shrink out of sample
 	// more than the traditional baseline's (which should be ~1.0).
 	if res.LearnedGap <= res.TraditionalGap {

@@ -1,12 +1,14 @@
 // Package figures implements the paper's evaluation artifacts end to end:
-// each ExperimentX function builds the workloads, runs the systems under
-// test on the virtual clock, and returns the exact data series of the
-// corresponding panel of Figure 1 (plus the Lesson ablations), ready for
-// the report package, the root bench harness, and cmd/figures.
+// each panel function (Fig1a, Fig1b, …) builds the workloads, runs the
+// systems under test on the virtual clock, and returns the exact data
+// series of the corresponding panel of Figure 1 (plus the Lesson
+// ablations) for the root bench harness. Panels pairs each with the
+// renderer of its stdout section and CSV files, which cmd/figures runs.
 package figures
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/distgen"
@@ -30,9 +32,6 @@ type Scale struct {
 	// replays materialized inputs with its own seeded generators, so
 	// results are bit-identical at any setting.
 	Parallel int
-	// Faults optionally overrides the Fig 1e fault plan (fault.ParseSpec
-	// syntax). "" derives the default plan from each SUT's baseline run.
-	Faults string
 }
 
 // SmallScale keeps experiments under a second for tests.
@@ -152,4 +151,14 @@ func Fig1a(scale Scale, seed uint64) (*Fig1aResult, error) {
 		}
 	}
 	return res, nil
+}
+
+func renderFig1a(w io.Writer, res *Fig1aResult, csv csvFunc) {
+	for _, sut := range report.SortedKeys(res.Rows) {
+		report.BoxPlot(w,
+			fmt.Sprintf("%s: per-interval throughput by distribution (phi = KS distance from uniform)", sut),
+			res.Rows[sut], 64)
+		fmt.Fprintln(w)
+		csv("fig1a-"+sut+".csv", func(w io.Writer) { report.BoxCSV(w, res.Rows[sut]) })
+	}
 }

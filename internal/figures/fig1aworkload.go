@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/card"
 	"repro/internal/core"
@@ -166,4 +167,14 @@ func Fig1aWorkload(scale Scale, seed uint64) (*Fig1aWorkloadResult, error) {
 		})
 	}
 	return out, nil
+}
+
+func renderFig1aWorkload(w io.Writer, res *Fig1aWorkloadResult, csv csvFunc) {
+	for _, sut := range report.SortedKeys(res.Rows) {
+		report.BoxPlot(w,
+			fmt.Sprintf("%s: per-interval query throughput by workload family", sut),
+			res.Rows[sut], 64)
+		fmt.Fprintln(w)
+		csv("fig1a-workload-"+sut+".csv", func(w io.Writer) { report.BoxCSV(w, res.Rows[sut]) })
+	}
 }

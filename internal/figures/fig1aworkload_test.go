@@ -3,10 +3,8 @@ package figures
 import "testing"
 
 func TestFig1aWorkloadShape(t *testing.T) {
-	res, err := Fig1aWorkload(SmallScale(), 51)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1aWorkloadResult](t, "fig1aw")
 	rows := res.Rows["histogram-optimizer"]
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))

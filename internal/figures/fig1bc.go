@@ -2,6 +2,8 @@ package figures
 
 import (
 	"fmt"
+	"io"
+	"repro/internal/report"
 
 	"repro/internal/core"
 	"repro/internal/distgen"
@@ -184,4 +186,20 @@ func Fig1c(scale Scale, seed uint64) (*Fig1cResult, error) {
 		}
 	}
 	return out, nil
+}
+
+func renderFig1b(w io.Writer, res *Fig1bResult, csv csvFunc) {
+	report.CumulativePlot(w, "build-then-serve: learned (rmi) vs traditional (btree)",
+		res.Labels, res.Curves, 100, 18)
+	fmt.Fprintln(w)
+	csv("fig1b.csv", func(w io.Writer) { report.CumulativeCSV(w, res.Labels, res.Curves, 500) })
+}
+
+func renderFig1c(w io.Writer, res *Fig1cResult, csv csvFunc) {
+	for _, sut := range report.SortedKeys(res.Bands) {
+		report.BandChart(w, "SLA bands — "+sut, res.Bands[sut], 10)
+		fmt.Fprintf(w, "adjustment speed (over-SLA time after change): %.3fms; violation rate %.2f%%\n\n",
+			float64(res.AdjustmentSpeed[sut])/1e6, res.ViolationRate[sut]*100)
+		csv("fig1c-"+sut+".csv", func(w io.Writer) { report.BandCSV(w, res.Bands[sut]) })
+	}
 }

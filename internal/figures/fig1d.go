@@ -2,6 +2,8 @@ package figures
 
 import (
 	"fmt"
+	"io"
+	"repro/internal/report"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -126,4 +128,14 @@ func Fig1d(scale Scale, seed uint64) (*Fig1dResult, error) {
 		out.CostToOutperformGPU = d
 	}
 	return out, nil
+}
+
+func renderFig1d(w io.Writer, res *Fig1dResult, csv csvFunc) {
+	report.CostPlot(w, "auto-tuned kv store (CPU tier) vs manual DBA",
+		res.LearnedCPU, res.Traditional, 80, 16)
+	fmt.Fprintln(w)
+	report.CostPlot(w, "auto-tuned kv store (GPU tier) vs manual DBA",
+		res.LearnedGPU, res.Traditional, 80, 16)
+	fmt.Fprintln(w)
+	csv("fig1d.csv", func(w io.Writer) { report.CostCSV(w, res.LearnedCPU, res.Traditional) })
 }

@@ -2,6 +2,8 @@ package figures
 
 import (
 	"fmt"
+	"io"
+	"repro/internal/report"
 
 	"repro/internal/core"
 	"repro/internal/distgen"
@@ -38,14 +40,12 @@ type Fig1eResult struct {
 // plan — and the recovery view measures how deep the system degraded and
 // how quickly it returned to its pre-fault SLA band.
 //
-// With spec == "" the plan is derived from the SUT's own baseline
-// duration D: a slow-ops window over [15%, 25%]·D (8x work), a
-// crash-restart at 35%·D (learned state wiped, retraining forced), and a
-// full error outage over [55%, 65%]·D — leaving the last third of the
-// run for recovery measurement. A non-empty spec (fault.ParseSpec
-// syntax) runs identically for every SUT instead; it may not hold drop or
-// delay windows, which only a wire connection consults.
-func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
+// The plan is derived from the SUT's own baseline duration D: a slow-ops
+// window over [15%, 25%]·D (8x work), a crash-restart at 35%·D (learned
+// state wiped, retraining forced), and a full error outage over
+// [55%, 65%]·D — leaving the last third of the run for recovery
+// measurement. A custom plan runs through lsbench -faults instead.
+func Fig1e(scale Scale, seed uint64) (*Fig1eResult, error) {
 	names := fig1eSUTs
 
 	scenario := core.Scenario{
@@ -96,10 +96,7 @@ func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
 			return fmt.Errorf("figures: fig1e baseline %s: %w", name, err)
 		}
 
-		plan, err := fig1ePlan(spec, seed, baseRes.DurationNs)
-		if err != nil {
-			return err
-		}
+		plan := fig1ePlan(seed, baseRes.DurationNs)
 
 		// Faulted run: the injector rides the run's own virtual clock via
 		// the runner's WrapSUT hook.
@@ -140,16 +137,8 @@ func Fig1e(scale Scale, seed uint64, spec string) (*Fig1eResult, error) {
 	return res, nil
 }
 
-// fig1ePlan resolves the fault plan: the user's spec verbatim, or the
-// default schedule derived from the baseline duration.
-func fig1ePlan(spec string, seed uint64, baselineNs int64) (fault.Plan, error) {
-	if spec != "" {
-		plan, err := fault.ParseSpec(spec, seed)
-		if err == nil {
-			err = plan.CheckInProcess()
-		}
-		return plan, err
-	}
+// fig1ePlan is the default schedule derived from the baseline duration.
+func fig1ePlan(seed uint64, baselineNs int64) fault.Plan {
 	d := baselineNs
 	return fault.Plan{
 		Seed: seed,
@@ -158,5 +147,28 @@ func fig1ePlan(spec string, seed uint64, baselineNs int64) (fault.Plan, error) {
 			{Kind: fault.CrashRestart, StartNs: d * 35 / 100},
 			{Kind: fault.ErrorOps, StartNs: d * 55 / 100, EndNs: d * 65 / 100},
 		},
-	}, nil
+	}
+}
+
+func renderFig1e(w io.Writer, res *Fig1eResult, csv csvFunc) {
+	for _, sut := range report.SortedKeys(res.Results) {
+		rec := res.Recovery[sut]
+		rep := res.Reports[sut]
+		fmt.Fprintf(w, "%s under %q (baseline %.3fms clean run):\n",
+			sut, res.Specs[sut], float64(res.BaselineNs[sut])/1e6)
+		report.RobustnessPanel(w, "  robustness", res.Results[sut].Snapshot, rec)
+		fmt.Fprintf(w, "  fault ledger        slowed %d, failed %d, crashes %d (retrain work %d)\n\n",
+			rep.SlowedOps, rep.FailedOps, rep.Crashes, rep.CrashRetrainWork)
+	}
+	csv("fig1e.csv", func(w io.Writer) {
+		fmt.Fprintln(w, "sut,availability,failed_ops,error_budget_burn,baseline_violation_rate,peak_violation_rate,time_to_recover_ns,recovered,crashes,crash_retrain_work")
+		for _, sut := range report.SortedKeys(res.Results) {
+			rec := res.Recovery[sut]
+			rep := res.Reports[sut]
+			fmt.Fprintf(w, "%s,%.6f,%d,%.4f,%.6f,%.6f,%d,%t,%d,%d\n",
+				sut, rec.Availability, rec.FailedOps, rec.ErrorBudgetBurn,
+				rec.BaselineViolationRate, rec.PeakViolationRate,
+				rec.TimeToRecoverNs, rec.Recovered, rep.Crashes, rep.CrashRetrainWork)
+		}
+	})
 }

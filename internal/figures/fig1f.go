@@ -223,9 +223,9 @@ func Fig1f(scale Scale, seed uint64) (*Fig1fResult, error) {
 	return res, nil
 }
 
-// RenderFig1f prints the three panels as tables — shared by cmd/figures
-// and the golden test that pins the panel.
-func RenderFig1f(w io.Writer, res *Fig1fResult) {
+// renderFig1f prints the three panels as tables and emits them as one
+// long-format CSV.
+func renderFig1f(w io.Writer, res *Fig1fResult, csv csvFunc) {
 	fmt.Fprintln(w, "cold cache — eviction policy shootout (disk-btree, pool", Fig1fColdPages, "pages):")
 	var rows [][]string
 	for _, c := range res.Cold {
@@ -271,21 +271,19 @@ func RenderFig1f(w io.Writer, res *Fig1fResult) {
 	}
 	report.Table(w, []string{"sut", "ops/s", "p99", "pages written", "fsyncs", "writebacks", "evictions"}, rows)
 	fmt.Fprintln(w)
-}
-
-// Fig1fCSV emits the three panels as one long-format CSV.
-func Fig1fCSV(w io.Writer, res *Fig1fResult) {
-	fmt.Fprintln(w, "panel,label,hit_ratio,pages_read,pages_written,fsyncs,evictions,throughput,p50_ns,p99_ns")
-	for _, c := range res.Cold {
-		fmt.Fprintf(w, "cold,%s,%.6f,%d,0,0,0,%.3f,0,%d\n",
-			c.Policy, c.HitRatio, c.PagesRead, c.Throughput, c.P99Ns)
-	}
-	for _, p := range res.IOBound {
-		fmt.Fprintf(w, "iobound,%d,%.6f,%d,0,0,0,%.3f,%d,0\n",
-			p.Pages, p.HitRatio, p.PagesRead, p.Throughput, p.P50Ns)
-	}
-	for _, p := range res.WriteHeavy {
-		fmt.Fprintf(w, "write,%s,0,0,%d,%d,%d,%.3f,0,%d\n",
-			p.SUT, p.PagesWritten, p.Fsyncs, p.Evictions, p.Throughput, p.P99Ns)
-	}
+	csv("fig1f.csv", func(w io.Writer) {
+		fmt.Fprintln(w, "panel,label,hit_ratio,pages_read,pages_written,fsyncs,evictions,throughput,p50_ns,p99_ns")
+		for _, c := range res.Cold {
+			fmt.Fprintf(w, "cold,%s,%.6f,%d,0,0,0,%.3f,0,%d\n",
+				c.Policy, c.HitRatio, c.PagesRead, c.Throughput, c.P99Ns)
+		}
+		for _, p := range res.IOBound {
+			fmt.Fprintf(w, "iobound,%d,%.6f,%d,0,0,0,%.3f,%d,0\n",
+				p.Pages, p.HitRatio, p.PagesRead, p.Throughput, p.P50Ns)
+		}
+		for _, p := range res.WriteHeavy {
+			fmt.Fprintf(w, "write,%s,0,0,%d,%d,%d,%.3f,0,%d\n",
+				p.SUT, p.PagesWritten, p.Fsyncs, p.Evictions, p.Throughput, p.P99Ns)
+		}
+	})
 }

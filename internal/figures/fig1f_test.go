@@ -2,22 +2,14 @@ package figures
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/report"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
-
 func TestFig1fShape(t *testing.T) {
-	res, err := Fig1f(SmallScale(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1fResult](t, "fig1f")
 	if len(res.Cold) != 3 {
 		t.Fatalf("cold panel has %d policies", len(res.Cold))
 	}
@@ -92,99 +84,18 @@ func TestFig1fShape(t *testing.T) {
 	}
 }
 
-// TestFig1fDeterministic pins the ISSUE acceptance: same seed + knobs
-// yields byte-identical virtual-clock result JSON across repeats.
-func TestFig1fDeterministic(t *testing.T) {
-	a, err := Fig1f(SmallScale(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig1f(SmallScale(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Cold, b.Cold) {
-		t.Fatalf("cold panel differs between identical runs:\n%+v\n%+v", a.Cold, b.Cold)
-	}
-	if !reflect.DeepEqual(a.IOBound, b.IOBound) {
-		t.Fatal("io-bound panel differs between identical runs")
-	}
-	if !reflect.DeepEqual(a.WriteHeavy, b.WriteHeavy) {
-		t.Fatal("write-heavy panel differs between identical runs")
-	}
-	for key, ra := range a.Results {
-		rb, ok := b.Results[key]
-		if !ok {
-			t.Fatalf("second run missing %s", key)
-		}
-		ja, err := report.MarshalResult(ra)
+// TestFig1fParallelBitIdentical: the panel fans its runs out under
+// -parallel; panels and raw results must match the serial run exactly,
+// and every raw result marshals with its storage block.
+func TestFig1fParallelBitIdentical(t *testing.T) {
+	res := checkParallel[*Fig1fResult](t, "fig1f")
+	for key, r := range res.Results {
+		data, err := report.MarshalResult(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jb, err := report.MarshalResult(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ja, jb) {
-			t.Fatalf("%s: result JSON differs between identical runs", key)
-		}
-		if !bytes.Contains(ja, []byte(`"storage"`)) {
+		if !bytes.Contains(data, []byte(`"storage"`)) {
 			t.Fatalf("%s: marshalled result has no storage block", key)
 		}
-	}
-}
-
-// TestFig1fParallelBitIdentical: the panel fans its runs out under
-// -parallel; results must match the serial sweep exactly.
-func TestFig1fParallelBitIdentical(t *testing.T) {
-	serial := SmallScale()
-	serial.Ops /= 2
-	serial.DataSize /= 2
-	serial.Parallel = 1
-	par := serial
-	par.Parallel = 8
-
-	a, err := Fig1f(serial, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig1f(par, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Cold, b.Cold) || !reflect.DeepEqual(a.IOBound, b.IOBound) ||
-		!reflect.DeepEqual(a.WriteHeavy, b.WriteHeavy) {
-		t.Fatal("panels differ between serial and parallel sweep")
-	}
-}
-
-// TestFig1fGolden pins the rendered panel byte-for-byte. Regenerate with
-//
-//	go test ./internal/figures -run TestFig1fGolden -update
-func TestFig1fGolden(t *testing.T) {
-	scale := SmallScale()
-	scale.Ops /= 2
-	scale.DataSize /= 2
-	res, err := Fig1f(scale, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	RenderFig1f(&buf, res)
-	buf.WriteString("--- csv ---\n")
-	Fig1fCSV(&buf, res)
-
-	path := filepath.Join("testdata", "fig1f.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("fig1f panel drifted from golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
 }

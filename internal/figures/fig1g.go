@@ -256,9 +256,9 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 	return res, nil
 }
 
-// RenderFig1g prints the three panels as tables — shared by cmd/figures
-// and the golden test that pins the panel.
-func RenderFig1g(w io.Writer, res *Fig1gResult) {
+// renderFig1g prints the three panels as tables and emits them as one
+// long-format CSV.
+func renderFig1g(w io.Writer, res *Fig1gResult, csv csvFunc) {
 	fmt.Fprintln(w, "data drift — metric quadruple vs drift intensity D (keys transport to unseen domain half):")
 	var rows [][]string
 	for _, c := range res.Data {
@@ -304,21 +304,19 @@ func RenderFig1g(w io.Writer, res *Fig1gResult) {
 	}
 	report.Table(w, []string{"D", "sut", "sessions", "met%", "late ops", "makespan p99"}, rows)
 	fmt.Fprintln(w)
-}
-
-// Fig1gCSV emits the three panels as one long-format CSV.
-func Fig1gCSV(w io.Writer, res *Fig1gResult) {
-	fmt.Fprintln(w, "panel,d,divergence,label,throughput,p99_ns,violation_rate,adjust_ns,train_work,sessions,met_rate,late_ops,makespan_p99_ns")
-	for _, c := range res.Data {
-		fmt.Fprintf(w, "data,%.2f,%.6f,%s,%.3f,%d,%.6f,%d,0,0,0,0,0\n",
-			c.D, c.Divergence, c.SUT, c.Throughput, c.P99Ns, c.ViolationRate, c.AdjustmentNs)
-	}
-	for _, c := range res.Query {
-		fmt.Fprintf(w, "query,%.2f,0,%s,%.3f,%d,%.6f,0,%d,0,0,0,0\n",
-			c.D, c.System, c.Throughput, c.P99Ns, c.ViolationRate, c.TrainWork)
-	}
-	for _, c := range res.Session {
-		fmt.Fprintf(w, "session,%.2f,0,%s,0,0,0,0,0,%d,%.6f,%d,%d\n",
-			c.D, c.SUT, c.Sessions, c.MetRate, c.LateOps, c.MakespanP99Ns)
-	}
+	csv("fig1g.csv", func(w io.Writer) {
+		fmt.Fprintln(w, "panel,d,divergence,label,throughput,p99_ns,violation_rate,adjust_ns,train_work,sessions,met_rate,late_ops,makespan_p99_ns")
+		for _, c := range res.Data {
+			fmt.Fprintf(w, "data,%.2f,%.6f,%s,%.3f,%d,%.6f,%d,0,0,0,0,0\n",
+				c.D, c.Divergence, c.SUT, c.Throughput, c.P99Ns, c.ViolationRate, c.AdjustmentNs)
+		}
+		for _, c := range res.Query {
+			fmt.Fprintf(w, "query,%.2f,0,%s,%.3f,%d,%.6f,0,%d,0,0,0,0\n",
+				c.D, c.System, c.Throughput, c.P99Ns, c.ViolationRate, c.TrainWork)
+		}
+		for _, c := range res.Session {
+			fmt.Fprintf(w, "session,%.2f,0,%s,0,0,0,0,0,%d,%.6f,%d,%d\n",
+				c.D, c.SUT, c.Sessions, c.MetRate, c.LateOps, c.MakespanP99Ns)
+		}
+	})
 }

@@ -2,24 +2,19 @@ package figures
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/report"
 )
 
-// TestFig1gShape pins the ISSUE acceptance for the drift sweep: at least
+// TestFig1gShape pins the shape of the drift sweep: at least
 // four intensity points and three SUT families per panel, with the drift
 // knob actually steering the metric quadruple — learned structures
 // degrade with D while the B+ tree baseline stays flat, and the adaptive
 // optimizer holds its latency while the static sample collapses.
 func TestFig1gShape(t *testing.T) {
-	res, err := Fig1g(SmallScale(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1gResult](t, "fig1g")
 	if len(res.Intensities) < 4 {
 		t.Fatalf("only %d intensity points, need >= 4", len(res.Intensities))
 	}
@@ -140,102 +135,19 @@ func TestFig1gShape(t *testing.T) {
 	}
 }
 
-// TestFig1gDeterministic: same seed + knobs yields identical panels and
-// byte-identical result JSON across repeats, including the session block.
-func TestFig1gDeterministic(t *testing.T) {
-	a, err := Fig1g(SmallScale(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig1g(SmallScale(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Data, b.Data) {
-		t.Fatalf("data panel differs between identical runs:\n%+v\n%+v", a.Data, b.Data)
-	}
-	if !reflect.DeepEqual(a.Query, b.Query) {
-		t.Fatal("query panel differs between identical runs")
-	}
-	if !reflect.DeepEqual(a.Session, b.Session) {
-		t.Fatal("session panel differs between identical runs")
-	}
-	if !reflect.DeepEqual(a.SQLResults, b.SQLResults) {
-		t.Fatal("raw SQL results differ between identical runs")
-	}
-	for key, ra := range a.Results {
-		rb, ok := b.Results[key]
-		if !ok {
-			t.Fatalf("second run missing %s", key)
-		}
-		ja, err := report.MarshalResult(ra)
+// TestFig1gParallelBitIdentical: the sweep fans scenario×SUT runs out
+// under -parallel; every panel and raw result must match the serial run
+// exactly, and every session-paced result marshals with its sessions
+// block.
+func TestFig1gParallelBitIdentical(t *testing.T) {
+	res := checkParallel[*Fig1gResult](t, "fig1g")
+	for key, r := range res.Results {
+		data, err := report.MarshalResult(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jb, err := report.MarshalResult(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ja, jb) {
-			t.Fatalf("%s: result JSON differs between identical runs", key)
-		}
-		if ra.Sessions != nil && !bytes.Contains(ja, []byte(`"sessions"`)) {
+		if r.Sessions != nil && !bytes.Contains(data, []byte(`"sessions"`)) {
 			t.Fatalf("%s: marshalled result has no sessions block", key)
 		}
-	}
-}
-
-// TestFig1gParallelBitIdentical: the sweep fans scenario×SUT runs out
-// under -parallel; every panel must match the serial sweep exactly.
-func TestFig1gParallelBitIdentical(t *testing.T) {
-	serial := SmallScale()
-	serial.Ops /= 2
-	serial.DataSize /= 2
-	serial.Parallel = 1
-	par := serial
-	par.Parallel = 8
-
-	a, err := Fig1g(serial, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig1g(par, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Data, b.Data) || !reflect.DeepEqual(a.Query, b.Query) ||
-		!reflect.DeepEqual(a.Session, b.Session) {
-		t.Fatal("panels differ between serial and parallel sweep")
-	}
-}
-
-// TestFig1gGolden pins the rendered panel byte-for-byte. Regenerate with
-//
-//	go test ./internal/figures -run TestFig1gGolden -update
-func TestFig1gGolden(t *testing.T) {
-	scale := SmallScale()
-	scale.Ops /= 2
-	scale.DataSize /= 2
-	res, err := Fig1g(scale, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	RenderFig1g(&buf, res)
-	buf.WriteString("--- csv ---\n")
-	Fig1gCSV(&buf, res)
-
-	path := filepath.Join("testdata", "fig1g.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("fig1g panel drifted from golden\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
 }

@@ -2,42 +2,21 @@ package figures
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
-func TestFig1aParallelBitIdentical(t *testing.T) {
-	// The determinism guarantee behind -parallel: the whole distribution
-	// sweep, fanned out across cases and SUTs, produces exactly the data
-	// a serial sweep produces.
-	serialScale := SmallScale()
-	serialScale.Ops /= 4
-	serialScale.DataSize /= 4
-	serialScale.Parallel = 1
-	parScale := serialScale
-	parScale.Parallel = 8
+// TestFig1aParallelBitIdentical: the determinism guarantee behind
+// -parallel — the distribution sweep, fanned out across cases and SUTs,
+// produces exactly the data a serial sweep produces.
+func TestFig1aParallelBitIdentical(t *testing.T) { checkParallel[*Fig1aResult](t, "fig1a") }
 
-	a, err := Fig1a(serialScale, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig1a(parScale, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Phi, b.Phi) {
-		t.Fatal("phi values differ between serial and parallel sweep")
-	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Fatal("rows differ between serial and parallel sweep")
-	}
-}
+func TestFig1bParallelBitIdentical(t *testing.T) { checkParallel[*Fig1bResult](t, "fig1b") }
+
+func TestFig1cParallelBitIdentical(t *testing.T) { checkParallel[*Fig1cResult](t, "fig1c") }
 
 func TestFig1aShape(t *testing.T) {
-	res, err := Fig1a(SmallScale(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1aResult](t, "fig1a")
 	cases := Fig1aCases()
 	if len(res.Rows) != 4 {
 		t.Fatalf("SUT count = %d", len(res.Rows))
@@ -91,10 +70,8 @@ func TestFig1aSpecializationSpread(t *testing.T) {
 	// The RMI's throughput must vary more across distributions than the
 	// B+ tree's (specialization vs. distribution-obliviousness) —
 	// measured by relative spread of medians.
-	res, err := Fig1a(SmallScale(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1aResult](t, "fig1a")
 	spread := func(sut string) float64 {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, r := range res.Rows[sut] {
@@ -114,10 +91,8 @@ func TestFig1aSpecializationSpread(t *testing.T) {
 }
 
 func TestFig1bShape(t *testing.T) {
-	res, err := Fig1b(SmallScale(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1bResult](t, "fig1b")
 	if len(res.Curves) != 2 || res.Labels[0] != "rmi" || res.Labels[1] != "btree" {
 		t.Fatalf("labels = %v", res.Labels)
 	}
@@ -150,10 +125,8 @@ func TestFig1bShape(t *testing.T) {
 }
 
 func TestFig1cShape(t *testing.T) {
-	res, err := Fig1c(SmallScale(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1cResult](t, "fig1c")
 	for _, sut := range []string{"rmi", "alex", "btree"} {
 		bt, ok := res.Bands[sut]
 		if !ok {
@@ -181,10 +154,8 @@ func TestFig1cShape(t *testing.T) {
 }
 
 func TestFig1dShape(t *testing.T) {
-	res, err := Fig1d(SmallScale(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*Fig1dResult](t, "fig1d")
 	if len(res.LearnedCPU) != len(Fig1dBudgets) || len(res.LearnedGPU) != len(Fig1dBudgets) {
 		t.Fatal("learned curve incomplete")
 	}
@@ -236,10 +207,8 @@ func TestFig1dShape(t *testing.T) {
 }
 
 func TestLesson1FixedOverstates(t *testing.T) {
-	res, err := Lesson1(SmallScale(), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*lessonsResult](t, "lessons").l1
 	if res.FixedRatio <= 1 {
 		t.Fatalf("learned index should win on the fixed learnable workload: ratio %v", res.FixedRatio)
 	}
@@ -250,10 +219,8 @@ func TestLesson1FixedOverstates(t *testing.T) {
 }
 
 func TestLesson2AverageHides(t *testing.T) {
-	res, err := Lesson2(SmallScale(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*lessonsResult](t, "lessons").l2
 	if res.MeanGapFraction > 0.15 {
 		t.Fatalf("means too far apart (%v) for the demonstration", res.MeanGapFraction)
 	}
@@ -263,10 +230,8 @@ func TestLesson2AverageHides(t *testing.T) {
 }
 
 func TestLesson3BreakEven(t *testing.T) {
-	res, err := Lesson3(SmallScale(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*lessonsResult](t, "lessons").l3
 	if res.TrainNs <= 0 {
 		t.Fatal("no training time charged")
 	}
@@ -280,11 +245,8 @@ func TestLesson3BreakEven(t *testing.T) {
 }
 
 func TestLesson4HumanCostFlips(t *testing.T) {
-	fig, err := Fig1d(SmallScale(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Lesson4(fig)
+	t.Parallel()
+	res := Lesson4(result[*Fig1dResult](t, "fig1d"))
 	// Machine-only: DBA "costs nothing" (human hours unpriced) so the
 	// DBA system looks at least as cheap.
 	if res.MachineOnlyDBA > res.MachineOnlyLearned {

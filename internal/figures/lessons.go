@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/core"
@@ -261,4 +262,55 @@ func Lesson4(fig1d *Fig1dResult) *Lesson4Result {
 		FullLearned:        m.TCO(execHoursPerYear, learned),
 		FullDBA:            m.TCO(execHoursPerYear, dba),
 	}
+}
+
+// lessonsResult is the lessons panel: Lessons 1–3, and Lesson 4 over the
+// panel's own Figure 1d run.
+type lessonsResult struct {
+	l1 *Lesson1Result
+	l2 *Lesson2Result
+	l3 *Lesson3Result
+	l4 *Lesson4Result
+}
+
+func lessons(scale Scale, seed uint64) (*lessonsResult, error) {
+	l1, err := Lesson1(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	l2, err := Lesson2(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	l3, err := Lesson3(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	fig, err := Fig1d(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &lessonsResult{l1: l1, l2: l2, l3: l3, l4: Lesson4(fig)}, nil
+}
+
+func renderLessons(w io.Writer, res *lessonsResult, _ csvFunc) {
+	l1, l2, l3, l4 := res.l1, res.l2, res.l3, res.l4
+	fmt.Fprintf(w, "Lesson 1 (fixed workloads are easy to learn):\n")
+	fmt.Fprintf(w, "  learned/traditional throughput ratio: fixed %.2fx -> drifting %.2fx\n\n",
+		l1.FixedRatio, l1.DriftRatio)
+
+	fmt.Fprintf(w, "Lesson 2 (averages hide adaptability):\n")
+	fmt.Fprintf(w, "  %s: mean %.0f ops/s, p99 latency %dns\n", l2.NameA, l2.MeanA, l2.P99LatencyA)
+	fmt.Fprintf(w, "  %s: mean %.0f ops/s, p99 latency %dns\n", l2.NameB, l2.MeanB, l2.P99LatencyB)
+	fmt.Fprintf(w, "  means differ %.1f%%; p99 latencies differ %.1fx\n\n",
+		l2.MeanGapFraction*100, l2.TailRatio)
+
+	fmt.Fprintf(w, "Lesson 3 (training is a first-class result):\n")
+	fmt.Fprintf(w, "  training %.3fms; learned %.0fns/op vs traditional %.0fns/op\n",
+		float64(l3.TrainNs)/1e6, l3.LearnedOpNs, l3.TraditionalOpNs)
+	fmt.Fprintf(w, "  break-even after %.0f queries\n\n", l3.BreakEvenQueries)
+
+	fmt.Fprintf(w, "Lesson 4 (human cost matters):\n")
+	fmt.Fprintf(w, "  machine-only TCO: learned $%.0f vs DBA $%.0f\n", l4.MachineOnlyLearned, l4.MachineOnlyDBA)
+	fmt.Fprintf(w, "  with $120/h DBA:  learned $%.0f vs DBA $%.0f\n\n", l4.FullLearned, l4.FullDBA)
 }

@@ -2,7 +2,9 @@ package figures
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"repro/internal/report"
 
 	"repro/internal/card"
 	"repro/internal/core"
@@ -155,4 +157,19 @@ func OptDrift(scale Scale, seed uint64) (*OptDriftResult, error) {
 		}
 	}
 	return out, nil
+}
+
+func renderOptDrift(w io.Writer, res *OptDriftResult, _ csvFunc) {
+	labels := make([]string, 0, len(res.Results))
+	curves := make([]*metrics.CumCurve, 0, len(res.Results))
+	for _, name := range report.SortedKeys(res.Results) {
+		r := res.Results[name]
+		labels = append(labels, name)
+		curves = append(curves, r.Cumulative)
+		fmt.Fprintf(w, "%-18s %.0f q/s, train work %d, over-SLA after drift %.3fms\n",
+			name, r.Throughput(), r.OnlineTrainWork, float64(res.AdjustmentSpeed[name])/1e6)
+	}
+	fmt.Fprintln(w)
+	report.CumulativePlot(w, "cumulative queries (drift at midpoint)", labels, curves, 100, 14)
+	fmt.Fprintln(w)
 }

@@ -8,10 +8,8 @@ import (
 )
 
 func TestOptDriftShape(t *testing.T) {
-	res, err := OptDrift(SmallScale(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	res := result[*OptDriftResult](t, "optdrift")
 	static, ok := res.Results["static-histogram"]
 	if !ok {
 		t.Fatal("missing static system")

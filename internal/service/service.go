@@ -51,14 +51,8 @@ import (
 type Config struct {
 	// SUTs maps SUT names to factories. Nil means DefaultSUTs().
 	SUTs map[string]func() core.SUT
-	// Scenarios is the named catalog. Factories must return a fresh
-	// scenario per call (generators are stateful). Nil means
-	// BuiltinScenarios().
-	Scenarios map[string]func() (core.Scenario, error)
 	// Holdouts is the sealed hold-out registry. Nil means an empty one.
 	Holdouts *core.HoldoutRegistry
-	// Runner executes the jobs. Nil means core.NewRunner().
-	Runner *core.Runner
 	// Workers is the number of concurrent runs (default 2).
 	Workers int
 	// QueueDepth bounds pending jobs; a full queue returns 429
@@ -96,14 +90,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SUTs == nil {
 		cfg.SUTs = DefaultSUTs()
 	}
-	if cfg.Scenarios == nil {
-		cfg.Scenarios = BuiltinScenarios()
-	}
 	if cfg.Holdouts == nil {
 		cfg.Holdouts = core.NewHoldoutRegistry()
-	}
-	if cfg.Runner == nil {
-		cfg.Runner = core.NewRunner()
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -117,7 +105,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	return &Service{
 		cfg:    cfg,
-		runner: cfg.Runner,
+		runner: core.NewRunner(),
 		pool:   par.NewPool(cfg.Workers, cfg.QueueDepth),
 		store:  store,
 		obs:    newObserver(),
@@ -264,7 +252,7 @@ func (s *Service) newJob(req JobRequest) (*Job, error) {
 	job := &Job{Req: req}
 	switch {
 	case req.Scenario != "":
-		if _, ok := s.cfg.Scenarios[req.Scenario]; !ok {
+		if _, ok := builtinScenarioDocs[req.Scenario]; !ok {
 			return nil, fmt.Errorf("service: unknown scenario %q (see /v1/scenarios)", req.Scenario)
 		}
 		job.Scenario = req.Scenario
@@ -372,7 +360,7 @@ func (s *Service) run(job *Job) (*core.Result, error) {
 	if job.spec != nil {
 		sc = *job.spec
 	} else {
-		built, err := s.cfg.Scenarios[job.Req.Scenario]()
+		built, err := builtinScenarioDocs[job.Req.Scenario].Build()
 		if err != nil {
 			return nil, fmt.Errorf("service: building scenario %q: %w", job.Req.Scenario, err)
 		}
@@ -586,8 +574,8 @@ func (s *Service) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	names := make([]string, 0, len(s.cfg.Scenarios))
-	for n := range s.cfg.Scenarios {
+	names := make([]string, 0, len(builtinScenarioDocs))
+	for n := range builtinScenarioDocs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -678,14 +666,4 @@ var builtinScenarioDocs = map[string]config.Scenario{
 			},
 		},
 	},
-}
-
-// BuiltinScenarios returns the shipped scenario catalog.
-func BuiltinScenarios() map[string]func() (core.Scenario, error) {
-	out := make(map[string]func() (core.Scenario, error), len(builtinScenarioDocs))
-	for name, doc := range builtinScenarioDocs {
-		doc := doc
-		out[name] = func() (core.Scenario, error) { return doc.Build() }
-	}
-	return out
 }

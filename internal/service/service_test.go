@@ -256,7 +256,7 @@ func TestJobCancel(t *testing.T) {
 func TestHoldoutSingleAttempt(t *testing.T) {
 	reg := core.NewHoldoutRegistry()
 	if err := reg.Register("sealed", func() core.Scenario {
-		sc, err := BuiltinScenarios()["smoke"]()
+		sc, err := builtinScenarioDocs["smoke"].Build()
 		if err != nil {
 			panic(err)
 		}
