@@ -173,11 +173,7 @@ func BenchmarkLesson3Training(b *testing.B) {
 // BenchmarkLesson4TCO reports TCO with and without the human cost.
 func BenchmarkLesson4TCO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := figures.Fig1d(benchScale(), 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := figures.Lesson4(fig)
+		res := figures.Lesson4()
 		b.ReportMetric(res.FullLearned, "learned-tco-$")
 		b.ReportMetric(res.FullDBA, "dba-tco-$")
 	}

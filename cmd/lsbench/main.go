@@ -11,23 +11,23 @@
 //	lsbench -remote host:port   # drive a remote SUT (lsbench serve sut)
 //	lsbench serve sut|worker [flags]  # the serving roles (serve.go)
 //	lsbench ... -faults spec    # inject a deterministic fault plan
-//	lsbench ... -record t.lstrace       # write the op stream down: the
-//	                                    # materialized scenario, before
-//	                                    # any SUT runs
-//	lsbench ... -replay t.lstrace       # replay a recording verbatim
 //
 // Everything else about a run is in the config document: a controller
 // drift clause's "factor" is its intensity D, a "session" clause segments
-// interactive sessions with a per-session budget, and a phase's
-// "source": {"kind": "synth", "path": ..., "repeatFrac": ...} drives it
-// with load fitted from a recording.
+// interactive sessions with a per-session budget, and a phase's "source"
+// clause feeds it from a recording (`lstrace record` writes one):
+// {"kind": "trace", "path": ..., "phase": i} replays recorded phase i
+// verbatim, so a document that keeps its phases (retrain windows
+// included) and gives each one its trace clause reproduces the recorded
+// run's report; {"kind": "synth", "path": ..., "repeatFrac": ...} drives
+// the phase with load fitted from the recording.
 //
 // With -remote the scenario — every phase, training windows included — runs
 // over TCP on the wall clock; otherwise it runs against the named SUTs on the
 // deterministic virtual clock. Both are core.Runner.RunOn and hand a
-// core.Result to the same report path, so -record and -csv work under
-// either. The wall clock runs every phase closed loop: arrival gaps are not
-// paced (one stderr line says so) and a session clause is refused. Training
+// core.Result to the same report path, so -csv works under either. The
+// wall clock runs every phase closed loop: arrival gaps are not paced (one
+// stderr line says so) and a session clause is refused. Training
 // happens on the remote SUT and is charged as in process: on the -example
 // config against `lsbench serve sut -sut rmi` the row reads train-work 1025,
 // online-work 283287 and models 1025, as the virtual `-suts rmi` row does.
@@ -61,7 +61,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 const exampleConfig = `{
@@ -115,8 +114,6 @@ func benchMain(args []string) error {
 		poolPolicy = fs.String("pool-policy", "lru", "buffer-pool eviction policy for disk-backed SUTs: lru, clock, 2q")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		record     = fs.String("record", "", "record the op stream to this trace file (the materialized scenario, written before any SUT runs, under either clock)")
-		replay     = fs.String("replay", "", "replay this recorded trace instead of the config's phases")
 	)
 	fs.Parse(args)
 
@@ -144,29 +141,17 @@ func benchMain(args []string) error {
 		return err
 	}
 
-	// -replay replaces the config's phases with the recording.
-	if *replay != "" {
-		tr, err := workload.ReadTraceFile(*replay)
-		if err != nil {
-			return err
-		}
-		if tr.Truncated {
-			fmt.Fprintf(os.Stderr, "lsbench: warning: %s has a torn tail, replaying the intact %d ops\n", *replay, tr.TotalOps())
-		}
-		scenario = scenario.Replay(tr)
-	}
-
 	knobs := pager.PoolKnobs{Pages: *poolPages, Policy: *poolPolicy}.Validate()
-	return runScenario(scenario, strings.Split(*suts, ","), *remote, *batch, plan, knobs, *record, *csvDir)
+	return runScenario(scenario, strings.Split(*suts, ","), *remote, *batch, plan, knobs, *csvDir)
 }
 
 // runScenario is the one run path: it decides the scenario's streams, runs
-// it once per SUT and reports; record and csvDir are the -record and -csv
-// paths ("" for none). remote changes the clock (wall instead of
-// virtual), where the SUT comes from (one netdriver client instead of the
-// named in-process SUTs) and that the scenario is always materialized, so
-// the wall-clock run does not time its own generators.
-func runScenario(scenario core.Scenario, suts []string, remote string, batch int, plan fault.Plan, knobs pager.PoolKnobs, record, csvDir string) error {
+// it once per SUT and reports; csvDir is the -csv path ("" for none).
+// remote changes the clock (wall instead of virtual), where the SUT comes
+// from (one netdriver client instead of the named in-process SUTs) and that
+// the scenario is always materialized, so the wall-clock run does not time
+// its own generators.
+func runScenario(scenario core.Scenario, suts []string, remote string, batch int, plan fault.Plan, knobs pager.PoolKnobs, csvDir string) error {
 	if remote != "" {
 		if scenario.Session != nil {
 			return fmt.Errorf("-remote cannot segment sessions: the wall clock ignores arrival gaps, so the gap of %s that opens a session is never observed (drop the config's session clause, or run on the virtual clock)",
@@ -177,20 +162,9 @@ func runScenario(scenario core.Scenario, suts []string, remote string, batch int
 	// Head-to-head runs must replay identical inputs: stateful generators
 	// and arrival processes (drift controllers, session pacers, poisson)
 	// would otherwise advance between the per-SUT runs below. Pin the
-	// streams once; each run is then a pure replay, and a recording is
-	// the pinned streams written down before the first of them.
-	if len(suts) > 1 || record != "" || remote != "" {
+	// streams once; each run is then a pure replay.
+	if len(suts) > 1 || remote != "" {
 		scenario = scenario.Materialize()
-	}
-	if record != "" {
-		tr, err := scenario.Trace()
-		if err == nil {
-			err = tr.WriteFile(record)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("op stream recorded to %s\n\n", record)
 	}
 	if remote != "" && slices.ContainsFunc(scenario.Phases, func(p core.Phase) bool {
 		return slices.ContainsFunc(p.Trace.Gaps, func(gap int64) bool { return gap != 0 })

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -78,22 +77,19 @@ func captureStdout(t *testing.T, f func() error) string {
 
 // TestRemoteRunsEveryPhase: -remote is the virtual run path on another
 // clock. The two-phase -example config (trainBefore, an arrival clause) runs
-// over loopback and reports both phases; -remote -record writes the bytes
-// `lstrace record` writes, Scenario.Materialize().Trace(); and replaying that
-// file on the virtual clock finds and misses exactly what the wire run did.
+// over loopback and reports both phases; and its recording,
+// Scenario.Materialize().Trace(), replayed through per-phase trace sources,
+// finds and misses exactly the same keys on the virtual clock in process and
+// on the wall clock over the wire.
 func TestRemoteRunsEveryPhase(t *testing.T) {
 	srv, err := netdriver.Serve("127.0.0.1:0", core.NewBTreeSUT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	dir := t.TempDir()
-	cfg, rec := filepath.Join(dir, "ex.json"), filepath.Join(dir, "c.lstrace")
-	if err := os.WriteFile(cfg, []byte(exampleConfig), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	cfg := writeConfig(t, exampleConfig)
 	out := captureStdout(t, func() error {
-		return benchMain([]string{"-config", cfg, "-remote", srv.Addr(), "-batch", "4", "-record", rec})
+		return benchMain([]string{"-config", cfg, "-remote", srv.Addr(), "-batch", "4"})
 	})
 	for _, row := range []string{"steady", "shift"} {
 		if !regexp.MustCompile(`(?m)^` + row + `\s+\d+\s+100000\s`).MatchString(out) {
@@ -105,27 +101,14 @@ func TestRemoteRunsEveryPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := scenario.Materialize().Trace()
+	recorded, err := workload.ReadTraceFile(recordFile(t, scenario))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Join(dir, "a.lstrace")
-	if err := tr.WriteFile(want); err != nil {
-		t.Fatal(err)
+	for i := range scenario.Phases {
+		scenario.Phases[i].Source = recorded.PhaseReader(i)
 	}
-	a, _ := os.ReadFile(want)
-	c, _ := os.ReadFile(rec)
-	if len(a) == 0 || !bytes.Equal(a, c) {
-		t.Fatalf("-remote -record wrote %d bytes, Materialize().Trace() %d: not the same recording", len(c), len(a))
-	}
-
-	// The file replays on either clock: the same lookups hit and miss in
-	// process on the virtual clock and over the wire on the wall clock.
-	recorded, err := workload.ReadTraceFile(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := scenario.Replay(recorded).Materialize()
+	replay := scenario.Materialize()
 	local, err := core.NewRunner().Run(replay, core.NewBTreeSUT())
 	if err != nil {
 		t.Fatal(err)
@@ -143,6 +126,66 @@ func TestRemoteRunsEveryPhase(t *testing.T) {
 		wire.Outcomes.Found != local.Outcomes.Found || wire.Outcomes.NotFound != local.Outcomes.NotFound {
 		t.Fatalf("replayed outcomes diverge: wire %d ops %+v, virtual %+v", wire.Completed, wire.Outcomes, local.Outcomes)
 	}
+}
+
+// TestTraceClauseReplayKeepsRetrainWindows: a recording replayed through
+// per-phase trace source clauses reproduces the live run's report byte for
+// byte, here for the -example config with a retrain window before its
+// second phase: the document keeps its phases, and with them the window.
+func TestTraceClauseReplayKeepsRetrainWindows(t *testing.T) {
+	doc := strings.Replace(exampleConfig, `"name": "shift",`, `"name": "shift", "retrainBefore": true,`, 1)
+	cfg := writeConfig(t, doc)
+	scenario, err := config.Load(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !scenario.Phases[1].RetrainBefore {
+		t.Fatal("the shift phase has no retrain window")
+	}
+	rec := recordFile(t, scenario)
+	for i, name := range []string{"steady", "shift"} {
+		clause := fmt.Sprintf(`"name": %q, "source": {"kind": "trace", "path": %q, "phase": %d},`, name, rec, i)
+		doc = strings.Replace(doc, fmt.Sprintf(`"name": %q,`, name), clause, 1)
+	}
+	replay := writeConfig(t, doc)
+
+	args := []string{"-suts", "btree,rmi,alex"}
+	live := captureStdout(t, func() error { return benchMain(append([]string{"-config", cfg}, args...)) })
+	replayed := captureStdout(t, func() error { return benchMain(append([]string{"-config", replay}, args...)) })
+	// The window ran: rmi's train-work is the initial training (1025) plus
+	// a retrain over the grown database (≈ 100 000).
+	if !regexp.MustCompile(`(?m)^rmi\s+\d+\s+\S+\s+\S+\s+\S+\s+\S+\s+\S+\s+[1-9]\d{5,}\s`).MatchString(live) {
+		t.Fatalf("live rmi row shows no retrain work beyond the initial training:\n%s", live)
+	}
+	if replayed != live {
+		t.Fatalf("trace-clause replay diverges from the live run\n--- replay ---\n%s\n--- live ---\n%s", replayed, live)
+	}
+}
+
+// writeConfig writes a config document to a temporary file and returns its
+// path.
+func writeConfig(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// recordFile writes the scenario's recording, as `lstrace record` does,
+// and returns its path.
+func recordFile(t *testing.T, s core.Scenario) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "rec.lstrace")
+	tr, err := s.Materialize().Trace()
+	if err == nil {
+		err = tr.WriteFile(path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestRemoteRefusesSessions: the wall clock ignores arrival gaps, so

@@ -24,11 +24,13 @@
 //	    convert a YCSB operation log (READ/INSERT/UPDATE/SCAN/DELETE
 //	    lines) into a single-phase .lstrace ("-" reads stdin)
 //
-// A recorded trace replayed through the runner (lsbench -replay)
-// reproduces the recorded run's result JSON byte-for-byte; a synthetic
-// trace preserves the source's key popularity and its drift across the
-// recorded phases, the op mix, and the inter-arrival distribution without
-// exposing the original stream.
+// A recording replays through the config that made it, each phase given
+// the source clause {"kind": "trace", "path": "run.lstrace", "phase": i}:
+// the phases keep their training and retrain windows, and lsbench prints
+// the recorded run's report byte-for-byte. A synthetic trace preserves
+// the source's key popularity and its drift across the recorded phases,
+// the op mix, and the inter-arrival distribution without exposing the
+// original stream.
 package main
 
 import (

@@ -21,8 +21,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/distgen"
 	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -90,16 +90,16 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Same initial database as the service's run: the spec's uniform
-	// generator with the seed the config layer derives (seed+1).
-	sc := core.Scenario{
-		Name:        "flywheel",
-		Seed:        11,
-		InitialData: distgen.NewUniform(11+1, 0, distgen.KeyDomain),
-		InitialSize: 20_000,
-		TrainBefore: true,
-		IntervalNs:  1_000_000,
-	}.Replay(tr)
+	// The job's own config document, each phase fed from its recorded
+	// stream: the same initial database, training and retrain windows as
+	// the service's run.
+	sc, err := config.Parse([]byte(spec))
+	if err != nil {
+		return err
+	}
+	for i := range sc.Phases {
+		sc.Phases[i].Source = tr.PhaseReader(i)
+	}
 	res, err := core.NewRunner().Run(sc, core.NewBTreeSUT())
 	if err != nil {
 		return err

@@ -147,11 +147,12 @@ func QueryScenario(name string, n int, splits ...int) Scenario {
 	bounds := append(append([]int{0}, splits...), n)
 	for p := 1; p < len(bounds); p++ {
 		from, to := bounds[p-1], bounds[p]
-		tr := &PhaseTrace{Ops: make([]workload.Op, to-from), Gaps: make([]int64, to-from)}
-		for j := range tr.Ops {
-			tr.Ops[j].Key = uint64(from + j)
+		label := fmt.Sprintf("queries %d-%d", from, to-1)
+		ops := make([]workload.Op, to-from)
+		for j := range ops {
+			ops[j].Key = uint64(from + j)
 		}
-		s.Phases = append(s.Phases, Phase{Name: fmt.Sprintf("queries %d-%d", from, to-1), Ops: to - from, Trace: tr})
+		s.Phases = append(s.Phases, Phase{Name: label, Ops: to - from, Source: workload.NewTraceReader(label, ops, nil)})
 	}
 	return s
 }

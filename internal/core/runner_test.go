@@ -286,11 +286,15 @@ func TestScenarioTraceReplay(t *testing.T) {
 		tr.Phases[1].Index != 1 || tr.Phases[1].Name != "shifted" || tr.Phases[1].DeclaredOps != 4000 {
 		t.Fatalf("trace identity: %q seed %d, %d phases, %d ops", tr.Name, tr.Seed, len(tr.Phases), tr.TotalOps())
 	}
-	back := quickScenario(1).Replay(tr)
-	for pi, p := range back.Phases {
+	back := quickScenario(1)
+	back.Phases = nil
+	for pi, ph := range tr.Phases {
+		back.Phases = append(back.Phases, Phase{Name: ph.Name, Ops: len(ph.Ops), Source: tr.PhaseReader(pi)})
+	}
+	for pi, p := range back.Materialize().Phases {
 		if p.Name != s.Phases[pi].Name || p.Ops != s.Phases[pi].Ops || p.Source != nil ||
 			!reflect.DeepEqual(p.Trace.Ops, s.Phases[pi].Trace.Ops) || !reflect.DeepEqual(p.Trace.Gaps, s.Phases[pi].Trace.Gaps) {
-			t.Fatalf("phase %d did not survive Trace → Replay", pi)
+			t.Fatalf("phase %d did not survive Trace → PhaseReader", pi)
 		}
 	}
 

@@ -153,17 +153,6 @@ func (s Scenario) Trace() (*workload.Trace, error) {
 	return tr, nil
 }
 
-// Replay returns the scenario with its phases replaced by the trace's, each
-// pinned to its recorded stream — the inverse of Trace. A trace carries
-// streams only: the replayed phases have no retrain windows.
-func (s Scenario) Replay(tr *workload.Trace) Scenario {
-	s.Phases = nil
-	for pi, ph := range tr.Phases {
-		s.Phases = append(s.Phases, Phase{Name: ph.Name, Ops: len(ph.Ops), Trace: &tr.Phases[pi]})
-	}
-	return s
-}
-
 // Validate checks the scenario is runnable.
 func (s Scenario) Validate() error {
 	if s.InitialData == nil && s.InitialKeys == nil {

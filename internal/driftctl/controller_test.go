@@ -272,19 +272,3 @@ func TestPredicateDriftSharedStream(t *testing.T) {
 		}
 	}
 }
-
-func TestCorrelatedSharedKnob(t *testing.T) {
-	knob := Knob{Factor: 0.5, Profile: Ramp()}
-	data := New(99, zipfBase(7), uniformTarget(8), knob)
-	query := NewPredicateDrift(11, knob, "val", 0, 64, 4096, 4)
-	c := NewCorrelated(data, query)
-	if c.Knob().Factor != knob.Factor || c.Knob().Profile.Name() != knob.Profile.Name() {
-		t.Fatalf("correlated knob %v, want %v", c.Knob(), knob)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewCorrelated accepted mismatched knobs")
-		}
-	}()
-	NewCorrelated(data, NewPredicateDrift(11, Knob{Factor: 0.9}, "val", 0, 64, 4096, 4))
-}

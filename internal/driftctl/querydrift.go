@@ -75,25 +75,3 @@ func (q *PredicateDrift) PredicateAt(p float64) sqlmini.Predicate {
 	v := uint64(start)
 	return sqlmini.Predicate{Column: q.Column, Op: sqlmini.Between, Value: v, Hi: v + uint64(width)}
 }
-
-// Correlated bundles a data Controller and a PredicateDrift driven by one
-// Knob — the correlated data+query drift axis, where the keys being written
-// and the ranges being queried move together under a single schedule.
-type Correlated struct {
-	Data  *Controller
-	Query *PredicateDrift
-}
-
-// NewCorrelated pairs the two axes, verifying they share one schedule.
-func NewCorrelated(data *Controller, query *PredicateDrift) Correlated {
-	if data == nil || query == nil {
-		panic("driftctl: NewCorrelated requires both axes")
-	}
-	if data.knob.Factor != query.knob.Factor || data.knob.Profile.Name() != query.knob.Profile.Name() {
-		panic("driftctl: correlated axes must share one knob (factor and profile)")
-	}
-	return Correlated{Data: data, Query: query}
-}
-
-// Knob returns the shared schedule.
-func (c Correlated) Knob() Knob { return c.Data.knob }

@@ -246,7 +246,7 @@ func TestLesson3BreakEven(t *testing.T) {
 
 func TestLesson4HumanCostFlips(t *testing.T) {
 	t.Parallel()
-	res := Lesson4(result[*Fig1dResult](t, "fig1d"))
+	res := Lesson4()
 	// Machine-only: DBA "costs nothing" (human hours unpriced) so the
 	// DBA system looks at least as cheap.
 	if res.MachineOnlyDBA > res.MachineOnlyLearned {

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/distgen"
 	"repro/internal/kv"
 	"repro/internal/sim"
+	"repro/internal/tuner"
 	"repro/internal/workload"
 )
 
@@ -233,27 +236,22 @@ type Lesson4Result struct {
 	FullDBA     float64
 }
 
-// Lesson4 derives TCO figures from the Figure 1d tuning experiment: the
-// learned system's best budget and the DBA's full script, each amortized
-// over the same execution horizon.
-func Lesson4(fig1d *Fig1dResult) *Lesson4Result {
-	// Best learned point (CPU tier) and final DBA point.
-	var learned, dba float64
-	for _, p := range fig1d.LearnedCPU {
-		if p.Dollars > learned {
-			learned = p.Dollars
-		}
+// Lesson4 prices the two optimizations of the Figure 1d tuning experiment:
+// the learned system's largest training budget on the CPU tier and the
+// DBA's full script, each amortized over the same execution horizon.
+// Neither price depends on a measurement, so nothing is run.
+func Lesson4() *Lesson4Result {
+	var hours float64
+	for _, a := range tuner.DBAScript() {
+		hours += a.Hours
 	}
-	for _, p := range fig1d.Traditional {
-		if p.Dollars > dba {
-			dba = p.Dollars
-		}
-	}
+	m := modelWithDBARate(120)
+	m0 := modelWithDBARate(0)
+	learned := m.TrainingCost(float64(slices.Max(Fig1dBudgets)), EvalHoursCPU, cost.CPU)
+	dba := m.DBACost(hours)
 	// Execution hardware cost is identical for both (same store, same
 	// machine): 8 hours/day for a year at the CPU tier.
 	const execHoursPerYear = 8 * 365
-	m := modelWithDBARate(120)
-	m0 := modelWithDBARate(0)
 	// The learned system's optimization cost is hardware (training) cost;
 	// the DBA's is purely human, so it vanishes at $0/h.
 	return &Lesson4Result{
@@ -264,8 +262,7 @@ func Lesson4(fig1d *Fig1dResult) *Lesson4Result {
 	}
 }
 
-// lessonsResult is the lessons panel: Lessons 1–3, and Lesson 4 over the
-// panel's own Figure 1d run.
+// lessonsResult is the lessons panel: Lessons 1–4.
 type lessonsResult struct {
 	l1 *Lesson1Result
 	l2 *Lesson2Result
@@ -286,11 +283,7 @@ func lessons(scale Scale, seed uint64) (*lessonsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig, err := Fig1d(scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &lessonsResult{l1: l1, l2: l2, l3: l3, l4: Lesson4(fig)}, nil
+	return &lessonsResult{l1: l1, l2: l2, l3: l3, l4: Lesson4()}, nil
 }
 
 func renderLessons(w io.Writer, res *lessonsResult, _ csvFunc) {

@@ -2,9 +2,11 @@ package lsbench_test
 
 // Record → replay byte-identity. A recording is the materialized scenario
 // written down before any SUT runs (Scenario.Trace + Trace.WriteFile);
-// replayed through Scenario.Replay it must reproduce a live run's result
-// JSON byte-for-byte. This is the contract that makes recorded traces a
-// portable substitute for the generator configuration that produced them.
+// replayed through per-phase trace sources (Phase.Source =
+// Trace.PhaseReader(i)) it must reproduce a live run's result JSON
+// byte-for-byte, retrain windows included. This is the contract that makes
+// recorded traces a portable substitute for the generator configuration
+// that produced them.
 
 import (
 	"bytes"
@@ -90,9 +92,11 @@ func TestTraceReplayByteIdentity(t *testing.T) {
 	} {
 		sf := sf
 		t.Run(sf.name, func(t *testing.T) {
-			// The reference is a live run: nothing pinned but the keys.
+			// The reference is a live run, nothing pinned but the keys,
+			// with a retrain window before its second phase.
 			s := batchGoldenScenario()
 			s.InitialKeys = keys
+			s.Phases[1].RetrainBefore = true
 			base, err := core.NewRunner().Run(s, sf.mk())
 			if err != nil {
 				t.Fatal(err)
@@ -113,15 +117,21 @@ func TestTraceReplayByteIdentity(t *testing.T) {
 				t.Fatalf("recording: truncated=%v phases=%d ops=%d", tr.Truncated, len(tr.Phases), tr.TotalOps())
 			}
 
-			// The replay scenario carries no workload spec or arrival
-			// process at all — only the trace.
+			// The replay keeps the scenario's phases and retrain windows
+			// but carries no workload spec or arrival process at all:
+			// each phase reads its recorded stream.
 			replay := core.Scenario{
 				Name:        s.Name,
 				Seed:        s.Seed,
 				InitialKeys: keys,
 				TrainBefore: s.TrainBefore,
 				IntervalNs:  s.IntervalNs,
-			}.Replay(tr)
+			}
+			for i, p := range s.Phases {
+				replay.Phases = append(replay.Phases, core.Phase{
+					Name: p.Name, Ops: p.Ops, RetrainBefore: p.RetrainBefore, Source: tr.PhaseReader(i),
+				})
+			}
 
 			for _, batch := range []int{0, 64} {
 				r := core.NewRunner()
