@@ -396,6 +396,29 @@ func BenchmarkALEXShiftPhase(b *testing.B) {
 	}
 }
 
+// BenchmarkScanPhase is the repository benchmark's mem-drift scan phase
+// reduced to the scans: 250 000 zipf(1.1) keys in btree, rmi and alex behind
+// core.IndexSUT, loaded untimed, then 4 096 limit-200 scans per SUT from
+// zipf-drawn keys in each iteration.
+func BenchmarkScanPhase(b *testing.B) {
+	loaded := distgen.UniqueKeys(distgen.NewZipfKeys(1, 1.1, 1<<22), 250_000)
+	vals := core.LoadValues(loaded)
+	starts := distgen.Keys(distgen.NewZipfKeys(6, 1.1, 1<<22), 4096)
+	suts := []core.SUT{core.NewBTreeSUT(), core.NewRMISUT(), core.NewALEXSUT()}
+	for _, s := range suts {
+		s.Load(loaded, vals)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range suts {
+			for _, k := range starts {
+				s.Do(workload.Op{Type: workload.Scan, Key: k, ScanLimit: 200})
+			}
+		}
+	}
+}
+
 func BenchmarkMicroBTreeInsert(b *testing.B) {
 	tr := btree.NewDefault()
 	b.ReportAllocs()

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/distgen"
 	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -92,11 +93,13 @@ func run(w io.Writer) error {
 	}
 	// The job's own config document, each phase fed from its recorded
 	// stream: the same initial database, training and retrain windows as
-	// the service's run.
+	// the service's run. The database is drawn once and pinned, so that
+	// every run below, sweep cells included, loads the same keys.
 	sc, err := config.Parse([]byte(spec))
 	if err != nil {
 		return err
 	}
+	sc.InitialKeys = distgen.UniqueKeys(sc.InitialData, sc.InitialSize)
 	for i := range sc.Phases {
 		sc.Phases[i].Source = tr.PhaseReader(i)
 	}

@@ -30,10 +30,6 @@ type IndexSUT struct {
 	// last is the five priced counters as of the previous op boundary.
 	last   struct{ compares, splits, trainWork, pagesRead, pagesWritten uint64 }
 	online int64
-	// scanLeft is what remains of the running Scan op's limit and scanFn the
-	// callback counting it down, bound once so a scan allocates no closure.
-	scanLeft int
-	scanFn   func(key, value uint64) bool
 }
 
 // NewIndexSUT wraps an index.
@@ -44,10 +40,6 @@ func NewIndexSUT(ix index.Ordered) *IndexSUT {
 	}
 	if h, ok := ix.(poolHolder); ok {
 		s.pool = h.Pool()
-	}
-	s.scanFn = func(_, _ uint64) bool {
-		s.scanLeft--
-		return s.scanLeft > 0
 	}
 	return s
 }
@@ -77,8 +69,7 @@ func (s *IndexSUT) Do(op workload.Op) OpResult {
 	case workload.Delete:
 		res.Found = s.ix.Delete(op.Key)
 	case workload.Scan:
-		s.scanLeft = op.ScanLimit
-		res.Visited = s.ix.Scan(op.Key, ^uint64(0), s.scanFn)
+		res.Visited = s.ix.Scan(op.Key, op.ScanLimit)
 	}
 	res.Work = s.workDelta(op, res)
 	return res
@@ -280,11 +271,7 @@ func (s *KVSUT) Do(op workload.Op) OpResult {
 		s.store.Delete(op.Key)
 		res.Found = true
 	case workload.Scan:
-		limit := op.ScanLimit
-		res.Visited = s.store.Scan(op.Key, ^uint64(0), func(_, _ uint64) bool {
-			limit--
-			return limit > 0
-		})
+		res.Visited = s.store.Scan(op.Key, op.ScanLimit)
 	}
 	// Durability: a flush (or the compaction it triggered) leaves new runs
 	// that a disk store must publish; the sync's page writes and fsyncs

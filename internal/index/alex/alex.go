@@ -570,37 +570,34 @@ func (ix *Index) Delete(key uint64) bool {
 	return true
 }
 
-// Scan implements index.Ordered. It searches once, in lo's node; from that
-// slot on every occupied key is >= lo, so the rest is set bits in order.
-func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
-	if hi < lo {
+// Scan implements index.Ordered. It searches once, in lo's node, and does
+// not charge that search: from the slot it lands on every occupied key is
+// >= lo, so the count is the set bits from there, a word at a time, and then
+// each following node's size.
+func (ix *Index) Scan(lo uint64, limit int) int {
+	if limit < 1 {
 		return 0
 	}
-	visited := 0
 	ni := ix.nodeFor(lo)
-	start, _, _ := ix.nodes[ni].search(lo)
-	for ; ni < len(ix.nodes); ni++ {
-		n := ix.nodes[ni]
-		for w := start >> 6; w < len(n.occ); w++ {
-			word := n.occ[w]
-			if w == start>>6 {
-				word &= ^uint64(0) << (uint(start) & 63)
+	n := ix.nodes[ni]
+	start, _, _ := n.search(lo)
+	visited := 0
+	if w := start >> 6; w < len(n.occ) {
+		visited = bits.OnesCount64(n.occ[w] & (^uint64(0) << (uint(start) & 63)))
+		for _, word := range n.occ[w+1:] {
+			if visited >= limit {
+				return limit
 			}
-			base, r := w<<6, int(n.rot[w])
-			for ; word != 0; word &= word - 1 {
-				i := base | (bits.TrailingZeros64(word)+r)&63
-				if n.keys[i] > hi {
-					return visited
-				}
-				visited++
-				if !fn(n.keys[i], n.vals[i]) {
-					return visited
-				}
-			}
+			visited += bits.OnesCount64(word)
 		}
-		start = 0
 	}
-	return visited
+	for _, n := range ix.nodes[ni+1:] {
+		if visited >= limit {
+			return limit
+		}
+		visited += n.size
+	}
+	return min(visited, limit)
 }
 
 // BulkLoad implements index.BulkLoader: partitions sorted data into nodes

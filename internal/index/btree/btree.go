@@ -215,28 +215,26 @@ func (t *Tree) leafFor(key uint64) *leaf {
 	}
 }
 
-// Scan implements index.Ordered.
-func (t *Tree) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
-	if hi < lo {
+// Scan implements index.Ordered. It counts a leaf at a time and charges
+// each leaf it enters one binary search, as a walk that searched every leaf
+// for lo (0 after the first) would.
+func (t *Tree) Scan(lo uint64, limit int) int {
+	if limit < 1 {
 		return 0
 	}
 	l := t.leafFor(lo)
+	i, _ := l.find(t, lo)
 	visited := 0
-	for l != nil {
-		i, _ := l.find(t, lo)
-		for ; i < len(l.keys); i++ {
-			if l.keys[i] > hi {
-				return visited
-			}
-			visited++
-			if !fn(l.keys[i], l.values[i]) {
-				return visited
-			}
+	for {
+		if visited += len(l.keys) - i; visited >= limit {
+			return limit
 		}
-		l = l.next
-		lo = 0 // after the first leaf, start at its beginning
+		if l = l.next; l == nil {
+			return visited
+		}
+		t.St.Compares += uint64(bits(len(l.keys)))
+		i = 0
 	}
-	return visited
 }
 
 // BulkLoad implements index.BulkLoader: builds the tree bottom-up from

@@ -6,6 +6,7 @@ import (
 	"repro/internal/distgen"
 	"repro/internal/index"
 	"repro/internal/index/indextest"
+	"repro/internal/search"
 )
 
 func TestConformance(t *testing.T) {
@@ -80,13 +81,14 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 			t.Fatalf("mismatch at key %d", k)
 		}
 	}
-	// Scans agree.
-	var a, b []uint64
-	bulk.Scan(keys[100], keys[10000], func(k, _ uint64) bool { a = append(a, k); return true })
-	incr.Scan(keys[100], keys[10000], func(k, _ uint64) bool { b = append(b, k); return true })
-	if len(a) != len(b) {
-		t.Fatalf("scan lengths differ: %d vs %d", len(a), len(b))
+	// Scans agree with the model, whichever way the tree was built.
+	var probes []uint64
+	for i := 0; i < len(keys); i += 97 {
+		probes = append(probes, keys[i])
 	}
+	limits := []int{1, 64, 200, 9901, len(keys)}
+	indextest.CheckScans(t, bulk.Scan, keys, probes, limits)
+	indextest.CheckScans(t, incr.Scan, keys, probes, limits)
 }
 
 func TestBulkLoadEmpty(t *testing.T) {
@@ -140,10 +142,57 @@ func TestDeleteDoesNotBreakScans(t *testing.T) {
 	for k := uint64(500); k < 600; k++ {
 		tr.Delete(k)
 	}
-	var got []uint64
-	tr.Scan(450, 650, func(k, _ uint64) bool { got = append(got, k); return true })
-	want := 201 - 100 // [450,650] minus deleted [500,599]
-	if len(got) != want {
-		t.Fatalf("scan after deletes visited %d, want %d", len(got), want)
+	var live []uint64
+	for k := uint64(0); k < 2000; k++ {
+		if k < 500 || k >= 600 {
+			live = append(live, k)
+		}
+	}
+	probes := []uint64{0, 450, 499, 500, 550, 599, 600, 1999}
+	indextest.CheckScans(t, tr.Scan, live, probes, []int{1, 50, 51, 52, 150, 201, 2000})
+}
+
+// TestScanChargesEveryLeafItEnters: a scan charges the inner descent to lo,
+// then one binary search per leaf it enters — bits(len(keys)) each, the lo=0
+// leaves after the first and emptied leaves included — and enters no leaf
+// past the one where the limit lands.
+func TestScanChargesEveryLeafItEnters(t *testing.T) {
+	tr := New(4)
+	for k := uint64(0); k < 2000; k++ {
+		tr.Insert(k, k)
+	}
+	for k := uint64(500); k < 600; k++ {
+		tr.Delete(k)
+	}
+	for _, tc := range []struct {
+		lo    uint64
+		limit int
+	}{{0, 1}, {450, 50}, {450, 51}, {490, 30}, {1990, 100}, {3000, 5}} {
+		// The walk: descend to lo's leaf, search it for lo, then take
+		// whole leaves until the limit is reached.
+		var want uint64
+		n := tr.root
+		for {
+			in, ok := n.(*inner)
+			if !ok {
+				break
+			}
+			want += uint64(bits(len(in.keys)))
+			n = in.children[search.UpperBound(in.keys, tc.lo)]
+		}
+		l := n.(*leaf)
+		left := tc.limit
+		for i := search.LowerBound(l.keys, tc.lo); ; i = 0 {
+			want += uint64(bits(len(l.keys)))
+			if left -= len(l.keys) - i; left <= 0 || l.next == nil {
+				break
+			}
+			l = l.next
+		}
+		before := tr.St.Compares
+		tr.Scan(tc.lo, tc.limit)
+		if got := tr.St.Compares - before; got != want {
+			t.Errorf("Scan(%d, %d) charged %d compares, want %d", tc.lo, tc.limit, got, want)
+		}
 	}
 }

@@ -324,27 +324,23 @@ func (t *Tree) Delete(key uint64) bool {
 }
 
 // Scan implements index.Ordered: leaf-chain traversal from the leaf
-// covering lo.
-func (t *Tree) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
+// covering lo, counting a page's cells at a time. It fetches the pages a walk
+// entry by entry would, in the same order: not the next leaf when limit
+// lands on a page's last cell.
+func (t *Tree) Scan(lo uint64, limit int) int {
+	if limit < 1 {
+		return 0
+	}
 	pg, id := t.descend(lo, nil)
 	i, _ := t.findSlot(pg, lo)
 	visited := 0
 	for {
-		for ; i < pg.NumCells(); i++ {
-			cell := pg.Cell(i)
-			k := cellKey(cell)
-			if k > hi {
-				t.pool.Unpin(id, false)
-				return visited
-			}
-			visited++
-			if !fn(k, leafVal(cell)) {
-				t.pool.Unpin(id, false)
-				return visited
-			}
-		}
+		visited += pg.NumCells() - i
 		next := pg.Next()
 		t.pool.Unpin(id, false)
+		if visited >= limit {
+			return limit
+		}
 		if next == pager.NilPage {
 			return visited
 		}

@@ -3,6 +3,7 @@ package diskbtree
 import (
 	"testing"
 
+	"repro/internal/index/indextest"
 	"repro/internal/pager"
 )
 
@@ -92,31 +93,42 @@ func TestScanAcrossLeaves(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		tr.Insert(i*10, i)
 	}
-	// Full scan is ordered and complete.
-	var last uint64
-	first := true
-	visited := tr.Scan(0, ^uint64(0), func(k, v uint64) bool {
-		if !first && k <= last {
-			t.Fatalf("scan out of order: %d after %d", k, last)
-		}
-		if v != k/10 {
-			t.Fatalf("scan value %d for key %d", v, k)
-		}
-		last, first = k, false
-		return true
-	})
-	if visited != n {
-		t.Fatalf("visited %d, want %d", visited, n)
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) * 10
 	}
-	// Bounded scan.
-	count := tr.Scan(1000, 1990, func(k, v uint64) bool { return true })
-	if count != 100 {
-		t.Fatalf("bounded scan visited %d, want 100", count)
+	var probes []uint64
+	for i := 0; i < n; i += 37 {
+		probes = append(probes, keys[i])
 	}
-	// Early stop.
-	count = tr.Scan(0, ^uint64(0), func(k, v uint64) bool { return k < 50 })
-	if count != 6 {
-		t.Fatalf("early-stop scan visited %d, want 6", count)
+	probes = append(probes, keys[n-1], 1<<40)
+	indextest.CheckScans(t, tr.Scan, keys, probes, []int{1, 6, 100, 255, 256, 257, n, n + 1})
+}
+
+// TestScanFetchesThePagesAWalkFetches: a scan whose limit lands on a leaf's
+// last cell fetches no further page, and one more entry costs exactly one
+// more page fetch.
+func TestScanFetchesThePagesAWalkFetches(t *testing.T) {
+	tr := newTree(t, 64)
+	keys := make([]uint64, 10000)
+	for i := range keys {
+		keys[i] = uint64(i)*7 + 3
+	}
+	tr.BulkLoad(keys, keys)
+	pg, id := tr.descend(keys[0], nil)
+	cells := pg.NumCells()
+	tr.pool.Unpin(id, false)
+	fetches := func(limit int) uint64 {
+		before := tr.pool.Counters()
+		if got := tr.Scan(keys[0], limit); got != limit {
+			t.Fatalf("Scan(%d, %d) visited %d", keys[0], limit, got)
+		}
+		after := tr.pool.Counters()
+		return after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	one, full, over := fetches(1), fetches(cells), fetches(cells+1)
+	if full != one || over != one+1 {
+		t.Fatalf("page fetches for limits 1, %d, %d: %d, %d, %d; want n, n, n+1", cells, cells+1, one, full, over)
 	}
 }
 
@@ -141,9 +153,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 	if _, ok := tr.Get(keys[0] + 1); ok {
 		t.Fatal("found absent key after bulk load")
 	}
-	if got := tr.Scan(keys[0], keys[n-1], func(k, v uint64) bool { return true }); got != n {
-		t.Fatalf("scan visited %d", got)
-	}
+	indextest.CheckScans(t, tr.Scan, keys, []uint64{0, keys[0], keys[n/2], keys[n-1]}, []int{1, n / 2, n, n + 1})
 	// Bulk load replaces a previous tree and frees its pages.
 	tr.BulkLoad(keys[:100], vals[:100])
 	if tr.Len() != 100 {

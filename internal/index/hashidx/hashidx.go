@@ -151,16 +151,15 @@ func (ix *Index) Delete(key uint64) bool {
 }
 
 // Scan implements index.Ordered. Hash indexes have no order, so Scan
-// collects and sorts matching entries — deliberately expensive, reflecting
+// collects and sorts the keys >= lo — deliberately expensive, reflecting
 // the real cost of range queries on hash structures. That cost is counted:
 // every entry tested and every comparison the sort makes adds to Compares,
-// so the price grows with the table, not with the entries passed to fn.
-func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
-	if hi < lo {
+// so the price grows with the table, not with the limit.
+func (ix *Index) Scan(lo uint64, limit int) int {
+	if limit < 1 {
 		return 0
 	}
-	type kv struct{ k, v uint64 }
-	var hits []kv
+	var hits []uint64
 	seen := make(map[*bucket]struct{})
 	for _, b := range ix.dirs {
 		if _, dup := seen[b]; dup {
@@ -168,24 +167,17 @@ func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 		}
 		seen[b] = struct{}{}
 		ix.St.Compares += uint64(len(b.keys))
-		for i, k := range b.keys {
-			if k >= lo && k <= hi {
-				hits = append(hits, kv{k, b.values[i]})
+		for _, k := range b.keys {
+			if k >= lo {
+				hits = append(hits, k)
 			}
 		}
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		ix.St.Compares++
-		return hits[i].k < hits[j].k
+		return hits[i] < hits[j]
 	})
-	visited := 0
-	for _, h := range hits {
-		visited++
-		if !fn(h.k, h.v) {
-			break
-		}
-	}
-	return visited
+	return min(len(hits), limit)
 }
 
 // BulkLoad implements index.BulkLoader by repeated insertion (hashing gains

@@ -68,15 +68,15 @@ func TestScanSortsResults(t *testing.T) {
 	for _, k := range []uint64{50, 10, 90, 30, 70} {
 		ix.Insert(k, k)
 	}
-	var got []uint64
-	ix.Scan(0, 100, func(k, _ uint64) bool { got = append(got, k); return true })
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("scan unsorted: %v", got)
-		}
+	indextest.CheckScans(t, ix.Scan, []uint64{10, 30, 50, 70, 90}, []uint64{0, 10, 50, 90, 100}, []int{1, 2, 3, 5, 6})
+	// Whatever the limit, a scan tests every entry and sorts every hit:
+	// 5 tests, and at least 4 comparisons to order 5 keys.
+	before := ix.Stats().Compares
+	if n := ix.Scan(0, 1); n != 1 {
+		t.Fatalf("Scan(0, 1) visited %d", n)
 	}
-	if len(got) != 5 {
-		t.Fatalf("scan visited %d", len(got))
+	if got := ix.Stats().Compares - before; got < 5+4 {
+		t.Fatalf("Scan(0, 1) charged %d compares, want >= 9", got)
 	}
 }
 

@@ -14,10 +14,12 @@ type Ordered interface {
 	Insert(key, value uint64)
 	// Delete removes key, reporting whether it was present.
 	Delete(key uint64) bool
-	// Scan visits entries with key in [lo, hi] in ascending key order,
-	// stopping early if fn returns false. It returns the number of
-	// entries visited.
-	Scan(lo, hi uint64, fn func(key, value uint64) bool) int
+	// Scan returns how many entries with key >= lo a walk in ascending
+	// key order visits before it reaches limit: min(limit, entries >= lo),
+	// and 0 when limit < 1. It charges the counters such a walk charges
+	// (its search for lo, and what the index prices per entry or block
+	// visited), but counts in bulk rather than handing out the entries.
+	Scan(lo uint64, limit int) int
 	// Len returns the number of entries.
 	Len() int
 	// Name identifies the index implementation in reports.

@@ -7,6 +7,7 @@
 package indextest
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -45,7 +46,7 @@ func testEmpty(t *testing.T, ix index.Ordered) {
 	if ix.Delete(42) {
 		t.Fatal("Delete on empty index")
 	}
-	if n := ix.Scan(0, ^uint64(0), func(_, _ uint64) bool { return true }); n != 0 {
+	if n := ix.Scan(0, math.MaxInt); n != 0 {
 		t.Fatalf("Scan on empty visited %d", n)
 	}
 	if ix.Name() == "" {
@@ -118,52 +119,65 @@ func testDelete(t *testing.T, ix index.Ordered) {
 	}
 }
 
+// ScanCount is the scan a sorted model answers: how many of the ascending
+// keys are >= lo, capped at limit (0 when limit < 1).
+func ScanCount(sorted []uint64, lo uint64, limit int) int {
+	if limit < 1 {
+		return 0
+	}
+	return min(len(sorted)-sort.Search(len(sorted), func(i int) bool { return sorted[i] >= lo }), limit)
+}
+
+// CheckScans fails t unless scan agrees with ScanCount over sorted — the
+// live keys — at every probe key, the keys on either side of it, and every
+// limit. scan is an index.Ordered's Scan, or anything that scans like one.
+func CheckScans(t testing.TB, scan func(lo uint64, limit int) int, sorted, probes []uint64, limits []int) {
+	t.Helper()
+	for _, p := range probes {
+		for _, lo := range []uint64{p - 1, p, p + 1} {
+			for _, limit := range limits {
+				if got, want := scan(lo, limit), ScanCount(sorted, lo, limit); got != want {
+					t.Fatalf("Scan(%d, %d) visited %d, want %d", lo, limit, got, want)
+				}
+			}
+		}
+	}
+}
+
 func testScanOrder(t *testing.T, ix index.Ordered) {
 	keys := distgen.UniqueKeys(distgen.NewClustered(3, 5, 1e9), 3000)
 	for _, k := range keys {
 		ix.Insert(k, k*2)
 	}
-	lo, hi := keys[500], keys[2500]
-	var got []uint64
-	ix.Scan(lo, hi, func(k, v uint64) bool {
-		if v != k*2 {
-			t.Fatalf("scan value mismatch at %d", k)
-		}
-		got = append(got, k)
-		return true
-	})
-	want := keys[500:2501]
-	if len(got) != len(want) {
-		t.Fatalf("scan visited %d keys, want %d", len(got), len(want))
+	// Every 31st key and the last: a hash index sorts the table per scan.
+	probes := []uint64{keys[len(keys)-1]}
+	for i := 0; i < len(keys); i += 31 {
+		probes = append(probes, keys[i])
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("scan order mismatch at %d: %d vs %d", i, got[i], want[i])
-		}
-	}
+	CheckScans(t, ix.Scan, keys, probes, []int{1, 2, 63, 64, 65, 200, 2501, len(keys)})
 }
 
 func testScanEarlyStop(t *testing.T, ix index.Ordered) {
 	for k := uint64(1); k <= 100; k++ {
 		ix.Insert(k, k)
 	}
-	n := 0
-	visited := ix.Scan(1, 100, func(_, _ uint64) bool {
-		n++
-		return n < 10
-	})
-	if n != 10 || visited != 10 {
-		t.Fatalf("early stop visited %d/%d", n, visited)
+	if visited := ix.Scan(1, 10); visited != 10 {
+		t.Fatalf("early stop visited %d, want 10", visited)
+	}
+	if visited := ix.Scan(95, 10); visited != 6 {
+		t.Fatalf("scan near the end visited %d, want 6", visited)
 	}
 }
 
 func testScanEmptyRange(t *testing.T, ix index.Ordered) {
 	ix.Insert(100, 1)
-	if n := ix.Scan(200, 100, func(_, _ uint64) bool { return true }); n != 0 {
-		t.Fatalf("inverted range visited %d", n)
+	if n := ix.Scan(101, 99999); n != 0 {
+		t.Fatalf("scan past the last key visited %d", n)
 	}
-	if n := ix.Scan(101, 99999, func(_, _ uint64) bool { return true }); n != 0 {
-		t.Fatalf("empty range visited %d", n)
+	for _, limit := range []int{0, -1, math.MinInt} {
+		if n := ix.Scan(0, limit); n != 0 {
+			t.Fatalf("scan with limit %d visited %d", limit, n)
+		}
 	}
 }
 
@@ -249,31 +263,20 @@ func testRandomOps(t *testing.T, newIndex Factory, seed uint64) {
 			if len(keyPool) < 2 {
 				continue
 			}
-			a := keyPool[rng.Intn(len(keyPool))]
-			b := a + uint64(rng.Intn(1<<30))
-			var got []uint64
-			ix.Scan(a, b, func(k, v uint64) bool {
-				got = append(got, k)
-				if ref[k] != v {
-					t.Fatalf("op %d: scan value mismatch at %d", op, k)
-				}
-				return true
-			})
-			var want []uint64
+			lo := keyPool[rng.Intn(len(keyPool))] + uint64(rng.Intn(3)) - 1
+			limit := 1 + rng.Intn(300)
+			if rng.Float64() < 0.1 {
+				limit = len(ref) + 1
+			}
+			want := 0
 			for k := range ref {
-				if k >= a && k <= b {
-					want = append(want, k)
+				if k >= lo {
+					want++
 				}
 			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if len(got) != len(want) {
-				t.Fatalf("op %d: scan[%d,%d] visited %d, want %d",
-					op, a, b, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("op %d: scan key %d = %d, want %d", op, i, got[i], want[i])
-				}
+			want = min(want, limit)
+			if got := ix.Scan(lo, limit); got != want {
+				t.Fatalf("op %d: Scan(%d, %d) visited %d, want %d", op, lo, limit, got, want)
 			}
 		}
 		if ix.Len() != len(ref) {
@@ -300,14 +303,16 @@ func testSequentialHeavy(t *testing.T, ix index.Ordered) {
 			t.Fatalf("Get(%d) failed after sequential load", k)
 		}
 	}
-	n := ix.Scan(10000, 10099, func(_, _ uint64) bool { return true })
-	if n != 100 {
+	if n := ix.Scan(10000, 100); n != 100 {
 		t.Fatalf("scan visited %d, want 100", n)
+	}
+	if n := ix.Scan(29950, 100); n != 51 {
+		t.Fatalf("scan to the end visited %d, want 51", n)
 	}
 }
 
 func testExtremeKeys(t *testing.T, ix index.Ordered) {
-	keys := []uint64{0, 1, ^uint64(0), ^uint64(0) - 1, 1 << 63, 1<<63 - 1}
+	keys := []uint64{0, 1, 1<<63 - 1, 1 << 63, ^uint64(0) - 1, ^uint64(0)} // ascending
 	for i, k := range keys {
 		ix.Insert(k, uint64(i))
 	}
@@ -316,8 +321,5 @@ func testExtremeKeys(t *testing.T, ix index.Ordered) {
 			t.Fatalf("extreme key %d lost", k)
 		}
 	}
-	count := ix.Scan(0, ^uint64(0), func(_, _ uint64) bool { return true })
-	if count != len(keys) {
-		t.Fatalf("full scan over extremes visited %d", count)
-	}
+	CheckScans(t, ix.Scan, keys, keys, []int{1, 2, 3, len(keys), math.MaxInt})
 }

@@ -21,7 +21,6 @@
 package rmi
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/index"
@@ -139,10 +138,9 @@ func (ix *Index) Retrain() int {
 			merged = make([]uint64, 0, need)
 			mergedV = make([]uint64, 0, need)
 		}
-		ix.walk(0, 0, math.MaxUint64, func(k, v uint64) bool {
+		ix.walk(func(k, v uint64) {
 			merged = append(merged, k)
 			mergedV = append(mergedV, v)
-			return true
 		})
 		work += len(merged)
 		ix.spareKeys, ix.spareVals = ix.keys[:0], ix.values[:0]
@@ -375,10 +373,13 @@ func (ix *Index) Delete(key uint64) bool {
 	return false
 }
 
-// Scan implements index.Ordered: a sorted merge of the main array and the
-// delta buffer, skipping tombstones.
-func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
-	if hi < lo {
+// Scan implements index.Ordered: it counts the sorted merge of the main
+// array and the delta that walk performs, without performing it. Between two
+// delta keys the main keys are a range whose length is index arithmetic;
+// while tombstones exist the range is checked key by key. Only the search
+// for lo is charged.
+func (ix *Index) Scan(lo uint64, limit int) int {
+	if limit < 1 {
 		return 0
 	}
 	i, _ := ix.searchMain(lo)
@@ -394,51 +395,70 @@ func (ix *Index) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 	for i < len(ix.keys) && ix.keys[i] < lo {
 		i++
 	}
+	c := ix.delta.Seek(lo)
+	dead := len(ix.tombstones) > 0
 	visited := 0
-	ix.walk(i, lo, hi, func(k, v uint64) bool {
-		visited++
-		return fn(k, v)
-	})
-	return visited
+	for {
+		// Main keys [i, j) come before the next delta key dk. Without
+		// tombstones no more than limit-visited of them can count, so the
+		// search for dk stops there.
+		dk, _, more := c.Pair()
+		j := len(ix.keys)
+		if !dead {
+			j = min(j, i+limit-visited)
+		}
+		if more {
+			j = search.LowerBoundRange(ix.keys, i, j, dk)
+		}
+		if dead {
+			for ; i < j && visited < limit; i++ {
+				if _, gone := ix.tombstones[ix.keys[i]]; !gone {
+					visited++
+				}
+			}
+		} else {
+			visited, i = visited+j-i, j
+		}
+		if visited >= limit || !more {
+			return min(visited, limit)
+		}
+		if i < len(ix.keys) && ix.keys[i] == dk {
+			i++ // delta overrides main
+		}
+		c.Next()
+		if visited++; visited == limit {
+			return limit
+		}
+	}
 }
 
-// walk is the one sorted merge of the main array and the delta: from main
-// position i and the first delta key >= lo, it hands fn every live pair
-// with key <= hi in key order — the delta overriding main on equal keys,
-// tombstoned keys skipped — until fn returns false. It alternates between a
-// run of main keys below the next delta key and that delta pair; a delta key
-// is never tombstoned (Insert lifts the tombstone, Delete removes the key
-// from the delta first), so only main keys look the map up, and only while
-// it holds anything.
-func (ix *Index) walk(i int, lo, hi uint64, fn func(key, value uint64) bool) {
-	c := ix.delta.Seek(lo)
+// walk is the one sorted merge of the main array and the delta: it hands fn
+// every live pair in key order — the delta overriding main on equal keys,
+// tombstoned keys skipped. It alternates between a run of main keys below
+// the next delta key and that delta pair; a delta key is never tombstoned
+// (Insert lifts the tombstone, Delete removes the key from the delta first),
+// so only main keys look the map up, and only while it holds anything.
+func (ix *Index) walk(fn func(key, value uint64)) {
+	i, c := 0, ix.delta.Seek(0)
 	dead := len(ix.tombstones) > 0
 	for {
 		dk, dv, more := c.Pair()
 		for ; i < len(ix.keys) && (!more || ix.keys[i] < dk); i++ {
-			k := ix.keys[i]
-			if k > hi {
-				return
-			}
 			if dead {
-				if _, gone := ix.tombstones[k]; gone {
+				if _, gone := ix.tombstones[ix.keys[i]]; gone {
 					continue
 				}
 			}
-			if !fn(k, ix.values[i]) {
-				return
-			}
+			fn(ix.keys[i], ix.values[i])
 		}
-		if !more || dk > hi {
+		if !more {
 			return
 		}
 		if i < len(ix.keys) && ix.keys[i] == dk {
 			i++ // delta overrides main
 		}
 		c.Next()
-		if !fn(dk, dv) {
-			return
-		}
+		fn(dk, dv)
 	}
 }
 

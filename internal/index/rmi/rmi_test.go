@@ -88,11 +88,7 @@ func TestUntrainedIndexUsable(t *testing.T) {
 	if v, ok := ix.Get(5); !ok || v != 50 {
 		t.Fatal("delta-only Get failed")
 	}
-	var got []uint64
-	ix.Scan(0, 10, func(k, _ uint64) bool { got = append(got, k); return true })
-	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("delta-only scan = %v", got)
-	}
+	indextest.CheckScans(t, ix.Scan, []uint64{1, 5}, []uint64{0, 1, 5, 10}, []int{1, 2, 3})
 	if ix.ModelCount() != 0 {
 		t.Fatalf("untrained ModelCount = %d", ix.ModelCount())
 	}
@@ -151,35 +147,30 @@ func TestLookupFasterOnEasyData(t *testing.T) {
 
 // TestWalkMergeCases puts the delta's keys before, between, on and after the
 // main array's, with and without tombstones, and checks walk's merged order,
-// bounds and early stop. Values tell the sides apart: main k*10, delta k*100.
+// then that Scan counts that merge from every lo at every limit. Values tell
+// the sides apart: main k*10, delta k*100.
 func TestWalkMergeCases(t *testing.T) {
 	type pair struct{ k, v uint64 }
 	top := ^uint64(0) // a variable, so the value products below wrap
 	for _, c := range []struct {
 		name             string
 		main, delta, rip []uint64 // rip: tombstoned main keys
-		lo, hi           uint64
-		limit            int
 		want             []pair
 	}{
-		{name: "main only", main: []uint64{10, 20, 30}, hi: 99, want: []pair{{10, 100}, {20, 200}, {30, 300}}},
-		{name: "delta only", delta: []uint64{5, 6}, hi: 99, want: []pair{{5, 500}, {6, 600}}},
-		{name: "both empty", hi: 99},
-		{name: "before", main: []uint64{10, 20}, delta: []uint64{1, 2}, hi: 99, want: []pair{{1, 100}, {2, 200}, {10, 100}, {20, 200}}},
-		{name: "between", main: []uint64{10, 20, 30}, delta: []uint64{15, 16, 25}, hi: 99,
+		{name: "main only", main: []uint64{10, 20, 30}, want: []pair{{10, 100}, {20, 200}, {30, 300}}},
+		{name: "delta only", delta: []uint64{5, 6}, want: []pair{{5, 500}, {6, 600}}},
+		{name: "both empty"},
+		{name: "before", main: []uint64{10, 20}, delta: []uint64{1, 2}, want: []pair{{1, 100}, {2, 200}, {10, 100}, {20, 200}}},
+		{name: "between", main: []uint64{10, 20, 30}, delta: []uint64{15, 16, 25},
 			want: []pair{{10, 100}, {15, 1500}, {16, 1600}, {20, 200}, {25, 2500}, {30, 300}}},
-		{name: "equal: delta overrides", main: []uint64{10, 20, 30}, delta: []uint64{20}, hi: 99, want: []pair{{10, 100}, {20, 2000}, {30, 300}}},
-		{name: "after", main: []uint64{10, 20}, delta: []uint64{21, 40}, hi: 99, want: []pair{{10, 100}, {20, 200}, {21, 2100}, {40, 4000}}},
-		{name: "tombstones", main: []uint64{10, 20, 30, 40}, delta: []uint64{5, 25, 50}, rip: []uint64{10, 30, 40}, hi: 99,
+		{name: "equal: delta overrides", main: []uint64{10, 20, 30}, delta: []uint64{20}, want: []pair{{10, 100}, {20, 2000}, {30, 300}}},
+		{name: "after", main: []uint64{10, 20}, delta: []uint64{21, 40}, want: []pair{{10, 100}, {20, 200}, {21, 2100}, {40, 4000}}},
+		{name: "tombstones", main: []uint64{10, 20, 30, 40}, delta: []uint64{5, 25, 50}, rip: []uint64{10, 30, 40},
 			want: []pair{{5, 500}, {20, 200}, {25, 2500}, {50, 5000}}},
-		{name: "every main key dead", main: []uint64{10, 20}, delta: []uint64{15}, rip: []uint64{10, 20}, hi: 99, want: []pair{{15, 1500}}},
-		{name: "lo and hi cut both sides", main: []uint64{10, 20, 30, 40}, delta: []uint64{5, 25, 35, 50}, rip: []uint64{30}, lo: 20, hi: 35,
-			want: []pair{{20, 200}, {25, 2500}, {35, 3500}}},
-		{name: "hi stops inside a main run", main: []uint64{10, 20, 30}, delta: []uint64{99}, hi: 20, want: []pair{{10, 100}, {20, 200}}},
-		{name: "hi stops on a delta key", main: []uint64{10, 40}, delta: []uint64{20, 30}, hi: 29, want: []pair{{10, 100}, {20, 2000}}},
-		{name: "fn stops in main", main: []uint64{10, 20, 30}, delta: []uint64{25}, hi: 99, limit: 2, want: []pair{{10, 100}, {20, 200}}},
-		{name: "fn stops on delta", main: []uint64{10, 20, 30}, delta: []uint64{15}, hi: 99, limit: 2, want: []pair{{10, 100}, {15, 1500}}},
-		{name: "max key on both sides", main: []uint64{7, top}, delta: []uint64{top - 1}, hi: top,
+		{name: "every main key dead", main: []uint64{10, 20}, delta: []uint64{15}, rip: []uint64{10, 20}, want: []pair{{15, 1500}}},
+		{name: "tombstone between delta keys", main: []uint64{10, 20, 30, 40}, delta: []uint64{5, 25, 35, 50}, rip: []uint64{30},
+			want: []pair{{5, 500}, {10, 100}, {20, 200}, {25, 2500}, {35, 3500}, {40, 400}, {50, 5000}}},
+		{name: "max key on both sides", main: []uint64{7, top}, delta: []uint64{top - 1},
 			want: []pair{{7, 70}, {top - 1, (top - 1) * 100}, {top, top * 10}}},
 	} {
 		ix := New(4)
@@ -192,18 +183,22 @@ func TestWalkMergeCases(t *testing.T) {
 		for _, k := range c.rip {
 			ix.tombstones[k] = struct{}{}
 		}
-		i := 0
-		for i < len(c.main) && c.main[i] < c.lo {
-			i++
-		}
 		var got []pair
-		ix.walk(i, c.lo, c.hi, func(k, v uint64) bool {
-			got = append(got, pair{k, v})
-			return len(got) != c.limit
-		})
+		ix.walk(func(k, v uint64) { got = append(got, pair{k, v}) })
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: walk = %v, want %v", c.name, got, c.want)
 		}
+		live := make([]uint64, len(c.want))
+		for i, p := range c.want {
+			live[i] = p.k
+		}
+		probes := append([]uint64{0, 1, top}, c.main...)
+		probes = append(probes, c.delta...)
+		var limits []int
+		for l := -1; l <= len(live)+1; l++ {
+			limits = append(limits, l)
+		}
+		indextest.CheckScans(t, ix.Scan, live, probes, limits)
 	}
 }
 

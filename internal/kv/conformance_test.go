@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/index/indextest"
 	"repro/internal/stats"
 )
 
@@ -32,15 +33,6 @@ func (m *model) del(k uint64) {
 		m.keys = append(m.keys[:i], m.keys[i+1:]...)
 		delete(m.vals, k)
 	}
-}
-
-// scan returns up to limit key/value pairs of [lo, hi], flattened.
-func (m *model) scan(lo, hi uint64, limit int) []uint64 {
-	var out []uint64
-	for i := sort.Search(len(m.keys), func(i int) bool { return m.keys[i] >= lo }); i < len(m.keys) && m.keys[i] <= hi && len(out) < 2*limit; i++ {
-		out = append(out, m.keys[i], m.vals[m.keys[i]])
-	}
-	return out
 }
 
 // entries returns the live keys as one sorted run of entries: what a full
@@ -180,25 +172,11 @@ func conform(t *testing.T, memCap int, order func(r *stats.RNG, memCap int) func
 				}
 			}
 		case x < 99:
-			hi := ^uint64(0)
-			if x%2 == 0 {
-				hi = k + 1<<58 // may wrap below k: an empty range
-			}
 			limit := 1 + r.Intn(40)
-			want := m.scan(k, hi, limit)
+			want := indextest.ScanCount(m.keys, k, limit)
 			for _, st := range stores {
-				var got []uint64
-				n := st.s.Scan(k, hi, func(k, v uint64) bool {
-					got = append(got, k, v)
-					return len(got) < 2*limit
-				})
-				if n != len(want)/2 || len(got) != len(want) {
-					t.Fatalf("op %d, %s: Scan(%d, %d) visited %d (%d seen), want %d", op, st.name, k, hi, n, len(got)/2, len(want)/2)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("op %d, %s: Scan(%d, %d) diverges at %d: got %d, want %d", op, st.name, k, hi, i/2, got[i], want[i])
-					}
+				if n := st.s.Scan(k, limit); n != want {
+					t.Fatalf("op %d, %s: Scan(%d, %d) visited %d, want %d", op, st.name, k, limit, n, want)
 				}
 			}
 		default:

@@ -1,8 +1,10 @@
 package kv
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/index/indextest"
 	"repro/internal/pager"
 )
 
@@ -50,18 +52,21 @@ func TestDiskStoreMatchesMemStore(t *testing.T) {
 	if mem.Len() != disk.Len() {
 		t.Fatalf("len: mem=%d disk=%d", mem.Len(), disk.Len())
 	}
-	// Scans agree, including ordering.
-	var memSeen, diskSeen []uint64
-	mem.Scan(0, ^uint64(0), func(k, v uint64) bool { memSeen = append(memSeen, k, v); return true })
-	disk.Scan(0, ^uint64(0), func(k, v uint64) bool { diskSeen = append(diskSeen, k, v); return true })
-	if len(memSeen) != len(diskSeen) {
-		t.Fatalf("scan lengths: mem=%d disk=%d", len(memSeen)/2, len(diskSeen)/2)
-	}
-	for i := range memSeen {
-		if memSeen[i] != diskSeen[i] {
-			t.Fatalf("scan diverges at %d: mem=%d disk=%d", i/2, memSeen[i], diskSeen[i])
+	// Scans count the same live keys at every probe.
+	var live, probes []uint64
+	for i := uint64(0); i < 1500; i++ {
+		k := mix64(i)
+		if _, ok := mem.Get(k); ok {
+			live = append(live, k)
+		}
+		if i%10 == 0 {
+			probes = append(probes, k)
 		}
 	}
+	slices.Sort(live)
+	limits := []int{1, 63, 64, 65, 200, len(live)}
+	indextest.CheckScans(t, mem.Scan, live, probes, limits)
+	indextest.CheckScans(t, disk.Scan, live, probes, limits)
 }
 
 func TestDiskStoreFlushAndCompactMovePages(t *testing.T) {

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"encoding/binary"
+	"math"
 
 	"repro/internal/kv/bloom"
 	"repro/internal/pager"
@@ -28,8 +29,9 @@ type Store struct {
 	// order, with its newest value or tombstone; flushes reuse its blocks.
 	mem sortbuf.Buffer[memVal]
 
-	runs  []run // runs[0] is newest
-	store runStore
+	runs    []run // runs[0] is newest
+	store   runStore
+	cursors []cursor // Scan's, one per run, reused
 
 	st Counters
 }
@@ -279,30 +281,34 @@ func (s *Store) Get(key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Scan visits live entries with key in [lo, hi] ascending, stopping early
-// if fn returns false; it returns the number visited. The scan merges the
-// memtable and all runs with newest-wins semantics.
-func (s *Store) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
-	if hi < lo {
+// Scan returns how many live entries with key >= lo a walk in ascending key
+// order visits before it reaches limit (0 when limit < 1). The walk merges
+// the memtable and all runs with newest-wins semantics, stepping and
+// settling every cursor as it goes, so it reads the pages an entry-by-entry
+// scan reads, in the same order.
+func (s *Store) Scan(lo uint64, limit int) int {
+	if limit < 1 {
 		return 0
 	}
-	// Position each run cursor at the first entry >= lo.
-	cursors := make([]cursor, len(s.runs)) // newest first
-	for i, r := range s.runs {
-		c := &cursors[i]
-		c.data, c.next = r.data, r.data.seek(lo)
+	// Position each run cursor at the first entry >= lo, newest first. The
+	// cursors live in s.cursors so that a scan allocates nothing.
+	cursors := s.cursors[:0]
+	for _, r := range s.runs {
+		cursors = append(cursors, cursor{data: r.data, next: r.data.seek(lo)})
+		c := &cursors[len(cursors)-1]
 		c.load()
 		c.idx = lowerBoundEntries(c.cur, 0, len(c.cur), lo)
 		c.settle()
 	}
+	s.cursors = cursors
 	mc := s.mem.Seek(lo)
 
 	visited := 0
-	for {
+	for visited < limit {
 		// Smallest current key across memtable and runs; newer wins ties.
 		var e entry
 		found := false
-		if k, v, ok := mc.Pair(); ok && k <= hi {
+		if k, v, ok := mc.Pair(); ok {
 			e, found = v.entry(k), true
 		}
 		for i := range cursors {
@@ -310,12 +316,12 @@ func (s *Store) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 			if c.cur == nil {
 				continue
 			}
-			if k := c.cur[c.idx].key; k <= hi && (!found || k < e.key) {
+			if k := c.cur[c.idx].key; !found || k < e.key {
 				e, found = c.cur[c.idx], true
 			}
 		}
 		if !found {
-			return visited
+			break
 		}
 		// Step every source sitting on e.key (dedup across sources).
 		if k, _, ok := mc.Pair(); ok && k == e.key {
@@ -328,14 +334,12 @@ func (s *Store) Scan(lo, hi uint64, fn func(key, value uint64) bool) int {
 				c.settle()
 			}
 		}
-		if e.dead {
-			continue
-		}
-		visited++
-		if !fn(e.key, e.val) {
-			return visited
+		if !e.dead {
+			visited++
 		}
 	}
+	clear(cursors) // hold no run a compaction may free
+	return visited
 }
 
 // cursor walks one run a chunk at a time. Past the end cur is nil;
@@ -365,9 +369,7 @@ func (c *cursor) settle() {
 // Len returns the number of live keys. It is O(data) — intended for tests
 // and reports, not hot paths.
 func (s *Store) Len() int {
-	n := 0
-	s.Scan(0, ^uint64(0), func(_, _ uint64) bool { n++; return n >= 0 })
-	return n
+	return s.Scan(0, math.MaxInt)
 }
 
 // RunCount reports the current number of runs.

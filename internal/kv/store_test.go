@@ -1,10 +1,11 @@
 package kv
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/index/indextest"
 	"repro/internal/stats"
 )
 
@@ -100,29 +101,20 @@ func TestScanMergesSources(t *testing.T) {
 	for k := uint64(1); k < 300; k += 3 {
 		s.Delete(k)
 	}
-	var keys []uint64
-	s.Scan(0, 299, func(k, v uint64) bool {
-		switch k % 3 {
-		case 0:
-			if v != 2 {
-				t.Fatalf("key %d: stale value %d", k, v)
-			}
-		case 1:
-			t.Fatalf("deleted key %d in scan", k)
-		case 2:
-			if v != 1 {
-				t.Fatalf("key %d: value %d", k, v)
-			}
+	var live, all []uint64
+	for k := uint64(0); k < 300; k++ {
+		v, ok := s.Get(k)
+		switch want := []uint64{2, 0, 1}[k%3]; {
+		case ok != (k%3 != 1) || v != want:
+			t.Fatalf("key %d: Get = %d,%v, want %d,%v", k, v, ok, want, k%3 != 1)
+		case ok:
+			live = append(live, k)
 		}
-		keys = append(keys, k)
-		return true
-	})
-	if len(keys) != 200 {
-		t.Fatalf("scan visited %d, want 200", len(keys))
+		all = append(all, k)
 	}
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatal("scan unsorted")
-	}
+	// A scan counts each live key once, whichever sources hold it, and
+	// skips the tombstones in the newer ones.
+	indextest.CheckScans(t, s.Scan, live, all, []int{1, 2, 3, 100, 199, 200, 201})
 }
 
 func TestScanEarlyStopAndEmptyRange(t *testing.T) {
@@ -130,13 +122,38 @@ func TestScanEarlyStopAndEmptyRange(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		s.Put(k, k)
 	}
-	n := 0
-	s.Scan(0, 99, func(_, _ uint64) bool { n++; return n < 5 })
-	if n != 5 {
+	if n := s.Scan(0, 5); n != 5 {
 		t.Fatalf("early stop at %d", n)
 	}
-	if s.Scan(50, 10, func(_, _ uint64) bool { return true }) != 0 {
-		t.Fatal("inverted range")
+	if n := s.Scan(100, 10); n != 0 {
+		t.Fatalf("scan past the last key visited %d", n)
+	}
+	for _, limit := range []int{0, -1} {
+		if n := s.Scan(0, limit); n != 0 {
+			t.Fatalf("scan with limit %d visited %d", limit, n)
+		}
+	}
+}
+
+// TestScanAllocatesNothing: a scan over a store with several runs reuses the
+// store's cursors.
+func TestScanAllocatesNothing(t *testing.T) {
+	s := Open(Knobs{MemtableCap: 4096, MaxRuns: 8, SparseEvery: 8})
+	for k := uint64(0); k < 1000; k++ {
+		s.Put(k*7, k)
+		if k%300 == 299 {
+			s.Flush()
+		}
+	}
+	if s.RunCount() < 2 {
+		t.Fatalf("%d runs, want at least 2", s.RunCount())
+	}
+	lo := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		lo += 61
+		s.Scan(lo, 200)
+	}); allocs != 0 {
+		t.Fatalf("a scan allocated %v times", allocs)
 	}
 }
 
@@ -205,15 +222,20 @@ func TestRandomOpsVsModel(t *testing.T) {
 				}
 			}
 		}
-		// Full scan must equal the model.
-		got := make(map[uint64]uint64)
-		s.Scan(0, ^uint64(0), func(k, v uint64) bool { got[k] = v; return true })
-		if len(got) != len(ref) {
-			return false
-		}
+		// Every key's value and every scan count must equal the model's.
+		live := make([]uint64, 0, len(ref))
 		for k, v := range ref {
-			if got[k] != v {
+			if got, ok := s.Get(k); !ok || got != v {
 				return false
+			}
+			live = append(live, k)
+		}
+		slices.Sort(live)
+		for lo := uint64(0); lo <= 500; lo++ {
+			for _, limit := range []int{1, 7, 64, len(live), len(live) + 1} {
+				if s.Scan(lo, limit) != indextest.ScanCount(live, lo, limit) {
+					return false
+				}
 			}
 		}
 		return s.Len() == len(ref)
