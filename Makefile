@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e bench-pairs figures clean
+.PHONY: all build vet fmt-check test test-race race check cover loc loc-check bench bench-smoke bench-baseline bench-check bench-large bench-e2e bench-pairs identity figures clean
 
 # bench-large dataset size. The committed default (1M) keeps CI minutes
 # sane; the real tier is LARGE_N=100000000 (see EXPERIMENTS.md for the
@@ -179,6 +179,47 @@ bench-pairs:
 	done; \
 	awk "$$BENCH_PAIRS_AWK" BENCHMARK.json $$tmp/parent.jsonl $$tmp/change.jsonl; \
 	for side in parent change; do echo "virt_digest $$side: $$(sort -u $$tmp/$$side.digests | tr '\n' ' ')"; done
+
+# identity is the byte-identity check a change that must not move any
+# result rests on, as a tool:
+#   make identity PARENT=<rev>
+# It unpacks PARENT into a temp dir (git archive, as bench-pairs), builds
+# that tree's figures, lsbench, lstrace and ./benchmark and the working
+# tree's, and runs one suite with each side's binaries from its own
+# directory: `figures -parallel 1 -csv` stdout and CSVs; `lsbench -example`,
+# and that config under every catalog SUT; the config with its shift phase
+# at 70 % limit-200 scans under every SUT but hash (a hash scan tests the
+# whole table, and before its scan counted in one pass it sorted it too);
+# the SHA-256 of `lstrace record` of the example; and each workload's
+# `virt_digest` from `benchmark -seconds 1 -trace 0`. It prints `identical`,
+# or the first file that differs with its diff and exits 1.
+IDENTITY_SUTS = btree hash rmi alex kvstore disk-btree disk-lsm
+IDENTITY_SCAN_SUTS = btree,rmi,alex,kvstore,disk-btree,disk-lsm
+IDENTITY_WORKLOADS = mem-point mem-drift disk-cold wire-rt
+identity:
+	@[ -n "$(PARENT)" ] || { echo 'usage: make identity PARENT=<rev>' >&2; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir $$tmp/src $$tmp/parent $$tmp/change; \
+	git archive $(PARENT) | tar -x -C $$tmp/src; \
+	build() { for c in figures lsbench lstrace; do $(GO) build -o $$1/$$c ./cmd/$$c; done; $(GO) build -o $$1/bench ./benchmark; }; \
+	(cd $$tmp/src && build $$tmp/parent); build $$tmp/change; \
+	echo "identity: parent $$(git rev-parse --short $(PARENT)) vs $$(git describe --always --dirty)"; \
+	for side in parent change; do (set -e; cd $$tmp/$$side; mkdir out; \
+		./figures -parallel 1 -csv out/csv > out/figures.txt; \
+		./lsbench -example > out/example.json; \
+		for s in $(IDENTITY_SUTS); do ./lsbench -config out/example.json -suts $$s > out/example-$$s.txt; done; \
+		sed 's/"mix": {"get": 0.3, "put": 0.7}/"mix": {"get": 0.2, "put": 0.05, "delete": 0.05, "scan": 0.7, "scanLimit": 200}/' out/example.json > scan.json; \
+		grep -q '"scan": 0.7' scan.json || { echo "identity: the scan variant did not apply" >&2; exit 1; }; \
+		./lsbench -config scan.json -suts $(IDENTITY_SCAN_SUTS) > out/scan.txt; \
+		./lstrace record -config out/example.json -o example.lstrace > /dev/null; \
+		sha256sum < example.lstrace > out/lstrace.sha256; \
+		for w in $(IDENTITY_WORKLOADS); do \
+			./bench -workload $$w -seconds 1 -trace 0 > bench.log || { cat bench.log >&2; exit 1; }; \
+			echo "$$w $$(grep -o 'virt_digest=[0-9a-f]*' bench.log)" >> out/virt_digest.txt; \
+		done) || { echo "identity: the $$side suite failed" >&2; exit 1; }; done; \
+	first=$$(cd $$tmp && diff -rq parent/out change/out | head -n 1); \
+	if [ -z "$$first" ]; then echo identical; exit 0; fi; \
+	echo "$$first"; (cd $$tmp && diff -r parent/out change/out | head -n 40); exit 1
 
 # Regenerate every figure, lesson ablation, and extension experiment.
 figures:

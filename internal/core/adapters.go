@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/index"
 	"repro/internal/index/alex"
 	"repro/internal/index/btree"
@@ -15,31 +14,23 @@ import (
 	"repro/internal/workload"
 )
 
-// ioModel prices page I/O counters into work units. Disk-backed SUTs are
-// the only ones that advance those counters, so in-memory SUT results are
-// unaffected by its value.
-var ioModel = cost.DefaultIOModel()
-
-// IndexSUT adapts any index.Ordered into a benchmark SUT, deriving each
-// operation's Work from the index's instrumentation counters so the
-// virtual clock charges realistic, distribution-dependent service times.
+// IndexSUT adapts any index into a benchmark SUT, pricing each operation's
+// Work from the index's counters (and its buffer pool's, when it pages) so
+// the virtual clock charges realistic, distribution-dependent service times.
 type IndexSUT struct {
-	ix   index.Ordered
-	st   *index.Stats // ix's counters read in place (LiveStats); nil when uninstrumented
-	pool *pager.Pool  // ix's buffer pool; nil in memory
-	// last is the five priced counters as of the previous op boundary.
-	last   struct{ compares, splits, trainWork, pagesRead, pagesWritten uint64 }
+	ix index.Measured
+	st *index.Stats // ix's counters, read in place (LiveStats)
+	io pageMeter
+	// last is the priced index counters as of the previous op boundary.
+	last   struct{ compares, modelled, splits, trainWork uint64 }
 	online int64
 }
 
 // NewIndexSUT wraps an index.
-func NewIndexSUT(ix index.Ordered) *IndexSUT {
-	s := &IndexSUT{ix: ix}
-	if in, ok := ix.(index.Instrumented); ok {
-		s.st = in.LiveStats()
-	}
+func NewIndexSUT(ix index.Measured) *IndexSUT {
+	s := &IndexSUT{ix: ix, st: ix.LiveStats()}
 	if h, ok := ix.(poolHolder); ok {
-		s.pool = h.Pool()
+		s.io.pool = h.Pool()
 	}
 	return s
 }
@@ -48,15 +39,7 @@ func NewIndexSUT(ix index.Ordered) *IndexSUT {
 func (s *IndexSUT) Name() string { return s.ix.Name() }
 
 // Load implements SUT.
-func (s *IndexSUT) Load(keys, values []uint64) {
-	if bl, ok := s.ix.(index.BulkLoader); ok {
-		bl.BulkLoad(keys, values)
-		return
-	}
-	for i, k := range keys {
-		s.ix.Insert(k, values[i])
-	}
-}
+func (s *IndexSUT) Load(keys, values []uint64) { s.ix.BulkLoad(keys, values) }
 
 // Do implements SUT.
 func (s *IndexSUT) Do(op workload.Op) OpResult {
@@ -75,42 +58,22 @@ func (s *IndexSUT) Do(op workload.Op) OpResult {
 	return res
 }
 
-// workDelta derives the operation's work from instrumentation counters,
-// falling back to coarse estimates for uninstrumented indexes.
+// workDelta prices the counters' advance since the previous op (price.go).
+// Splits and online model rebuilds are the latency spikes the adaptability
+// metrics must surface; the rebuilds also count as training overhead.
 func (s *IndexSUT) workDelta(op workload.Op, res OpResult) int64 {
-	if s.st == nil {
-		w := int64(20)
-		if op.Type == workload.Scan {
-			w += int64(res.Visited)
-		}
-		return w
-	}
 	st, l := s.st, &s.last
-	compares := int64(st.Compares - l.compares)
-	splits := int64(st.Splits - l.splits)
 	train := int64(st.TrainWork - l.trainWork)
-	l.compares, l.splits, l.trainWork = st.Compares, st.Splits, st.TrainWork
-	// Structural modifications and online model rebuilds are charged at
-	// their full entry-touching cost — these are exactly the latency
-	// spikes the adaptability metrics must surface — and also count as
-	// training overhead (the paper's online-learning cost accounting).
-	// Page I/O (disk-backed indexes only) dominates everything else when
-	// the buffer pool misses; it is priced through the shared IOModel.
-	work := compares + int64(res.Visited)
-	if s.pool != nil {
-		p := s.pool.LiveCounters()
-		work += ioModel.Work(p.PagesRead-l.pagesRead, p.PagesWritten-l.pagesWritten, 0)
-		l.pagesRead, l.pagesWritten = p.PagesRead, p.PagesWritten
-	}
-	if splits > 0 {
-		work += splits * 16 // tree split / directory bookkeeping
-	}
-	if train > 0 {
-		work += train
-		s.online += train
-	}
+	work := int64(st.Compares-l.compares)*priceCompare +
+		int64(st.Modelled-l.modelled)*priceModelled +
+		int64(st.Splits-l.splits)*priceSplit +
+		train*priceTrain +
+		int64(res.Visited)*priceVisited +
+		s.io.work(priceIndexFsync)
+	l.compares, l.modelled, l.splits, l.trainWork = st.Compares, st.Modelled, st.Splits, st.TrainWork
+	s.online += train
 	if op.Type == workload.Put || op.Type == workload.Delete {
-		work += 4 // slot write / shift amortization
+		work += priceIndexWrite
 	}
 	return work
 }
@@ -133,7 +96,7 @@ func (s *IndexSUT) OnlineTrainWork() int64 { return s.online }
 func (s *IndexSUT) Underlying() index.Ordered { return s.ix }
 
 // Pool exposes the index's buffer pool; nil for an in-memory index.
-func (s *IndexSUT) Pool() *pager.Pool { return s.pool }
+func (s *IndexSUT) Pool() *pager.Pool { return s.io.pool }
 
 // Factories for the standard SUT lineup.
 
@@ -199,18 +162,15 @@ func StandardSUTs() []func() SUT {
 }
 
 // KVSUT adapts the log-structured kv.Store, in memory ("kvstore") or over a
-// page file ("disk-lsm"). Work is the store's probe counters (CPU) plus,
-// when the store has a buffer pool, the pool's page I/O priced by the
-// IOModel.
+// page file ("disk-lsm"). Work is the store's counters plus, when the store
+// has a buffer pool, the pool's page I/O, each priced by the table in
+// price.go.
 type KVSUT struct {
 	store *kv.Store
-	pool  *pager.Pool // store.Pool(), read once: nil for the in-memory store
-	// last is the seven priced counters as of the previous op boundary, read
-	// in place (LiveCounters): Counters() copies cost the disk LSM ≈ 5 %.
-	last struct {
-		runProbes, runsSearched, compacted, flushes uint64
-		pagesRead, pagesWritten, fsyncs             uint64
-	}
+	io    pageMeter // over store.Pool(), read once: nil for the in-memory store
+	// last is the store counters as of the previous op boundary, read in
+	// place (LiveCounters): Counters() copies cost the disk LSM ≈ 5 %.
+	last struct{ runProbes, runsSearched, compacted, flushes uint64 }
 }
 
 // DiskKVSUT is the KVSUT that NewDiskKVSUT returns.
@@ -228,12 +188,12 @@ func NewDiskKVSUT(knobs kv.Knobs, pool pager.PoolKnobs) *DiskKVSUT {
 	if err != nil {
 		panic(fmt.Sprintf("core: opening disk store: %v", err))
 	}
-	return &KVSUT{store: s, pool: s.Pool()}
+	return &KVSUT{store: s, io: pageMeter{pool: s.Pool()}}
 }
 
 // Name implements SUT.
 func (s *KVSUT) Name() string {
-	if s.pool != nil {
+	if s.io.pool != nil {
 		return "disk-lsm"
 	}
 	return "kvstore"
@@ -243,7 +203,7 @@ func (s *KVSUT) Name() string {
 func (s *KVSUT) Store() *kv.Store { return s.store }
 
 // Pool exposes the store's buffer pool; nil for the in-memory store.
-func (s *KVSUT) Pool() *pager.Pool { return s.pool }
+func (s *KVSUT) Pool() *pager.Pool { return s.io.pool }
 
 // Load implements SUT.
 func (s *KVSUT) Load(keys, values []uint64) {
@@ -276,12 +236,12 @@ func (s *KVSUT) Do(op workload.Op) OpResult {
 	// Durability: a flush (or the compaction it triggered) leaves new runs
 	// that a disk store must publish; the sync's page writes and fsyncs
 	// land in this op's work — the disk LSM's latency-spike source.
-	if s.pool != nil && s.store.LiveCounters().Flushes != s.last.flushes {
+	if s.io.pool != nil && s.store.LiveCounters().Flushes != s.last.flushes {
 		if err := s.store.Sync(); err != nil {
 			panic(fmt.Sprintf("core: disk store sync: %v", err))
 		}
 	}
-	res.Work = pending + s.flushPending() + int64(res.Visited) + 4
+	res.Work = pending + s.flushPending() + int64(res.Visited)*priceVisited + priceKVOp
 	return res
 }
 
@@ -290,15 +250,11 @@ func (s *KVSUT) Do(op workload.Op) OpResult {
 // latency-spike source), plus page I/O when there is a pool.
 func (s *KVSUT) flushPending() int64 {
 	c, l := s.store.LiveCounters(), &s.last
-	work := int64(c.RunProbes-l.runProbes) +
-		int64(c.RunsSearchedSum-l.runsSearched)
-	work += int64(c.CompactedBytes-l.compacted) / 4
+	work := int64(c.RunProbes-l.runProbes)*priceRunProbe +
+		int64(c.RunsSearchedSum-l.runsSearched)*priceRunSearched +
+		int64(c.CompactedBytes-l.compacted)/compactedPerUnit +
+		s.io.work(priceFsync)
 	l.runProbes, l.runsSearched, l.compacted, l.flushes = c.RunProbes, c.RunsSearchedSum, c.CompactedBytes, c.Flushes
-	if s.pool != nil {
-		p := s.pool.LiveCounters()
-		work += ioModel.Work(p.PagesRead-l.pagesRead, p.PagesWritten-l.pagesWritten, p.Fsyncs-l.fsyncs)
-		l.pagesRead, l.pagesWritten, l.fsyncs = p.PagesRead, p.PagesWritten, p.Fsyncs
-	}
 	return work
 }
 

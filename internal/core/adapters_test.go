@@ -8,7 +8,7 @@ import (
 )
 
 // TestHashScanPricedForWhatItTests: a hash index answers a scan by testing
-// every entry and sorting the hits, so at 262 144 keys its priced limit-100
+// every entry and pricing a sort of the hits, so at 262 144 keys its priced limit-100
 // scan must cost at least 100× a B+ tree's, which walks to the range and
 // reads 100 entries.
 func TestHashScanPricedForWhatItTests(t *testing.T) {

@@ -88,7 +88,7 @@ func checkScanVisits(t *testing.T, sut SUT) {
 		model = append(model, k)
 	}
 	slices.Sort(model)
-	// A hash SUT sorts the table per scan, so the probes are a sample.
+	// A hash SUT tests the whole table per scan, so the probes are a sample.
 	probes := []uint64{0, math.MaxUint64}
 	for i := 0; i < len(model); i += 193 {
 		probes = append(probes, model[i])

@@ -16,7 +16,7 @@ import (
 // disk LSM) under the three scenarios where the buffer pool — not the
 // data structure — decides performance. Every run is virtual-clock
 // deterministic: identical seed + knobs produce byte-identical result
-// JSON, with page I/O priced through cost.IOModel.
+// JSON, with page I/O priced by core's one price table (price.go).
 
 // Fig1fColdPages is the pool size used by the cold-cache policy shootout:
 // small enough that the leaf working set cannot fit, so eviction policy

@@ -668,7 +668,5 @@ func (ix *Index) BulkLoad(keys, values []uint64) {
 // NodeCount reports the number of data nodes (structure growth signal).
 func (ix *Index) NodeCount() int { return len(ix.nodes) }
 
-var _ index.Ordered = (*Index)(nil)
-var _ index.BulkLoader = (*Index)(nil)
+var _ index.Measured = (*Index)(nil)
 var _ index.Trainable = (*Index)(nil)
-var _ index.Instrumented = (*Index)(nil)

@@ -356,6 +356,4 @@ func (t *Tree) Min() (uint64, bool) {
 	}
 }
 
-var _ index.Ordered = (*Tree)(nil)
-var _ index.BulkLoader = (*Tree)(nil)
-var _ index.Instrumented = (*Tree)(nil)
+var _ index.Measured = (*Tree)(nil)

@@ -1,11 +1,10 @@
 // Package diskbtree implements a disk-resident B+ tree over the pager's
 // slotted pages: fixed 8-byte keys and values in leaf pages chained for
 // range scans, separator/child cells in inner pages, and a buffer pool
-// between the tree and the page file. It implements index.Ordered (plus
-// BulkLoader and Instrumented), so core.NewIndexSUT adapts it into the
-// benchmark unchanged — the only difference from the in-memory baselines
-// is that its work is dominated by page I/O, which the pool counts and
-// the cost model prices.
+// between the tree and the page file. It is an index.Measured, so
+// core.NewIndexSUT adapts it into the benchmark unchanged — the only
+// difference from the in-memory baselines is that its work is dominated by
+// page I/O, which the pool counts and core's price table prices.
 package diskbtree
 
 import (
@@ -457,3 +456,5 @@ func (t *Tree) Reachable() []pager.PageID {
 	walk(root)
 	return out
 }
+
+var _ index.Measured = (*Tree)(nil)

@@ -69,14 +69,47 @@ func TestScanSortsResults(t *testing.T) {
 		ix.Insert(k, k)
 	}
 	indextest.CheckScans(t, ix.Scan, []uint64{10, 30, 50, 70, 90}, []uint64{0, 10, 50, 90, 100}, []int{1, 2, 3, 5, 6})
-	// Whatever the limit, a scan tests every entry and sorts every hit:
-	// 5 tests, and at least 4 comparisons to order 5 keys.
-	before := ix.Stats().Compares
+	// Whatever the limit, a scan tests every entry and prices a sort of
+	// every hit: 5 tests, and at least 4 comparisons to order 5 keys.
+	before := ix.Stats()
 	if n := ix.Scan(0, 1); n != 1 {
 		t.Fatalf("Scan(0, 1) visited %d", n)
 	}
-	if got := ix.Stats().Compares - before; got < 5+4 {
-		t.Fatalf("Scan(0, 1) charged %d compares, want >= 9", got)
+	after := ix.Stats()
+	if got := after.Compares + after.Modelled - before.Compares - before.Modelled; got < 5+4 {
+		t.Fatalf("Scan(0, 1) charged %d compares and modelled units, want >= 9", got)
+	}
+}
+
+// TestScanPricesTestsAndSort: a scan's Compares are the entries it tests,
+// once per bucket however many directory slots point at it, and Modelled is
+// h·⌈log₂ h⌉ for its h hits; it allocates nothing.
+func TestScanPricesTestsAndSort(t *testing.T) {
+	ix := New()
+	for k := uint64(0); k < 5000; k++ {
+		ix.Insert(k*7, k)
+	}
+	if ix.globalDepth < 2 {
+		t.Fatalf("directory depth %d: no bucket spans several slots", ix.globalDepth)
+	}
+	for _, c := range []struct {
+		lo        uint64
+		hits, log int
+	}{{0, 5000, 13}, {7 * 4999, 1, 0}, {7 * 4998, 2, 1}, {7 * 4000, 1000, 10}, {7 * 5000, 0, 0}} {
+		before := ix.Stats()
+		if n := ix.Scan(c.lo, 200); n != min(c.hits, 200) {
+			t.Fatalf("Scan(%d, 200) visited %d, want %d", c.lo, n, min(c.hits, 200))
+		}
+		st := ix.Stats()
+		if got := st.Compares - before.Compares; got != 5000 {
+			t.Fatalf("Scan(%d) tested %d entries, want 5000", c.lo, got)
+		}
+		if got := st.Modelled - before.Modelled; got != uint64(c.hits*c.log) {
+			t.Fatalf("Scan(%d) modelled %d, want %d·%d", c.lo, got, c.hits, c.log)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { ix.Scan(7*100, 200) }); allocs != 0 {
+		t.Fatalf("a scan allocated %v times", allocs)
 	}
 }
 

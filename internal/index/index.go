@@ -50,8 +50,13 @@ type Trainable interface {
 // index is fast or slow on a distribution (e.g. last-mile search length for
 // learned indexes, node splits for trees).
 type Stats struct {
-	Searches    uint64 // point lookups served
-	Compares    uint64 // key comparisons performed
+	Searches uint64 // point lookups served
+	Compares uint64 // key comparisons performed, and nothing else
+	// Modelled counts work an index prices but does not perform: the shift
+	// of a flat sorted array the RMI's blocked delta stands in for, the
+	// sort a hash scan would need to hand its hits out in order. It is a
+	// function of counts the index takes exactly, never a host timing.
+	Modelled    uint64
 	ModelErrSum uint64 // total |predicted - actual| positions (learned only)
 	Splits      uint64 // structural modifications (splits/retrains)
 	// TrainWork counts online model-building work performed inside
@@ -69,6 +74,14 @@ type Instrumented interface {
 	// LiveStats returns the counters in place, for a reader that samples
 	// them at every op boundary: Stats copies them through the interface.
 	LiveStats() *Stats
+}
+
+// Measured is what a SUT adapter takes: an ordered index that bulk-loads
+// and keeps its counters. Every index in this module is one.
+type Measured interface {
+	Ordered
+	BulkLoader
+	Instrumented
 }
 
 // Counters is the Stats an index keeps in St. An index that embeds it is

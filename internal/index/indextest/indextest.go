@@ -149,7 +149,7 @@ func testScanOrder(t *testing.T, ix index.Ordered) {
 	for _, k := range keys {
 		ix.Insert(k, k*2)
 	}
-	// Every 31st key and the last: a hash index sorts the table per scan.
+	// Every 31st key and the last: a hash index tests the table per scan.
 	probes := []uint64{keys[len(keys)-1]}
 	for i := 0; i < len(keys); i += 31 {
 		probes = append(probes, keys[i])

@@ -31,6 +31,7 @@ func (f *flatRMI) stats() index.Stats {
 	s := f.main.St
 	s.Searches += f.st.Searches
 	s.Compares += f.st.Compares
+	s.Modelled += f.st.Modelled
 	s.Splits += f.st.Splits
 	s.TrainWork += f.st.TrainWork
 	return s
@@ -105,7 +106,7 @@ func (f *flatRMI) insert(key, value uint64) {
 	}
 	f.dk = slices.Insert(f.dk, j, key)
 	f.dv = slices.Insert(f.dv, j, value)
-	f.st.Compares += uint64((len(f.dk) - j) / 4)
+	f.st.Modelled += uint64((len(f.dk) - j) / 4)
 	if len(f.main.keys) > 0 && float64(len(f.dk)) > deltaMergeThreshold*float64(len(f.main.keys)) {
 		f.st.Splits++
 		f.st.TrainWork += uint64(f.retrain())
@@ -277,12 +278,39 @@ func TestDeltaSeams(t *testing.T) {
 		}
 		before := ix.Stats()
 		ix.Insert(1, 9)
-		if v, _ := ix.Get(1); v != 9 || ix.Stats().Compares != before.Compares || ix.DeltaLen() != 100 {
-			t.Fatalf("value %d, compares %d → %d, delta %d", v, before.Compares, ix.Stats().Compares, ix.DeltaLen())
+		if v, _ := ix.Get(1); v != 9 || ix.Stats().Modelled != before.Modelled || ix.DeltaLen() != 100 {
+			t.Fatalf("value %d, modelled %d → %d, delta %d", v, before.Modelled, ix.Stats().Modelled, ix.DeltaLen())
 		}
 		ix.Insert(0, 0) // rank 0 of 101: shifts 101 pairs
-		if got := ix.Stats().Compares - before.Compares; got != 101/4 {
+		if got := ix.Stats().Modelled - before.Modelled; got != 101/4 {
 			t.Fatalf("front insert charged %d, want %d", got, 101/4)
+		}
+	})
+	t.Run("an insert's compares are its search, its shift is modelled", func(t *testing.T) {
+		ix := NewDefault()
+		var keys []uint64
+		for k := uint64(4); k <= 40000; k += 4 {
+			keys = append(keys, k)
+		}
+		ix.BulkLoad(keys, keys)
+		for i := uint64(0); i < 1000; i++ { // delta 1, 5, …, 3997: below the merge threshold
+			ix.Insert(4*i+1, i)
+		}
+		const key, rank = 2002, 501 // 501 delta keys lie below 2002
+		before := ix.Stats()
+		ix.searchMain(key)
+		search := ix.Stats().Compares - before.Compares
+		mid := ix.Stats()
+		ix.Insert(key, 0)
+		after := ix.Stats()
+		if search == 0 || after.Compares-mid.Compares != search {
+			t.Fatalf("insert advanced Compares by %d, its search alone by %d", after.Compares-mid.Compares, search)
+		}
+		if got, want := after.Modelled-mid.Modelled, uint64((ix.DeltaLen()-rank)/4); got != want || want != 125 {
+			t.Fatalf("insert advanced Modelled by %d, want (%d − %d)/4 = %d", got, ix.DeltaLen(), rank, want)
+		}
+		if after.Splits != before.Splits || ix.DeltaLen() != 1001 {
+			t.Fatalf("delta %d after %d splits: the insert merged", ix.DeltaLen(), after.Splits-before.Splits)
 		}
 	})
 	t.Run("delete then reinsert through a tombstone", func(t *testing.T) {

@@ -12,12 +12,13 @@
 // exactly this trade-off; inserts are absorbed into a sorted delta buffer
 // that is merged on Retrain, modelling the common "RMI + delta" deployment.
 //
-// The delta is logically one flat sorted array, and Insert charges the shift
-// that keeps such an array sorted: (length − insertion rank)/4 work units. That
-// charge is a modelled cost, like cost.IOModel's page I/O on a MemBackend: a
-// function of the delta's length and the rank only, not a timing. Physically
-// the delta is blocked (sortbuf, like the LSM memtable) so the host evaluates
-// the model fast; its layout may change as long as length and rank do not.
+// The delta is logically one flat sorted array, and Insert counts the shift
+// that keeps such an array sorted, (length − insertion rank)/4 work units, in
+// Stats.Modelled: work the index prices but does not perform, like page I/O
+// on an in-memory page file, a function of the delta's length and the rank
+// only, not a timing. Physically the delta is blocked (sortbuf, like the LSM
+// memtable) so the host evaluates the model fast; its layout may change as
+// long as length and rank do not.
 package rmi
 
 import (
@@ -345,12 +346,12 @@ func (ix *Index) Insert(key, value uint64) {
 	if !added {
 		return
 	}
-	// Charge the memmove that keeps a flat sorted-array delta sorted (~16
+	// Count the memmove that keeps a flat sorted-array delta sorted (~16
 	// bytes per shifted entry, one work unit per cache line): cheap while
 	// the delta is small and increasingly expensive as drift fills it — a
 	// real cost of the static-learned-index design, modelled from length
 	// and rank, not performed (see the package comment).
-	ix.St.Compares += uint64((ix.delta.Len() - rank) / 4)
+	ix.St.Modelled += uint64((ix.delta.Len() - rank) / 4)
 
 	if len(ix.keys) > 0 && float64(ix.delta.Len()) > deltaMergeThreshold*float64(len(ix.keys)) {
 		ix.St.Splits++
@@ -465,7 +466,5 @@ func (ix *Index) walk(fn func(key, value uint64)) {
 // DeltaLen reports the current delta-buffer size (for tests and reports).
 func (ix *Index) DeltaLen() int { return ix.delta.Len() }
 
-var _ index.Ordered = (*Index)(nil)
-var _ index.BulkLoader = (*Index)(nil)
+var _ index.Measured = (*Index)(nil)
 var _ index.Trainable = (*Index)(nil)
-var _ index.Instrumented = (*Index)(nil)
