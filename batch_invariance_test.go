@@ -24,7 +24,11 @@ import (
 // an open-loop arrival process, and pre-training: it exercises every part
 // of the pipeline the batch path touches (deferred SLA calibration, phase
 // stats, post-change latencies, outcome tallies).
-func batchGoldenScenario() core.Scenario {
+func batchGoldenScenario() core.Scenario { return batchScenario(nil) }
+
+// batchScenario is batchGoldenScenario with its first phase paced by
+// steady (nil means closed loop).
+func batchScenario(steady workload.Arrival) core.Scenario {
 	return core.Scenario{
 		Name:        "batch-invariance",
 		Seed:        42,
@@ -36,19 +40,18 @@ func batchGoldenScenario() core.Scenario {
 			{
 				Name: "steady",
 				Ops:  4000,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: distgen.NewZipfKeys(44, 1.1, 1<<22)},
-				},
+				}, steady),
 			},
 			{
 				Name: "shift",
 				Ops:  4000,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.Mix{GetFrac: 0.3, PutFrac: 0.55, DeleteFrac: 0.05, ScanFrac: 0.1, ScanLimit: 20},
 					Access: distgen.Static{G: distgen.NewClustered(45, 25, float64(distgen.KeyDomain)/1e6)},
-				},
-				Arrival: workload.NewDiurnal(46, 600_000, 0.5, 2),
+				}, workload.NewDiurnal(46, 600_000, 0.5, 2)),
 			},
 		},
 	}
@@ -58,9 +61,8 @@ func batchGoldenScenario() core.Scenario {
 // interactive sessions and segmented by the runner, so a batch holds
 // session boundaries.
 func batchSessionFaultScenario() core.Scenario {
-	s := batchGoldenScenario()
 	arrival := workload.NewSessionArrival(47, 400_000, 20_000, 3, 9)
-	s.Phases[0].Arrival = arrival
+	s := batchScenario(arrival)
 	s.Session = arrival.Spec(1_000_000)
 	return s
 }

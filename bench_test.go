@@ -590,10 +590,10 @@ func BenchmarkMicroRunnerOverhead(b *testing.B) {
 		Phases: []core.Phase{{
 			Name: "p",
 			Ops:  100000,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.ReadHeavy,
 				Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<40)},
-			},
+			}, nil),
 		}},
 	}
 	b.ReportAllocs()
@@ -628,10 +628,10 @@ func BenchmarkMicroRunnerDispatch(b *testing.B) {
 		Phases: []core.Phase{{
 			Name: "p",
 			Ops:  b.N,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.Mix{GetFrac: 1},
 				Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<40)},
-			},
+			}, nil),
 		}},
 	}
 	sut := preloadedSUT{core.NewBTreeSUT().(*core.IndexSUT)}

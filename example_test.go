@@ -20,10 +20,10 @@ func ExampleRunner_Run() {
 		Phases: []lsbench.Phase{{
 			Name: "reads",
 			Ops:  10_000,
-			Workload: lsbench.WorkloadSpec{
+			Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 				Mix:    lsbench.ReadHeavy,
 				Access: lsbench.Static{G: lsbench.NewSequential(2, 1<<20, 64)},
-			},
+			}, nil),
 		}},
 	}
 	res, err := lsbench.NewRunner().Run(scenario, lsbench.NewRMISUT())
@@ -50,10 +50,10 @@ func ExampleHoldoutRegistry() {
 			Phases: []lsbench.Phase{{
 				Name: "p",
 				Ops:  500,
-				Workload: lsbench.WorkloadSpec{
+				Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 					Mix:    lsbench.ReadHeavy,
 					Access: lsbench.Static{G: lsbench.NewUniform(4, 0, lsbench.KeyDomain)},
-				},
+				}, nil),
 			}},
 		}
 	})

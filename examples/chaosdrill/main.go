@@ -40,10 +40,10 @@ func run(w io.Writer) error {
 		Phases: []lsbench.Phase{{
 			Name: "steady",
 			Ops:  100_000,
-			Workload: lsbench.WorkloadSpec{
+			Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 				Mix:    lsbench.ReadHeavy,
 				Access: lsbench.Static{G: lsbench.NewZipfKeys(2, 1.1, 1<<21)},
-			},
+			}, nil),
 		}},
 	}
 

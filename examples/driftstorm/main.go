@@ -41,30 +41,27 @@ func run(w io.Writer) error {
 			{
 				Name: "moving-hotspot",
 				Ops:  120_000,
-				Workload: lsbench.WorkloadSpec{
+				Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 					Mix:    lsbench.ReadHeavy,
 					Access: lsbench.NewMovingHotspot(2, 0.9, 0.02, 2),
-				},
-				Arrival: lsbench.NewDiurnal(3, 500_000, 0.6, 2),
+				}, lsbench.NewDiurnal(3, 500_000, 0.6, 2)),
 			},
 			{
 				Name: "growing-skew",
 				Ops:  120_000,
-				Workload: lsbench.WorkloadSpec{
+				Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 					Mix:    lsbench.Mix{GetFrac: 0.8, PutFrac: 0.2},
 					Access: lsbench.NewGrowingSkew(4, 1.4, 1<<20),
-				},
-				Arrival: lsbench.NewBursty(5, 400_000, 5, 0.1, 4),
+				}, lsbench.NewBursty(5, 400_000, 5, 0.1, 4)),
 			},
 			{
 				Name: "migration",
 				Ops:  120_000,
-				Workload: lsbench.WorkloadSpec{
+				Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 					Mix:        lsbench.Mix{GetFrac: 0.4, PutFrac: 0.6},
 					Access:     lsbench.Static{G: lsbench.NewUniform(6, newRegionLo, newRegionLo+lsbench.KeyDomain/8)},
 					InsertKeys: lsbench.Static{G: lsbench.NewUniform(7, newRegionLo, newRegionLo+lsbench.KeyDomain/8)},
-				},
-				Arrival: lsbench.NewDiurnal(8, 500_000, 0.6, 2),
+				}, lsbench.NewDiurnal(8, 500_000, 0.6, 2)),
 			},
 		},
 	}

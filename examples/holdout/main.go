@@ -26,10 +26,10 @@ func devScenario() lsbench.Scenario {
 		Phases: []lsbench.Phase{{
 			Name: "dev",
 			Ops:  60_000,
-			Workload: lsbench.WorkloadSpec{
+			Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 				Mix:    lsbench.ReadHeavy,
 				Access: lsbench.Static{G: lsbench.NewSequential(2, 1<<20, 64)},
-			},
+			}, nil),
 		}},
 	}
 }
@@ -56,10 +56,10 @@ func run(w io.Writer) error {
 			Phases: []lsbench.Phase{{
 				Name: "alpha",
 				Ops:  60_000,
-				Workload: lsbench.WorkloadSpec{
+				Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 					Mix:    lsbench.ReadHeavy,
 					Access: lsbench.Static{G: lsbench.NewClustered(4, 13, float64(lsbench.KeyDomain)/1e5)},
-				},
+				}, nil),
 			}},
 		}
 	})
@@ -80,12 +80,12 @@ func run(w io.Writer) error {
 			Phases: []lsbench.Phase{{
 				Name: "beta",
 				Ops:  60_000,
-				Workload: lsbench.WorkloadSpec{
+				Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 					Mix: lsbench.Mix{GetFrac: 0.6, PutFrac: 0.3, ScanFrac: 0.1, ScanLimit: 50},
 					Access: lsbench.NewBlend(8,
 						lsbench.NewLognormal(9, 1, 1.5, 1e13),
 						lsbench.NewEmail(10)),
-				},
+				}, nil),
 			}},
 		}
 	})

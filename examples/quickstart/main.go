@@ -36,16 +36,16 @@ func run(w io.Writer) error {
 		Phases: []lsbench.Phase{{
 			Name: "drifting",
 			Ops:  200_000,
-			Workload: lsbench.WorkloadSpec{
+			// The arrival's base rate is well under the RMI's capacity:
+			// at 700 k/s its queue never drained and p50 grew with Ops
+			// (189 ms at 200 k ops, 528 ms at 400 k); here it moves
+			// 164 → 188 ns.
+			Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 				Mix: lsbench.Mix{GetFrac: 0.7, PutFrac: 0.3},
 				Access: lsbench.NewBlend(2,
 					lsbench.NewUniform(3, 0, lsbench.KeyDomain),
 					lsbench.NewClustered(4, 25, float64(lsbench.KeyDomain)/1e6)),
-			},
-			// A base rate well under the RMI's capacity: at 700 k/s its
-			// queue never drained and p50 grew with Ops (189 ms at 200 k
-			// ops, 528 ms at 400 k); here it moves 164 → 188 ns.
-			Arrival: lsbench.NewDiurnal(5, 50_000, 0.5, 2),
+			}, lsbench.NewDiurnal(5, 50_000, 0.5, 2)),
 		}},
 	}
 

@@ -111,10 +111,10 @@ func TestRecordSynthesizeBenchmark(t *testing.T) {
 		Phases: []core.Phase{{
 			Name: "replay",
 			Ops:  len(syn),
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.ReadHeavy,
 				Access: distgen.NewReplay(syn),
-			},
+			}, nil),
 		}},
 	}
 	res, err := core.NewRunner().Run(scenario, core.NewBTreeSUT())
@@ -140,14 +140,17 @@ func TestNetworkDriverMatchesVirtualSemantics(t *testing.T) {
 	}
 	defer srv.Close()
 
+	spec := func() workload.Spec {
+		return workload.Spec{
+			Mix:    workload.Balanced,
+			Access: distgen.Static{G: distgen.NewUniform(13, 0, 1<<30)},
+		}
+	}
 	scenario := func() core.Scenario {
 		return core.Scenario{
 			Name: "net-vs-virtual", Seed: 15,
 			InitialData: distgen.NewUniform(14, 0, 1<<30), InitialSize: 2000,
-			Phases: []core.Phase{{Name: "p", Ops: 3000, Workload: workload.Spec{
-				Mix:    workload.Balanced,
-				Access: distgen.Static{G: distgen.NewUniform(13, 0, 1<<30)},
-			}}},
+			Phases: []core.Phase{{Name: "p", Ops: 3000, Source: workload.FromSpec(spec(), nil)}},
 		}
 	}
 
@@ -158,7 +161,7 @@ func TestNetworkDriverMatchesVirtualSemantics(t *testing.T) {
 	}
 	defer client.Close()
 	rs := scenario()
-	remote, err := driver.Run(client, rs.Phases[0].Workload, rs.InitialData, rs.InitialSize,
+	remote, err := driver.Run(client, spec(), rs.InitialData, rs.InitialSize,
 		driver.Options{Workers: 1, Ops: 3000, Seed: rs.Seed})
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +205,10 @@ func TestDeterminismAcrossFullPipeline(t *testing.T) {
 			Phases: []lsbench.Phase{{
 				Name: "p",
 				Ops:  5000,
-				Workload: lsbench.WorkloadSpec{
+				Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 					Mix:    lsbench.Balanced,
 					Access: lsbench.Static{G: lsbench.NewZipfKeys(2, 1.1, 1<<20)},
-				},
-				Arrival: lsbench.NewDiurnal(3, 500_000, 0.4, 1),
+				}, lsbench.NewDiurnal(3, 500_000, 0.4, 1)),
 			}},
 		}
 		res, err := lsbench.NewRunner().Run(scenario, lsbench.NewALEXSUT())

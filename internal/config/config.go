@@ -462,6 +462,36 @@ func (a ArrivalSpec) Build(base uint64) (workload.Arrival, error) {
 	}
 }
 
+// generator builds the phase's Mix/Access/Arrival specs into its op
+// source, each spec seeded from base.
+func (p Phase) generator(base uint64) (*workload.GeneratorSource, error) {
+	access, err := p.Access.Build(base)
+	if err != nil {
+		return nil, fmt.Errorf("access: %w", err)
+	}
+	spec := workload.Spec{
+		Name:   p.Name,
+		Mix:    p.Mix.build(),
+		Access: access,
+	}
+	if p.InsertKeys != nil {
+		if spec.InsertKeys, err = p.InsertKeys.Build(base + 13); err != nil {
+			return nil, fmt.Errorf("insertKeys: %w", err)
+		}
+	}
+	if p.MixEnd != nil {
+		me := p.MixEnd.build()
+		spec.MixEnd = &me
+	}
+	var arr workload.Arrival
+	if p.Arrival != nil {
+		if arr, err = p.Arrival.Build(base + 17); err != nil {
+			return nil, fmt.Errorf("arrival: %w", err)
+		}
+	}
+	return workload.FromSpec(spec, arr), nil
+}
+
 // maxCount bounds what a document may ask the runner to hold: its
 // initialSize, and the total of its phases' ops. The runner allocates the
 // initial keys and the per-op results up front, so a document far past it
@@ -496,60 +526,28 @@ func (s Scenario) Build() (core.Scenario, error) {
 		if l := p.Mix.ScanLimit; l < 0 || l > workload.MaxScanLimit {
 			return core.Scenario{}, fmt.Errorf("config: phase %d scanLimit %d outside [0,%d] (0 = default 100)", i, l, workload.MaxScanLimit)
 		}
+		var src workload.Source
+		ops := p.Ops
 		if p.Source != nil && p.Source.Kind != "" && p.Source.Kind != "generator" {
-			src, n, err := p.Source.build(base, traces)
-			if err != nil {
+			var n int
+			if src, n, err = p.Source.build(base, traces); err != nil {
 				return core.Scenario{}, fmt.Errorf("config: phase %d source: %w", i, err)
 			}
-			ops := p.Ops
 			if ops == 0 {
 				ops = n // trace replay defaults to the full recording
 			}
 			if n > 0 && ops > n {
 				return core.Scenario{}, fmt.Errorf("config: phase %d asks for %d ops but the trace holds %d", i, ops, n)
 			}
-			out.Phases = append(out.Phases, core.Phase{
-				Name:          p.Name,
-				Ops:           ops,
-				Source:        src,
-				RetrainBefore: p.RetrainBefore,
-			})
-			continue
+		} else if src, err = p.generator(base); err != nil {
+			return core.Scenario{}, fmt.Errorf("config: phase %d %w", i, err)
 		}
-		access, err := p.Access.Build(base)
-		if err != nil {
-			return core.Scenario{}, fmt.Errorf("config: phase %d access: %w", i, err)
-		}
-		spec := workload.Spec{
-			Name:   p.Name,
-			Mix:    p.Mix.build(),
-			Access: access,
-		}
-		if p.InsertKeys != nil {
-			ins, err := p.InsertKeys.Build(base + 13)
-			if err != nil {
-				return core.Scenario{}, fmt.Errorf("config: phase %d insertKeys: %w", i, err)
-			}
-			spec.InsertKeys = ins
-		}
-		if p.MixEnd != nil {
-			me := p.MixEnd.build()
-			spec.MixEnd = &me
-		}
-		phase := core.Phase{
+		out.Phases = append(out.Phases, core.Phase{
 			Name:          p.Name,
-			Ops:           p.Ops,
-			Workload:      spec,
+			Ops:           ops,
+			Source:        src,
 			RetrainBefore: p.RetrainBefore,
-		}
-		if p.Arrival != nil {
-			arr, err := p.Arrival.Build(base + 17)
-			if err != nil {
-				return core.Scenario{}, fmt.Errorf("config: phase %d arrival: %w", i, err)
-			}
-			phase.Arrival = arr
-		}
-		out.Phases = append(out.Phases, phase)
+		})
 	}
 	total := 0
 	for i, p := range out.Phases {

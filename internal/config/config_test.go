@@ -396,8 +396,10 @@ func TestScanLimitMustFitWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Phases[0].Workload.Mix.ScanLimit; got != workload.MaxScanLimit {
-		t.Fatalf("scanLimit %d, want %d", got, workload.MaxScanLimit)
+	op := make([]workload.Op, 1)
+	s.Phases[0].Source.Fill(op, make([]int64, 1), 0, 1)
+	if op[0].Type != workload.Scan || op[0].ScanLimit != workload.MaxScanLimit {
+		t.Fatalf("op %+v, want a scan of limit %d", op[0], workload.MaxScanLimit)
 	}
 }
 

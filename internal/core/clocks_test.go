@@ -20,10 +20,10 @@ func twoPhase() core.Scenario {
 		Name: "two-clocks", Seed: 9, TrainBefore: true,
 		InitialData: distgen.NewUniform(1, 0, 1<<20), InitialSize: 3000,
 		Phases: []core.Phase{
-			{Name: "reads", Ops: 1500, Arrival: workload.NewPoisson(4, 300_000),
-				Workload: workload.Spec{Mix: workload.Balanced, Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<20)}}},
+			{Name: "reads", Ops: 1500,
+				Source: workload.FromSpec(workload.Spec{Mix: workload.Balanced, Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<20)}}, workload.NewPoisson(4, 300_000))},
 			{Name: "scans", Ops: 1000, RetrainBefore: true,
-				Workload: workload.Spec{Mix: workload.ScanHeavy, Access: distgen.Static{G: distgen.NewUniform(3, 0, 1<<20)}}},
+				Source: workload.FromSpec(workload.Spec{Mix: workload.ScanHeavy, Access: distgen.Static{G: distgen.NewUniform(3, 0, 1<<20)}}, nil)},
 		},
 	}.Materialize()
 }

@@ -19,10 +19,10 @@ func holdoutScenario() Scenario {
 		Phases: []Phase{{
 			Name: "steady",
 			Ops:  2000,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.ReadHeavy,
 				Access: distgen.Static{G: distgen.NewUniform(7, 0, 1<<30)},
-			},
+			}, nil),
 		}},
 	}
 }

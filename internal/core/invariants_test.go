@@ -27,19 +27,18 @@ func TestRunnerInvariants(t *testing.T) {
 				{
 					Name: "a",
 					Ops:  1500,
-					Workload: workload.Spec{
+					Source: workload.FromSpec(workload.Spec{
 						Mix:    mixes[int(mixPick)%len(mixes)],
 						Access: distgen.Static{G: distgen.NewZipfKeys(seed+2, 1.05, 1<<20)},
-					},
+					}, nil),
 				},
 				{
 					Name: "b",
 					Ops:  1500,
-					Workload: workload.Spec{
+					Source: workload.FromSpec(workload.Spec{
 						Mix:    mixes[int(mixPick+1)%len(mixes)],
 						Access: distgen.NewGrowingSkew(seed+3, 1.3, 1<<16),
-					},
-					Arrival: workload.NewPoisson(seed+4, 300_000),
+					}, workload.NewPoisson(seed+4, 300_000)),
 				},
 			},
 		}

@@ -48,10 +48,9 @@ func TestQueueKnownAnswer(t *testing.T) {
 			Seed:        1,
 			InitialKeys: []uint64{1},
 			Phases: []Phase{{
-				Name:     tc.name,
-				Ops:      n,
-				Workload: workload.Spec{Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<20)}},
-				Arrival:  tc.arrival,
+				Name:   tc.name,
+				Ops:    n,
+				Source: workload.FromSpec(workload.Spec{Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<20)}}, tc.arrival),
 			}},
 		}.Materialize()
 		r := NewRunner()
@@ -119,10 +118,9 @@ func queuePhase(seed uint64, n int, arrival workload.Arrival) Scenario {
 		Seed:        seed,
 		InitialKeys: []uint64{1},
 		Phases: []Phase{{
-			Name:     "p",
-			Ops:      n,
-			Workload: workload.Spec{Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<20)}},
-			Arrival:  arrival,
+			Name:   "p",
+			Ops:    n,
+			Source: workload.FromSpec(workload.Spec{Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<20)}}, arrival),
 		}},
 	}
 }

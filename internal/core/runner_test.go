@@ -9,6 +9,11 @@ import (
 	"repro/internal/workload"
 )
 
+// quickSpec is quickScenario's workload under mix.
+func quickSpec(mix workload.Mix) workload.Spec {
+	return workload.Spec{Mix: mix, Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<40)}}
+}
+
 // quickScenario builds a small single-phase scenario.
 func quickScenario(ops int) Scenario {
 	return Scenario{
@@ -19,13 +24,19 @@ func quickScenario(ops int) Scenario {
 		TrainBefore: true,
 		IntervalNs:  100_000, // 0.1ms: fine enough for short virtual runs
 		Phases: []Phase{{
-			Name: "steady",
-			Ops:  ops,
-			Workload: workload.Spec{
-				Mix:    workload.ReadHeavy,
-				Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<40)},
-			},
+			Name:   "steady",
+			Ops:    ops,
+			Source: workload.FromSpec(quickSpec(workload.ReadHeavy), nil),
 		}},
+	}
+}
+
+// shiftedSpec is shiftScenario's second workload under mix.
+func shiftedSpec(mix workload.Mix) workload.Spec {
+	return workload.Spec{
+		Mix:        mix,
+		Access:     distgen.Static{G: distgen.NewClustered(3, 5, 1e9)},
+		InsertKeys: distgen.Static{G: distgen.NewUniform(4, 1<<41, 1<<42)},
 	}
 }
 
@@ -33,14 +44,9 @@ func shiftScenario() Scenario {
 	s := quickScenario(4000)
 	s.Name = "shift"
 	s.Phases = append(s.Phases, Phase{
-		Name: "shifted",
-		Ops:  4000,
-		Workload: workload.Spec{
-			Mix:    workload.Balanced,
-			Access: distgen.Static{G: distgen.NewClustered(3, 5, 1e9)},
-			InsertKeys: distgen.Static{
-				G: distgen.NewUniform(4, 1<<41, 1<<42)},
-		},
+		Name:   "shifted",
+		Ops:    4000,
+		Source: workload.FromSpec(shiftedSpec(workload.Balanced), nil),
 	})
 	return s
 }
@@ -156,18 +162,18 @@ func TestRunnerRetrainAccounting(t *testing.T) {
 		Name:          "third",
 		Ops:           2000,
 		RetrainBefore: true,
-		Workload: workload.Spec{
+		Source: workload.FromSpec(workload.Spec{
 			Mix:    workload.ReadHeavy,
 			Access: distgen.Static{G: distgen.NewUniform(5, 0, 1<<40)},
-		},
+		}, nil),
 	}, Phase{
 		Name:          "fourth",
 		Ops:           2000,
 		RetrainBefore: true,
-		Workload: workload.Spec{
+		Source: workload.FromSpec(workload.Spec{
 			Mix:    workload.ReadHeavy,
 			Access: distgen.Static{G: distgen.NewUniform(6, 0, 1<<40)},
-		},
+		}, nil),
 	})
 	res, err := NewRunner().Run(s, NewRMISUT())
 	if err != nil {
@@ -244,10 +250,10 @@ func TestRunnerFixedSLA(t *testing.T) {
 
 func TestRunnerOnlineLearnerAccounting(t *testing.T) {
 	// ALEX under heavy inserts must accumulate online training work.
-	s := quickScenario(1000)
-	s.Phases[0].Workload.Mix = workload.WriteHeavy
-	s.Phases[0].Workload.InsertKeys = distgen.Static{G: distgen.NewUniform(9, 0, 1<<50)}
-	s.Phases[0].Ops = 20000
+	s := quickScenario(20000)
+	spec := quickSpec(workload.WriteHeavy)
+	spec.InsertKeys = distgen.Static{G: distgen.NewUniform(9, 0, 1<<50)}
+	s.Phases[0].Source = workload.FromSpec(spec, nil)
 	res, err := NewRunner().Run(s, NewALEXSUT())
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +320,7 @@ func TestRunnerOpenLoopQueueing(t *testing.T) {
 	// far beyond service time (queueing delay) — the mechanism behind
 	// realistic SLA violations under bursts.
 	s := quickScenario(3000)
-	s.Phases[0].Arrival = workload.NewPoisson(5, 5_000_000) // 5M/s: saturating
+	s.Phases[0].Source = workload.FromSpec(quickSpec(workload.ReadHeavy), workload.NewPoisson(5, 5_000_000)) // 5M/s: saturating
 	res, err := NewRunner().Run(s, NewBTreeSUT())
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +442,7 @@ func TestHoldoutRegistry(t *testing.T) {
 
 func TestKVSUTRuns(t *testing.T) {
 	s := quickScenario(2000)
-	s.Phases[0].Workload.Mix = workload.Balanced
+	s.Phases[0].Source = workload.FromSpec(quickSpec(workload.Balanced), nil)
 	res, err := NewRunner().Run(s, NewKVSUTDefault())
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +457,7 @@ func TestAdaptabilityShiftVisibleInMetrics(t *testing.T) {
 	// index must show online work AND the metrics must register phase
 	// boundaries usable for adaptation analysis.
 	s := shiftScenario()
-	s.Phases[1].Workload.Mix = workload.WriteHeavy
+	s.Phases[1].Source = workload.FromSpec(shiftedSpec(workload.WriteHeavy), nil)
 	res, err := NewRunner().Run(s, NewALEXSUT())
 	if err != nil {
 		t.Fatal(err)

@@ -7,43 +7,37 @@ import (
 	"repro/internal/workload"
 )
 
-// Phase is one segment of a benchmark run: a workload spec executed for a
-// fixed number of operations under an arrival process. Distribution drift
-// happens *within* phases (the specs carry Drift sources) and *between*
-// them (consecutive phases with different specs are the paper's "two
-// separate execution phases with possible retraining in-between").
+// Phase is one segment of a benchmark run: Ops operations drawn from one
+// op source. Distribution drift happens *within* phases (the specs carry
+// Drift sources) and *between* them (consecutive phases with different
+// specs are the paper's "two separate execution phases with possible
+// retraining in-between").
 type Phase struct {
 	Name string
-	// Ops is the number of operations issued in this phase.
-	Ops int
-	// Workload generates the operation stream.
-	Workload workload.Spec
-	// Arrival paces the phase. Nil means closed loop.
-	Arrival workload.Arrival
+	Ops  int
+	// Source supplies the phase's op/gap stream: workload.FromSpec(spec,
+	// arrival), a trace's PhaseReader, a Synthesizer, or any other Source.
+	// The runner Resets it with the phase's derived seed before drawing. It
+	// is stateful like the generators behind it: runs of one scenario value
+	// on several goroutines must Materialize it first, as RunAll does.
+	Source workload.Source
 	// RetrainBefore asks the runner to invoke Trainable.Train before the
 	// phase starts (the scheduled-retraining window of §V-B).
 	RetrainBefore bool
-	// Trace, when non-nil, replays a pinned operation/arrival stream
-	// instead of drawing from the (stateful) Workload and Arrival
-	// sources. Materialize fills it so compared SUTs receive identical
-	// streams.
-	Trace *PhaseTrace
-	// Source, when non-nil, supplies the phase's operation/gap stream
-	// directly — a workload.TraceReader replaying a recorded trace, a
-	// workload.Synthesizer generating fitted lookalike load, or any other
-	// Source implementation. It takes precedence over Workload/Arrival
-	// (which may be left zero); Trace, being already pinned, takes
-	// precedence over both. The runner Resets it with the phase's
-	// derived seed before drawing, so repeated runs of one scenario
-	// value replay the identical stream.
-	Source workload.Source
+	// Workload and Arrival (nil: closed loop) are the op source of the
+	// phases benchmark/ builds. Trace is the pinned stream Materialize
+	// fills; it replaces any other source, and benchmark/ reads it. The
+	// three go when benchmark/ builds its phases with Source.
+	Workload workload.Spec
+	Arrival  workload.Arrival
+	Trace    *workload.TracePhase
 }
 
 // source returns the phase's op source rewound to seed — the one place
 // that decides where a phase's ops come from, for a live run and for
-// Materialize alike. A pinned trace replays verbatim; an explicit Source
-// (trace replay, synthesizer, …) is reset to the seed; otherwise the spec's
-// generator and arrival process are wrapped in a GeneratorSource.
+// Materialize alike. A pinned trace replays verbatim; a Source is reset to
+// the seed; otherwise the Workload spec and Arrival of a benchmark/ phase
+// are wrapped in a GeneratorSource.
 func (p Phase) source(seed uint64) workload.Source {
 	switch {
 	case p.Trace != nil:
@@ -54,11 +48,6 @@ func (p Phase) source(seed uint64) workload.Source {
 	}
 	return workload.NewSource(p.Workload, p.Arrival, seed)
 }
-
-// PhaseTrace is a materialized phase input: the exact operations and
-// inter-arrival gaps, in issue order — the same value a decoded trace file
-// holds per phase, so a pinned phase and a recorded one are one type.
-type PhaseTrace = workload.TracePhase
 
 // Scenario is a full benchmark configuration: initial database, training
 // budget, and a sequence of phases. It mirrors the configuration surface
@@ -100,7 +89,7 @@ type Scenario struct {
 
 // Materialize pins every stateful input of the scenario: the initial keys
 // (drawn once from InitialData) and each phase's operation and arrival
-// stream (drawn once from its Workload and Arrival sources). Runs of the
+// stream (drawn once from its source). Runs of the
 // returned scenario are replays of identical inputs — required for fair
 // head-to-head SUT comparison, since generators and drift processes are
 // stateful and would otherwise advance between runs.
@@ -116,7 +105,7 @@ func (s Scenario) Materialize() Scenario {
 			continue
 		}
 		src := p.source(workload.PhaseSeed(s.Seed, pi))
-		tr := &PhaseTrace{
+		tr := &workload.TracePhase{
 			Ops:  make([]workload.Op, p.Ops),
 			Gaps: make([]int64, p.Ops),
 		}

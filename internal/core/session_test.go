@@ -13,7 +13,7 @@ func sessionScenario(ops int) Scenario {
 	arrival := workload.NewSessionArrival(21, 2_000_000, 50_000, 3, 9)
 	s := quickScenario(ops)
 	s.Name = "sessions"
-	s.Phases[0].Arrival = arrival
+	s.Phases[0].Source = workload.FromSpec(quickSpec(workload.ReadHeavy), arrival)
 	s.Session = arrival.Spec(5_000_000)
 	return s
 }

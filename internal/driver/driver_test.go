@@ -151,7 +151,7 @@ func TestRunSpecStreamsDecidedBeforeStart(t *testing.T) {
 	}
 
 	one := issued(t, blendSpec(), Options{Workers: 1, Ops: 3000, Seed: 26})
-	virtual := core.Scenario{Seed: 26, Phases: []core.Phase{{Ops: 3000, Workload: blendSpec()}}}.Materialize()
+	virtual := core.Scenario{Seed: 26, Phases: []core.Phase{{Ops: 3000, Source: workload.FromSpec(blendSpec(), nil)}}}.Materialize()
 	if !reflect.DeepEqual(slices.Concat(one...), virtual.Phases[0].Trace.Ops) {
 		t.Fatal("the one worker did not issue the virtual run's phase 0")
 	}

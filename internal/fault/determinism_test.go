@@ -184,8 +184,8 @@ func TestWallClockWindowsCountFromTheLoad(t *testing.T) {
 	runner.WrapSUT = func(s core.SUT, _ sim.Clock) core.SUT { return Wrap(s, inj) }
 	res, err := runner.RunOn(clock, core.Scenario{
 		Seed: 3, InitialData: distgen.NewUniform(1, 0, 1<<30), InitialSize: 1000, IntervalNs: 10_000_000,
-		Phases: []core.Phase{{Ops: ops, Workload: workload.Spec{
-			Mix: workload.ReadHeavy, Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<30)}}}},
+		Phases: []core.Phase{{Ops: ops, Source: workload.FromSpec(workload.Spec{
+			Mix: workload.ReadHeavy, Access: distgen.Static{G: distgen.NewUniform(2, 0, 1<<30)}}, nil)}},
 	}, c)
 	if err != nil || c.Err() != nil {
 		t.Fatal(err, c.Err())

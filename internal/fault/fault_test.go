@@ -26,10 +26,10 @@ func faultScenario(ops int) core.Scenario {
 		Phases: []core.Phase{{
 			Name: "steady",
 			Ops:  ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.ReadHeavy,
 				Access: distgen.Static{G: distgen.NewUniform(9, 0, 1<<40)},
-			},
+			}, nil),
 		}},
 	}
 	return s.Materialize()

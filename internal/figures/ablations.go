@@ -33,7 +33,7 @@ type AblationSLAResult struct {
 // choices.
 func AblationSLA(scale Scale, seed uint64) (*AblationSLAResult, error) {
 	runner := newRunner(scale)
-	base := fig1bScenario(scale, seed)
+	base := fig1bScenario(scale, seed, nil)
 	base.Name = "ablation-sla-calibrated"
 	calibrated, err := runner.Run(base, core.NewRMISUT())
 	if err != nil {
@@ -148,19 +148,19 @@ func AblationTransition(scale Scale, seed uint64) (*AblationTransitionResult, er
 				{
 					Name: "before",
 					Ops:  scale.Ops / 2,
-					Workload: workload.Spec{
+					Source: workload.FromSpec(workload.Spec{
 						Mix:    workload.ReadHeavy,
 						Access: distgen.Static{G: oldGen(seed + 2)},
-					},
+					}, nil),
 				},
 				{
 					Name: "transition",
 					Ops:  scale.Ops,
-					Workload: workload.Spec{
+					Source: workload.FromSpec(workload.Spec{
 						Mix:        workload.Mix{GetFrac: 0.5, PutFrac: 0.5},
 						Access:     drift,
 						InsertKeys: drift,
-					},
+					}, nil),
 				},
 			},
 		}
@@ -213,14 +213,14 @@ type AblationTrainingPlacementResult struct {
 func AblationTrainingPlacement(scale Scale, seed uint64) (*AblationTrainingPlacementResult, error) {
 	runner := newRunner(scale)
 
-	online := fig1bScenario(scale, seed)
+	online := fig1bScenario(scale, seed, nil)
 	online.Name = "ablation-online"
 	or, err := runner.Run(online, core.NewRMISUT())
 	if err != nil {
 		return nil, err
 	}
 
-	scheduled := fig1bScenario(scale, seed)
+	scheduled := fig1bScenario(scale, seed, nil)
 	scheduled.Name = "ablation-scheduled"
 	// Retrain in a maintenance window at the start of the settle phase:
 	// the delta accumulated during the shift is merged outside serving.
@@ -279,10 +279,10 @@ func AblationHoldout(scale Scale, seed uint64) (*AblationHoldoutResult, error) {
 			Phases: []core.Phase{{
 				Name: "reads",
 				Ops:  scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: gen(seed + 2)},
-				},
+				}, nil),
 			}},
 		}
 	}

@@ -122,10 +122,10 @@ func Fig1a(scale Scale, seed uint64) (*Fig1aResult, error) {
 			Phases: []core.Phase{{
 				Name: "steady",
 				Ops:  scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: c.Gen(seed + 2)},
-				},
+				}, nil),
 			}},
 		}
 		results, err := runner.RunAll(scenario, core.StandardSUTs())

@@ -27,8 +27,11 @@ type Fig1bResult struct {
 // fig1bScenario is a run with a mid-run abrupt distribution shift plus an
 // insert flood into a new key region — the situation where a learned
 // system "starts slow and later catches up" while adaptation costs show as
-// slope changes.
-func fig1bScenario(scale Scale, seed uint64) core.Scenario {
+// slope changes. arrival paces phase i (nil means closed loop).
+func fig1bScenario(scale Scale, seed uint64, arrival func(i int) workload.Arrival) core.Scenario {
+	if arrival == nil {
+		arrival = func(int) workload.Arrival { return nil }
+	}
 	oldRegion := func(s uint64) distgen.Generator {
 		return distgen.NewUniform(s, 0, distgen.KeyDomain/4)
 	}
@@ -46,30 +49,30 @@ func fig1bScenario(scale Scale, seed uint64) core.Scenario {
 			{
 				Name: "steady-old",
 				Ops:  scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: oldRegion(seed + 2)},
-				},
+				}, arrival(0)),
 			},
 			{
 				Name: "shifted-new",
 				Ops:  scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					// The new region arrives as an insert flood with
 					// interleaved reads — the learned index must
 					// re-learn its CDF mid-phase.
 					Mix:        workload.Mix{GetFrac: 0.3, PutFrac: 0.7},
 					Access:     distgen.Static{G: newRegion(seed + 3)},
 					InsertKeys: distgen.Static{G: newRegion(seed + 4)},
-				},
+				}, arrival(1)),
 			},
 			{
 				Name: "settled-new",
 				Ops:  scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: newRegion(seed + 5)},
-				},
+				}, arrival(2)),
 			},
 		},
 	}
@@ -95,19 +98,19 @@ func fig1bBuildServeScenario(scale Scale, seed uint64) core.Scenario {
 			{
 				Name: "build",
 				Ops:  scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:        workload.Mix{GetFrac: 0.1, PutFrac: 0.9},
 					Access:     distgen.Static{G: region(seed + 2)},
 					InsertKeys: distgen.Static{G: region(seed + 3)},
-				},
+				}, nil),
 			},
 			{
 				Name: "serve",
 				Ops:  2 * scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: region(seed + 4)},
-				},
+				}, nil),
 			},
 		},
 	}
@@ -157,13 +160,12 @@ func Fig1c(scale Scale, seed uint64) (*Fig1cResult, error) {
 	// whole post-change phase so slow-burn adaptation (a delta merge
 	// thousands of ops after the shift) is not missed.
 	runner.PostChangeN = scale.Ops
-	scenario := fig1bScenario(scale, seed)
-	scenario.Name = "fig1c-sla"
 	// An open loop at ~70% of closed-loop capacity with diurnal swings:
 	// adaptation pauses now queue work and violate SLAs realistically.
-	for i := range scenario.Phases {
-		scenario.Phases[i].Arrival = workload.NewDiurnal(seed+uint64(i), 600_000, 0.5, 2)
-	}
+	scenario := fig1bScenario(scale, seed, func(i int) workload.Arrival {
+		return workload.NewDiurnal(seed+uint64(i), 600_000, 0.5, 2)
+	})
+	scenario.Name = "fig1c-sla"
 	results, err := runner.RunAll(scenario,
 		[]func() core.SUT{core.NewRMISUT, core.NewALEXSUT, core.NewBTreeSUT})
 	if err != nil {

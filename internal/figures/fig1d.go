@@ -48,13 +48,13 @@ func kvEvaluator(scale Scale, seed uint64) (tuner.Evaluator, *int64) {
 			Phases: []core.Phase{{
 				Name: "mixed",
 				Ops:  scale.Ops / 2,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					// Read-mostly with scans: rewards bloom filters,
 					// tight compaction, and fine sparse indexes —
 					// the directions the DBA script also pushes.
 					Mix:    workload.Mix{GetFrac: 0.65, PutFrac: 0.2, ScanFrac: 0.15, ScanLimit: 50},
 					Access: distgen.Static{G: distgen.NewZipfKeys(seed+2, 1.05, 1<<22)},
-				},
+				}, nil),
 			}},
 		}
 		res, err := runner.Run(scenario, core.NewKVSUT(k))

@@ -58,10 +58,10 @@ func Fig1e(scale Scale, seed uint64) (*Fig1eResult, error) {
 		Phases: []core.Phase{{
 			Name: "steady",
 			Ops:  scale.Ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.ReadHeavy,
 				Access: distgen.Static{G: distgen.NewZipfKeys(seed+2, 1.1, 1<<21)},
-			},
+			}, nil),
 		}},
 	}
 	scenario = scenario.Materialize()

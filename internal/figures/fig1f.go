@@ -103,10 +103,10 @@ func Fig1f(scale Scale, seed uint64) (*Fig1fResult, error) {
 		Phases: []core.Phase{{
 			Name: "cold-read",
 			Ops:  scale.Ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.Mix{GetFrac: 0.7, ScanFrac: 0.3, ScanLimit: 300},
 				Access: distgen.Static{G: fig1fAccess(seed + 2)},
-			},
+			}, nil),
 		}},
 	}
 	coldSUTs := make([]*core.ColdStartSUT, len(policies))
@@ -146,10 +146,10 @@ func Fig1f(scale Scale, seed uint64) (*Fig1fResult, error) {
 		Phases: []core.Phase{{
 			Name: "uniform-read",
 			Ops:  scale.Ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.Mix{GetFrac: 1},
 				Access: distgen.Static{G: distgen.NewUniform(seed+102, 0, distgen.KeyDomain)},
-			},
+			}, nil),
 		}},
 	}
 	ioSUTs := make([]*core.ColdStartSUT, len(Fig1fPoolSizes))
@@ -187,10 +187,10 @@ func Fig1f(scale Scale, seed uint64) (*Fig1fResult, error) {
 		Phases: []core.Phase{{
 			Name: "write-heavy",
 			Ops:  scale.Ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.Mix{GetFrac: 0.2, PutFrac: 0.65, DeleteFrac: 0.05, ScanFrac: 0.1, ScanLimit: 100},
 				Access: distgen.Static{G: distgen.NewUniform(seed+202, 0, distgen.KeyDomain)},
-			},
+			}, nil),
 		}},
 	}
 	writeSUTs := []*core.ColdStartSUT{

@@ -103,7 +103,11 @@ func fig1gController(seed uint64, d float64) *driftctl.Controller {
 // fig1gDataScenario is the two-phase data-drift scenario at intensity d:
 // a steady phase on the trained distribution (SLA calibrates here), then a
 // drift phase whose keys transport toward the unseen half of the domain.
-func fig1gDataScenario(scale Scale, seed uint64, d float64) (core.Scenario, *driftctl.Controller) {
+// arrival paces phase i (nil means closed loop).
+func fig1gDataScenario(scale Scale, seed uint64, d float64, arrival func(i int) workload.Arrival) (core.Scenario, *driftctl.Controller) {
+	if arrival == nil {
+		arrival = func(int) workload.Arrival { return nil }
+	}
 	half := distgen.KeyDomain / 2
 	ctrl := fig1gController(seed+7, d)
 	return core.Scenario{
@@ -117,18 +121,18 @@ func fig1gDataScenario(scale Scale, seed uint64, d float64) (core.Scenario, *dri
 			{
 				Name: "steady",
 				Ops:  scale.Ops / 2,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: distgen.NewUniform(seed+2, 0, half)},
-				},
+				}, arrival(0)),
 			},
 			{
 				Name: "drift",
 				Ops:  scale.Ops,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.Balanced,
 					Access: ctrl,
-				},
+				}, arrival(1)),
 			},
 		},
 	}, ctrl
@@ -154,7 +158,7 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 
 	// Panel 1: data drift.
 	for _, d := range Fig1gIntensities {
-		scenario, ctrl := fig1gDataScenario(scale, seed, d)
+		scenario, ctrl := fig1gDataScenario(scale, seed, d, nil)
 		results, err := runner.RunAll(scenario, factories)
 		if err != nil {
 			return nil, fmt.Errorf("figures: fig1g data D=%.2f: %w", d, err)
@@ -226,11 +230,10 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 	// Panel 3: interactive sessions under data drift — the same transport
 	// paced by think-time sessions, scored by the per-session budget.
 	for _, d := range Fig1gIntensities {
-		scenario, _ := fig1gDataScenario(scale, seed+900, d)
-		for pi := range scenario.Phases {
-			scenario.Phases[pi].Arrival = workload.NewSessionArrival(
-				seed+901+uint64(pi)*31, Fig1gSessionThinkNs, Fig1gSessionIntraNs, 4, 10)
-		}
+		scenario, _ := fig1gDataScenario(scale, seed+900, d, func(i int) workload.Arrival {
+			return workload.NewSessionArrival(
+				seed+901+uint64(i)*31, Fig1gSessionThinkNs, Fig1gSessionIntraNs, 4, 10)
+		})
 		scenario.Name = fmt.Sprintf("fig1g-session-D%.2f", d)
 		scenario.Session = &workload.SessionSpec{GapNs: Fig1gSessionThinkNs, BudgetNs: Fig1gSessionBudgetNs}
 		results, err := runner.RunAll(scenario, factories)

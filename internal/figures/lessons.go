@@ -44,10 +44,10 @@ func Lesson1(scale Scale, seed uint64) (*Lesson1Result, error) {
 		Phases: []core.Phase{{
 			Name: "fixed",
 			Ops:  scale.Ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.ReadHeavy,
 				Access: distgen.Static{G: seqGen(seed + 2)},
-			},
+			}, nil),
 		}},
 	}
 
@@ -56,7 +56,7 @@ func Lesson1(scale Scale, seed uint64) (*Lesson1Result, error) {
 	drift.Phases = []core.Phase{{
 		Name: "drifting",
 		Ops:  scale.Ops,
-		Workload: workload.Spec{
+		Source: workload.FromSpec(workload.Spec{
 			Mix: workload.Mix{GetFrac: 0.6, PutFrac: 0.4},
 			Access: distgen.NewBlend(seed+3,
 				seqGen(seed+4),
@@ -64,7 +64,7 @@ func Lesson1(scale Scale, seed uint64) (*Lesson1Result, error) {
 			InsertKeys: distgen.NewBlend(seed+6,
 				seqGen(seed+7),
 				distgen.NewClustered(seed+8, 25, float64(distgen.KeyDomain)/1e6)),
-		},
+		}, nil),
 	}}
 
 	out := &Lesson1Result{}
@@ -116,10 +116,10 @@ func Lesson2(scale Scale, seed uint64) (*Lesson2Result, error) {
 		Phases: []core.Phase{{
 			Name: "write-heavy",
 			Ops:  scale.Ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.WriteHeavy,
 				Access: distgen.Static{G: distgen.NewUniform(seed+2, 0, distgen.KeyDomain)},
-			},
+			}, nil),
 		}},
 	}
 	spiky := kv.Knobs{MemtableCap: 512, MaxRuns: 16, SparseEvery: 128, BloomBitsPerKey: 8}
@@ -195,10 +195,10 @@ func Lesson3(scale Scale, seed uint64) (*Lesson3Result, error) {
 		Phases: []core.Phase{{
 			Name: "reads",
 			Ops:  scale.Ops,
-			Workload: workload.Spec{
+			Source: workload.FromSpec(workload.Spec{
 				Mix:    workload.Mix{GetFrac: 1},
 				Access: distgen.Static{G: gen(seed + 2)},
-			},
+			}, nil),
 		}},
 	}
 	learned, err := runner.Run(scenario, core.NewRMISUT())

@@ -183,7 +183,10 @@ func TestDriverReplayOverNetwork(t *testing.T) {
 	}
 	tr, err := core.Scenario{
 		Name: "net-replay", Seed: 6, InitialKeys: []uint64{},
-		Phases: []core.Phase{{Name: "worker-0", Ops: 1000, Workload: spec}, {Name: "worker-1", Ops: 1000, Workload: spec}},
+		Phases: []core.Phase{
+			{Name: "worker-0", Ops: 1000, Source: workload.FromSpec(spec, nil)},
+			{Name: "worker-1", Ops: 1000, Source: workload.FromSpec(spec, nil)},
+		},
 	}.Materialize().Trace()
 	if err != nil {
 		t.Fatal(err)

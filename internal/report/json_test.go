@@ -22,19 +22,19 @@ func jsonScenario(seed uint64) core.Scenario {
 			{
 				Name: "steady",
 				Ops:  5000,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.ReadHeavy,
 					Access: distgen.Static{G: distgen.NewUniform(seed+2, 0, 1<<30)},
-				},
+				}, nil),
 			},
 			{
 				Name:          "shift",
 				Ops:           5000,
 				RetrainBefore: true,
-				Workload: workload.Spec{
+				Source: workload.FromSpec(workload.Spec{
 					Mix:    workload.Balanced,
 					Access: distgen.Static{G: distgen.NewZipfKeys(seed+3, 1.1, 1<<20)},
-				},
+				}, nil),
 			},
 		},
 	}

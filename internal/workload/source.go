@@ -52,13 +52,22 @@ type GeneratorSource struct {
 	gen     *Generator
 }
 
-// NewSource returns a generator-backed source for spec paced by arrival
-// (nil means closed loop), seeded deterministically.
-func NewSource(spec Spec, arrival Arrival, seed uint64) *GeneratorSource {
+// FromSpec returns the source of spec's generator paced by arrival (nil
+// means closed loop). It draws seed 0's stream until Reset: the runner and
+// core.Scenario.Materialize Reset every phase source with its PhaseSeed.
+// Like NewGenerator it panics on a nil spec.Access.
+func FromSpec(spec Spec, arrival Arrival) *GeneratorSource {
 	if arrival == nil {
 		arrival = ClosedLoop{}
 	}
-	return &GeneratorSource{spec: spec, arrival: arrival, gen: NewGenerator(spec, seed)}
+	return &GeneratorSource{spec: spec, arrival: arrival, gen: NewGenerator(spec, 0)}
+}
+
+// NewSource returns FromSpec(spec, arrival) already Reset to seed.
+func NewSource(spec Spec, arrival Arrival, seed uint64) *GeneratorSource {
+	s := FromSpec(spec, arrival)
+	s.Reset(seed)
+	return s
 }
 
 // Name implements Source.

@@ -24,10 +24,10 @@
 //	    Phases: []lsbench.Phase{{
 //	        Name: "steady",
 //	        Ops:  200_000,
-//	        Workload: lsbench.WorkloadSpec{
+//	        Source: lsbench.FromSpec(lsbench.WorkloadSpec{
 //	            Mix:    lsbench.ReadHeavy,
 //	            Access: lsbench.Static{G: lsbench.NewZipfKeys(2, 1.1, 1<<22)},
-//	        },
+//	        }, nil),
 //	    }},
 //	}
 //	result, err := lsbench.NewRunner().Run(scenario, lsbench.NewRMISUT())
@@ -136,8 +136,10 @@ var (
 	NewSchedule      = distgen.NewSchedule
 )
 
-// Arrival processes.
+// A generated phase's Source, FromSpec(spec, arrival), and the arrival
+// processes that pace it (nil means closed loop).
 var (
+	FromSpec   = workload.FromSpec
 	NewPoisson = workload.NewPoisson
 	NewDiurnal = workload.NewDiurnal
 	NewBursty  = workload.NewBursty

@@ -17,10 +17,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		Phases: []Phase{{
 			Name: "steady",
 			Ops:  5_000,
-			Workload: WorkloadSpec{
+			Source: FromSpec(WorkloadSpec{
 				Mix:    ReadHeavy,
 				Access: Static{G: NewZipfKeys(2, 1.1, 1<<22)},
-			},
+			}, nil),
 		}},
 	}
 	for _, factory := range StandardSUTs() {
@@ -44,13 +44,12 @@ func TestFacadeDriftingScenario(t *testing.T) {
 		Phases: []Phase{{
 			Name: "drift",
 			Ops:  5_000,
-			Workload: WorkloadSpec{
+			Source: FromSpec(WorkloadSpec{
 				Mix: Balanced,
 				Access: NewBlend(2,
 					NewUniform(3, 0, KeyDomain/2),
 					NewClustered(4, 10, 1e9)),
-			},
-			Arrival: NewDiurnal(5, 500_000, 0.5, 2),
+			}, NewDiurnal(5, 500_000, 0.5, 2)),
 		}},
 	}
 	res, err := NewRunner().Run(scenario, NewALEXSUT())
@@ -73,10 +72,10 @@ func TestFacadeHoldout(t *testing.T) {
 			Phases: []Phase{{
 				Name: "p",
 				Ops:  1_000,
-				Workload: WorkloadSpec{
+				Source: FromSpec(WorkloadSpec{
 					Mix:    ReadHeavy,
 					Access: Static{G: NewSegmented(11, 8)},
-				},
+				}, nil),
 			}},
 		}
 	}); err != nil {

@@ -22,19 +22,19 @@ import (
 	"repro/internal/workload"
 )
 
-// sourcePhaseScenario is the second pinned recording: a stateful arrival
-// process (diurnal) on a spec phase, then a phase fed by an explicit Source
-// with a stateful arrival of its own.
+// sourcePhaseScenario is the second pinned recording: two generator phases,
+// each paced by a stateful arrival process of its own (diurnal, then
+// Poisson).
 func sourcePhaseScenario() core.Scenario {
 	return core.Scenario{
 		Name: "trace-pin", Seed: 7,
 		InitialData: distgen.NewUniform(1, 0, 1<<30), InitialSize: 2000,
 		Phases: []core.Phase{
-			{Name: "diurnal", Ops: 5000, Arrival: workload.NewDiurnal(3, 500_000, 0.4, 1),
-				Workload: workload.Spec{Mix: workload.Balanced, Access: distgen.Static{G: distgen.NewZipfKeys(2, 1.1, 1<<20)}}},
-			{Name: "source", Ops: 3000, Source: workload.NewSource(
+			{Name: "diurnal", Ops: 5000,
+				Source: workload.FromSpec(workload.Spec{Mix: workload.Balanced, Access: distgen.Static{G: distgen.NewZipfKeys(2, 1.1, 1<<20)}}, workload.NewDiurnal(3, 500_000, 0.4, 1))},
+			{Name: "source", Ops: 3000, Source: workload.FromSpec(
 				workload.Spec{Mix: workload.ScanHeavy, Access: distgen.Static{G: distgen.NewUniform(4, 0, 1<<30)}},
-				workload.NewPoisson(5, 200_000), 0)},
+				workload.NewPoisson(5, 200_000))},
 		},
 	}
 }
