@@ -657,11 +657,11 @@ func BenchmarkMicroHistogramRecord(b *testing.B) {
 }
 
 // BenchmarkMicroCollectorRecord measures the collector's share of one
-// completion recorded on its own: curve point, interval count, phase
-// histogram, SLA band. The collector is told its op count, as the runner
-// tells it, so the curve never regrows and the loop must stay at 0
-// allocs/op; it is replaced (off the clock) every 64k records so the curve
-// stays cache-sized at any b.N.
+// completion recorded on its own: curve point, phase histogram, SLA band
+// (the timeline is read off the bands at Snapshot). The collector is told
+// its op count, as the runner tells it, so the curve never regrows and the
+// loop must stay at 0 allocs/op; it is replaced (off the clock) every 64k
+// records so the curve stays cache-sized at any b.N.
 func BenchmarkMicroCollectorRecord(b *testing.B) {
 	const chunk = 1 << 16
 	var col *metrics.Collector

@@ -294,9 +294,8 @@ func printReport(results []*core.Result, injectors []*fault.Injector, plan fault
 	// Figure 1c per SUT.
 	for _, r := range results {
 		report.BandChart(os.Stdout, fmt.Sprintf("SLA bands — %s (Fig 1c)", r.SUT), r.Bands, 10)
-		if len(r.PostChangeLatencies) > 0 {
-			adj := metrics.AdjustmentSpeed(r.PostChangeLatencies[0], r.SLANs, len(r.PostChangeLatencies[0]))
-			fmt.Printf("adjustment speed after first change: %s over-SLA\n", ns(adj))
+		if len(r.AdjustmentNs) > 0 {
+			fmt.Printf("adjustment speed after first change: %s over-SLA\n", ns(r.AdjustmentNs[0]))
 		}
 		fmt.Println()
 	}

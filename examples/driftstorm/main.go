@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/metrics"
 	"repro/internal/report"
 
 	lsbench "repro"
@@ -94,8 +93,7 @@ func run(w io.Writer) error {
 				fmt.Fprintf(w, "adaptation after %q: no recovery within the run (dip depth %.0f%%)\n",
 					res.Phases[i].Name, res.Timeline.DipDepth(changeAt)*100)
 			}
-			adj := metrics.AdjustmentSpeed(res.PostChangeLatencies[i-1], res.SLANs, 2000)
-			fmt.Fprintf(w, "adjustment speed (first 2000 ops): %.3fms over SLA\n", float64(adj)/1e6)
+			fmt.Fprintf(w, "adjustment speed (first %d ops): %.3fms over SLA\n", runner.PostChangeN, float64(res.AdjustmentNs[i-1])/1e6)
 		}
 		fmt.Fprintf(w, "online training work: %d units\n\n", res.OnlineTrainWork)
 		report.BandChart(w, "SLA bands — "+res.SUT, res.Bands, 8)

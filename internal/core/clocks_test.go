@@ -91,7 +91,7 @@ func TestRunOnBothClocks(t *testing.T) {
 							ref.Outcomes, ref.OfflineTrainWork, ref.Models, ref.OnlineTrainWork)
 					}
 				}
-				if wall.Retrains != virt.Retrains || len(wall.PhaseStarts) != 2 || len(virt.PhaseStarts) != 2 || len(wall.PostChangeLatencies) != 1 {
+				if wall.Retrains != virt.Retrains || len(wall.PhaseStarts) != 2 || len(virt.PhaseStarts) != 2 || len(wall.AdjustmentNs) != 1 {
 					t.Fatalf("phase structure diverges: wall %d retrains, starts %v; virtual %d retrains, starts %v",
 						wall.Retrains, wall.PhaseStarts, virt.Retrains, virt.PhaseStarts)
 				}

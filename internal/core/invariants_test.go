@@ -57,7 +57,7 @@ func TestRunnerInvariants(t *testing.T) {
 		}
 		var bandTotal, phaseTotal int64
 		for _, iv := range res.Bands.Intervals() {
-			bandTotal += iv.Completed
+			bandTotal += iv.Completed()
 		}
 		for _, p := range res.Phases {
 			phaseTotal += p.Completed

@@ -75,7 +75,7 @@ func TestQuerySUTStatic(t *testing.T) {
 	}
 	var total int64
 	for _, iv := range res.Bands.Intervals() {
-		total += iv.Completed
+		total += iv.Completed()
 	}
 	if total != 300 {
 		t.Fatalf("bands cover %d ops", total)
@@ -135,15 +135,15 @@ func TestQuerySUTMutation(t *testing.T) {
 	if len(res.PhaseStarts) != 2 || res.PhaseStarts[1] <= 0 || res.PhaseStarts[1] >= res.DurationNs {
 		t.Fatalf("change instant %v outside run", res.PhaseStarts)
 	}
-	if len(res.PostChangeLatencies) != 1 || len(res.PostChangeLatencies[0]) != 200 {
-		t.Fatalf("post-change latencies = %d rows", len(res.PostChangeLatencies))
+	if len(res.AdjustmentNs) != 1 {
+		t.Fatalf("adjustment speeds = %v, want one for the one change", res.AdjustmentNs)
 	}
 }
 
 // TestQuerySUTKnownAnswer replays a query stream against a fresh copy of the
 // system directly and checks the run against it: every completion lands at
 // the prefix sum of the queries' service times (closed loop), the SLA is
-// calibrated from the first n/4 latencies, and the post-change list holds
+// calibrated from the first n/4 latencies, and the adjustment speed sums
 // all n/2 queries after the mutation. n/4 and n/2 both exceed the
 // collector's default window of 1000 and the runner's default post-change
 // cap of 1000, and queries from 520 on read twice the rows, so the
@@ -195,8 +195,28 @@ func TestQuerySUTKnownAnswer(t *testing.T) {
 	if want := metrics.CalibrateSLA(h, 0.5, 20); res.SLANs != want {
 		t.Fatalf("SLA %d ns, want %d from the first n/4 latencies", res.SLANs, want)
 	}
-	if len(res.PostChangeLatencies) != 1 || !slices.Equal(res.PostChangeLatencies[0], service[n/2:]) {
-		t.Fatalf("post-change latencies are not the %d after the mutation", n/2)
+	if len(res.AdjustmentNs) != 1 || res.AdjustmentNs[0] != 0 {
+		t.Fatalf("adjustment speed %v, want [0]: no query after the mutation takes %d ns", res.AdjustmentNs, res.SLANs)
+	}
+
+	// At an SLA fixed at half the fastest query after the mutation, every
+	// one of them is over it, and the sum must cover all n/2.
+	fixed := QueryScenario("known", n, n/2)
+	fixed.SLANs = slices.Min(service[n/2:]) / 2
+	var adj, first1000 int64
+	for j, s := range service[n/2:] {
+		adj += max(s-fixed.SLANs, 0)
+		if j == 999 {
+			first1000 = adj
+		}
+	}
+	if adj == first1000 {
+		t.Fatalf("no query after the first 1000 since the mutation is over %d ns: not a test of the window", fixed.SLANs)
+	}
+	dim, fact = sqlTestDB()
+	res = runQueries(t, fixed, histOptimizer(dim, fact), widened(dim, fact))
+	if len(res.AdjustmentNs) != 1 || res.AdjustmentNs[0] != adj {
+		t.Fatalf("adjustment speed %v, want [%d] over the %d queries after the mutation", res.AdjustmentNs, adj, n/2)
 	}
 }
 

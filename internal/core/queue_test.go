@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/distgen"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -180,6 +181,60 @@ func TestQueueMeanSojournPollaczekKhinchine(t *testing.T) {
 			bound := 5 * wq * math.Sqrt(1+c2) / ((1 - rho) * math.Sqrt(n*rho))
 			if got := lat.Mean(); math.Abs(got-(wq+es)) > bound {
 				t.Errorf("%s ρ=%.1f: mean sojourn %.1f ns, Pollaczek–Khinchine %.1f ± %.1f", sc.name, rho, got, wq+es, bound)
+			}
+		}
+	}
+}
+
+// TestQueueSLAKnownAnswerMM1 runs exact M/M/1 queues — Poisson arrivals and
+// exponential work priced at 1 ns a unit with no fixed cost — through the
+// runner and collector at a fixed SLA s, in two phases of n ops with the
+// adjustment-speed window the second phase's length. A FIFO M/M/1 sojourn
+// is exponential with rate μ−λ, so the violation rate is P(T > s) =
+// e^{−(μ−λ)s} and, the tail being memoryless, the adjustment speed over n
+// completions is n·E[(T−s)⁺] = n·e^{−(μ−λ)s}/(μ−λ). Sojourns are correlated
+// for about 1/(1−ρ)² ops, so the standard error is taken from k independent
+// runs, their sample deviation over √k; every phase starts on an empty
+// server, whose warm-up bias (a few hundred ops of n at ρ = 0.9) is well
+// inside it. The bound is five of them (sixteen seed sets stayed within
+// 3.1).
+func TestQueueSLAKnownAnswerMM1(t *testing.T) {
+	const n, k, mean, sla = 20_000, 8, 10_000.0, 30_000 // 1/μ and s in ns
+	r := NewRunner()
+	r.Cost = sim.CostModel{PerWorkNs: 1}
+	r.PostChangeN = n
+	for i, rho := range []float64{0.3, 0.7, 0.9} {
+		theta := (1 - rho) / mean // μ−λ per ns
+		p := math.Exp(-theta * sla)
+		var viol, adj []float64
+		for run := range k {
+			seed := uint64(i*100 + run + 1)
+			rng := stats.NewRNG(seed)
+			work := make([]int64, 2*n)
+			for j := range work {
+				work[j] = int64(rng.ExpFloat64() * mean)
+			}
+			s := queuePhase(seed, n, workload.NewPoisson(seed+500, rho/mean*1e9))
+			s.Phases = append(s.Phases, queuePhase(seed, n, workload.NewPoisson(seed+700, rho/mean*1e9)).Phases[0])
+			s.SLANs = sla
+			res, err := r.Run(s, &scriptedSUT{work: work})
+			if err != nil {
+				t.Fatal(err)
+			}
+			viol = append(viol, res.Bands.ViolationRate())
+			adj = append(adj, float64(res.AdjustmentNs[0])/n)
+		}
+		for _, m := range []struct {
+			name string
+			runs []float64
+			want float64
+		}{
+			{"violation rate", viol, p},
+			{"adjustment speed / n (ns)", adj, p / theta},
+		} {
+			sum := stats.Summarize(m.runs)
+			if bound := 5 * sum.Stddev / math.Sqrt(k); math.Abs(sum.Mean-m.want) > bound {
+				t.Errorf("ρ=%.1f: %s %.4g, M/M/1 %.4g ± %.4g", rho, m.name, sum.Mean, m.want, bound)
 			}
 		}
 	}

@@ -85,10 +85,6 @@ type Result struct {
 	// PhaseStarts are the run clock's times each phase began — the
 	// "distribution change" instants for adaptation metrics.
 	PhaseStarts []int64
-	// PostChangeLatencies records, for each phase after the first, the
-	// latencies of the first operations after the change (input to the
-	// AdjustmentSpeed metric).
-	PostChangeLatencies [][]int64
 
 	// Outcomes tallies found/not-found lookups and total SUT work, for
 	// checking a run on one clock against the same workload on the other.
@@ -136,8 +132,10 @@ func (r *Result) Throughput() float64 {
 // RunOn on the clock it is handed.
 type Runner struct {
 	Cost sim.CostModel
-	// PostChangeN is how many operations after each phase change feed
-	// the adjustment-speed metric (default 1000).
+	// PostChangeN is how many successful operations after each phase
+	// change feed the adjustment-speed metric (Result.AdjustmentNs).
+	// NewRunner sets 1000; a zero-value Runner keeps no window, so every
+	// change reports 0.
 	PostChangeN int
 	// Parallel bounds how many SUT runs RunAll executes concurrently.
 	// 0 means runtime.GOMAXPROCS(0); 1 runs serially. Results are
@@ -228,6 +226,7 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 	// the threshold from baseline latency statistics on the same workload.
 	colCfg := metrics.CollectorConfig{
 		IntervalNs:     s.interval(),
+		PostChangeN:    r.PostChangeN,
 		SLANs:          s.SLANs,
 		CalibrateAfter: s.CalibrateAfter,
 	}
@@ -281,7 +280,6 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 		// prices the identical completion sequence at any batch size.
 		prevArrival := clock.Now()
 		serverFree := clock.Now()
-		var postChange []int64
 
 		for i := 0; i < phase.Ops; i += batch {
 			bn := batch
@@ -333,9 +331,6 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 				}
 				dones[j], lats[j] = done, done-arrive
 				pres.Completed++
-				if pi > 0 && len(postChange) < r.PostChangeN {
-					postChange = append(postChange, done-arrive)
-				}
 			}
 			col.RecordBatch(dones[run:bn], lats[run:bn])
 			if virt != nil {
@@ -344,15 +339,6 @@ func (r *Runner) RunOn(clock sim.Clock, s Scenario, sut SUT) (*Result, error) {
 		}
 		pres.EndNs = clock.Now()
 		res.Phases = append(res.Phases, pres)
-		if pi > 0 {
-			res.PostChangeLatencies = append(res.PostChangeLatencies, postChange)
-		}
-		if pi == 0 {
-			// Phase 0 may be shorter than the calibration window:
-			// calibrate from whatever it produced so later phases are
-			// tracked. No-op when band tracking already started.
-			col.Calibrate()
-		}
 	}
 
 	res.DurationNs = clock.Now() // before Snapshot: post-processing is not part of the run

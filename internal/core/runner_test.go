@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/distgen"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -128,8 +129,8 @@ func TestRunnerPhases(t *testing.T) {
 	if len(res.PhaseStarts) != 2 || res.PhaseStarts[1] <= res.PhaseStarts[0] {
 		t.Fatalf("phase starts = %v", res.PhaseStarts)
 	}
-	if len(res.PostChangeLatencies) != 1 || len(res.PostChangeLatencies[0]) == 0 {
-		t.Fatal("post-change latencies missing")
+	if len(res.AdjustmentNs) != 1 {
+		t.Fatalf("adjustment speeds = %v, want one for the one change", res.AdjustmentNs)
 	}
 	for _, p := range res.Phases {
 		if p.Completed != 4000 {
@@ -211,7 +212,7 @@ func TestRunnerBandsCoverAllOps(t *testing.T) {
 	}
 	var total int64
 	for _, iv := range res.Bands.Intervals() {
-		total += iv.Completed
+		total += iv.Completed()
 	}
 	if total != res.Completed {
 		t.Fatalf("bands cover %d of %d ops", total, res.Completed)
@@ -219,17 +220,21 @@ func TestRunnerBandsCoverAllOps(t *testing.T) {
 }
 
 func TestRunnerBandsTinyFirstPhase(t *testing.T) {
-	// Phase 0 shorter than the 1000-op calibration window: bands must
-	// still cover everything.
+	// Phase 0 shorter than the 1000-op calibration window: the phase
+	// change calibrates from its 200 latencies alone, and bands must still
+	// cover everything.
 	s := shiftScenario()
 	s.Phases[0].Ops = 200
 	res, err := NewRunner().Run(s, NewBTreeSUT())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := metrics.CalibrateSLA(res.Phases[0].Latency, 0.5, 20); res.SLANs != want {
+		t.Fatalf("SLA %d ns, want %d from phase 0's latencies", res.SLANs, want)
+	}
 	var total int64
 	for _, iv := range res.Bands.Intervals() {
-		total += iv.Completed
+		total += iv.Completed()
 	}
 	if total != res.Completed {
 		t.Fatalf("bands cover %d of %d ops", total, res.Completed)

@@ -187,7 +187,7 @@ func TestRunRoundOrder(t *testing.T) {
 		}
 		var violated int64
 		for _, iv := range res.Bands.Intervals() {
-			violated += iv.Violated
+			violated += iv.Violated()
 		}
 		if want := int64(len(sut.rounds[1])); violated != want {
 			t.Fatalf("%d ops over the SLA, want the slow round's %d", violated, want)

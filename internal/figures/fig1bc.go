@@ -182,10 +182,7 @@ func Fig1c(scale Scale, seed uint64) (*Fig1cResult, error) {
 		out.Bands[r.SUT] = r.Bands
 		out.SLANs[r.SUT] = r.SLANs
 		out.ViolationRate[r.SUT] = r.Bands.ViolationRate()
-		if len(r.PostChangeLatencies) > 0 {
-			pl := r.PostChangeLatencies[0]
-			out.AdjustmentSpeed[r.SUT] = metrics.AdjustmentSpeed(pl, r.SLANs, len(pl))
-		}
+		out.AdjustmentSpeed[r.SUT] = r.AdjustmentNs[0]
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distgen"
 	"repro/internal/driftctl"
-	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/report"
 	"repro/internal/sqlmini"
@@ -164,10 +163,6 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 			return nil, fmt.Errorf("figures: fig1g data D=%.2f: %w", d, err)
 		}
 		for i, r := range results {
-			adj := int64(0)
-			if len(r.PostChangeLatencies) > 0 {
-				adj = metrics.AdjustmentSpeed(r.PostChangeLatencies[0], r.SLANs, len(r.PostChangeLatencies[0]))
-			}
 			res.Data = append(res.Data, Fig1gData{
 				D:             d,
 				Divergence:    ctrl.Divergence(d),
@@ -175,7 +170,7 @@ func Fig1g(scale Scale, seed uint64) (*Fig1gResult, error) {
 				Throughput:    r.Throughput(),
 				P99Ns:         r.Latency.Quantile(0.99),
 				ViolationRate: r.Bands.ViolationRate(),
-				AdjustmentNs:  adj,
+				AdjustmentNs:  r.AdjustmentNs[0],
 			})
 			res.Results[fmt.Sprintf("data/%.2f/%s", d, names[i])] = r
 		}

@@ -151,10 +151,7 @@ func OptDrift(scale Scale, seed uint64) (*OptDriftResult, error) {
 			return nil, fmt.Errorf("figures: optdrift %s: %w", name, err)
 		}
 		out.Results[name] = res
-		if len(res.PostChangeLatencies) > 0 {
-			post := res.PostChangeLatencies[0]
-			out.AdjustmentSpeed[name] = metrics.AdjustmentSpeed(post, res.SLANs, len(post))
-		}
+		out.AdjustmentSpeed[name] = res.AdjustmentNs[0]
 	}
 	return out, nil
 }

@@ -32,8 +32,8 @@ func TestOptDriftShape(t *testing.T) {
 		if len(r.PhaseStarts) != 2 || r.PhaseStarts[1] <= 0 {
 			t.Fatalf("%s: no change instant", name)
 		}
-		if len(r.PostChangeLatencies) != 1 || len(r.PostChangeLatencies[0]) == 0 {
-			t.Fatalf("%s: no post-change latencies", name)
+		if len(r.AdjustmentNs) != 1 {
+			t.Fatalf("%s: adjustment speeds %v, want one", name, r.AdjustmentNs)
 		}
 	}
 	// The headline: after drift, the learned/steered optimizer ends up

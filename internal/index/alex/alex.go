@@ -141,7 +141,8 @@ func (ix *Index) Name() string { return "alex" }
 // Len implements index.Ordered.
 func (ix *Index) Len() int { return ix.size }
 
-// ModelCount implements index.Trainable.
+// ModelCount implements index.Trainable: the number of data nodes, one
+// model each (the structure's growth signal).
 func (ix *Index) ModelCount() int { return len(ix.nodes) }
 
 // Retrain implements index.Trainable: rebuilds every node's gapped array
@@ -664,9 +665,6 @@ func (ix *Index) BulkLoad(keys, values []uint64) {
 		}
 	}
 }
-
-// NodeCount reports the number of data nodes (structure growth signal).
-func (ix *Index) NodeCount() int { return len(ix.nodes) }
 
 var _ index.Measured = (*Index)(nil)
 var _ index.Trainable = (*Index)(nil)

@@ -17,8 +17,8 @@ func TestNodeSplitting(t *testing.T) {
 	for k := uint64(0); k < 50000; k++ {
 		ix.Insert(k, k)
 	}
-	if ix.NodeCount() < 2 {
-		t.Fatalf("no splits after 50k inserts: %d nodes", ix.NodeCount())
+	if ix.ModelCount() < 2 {
+		t.Fatalf("no splits after 50k inserts: %d nodes", ix.ModelCount())
 	}
 	if ix.Stats().TrainWork == 0 {
 		t.Fatal("no retrain work recorded")
@@ -90,11 +90,11 @@ func TestAdaptsToDrift(t *testing.T) {
 	ix := New()
 	base := distgen.UniqueKeys(distgen.NewUniform(3, 0, 1<<30), 20000)
 	ix.BulkLoad(base, base)
-	nodesBefore := ix.NodeCount()
+	nodesBefore := ix.ModelCount()
 	for k := uint64(1 << 50); k < (1<<50)+20000; k++ {
 		ix.Insert(k, k)
 	}
-	if ix.NodeCount() <= nodesBefore {
+	if ix.ModelCount() <= nodesBefore {
 		t.Fatal("index did not grow nodes for the new region")
 	}
 	if v, ok := ix.Get(1<<50 + 100); !ok || v != 1<<50+100 {

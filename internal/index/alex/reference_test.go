@@ -407,7 +407,7 @@ func TestMixedRunMatchesReference(t *testing.T) {
 		}
 	}
 	rotated += sameLayout(t, 200000, ix, ref)
-	splits := ix.NodeCount() - (len(base)+maxNodeSize/2-1)/(maxNodeSize/2)
+	splits := ix.ModelCount() - (len(base)+maxNodeSize/2-1)/(maxNodeSize/2)
 	if expands := int(ix.Stats().Splits) - splits; splits < 5 || expands < 5 || rotated < 100 {
 		t.Fatalf("run too tame to mean anything: %d splits, %d expands, %d rotated blocks", splits, expands, rotated)
 	}
@@ -433,8 +433,8 @@ func TestExpandAllocatesOnlyTheNode(t *testing.T) {
 		}
 		node++
 	})
-	if allocs != 3 || ix.NodeCount() != 12 {
-		t.Fatalf("expand allocated %v objects per run (%d nodes), want the node's 3 arrays", allocs, ix.NodeCount())
+	if allocs != 3 || ix.ModelCount() != 12 {
+		t.Fatalf("expand allocated %v objects per run (%d nodes), want the node's 3 arrays", allocs, ix.ModelCount())
 	}
 }
 

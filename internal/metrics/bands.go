@@ -49,17 +49,23 @@ func ClassifyLatency(latency, sla int64) BandLevel {
 }
 
 // Interval is one latency band of Figure 1c: the queries completed during
-// one time slice, split by SLA outcome.
+// one time slice, split by SLA outcome. ByLevel is the one count; the
+// within/violated split is its Green+Yellow and Orange+Red halves.
 type Interval struct {
-	Start     int64 // ns since run start
-	Completed int64 // total queries completed in the interval
-	WithinSLA int64 // completed within the SLA threshold
-	Violated  int64 // completed but over the SLA threshold
-	ByLevel   [4]int64
-	// OverSLATime is the sum over violated queries of (latency - SLA),
-	// feeding the paper's adjustment-speed single-value metric.
+	Start   int64 // ns since run start
+	ByLevel [4]int64
+	// OverSLATime is the sum over violated queries of (latency - SLA).
 	OverSLATime int64
 }
+
+// Completed returns the number of queries completed in the interval.
+func (iv Interval) Completed() int64 { return iv.WithinSLA() + iv.Violated() }
+
+// WithinSLA returns the number completed within the SLA threshold.
+func (iv Interval) WithinSLA() int64 { return iv.ByLevel[Green] + iv.ByLevel[Yellow] }
+
+// Violated returns the number completed over the SLA threshold.
+func (iv Interval) Violated() int64 { return iv.ByLevel[Orange] + iv.ByLevel[Red] }
 
 // BandTracker accumulates Figure 1c latency bands at a fixed interval
 // width (the paper suggests 1 s or 10 s intervals).
@@ -68,6 +74,24 @@ type BandTracker struct {
 	width     int64
 	intervals []Interval
 	cur       cursor
+}
+
+// cursor caches the interval the previous time fell in and its bounds
+// [lo, hi), so a time-ordered stream divides only when it crosses into
+// another interval; an out-of-order time re-seeks.
+type cursor struct {
+	idx    int
+	lo, hi int64
+}
+
+// at returns the interval index of time t (clamped to 0) for the width.
+func (c *cursor) at(t, width int64) int {
+	t = max(t, 0)
+	if t < c.lo || t >= c.hi {
+		c.idx = int(t / width)
+		c.lo, c.hi = int64(c.idx)*width, int64(c.idx+1)*width
+	}
+	return c.idx
 }
 
 // NewBandTracker returns a tracker with the given SLA threshold and
@@ -103,15 +127,23 @@ func (bt *BandTracker) recordRun(done, lat []int64) {
 			})
 		}
 		iv := &bt.intervals[idx]
-		iv.Completed++
-		iv.ByLevel[ClassifyLatency(lat[i], bt.sla)]++
-		if lat[i] <= bt.sla {
-			iv.WithinSLA++
-		} else {
-			iv.Violated++
+		level := ClassifyLatency(lat[i], bt.sla)
+		iv.ByLevel[level]++
+		if level > Yellow {
 			iv.OverSLATime += lat[i] - bt.sla
 		}
 	}
+}
+
+// timeline returns the per-interval completion counts as a Timeline: the
+// band table is the one per-interval record of completions.
+func (bt *BandTracker) timeline() *Timeline {
+	tl := NewTimeline(bt.width)
+	tl.counts = make([]int64, len(bt.intervals))
+	for i, iv := range bt.intervals {
+		tl.counts[i] = iv.Completed()
+	}
+	return tl
 }
 
 // Intervals returns the recorded bands in time order. The returned slice is
@@ -123,31 +155,13 @@ func (bt *BandTracker) Intervals() []Interval { return bt.intervals }
 func (bt *BandTracker) ViolationRate() float64 {
 	var done, bad int64
 	for _, iv := range bt.intervals {
-		done += iv.Completed
-		bad += iv.Violated
+		done += iv.Completed()
+		bad += iv.Violated()
 	}
 	if done == 0 {
 		return 0
 	}
 	return float64(bad) / float64(done)
-}
-
-// AdjustmentSpeed is the paper's single-value adjustment-speed metric: "the
-// sum of query times above the SLA threshold over the first N queries after
-// a distribution change". latencies must be the per-query latencies in
-// completion order starting at the distribution change; n bounds how many
-// are considered.
-func AdjustmentSpeed(latencies []int64, sla int64, n int) int64 {
-	if n > len(latencies) {
-		n = len(latencies)
-	}
-	var sum int64
-	for _, l := range latencies[:n] {
-		if l > sla {
-			sum += l - sla
-		}
-	}
-	return sum
 }
 
 // CalibrateSLA implements the paper's calibration rule: "the SLA threshold

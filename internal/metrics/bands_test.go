@@ -42,10 +42,10 @@ func TestBandTrackerIntervals(t *testing.T) {
 	if len(ivs) != 2 {
 		t.Fatalf("intervals = %d", len(ivs))
 	}
-	if ivs[0].Completed != 1 || ivs[0].WithinSLA != 1 || ivs[0].Violated != 0 {
+	if ivs[0].Completed() != 1 || ivs[0].WithinSLA() != 1 || ivs[0].Violated() != 0 {
 		t.Fatalf("interval 0 = %+v", ivs[0])
 	}
-	if ivs[1].Completed != 2 || ivs[1].WithinSLA != 1 || ivs[1].Violated != 1 {
+	if ivs[1].Completed() != 2 || ivs[1].WithinSLA() != 1 || ivs[1].Violated() != 1 {
 		t.Fatalf("interval 1 = %+v", ivs[1])
 	}
 	if ivs[1].OverSLATime != 500 {
@@ -65,7 +65,7 @@ func TestBandTrackerGapsFilled(t *testing.T) {
 		t.Fatalf("intervals = %d, want 6", len(ivs))
 	}
 	for i := 1; i <= 4; i++ {
-		if ivs[i].Completed != 0 {
+		if ivs[i].Completed() != 0 {
 			t.Fatalf("gap interval %d non-empty", i)
 		}
 	}
@@ -76,7 +76,7 @@ func TestBandTrackerOutOfOrder(t *testing.T) {
 	bt.Record(5e9, 100)
 	bt.Record(1e9, 2000) // earlier completion arriving late
 	ivs := bt.Intervals()
-	if ivs[1].Violated != 1 {
+	if ivs[1].Violated() != 1 {
 		t.Fatal("out-of-order record lost")
 	}
 }
@@ -131,7 +131,7 @@ func TestBandTrackerOutOfOrderEquivalence(t *testing.T) {
 func TestBandTrackerNegativeTimeClamped(t *testing.T) {
 	bt := NewBandTracker(1000, 1e9)
 	bt.Record(-50, 100)
-	if bt.Intervals()[0].Completed != 1 {
+	if bt.Intervals()[0].Completed() != 1 {
 		t.Fatal("negative time not clamped into interval 0")
 	}
 }
@@ -163,8 +163,8 @@ func TestBandTrackerByLevelSums(t *testing.T) {
 	for _, c := range iv.ByLevel {
 		sum += c
 	}
-	if sum != iv.Completed {
-		t.Fatalf("ByLevel sums to %d, completed %d", sum, iv.Completed)
+	if sum != iv.Completed() {
+		t.Fatalf("ByLevel sums to %d, completed %d", sum, iv.Completed())
 	}
 	if iv.ByLevel[Green] != 1 || iv.ByLevel[Yellow] != 1 || iv.ByLevel[Orange] != 1 || iv.ByLevel[Red] != 1 {
 		t.Fatalf("ByLevel = %v", iv.ByLevel)
@@ -184,25 +184,6 @@ func TestBandTrackerPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestAdjustmentSpeed(t *testing.T) {
-	lats := []int64{500, 1500, 3000, 800, 2000}
-	// sla=1000, n=5: over-SLA sums = 500 + 2000 + 1000 = 3500
-	if got := AdjustmentSpeed(lats, 1000, 5); got != 3500 {
-		t.Fatalf("AdjustmentSpeed = %d", got)
-	}
-	// n=2 considers only first two: 500
-	if got := AdjustmentSpeed(lats, 1000, 2); got != 500 {
-		t.Fatalf("AdjustmentSpeed(n=2) = %d", got)
-	}
-	// n beyond length clamps
-	if got := AdjustmentSpeed(lats, 1000, 100); got != 3500 {
-		t.Fatalf("AdjustmentSpeed(n=100) = %d", got)
-	}
-	if AdjustmentSpeed(nil, 1000, 10) != 0 {
-		t.Fatal("empty latencies")
 	}
 }
 

@@ -2,37 +2,40 @@ package metrics
 
 // Collector is the one measurement pipeline of every run (the runner under
 // either clock, in process or over the network driver, for KV and query
-// SUTs): it owns the Figure 1 quadruple — Timeline (1a), CumCurve (1b),
-// BandTracker (1c), and the overall latency Histogram — and implements the
-// paper's deferred SLA calibration exactly once.
+// SUTs), and the one place a completion turns into a Figure 1 number: it
+// owns the Figure 1 quadruple — Timeline (1a), CumCurve (1b), BandTracker
+// (1c), and the overall latency Histogram — the adjustment-speed metric, and
+// the paper's deferred SLA calibration, implemented exactly once.
 //
 // Completions enter through RecordBatch(done, latencies), a run of them in
 // completion order; Record is its one-element call. Each completion is
 // bucketed once, into the current phase's latency histogram (BeginPhase);
 // the overall latency histogram is the merge of the phase histograms, taken
-// at Snapshot. The timeline counts completions per interval and the curve
-// keeps every completion's time. Each structure takes a run in one call, and
-// the timeline and band tracker divide only when a run crosses into another
-// interval. Band tracking is deferred while the SLA threshold is unknown:
-// the first CalibrateAfter samples are buffered, the threshold is derived
-// from their latency distribution via CalibrateSLA, and the buffer is
-// replayed into the tracker so no completion is lost. A fixed SLA
-// (Config.SLANs > 0) starts band tracking on the first completion.
+// at Snapshot. The curve keeps every completion's time and the band tracker
+// counts it in its interval's band, dividing only when a run crosses into
+// another interval; the timeline is read off the band table at Snapshot.
+// Band tracking is deferred while the SLA threshold is unknown: the first
+// CalibrateAfter samples are buffered, the threshold is derived from their
+// latency distribution via CalibrateSLA, and the buffer is replayed into the
+// tracker so no completion is lost. A phase change calibrates from whatever
+// is buffered, so the threshold is known for every phase after the first. A
+// fixed SLA (Config.SLANs > 0) starts band tracking on the first completion.
 //
 // Collector is not safe for concurrent use; every engine records from the
 // one goroutine that dispatches.
 type Collector struct {
-	cfg      CollectorConfig
-	timeline *Timeline
-	cum      *CumCurve
-	bands    *BandTracker
-	sla      int64
-	failed   int64
-	fails    *FailSeries
-	pending  []pendingSample
-	session  *SessionTracker
-	phase    *Histogram   // the current phase's latencies
-	phases   []*Histogram // every phase's, in order
+	cfg     CollectorConfig
+	cum     *CumCurve
+	bands   *BandTracker
+	sla     int64
+	failed  int64
+	fails   *FailSeries
+	pending []pendingSample
+	session *SessionTracker
+	phase   *Histogram   // the current phase's latencies
+	phases  []*Histogram // every phase's, in order
+	adjust  []int64      // every phase change's adjustment speed, in order
+	adjLeft int          // completions the current change's window still takes
 }
 
 // pendingSample is a completion parked while the SLA is uncalibrated.
@@ -44,6 +47,10 @@ type pendingSample struct{ t, lat int64 }
 type CollectorConfig struct {
 	// IntervalNs is the timeline/band reporting interval width.
 	IntervalNs int64
+	// PostChangeN is the adjustment-speed window: how many successful
+	// completions after each phase change are summed (0: none, so every
+	// change reports 0).
+	PostChangeN int
 	// SLANs fixes the SLA threshold; 0 defers to calibration.
 	SLANs int64
 	// CalibrateAfter is how many completions are buffered before the SLA
@@ -70,10 +77,9 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		cfg.CalibrateAfter = 1000
 	}
 	return &Collector{
-		cfg:      cfg,
-		timeline: NewTimeline(cfg.IntervalNs),
-		cum:      newCumCurve(cfg.Ops),
-		sla:      cfg.SLANs,
+		cfg: cfg,
+		cum: newCumCurve(cfg.Ops),
+		sla: cfg.SLANs,
 	}
 }
 
@@ -91,8 +97,15 @@ func (c *Collector) BeginSession(arrive int64) {
 // BeginPhase starts a phase and returns the histogram its completions'
 // latencies are bucketed into, which the engine may keep as the phase's
 // latency distribution. A collector whose engine never calls it records
-// into one implicit phase.
+// into one implicit phase. Every phase after the first is a distribution
+// change: it calibrates the SLA (a first phase may be shorter than the
+// calibration window) and opens that change's adjustment-speed window.
 func (c *Collector) BeginPhase() *Histogram {
+	if c.phases != nil {
+		c.calibrate()
+		c.adjust = append(c.adjust, 0)
+		c.adjLeft = c.cfg.PostChangeN
+	}
 	c.phase = NewHistogram()
 	c.phases = append(c.phases, c.phase)
 	return c.phase
@@ -119,7 +132,14 @@ func (c *Collector) RecordBatch(done, lat []int64) {
 		c.cum.Add(t)
 		c.phase.Record(lat[i])
 	}
-	c.timeline.add(done)
+	// The paper's adjustment speed: "the sum of query times above the SLA
+	// threshold over the first N queries after a distribution change".
+	if k := min(c.adjLeft, len(lat)); k > 0 {
+		for _, l := range lat[:k] {
+			c.adjust[len(c.adjust)-1] += max(l-c.sla, 0)
+		}
+		c.adjLeft -= k
+	}
 	if c.bands == nil && c.sla == 0 {
 		// Park up to the calibration window; calibrate the moment it fills,
 		// even inside a run, and band the rest of the run after it.
@@ -132,7 +152,7 @@ func (c *Collector) RecordBatch(done, lat []int64) {
 		}
 		done, lat = done[k:], lat[k:]
 	}
-	c.Calibrate()
+	c.calibrate()
 	c.bands.recordRun(done, lat)
 }
 
@@ -150,12 +170,11 @@ func (c *Collector) RecordFailed(done int64) {
 	c.fails.Record(done)
 }
 
-// Calibrate forces SLA calibration from the samples buffered so far and
-// starts band tracking, replaying the buffer. Engines call it at natural
-// boundaries (the virtual runner at the end of phase 0) when the run may
-// be shorter than the calibration window. It is a no-op once band tracking
-// has started.
-func (c *Collector) Calibrate() {
+// calibrate forces SLA calibration from the samples buffered so far and
+// starts band tracking, replaying the buffer. A phase change and Snapshot
+// call it, since a run or its first phase may be shorter than the
+// calibration window. It is a no-op once band tracking has started.
+func (c *Collector) calibrate() {
 	if c.bands != nil {
 		return
 	}
@@ -189,28 +208,26 @@ func (c *Collector) calibrateFromPending() int64 {
 	return CalibrateSLA(h, calibrateQuantile, calibrateHeadroom)
 }
 
-// SLA returns the current SLA threshold (0 while uncalibrated).
-func (c *Collector) SLA() int64 { return c.sla }
-
 // Snapshot finalizes the pipeline — calibrating and replaying if band
-// tracking has not started — and returns the metric quadruple. Further
-// Records keep feeding the same underlying structures, so engines
-// snapshot once, when the run is over.
+// tracking has not started — and returns the metric quadruple. Its
+// Timeline is read off the band table by this call, so engines snapshot
+// once, when the run is over.
 func (c *Collector) Snapshot() Snapshot {
-	c.Calibrate()
+	c.calibrate()
 	lat := NewHistogram()
 	for _, h := range c.phases {
 		lat.Merge(h)
 	}
 	s := Snapshot{
-		Timeline:   c.timeline,
-		Cumulative: c.cum,
-		Bands:      c.bands,
-		Latency:    lat,
-		SLANs:      c.sla,
-		Completed:  c.cum.Total(),
-		Failed:     c.failed,
-		Fails:      c.fails,
+		Timeline:     c.bands.timeline(),
+		Cumulative:   c.cum,
+		Bands:        c.bands,
+		Latency:      lat,
+		SLANs:        c.sla,
+		AdjustmentNs: c.adjust,
+		Completed:    c.cum.Total(),
+		Failed:       c.failed,
+		Fails:        c.fails,
 	}
 	if c.session != nil {
 		s.Sessions = c.session.Stats()
@@ -218,9 +235,10 @@ func (c *Collector) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is the finalized measurement quadruple plus the SLA threshold
-// and completion count — the measured core of core.Result, the result type
-// the one executor (core.Runner.RunOn) returns.
+// Snapshot is the finalized measurement quadruple plus the SLA threshold,
+// the adjustment speeds and the completion count — the measured core of
+// core.Result, the result type the one executor (core.Runner.RunOn)
+// returns.
 type Snapshot struct {
 	// Timeline backs Figure 1a: per-interval throughput.
 	Timeline *Timeline
@@ -233,6 +251,10 @@ type Snapshot struct {
 	Latency *Histogram
 	// SLANs is the SLA threshold used (fixed or calibrated).
 	SLANs int64
+	// AdjustmentNs holds, for each phase after the first, the paper's
+	// adjustment speed: the sum of max(latency - SLA, 0) over the phase's
+	// first CollectorConfig.PostChangeN successful completions.
+	AdjustmentNs []int64
 	// Completed is the number of operations accounted.
 	Completed int64
 	// Failed is the number of operations that completed as errors

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -18,15 +19,15 @@ const (
 
 // collectorCase decodes fuzz bytes into a collector configuration and a
 // completion stream. data[0] picks a fixed SLA or a small CalibrateAfter,
-// data[1] the interval width; then each event is three bytes: kind, time
-// step (completion times are non-decreasing and start below zero) and
-// latency. At most maxEvents are read, so a case spans a few thousand
-// intervals at most.
+// data[1] the interval width, data[2] the adjustment-speed window; then each
+// event is three bytes: kind, time step (completion times are
+// non-decreasing and start below zero) and latency. At most maxEvents are
+// read, so a case spans a few thousand intervals at most.
 func collectorCase(data []byte) (CollectorConfig, [][3]int64) {
-	for len(data) < 2 {
+	for len(data) < 3 {
 		data = append(data, 0)
 	}
-	cfg := CollectorConfig{IntervalNs: 1 + int64(data[1]%64)}
+	cfg := CollectorConfig{IntervalNs: 1 + int64(data[1]%64), PostChangeN: int(data[2] % 32)}
 	if data[0]&1 == 1 {
 		cfg.SLANs = 1 + int64(data[0]>>1)*8
 	} else {
@@ -34,7 +35,7 @@ func collectorCase(data []byte) (CollectorConfig, [][3]int64) {
 	}
 	t := int64(-100)
 	var evs [][3]int64
-	for ev := data[2:]; len(ev) >= 3 && len(evs) < maxEvents; ev = ev[3:] {
+	for ev := data[3:]; len(ev) >= 3 && len(evs) < maxEvents; ev = ev[3:] {
 		t += int64(ev[1] % 64)
 		evs = append(evs, [3]int64{int64(ev[0] % 8), t, int64(ev[2]) * 37})
 	}
@@ -46,7 +47,10 @@ func collectorCase(data []byte) (CollectorConfig, [][3]int64) {
 // RecordBatch) and the same stream fed in runs of random length must
 // snapshot identically, phase histograms included — wherever a run
 // crosses an interval, the calibration point or a failure, session or
-// phase boundary.
+// phase boundary. The snapshot is also checked against a naive model: its
+// Timeline counts the cumulative curve's completions per interval, and each
+// phase change's adjustment speed is the plain sum of max(latency - SLA, 0)
+// over the first PostChangeN successes after it.
 func FuzzCollectorBatch(f *testing.F) {
 	ev := func(kind, dt, lat byte) []byte { return []byte{kind, dt, lat} }
 	cat := func(head []byte, evs ...[]byte) []byte {
@@ -56,15 +60,15 @@ func FuzzCollectorBatch(f *testing.F) {
 		return head
 	}
 	var crossings, calibration, phases, interrupts []byte
-	crossings = []byte{9, 3} // SLA 33, interval 4
-	calibration = []byte{4, 50}
+	crossings = []byte{9, 3, 0} // SLA 33, interval 4
+	calibration = []byte{4, 50, 0}
 	for i := byte(0); i < 12; i++ {
 		crossings = cat(crossings, ev(0, 1, i))
 		calibration = cat(calibration, ev(i%5, 2, 3+i)) // CalibrateAfter 3
 	}
-	phases = cat([]byte{2, 10}, ev(0, 1, 1), ev(1, 3, 2), ev(evPhase, 0, 0), ev(2, 4, 3), ev(3, 5, 4))
-	interrupts = cat([]byte{7, 8}, ev(evSession, 1, 1), ev(0, 1, 2), ev(evFailed, 9, 0),
-		ev(1, 2, 3), ev(evSession, 20, 4), ev(evFailed, 0, 0), ev(evFailed, 1, 0), ev(2, 3, 5))
+	phases = cat([]byte{2, 10, 1}, ev(0, 1, 1), ev(1, 3, 2), ev(evPhase, 0, 0), ev(2, 4, 3), ev(3, 5, 4))
+	interrupts = cat([]byte{7, 8, 2}, ev(evSession, 1, 1), ev(0, 1, 2), ev(evFailed, 9, 0),
+		ev(evPhase, 0, 0), ev(1, 2, 3), ev(evSession, 20, 4), ev(evFailed, 0, 0), ev(evFailed, 1, 0), ev(2, 3, 5))
 	for _, seed := range [][]byte{crossings, calibration, phases, interrupts} {
 		f.Add(seed, int64(1))
 	}
@@ -119,8 +123,49 @@ func FuzzCollectorBatch(f *testing.F) {
 		if !reflect.DeepEqual(singlePhases, runsPhases) {
 			t.Fatalf("phase histograms differ:\n  op at a time %v\n  in runs      %v", singlePhases, runsPhases)
 		}
-		if a, b := single.Snapshot(), runs.Snapshot(); !reflect.DeepEqual(a, b) {
+		a, b := single.Snapshot(), runs.Snapshot()
+		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("snapshots differ:\n  op at a time %+v\n  in runs      %+v", a, b)
+		}
+
+		var counts []int64
+		prev := int64(0)
+		a.Cumulative.Points(func(at, n int64) {
+			idx := int(max(at, 0) / cfg.IntervalNs)
+			for len(counts) <= idx {
+				counts = append(counts, 0)
+			}
+			counts[idx] += n - prev
+			prev = n
+		})
+		tl := make([]int64, a.Timeline.Len())
+		for i := range tl {
+			tl[i] = a.Timeline.At(i)
+		}
+		if !slices.Equal(tl, counts) {
+			t.Fatalf("timeline %v, want the curve's per-interval counts %v", tl, counts)
+		}
+
+		var adjust []int64
+		phased, left := false, 0
+		for _, e := range evs {
+			switch e[0] {
+			case evPhase:
+				if phased {
+					adjust, left = append(adjust, 0), cfg.PostChangeN
+				}
+				phased = true
+			case evFailed:
+			default:
+				phased = true
+				if left > 0 {
+					adjust[len(adjust)-1] += max(e[2]-a.SLANs, 0)
+					left--
+				}
+			}
+		}
+		if !slices.Equal(a.AdjustmentNs, adjust) {
+			t.Fatalf("adjustment speeds %v, want %v (SLA %d, window %d)", a.AdjustmentNs, adjust, a.SLANs, cfg.PostChangeN)
 		}
 	})
 }

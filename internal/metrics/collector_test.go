@@ -21,8 +21,8 @@ func TestCollectorFixedSLA(t *testing.T) {
 	}
 	var bandTotal, violated int64
 	for _, iv := range s.Bands.Intervals() {
-		bandTotal += iv.Completed
-		violated += iv.Violated
+		bandTotal += iv.Completed()
+		violated += iv.Violated()
 	}
 	if bandTotal != 2 || violated != 1 {
 		t.Fatalf("bands saw %d completions (%d violated), want 2 (1)", bandTotal, violated)
@@ -36,7 +36,7 @@ func TestCollectorDeferredCalibration(t *testing.T) {
 	lats := []int64{100, 100, 100, 100, 9000}
 	for i, l := range lats {
 		c.Record(int64(i+1)*10, l)
-		if i < 3 && c.SLA() != 0 {
+		if i < 3 && c.sla != 0 {
 			t.Fatalf("SLA calibrated after %d samples", i+1)
 		}
 	}
@@ -48,7 +48,7 @@ func TestCollectorDeferredCalibration(t *testing.T) {
 	}
 	var bandTotal int64
 	for _, iv := range s.Bands.Intervals() {
-		bandTotal += iv.Completed
+		bandTotal += iv.Completed()
 	}
 	if bandTotal != int64(len(lats)) {
 		t.Fatalf("bands saw %d completions, want %d (buffer replayed)", bandTotal, len(lats))
@@ -67,7 +67,7 @@ func TestCollectorShortRun(t *testing.T) {
 	}
 	var bandTotal int64
 	for _, iv := range s.Bands.Intervals() {
-		bandTotal += iv.Completed
+		bandTotal += iv.Completed()
 	}
 	if bandTotal != 2 {
 		t.Fatalf("bands saw %d completions, want 2", bandTotal)
@@ -86,17 +86,21 @@ func TestCollectorEmpty(t *testing.T) {
 	}
 }
 
-// TestCollectorCalibrateIdempotent: explicit Calibrate at a phase boundary
-// then more records keep one tracker.
+// TestCollectorCalibrateIdempotent: a phase change calibrates from what a
+// short first phase buffered; later changes and records keep one tracker.
 func TestCollectorCalibrateIdempotent(t *testing.T) {
 	c := NewCollector(CollectorConfig{IntervalNs: 1e6, CalibrateAfter: 100})
+	c.BeginPhase()
 	c.Record(1, 50)
-	c.Calibrate()
-	sla := c.SLA()
-	if sla == 0 {
-		t.Fatal("Calibrate did not set SLA")
+	if c.sla != 0 {
+		t.Fatal("SLA calibrated before the window filled or the phase changed")
 	}
-	c.Calibrate() // no-op
+	c.BeginPhase()
+	sla := c.sla
+	if sla == 0 {
+		t.Fatal("the phase change did not calibrate the SLA")
+	}
+	c.BeginPhase() // calibrates nothing more
 	c.Record(2, 60)
 	s := c.Snapshot()
 	if s.SLANs != sla {
@@ -104,10 +108,44 @@ func TestCollectorCalibrateIdempotent(t *testing.T) {
 	}
 	var bandTotal int64
 	for _, iv := range s.Bands.Intervals() {
-		bandTotal += iv.Completed
+		bandTotal += iv.Completed()
 	}
 	if bandTotal != 2 {
 		t.Fatalf("bands saw %d completions, want 2", bandTotal)
+	}
+}
+
+// TestAdjustmentSpeed: each phase after the first sums max(latency - SLA,
+// 0) over its first PostChangeN successful completions; the first phase and
+// failures add nothing, and a window past a phase's end clamps.
+func TestAdjustmentSpeed(t *testing.T) {
+	lats := []int64{500, 1500, 3000, 800, 2000} // 0 + 500 + 2000 + 0 + 1000
+	for _, tc := range []struct {
+		n    int
+		want []int64
+	}{
+		{5, []int64{3500, 1000}},
+		{2, []int64{500, 1000}},
+		{1, []int64{0, 500}},
+		{100, []int64{3500, 1000}},
+		{0, []int64{0, 0}},
+	} {
+		c := NewCollector(CollectorConfig{IntervalNs: 1e6, SLANs: 1000, PostChangeN: tc.n})
+		c.BeginPhase()
+		c.Record(1, 9000) // before any change
+		c.BeginPhase()
+		for i, l := range lats {
+			c.RecordFailed(int64(10 + 2*i))
+			c.Record(int64(11+2*i), l)
+		}
+		c.BeginPhase()
+		c.RecordBatch([]int64{30, 31}, []int64{1500, 1500})
+		if got := c.Snapshot().AdjustmentNs; !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("window %d: adjustment %v, want %v", tc.n, got, tc.want)
+		}
+	}
+	if s := NewCollector(CollectorConfig{IntervalNs: 1e6, PostChangeN: 10}).Snapshot(); s.AdjustmentNs != nil {
+		t.Fatalf("a run with no phase change reports adjustment %v", s.AdjustmentNs)
 	}
 }
 

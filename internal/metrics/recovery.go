@@ -87,8 +87,8 @@ func (s Snapshot) Recovery(faultStartNs, faultEndNs int64, budgetFrac float64) R
 		if iv.Start+width > faultStartNs {
 			break
 		}
-		baseDone += iv.Completed
-		baseBad += iv.Violated
+		baseDone += iv.Completed()
+		baseBad += iv.Violated()
 	}
 	if baseDone > 0 {
 		rec.BaselineViolationRate = float64(baseBad) / float64(baseDone)
@@ -110,10 +110,10 @@ func (s Snapshot) Recovery(faultStartNs, faultEndNs int64, budgetFrac float64) R
 		if s.Fails != nil {
 			fails = s.Fails.At(idx)
 		}
-		done := iv.Completed + fails
+		done := iv.Completed() + fails
 		var rate float64
 		if done > 0 {
-			rate = float64(iv.Violated+fails) / float64(done)
+			rate = float64(iv.Violated()+fails) / float64(done)
 		}
 		if rate > rec.PeakViolationRate {
 			rec.PeakViolationRate = rate
@@ -121,7 +121,7 @@ func (s Snapshot) Recovery(faultStartNs, faultEndNs int64, budgetFrac float64) R
 		if rec.Recovered || iv.Start+width <= faultEndNs {
 			continue // still inside the fault window (or already done)
 		}
-		if fails == 0 && iv.Completed > 0 && rate <= rec.BaselineViolationRate+recoveryTolerance {
+		if fails == 0 && iv.Completed() > 0 && rate <= rec.BaselineViolationRate+recoveryTolerance {
 			healthy++
 			if healthy == recoveredSustain {
 				first := iv.Start - int64(recoveredSustain-1)*width

@@ -5,8 +5,8 @@ import "repro/internal/stats"
 // Timeline tracks per-interval throughput over a run, the raw material for
 // Figure 1a box plots ("descriptive statistics" of throughput per
 // workload/data distribution) and for adaptation-time detection. It holds
-// counts only: a completion's latency is bucketed once, into its phase's
-// histogram (Collector.BeginPhase).
+// counts only. A Collector records none: its snapshot's Timeline is a view
+// of the band table's per-interval completion counts.
 type Timeline struct{ intervalCounts }
 
 // intervalCounts counts events per interval of a fixed width (ns); negative
@@ -14,25 +14,6 @@ type Timeline struct{ intervalCounts }
 type intervalCounts struct {
 	width  int64
 	counts []int64
-	cur    cursor
-}
-
-// cursor caches the interval the previous time fell in and its bounds
-// [lo, hi), so a time-ordered stream divides only when it crosses into
-// another interval; an out-of-order time re-seeks.
-type cursor struct {
-	idx    int
-	lo, hi int64
-}
-
-// at returns the interval index of time t (clamped to 0) for the width.
-func (c *cursor) at(t, width int64) int {
-	t = max(t, 0)
-	if t < c.lo || t >= c.hi {
-		c.idx = int(t / width)
-		c.lo, c.hi = int64(c.idx)*width, int64(c.idx+1)*width
-	}
-	return c.idx
 }
 
 func newIntervalCounts(width int64) intervalCounts {
@@ -47,17 +28,12 @@ func (ic *intervalCounts) Width() int64 { return ic.width }
 
 // Record counts one event at time t (ns since run start). Events may
 // arrive out of interval order (concurrent workers).
-func (ic *intervalCounts) Record(t int64) { ic.add([]int64{t}) }
-
-// add counts one event at each of the given times.
-func (ic *intervalCounts) add(ts []int64) {
-	for _, t := range ts {
-		idx := ic.cur.at(t, ic.width)
-		for len(ic.counts) <= idx {
-			ic.counts = append(ic.counts, 0)
-		}
-		ic.counts[idx]++
+func (ic *intervalCounts) Record(t int64) {
+	idx := int(max(t, 0) / ic.width)
+	for len(ic.counts) <= idx {
+		ic.counts = append(ic.counts, 0)
 	}
+	ic.counts[idx]++
 }
 
 // At returns the count of interval idx (0 past the end).

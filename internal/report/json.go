@@ -131,6 +131,7 @@ func NewResultView(r *core.Result) ResultView {
 		Latency:          SummarizeLatency(r.Latency),
 		SLANs:            r.SLANs,
 		ViolationRate:    r.Bands.ViolationRate(),
+		AdjustmentNs:     r.AdjustmentNs,
 		AreaVsIdeal:      r.Cumulative.AreaVsIdeal(),
 		OfflineTrainWork: r.OfflineTrainWork,
 		OnlineTrainWork:  r.OnlineTrainWork,
@@ -161,9 +162,6 @@ func NewResultView(r *core.Result) ResultView {
 			RetrainWork: p.RetrainWork,
 			Latency:     SummarizeLatency(p.Latency),
 		})
-	}
-	for _, lats := range r.PostChangeLatencies {
-		v.AdjustmentNs = append(v.AdjustmentNs, metrics.AdjustmentSpeed(lats, r.SLANs, len(lats)))
 	}
 	if r.Storage != nil {
 		c := r.Storage.Counters

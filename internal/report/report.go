@@ -197,12 +197,6 @@ func BandChart(w io.Writer, title string, bt *metrics.BandTracker, height int) {
 	if height < 6 {
 		height = 6
 	}
-	var maxC int64 = 1
-	for _, iv := range ivs {
-		if iv.Completed > maxC {
-			maxC = iv.Completed
-		}
-	}
 	// Cap the chart at 120 columns by merging intervals.
 	cols := len(ivs)
 	merge := 1
@@ -213,10 +207,10 @@ func BandChart(w io.Writer, title string, bt *metrics.BandTracker, height int) {
 	type col struct{ ok, bad int64 }
 	columns := make([]col, cols)
 	for i, iv := range ivs {
-		columns[i/merge].ok += iv.WithinSLA
-		columns[i/merge].bad += iv.Violated
+		columns[i/merge].ok += iv.WithinSLA()
+		columns[i/merge].bad += iv.Violated()
 	}
-	maxC = 1
+	var maxC int64 = 1
 	for _, c := range columns {
 		if c.ok+c.bad > maxC {
 			maxC = c.ok + c.bad
@@ -249,7 +243,7 @@ func BandCSV(w io.Writer, bt *metrics.BandTracker) {
 	fmt.Fprintln(w, "start_ns,completed,within_sla,violated,green,yellow,orange,red,over_sla_ns")
 	for _, iv := range bt.Intervals() {
 		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			iv.Start, iv.Completed, iv.WithinSLA, iv.Violated,
+			iv.Start, iv.Completed(), iv.WithinSLA(), iv.Violated(),
 			iv.ByLevel[metrics.Green], iv.ByLevel[metrics.Yellow],
 			iv.ByLevel[metrics.Orange], iv.ByLevel[metrics.Red], iv.OverSLATime)
 	}
