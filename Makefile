@@ -189,12 +189,15 @@ bench-pairs:
 # directory: `figures -parallel 1 -csv` stdout and CSVs; `lsbench -example`,
 # and that config under every catalog SUT; the config with its shift phase
 # at 70 % limit-200 scans under every catalog SUT (hash is most of that
-# step's time: a hash scan tests the whole table); the SHA-256 of `lstrace record` of the example; and each workload's
+# step's time: a hash scan tests the whole table); the config under btree
+# and rmi with IDENTITY_FAULTS injected (robustness panel, failure bar and
+# fault ledger); the SHA-256 of `lstrace record` of the example; and each workload's
 # `virt_digest` from `benchmark -seconds 1 -trace 0`. It prints `identical`,
 # or the first file that differs with its diff and exits 1.
 IDENTITY_SUTS = btree hash rmi alex kvstore disk-btree disk-lsm
 IDENTITY_SCAN_SUTS = btree,hash,rmi,alex,kvstore,disk-btree,disk-lsm
 IDENTITY_WORKLOADS = mem-point mem-drift disk-cold wire-rt
+IDENTITY_FAULTS = slow@10ms-20ms:factor=8;crash@30ms;error@40ms-60ms
 identity:
 	@[ -n "$(PARENT)" ] || { echo 'usage: make identity PARENT=<rev>' >&2; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -210,6 +213,7 @@ identity:
 		sed 's/"mix": {"get": 0.3, "put": 0.7}/"mix": {"get": 0.2, "put": 0.05, "delete": 0.05, "scan": 0.7, "scanLimit": 200}/' out/example.json > scan.json; \
 		grep -q '"scan": 0.7' scan.json || { echo "identity: the scan variant did not apply" >&2; exit 1; }; \
 		./lsbench -config scan.json -suts $(IDENTITY_SCAN_SUTS) > out/scan.txt; \
+		./lsbench -config out/example.json -suts btree,rmi -faults "$(IDENTITY_FAULTS)" > out/faults.txt; \
 		./lstrace record -config out/example.json -o example.lstrace > /dev/null; \
 		sha256sum < example.lstrace > out/lstrace.sha256; \
 		for w in $(IDENTITY_WORKLOADS); do \

@@ -658,7 +658,7 @@ func BenchmarkMicroHistogramRecord(b *testing.B) {
 
 // BenchmarkMicroCollectorRecord measures the collector's share of one
 // completion recorded on its own: curve point, phase histogram, SLA band
-// (the timeline is read off the bands at Snapshot). The collector is told
+// (the band table is also Fig 1a's throughput series). The collector is told
 // its op count, as the runner tells it, so the curve never regrows and the
 // loop must stay at 0 allocs/op; it is replaced (off the clock) every 64k
 // records so the curve stays cache-sized at any b.N.

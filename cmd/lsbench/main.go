@@ -366,7 +366,7 @@ func printReport(results []*core.Result, injectors []*fault.Injector, plan fault
 		if hasSpan {
 			report.RobustnessPanel(os.Stdout,
 				fmt.Sprintf("robustness — %s under %q (Fig 1e)", r.SUT, plan.String()),
-				r.Snapshot, r.Snapshot.Recovery(start, end, 0))
+				r.Snapshot, r.Snapshot.Recovery(start, end))
 		}
 		rep := inj.Report()
 		fmt.Printf("  fault ledger        slowed %d, failed %d, crashes %d (retrain work %d), wire drops %d, wire delays %d, client retries %d\n\n",

@@ -77,7 +77,7 @@ func run(w io.Writer) error {
 		}
 
 		start, end, _ := plan.OpFaultSpan()
-		rec := res.Snapshot.Recovery(start, end, 0)
+		rec := res.Snapshot.Recovery(start, end)
 		report.RobustnessPanel(w, res.SUT, res.Snapshot, rec)
 		rep := inj.Report()
 		fmt.Fprintf(w, "  faults         %d slowed, %d failed, %d crash(es), retrain work %d\n\n",

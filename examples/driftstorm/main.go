@@ -86,12 +86,12 @@ func run(w io.Writer) error {
 		// Adaptability metrics around each phase change.
 		for i := 1; i < len(res.PhaseStarts); i++ {
 			changeAt := res.PhaseStarts[i]
-			if d, ok := res.Timeline.AdaptationTime(changeAt, 0.8, 3); ok {
+			if d, ok := res.Bands.AdaptationTime(changeAt, 0.8, 3); ok {
 				fmt.Fprintf(w, "adaptation after %q: recovered in %.2fms (dip depth %.0f%%)\n",
-					res.Phases[i].Name, float64(d)/1e6, res.Timeline.DipDepth(changeAt)*100)
+					res.Phases[i].Name, float64(d)/1e6, res.Bands.DipDepth(changeAt)*100)
 			} else {
 				fmt.Fprintf(w, "adaptation after %q: no recovery within the run (dip depth %.0f%%)\n",
-					res.Phases[i].Name, res.Timeline.DipDepth(changeAt)*100)
+					res.Phases[i].Name, res.Bands.DipDepth(changeAt)*100)
 			}
 			fmt.Fprintf(w, "adjustment speed (first %d ops): %.3fms over SLA\n", runner.PostChangeN, float64(res.AdjustmentNs[i-1])/1e6)
 		}

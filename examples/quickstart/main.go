@@ -59,7 +59,7 @@ func run(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%s:\n", res.SUT)
 		fmt.Fprintf(w, "  throughput     %.0f ops/s (average — do not stop here!)\n", res.Throughput())
-		sum := res.Timeline.ThroughputSummary()
+		sum := res.Bands.ThroughputSummary()
 		fmt.Fprintf(w, "  per-interval   median %.0f, IQR [%.0f, %.0f], %d outlier intervals\n",
 			sum.Median, sum.P25, sum.P75, sum.OutlierCount)
 		fmt.Fprintf(w, "  latency        p50 %dns, p99 %dns, max %dns\n",

@@ -148,7 +148,9 @@ func TestQuerySUTMutation(t *testing.T) {
 // collector's default window of 1000 and the runner's default post-change
 // cap of 1000, and queries from 520 on read twice the rows, so the
 // median of the first 1000 latencies is a narrow query's and that of the
-// first n/4 a wide one's: neither default would pass.
+// first n/4 a wide one's: neither default would pass. After the mutation
+// the predicate widens by one value every ten queries, so the queries there
+// price differently and a window shifted by one query sums to another value.
 func TestQuerySUTKnownAnswer(t *testing.T) {
 	const n = 4400
 	cm := NewRunner().Cost
@@ -156,7 +158,9 @@ func TestQuerySUTKnownAnswer(t *testing.T) {
 		queries := shiftingQueries(dim, fact, n/2)
 		return func(i int) optimizer.Query {
 			q := queries(i)
-			if p := &q.Preds["fact"][0]; i >= 520 {
+			if p := &q.Preds["fact"][0]; i >= n/2 {
+				p.Hi = p.Value + 40 + uint64(i-n/2)/10
+			} else if i >= 520 {
 				p.Hi = p.Value + 40
 			}
 			return q
@@ -195,23 +199,34 @@ func TestQuerySUTKnownAnswer(t *testing.T) {
 	if want := metrics.CalibrateSLA(h, 0.5, 20); res.SLANs != want {
 		t.Fatalf("SLA %d ns, want %d from the first n/4 latencies", res.SLANs, want)
 	}
-	if len(res.AdjustmentNs) != 1 || res.AdjustmentNs[0] != 0 {
-		t.Fatalf("adjustment speed %v, want [0]: no query after the mutation takes %d ns", res.AdjustmentNs, res.SLANs)
+	var adj int64
+	for _, s := range service[n/2:] {
+		adj += max(s-res.SLANs, 0)
+	}
+	if len(res.AdjustmentNs) != 1 || res.AdjustmentNs[0] != adj {
+		t.Fatalf("adjustment speed %v, want [%d] at the calibrated SLA of %d ns", res.AdjustmentNs, adj, res.SLANs)
 	}
 
 	// At an SLA fixed at half the fastest query after the mutation, every
 	// one of them is over it, and the sum must cover all n/2.
 	fixed := QueryScenario("known", n, n/2)
 	fixed.SLANs = slices.Min(service[n/2:]) / 2
-	var adj, first1000 int64
+	var first1000, shifted int64
+	adj = 0
 	for j, s := range service[n/2:] {
 		adj += max(s-fixed.SLANs, 0)
 		if j == 999 {
 			first1000 = adj
 		}
+		if j >= 1 && j <= 1000 {
+			shifted += max(s-fixed.SLANs, 0)
+		}
 	}
 	if adj == first1000 {
 		t.Fatalf("no query after the first 1000 since the mutation is over %d ns: not a test of the window", fixed.SLANs)
+	}
+	if shifted == first1000 {
+		t.Fatalf("the 1000 queries from the mutation on and the 1000 from one later both sum to %d ns: not a test of which queries a window holds", shifted)
 	}
 	dim, fact = sqlTestDB()
 	res = runQueries(t, fixed, histOptimizer(dim, fact), widened(dim, fact))

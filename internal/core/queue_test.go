@@ -192,12 +192,17 @@ func TestQueueMeanSojournPollaczekKhinchine(t *testing.T) {
 // adjustment-speed window the second phase's length. A FIFO M/M/1 sojourn
 // is exponential with rate μ−λ, so the violation rate is P(T > s) =
 // e^{−(μ−λ)s} and, the tail being memoryless, the adjustment speed over n
-// completions is n·E[(T−s)⁺] = n·e^{−(μ−λ)s}/(μ−λ). Sojourns are correlated
-// for about 1/(1−ρ)² ops, so the standard error is taken from k independent
-// runs, their sample deviation over √k; every phase starts on an empty
-// server, whose warm-up bias (a few hundred ops of n at ρ = 0.9) is well
-// inside it. The bound is five of them (sixteen seed sets stayed within
-// 3.1).
+// completions is n·E[(T−s)⁺] = n·e^{−(μ−λ)s}/(μ−λ). The same runs give
+// Figure 1a's family: the sojourn quantiles (p50 = ln 2/(μ−λ), p99 =
+// ln 100/(μ−λ)) and the mean per-interval throughput, which is λ. Sojourns
+// are correlated for about 1/(1−ρ)² ops, so the standard error is taken
+// from k independent runs, their sample deviation over √k; every phase
+// starts on an empty server, whose warm-up bias (a few hundred ops of n at
+// ρ = 0.9) is well inside it. The bound is five of them, plus a histogram
+// bucket (at most 1/16 of the value) for the quantiles. Over sixteen seed
+// sets the violation rate and adjustment speed stayed within 3.1, the
+// quantiles within 0.7 beyond their bucket, and the throughput within 3.4
+// but once (5.2 at ρ = 0.9); these seeds' worst is 2.2.
 func TestQueueSLAKnownAnswerMM1(t *testing.T) {
 	const n, k, mean, sla = 20_000, 8, 10_000.0, 30_000 // 1/μ and s in ns
 	r := NewRunner()
@@ -206,7 +211,7 @@ func TestQueueSLAKnownAnswerMM1(t *testing.T) {
 	for i, rho := range []float64{0.3, 0.7, 0.9} {
 		theta := (1 - rho) / mean // μ−λ per ns
 		p := math.Exp(-theta * sla)
-		var viol, adj []float64
+		var viol, adj, p50, p99, thru []float64
 		for run := range k {
 			seed := uint64(i*100 + run + 1)
 			rng := stats.NewRNG(seed)
@@ -223,17 +228,29 @@ func TestQueueSLAKnownAnswerMM1(t *testing.T) {
 			}
 			viol = append(viol, res.Bands.ViolationRate())
 			adj = append(adj, float64(res.AdjustmentNs[0])/n)
+			p50 = append(p50, float64(res.Latency.Quantile(0.5)))
+			p99 = append(p99, float64(res.Latency.Quantile(0.99)))
+			series := res.Bands.ThroughputSeries()
+			thru = append(thru, stats.Summarize(series[:len(series)-1]).Mean)
 		}
+		// The sojourn is exponential with rate μ−λ, so its q-quantile is
+		// −ln(1−q)/(μ−λ), read off a histogram whose buckets are at most
+		// 1/16 of their value wide; the full intervals complete λ ops a
+		// second.
 		for _, m := range []struct {
-			name string
-			runs []float64
-			want float64
+			name  string
+			runs  []float64
+			want  float64
+			slack float64
 		}{
-			{"violation rate", viol, p},
-			{"adjustment speed / n (ns)", adj, p / theta},
+			{"violation rate", viol, p, 0},
+			{"adjustment speed / n (ns)", adj, p / theta, 0},
+			{"sojourn p50 (ns)", p50, math.Ln2 / theta, math.Ln2 / theta / 16},
+			{"sojourn p99 (ns)", p99, math.Log(100) / theta, math.Log(100) / theta / 16},
+			{"throughput (1/s)", thru, rho / mean * 1e9, 0},
 		} {
 			sum := stats.Summarize(m.runs)
-			if bound := 5 * sum.Stddev / math.Sqrt(k); math.Abs(sum.Mean-m.want) > bound {
+			if bound := 5*sum.Stddev/math.Sqrt(k) + m.slack; math.Abs(sum.Mean-m.want) > bound {
 				t.Errorf("ρ=%.1f: %s %.4g, M/M/1 %.4g ± %.4g", rho, m.name, sum.Mean, m.want, bound)
 			}
 		}

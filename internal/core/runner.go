@@ -74,10 +74,11 @@ type Result struct {
 	Scenario string
 	SUT      string
 
-	// Snapshot is the shared measurement quadruple (Fig 1a timeline,
-	// Fig 1b cumulative curve, Fig 1c SLA bands, overall latency
-	// histogram) plus the SLA threshold and completion count, produced
-	// by the one metrics.Collector pipeline every engine uses.
+	// Snapshot is the shared measurement core (the per-interval table
+	// behind Fig 1a's throughput and Fig 1c's SLA bands, Fig 1b's
+	// cumulative curve, the overall latency histogram) plus the SLA
+	// threshold and the operation counts, produced by the one
+	// metrics.Collector pipeline every engine uses.
 	metrics.Snapshot
 
 	// Per-phase breakdown.

@@ -471,7 +471,7 @@ func TestAdaptabilityShiftVisibleInMetrics(t *testing.T) {
 	if changeAt <= 0 || changeAt >= res.DurationNs {
 		t.Fatalf("change instant %d outside run", changeAt)
 	}
-	if res.Timeline.Len() < 2 {
-		t.Fatal("timeline too coarse to analyze")
+	if len(res.Bands.Intervals()) < 2 {
+		t.Fatal("band table too coarse to analyze")
 	}
 }

@@ -360,13 +360,3 @@ func TestStringKeyOrderPreserving(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSortedIsSorted(t *testing.T) {
-	ks := Sorted(NewZipfKeys(13, 1.1, 1000), 5000)
-	if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
-		t.Fatal("Sorted output unsorted")
-	}
-	if len(ks) != 5000 {
-		t.Fatalf("Sorted returned %d keys", len(ks))
-	}
-}

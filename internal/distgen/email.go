@@ -1,10 +1,6 @@
 package distgen
 
-import (
-	"sort"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // Email generates synthetic email-address keys. The paper (§V-C) uses
 // exactly this example: "a table column containing email addresses could be
@@ -87,12 +83,4 @@ func StringKey(s string) uint64 {
 		}
 	}
 	return k
-}
-
-// Sorted returns Keys(g, n) sorted ascending (with duplicates retained).
-// Index bulk-loading paths use it.
-func Sorted(g Generator, n int) []uint64 {
-	ks := Keys(g, n)
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }

@@ -196,14 +196,14 @@ func TestWallClockWindowsCountFromTheLoad(t *testing.T) {
 		t.Fatalf("window [0, 20ms) slowed %d and failed %d of %d ops: want some of each, and not all", rep.SlowedOps, rep.FailedOps, ops)
 	}
 	start, end, _ := plan.OpFaultSpan()
-	if rec := res.Recovery(start, end, 0); rec.FailedOps != rep.FailedOps || res.Completed+rec.FailedOps != ops {
+	if rec := res.Recovery(start, end); rec.FailedOps != rep.FailedOps || res.Completed+rec.FailedOps != ops {
 		t.Fatalf("result saw %d failures and %d completions, ledger %d failures of %d ops", rec.FailedOps, res.Completed, rep.FailedOps, ops)
 	}
 	// An op decided just inside the window may complete just outside it:
 	// one interval of slack.
-	for idx := 0; idx < res.Fails.Len(); idx++ {
-		if at := int64(idx) * res.Fails.Width(); res.Fails.At(idx) > 0 && at > end {
-			t.Fatalf("%d ops failed in the interval at %d ns, after the window closed at %d ns", res.Fails.At(idx), at, end)
+	for _, iv := range res.Bands.Intervals() {
+		if iv.Failed > 0 && iv.Start > end {
+			t.Fatalf("%d ops failed in the interval at %d ns, after the window closed at %d ns", iv.Failed, iv.Start, end)
 		}
 	}
 }

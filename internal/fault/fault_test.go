@@ -252,7 +252,7 @@ func TestCrashForcesRetrain(t *testing.T) {
 	if !ok {
 		t.Fatal("crash plan reports no op-fault span")
 	}
-	rec := res.Snapshot.Recovery(start, end, 0)
+	rec := res.Snapshot.Recovery(start, end)
 	if rec.FaultStartNs != start || rec.FaultEndNs != end {
 		t.Fatalf("recovery span [%d,%d], want [%d,%d]", rec.FaultStartNs, rec.FaultEndNs, start, end)
 	}
@@ -302,7 +302,7 @@ func TestErrorWindowAccounting(t *testing.T) {
 		t.Fatalf("outcomes failed = %d, want 6000", res.Outcomes.Failed)
 	}
 	start, end, _ := plan.OpFaultSpan()
-	rec := res.Snapshot.Recovery(start, end, 0)
+	rec := res.Snapshot.Recovery(start, end)
 	if rec.Availability != 0 {
 		t.Fatalf("availability = %v, want 0 under a full outage", rec.Availability)
 	}
@@ -342,9 +342,9 @@ func TestInjectedFaultIsDetected(t *testing.T) {
 	}
 	res := mustRun(t, scenario, plan)
 
-	// 1. The timeline dips during the fault.
-	if dip := res.Timeline.DipDepth(start); dip < 0.5 {
-		t.Fatalf("dip depth %v — fault invisible in the timeline", dip)
+	// 1. Throughput dips during the fault.
+	if dip := res.Bands.DipDepth(start); dip < 0.5 {
+		t.Fatalf("dip depth %v — fault invisible in the throughput series", dip)
 	}
 	// 2. SLA bands light up only in the degraded run.
 	if res.Bands.ViolationRate() <= healthy.Bands.ViolationRate() {

@@ -183,8 +183,8 @@ func AblationTransition(scale Scale, seed uint64) (*AblationTransitionResult, er
 		return total
 	}
 	return &AblationTransitionResult{
-		AbruptDip:      abrupt.Timeline.DipDepth(abrupt.PhaseStarts[1]),
-		GradualDip:     gradual.Timeline.DipDepth(gradual.PhaseStarts[1]),
+		AbruptDip:      abrupt.Bands.DipDepth(abrupt.PhaseStarts[1]),
+		GradualDip:     gradual.Bands.DipDepth(gradual.PhaseStarts[1]),
 		AbruptOverSLA:  overSLA(abrupt),
 		GradualOverSLA: overSLA(gradual),
 	}, nil

@@ -145,7 +145,7 @@ func Fig1a(scale Scale, seed uint64) (*Fig1aResult, error) {
 			res.Rows[r.SUT] = append(res.Rows[r.SUT], report.BoxRow{
 				Label:   c.Name,
 				Phi:     phi[c.Name],
-				Summary: r.Timeline.ThroughputSummary(),
+				Summary: r.Bands.ThroughputSummary(),
 				Holdout: c.Holdout,
 			})
 		}

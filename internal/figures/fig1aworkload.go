@@ -163,7 +163,7 @@ func Fig1aWorkload(scale Scale, seed uint64) (*Fig1aWorkloadResult, error) {
 		out.Rows[sys.Name()] = append(out.Rows[sys.Name()], report.BoxRow{
 			Label:   f.name,
 			Phi:     phi[f.name],
-			Summary: res.Timeline.ThroughputSummary(),
+			Summary: res.Bands.ThroughputSummary(),
 		})
 	}
 	return out, nil

@@ -118,7 +118,7 @@ func Fig1e(scale Scale, seed uint64) (*Fig1eResult, error) {
 		out[i] = perSUT{
 			result:     fRes,
 			report:     inj.Report(),
-			recovery:   fRes.Snapshot.Recovery(start, end, 0),
+			recovery:   fRes.Snapshot.Recovery(start, end),
 			spec:       plan.String(),
 			baselineNs: baseRes.DurationNs,
 		}

@@ -133,7 +133,7 @@ func Lesson2(scale Scale, seed uint64) (*Lesson2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sa, sb := ra.Timeline.ThroughputSummary(), rb.Timeline.ThroughputSummary()
+	sa, sb := ra.Bands.ThroughputSummary(), rb.Bands.ThroughputSummary()
 	out := &Lesson2Result{
 		NameA: "rare-giant-compactions", NameB: "frequent-small-compactions",
 		MeanA: sa.Mean, MeanB: sb.Mean,

@@ -334,26 +334,4 @@ func buildLevel(children []node, seps []uint64, order int) node {
 	return children[0]
 }
 
-// Min returns the smallest key and true, or false when empty.
-func (t *Tree) Min() (uint64, bool) {
-	n := t.root
-	for {
-		switch v := n.(type) {
-		case *leaf:
-			if len(v.keys) == 0 {
-				// Lazy deletes can empty a leaf; walk the chain.
-				for v != nil && len(v.keys) == 0 {
-					v = v.next
-				}
-				if v == nil {
-					return 0, false
-				}
-			}
-			return v.keys[0], true
-		case *inner:
-			n = v.children[0]
-		}
-	}
-}
-
 var _ index.Measured = (*Tree)(nil)

@@ -42,23 +42,6 @@ func TestOrderClamped(t *testing.T) {
 	}
 }
 
-func TestMin(t *testing.T) {
-	tr := NewDefault()
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
-	tr.Insert(50, 1)
-	tr.Insert(10, 2)
-	tr.Insert(90, 3)
-	if m, ok := tr.Min(); !ok || m != 10 {
-		t.Fatalf("Min = %d,%v", m, ok)
-	}
-	tr.Delete(10)
-	if m, ok := tr.Min(); !ok || m != 50 {
-		t.Fatalf("Min after delete = %d,%v", m, ok)
-	}
-}
-
 func TestBulkLoadMatchesInserts(t *testing.T) {
 	keys := distgen.UniqueKeys(distgen.NewZipfKeys(7, 1.1, 100000), 20000)
 	vals := make([]uint64, len(keys))

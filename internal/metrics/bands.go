@@ -1,6 +1,10 @@
 package metrics
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // BandLevel classifies a completed query's latency relative to the SLA
 // threshold. The paper's Figure 1c uses two categories (within SLA /
@@ -48,14 +52,18 @@ func ClassifyLatency(latency, sla int64) BandLevel {
 	}
 }
 
-// Interval is one latency band of Figure 1c: the queries completed during
-// one time slice, split by SLA outcome. ByLevel is the one count; the
+// Interval is one time slice of a run: the queries completed during it,
+// split by SLA outcome (one latency band of Figure 1c), and the operations
+// that failed in it. ByLevel is the one completion count; the
 // within/violated split is its Green+Yellow and Orange+Red halves.
 type Interval struct {
 	Start   int64 // ns since run start
 	ByLevel [4]int64
 	// OverSLATime is the sum over violated queries of (latency - SLA).
 	OverSLATime int64
+	// Failed counts operations that completed as errors: they produced no
+	// latency, so they are in no band.
+	Failed int64
 }
 
 // Completed returns the number of queries completed in the interval.
@@ -67,8 +75,10 @@ func (iv Interval) WithinSLA() int64 { return iv.ByLevel[Green] + iv.ByLevel[Yel
 // Violated returns the number completed over the SLA threshold.
 func (iv Interval) Violated() int64 { return iv.ByLevel[Orange] + iv.ByLevel[Red] }
 
-// BandTracker accumulates Figure 1c latency bands at a fixed interval
-// width (the paper suggests 1 s or 10 s intervals).
+// BandTracker is a run's per-interval table at a fixed interval width
+// (the paper suggests 1 s or 10 s intervals): the Figure 1c latency bands,
+// the Figure 1a throughput series that are their completion counts, and
+// the failures the recovery metrics read.
 type BandTracker struct {
 	sla       int64
 	width     int64
@@ -120,13 +130,7 @@ func (bt *BandTracker) Record(t, latency int64) {
 // another interval.
 func (bt *BandTracker) recordRun(done, lat []int64) {
 	for i, t := range done {
-		idx := bt.cur.at(t, bt.width)
-		for len(bt.intervals) <= idx {
-			bt.intervals = append(bt.intervals, Interval{
-				Start: int64(len(bt.intervals)) * bt.width,
-			})
-		}
-		iv := &bt.intervals[idx]
+		iv := bt.at(t)
 		level := ClassifyLatency(lat[i], bt.sla)
 		iv.ByLevel[level]++
 		if level > Yellow {
@@ -135,15 +139,15 @@ func (bt *BandTracker) recordRun(done, lat []int64) {
 	}
 }
 
-// timeline returns the per-interval completion counts as a Timeline: the
-// band table is the one per-interval record of completions.
-func (bt *BandTracker) timeline() *Timeline {
-	tl := NewTimeline(bt.width)
-	tl.counts = make([]int64, len(bt.intervals))
-	for i, iv := range bt.intervals {
-		tl.counts[i] = iv.Completed()
+// at returns the interval time t falls in, growing the table to it.
+func (bt *BandTracker) at(t int64) *Interval {
+	idx := bt.cur.at(t, bt.width)
+	for len(bt.intervals) <= idx {
+		bt.intervals = append(bt.intervals, Interval{
+			Start: int64(len(bt.intervals)) * bt.width,
+		})
 	}
-	return tl
+	return &bt.intervals[idx]
 }
 
 // Intervals returns the recorded bands in time order. The returned slice is
@@ -162,6 +166,85 @@ func (bt *BandTracker) ViolationRate() float64 {
 		return 0
 	}
 	return float64(bad) / float64(done)
+}
+
+// ThroughputSeries returns per-interval throughput in queries/second.
+func (bt *BandTracker) ThroughputSeries() []float64 {
+	out := make([]float64, len(bt.intervals))
+	secs := float64(bt.width) / 1e9
+	for i, iv := range bt.intervals {
+		out[i] = float64(iv.Completed()) / secs
+	}
+	return out
+}
+
+// ThroughputSummary returns the box-plot summary of per-interval throughput
+// — exactly what one box of Figure 1a reports for one workload/data
+// distribution.
+func (bt *BandTracker) ThroughputSummary() stats.Summary {
+	return stats.Summarize(bt.ThroughputSeries())
+}
+
+// preChange returns the index of the interval changeAt (ns) falls in and
+// the mean completions per interval before it: the baseline AdaptationTime
+// and DipDepth measure against. The mean is 0 when there is no baseline:
+// no interval before the change, none at or after it, or no completion.
+func (bt *BandTracker) preChange(changeAt int64) (int, float64) {
+	idx := int(changeAt / bt.width)
+	if idx <= 0 || idx >= len(bt.intervals) {
+		return idx, 0
+	}
+	var pre float64
+	for _, iv := range bt.intervals[:idx] {
+		pre += float64(iv.Completed())
+	}
+	return idx, pre / float64(idx)
+}
+
+// AdaptationTime estimates how long after changeAt (ns) the system took to
+// return to acceptable throughput: the end of the first interval at or
+// after changeAt from which the throughput stays at or above
+// recoveryFraction of the pre-change mean throughput for at least
+// sustainIntervals consecutive intervals. It returns the recovery delay in
+// nanoseconds and true, or 0 and false if the system never recovers within
+// the recorded table or there is no pre-change baseline.
+//
+// This operationalizes the paper's "capture the time a system takes to
+// adapt to a new workload".
+func (bt *BandTracker) AdaptationTime(changeAt int64, recoveryFraction float64, sustainIntervals int) (int64, bool) {
+	sustainIntervals = max(sustainIntervals, 1)
+	changeIdx, pre := bt.preChange(changeAt)
+	if pre == 0 {
+		return 0, false
+	}
+	need := pre * recoveryFraction
+	run := 0
+	for i := changeIdx; i < len(bt.intervals); i++ {
+		if float64(bt.intervals[i].Completed()) < need {
+			run = 0
+			continue
+		}
+		if run++; run >= sustainIntervals {
+			recoveredAt := int64(i-sustainIntervals+2) * bt.width
+			return max(recoveredAt-changeAt, 0), true
+		}
+	}
+	return 0, false
+}
+
+// DipDepth returns the worst relative throughput drop after changeAt
+// compared to the pre-change mean: 0 means no drop, 1 means a full stall.
+// Returns 0 if there is no baseline or no post-change data.
+func (bt *BandTracker) DipDepth(changeAt int64) float64 {
+	changeIdx, pre := bt.preChange(changeAt)
+	if pre == 0 {
+		return 0
+	}
+	worst := 0.0
+	for _, iv := range bt.intervals[changeIdx:] {
+		worst = max(worst, 1-float64(iv.Completed())/pre)
+	}
+	return worst
 }
 
 // CalibrateSLA implements the paper's calibration rule: "the SLA threshold

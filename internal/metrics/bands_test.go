@@ -201,3 +201,116 @@ func TestCalibrateSLA(t *testing.T) {
 		t.Fatal("empty calibration must be >= 1")
 	}
 }
+
+// fillBands records `perInterval` completions, all within the SLA, in each
+// of `n` intervals from startInterval on.
+func fillBands(bt *BandTracker, startInterval, n, perInterval int) {
+	w := bt.Width()
+	for i := 0; i < n; i++ {
+		base := int64(startInterval+i) * w
+		for j := 0; j < perInterval; j++ {
+			bt.Record(base+int64(j), 1)
+		}
+	}
+}
+
+func TestTimelineThroughputSeries(t *testing.T) {
+	bt := NewBandTracker(1000, 1e9)
+	fillBands(bt, 0, 3, 100)
+	s := bt.ThroughputSeries()
+	if len(s) != 3 {
+		t.Fatalf("series len = %d", len(s))
+	}
+	for _, v := range s {
+		if v != 100 {
+			t.Fatalf("throughput = %v, want 100 q/s", v)
+		}
+	}
+}
+
+func TestTimelineSummary(t *testing.T) {
+	bt := NewBandTracker(1000, 1e9)
+	fillBands(bt, 0, 5, 100)
+	fillBands(bt, 5, 5, 200)
+	sum := bt.ThroughputSummary()
+	if sum.N != 10 || sum.Min != 100 || sum.Max != 200 || sum.Median != 150 {
+		t.Fatalf("summary = %+v", sum)
+	}
+}
+
+// A failure is counted in its interval at once, and like a completion a
+// negative time counts in the first interval.
+func TestTimelineNegativeTimeClamped(t *testing.T) {
+	c := NewCollector(CollectorConfig{IntervalNs: 1e9})
+	c.RecordFailed(-5)
+	if ivs := c.bands.Intervals(); len(ivs) != 1 || ivs[0].Failed != 1 {
+		t.Fatalf("failure at -5 ns not counted in interval 0 before calibration: %+v", ivs)
+	}
+	c.Record(-1, 100)
+	s := c.Snapshot()
+	if ivs := s.Bands.Intervals(); len(ivs) != 1 || ivs[0].Completed() != 1 || ivs[0].Failed != 1 || s.Failed != 1 {
+		t.Fatalf("intervals %+v, failed %d: want one interval holding both ops", ivs, s.Failed)
+	}
+}
+
+func TestAdaptationTimeRecovery(t *testing.T) {
+	bt := NewBandTracker(1000, 1e9)
+	fillBands(bt, 0, 10, 100) // baseline 100/s for 10s
+	fillBands(bt, 10, 3, 10)  // dip to 10/s for 3s after change
+	fillBands(bt, 13, 5, 100) // recovered
+	d, ok := bt.AdaptationTime(10e9, 0.9, 2)
+	if !ok {
+		t.Fatal("recovery not detected")
+	}
+	// Intervals 13 and 14 are the first sustained pair; the detector
+	// reports the end of interval 13: 4 s after the change at 10 s.
+	if d != 4e9 {
+		t.Fatalf("adaptation delay = %d ns, want 4e9", d)
+	}
+}
+
+func TestAdaptationTimeNeverRecovers(t *testing.T) {
+	bt := NewBandTracker(1000, 1e9)
+	fillBands(bt, 0, 5, 100)
+	fillBands(bt, 5, 10, 10) // permanent degradation
+	if _, ok := bt.AdaptationTime(5e9, 0.9, 2); ok {
+		t.Fatal("false recovery detected")
+	}
+}
+
+func TestAdaptationTimeNoBaseline(t *testing.T) {
+	bt := NewBandTracker(1000, 1e9)
+	fillBands(bt, 0, 5, 100)
+	if _, ok := bt.AdaptationTime(0, 0.9, 2); ok {
+		t.Fatal("recovery with no pre-change baseline")
+	}
+	if _, ok := bt.AdaptationTime(100e9, 0.9, 2); ok {
+		t.Fatal("recovery with change beyond the table")
+	}
+}
+
+func TestAdaptationTimeInstantRecovery(t *testing.T) {
+	bt := NewBandTracker(1000, 1e9)
+	fillBands(bt, 0, 10, 100) // no dip at all
+	d, ok := bt.AdaptationTime(5e9, 0.9, 1)
+	if !ok {
+		t.Fatal("instant recovery not detected")
+	}
+	if d > 2e9 {
+		t.Fatalf("instant recovery delay = %d", d)
+	}
+}
+
+func TestDipDepth(t *testing.T) {
+	bt := NewBandTracker(1000, 1e9)
+	fillBands(bt, 0, 5, 100)
+	fillBands(bt, 5, 1, 20) // 80% drop
+	fillBands(bt, 6, 4, 100)
+	d := bt.DipDepth(5e9)
+	if d < 0.75 || d > 0.85 {
+		t.Fatalf("dip depth = %v, want ~0.8", d)
+	}
+	if bt.DipDepth(0) != 0 {
+		t.Fatal("no-baseline dip depth")
+	}
+}

@@ -3,9 +3,10 @@ package metrics
 // Collector is the one measurement pipeline of every run (the runner under
 // either clock, in process or over the network driver, for KV and query
 // SUTs), and the one place a completion turns into a Figure 1 number: it
-// owns the Figure 1 quadruple — Timeline (1a), CumCurve (1b), BandTracker
-// (1c), and the overall latency Histogram — the adjustment-speed metric, and
-// the paper's deferred SLA calibration, implemented exactly once.
+// owns the run's one per-interval table (BandTracker: the Figure 1a
+// throughput series, the Figure 1c bands and the failures), CumCurve (1b),
+// the overall latency Histogram, the adjustment-speed metric, and the
+// paper's deferred SLA calibration, implemented exactly once.
 //
 // Completions enter through RecordBatch(done, latencies), a run of them in
 // completion order; Record is its one-element call. Each completion is
@@ -13,23 +14,20 @@ package metrics
 // the overall latency histogram is the merge of the phase histograms, taken
 // at Snapshot. The curve keeps every completion's time and the band tracker
 // counts it in its interval's band, dividing only when a run crosses into
-// another interval; the timeline is read off the band table at Snapshot.
-// Band tracking is deferred while the SLA threshold is unknown: the first
+// another interval. A failure is counted in its interval at once. Banding
+// completions is deferred while the SLA threshold is unknown: the first
 // CalibrateAfter samples are buffered, the threshold is derived from their
 // latency distribution via CalibrateSLA, and the buffer is replayed into the
 // tracker so no completion is lost. A phase change calibrates from whatever
 // is buffered, so the threshold is known for every phase after the first. A
-// fixed SLA (Config.SLANs > 0) starts band tracking on the first completion.
+// fixed SLA (Config.SLANs > 0) bands every completion as it is recorded.
 //
 // Collector is not safe for concurrent use; every engine records from the
 // one goroutine that dispatches.
 type Collector struct {
 	cfg     CollectorConfig
 	cum     *CumCurve
-	bands   *BandTracker
-	sla     int64
-	failed  int64
-	fails   *FailSeries
+	bands   *BandTracker // its SLA is 0 until calibrated
 	pending []pendingSample
 	session *SessionTracker
 	phase   *Histogram   // the current phase's latencies
@@ -45,7 +43,7 @@ type pendingSample struct{ t, lat int64 }
 // remaining fields default to the paper's calibration rule (first 1000
 // samples, 20x their median, 1ms fallback when there are no samples).
 type CollectorConfig struct {
-	// IntervalNs is the timeline/band reporting interval width.
+	// IntervalNs is the width of the per-interval table's intervals.
 	IntervalNs int64
 	// PostChangeN is the adjustment-speed window: how many successful
 	// completions after each phase change are summed (0: none, so every
@@ -70,16 +68,16 @@ type CollectorConfig struct {
 
 // NewCollector returns a collector for the given configuration.
 func NewCollector(cfg CollectorConfig) *Collector {
-	if cfg.IntervalNs <= 0 {
-		panic("metrics: NewCollector with non-positive interval")
+	if cfg.IntervalNs <= 0 || cfg.SLANs < 0 {
+		panic("metrics: NewCollector with non-positive interval or negative SLA")
 	}
 	if cfg.CalibrateAfter <= 0 {
 		cfg.CalibrateAfter = 1000
 	}
 	return &Collector{
-		cfg: cfg,
-		cum: newCumCurve(cfg.Ops),
-		sla: cfg.SLANs,
+		cfg:   cfg,
+		cum:   newCumCurve(cfg.Ops),
+		bands: &BandTracker{sla: cfg.SLANs, width: cfg.IntervalNs},
 	}
 }
 
@@ -136,11 +134,11 @@ func (c *Collector) RecordBatch(done, lat []int64) {
 	// threshold over the first N queries after a distribution change".
 	if k := min(c.adjLeft, len(lat)); k > 0 {
 		for _, l := range lat[:k] {
-			c.adjust[len(c.adjust)-1] += max(l-c.sla, 0)
+			c.adjust[len(c.adjust)-1] += max(l-c.bands.sla, 0)
 		}
 		c.adjLeft -= k
 	}
-	if c.bands == nil && c.sla == 0 {
+	if c.bands.sla == 0 {
 		// Park up to the calibration window; calibrate the moment it fills,
 		// even inside a run, and band the rest of the run after it.
 		k := min(len(done), c.cfg.CalibrateAfter-len(c.pending))
@@ -158,30 +156,22 @@ func (c *Collector) RecordBatch(done, lat []int64) {
 
 // RecordFailed accounts one operation that completed as an error at time
 // done. Failed operations held the server but produced no valid latency:
-// they are excluded from the timeline, curve, histogram, and bands, and
-// tallied in a per-interval failure series instead — the availability
-// input of the recovery metrics. Allocation is deferred to first use so a
-// failure-free run's snapshot is unchanged.
+// they are excluded from the curve, histogram and bands, and counted in
+// their interval's Failed instead — the availability input of the recovery
+// metrics.
 func (c *Collector) RecordFailed(done int64) {
-	c.failed++
-	if c.fails == nil {
-		c.fails = NewFailSeries(c.cfg.IntervalNs)
-	}
-	c.fails.Record(done)
+	c.bands.at(done).Failed++
 }
 
 // calibrate forces SLA calibration from the samples buffered so far and
-// starts band tracking, replaying the buffer. A phase change and Snapshot
-// call it, since a run or its first phase may be shorter than the
-// calibration window. It is a no-op once band tracking has started.
+// replays the buffer into the bands. A phase change and Snapshot call it,
+// since a run or its first phase may be shorter than the calibration
+// window. It is a no-op once the SLA is known.
 func (c *Collector) calibrate() {
-	if c.bands != nil {
+	if c.bands.sla != 0 {
 		return
 	}
-	if c.sla == 0 {
-		c.sla = c.calibrateFromPending()
-	}
-	c.bands = NewBandTracker(c.sla, c.cfg.IntervalNs)
+	c.bands.sla = c.calibrateFromPending()
 	for _, p := range c.pending {
 		c.bands.Record(p.t, p.lat)
 	}
@@ -208,26 +198,27 @@ func (c *Collector) calibrateFromPending() int64 {
 	return CalibrateSLA(h, calibrateQuantile, calibrateHeadroom)
 }
 
-// Snapshot finalizes the pipeline — calibrating and replaying if band
-// tracking has not started — and returns the metric quadruple. Its
-// Timeline is read off the band table by this call, so engines snapshot
-// once, when the run is over.
+// Snapshot finalizes the pipeline — calibrating and replaying if the SLA
+// is still unknown — and returns the run's metrics. Engines snapshot once,
+// when the run is over.
 func (c *Collector) Snapshot() Snapshot {
 	c.calibrate()
 	lat := NewHistogram()
 	for _, h := range c.phases {
 		lat.Merge(h)
 	}
+	var failed int64
+	for _, iv := range c.bands.intervals {
+		failed += iv.Failed
+	}
 	s := Snapshot{
-		Timeline:     c.bands.timeline(),
 		Cumulative:   c.cum,
 		Bands:        c.bands,
 		Latency:      lat,
-		SLANs:        c.sla,
+		SLANs:        c.bands.sla,
 		AdjustmentNs: c.adjust,
 		Completed:    c.cum.Total(),
-		Failed:       c.failed,
-		Fails:        c.fails,
+		Failed:       failed,
 	}
 	if c.session != nil {
 		s.Sessions = c.session.Stats()
@@ -235,16 +226,15 @@ func (c *Collector) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is the finalized measurement quadruple plus the SLA threshold,
-// the adjustment speeds and the completion count — the measured core of
-// core.Result, the result type the one executor (core.Runner.RunOn)
-// returns.
+// Snapshot is the finalized per-interval table, curve and histogram plus
+// the SLA threshold, the adjustment speeds and the operation counts — the
+// measured core of core.Result, the result type the one executor
+// (core.Runner.RunOn) returns.
 type Snapshot struct {
-	// Timeline backs Figure 1a: per-interval throughput.
-	Timeline *Timeline
 	// Cumulative backs Figure 1b: completions over time.
 	Cumulative *CumCurve
-	// Bands backs Figure 1c: SLA latency bands.
+	// Bands is the per-interval table: Figure 1a's throughput series,
+	// Figure 1c's SLA latency bands, and each interval's failures.
 	Bands *BandTracker
 	// Latency is the overall latency histogram: the merge of the
 	// collector's per-phase histograms.
@@ -260,8 +250,6 @@ type Snapshot struct {
 	// Failed is the number of operations that completed as errors
 	// (RecordFailed); they are excluded from every latency structure.
 	Failed int64
-	// Fails is the per-interval failure series (nil when no op failed).
-	Fails *FailSeries
 	// Sessions is the per-session SLA digest (nil unless the engine
 	// marked session boundaries via BeginSession).
 	Sessions *SessionStats

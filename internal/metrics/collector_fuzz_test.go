@@ -47,10 +47,11 @@ func collectorCase(data []byte) (CollectorConfig, [][3]int64) {
 // RecordBatch) and the same stream fed in runs of random length must
 // snapshot identically, phase histograms included — wherever a run
 // crosses an interval, the calibration point or a failure, session or
-// phase boundary. The snapshot is also checked against a naive model: its
-// Timeline counts the cumulative curve's completions per interval, and each
-// phase change's adjustment speed is the plain sum of max(latency - SLA, 0)
-// over the first PostChangeN successes after it.
+// phase boundary. The snapshot is also checked against a naive model: each
+// interval of its band table counts the cumulative curve's completions and
+// the failure events that fall in it, Failed is the failure events' total,
+// and each phase change's adjustment speed is the plain sum of
+// max(latency - SLA, 0) over the first PostChangeN successes after it.
 func FuzzCollectorBatch(f *testing.F) {
 	ev := func(kind, dt, lat byte) []byte { return []byte{kind, dt, lat} }
 	cat := func(head []byte, evs ...[]byte) []byte {
@@ -59,15 +60,17 @@ func FuzzCollectorBatch(f *testing.F) {
 		}
 		return head
 	}
+	// Times start at -100 ns, which clamps into the first interval: two
+	// 63 ns steps carry each seed to +26 ns, so its events cross intervals.
 	var crossings, calibration, phases, interrupts []byte
-	crossings = []byte{9, 3, 0} // SLA 33, interval 4
-	calibration = []byte{4, 50, 0}
+	crossings = cat([]byte{9, 3, 0}, ev(0, 63, 0), ev(0, 63, 0)) // SLA 33, interval 4
+	calibration = cat([]byte{4, 50, 0}, ev(0, 63, 3), ev(1, 63, 4))
 	for i := byte(0); i < 12; i++ {
 		crossings = cat(crossings, ev(0, 1, i))
 		calibration = cat(calibration, ev(i%5, 2, 3+i)) // CalibrateAfter 3
 	}
-	phases = cat([]byte{2, 10, 1}, ev(0, 1, 1), ev(1, 3, 2), ev(evPhase, 0, 0), ev(2, 4, 3), ev(3, 5, 4))
-	interrupts = cat([]byte{7, 8, 2}, ev(evSession, 1, 1), ev(0, 1, 2), ev(evFailed, 9, 0),
+	phases = cat([]byte{2, 10, 1}, ev(0, 63, 1), ev(0, 63, 1), ev(0, 1, 1), ev(1, 3, 2), ev(evPhase, 0, 0), ev(2, 4, 3), ev(3, 5, 4))
+	interrupts = cat([]byte{7, 8, 2}, ev(0, 63, 1), ev(0, 63, 1), ev(evSession, 1, 1), ev(0, 1, 2), ev(evFailed, 9, 0),
 		ev(evPhase, 0, 0), ev(1, 2, 3), ev(evSession, 20, 4), ev(evFailed, 0, 0), ev(evFailed, 1, 0), ev(2, 3, 5))
 	for _, seed := range [][]byte{crossings, calibration, phases, interrupts} {
 		f.Add(seed, int64(1))
@@ -128,22 +131,33 @@ func FuzzCollectorBatch(f *testing.F) {
 			t.Fatalf("snapshots differ:\n  op at a time %+v\n  in runs      %+v", a, b)
 		}
 
-		var counts []int64
+		// Per interval: {completions, failures}.
+		var model [][2]int64
+		count := func(at int64, k int, n int64) {
+			idx := int(max(at, 0) / cfg.IntervalNs)
+			for len(model) <= idx {
+				model = append(model, [2]int64{})
+			}
+			model[idx][k] += n
+		}
 		prev := int64(0)
 		a.Cumulative.Points(func(at, n int64) {
-			idx := int(max(at, 0) / cfg.IntervalNs)
-			for len(counts) <= idx {
-				counts = append(counts, 0)
-			}
-			counts[idx] += n - prev
+			count(at, 0, n-prev)
 			prev = n
 		})
-		tl := make([]int64, a.Timeline.Len())
-		for i := range tl {
-			tl[i] = a.Timeline.At(i)
+		var failed int64
+		for _, e := range evs {
+			if e[0] == evFailed {
+				count(e[1], 1, 1)
+				failed++
+			}
 		}
-		if !slices.Equal(tl, counts) {
-			t.Fatalf("timeline %v, want the curve's per-interval counts %v", tl, counts)
+		var table [][2]int64
+		for _, iv := range a.Bands.Intervals() {
+			table = append(table, [2]int64{iv.Completed(), iv.Failed})
+		}
+		if !slices.Equal(table, model) || a.Failed != failed {
+			t.Fatalf("{completed, failed} per interval %v, total failed %d; want the curve's and the failure events' %v, %d", table, a.Failed, model, failed)
 		}
 
 		var adjust []int64

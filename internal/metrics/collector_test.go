@@ -36,7 +36,7 @@ func TestCollectorDeferredCalibration(t *testing.T) {
 	lats := []int64{100, 100, 100, 100, 9000}
 	for i, l := range lats {
 		c.Record(int64(i+1)*10, l)
-		if i < 3 && c.sla != 0 {
+		if i < 3 && c.bands.sla != 0 {
 			t.Fatalf("SLA calibrated after %d samples", i+1)
 		}
 	}
@@ -92,11 +92,11 @@ func TestCollectorCalibrateIdempotent(t *testing.T) {
 	c := NewCollector(CollectorConfig{IntervalNs: 1e6, CalibrateAfter: 100})
 	c.BeginPhase()
 	c.Record(1, 50)
-	if c.sla != 0 {
+	if c.bands.sla != 0 {
 		t.Fatal("SLA calibrated before the window filled or the phase changed")
 	}
 	c.BeginPhase()
-	sla := c.sla
+	sla := c.bands.sla
 	if sla == 0 {
 		t.Fatal("the phase change did not calibrate the SLA")
 	}

@@ -2,7 +2,7 @@
 // for learned-system benchmarks (§V-D): descriptive throughput statistics
 // (box plots, Fig 1a), cumulative-completion curves with area-vs-ideal
 // scores (Fig 1b), SLA latency bands with adjustment-speed metrics
-// (Fig 1c), throughput timelines, and adaptation-time detection.
+// (Fig 1c), per-interval throughput, and adaptation-time detection.
 //
 // All duration quantities are expressed in nanoseconds as int64, matching
 // time.Duration, so the package works identically under the real clock and

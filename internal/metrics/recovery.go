@@ -1,13 +1,5 @@
 package metrics
 
-// FailSeries counts failed operations per time interval — the companion
-// of BandTracker for availability: bands show how slow the successes
-// were, the fail series shows how many operations never succeeded at all.
-type FailSeries struct{ intervalCounts }
-
-// NewFailSeries returns a series with the given interval width (ns).
-func NewFailSeries(width int64) *FailSeries { return &FailSeries{newIntervalCounts(width)} }
-
 // RecoveryStats is the robustness view of a faulted run: how far the
 // system degraded during the fault window and how long it took to return
 // to its pre-fault SLA band afterwards. It backs the Fig 1e report panel.
@@ -43,7 +35,7 @@ type RecoveryStats struct {
 // violation rate is within recoveryTolerance of the pre-fault baseline
 // and it saw no failures; recovery requires recoveredSustain consecutive
 // healthy intervals. DefaultErrorBudget is the allowed failure fraction
-// ("three nines") when the caller does not set one.
+// ("three nines") the error-budget burn is measured against.
 const (
 	recoveryTolerance  = 0.05
 	recoveredSustain   = 3
@@ -51,44 +43,31 @@ const (
 )
 
 // Recovery computes the robustness view of this snapshot against a fault
-// window [faultStartNs, faultEndNs). budgetFrac is the allowed failure
-// fraction for error-budget burn (<= 0 means DefaultErrorBudget). The
-// snapshot must have band tracking (a finalized Collector always does).
-func (s Snapshot) Recovery(faultStartNs, faultEndNs int64, budgetFrac float64) RecoveryStats {
-	if budgetFrac <= 0 {
-		budgetFrac = DefaultErrorBudget
-	}
+// window [faultStartNs, faultEndNs), burning DefaultErrorBudget. The
+// snapshot must have its per-interval table (a finalized Collector's
+// always does).
+func (s Snapshot) Recovery(faultStartNs, faultEndNs int64) RecoveryStats {
 	rec := RecoveryStats{
 		FaultStartNs:    faultStartNs,
 		FaultEndNs:      faultEndNs,
 		TimeToRecoverNs: -1,
+		FailedOps:       s.Failed,
+		Availability:    1,
 	}
-	rec.FailedOps = s.Failed
-	total := s.Completed + rec.FailedOps
-	if total > 0 {
+	if total := s.Completed + s.Failed; total > 0 {
 		rec.Availability = float64(s.Completed) / float64(total)
-	} else {
-		rec.Availability = 1
 	}
-	rec.ErrorBudgetBurn = (1 - rec.Availability) / budgetFrac
+	rec.ErrorBudgetBurn = (1 - rec.Availability) / DefaultErrorBudget
 
-	if s.Bands == nil {
-		return rec
-	}
 	ivs := s.Bands.Intervals()
 	width := s.Bands.Width()
-	if len(ivs) == 0 || width <= 0 {
-		return rec
-	}
 
 	// Baseline: violation rate of the intervals fully before fault start.
 	var baseDone, baseBad int64
-	for _, iv := range ivs {
-		if iv.Start+width > faultStartNs {
-			break
-		}
-		baseDone += iv.Completed()
-		baseBad += iv.Violated()
+	first := 0
+	for ; first < len(ivs) && ivs[first].Start+width <= faultStartNs; first++ {
+		baseDone += ivs[first].Completed()
+		baseBad += ivs[first].Violated()
 	}
 	if baseDone > 0 {
 		rec.BaselineViolationRate = float64(baseBad) / float64(baseDone)
@@ -98,37 +77,20 @@ func (s Snapshot) Recovery(faultStartNs, faultEndNs int64, budgetFrac float64) R
 	// fault. Failures count against each interval's rate: an interval
 	// where every op failed is maximally violated, not empty.
 	healthy := 0
-	firstIdx := int(faultStartNs / width)
-	for idx := firstIdx; idx < len(ivs) || (s.Fails != nil && idx < s.Fails.Len()); idx++ {
-		var iv Interval
-		if idx < len(ivs) {
-			iv = ivs[idx]
-		} else {
-			iv.Start = int64(idx) * width
-		}
-		fails := int64(0)
-		if s.Fails != nil {
-			fails = s.Fails.At(idx)
-		}
-		done := iv.Completed() + fails
+	for _, iv := range ivs[first:] {
 		var rate float64
-		if done > 0 {
-			rate = float64(iv.Violated()+fails) / float64(done)
+		if done := iv.Completed() + iv.Failed; done > 0 {
+			rate = float64(iv.Violated()+iv.Failed) / float64(done)
 		}
-		if rate > rec.PeakViolationRate {
-			rec.PeakViolationRate = rate
-		}
+		rec.PeakViolationRate = max(rec.PeakViolationRate, rate)
 		if rec.Recovered || iv.Start+width <= faultEndNs {
 			continue // still inside the fault window (or already done)
 		}
-		if fails == 0 && iv.Completed() > 0 && rate <= rec.BaselineViolationRate+recoveryTolerance {
+		if iv.Failed == 0 && iv.Completed() > 0 && rate <= rec.BaselineViolationRate+recoveryTolerance {
 			healthy++
 			if healthy == recoveredSustain {
-				first := iv.Start - int64(recoveredSustain-1)*width
-				rec.TimeToRecoverNs = first - faultEndNs
-				if rec.TimeToRecoverNs < 0 {
-					rec.TimeToRecoverNs = 0
-				}
+				start := iv.Start - int64(recoveredSustain-1)*width
+				rec.TimeToRecoverNs = max(start-faultEndNs, 0)
 				rec.Recovered = true
 			}
 		} else {

@@ -5,23 +5,25 @@ import (
 	"testing"
 )
 
+// TestFailSeries: failures are counted per interval of the band table,
+// which they extend like completions do.
 func TestFailSeries(t *testing.T) {
-	f := NewFailSeries(100)
-	f.Record(250)
-	f.Record(50)
-	f.Record(250) // out of interval order is fine
-	f.Record(-5)  // clamps to 0
-	if f.Width() != 100 {
-		t.Fatalf("width = %d", f.Width())
+	c := NewCollector(CollectorConfig{IntervalNs: 100, SLANs: 100})
+	c.RecordFailed(250)
+	c.RecordFailed(50)
+	c.Record(60, 10)
+	c.RecordFailed(250) // out of interval order is fine
+	c.RecordFailed(-5)  // clamps to 0
+	s := c.Snapshot()
+	ivs := s.Bands.Intervals()
+	if len(ivs) != 3 {
+		t.Fatalf("len = %d, want 3 intervals", len(ivs))
 	}
-	if f.Len() != 3 {
-		t.Fatalf("len = %d, want 3 intervals", f.Len())
+	if ivs[0].Failed != 2 || ivs[1].Failed != 0 || ivs[2].Failed != 2 || s.Failed != 4 {
+		t.Fatalf("failed = %d,%d,%d (total %d)", ivs[0].Failed, ivs[1].Failed, ivs[2].Failed, s.Failed)
 	}
-	if f.At(0) != 2 || f.At(1) != 0 || f.At(2) != 2 {
-		t.Fatalf("counts = %d,%d,%d", f.At(0), f.At(1), f.At(2))
-	}
-	if f.At(-1) != 0 || f.At(99) != 0 {
-		t.Fatal("out-of-range At not zero")
+	if ivs[0].Completed() != 1 || ivs[2].Completed() != 0 {
+		t.Fatalf("completed = %d,%d", ivs[0].Completed(), ivs[2].Completed())
 	}
 }
 
@@ -64,7 +66,7 @@ func synthSnapshot(healthyTail int) Snapshot {
 
 func TestRecoveryStats(t *testing.T) {
 	s := synthSnapshot(3)
-	rec := s.Recovery(500, 800, 0.25)
+	rec := s.Recovery(500, 800)
 
 	if rec.FailedOps != 25 {
 		t.Fatalf("failed ops = %d, want 25", rec.FailedOps)
@@ -73,7 +75,7 @@ func TestRecoveryStats(t *testing.T) {
 	if want := 95.0 / 120.0; math.Abs(rec.Availability-want) > 1e-12 {
 		t.Fatalf("availability = %v, want %v", rec.Availability, want)
 	}
-	if want := (25.0 / 120.0) / 0.25; math.Abs(rec.ErrorBudgetBurn-want) > 1e-12 {
+	if want := (25.0 / 120.0) / DefaultErrorBudget; math.Abs(rec.ErrorBudgetBurn-want) > 1e-9 {
 		t.Fatalf("budget burn = %v, want %v", rec.ErrorBudgetBurn, want)
 	}
 	if rec.BaselineViolationRate != 0 {
@@ -93,14 +95,13 @@ func TestRecoveryStats(t *testing.T) {
 
 func TestRecoveryNeverRecovers(t *testing.T) {
 	// Only two healthy intervals: recoveredSustain demands three.
-	rec := synthSnapshot(2).Recovery(500, 800, 0)
+	rec := synthSnapshot(2).Recovery(500, 800)
 	if rec.Recovered {
 		t.Fatal("recovered with an unsustained healthy streak")
 	}
 	if rec.TimeToRecoverNs != -1 {
 		t.Fatalf("time to recover = %d, want -1 sentinel", rec.TimeToRecoverNs)
 	}
-	// The default error budget kicks in when the caller passes 0.
 	if want := (25.0 / 110.0) / DefaultErrorBudget; math.Abs(rec.ErrorBudgetBurn-want) > 1e-9 {
 		t.Fatalf("budget burn = %v, want default-budget %v", rec.ErrorBudgetBurn, want)
 	}
@@ -116,15 +117,32 @@ func TestRecoveryCleanRun(t *testing.T) {
 		}
 	}
 	s := c.Snapshot()
-	if s.Fails != nil || s.Failed != 0 {
-		t.Fatal("clean run grew a fail series")
+	if s.Failed != 0 {
+		t.Fatal("clean run counted failures")
 	}
-	rec := s.Recovery(300, 400, 0)
+	rec := s.Recovery(300, 400)
 	if rec.Availability != 1 || rec.ErrorBudgetBurn != 0 || rec.FailedOps != 0 {
 		t.Fatalf("clean run recovery: %+v", rec)
 	}
 	if !rec.Recovered || rec.TimeToRecoverNs != 0 {
 		t.Fatalf("clean run should recover instantly: recovered=%v ttr=%d",
 			rec.Recovered, rec.TimeToRecoverNs)
+	}
+}
+
+// TestRecoveryAllFailed: a run that completes nothing is one long outage,
+// not an empty table.
+func TestRecoveryAllFailed(t *testing.T) {
+	c := NewCollector(CollectorConfig{IntervalNs: 100})
+	for k := int64(0); k < 30; k++ {
+		c.RecordFailed(k * 10)
+	}
+	rec := c.Snapshot().Recovery(0, 1e9)
+	if rec.PeakViolationRate != 1 || rec.FailedOps != 30 || rec.Availability != 0 {
+		t.Fatalf("all-failed run: peak %v, failed %d, availability %v; want 1, 30, 0",
+			rec.PeakViolationRate, rec.FailedOps, rec.Availability)
+	}
+	if rec.Recovered {
+		t.Fatal("all-failed run recovered")
 	}
 }

@@ -187,35 +187,25 @@ func CumulativeCSV(w io.Writer, labels []string, curves []*metrics.CumCurve, poi
 
 // BandChart renders Figure 1c: one column per interval, split into
 // within-SLA (#) and violating (!) completions, normalized to the busiest
-// interval.
+// interval; "(no data)" when no interval holds a completion.
 func BandChart(w io.Writer, title string, bt *metrics.BandTracker, height int) {
 	ivs := bt.Intervals()
-	if len(ivs) == 0 {
-		fmt.Fprintf(w, "%s\n(no data)\n", title)
-		return
-	}
-	if height < 6 {
-		height = 6
-	}
-	// Cap the chart at 120 columns by merging intervals.
-	cols := len(ivs)
-	merge := 1
-	for cols > 120 {
-		merge *= 2
-		cols = (len(ivs) + merge - 1) / merge
-	}
+	merge, cols := chartColumns(len(ivs))
 	type col struct{ ok, bad int64 }
 	columns := make([]col, cols)
 	for i, iv := range ivs {
 		columns[i/merge].ok += iv.WithinSLA()
 		columns[i/merge].bad += iv.Violated()
 	}
-	var maxC int64 = 1
+	var maxC int64
 	for _, c := range columns {
-		if c.ok+c.bad > maxC {
-			maxC = c.ok + c.bad
-		}
+		maxC = max(maxC, c.ok+c.bad)
 	}
+	if maxC == 0 {
+		fmt.Fprintf(w, "%s\n(no data)\n", title)
+		return
+	}
+	height = max(height, 6)
 	fmt.Fprintf(w, "%s (SLA=%.3fms, interval=%.3fms x%d)\n",
 		title, float64(bt.SLA())/1e6, float64(bt.Width())/1e6, merge)
 	for row := height; row >= 1; row-- {
@@ -236,6 +226,17 @@ func BandChart(w io.Writer, title string, bt *metrics.BandTracker, height int) {
 	}
 	fmt.Fprintf(w, "+%s\n", strings.Repeat("-", cols))
 	fmt.Fprintf(w, "# within SLA, ! violation; violation rate %.2f%%\n", bt.ViolationRate()*100)
+}
+
+// chartColumns caps a per-interval chart at 120 columns: it returns how
+// many intervals each column merges and how many columns n intervals take.
+func chartColumns(n int) (merge, cols int) {
+	merge, cols = 1, n
+	for cols > 120 {
+		merge *= 2
+		cols = (n + merge - 1) / merge
+	}
+	return merge, cols
 }
 
 // BandCSV emits the Fig 1c series with the four color-coded levels.

@@ -151,6 +151,28 @@ func TestBandChartMergesWideRuns(t *testing.T) {
 	}
 }
 
+// A run whose every op failed has a table of failures only: Fig 1c has no
+// completion to chart, and the robustness panel reads a full outage.
+func TestAllFailedRun(t *testing.T) {
+	c := metrics.NewCollector(metrics.CollectorConfig{IntervalNs: 1e6})
+	for i := int64(0); i < 30; i++ {
+		c.RecordFailed(i * 1e5)
+	}
+	s := c.Snapshot()
+	var sb strings.Builder
+	BandChart(&sb, "fig1c", s.Bands, 8)
+	if sb.String() != "fig1c\n(no data)\n" {
+		t.Fatalf("band chart of an all-failed run:\n%s", sb.String())
+	}
+	sb.Reset()
+	RobustnessPanel(&sb, "robustness", s, s.Recovery(0, 3e6))
+	for _, want := range []string{"(30 failed / 30 ops)", "-> 100.00% peak", "failures/interval   ###  (peak 10)"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("robustness panel lacks %q:\n%s", want, sb.String())
+		}
+	}
+}
+
 func TestBandCSV(t *testing.T) {
 	bt := metrics.NewBandTracker(1000, 1e9)
 	bt.Record(0, 100)

@@ -31,37 +31,22 @@ func RobustnessPanel(w io.Writer, title string, s metrics.Snapshot, rec metrics.
 	default:
 		fmt.Fprintf(w, "  time to recover          n/a  (never re-entered pre-fault SLA band)\n")
 	}
-	if s.Fails != nil && s.Bands != nil {
-		failBar(w, s)
+	if s.Failed > 0 {
+		failBar(w, s.Bands)
 	}
 }
 
-// failBar renders the failure series as a one-line sparkline aligned with
-// the band chart's intervals: '.' no failures, digits 1-9 scale to the
-// worst interval's failure share, '#' is the peak.
-func failBar(w io.Writer, s metrics.Snapshot) {
-	n := s.Fails.Len()
-	if bl := len(s.Bands.Intervals()); bl > n {
-		n = bl
+// failBar renders the per-interval failures as a one-line sparkline
+// aligned with the band chart's intervals: '.' no failures, digits 1-9
+// scale to the worst interval's failure share, '#' is the peak.
+func failBar(w io.Writer, bt *metrics.BandTracker) {
+	ivs := bt.Intervals()
+	merge, cols := chartColumns(len(ivs))
+	counts := make([]int64, cols)
+	for i, iv := range ivs {
+		counts[i/merge] += iv.Failed
 	}
 	var max int64 = 1
-	for i := 0; i < n; i++ {
-		if c := s.Fails.At(i); c > max {
-			max = c
-		}
-	}
-	// Match BandChart's 120-column cap by merging intervals.
-	merge := 1
-	cols := n
-	for cols > 120 {
-		merge *= 2
-		cols = (n + merge - 1) / merge
-	}
-	counts := make([]int64, cols)
-	for i := 0; i < n; i++ {
-		counts[i/merge] += s.Fails.At(i)
-	}
-	max = 1
 	for _, c := range counts {
 		if c > max {
 			max = c
