@@ -242,6 +242,20 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestNegativeSLARejected: a negative slaNs is a config error that names
+// the field. It once parsed cleanly and then panicked inside the metrics
+// collector at the run's first completion. 0, which calibrates the SLA,
+// stays accepted.
+func TestNegativeSLARejected(t *testing.T) {
+	const doc = `{"name":"x","initialData":{"kind":"uniform"},"initialSize":10,"slaNs":%d,"phases":[{"ops":5,"access":{"gen":{"kind":"uniform"}}}]}`
+	if _, err := Parse([]byte(fmt.Sprintf(doc, -5))); err == nil || !strings.Contains(err.Error(), "slaNs") {
+		t.Fatalf("slaNs -5: err = %v, want an slaNs error", err)
+	}
+	if _, err := Parse([]byte(fmt.Sprintf(doc, 0))); err != nil {
+		t.Fatalf("slaNs 0: %v", err)
+	}
+}
+
 // writeSampleTrace records a short two-phase trace to dir and returns its
 // path and raw bytes.
 func writeSampleTrace(t *testing.T, dir string) (string, []byte) {

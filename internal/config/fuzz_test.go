@@ -62,6 +62,8 @@ func FuzzConfig(f *testing.F) {
 	}
 	// A document that parsed and then crashed the runner: 2^62 ops.
 	f.Add([]byte(`{"name":"m","initialData":{"kind":"uniform"},"phases":[{"ops":4611686018427387904,"access":{"gen":{"kind":"uniform"}}}]}`))
+	// A document that parsed and then panicked in the collector: a negative SLA.
+	f.Add([]byte(`{"name":"m","initialData":{"kind":"uniform"},"slaNs":-5,"phases":[{"ops":1,"access":{"gen":{"kind":"uniform"}}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var doc Scenario
 		if json.Unmarshal(data, &doc) == nil && !buildable(doc) {

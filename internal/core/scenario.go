@@ -153,6 +153,9 @@ func (s Scenario) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("core: scenario %q has no phases", s.Name)
 	}
+	if s.SLANs < 0 {
+		return fmt.Errorf("core: scenario %q has negative SLA (slaNs %d; 0 calibrates it)", s.Name, s.SLANs)
+	}
 	if s.Session != nil && s.Session.GapNs <= 0 {
 		return fmt.Errorf("core: scenario %q session spec needs a positive boundary gap", s.Name)
 	}

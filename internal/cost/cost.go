@@ -28,7 +28,6 @@ type HardwareTier struct {
 var (
 	CPU = HardwareTier{Name: "cpu", DollarsPerH: 0.80, Speedup: 1}
 	GPU = HardwareTier{Name: "gpu", DollarsPerH: 3.20, Speedup: 12}
-	TPU = HardwareTier{Name: "tpu", DollarsPerH: 8.00, Speedup: 40}
 )
 
 // Model is the cost model for a benchmark run. All durations are hours.

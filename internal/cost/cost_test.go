@@ -142,7 +142,8 @@ func TestGPUVsCPUTradeoffShape(t *testing.T) {
 	work, unit := 50000.0, 0.0005
 	cpuCost := m.TrainingCost(work, unit, CPU)
 	gpuCost := m.TrainingCost(work, unit, GPU)
-	tpuCost := m.TrainingCost(work, unit, TPU)
+	tpu := HardwareTier{Name: "tpu", DollarsPerH: 8.00, Speedup: 40}
+	tpuCost := m.TrainingCost(work, unit, tpu)
 	if !(gpuCost < cpuCost && tpuCost < cpuCost) {
 		t.Fatalf("accelerators should cut dollar cost: cpu=%v gpu=%v tpu=%v",
 			cpuCost, gpuCost, tpuCost)

@@ -48,10 +48,23 @@ func xPowMod(n int) uint32 {
 
 // checksum is the CRC32-C of b, the sum seal stores and verify checks. It
 // is crc32.Checksum(b, crcTable) on every input; inputs of foldMin bytes
-// or more take the fold kernel where the CPU has one.
+// or more take the fold kernel where the CPU has one, with b as its own
+// destination.
 func checksum(b []byte) uint32 {
 	if useFold && len(b) >= foldMin {
-		return crcFold(b, &foldKeys)
+		return crcFold(b, b, &foldKeys)
 	}
 	return crc32.Checksum(b, crcTable)
+}
+
+// checksumCopy copies src into dst, which holds at least len(src) bytes
+// and does not overlap src, and returns checksum(src): one pass over the
+// bytes where the fold kernel runs, copy and then crc32.Checksum elsewhere.
+func checksumCopy(dst, src []byte) uint32 {
+	dst = dst[:len(src)]
+	if useFold && len(src) >= foldMin {
+		return crcFold(dst, src, &foldKeys)
+	}
+	copy(dst, src)
+	return crc32.Checksum(dst, crcTable)
 }

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
 // FOLD moves acc's two 128-bit lanes forward by the span k was derived for
-// and adds data: acc = H·k[0] + L·k[1] + data, lane by lane.
+// and adds the register data: acc = H·k[0] + L·k[1] + data, lane by lane.
 #define FOLD(k, acc, tmp, data) \
 	VPCLMULQDQ $0x00, k, acc, tmp; \
 	VPCLMULQDQ $0x11, k, acc, acc; \
@@ -45,42 +45,52 @@ TEXT ·foldSupported(SB), NOSPLIT, $0-1
 no:
 	RET
 
-// func crcFold(b []byte, k *[3][2]uint64) uint32
-TEXT ·crcFold(SB), NOSPLIT, $0-36
-	MOVQ b_base+0(FP), SI
-	MOVQ b_len+8(FP), CX
-	MOVQ k+24(FP), AX
+// COPY loads the 32 bytes at off(SI) into data and stores them at off(DI).
+#define COPY(off, data) VMOVDQU off(SI), data; VMOVDQU data, off(DI)
+
+// COPYFOLD copies the 32 bytes at off(SI) and folds them into acc: every
+// byte the kernel sums, it also copies.
+#define COPYFOLD(off, k, acc, tmp, data) COPY(off, data); FOLD(k, acc, tmp, data)
+
+// func crcFold(dst, src []byte, k *[3][2]uint64) uint32
+TEXT ·crcFold(SB), NOSPLIT, $0-60
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	MOVQ k+48(FP), AX
 	VBROADCASTI128 0(AX), Y8  // T = 2048
 	VBROADCASTI128 16(AX), Y9 // T = 256
 	VMOVDQU        32(AX), X10 // T = 128
 
 	// The first 256 bytes, with the initial CRC ~0 added to the first four.
-	VMOVDQU 0(SI), Y0
-	VMOVDQU 32(SI), Y1
-	VMOVDQU 64(SI), Y2
-	VMOVDQU 96(SI), Y3
-	VMOVDQU 128(SI), Y4
-	VMOVDQU 160(SI), Y5
-	VMOVDQU 192(SI), Y6
-	VMOVDQU 224(SI), Y7
+	COPY(0, Y0)
+	COPY(32, Y1)
+	COPY(64, Y2)
+	COPY(96, Y3)
+	COPY(128, Y4)
+	COPY(160, Y5)
+	COPY(192, Y6)
+	COPY(224, Y7)
 	MOVL    $0xffffffff, DX
 	VMOVD   DX, X11
 	VPXOR   Y11, Y0, Y0
 	ADDQ    $256, SI
+	ADDQ    $256, DI
 	SUBQ    $256, CX
 
 block:
 	CMPQ CX, $256
 	JB   merge
-	FOLD(Y8, Y0, Y11, 0(SI))
-	FOLD(Y8, Y1, Y12, 32(SI))
-	FOLD(Y8, Y2, Y13, 64(SI))
-	FOLD(Y8, Y3, Y14, 96(SI))
-	FOLD(Y8, Y4, Y11, 128(SI))
-	FOLD(Y8, Y5, Y12, 160(SI))
-	FOLD(Y8, Y6, Y13, 192(SI))
-	FOLD(Y8, Y7, Y14, 224(SI))
+	COPYFOLD(0, Y8, Y0, Y11, Y12)
+	COPYFOLD(32, Y8, Y1, Y13, Y14)
+	COPYFOLD(64, Y8, Y2, Y11, Y12)
+	COPYFOLD(96, Y8, Y3, Y13, Y14)
+	COPYFOLD(128, Y8, Y4, Y11, Y12)
+	COPYFOLD(160, Y8, Y5, Y13, Y14)
+	COPYFOLD(192, Y8, Y6, Y11, Y12)
+	COPYFOLD(224, Y8, Y7, Y13, Y14)
 	ADDQ $256, SI
+	ADDQ $256, DI
 	SUBQ $256, CX
 	JMP  block
 
@@ -97,8 +107,9 @@ merge:
 step:
 	CMPQ CX, $32
 	JB   lane
-	FOLD(Y9, Y0, Y11, 0(SI))
+	COPYFOLD(0, Y9, Y0, Y11, Y12)
 	ADDQ $32, SI
+	ADDQ $32, DI
 	SUBQ $32, CX
 	JMP  step
 
@@ -113,7 +124,8 @@ lane:
 	VPEXTRQ      $1, X0, BX
 	VZEROUPPER
 
-	// A CRC register of 0 over those 16 bytes and the tail of < 32 bytes.
+	// A CRC register of 0 over those 16 bytes and the tail of < 32 bytes,
+	// which is copied as it is summed.
 	XORL   DX, DX
 	CRC32Q AX, DX
 	CRC32Q BX, DX
@@ -121,20 +133,26 @@ lane:
 tail8:
 	CMPQ   CX, $8
 	JB     tail1
-	CRC32Q 0(SI), DX
+	MOVQ   0(SI), R8
+	MOVQ   R8, 0(DI)
+	CRC32Q R8, DX
 	ADDQ   $8, SI
+	ADDQ   $8, DI
 	SUBQ   $8, CX
 	JMP    tail8
 
 tail1:
-	TESTQ  CX, CX
-	JZ     done
-	CRC32B 0(SI), DX
-	INCQ   SI
-	DECQ   CX
-	JMP    tail1
+	TESTQ   CX, CX
+	JZ      done
+	MOVBLZX 0(SI), R8
+	MOVB    R8, 0(DI)
+	CRC32B  R8, DX
+	INCQ    SI
+	INCQ    DI
+	DECQ    CX
+	JMP     tail1
 
 done:
 	NOTL DX
-	MOVL DX, ret+32(FP)
+	MOVL DX, ret+56(FP)
 	RET

@@ -64,6 +64,10 @@ func (m *MemBackend) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
+// page returns the PageSize bytes at the page-aligned offset off < size.
+// A chunk holds whole pages, so they are one slice of it.
+func (m *MemBackend) page(off int64) []byte { return m.from(off)[:PageSize] }
+
 // from returns the rest of the chunk that holds byte pos.
 func (m *MemBackend) from(pos int64) []byte {
 	return m.chunks[pos/memChunk][pos%memChunk:]
@@ -195,6 +199,10 @@ type meta struct {
 // free-list.
 type File struct {
 	b Backend
+	// mem is b when it is a *MemBackend, whose pages ReadPage and WritePage
+	// copy and checksum in one pass; nil for any other Backend, which gets
+	// ReadAt then verify, or seal then WriteAt.
+	mem *MemBackend
 	// published is the last checkpointed meta; working is the in-memory
 	// state (allocations, root updates) the next checkpoint publishes.
 	published meta
@@ -208,7 +216,7 @@ func Create(b Backend) (*File, error) {
 	if err := b.Truncate(0); err != nil {
 		return nil, fmt.Errorf("pager: create: %w", err)
 	}
-	f := &File{b: b}
+	f := newFile(b)
 	f.working = meta{epoch: 1, pageCount: 2}
 	if err := f.writeMeta(0, f.working); err != nil {
 		return nil, err
@@ -228,7 +236,7 @@ func Create(b Backend) (*File, error) {
 // two invalid metas mean the file is not a pager file or is corrupt beyond
 // recovery, and Open fails loudly.
 func Open(b Backend) (*File, error) {
-	f := &File{b: b}
+	f := newFile(b)
 	var best *meta
 	for slot := PageID(0); slot <= 1; slot++ {
 		m, err := f.readMeta(slot)
@@ -253,6 +261,12 @@ func Open(b Backend) (*File, error) {
 		}
 	}
 	return f, nil
+}
+
+// newFile returns a File over b with nothing read or written.
+func newFile(b Backend) *File {
+	m, _ := b.(*MemBackend)
+	return &File{b: b, mem: m}
 }
 
 // writeMeta serializes m into meta slot (page 0 or 1).
@@ -292,18 +306,37 @@ func (f *File) readMeta(slot PageID) (meta, error) {
 	return m, nil
 }
 
-// ReadPage reads and verifies page id into p.
+// ReadPage reads and verifies page id into p. A page wholly inside a
+// MemBackend is copied and checksummed in one pass; anything else, a read
+// past the end included, goes through Backend.ReadAt.
 func (f *File) ReadPage(id PageID, p *Page) error {
-	if _, err := f.b.ReadAt(p.buf[:], int64(id)*PageSize); err != nil {
+	off := int64(id) * PageSize
+	if m := f.mem; m != nil && off+PageSize <= m.size {
+		src := m.page(off)
+		copy(p.buf[:offPageID], src)
+		return p.check(id, checksumCopy(p.buf[offPageID:], src[offPageID:]))
+	}
+	if _, err := f.b.ReadAt(p.buf[:], off); err != nil {
 		return fmt.Errorf("pager: read page %d: %w", id, err)
 	}
 	return p.verify(id)
 }
 
-// WritePage seals (checksums) and writes page p at id.
+// WritePage seals (checksums) and writes page p at id. Into a MemBackend
+// the page is copied and checksummed in one pass.
 func (f *File) WritePage(id PageID, p *Page) error {
+	off := int64(id) * PageSize
+	if m := f.mem; m != nil {
+		if end := off + PageSize; end > m.size {
+			m.grow(end)
+		}
+		dst := m.page(off)
+		p.stamp(checksumCopy(dst[offPageID:], p.buf[offPageID:]))
+		copy(dst, p.buf[:offPageID])
+		return nil
+	}
 	p.seal()
-	if _, err := f.b.WriteAt(p.buf[:], int64(id)*PageSize); err != nil {
+	if _, err := f.b.WriteAt(p.buf[:], off); err != nil {
 		return fmt.Errorf("pager: write page %d: %w", id, err)
 	}
 	return nil

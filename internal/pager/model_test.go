@@ -383,7 +383,7 @@ func (c *refClock) victim(pinned func(PageID) bool) (PageID, bool) {
 	if len(c.ring) == 0 {
 		return NilPage, false
 	}
-	for sweep := 0; sweep < 2*len(c.ring); sweep++ {
+	for sweep := 0; sweep < 2*len(c.ring); {
 		if c.hand >= len(c.ring) {
 			c.hand = 0
 		}
@@ -392,6 +392,7 @@ func (c *refClock) victim(pinned func(PageID) bool) (PageID, bool) {
 			c.compactHole()
 			continue
 		}
+		sweep++
 		if pinned(id) {
 			c.hand++
 			continue

@@ -257,15 +257,20 @@ func (p *Page) compact() {
 }
 
 // seal stamps the checksum for writing.
-func (p *Page) seal() {
-	sum := checksum(p.buf[offPageID:])
+func (p *Page) seal() { p.stamp(checksum(p.buf[offPageID:])) }
+
+// stamp stores sum, the checksum of the rest of the page, in its header.
+func (p *Page) stamp(sum uint32) {
 	binary.LittleEndian.PutUint32(p.buf[offChecksum:], sum)
 }
 
 // verify checks the stored checksum and self-reference against id.
-func (p *Page) verify(id PageID) error {
+func (p *Page) verify(id PageID) error { return p.check(id, checksum(p.buf[offPageID:])) }
+
+// check compares got, the checksum computed over the rest of the page, with
+// the stored one, and the self-reference with id.
+func (p *Page) check(id PageID, got uint32) error {
 	want := binary.LittleEndian.Uint32(p.buf[offChecksum:])
-	got := checksum(p.buf[offPageID:])
 	if want != got {
 		return fmt.Errorf("pager: page %d checksum mismatch (stored %08x, computed %08x)", id, want, got)
 	}

@@ -165,8 +165,9 @@ func (c *clockPolicy) victim(pinned func(PageID) bool) (PageID, bool) {
 		return NilPage, false
 	}
 	// Two full sweeps suffice: the first clears reference bits, the
-	// second must find an unreferenced unpinned page if one exists.
-	for sweep := 0; sweep < 2*len(c.ring); sweep++ {
+	// second must find an unreferenced unpinned page if one exists. Only
+	// pages count towards them: compacting a hole passes none.
+	for sweep := 0; sweep < 2*len(c.ring); {
 		if c.hand >= len(c.ring) {
 			c.hand = 0
 		}
@@ -175,6 +176,7 @@ func (c *clockPolicy) victim(pinned func(PageID) bool) (PageID, bool) {
 			c.compactHole()
 			continue
 		}
+		sweep++
 		if pinned(id) {
 			c.hand++
 			continue

@@ -144,3 +144,22 @@ func TestTwoQSurvivesFlooding(t *testing.T) {
 		}
 	}
 }
+
+// TestClockVictimPastHoles: holes that removed pages leave in the ring do
+// not use up the sweep. Behind a run of eight holes, four referenced and
+// unpinned pages still yield the first of them once its bit is cleared.
+func TestClockVictimPastHoles(t *testing.T) {
+	c := &clockPolicy{}
+	for id := PageID(2); id < 14; id++ {
+		c.admit(id)
+	}
+	for id := PageID(2); id < 10; id++ {
+		c.remove(id)
+	}
+	for id := PageID(10); id < 14; id++ {
+		c.touch(id)
+	}
+	if id, ok := c.victim(func(PageID) bool { return false }); !ok || id != 10 {
+		t.Fatalf("victim = %d, %v; want 10, true", id, ok)
+	}
+}

@@ -76,27 +76,9 @@ func Summarize(sample []float64) Summary {
 	return s
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample using linear
-// interpolation between closest ranks. The input is not modified.
-func Quantile(sample []float64, q float64) float64 {
-	if len(sample) == 0 {
-		return math.NaN()
-	}
-	xs := append([]float64(nil), sample...)
-	sort.Float64s(xs)
-	return quantileSorted(xs, q)
-}
-
+// quantileSorted returns the q-quantile (0 <= q <= 1) of the sorted,
+// non-empty xs, interpolating linearly between closest ranks.
 func quantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
 	pos := q * float64(len(xs)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))

@@ -32,7 +32,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestSummarizeSingleton(t *testing.T) {
 	s := Summarize([]float64{7})
-	if s.Min != 7 || s.Max != 7 || s.Median != 7 || s.Mean != 7 || s.Stddev != 0 {
+	if s.Min != 7 || s.Max != 7 || s.P25 != 7 || s.Median != 7 || s.P75 != 7 || s.Mean != 7 || s.Stddev != 0 {
 		t.Fatalf("singleton summary = %+v", s)
 	}
 }
@@ -80,26 +80,37 @@ func TestSummaryInvariants(t *testing.T) {
 	}
 }
 
+// The quantile tests pin quantileSorted, the interpolation between closest
+// ranks behind Summarize's quartiles.
+
 func TestQuantileEdges(t *testing.T) {
-	xs := []float64{5, 1, 9, 3}
-	if Quantile(xs, 0) != 1 {
-		t.Fatalf("q0 = %v", Quantile(xs, 0))
+	xs := []float64{1, 3, 5, 9}
+	if got := quantileSorted(xs, 0); got != 1 {
+		t.Fatalf("q0 = %v", got)
 	}
-	if Quantile(xs, 1) != 9 {
-		t.Fatalf("q1 = %v", Quantile(xs, 1))
+	if got := quantileSorted(xs, 1); got != 9 {
+		t.Fatalf("q1 = %v", got)
 	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile must be NaN")
+	if s := Summarize([]float64{7}); s.P25 != 7 || s.Median != 7 || s.P75 != 7 {
+		t.Fatalf("singleton quartiles %v %v %v", s.P25, s.Median, s.P75)
+	}
+	if s := Summarize(nil); s != (Summary{}) {
+		t.Fatalf("empty summary = %+v", s)
 	}
 }
 
 func TestQuantileInterpolation(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Quantile(xs, 0.5); got != 5 {
-		t.Fatalf("median of {0,10} = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2.5 {
-		t.Fatalf("q25 of {0,10} = %v", got)
+	for _, c := range []struct {
+		xs            []float64
+		p25, med, p75 float64
+	}{
+		{[]float64{0, 10}, 2.5, 5, 7.5},
+		{[]float64{5, 1, 9, 3}, 2.5, 4, 6},
+	} {
+		s := Summarize(c.xs)
+		if s.P25 != c.p25 || s.Median != c.med || s.P75 != c.p75 {
+			t.Errorf("%v: quartiles %v %v %v, want %v %v %v", c.xs, s.P25, s.Median, s.P75, c.p25, c.med, c.p75)
+		}
 	}
 }
 
@@ -110,10 +121,11 @@ func TestQuantileMonotone(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Float64() * 1000
 		}
+		sort.Float64s(xs)
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := Quantile(xs, q)
-			if v < prev {
+			v := quantileSorted(xs, q)
+			if v < prev || v < xs[0] || v > xs[len(xs)-1] {
 				return false
 			}
 			prev = v
